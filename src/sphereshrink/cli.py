@@ -39,7 +39,6 @@ from sphereshrink.rv_priors import (
 )
 from sphereshrink.shrinkage import ShrinkageError, _cached_profile, phi_limit
 from sphereshrink.special_integrals import (
-    IdentityError,
     gegenbauer_identity,
     kernel_mass_identity,
     min_power_identity,
@@ -47,13 +46,15 @@ from sphereshrink.special_integrals import (
 
 EXIT_OK, EXIT_NUMERIC, EXIT_CONFIG, EXIT_VERDICT = 0, 1, 2, 3
 
+# command-line spelling -> (family, the options holding its parameters);
+# a tabulated model's "r" and "f" are the columns of its table
 _FAMILIES = {
-    "gaussian": "gaussian",
-    "polyexp": "poly_exp",
-    "poly_exp": "poly_exp",
-    "mixdiff": "mixture_diff",
-    "mixture_diff": "mixture_diff",
-    "tabulated": "tabulated",
+    "gaussian": ("gaussian", ()),
+    "polyexp": ("poly_exp", ("alpha", "beta")),
+    "poly_exp": ("poly_exp", ("alpha", "beta")),
+    "mixdiff": ("mixture_diff", ("a", "b")),
+    "mixture_diff": ("mixture_diff", ("a", "b")),
+    "tabulated": ("tabulated", ("r", "f")),
 }
 _E = math.e
 
@@ -132,10 +133,10 @@ def _resolve_config(args, command):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
@@ -175,30 +176,22 @@ def _build_model(cfg):
     fam_raw = cfg.get("family")
     if fam_raw is None:
         raise CLIConfigError("a model family is required (--family)")
-    family = _FAMILIES.get(str(fam_raw))
-    if family is None:
+    if str(fam_raw) not in _FAMILIES:
         raise CLIConfigError(f"unknown family {fam_raw!r}; choose from {sorted(set(_FAMILIES))}")
+    family, keys = _FAMILIES[str(fam_raw)]
     if cfg.get("p") is None:
         raise CLIConfigError("the dimension is required (--p)")
     p = int(cfg["p"])
-    if family == "gaussian":
-        params = {}
-    elif family == "poly_exp":
-        if cfg.get("alpha") is None or cfg.get("beta") is None:
-            raise CLIConfigError("poly_exp needs --alpha and --beta")
-        params = {"alpha": float(cfg["alpha"]), "beta": float(cfg["beta"])}
-    elif family == "mixture_diff":
-        if cfg.get("a") is None or cfg.get("b") is None:
-            raise CLIConfigError("mixture_diff needs --a and --b")
-        params = {"a": float(cfg["a"]), "b": float(cfg["b"])}
-    else:
-        params = {"r": _table_column(cfg, 0), "f": _table_column(cfg, 1)}
+    missing = [f"--{k}" for k in keys if k not in ("r", "f") and cfg.get(k) is None]
+    if missing:
+        raise CLIConfigError(f"{family} needs {' and '.join(missing)}")
+    params = {k: _table_column(cfg, k) if k in ("r", "f") else float(cfg[k]) for k in keys}
     return normalize(family, params, p)
 
 
-def _table_column(cfg, idx):
+def _table_column(cfg, key):
     if cfg.get("table_r") is not None and cfg.get("table_f") is not None:
-        return np.asarray(cfg["table_r"] if idx == 0 else cfg["table_f"], dtype=float)
+        return np.asarray(cfg[f"table_{key}"], dtype=float)
     path = cfg.get("table")
     if path is None:
         raise CLIConfigError("tabulated model needs --table FILE or table_r/table_f config keys")
@@ -208,7 +201,7 @@ def _table_column(cfg, idx):
         raise CLIConfigError(f"cannot read table {path}: {exc}") from exc
     if data.shape[1] < 2:
         raise CLIConfigError("table file needs two columns: r, f")
-    return data[:, idx]
+    return data[:, 0 if key == "r" else 1]
 
 
 def _build_prior(cfg, p):
@@ -290,7 +283,7 @@ def _emit(args, command, cfg, header, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, (bool, float)) else v for v in row])
+        writer.writerow([_fmt(v) if isinstance(v, (bool, float, np.generic)) else v for v in row])
     text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
@@ -567,7 +560,6 @@ _NUMERIC_STAGE = (
     QuadratureError,
     ConvolutionError,
     ShrinkageError,
-    IdentityError,
     DivergentMoment,
     ArithmeticError,
 )

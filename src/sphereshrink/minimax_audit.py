@@ -3,9 +3,9 @@
 Each literature row bounds the admissible size of the shrinkage weight;
 since the weight is nondecreasing with a known limit, a row certifies
 minimaxity when its monotonicity hypotheses hold and the limit stays
-under the row's bound.  Hypotheses are settled analytically for the
-built-in families and by grid differencing otherwise.  The conditions
-are sufficient only: a model failing all rows is reported as
+under the row's bound.  Hypotheses are settled analytically where the
+model's family answers them and by grid differencing otherwise.  The
+conditions are sufficient only: a model failing all rows is reported as
 not_certified, never as "not minimax".
 """
 
@@ -55,29 +55,6 @@ def _property_values(model: RadialDensity, prop: str, grid: np.ndarray) -> np.nd
     raise AuditError(f"unknown property {prop!r}")
 
 
-def _closed_verdict(model: RadialDensity, prop: str) -> bool | None:
-    """Analytic hypothesis answers for the built-in families, None if unknown."""
-    fam = model.family
-    if fam == "gaussian":
-        return True
-    if fam == "poly_exp":
-        alpha = model.params["alpha"]
-        if prop == "F_over_t2f_nonincreasing":
-            return True
-        # interior mode at sqrt(alpha/2 beta) unless alpha = 0; the
-        # kernel ratio is constant at alpha = 0 and strictly falling otherwise
-        return alpha == 0.0
-    if fam == "mixture_diff":
-        a = model.params["a"]
-        b = model.params["b"]
-        if prop == "F_over_t2f_nonincreasing":
-            return True
-        if prop == "f_nonincreasing":
-            return a <= b
-        return False  # (1 - bw)/(1 - w) rises in w, and w falls in t
-    return None
-
-
 def probe_monotone(model: RadialDensity, prop: str, grid=None, tol: float = 1e-9) -> MonotonicityVerdict:
     """Check one monotonicity hypothesis on a grid, analytic where known.
 
@@ -110,7 +87,7 @@ def probe_monotone(model: RadialDensity, prop: str, grid=None, tol: float = 1e-9
     if worst <= 0.0:
         worst = 0.0
 
-    closed = _closed_verdict(model, prop)
+    closed = model.form.monotone(prop)
     if closed is None:
         holds = worst <= tol
     else:
@@ -123,14 +100,13 @@ def probe_monotone(model: RadialDensity, prop: str, grid=None, tol: float = 1e-9
 
 
 def inf_ratio(model: RadialDensity) -> float:
-    """Infimum of F/f over the support: the knob in the widest-scope row."""
-    fam = model.family
-    if fam == "gaussian":
-        return 1.0
-    if fam == "poly_exp":
-        return 1.0 / (2.0 * model.params["beta"])
-    if fam == "mixture_diff":
-        return 1.0  # large-t limit; the ratio falls toward it
+    """Infimum of F/f over the support: the knob in the widest-scope row.
+
+    Closed form where the family has one, else the minimum over a grid.
+    """
+    closed = model.form.inf_ratio()
+    if closed is not None:
+        return closed
     hi = model.support_radius(1e-12)
     grid = np.geomspace(max(1e-4 * hi, 1e-8), hi, 2000)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -15,14 +15,13 @@ ridge boundary layer sits at a known scale |r - lambda| / sqrt(2 r
 lambda) that the integrator can be pointed at.
 
 Everything here serves as the slow-but-independent oracle for the
-closed-form marginals used elsewhere; only Euclidean geometry is
-supported, so priors carrying non-unit direction weights are rejected.
+closed-form marginals used elsewhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from sphereshrink.numerics import (
     DivergenceSuspected,
     NonFiniteIntegrand,
     QuadratureSpec,
-    beta_fn,
     integrate,
     integrate_semi_infinite,
     sphere_surface,
@@ -131,12 +129,7 @@ def _angular(problem: ConvolutionProblem, lam: float, cos_weight: bool = False) 
         # tolerance at the integrand's own magnitude scale
         probe = float(np.abs(rho(math.sqrt(gap * gap + two_rl))))
         abs_tol = max(abs_tol, 1e-15 * probe)
-    spec = QuadratureSpec(
-        abs_tol=abs_tol,
-        rel_tol=_INNER_SPEC.rel_tol,
-        max_subdivisions=_INNER_SPEC.max_subdivisions,
-        singularity_hints=hints,
-    )
+    spec = replace(_INNER_SPEC, abs_tol=abs_tol, singularity_hints=hints)
     return integrate(fn, 0.0, _ROOT2, spec).value
 
 
@@ -155,10 +148,7 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
 
         cp = sphere_surface(p)
         head = integrate(radial, 0.0, 1.0, _CLOSED_SPEC).value
-        kind, scale = problem.model.tail_kind
-        dec = "exp" if kind == "exp" else "power"
-        tail = integrate_semi_infinite(radial, 1.0, _CLOSED_SPEC, decay=dec,
-                                       scale=scale if kind == "exp" else 1.0).value
+        tail = integrate_semi_infinite(radial, 1.0, _CLOSED_SPEC, **problem.model.tail_decay).value
         return cp * (head + tail)
 
     return _outer_sweep(problem, w, cos_weight=False, extra_power=0.0)
@@ -182,22 +172,9 @@ def _outer_sweep(problem: ConvolutionProblem, w, *, cos_weight: bool, extra_powe
     spike = problem.model.support_radius(1e-16)
     cut = max(1.0, spike, min(2.0 * r, r + spike))
     hints = (r,) if 0.0 < r < cut else ()
-    head_spec = QuadratureSpec(
-        abs_tol=_OUTER_SPEC.abs_tol,
-        rel_tol=_OUTER_SPEC.rel_tol,
-        max_subdivisions=_OUTER_SPEC.max_subdivisions,
-        singularity_hints=hints,
-    )
-    head = integrate(outer, 0.0, cut, head_spec).value
-    kind, scale = problem.model.tail_kind
-    tail_spec = QuadratureSpec(
-        abs_tol=_OUTER_SPEC.abs_tol,
-        rel_tol=_OUTER_SPEC.rel_tol,
-        max_subdivisions=_OUTER_SPEC.max_subdivisions,
-        singularity_hints=(r,) if r > cut else (),
-    )
-    tail = integrate_semi_infinite(outer, cut, tail_spec, decay="exp" if kind == "exp" else "power",
-                                   scale=scale if kind == "exp" else 1.0).value
+    head = integrate(outer, 0.0, cut, replace(_OUTER_SPEC, singularity_hints=hints)).value
+    tail_spec = replace(_OUTER_SPEC, singularity_hints=(r,) if r > cut else ())
+    tail = integrate_semi_infinite(outer, cut, tail_spec, **problem.model.tail_decay).value
     return sphere_surface(p - 1) * (head + tail)
 
 
@@ -240,12 +217,7 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     # for r beyond the kernel support the integrand is a spike near 0
     spike = model.support_radius(1e-16)
     hints = (spike / r,) if r > spike else ()
-    spec = QuadratureSpec(
-        abs_tol=_CLOSED_SPEC.abs_tol,
-        rel_tol=_CLOSED_SPEC.rel_tol,
-        max_subdivisions=_CLOSED_SPEC.max_subdivisions,
-        singularity_hints=hints,
-    )
+    spec = replace(_CLOSED_SPEC, singularity_hints=hints)
     return cp * (p - 2.0) * integrate(fn, 0.0, 1.0, spec).value
 
 
@@ -269,25 +241,8 @@ def harmonic_ratio_deviation(model: RadialDensity, r: float) -> float:
     def fn(u):
         return u ** (p - 3.0) * model.big_f(u)
 
-    kind, scale = model.tail_kind
-    tail = integrate_semi_infinite(fn, r, _CLOSED_SPEC, decay="exp" if kind == "exp" else "power",
-                                   scale=scale if kind == "exp" else 1.0).value
+    tail = integrate_semi_infinite(fn, r, _CLOSED_SPEC, **model.tail_decay).value
     return -cp * (p - 2.0) * tail
-
-
-def _require_euclidean(prior: RadialPrior):
-    if any(d != 1.0 for d in prior.d_weights):
-        raise ConvolutionError("the 2-d reduction needs the Euclidean norm: all d_weights must be 1")
-
-
-def _origin_class(prior: RadialPrior) -> float:
-    if prior.family == "power":
-        return prior.params["k"]
-    if prior.family == "harmonic":
-        return 2.0 - prior.p
-    if prior.family == "log_thickened":
-        return 2.0 - prior.p
-    return prior.assumption_profile.t0
 
 
 def marginal_m(prior: RadialPrior, model: RadialDensity, r: float, *, force_oracle: bool = False) -> float:
@@ -296,15 +251,11 @@ def marginal_m(prior: RadialPrior, model: RadialDensity, r: float, *, force_orac
     The fundamental-solution prior dispatches to its closed form; every
     other prior goes through the 2-d oracle.
     """
-    _require_euclidean(prior)
     if prior.p != model.p:
         raise ConvolutionError("prior and model dimensions differ")
-    harmonic = prior.family == "harmonic" or (
-        prior.family == "power" and prior.params["k"] == 2.0 - prior.p
-    )
-    if harmonic and not force_oracle:
+    if prior.form.harmonic and not force_oracle:
         return harmonic_marginal_closed(model, r)
-    problem = ConvolutionProblem(model, "density", prior.g_eval, float(r), _origin_class(prior))
+    problem = ConvolutionProblem(model, "density", prior.g_eval, float(r), prior.origin_class)
     try:
         return radial_expectation(problem)
     except (DivergenceSuspected, NonFiniteIntegrand) as exc:
@@ -338,7 +289,6 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     the empirical convergence exponent (positive means the ratio closes
     in on 1 at a power rate).
     """
-    _require_euclidean(prior)
     if prior.p != model.p:
         raise ConvolutionError("prior and model dimensions differ")
     radii = tuple(float(r) for r in r_list)
@@ -351,7 +301,7 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     if not s > need:
         raise ConvolutionError(f"model tail too heavy for the probe: s={s:.3g} <= {need:.3g}")
 
-    cls = _origin_class(prior)
+    cls = prior.origin_class
     g = prior.g_eval
     over_norm = lambda lam: g(lam) / lam
 

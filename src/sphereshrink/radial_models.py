@@ -9,6 +9,11 @@ raw moments of ||X||, and a certified polynomial tail bound.  Three
 parametric families carry closed forms throughout (standard normal,
 polynomial-times-Gaussian, difference of two Gaussian bells); a fourth
 family interpolates tabulated samples and falls back on quadrature.
+
+Each family is one small class that validates its parameters and owns
+its closed forms, tail data and minimax-audit answers; :func:`normalize`
+finds it by name in ``_FAMILIES``.  Adding a family means writing one
+class and adding one entry to that table.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from sphereshrink import numerics
 from sphereshrink.numerics import (
     QuadratureSpec,
     integrate,
-    integrate_semi_infinite,
     log_gamma,
     sphere_surface,
     upper_incomplete_gamma,
@@ -53,50 +57,188 @@ class TailProfile:
     s: float
 
 
-class RadialDensity:
-    """Normalized radial profile of a spherically symmetric density.
+# -- families --------------------------------------------------------------
 
-    Instances are immutable; build them through :func:`normalize` or the
-    family helpers (:func:`gaussian`, :func:`poly_exp`,
-    :func:`mixture_diff`, :func:`tabulated`).
+
+class _Family:
+    """Closed forms of one family at fixed parameters and dimension.
+
+    A subclass validates ``params`` in its constructor and sets
+    ``params``, ``norm_const`` and ``tail_decay`` (the keyword arguments
+    ``integrate_semi_infinite`` needs for integrands carrying f or F).
+    ``shape`` and ``big_f`` receive float arrays.  ``monotone`` and
+    ``inf_ratio`` answer the minimax audit analytically, or return None
+    to have it scan a grid instead.
     """
 
-    def __init__(self, family: str, params: dict, p: int, _token=None):
-        if _token is not _BUILD_TOKEN:
-            raise ModelError("use normalize() or a family helper to build models")
-        self.family = family
-        self.params = dict(params)
+    name = ""
+
+    def __init__(self, params: dict, p: int):
         self.p = p
-        self._init_family()
 
-    # -- construction ---------------------------------------------------
+    def density(self, r):
+        return self.norm_const * self.shape(r)
 
-    def _init_family(self):
+    def tail_start(self) -> tuple[float, float]:
+        """(s, r0): the tail exponent and where its bound starts."""
+        s = SUPER_EXPONENTIAL_S
+        return s, math.sqrt(self.p + s)
+
+    def tail_profile(self) -> TailProfile:
+        s, r0 = self.tail_start()
+        grid = np.geomspace(r0, r0 * 1e3, 200)
+        L = float(np.max(grid ** (self.p + s) * self.density(grid))) * (1.0 + 1e-9)
+        return TailProfile(r0=r0, L=L, s=s)
+
+    def monotone(self, prop: str) -> bool | None:
+        return None
+
+    def inf_ratio(self) -> float | None:
+        return None
+
+
+class _Gaussian(_Family):
+    name = "gaussian"
+
+    def __init__(self, params, p):
+        super().__init__(params, p)
+        if params:
+            raise ModelError(f"gaussian takes no parameters, got {sorted(params)}")
+        self.params = {}
+        self.norm_const = (2.0 * math.pi) ** (-0.5 * p)
+        self.tail_decay = {"decay": "exp", "scale": 1.0}
+
+    def shape(self, r):
+        return np.exp(-0.5 * r**2)
+
+    def big_f(self, u):
+        return self.norm_const * np.exp(-0.5 * u**2)
+
+    def moment(self, k):
         p = self.p
-        cp = sphere_surface(p)
-        if self.family == "gaussian":
-            self.norm_const = (2.0 * math.pi) ** (-0.5 * p)
-            self._tail_kind = ("exp", 1.0)
-        elif self.family == "poly_exp":
-            alpha = self.params["alpha"]
-            beta = self.params["beta"]
-            # c_p K int r^{p-1+alpha} e^{-beta r^2} dr = 1
-            log_half_moment = -math.log(2.0) - 0.5 * (p + alpha) * math.log(beta) + log_gamma(0.5 * (p + alpha))
-            self.norm_const = math.exp(-math.log(cp) - log_half_moment)
-            self._tail_kind = ("exp", 1.0 / math.sqrt(2.0 * beta))
-        elif self.family == "mixture_diff":
-            a = self.params["a"]
-            b = self.params["b"]
-            self.norm_const = 1.0 / ((2 * math.pi) ** (0.5 * p) * (1.0 - a * b ** (0.5 * p)))
-            self._tail_kind = ("exp", math.sqrt(b) if b > 0.25 else 0.5)
-        elif self.family == "tabulated":
-            self._init_tabulated()
-        else:
-            raise ModelError(f"unknown family {self.family!r}")
+        if p + k <= 0:
+            raise DivergentMoment(f"moment {k} diverges for p={p}")
+        return math.exp(0.5 * k * math.log(2.0) + log_gamma(0.5 * (p + k)) - log_gamma(0.5 * p))
 
-    def _init_tabulated(self):
-        r = np.asarray(self.params["r"], dtype=float)
-        f = np.asarray(self.params["f"], dtype=float)
+    def monotone(self, prop):
+        return True
+
+    def inf_ratio(self):
+        return 1.0
+
+
+class _PolyExp(_Family):
+    """r^alpha exp(-beta r^2)."""
+
+    name = "poly_exp"
+
+    def __init__(self, params, p):
+        super().__init__(params, p)
+        alpha = float(params.get("alpha", math.nan))
+        beta = float(params.get("beta", math.nan))
+        if not (alpha >= 0.0):
+            raise ModelError("poly_exp requires alpha >= 0")
+        if not (beta > 0.0):
+            raise ModelError("poly_exp requires beta > 0")
+        self.params = {"alpha": alpha, "beta": beta}
+        self.alpha, self.beta = alpha, beta
+        # c_p K int r^{p-1+alpha} e^{-beta r^2} dr = 1
+        log_half_moment = -math.log(2.0) - 0.5 * (p + alpha) * math.log(beta) + log_gamma(0.5 * (p + alpha))
+        self.norm_const = math.exp(-math.log(sphere_surface(p)) - log_half_moment)
+        self.tail_decay = {"decay": "exp", "scale": 1.0 / math.sqrt(2.0 * beta)}
+
+    def shape(self, r):
+        return r**self.alpha * np.exp(-self.beta * r**2)
+
+    def big_f(self, u):
+        s = 0.5 * self.alpha + 1.0
+        pref = 0.5 * self.beta ** (-s)
+        return self.norm_const * pref * upper_incomplete_gamma(s, self.beta * u**2)
+
+    def moment(self, k):
+        p, alpha, beta = self.p, self.alpha, self.beta
+        if p + k + alpha <= 0:
+            raise DivergentMoment(f"moment {k} diverges for p={p}, alpha={alpha}")
+        return math.exp(
+            -0.5 * k * math.log(beta)
+            + log_gamma(0.5 * (p + k + alpha))
+            - log_gamma(0.5 * (p + alpha))
+        )
+
+    def tail_start(self):
+        s = SUPER_EXPONENTIAL_S
+        return s, math.sqrt((self.p + s + self.alpha) / (2.0 * self.beta))
+
+    def monotone(self, prop):
+        if prop == "F_over_t2f_nonincreasing":
+            return True
+        # interior mode at sqrt(alpha/2 beta) unless alpha = 0; the
+        # kernel ratio is constant at alpha = 0 and strictly falling otherwise
+        return self.alpha == 0.0
+
+    def inf_ratio(self):
+        return 1.0 / (2.0 * self.beta)
+
+
+class _MixtureDiff(_Family):
+    """exp(-r^2/2) - a exp(-r^2/(2b)); its tail bound is the gaussian's since b < 1."""
+
+    name = "mixture_diff"
+
+    def __init__(self, params, p):
+        super().__init__(params, p)
+        a = float(params.get("a", math.nan))
+        b = float(params.get("b", math.nan))
+        if not (0.0 < a <= 1.0):
+            raise ModelError("mixture_diff requires 0 < a <= 1")
+        if not (0.0 < b < 1.0):
+            raise ModelError("mixture_diff requires 0 < b < 1")
+        self.params = {"a": a, "b": b}
+        self.a, self.b = a, b
+        self.norm_const = 1.0 / ((2 * math.pi) ** (0.5 * p) * (1.0 - a * b ** (0.5 * p)))
+        self.tail_decay = {"decay": "exp", "scale": math.sqrt(b) if b > 0.25 else 0.5}
+
+    def shape(self, r):
+        return np.exp(-0.5 * r**2) - self.a * np.exp(-0.5 * r**2 / self.b)
+
+    def big_f(self, u):
+        return self.norm_const * (np.exp(-0.5 * u**2) - self.a * self.b * np.exp(-0.5 * u**2 / self.b))
+
+    def moment(self, k):
+        p, a, b = self.p, self.a, self.b
+        if p + k <= 0:
+            raise DivergentMoment(f"moment {k} diverges for p={p}")
+
+        def half_moment(var, m):
+            return (2.0 * var) ** (0.5 * m) * math.exp(log_gamma(0.5 * m))
+
+        num = half_moment(1.0, p + k) - a * half_moment(b, p + k)
+        den = half_moment(1.0, p) - a * half_moment(b, p)
+        return num / den
+
+    def monotone(self, prop):
+        if prop == "F_over_t2f_nonincreasing":
+            return True
+        if prop == "f_nonincreasing":
+            return self.a <= self.b
+        return False  # (1 - bw)/(1 - w) rises in w, and w falls in t
+
+    def inf_ratio(self):
+        return 1.0  # large-t limit; the ratio falls toward it
+
+
+class _Tabulated(_Family):
+    """PCHIP in log-log through samples, constant below the table, power tail above."""
+
+    name = "tabulated"
+
+    def __init__(self, params, p):
+        super().__init__(params, p)
+        if "r" not in params or "f" not in params:
+            raise ModelError("tabulated requires 'r' and 'f' arrays")
+        r = np.asarray(params["r"], dtype=float)
+        f = np.asarray(params["f"], dtype=float)
+        self.params = {"r": r, "f": f}
         if r.ndim != 1 or r.shape != f.shape or r.size < 8:
             raise ModelError("tabulated model needs matching 1-d grids with >= 8 points")
         if np.any(np.diff(r) <= 0) or r[0] <= 0:
@@ -110,180 +252,134 @@ class RadialDensity:
             mask[-4:] = True
         slope = np.polyfit(np.log(r[mask]), np.log(f[mask]), 1)[0]
         q = -slope
-        if q <= self.p + 1.0:
+        if q <= p + 1.0:
             raise ModelError("tabulated tail decays too slowly to normalize")
-        self._tab_q = float(q)
-        self._tab_logf = PchipInterpolator(np.log(r), np.log(f), extrapolate=False)
-        self._tab_r = r
-        self._tab_f = f
-        self._tail_kind = ("power", -float(q))
-        # Unnormalized mass: below r[0] the profile is held at f[0].
-        cp = sphere_surface(self.p)
-        shape = self._shape
-        head = r[0] ** self.p / self.p * f[0]
-        body = integrate(lambda x: x ** (self.p - 1) * shape(x), r[0], r[-1],
-                         QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)).value
-        # int_{rN}^inf x^{p-1} fN (x/rN)^{-q} dx, q > p
-        tail = f[-1] * r[-1] ** self.p / (q - self.p)
-        self.norm_const = 1.0 / (cp * (head + body + tail))
-        self._tab_build_big_f()
+        self.q = float(q)
+        self._logf = PchipInterpolator(np.log(r), np.log(f), extrapolate=False)
+        self.r = r
+        self.f = f
+        self.tail_decay = {"decay": "power", "scale": 1.0}
+        self.norm_const = 1.0 / (sphere_surface(p) * self._power_integral(p - 1.0))
+        self._build_big_f()
 
-    def _tab_build_big_f(self):
+    def _power_integral(self, m):
+        """int_0^inf x^m shape(x) dx for -1 < m < q - 1.
+
+        Below r[0] the profile is held at f[0]; beyond r[-1] it is
+        f[-1] (x/r[-1])^-q, so both ends are exact.
+        """
+        r, f = self.r, self.f
+        head = f[0] * r[0] ** (m + 1.0) / (m + 1.0)
+        body = integrate(
+            lambda x: x**m * self.shape(x), r[0], r[-1], QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
+        ).value
+        tail = f[-1] * r[-1] ** (m + 1.0) / (self.q - m - 1.0)
+        return head + body + tail
+
+    def _build_big_f(self):
         # Backward-accumulated segment integrals of s*shape(s) on a
         # refined grid, then monotone interpolation of log F.
-        r = self._tab_r
-        q = self._tab_q
-        refined = [np.array([0.0])]
-        base = np.unique(np.concatenate([r, np.geomspace(r[0], r[-1], 4 * r.size)]))
-        refined.append(base)
-        knots = np.unique(np.concatenate(refined))
-        shape = self._shape
+        r = self.r
+        knots = np.unique(np.concatenate(
+            [[0.0], r, np.geomspace(r[0], r[-1], 4 * r.size)]))
         segs = numerics.cumulative_segments(
-            lambda s: s * shape(s), knots, QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12)
+            lambda s: s * self.shape(s), knots, QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12)
         )
-        tail_mass = self._tab_f[-1] * r[-1] ** 2 / (q - 2.0)
+        tail_mass = self.f[-1] * r[-1] ** 2 / (self.q - 2.0)
         big = np.concatenate([np.cumsum(segs[::-1])[::-1] + tail_mass, [tail_mass]])
-        self._tab_knots = knots
-        self._tab_logF = PchipInterpolator(knots, np.log(big * self.norm_const), extrapolate=False)
-        self._tab_F0 = big[0] * self.norm_const
+        self._r_hi = knots[-1]
+        self._logF = PchipInterpolator(knots, np.log(big * self.norm_const), extrapolate=False)
 
-    # -- raw profile ----------------------------------------------------
-
-    def _shape(self, r):
-        """Unnormalized radial profile."""
-        r = np.asarray(r, dtype=float)
-        if self.family == "gaussian":
-            return np.exp(-0.5 * r**2)
-        if self.family == "poly_exp":
-            alpha = self.params["alpha"]
-            beta = self.params["beta"]
-            return r**alpha * np.exp(-beta * r**2)
-        if self.family == "mixture_diff":
-            a = self.params["a"]
-            b = self.params["b"]
-            return np.exp(-0.5 * r**2) - a * np.exp(-0.5 * r**2 / b)
-        # tabulated
+    def shape(self, r):
         scalar = r.ndim == 0
         rr = np.atleast_1d(r)
         out = np.empty_like(rr)
-        below = rr < self._tab_r[0]
-        above = rr > self._tab_r[-1]
+        below = rr < self.r[0]
+        above = rr > self.r[-1]
         mid = ~(below | above)
-        out[below] = self._tab_f[0]
-        out[above] = self._tab_f[-1] * (rr[above] / self._tab_r[-1]) ** (-self._tab_q)
+        out[below] = self.f[0]
+        out[above] = self.f[-1] * (rr[above] / self.r[-1]) ** (-self.q)
         with np.errstate(divide="ignore"):
-            out[mid] = np.exp(self._tab_logf(np.log(rr[mid])))
+            out[mid] = np.exp(self._logf(np.log(rr[mid])))
         return out[0] if scalar else out
 
-    def density(self, r):
-        """Normalized radial profile f(r); f(||x||) is the density."""
-        return self.norm_const * self._shape(r)
-
-    # -- tail-mass kernel ----------------------------------------------
-
     def big_f(self, u):
-        """F(u) = int_u^inf s f(s) ds, vectorized over u."""
-        u = np.asarray(u, dtype=float)
-        if self.family == "gaussian":
-            return self.norm_const * np.exp(-0.5 * u**2)
-        if self.family == "poly_exp":
-            alpha = self.params["alpha"]
-            beta = self.params["beta"]
-            s = 0.5 * alpha + 1.0
-            pref = 0.5 * beta ** (-s)
-            return self.norm_const * pref * upper_incomplete_gamma(s, beta * u**2)
-        if self.family == "mixture_diff":
-            a = self.params["a"]
-            b = self.params["b"]
-            return self.norm_const * (np.exp(-0.5 * u**2) - a * b * np.exp(-0.5 * u**2 / b))
         scalar = u.ndim == 0
         uu = np.atleast_1d(u).astype(float)
         out = np.empty_like(uu)
-        r_hi = self._tab_knots[-1]
+        r_hi = self._r_hi
         above = uu > r_hi
         out[above] = (
             self.norm_const
-            * self._tab_f[-1]
+            * self.f[-1]
             * r_hi**2
-            / (self._tab_q - 2.0)
-            * (uu[above] / r_hi) ** (2.0 - self._tab_q)
+            / (self.q - 2.0)
+            * (uu[above] / r_hi) ** (2.0 - self.q)
         )
         inside = ~above
-        out[inside] = np.exp(self._tab_logF(uu[inside]))
+        out[inside] = np.exp(self._logF(uu[inside]))
         return out[0] if scalar else out
 
-    # -- moments --------------------------------------------------------
+    def moment(self, k):
+        p, q = self.p, self.q
+        if p + k - q >= 0:
+            raise DivergentMoment(f"moment {k} diverges for tabulated tail exponent {q}")
+        if p + k <= 0:
+            raise DivergentMoment(f"moment {k} diverges at the origin for p={p}")
+        return sphere_surface(p) * self.norm_const * self._power_integral(p + k - 1.0)
+
+    def tail_profile(self):
+        # r^q f(r) is flat beyond the table, so its sup over r >= r[0] is
+        # that of q log r + log f on the log-log PCHIP: at a knot or where
+        # the cubic's slope is -q
+        x = np.log(self.r)
+        crit = self._logf.derivative().solve(-self.q, extrapolate=False)
+        at = np.concatenate([x, crit[np.isfinite(crit)]])
+        L = float(np.max(np.exp(self.q * at + self._logf(at)))) * self.norm_const * (1.0 + 1e-9)
+        return TailProfile(r0=self.r[0], L=L, s=self.q - self.p)
+
+
+_FAMILIES = {cls.name: cls for cls in (_Gaussian, _PolyExp, _MixtureDiff, _Tabulated)}
+
+
+class RadialDensity:
+    """Normalized radial profile of a spherically symmetric density.
+
+    Instances are immutable; build them through :func:`normalize` or the
+    family helpers (:func:`gaussian`, :func:`poly_exp`,
+    :func:`mixture_diff`, :func:`tabulated`).  ``form`` holds the
+    family's closed forms; every method here delegates to it.
+    """
+
+    def __init__(self, form: _Family, _token=None):
+        if _token is not _BUILD_TOKEN:
+            raise ModelError("use normalize() or a family helper to build models")
+        self.form = form
+        self.family = form.name
+        self.params = form.params
+        self.p = form.p
+        self.norm_const = form.norm_const
+
+    def density(self, r):
+        """Normalized radial profile f(r); f(||x||) is the density."""
+        return self.form.density(np.asarray(r, dtype=float))
+
+    def big_f(self, u):
+        """F(u) = int_u^inf s f(s) ds, vectorized over u."""
+        return self.form.big_f(np.asarray(u, dtype=float))
 
     def moment(self, k: float) -> float:
         """Raw moment E||X||^k under the model (theta = 0)."""
-        p = self.p
-        if self.family == "gaussian":
-            if p + k <= 0:
-                raise DivergentMoment(f"moment {k} diverges for p={p}")
-            return math.exp(0.5 * k * math.log(2.0) + log_gamma(0.5 * (p + k)) - log_gamma(0.5 * p))
-        if self.family == "poly_exp":
-            alpha = self.params["alpha"]
-            beta = self.params["beta"]
-            if p + k + alpha <= 0:
-                raise DivergentMoment(f"moment {k} diverges for p={p}, alpha={alpha}")
-            return math.exp(
-                -0.5 * k * math.log(beta)
-                + log_gamma(0.5 * (p + k + alpha))
-                - log_gamma(0.5 * (p + alpha))
-            )
-        if self.family == "mixture_diff":
-            a = self.params["a"]
-            b = self.params["b"]
-            if p + k <= 0:
-                raise DivergentMoment(f"moment {k} diverges for p={p}")
-
-            def half_moment(var, m):
-                return (2.0 * var) ** (0.5 * m) * math.exp(log_gamma(0.5 * m))
-
-            num = half_moment(1.0, p + k) - a * half_moment(b, p + k)
-            den = half_moment(1.0, p) - a * half_moment(b, p)
-            return num / den
-        # tabulated: quadrature over the table plus the analytic tail
-        q = self._tab_q
-        if p + k - q >= 0:
-            raise DivergentMoment(f"moment {k} diverges for tabulated tail exponent {q}")
-        cp = sphere_surface(p)
-        r = self._tab_r
-        m = p + k - 1.0
-        if m <= -1.0:
-            raise DivergentMoment(f"moment {k} diverges at the origin for p={p}")
-        head = self._tab_f[0] * r[0] ** (m + 1.0) / (m + 1.0)
-        body = integrate(
-            lambda x: x**m * self._shape(x), r[0], r[-1], QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
-        ).value
-        tail = self._tab_f[-1] * r[-1] ** (m + 1.0) / (q - m - 1.0)
-        return cp * self.norm_const * (head + body + tail)
-
-    # -- tail bound ------------------------------------------------------
+        return self.form.moment(k)
 
     def tail_profile(self) -> TailProfile:
         """Certified polynomial envelope of the density tail."""
-        p = self.p
-        if self.family == "tabulated":
-            s = self._tab_q - p
-            r0 = self._tab_r[0]
-            grid = np.geomspace(r0, r0 * 1e3, 200)
-            L = float(np.max(grid ** (p + s) * self.density(grid))) * (1.0 + 1e-9)
-            return TailProfile(r0=r0, L=L, s=s)
-        s = SUPER_EXPONENTIAL_S
-        if self.family == "poly_exp":
-            alpha = self.params["alpha"]
-            beta = self.params["beta"]
-            r0 = math.sqrt((p + s + alpha) / (2.0 * beta))
-        else:
-            # gaussian, and mixture_diff whose profile is bounded by the
-            # unit-variance component since b < 1
-            r0 = math.sqrt(p + s)
-        grid = np.geomspace(r0, r0 * 1e3, 200)
-        L = float(np.max(grid ** (p + s) * self.density(grid))) * (1.0 + 1e-9)
-        return TailProfile(r0=r0, L=L, s=s)
+        return self.form.tail_profile()
 
-    # -- geometry helpers ------------------------------------------------
+    @property
+    def tail_decay(self) -> dict:
+        """Tail class for ``integrate_semi_infinite``: ``{"decay": ..., "scale": ...}``."""
+        return self.form.tail_decay
 
     def support_radius(self, eps: float = 1e-12) -> float:
         """Smallest radius R with F(R) <= eps * F(0), by bisection."""
@@ -305,11 +401,6 @@ class RadialDensity:
             if hi - lo <= 1e-9 * max(1.0, hi):
                 break
         return hi
-
-    @property
-    def tail_kind(self):
-        """("exp", scale) or ("power", exponent) hint for tail quadrature."""
-        return self._tail_kind
 
     @property
     def cache_key(self):
@@ -344,37 +435,10 @@ def _check_dimension(p) -> int:
 def normalize(family: str, params: dict, p: int) -> RadialDensity:
     """Validate parameters and build a normalized model."""
     p = _check_dimension(p)
-    params = dict(params)
-    if family == "gaussian":
-        extra = set(params)
-    elif family == "poly_exp":
-        alpha = float(params.get("alpha", math.nan))
-        beta = float(params.get("beta", math.nan))
-        if not (alpha >= 0.0):
-            raise ModelError("poly_exp requires alpha >= 0")
-        if not (beta > 0.0):
-            raise ModelError("poly_exp requires beta > 0")
-        params = {"alpha": alpha, "beta": beta}
-        extra = set()
-    elif family == "mixture_diff":
-        a = float(params.get("a", math.nan))
-        b = float(params.get("b", math.nan))
-        if not (0.0 < a <= 1.0):
-            raise ModelError("mixture_diff requires 0 < a <= 1")
-        if not (0.0 < b < 1.0):
-            raise ModelError("mixture_diff requires 0 < b < 1")
-        params = {"a": a, "b": b}
-        extra = set()
-    elif family == "tabulated":
-        if "r" not in params or "f" not in params:
-            raise ModelError("tabulated requires 'r' and 'f' arrays")
-        params = {"r": np.asarray(params["r"], dtype=float), "f": np.asarray(params["f"], dtype=float)}
-        extra = set()
-    else:
+    cls = _FAMILIES.get(family)
+    if cls is None:
         raise ModelError(f"unknown family {family!r}")
-    if family == "gaussian" and extra:
-        raise ModelError(f"gaussian takes no parameters, got {sorted(extra)}")
-    return RadialDensity(family, params, p, _token=_BUILD_TOKEN)
+    return RadialDensity(cls(dict(params), p), _token=_BUILD_TOKEN)
 
 
 def gaussian(p: int) -> RadialDensity:
@@ -391,18 +455,3 @@ def mixture_diff(a: float, b: float, p: int) -> RadialDensity:
 
 def tabulated(r, f, p: int) -> RadialDensity:
     return normalize("tabulated", {"r": r, "f": f}, p)
-
-
-def big_f(model: RadialDensity, u):
-    """Module-level alias for :meth:`RadialDensity.big_f`."""
-    return model.big_f(u)
-
-
-def moment(model: RadialDensity, k: float) -> float:
-    """Module-level alias for :meth:`RadialDensity.moment`."""
-    return model.moment(k)
-
-
-def tail_profile(model: RadialDensity) -> TailProfile:
-    """Module-level alias for :meth:`RadialDensity.tail_profile`."""
-    return model.tail_profile()

@@ -14,6 +14,8 @@ that interpolate between 0 and 1 as i grows.  The second half audits a
 radial prior G: slope bounds eta G'/G, a properness index, the decay of
 the Blyth quadratic-form integrals J(i), a Brown-type integral test on
 partial sums, and a coarse admissible/inadmissible classification.
+Each prior family (power, which also serves the harmonic prior,
+log-thickened and custom) is one small class built by its factory.
 """
 
 from __future__ import annotations
@@ -160,156 +162,200 @@ class HSequence:
         return self.kernel.beta_eval(eta) * num / tail**2 - dpart / tail
 
 
-def beta_eval(kernel: BetaKernel, eta):
-    return kernel.beta_eval(eta)
-
-
-def beta_tail(kernel: BetaKernel, eta):
-    return kernel.beta_tail(eta)
-
-
-def h_eval(kernel: BetaKernel, i: float, eta: float) -> float:
-    return HSequence(kernel, i).h_eval(eta)
-
-
-def h_derivative(kernel: BetaKernel, i: float, eta: float) -> float:
-    return HSequence(kernel, i).h_derivative(eta)
-
-
 # --- radial priors ----------------------------------------------------
 
-class RadialPrior:
-    """Radial prior density G(eta) on R^p with thin-tail exponent data.
+def _value(out):
+    out = np.asarray(out, dtype=float)
+    return out if out.ndim else float(out)
 
-    ``gamma`` is the exponent used when the smoothing sequence is glued
-    onto the prior in properness and Blyth integrals; ``d_weights`` are
-    the per-coordinate norm weights (all ones means Euclidean).
+
+def _check_dimension(p) -> int:
+    if p < 3:
+        raise PriorError("dimension p must be at least 3")
+    return int(p)
+
+
+class _PriorFamily:
+    """Closed forms of one prior family at fixed parameters and dimension.
+
+    Methods receive float arrays.  ``rv_index`` (the tail index) and
+    ``origin_slope`` (the limit of eta G'/G at 0) are None when they must
+    be estimated; ``harmonic`` marks G = eta^{2-p}, whose marginal has a
+    closed form; ``detail`` is the parameter text of the prior's repr.
     """
 
-    def __init__(self, family, p, params, gamma=2.0, d_weights=None, _token=None):
-        if _token is not _PRIOR_TOKEN:
-            raise PriorError("use a prior factory (power_prior, harmonic_prior, ...)")
-        self.family = family
-        self.p = p
-        self.params = dict(params)
-        self.gamma = float(gamma)
-        if not 0.0 < self.gamma <= 2.0:
-            raise PriorError("gamma must lie in (0, 2]")
-        if d_weights is None:
-            d_weights = (1.0,) * p
-        d_weights = tuple(float(w) for w in d_weights)
-        if len(d_weights) != p:
-            raise PriorError("need one norm weight per coordinate")
-        if any(w < 1.0 for w in d_weights):
-            raise PriorError("norm weights must be >= 1")
-        if any(a < b for a, b in zip(d_weights, d_weights[1:])):
-            raise PriorError("norm weights must be nonincreasing")
-        self.d_weights = d_weights
+    name = ""
+    rv_index = None
+    origin_slope = None
+    log_depth = 0
+    harmonic = False
 
-    # G and its derivatives ------------------------------------------
+    def log_deriv(self, eta):
+        return eta * self.g_deriv(eta) / self.g(eta)
 
-    def g_eval(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if self.family in ("power", "harmonic"):
-            out = eta ** self.params["k"]
-        elif self.family == "log_thickened":
-            out = eta ** (2.0 - self.p) * self._log_product(eta)
-        else:
-            out = np.asarray(self.params["g"](eta), dtype=float)
-        return out if out.ndim else float(out)
+    def second_log_deriv(self, eta):
+        return eta * self.g_deriv2(eta) / self.g_deriv(eta)
+
+
+class _Power(_PriorFamily):
+    """G(eta) = eta^k; under the name "harmonic" it is k = 2 - p."""
+
+    def __init__(self, name: str, k: float, p: int):
+        self.name, self.p, self.k = name, p, k
+        self.params = {"k": k}
+        self.rv_index = self.origin_slope = k
+        self.harmonic = k == 2.0 - p
+        self.detail = f"k={k}"
+
+    def g(self, eta):
+        return eta**self.k
+
+    def g_deriv(self, eta):
+        return self.k * eta ** (self.k - 1.0)
+
+    def g_deriv2(self, eta):
+        return self.k * (self.k - 1.0) * eta ** (self.k - 2.0)
+
+    def log_deriv(self, eta):
+        return np.full_like(eta, self.k)
+
+    def second_log_deriv(self, eta):
+        return np.full_like(eta, self.k - 1.0)
+
+
+class _LogThickened(_PriorFamily):
+    """eta^{2-p} times n+1 nested logarithms of eta + c."""
+
+    name = "log_thickened"
+
+    def __init__(self, n: int, c: float, p: int):
+        self.p, self.n, self.c = p, n, c
+        self.params = {"n": n, "c": c}
+        self.rv_index = self.origin_slope = 2.0 - p
+        self.log_depth = n + 1
+        self.detail = f"n={n}, c={c}"
 
     def _log_product(self, eta):
-        y = eta + self.params["c"]
+        y = eta + self.c
         prod = np.ones_like(np.asarray(y, dtype=float))
         cur = np.log(y)
-        for _ in range(self.params["n"] + 1):
+        for _ in range(self.n + 1):
             prod = prod * cur
             cur = np.log(cur)
         return prod
 
     def _psi_parts(self, eta):
-        """psi = eta G'/G and psi' for the log_thickened family."""
+        """psi = eta G'/G and psi'."""
         k = 2.0 - self.p
-        y = np.asarray(eta, dtype=float) + self.params["c"]
-        m = self.params["n"] + 1
+        y = eta + self.c
         levels = [np.log(y)]
-        for _ in range(1, m):
+        for _ in range(self.n):
             levels.append(np.log(levels[-1]))
         psi = np.full_like(y, k)
         psi_prime = np.zeros_like(y)
         d = 1.0 / y
         d_prime = -1.0 / y**2
-        eta_arr = np.asarray(eta, dtype=float)
         for lev in levels:
-            term = eta_arr * d / lev
+            term = eta * d / lev
             psi = psi + term
-            psi_prime = psi_prime + d / lev + eta_arr * (d_prime * lev - d * d) / lev**2
+            psi_prime = psi_prime + d / lev + eta * (d_prime * lev - d * d) / lev**2
             d_prime = d_prime / lev - (d / lev) ** 2
             d = d / lev
         return psi, psi_prime
 
+    def g(self, eta):
+        return eta ** (2.0 - self.p) * self._log_product(eta)
+
     def g_deriv(self, eta):
-        eta_arr = np.asarray(eta, dtype=float)
-        if self.family in ("power", "harmonic"):
-            k = self.params["k"]
-            out = k * eta_arr ** (k - 1.0)
-        elif self.family == "log_thickened":
-            psi, _ = self._psi_parts(eta_arr)
-            out = self.g_eval(eta_arr) * psi / eta_arr
-        else:
-            out = np.asarray(self.params["g_prime"](eta_arr), dtype=float)
-        return out if out.ndim else float(out)
+        psi, _ = self._psi_parts(eta)
+        return self.g(eta) * psi / eta
 
     def g_deriv2(self, eta):
-        eta_arr = np.asarray(eta, dtype=float)
-        if self.family in ("power", "harmonic"):
-            k = self.params["k"]
-            out = k * (k - 1.0) * eta_arr ** (k - 2.0)
-        elif self.family == "log_thickened":
-            psi, psi_prime = self._psi_parts(eta_arr)
-            out = self.g_eval(eta_arr) / eta_arr**2 * (psi**2 - psi + eta_arr * psi_prime)
-        else:
-            fn = self.params.get("g_double_prime")
-            if fn is None:
-                raise PriorError("custom prior has no second derivative")
-            out = np.asarray(fn(eta_arr), dtype=float)
-        return out if out.ndim else float(out)
+        psi, psi_prime = self._psi_parts(eta)
+        return self.g(eta) / eta**2 * (psi**2 - psi + eta * psi_prime)
+
+    def log_deriv(self, eta):
+        psi, _ = self._psi_parts(eta)
+        return psi
+
+
+class _Custom(_PriorFamily):
+    """User-supplied G and derivatives; exponent data is estimated."""
+
+    name = "custom"
+    detail = "custom"
+
+    def __init__(self, g, g_prime, g_double_prime, p: int):
+        self.p = p
+        self.params = {"g": g, "g_prime": g_prime, "g_double_prime": g_double_prime}
+
+    def g(self, eta):
+        return np.asarray(self.params["g"](eta), dtype=float)
+
+    def g_deriv(self, eta):
+        return np.asarray(self.params["g_prime"](eta), dtype=float)
+
+    def g_deriv2(self, eta):
+        fn = self.params["g_double_prime"]
+        if fn is None:
+            raise PriorError("custom prior has no second derivative")
+        return np.asarray(fn(eta), dtype=float)
+
+
+class RadialPrior:
+    """Radial prior density G(eta) on R^p with thin-tail exponent data.
+
+    ``form`` is the prior's family object, which owns G, its derivatives
+    and exponent data; the methods here delegate to it.  ``gamma`` is the
+    exponent used when the smoothing sequence is glued onto the prior in
+    properness and Blyth integrals.
+    """
+
+    def __init__(self, form: _PriorFamily, gamma=2.0, _token=None):
+        if _token is not _PRIOR_TOKEN:
+            raise PriorError("use a prior factory (power_prior, harmonic_prior, ...)")
+        self.form = form
+        self.family = form.name
+        self.p = form.p
+        self.params = form.params
+        self.gamma = float(gamma)
+        if not 0.0 < self.gamma <= 2.0:
+            raise PriorError("gamma must lie in (0, 2]")
+
+    # G and its derivatives ------------------------------------------
+
+    def g_eval(self, eta):
+        return _value(self.form.g(np.asarray(eta, dtype=float)))
+
+    def g_deriv(self, eta):
+        return _value(self.form.g_deriv(np.asarray(eta, dtype=float)))
+
+    def g_deriv2(self, eta):
+        return _value(self.form.g_deriv2(np.asarray(eta, dtype=float)))
 
     def log_deriv(self, eta):
         """eta G'(eta) / G(eta)."""
-        eta_arr = np.asarray(eta, dtype=float)
-        if self.family in ("power", "harmonic"):
-            out = np.full_like(eta_arr, float(self.params["k"]))
-        elif self.family == "log_thickened":
-            out, _ = self._psi_parts(eta_arr)
-        else:
-            out = eta_arr * self.g_deriv(eta_arr) / self.g_eval(eta_arr)
-        return out if out.ndim else float(out)
+        return _value(self.form.log_deriv(np.asarray(eta, dtype=float)))
 
     def second_log_deriv(self, eta):
         """eta G''(eta) / G'(eta)."""
-        eta_arr = np.asarray(eta, dtype=float)
-        if self.family in ("power", "harmonic"):
-            out = np.full_like(eta_arr, float(self.params["k"]) - 1.0)
-        else:
-            out = eta_arr * self.g_deriv2(eta_arr) / self.g_deriv(eta_arr)
-        return out if out.ndim else float(out)
+        return _value(self.form.second_log_deriv(np.asarray(eta, dtype=float)))
 
     @property
     def rv_index(self):
         """Regular-variation index, or None when it must be estimated."""
-        if self.family in ("power", "harmonic"):
-            return float(self.params["k"])
-        if self.family == "log_thickened":
-            return 2.0 - self.p
-        return None
+        return self.form.rv_index
 
     @property
     def log_depth(self) -> int:
         """Number of iterated-log factors riding on the power part."""
-        if self.family == "log_thickened":
-            return self.params["n"] + 1
-        return 0
+        return self.form.log_depth
+
+    @property
+    def origin_class(self) -> float:
+        """Power growth of G at the origin: closed form, else the audited slope t0."""
+        t0 = self.form.origin_slope
+        return self.assumption_profile.t0 if t0 is None else t0
 
     def estimated_rv_index(self) -> float:
         k = self.rv_index
@@ -327,57 +373,36 @@ class RadialPrior:
         return self._profile
 
     def __repr__(self):
-        if self.family in ("power", "harmonic"):
-            detail = f"k={self.params['k']}"
-        elif self.family == "log_thickened":
-            detail = f"n={self.params['n']}, c={self.params['c']}"
-        else:
-            detail = "custom"
-        return f"RadialPrior({self.family}, p={self.p}, {detail}, gamma={self.gamma})"
+        return f"RadialPrior({self.family}, p={self.p}, {self.form.detail}, gamma={self.gamma})"
 
 
 _PRIOR_TOKEN = object()
 
 
-def power_prior(k: float, p: int, gamma: float = 2.0, d_weights=None) -> RadialPrior:
-    if p < 3:
-        raise PriorError("dimension p must be at least 3")
-    return RadialPrior("power", int(p), {"k": float(k)}, gamma, d_weights, _token=_PRIOR_TOKEN)
+def power_prior(k: float, p: int, gamma: float = 2.0) -> RadialPrior:
+    p = _check_dimension(p)
+    return RadialPrior(_Power("power", float(k), p), gamma, _token=_PRIOR_TOKEN)
 
 
-def harmonic_prior(p: int, gamma: float = 2.0, d_weights=None) -> RadialPrior:
-    if p < 3:
-        raise PriorError("dimension p must be at least 3")
-    return RadialPrior("harmonic", int(p), {"k": 2.0 - p}, gamma, d_weights, _token=_PRIOR_TOKEN)
+def harmonic_prior(p: int, gamma: float = 2.0) -> RadialPrior:
+    p = _check_dimension(p)
+    return RadialPrior(_Power("harmonic", 2.0 - p, p), gamma, _token=_PRIOR_TOKEN)
 
 
-def log_thickened_prior(n: int, c: float, p: int, gamma: float = 2.0, d_weights=None) -> RadialPrior:
+def log_thickened_prior(n: int, c: float, p: int, gamma: float = 2.0) -> RadialPrior:
     """eta^{2-p} times n+1 nested log factors: n=0 is eta^{2-p} log(eta+c)."""
-    if p < 3:
-        raise PriorError("dimension p must be at least 3")
+    p = _check_dimension(p)
     if n < 0:
         raise PriorError("log depth n must be >= 0")
     # all factors must be positive at eta = 0
     if not log_tower(n + 1, float(c)) > 0.0:
         raise PriorError(f"Log_{n+1}({c}) must be positive")
-    return RadialPrior(
-        "log_thickened", int(p), {"n": int(n), "c": float(c)}, gamma, d_weights, _token=_PRIOR_TOKEN
-    )
+    return RadialPrior(_LogThickened(int(n), float(c), p), gamma, _token=_PRIOR_TOKEN)
 
 
-def custom_prior(g, g_prime, p: int, g_double_prime=None, gamma: float = 2.0, d_weights=None) -> RadialPrior:
-    if p < 3:
-        raise PriorError("dimension p must be at least 3")
-    params = {"g": g, "g_prime": g_prime, "g_double_prime": g_double_prime}
-    return RadialPrior("custom", int(p), params, gamma, d_weights, _token=_PRIOR_TOKEN)
-
-
-def prior_eval(prior: RadialPrior, eta):
-    return prior.g_eval(eta)
-
-
-def prior_log_deriv(prior: RadialPrior, eta):
-    return prior.log_deriv(eta)
+def custom_prior(g, g_prime, p: int, g_double_prime=None, gamma: float = 2.0) -> RadialPrior:
+    p = _check_dimension(p)
+    return RadialPrior(_Custom(g, g_prime, g_double_prime, p), gamma, _token=_PRIOR_TOKEN)
 
 
 # --- audits ------------------------------------------------------------
@@ -402,11 +427,6 @@ class AssumptionProfile:
     eta_high: float
     origin_ok: bool
 
-    @property
-    def r1(self) -> float:
-        """Lower edge of the bracketing range."""
-        return self.eta_low
-
 
 def prior_assumption_audit(prior: RadialPrior, eta_low: float = 1.0, eta_high: float = 1e8) -> AssumptionProfile:
     grid = np.geomspace(eta_low, eta_high, 400)
@@ -421,11 +441,7 @@ def prior_assumption_audit(prior: RadialPrior, eta_low: float = 1.0, eta_high: f
         t3 = t4 = math.nan
     # slope at the origin from a stabilizing sequence
     probes = np.array([1e-5, 1e-6, 1e-7, 1e-8])
-    vals = np.asarray(prior.log_deriv(probes), dtype=float)
-    t0 = float(vals[-1])
-    if abs(vals[-1] - vals[-2]) > 1e-3 * max(1.0, abs(vals[-1])):
-        # not settled; report the trend value anyway
-        t0 = float(vals[-1])
+    t0 = float(np.asarray(prior.log_deriv(probes), dtype=float)[-1])
     return AssumptionProfile(
         t0=t0, t1=t1, t2=t2, t3=t3, t4=t4,
         eta_low=eta_low, eta_high=eta_high,
@@ -543,8 +559,7 @@ def select_gamma(prior: RadialPrior, kernel: BetaKernel, step: float = 0.25):
     """
     for j in range(1, int(round(2.0 / step)) + 1):
         gamma = step * j
-        trial = RadialPrior(prior.family, prior.p, prior.params, gamma,
-                            prior.d_weights, _token=_PRIOR_TOKEN)
+        trial = RadialPrior(prior.form, gamma, _token=_PRIOR_TOKEN)
         if properness_index(trial, kernel).verdict == "finite":
             return gamma
     return None
@@ -604,7 +619,6 @@ class PriorClassification:
 def _fg1_finite(prior: RadialPrior, model) -> bool:
     """Joint integrability of the prior against f and F."""
     p = prior.p
-    kind, scale = model.tail_kind
 
     def head_ok(w):
         try:
@@ -615,10 +629,7 @@ def _fg1_finite(prior: RadialPrior, model) -> bool:
 
     def tail_ok(w):
         try:
-            if kind == "exp":
-                integrate_semi_infinite(w, 1.0, decay="exp", scale=scale)
-            else:
-                integrate_semi_infinite(w, 1.0, decay="power", scale=1.0)
+            integrate_semi_infinite(w, 1.0, **model.tail_decay)
             return True
         except DivergenceSuspected:
             return False
@@ -666,7 +677,8 @@ def classify_prior(prior: RadialPrior, model=None) -> PriorClassification:
 
     boundary = abs(k - (2.0 - p)) <= 1e-9
     if boundary:
-        depths = [prior.log_depth + 1] if prior.family != "custom" else [1, 2, 3, 4]
+        # an estimated index leaves the log depth unknown too: try several
+        depths = [prior.log_depth + 1] if prior.rv_index is not None else [1, 2, 3, 4]
         margin = min(_boundary_margin(prior, d) for d in depths)
 
     if tail.s > 3.0 and fg1:

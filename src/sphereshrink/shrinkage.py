@@ -9,7 +9,6 @@ rule so simulation code can call the estimator millions of times.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -18,13 +17,7 @@ from scipy.interpolate import PchipInterpolator
 
 from sphereshrink.numerics import QuadratureSpec, integrate
 from sphereshrink.radial_models import RadialDensity
-from sphereshrink.radial_convolution import (
-    ConvolutionError,
-    directional_marginal,
-    marginal_m,
-    _origin_class,
-    _require_euclidean,
-)
+from sphereshrink.radial_convolution import directional_marginal, marginal_m
 from sphereshrink.rv_priors import RadialPrior
 
 _SEG_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=5e-13, max_subdivisions=200)
@@ -126,7 +119,7 @@ def build_profile(model: RadialDensity, *, n: int = 257, r_max: float | None = N
     The two cumulative integrals are extended segment by segment, so the
     full curve costs one pass.  The grid is refined (up to twice) until
     the interpolant reproduces directly computed values to 1e-6 of the
-    limit.
+    limit; if the last grid still misses, ShrinkageError is raised.
     """
     p = model.p
     if n < 16:
@@ -167,6 +160,8 @@ def build_profile(model: RadialDensity, *, n: int = 257, r_max: float | None = N
         if worst <= 1e-6 * max(1.0, limit):
             break
         n = 2 * n - 1
+    else:
+        raise ShrinkageError(f"profile interpolant misses phi by {worst:.3g} after three grid refinements")
     return ShrinkageProfile(model, p, grid, phi, limit, phi_interp, psi_interp)
 
 
@@ -201,9 +196,8 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
     _check_dims(model, p)
     if prior.p != p:
         raise ShrinkageError("prior dimension does not match")
-    _require_euclidean(prior)
     if r <= 0:
         raise ShrinkageError("r must be positive")
     m = marginal_m(prior, model, r)
-    s = directional_marginal(prior.g_eval, model, r, singularity_class=_origin_class(prior))
+    s = directional_marginal(prior.g_eval, model, r, singularity_class=prior.origin_class)
     return 1.0 + s / (r * m)

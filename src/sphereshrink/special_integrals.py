@@ -11,7 +11,7 @@ deserves a numeric check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,13 +56,7 @@ def gegenbauer_identity(alpha: float, a: float) -> IdentityCheck:
         w = 1.0 + 2.0 * a * np.cos(phi) + a * a
         return w ** (-alpha) * np.sin(phi) ** (2.0 * alpha)
 
-    spec = QuadratureSpec(
-        abs_tol=_SPEC.abs_tol,
-        rel_tol=_SPEC.rel_tol,
-        max_subdivisions=_SPEC.max_subdivisions,
-        singularity_hints=(0.0, math.pi),
-    )
-    lhs = integrate(integrand, 0.0, math.pi, spec).value
+    lhs = integrate(integrand, 0.0, math.pi, replace(_SPEC, singularity_hints=(0.0, math.pi))).value
     rhs = beta_fn(alpha + 0.5, 0.5)
     return _check("gegenbauer", {"alpha": alpha, "a": a}, lhs, rhs)
 
@@ -95,13 +89,7 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
     if abs(t - 1.0) < 1e-2:
         base = max(abs(t - 1.0), 1e-9)
         hints = tuple(math.pi - base * k for k in (1.0, 32.0, 1024.0, 32768.0))
-    spec = QuadratureSpec(
-        abs_tol=_SPEC.abs_tol,
-        rel_tol=_SPEC.rel_tol,
-        max_subdivisions=_SPEC.max_subdivisions,
-        singularity_hints=hints,
-    )
-    lhs = integrate(integrand, 0.0, math.pi, spec).value
+    lhs = integrate(integrand, 0.0, math.pi, replace(_SPEC, singularity_hints=hints)).value
     rhs = beta_fn(0.5 * p - 0.5, 0.5) * min(t ** (2.0 - p), 1.0)
     return _check("min_power", {"p": p, "t": t}, lhs, rhs)
 
@@ -124,11 +112,7 @@ def kernel_mass_identity(model: RadialDensity, alpha: float) -> IdentityCheck:
     def radial(r):
         return r ** (p - 1.0 + alpha) * model.big_f(r)
 
-    kind, scale = model.tail_kind
     head = integrate(radial, 0.0, 1.0, _SPEC).value
-    if kind == "exp":
-        tail = integrate_semi_infinite(radial, 1.0, _SPEC, decay="exp", scale=scale).value
-    else:
-        tail = integrate_semi_infinite(radial, 1.0, _SPEC, decay="power", scale=1.0).value
+    tail = integrate_semi_infinite(radial, 1.0, _SPEC, **model.tail_decay).value
     lhs = cp * (head + tail)
     return _check("kernel_mass", {"family": model.family, "alpha": alpha}, lhs, rhs)

@@ -1,0 +1,81 @@
+"""Command-line surface: every subcommand end to end, and its CSV cells."""
+
+import csv
+import re
+
+import numpy as np
+import pytest
+
+from sphereshrink import cli
+
+MODEL = ["--family", "gaussian", "--p", "5"]
+
+SUBCOMMANDS = {
+    "model-info": MODEL,
+    "phi": MODEL + ["--points", "5"],
+    "check": MODEL,
+    "risk": MODEL + ["--n", "2000", "--theta", "0,2"],
+    "hseq": ["--points", "3", "--i", "1,10"],
+    "prior": ["--p", "5", "--no-blyth"],
+    "verify": MODEL + ["--identity", "kernelmass"],
+    "probe": MODEL + ["--radii", "10,100"],
+}
+
+
+def run(command, tmp_path):
+    out = tmp_path / f"{command}.csv"
+    code = cli.main([command, *SUBCOMMANDS[command], "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == f"# command = {command}"
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    return rows[0], rows[1:]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_subcommand_writes_csv(command, tmp_path):
+    header, rows = run(command, tmp_path)
+    assert header and all(header)
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("command", ["risk", "hseq"])
+def test_cells_are_plain_numbers_and_lowercase_booleans(command, tmp_path):
+    _, rows = run(command, tmp_path)
+    for row in rows:
+        for cell in row:
+            if cell in ("", "true", "false") or re.fullmatch(r"[a-z_]+", cell):
+                continue  # empty, boolean or a label such as "win"
+            float(cell)  # raises on np.float64(...) or True/False
+
+
+def test_unknown_family_is_a_config_error(tmp_path):
+    code = cli.main(["model-info", "--family", "cauchy", "--p", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_missing_family_parameters_are_a_config_error(tmp_path):
+    code = cli.main(["model-info", "--family", "polyexp", "--p", "5", "--alpha", "2",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_parametric_family_options_reach_the_model(tmp_path):
+    out = tmp_path / "pe.csv"
+    assert cli.main(["model-info", "--family", "polyexp", "--p", "5", "--alpha", "2", "--beta", "1",
+                     "--out", str(out)]) == cli.EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = dict(row[:2] for row in csv.reader(lines))
+    assert float(rows["inf_ratio"]) == 0.5  # 1 / (2 beta)
+
+
+def test_tabulated_family_reads_its_table(tmp_path):
+    r = np.geomspace(0.02, 3.0, 220)
+    table = tmp_path / "table.csv"
+    np.savetxt(table, np.column_stack([r, np.exp(-(r**4))]), delimiter=",")
+    out = tmp_path / "tab.csv"
+    assert cli.main(["model-info", "--family", "tabulated", "--p", "3", "--table", str(table),
+                     "--out", str(out)]) == cli.EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = dict(row[:2] for row in csv.reader(lines))
+    assert rows["f_nonincreasing"] == "holds"

@@ -148,9 +148,6 @@ def test_marginal_harmonic_dispatch():
 def test_marginal_rejections():
     with pytest.raises(ConvolutionError):
         marginal_m(harmonic_prior(4), gaussian(5), 1.0)
-    skew = power_prior(-1.0, 4, d_weights=(2.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ConvolutionError):
-        marginal_m(skew, gaussian(4), 1.0)
 
 
 def test_marginal_integrability_failure():

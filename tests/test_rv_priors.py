@@ -29,8 +29,6 @@ from sphereshrink.rv_priors import (
     log_tower,
     power_prior,
     prior_assumption_audit,
-    prior_eval,
-    prior_log_deriv,
     properness_index,
     select_gamma,
 )
@@ -258,8 +256,8 @@ class TestRadialPrior:
     def test_power_eval_and_derivs(self):
         pri = power_prior(-1.5, 4)
         eta = np.array([0.5, 2.0, 7.0])
-        assert prior_eval(pri, eta) == pytest.approx(eta**-1.5)
-        assert prior_log_deriv(pri, 3.0) == -1.5
+        assert pri.g_eval(eta) == pytest.approx(eta**-1.5)
+        assert pri.log_deriv(3.0) == -1.5
         assert pri.second_log_deriv(3.0) == -2.5
         assert pri.rv_index == -1.5
 
@@ -316,14 +314,6 @@ class TestRadialPrior:
         with pytest.raises(PriorError):
             power_prior(-1.0, 3, gamma=2.5)
 
-    def test_weight_validation(self):
-        with pytest.raises(PriorError):
-            power_prior(-1.0, 3, d_weights=(1.0, 2.0, 1.0))
-        with pytest.raises(PriorError):
-            power_prior(-1.0, 3, d_weights=(2.0, 1.0, 0.5))
-        pri = power_prior(-1.0, 3, d_weights=(3.0, 2.0, 1.0))
-        assert pri.d_weights == (3.0, 2.0, 1.0)
-
     def test_dimension_validation(self):
         with pytest.raises(PriorError):
             harmonic_prior(2)
@@ -335,7 +325,7 @@ class TestAssumptionAudit:
         assert prof.t0 == prof.t1 == prof.t2 == -2.0
         assert prof.t3 == prof.t4 == -3.0
         assert prof.origin_ok
-        assert prof.r1 == 1.0
+        assert prof.eta_low == 1.0
 
     def test_log_thickened_profile(self):
         prof = prior_assumption_audit(log_thickened_prior(0, 2.0, 3))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sphereshrink.radial_models import gaussian, mixture_diff, poly_exp
-from sphereshrink.radial_convolution import ConvolutionError
 from sphereshrink.rv_priors import harmonic_prior, log_thickened_prior, power_prior
 from sphereshrink import shrinkage as sh
 from sphereshrink.shrinkage import (
@@ -105,6 +104,14 @@ def test_profile_interpolation_budget():
     assert worst <= 1e-6 * max(1.0, prof.limit_value)
 
 
+def test_profile_accuracy_gate_raises_after_last_refinement(monkeypatch):
+    # a reference that the interpolant can never match: every pass misses
+    exact = sh.phi_star
+    monkeypatch.setattr(sh, "phi_star", lambda model, p, r: exact(model, p, r) + 1e-3)
+    with pytest.raises(ShrinkageError, match="three grid refinements"):
+        build_profile(gaussian(5))
+
+
 def test_profile_origin_and_extension():
     prof = build_profile(gaussian(5))
     assert prof.psi(0.0) == pytest.approx(0.6, rel=1e-12)
@@ -178,6 +185,3 @@ def test_gb_multiplier_rejections():
         gb_multiplier(harmonic_prior(4), gaussian(5), 5, 1.0)
     with pytest.raises(ShrinkageError):
         gb_multiplier(harmonic_prior(5), gaussian(5), 5, 0.0)
-    skew = power_prior(-1.0, 4, d_weights=(2.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ConvolutionError):
-        gb_multiplier(skew, gaussian(4), 4, 1.0)
