@@ -197,9 +197,10 @@ def directional_marginal(integrand, model: RadialDensity, r: float, *,
 
 
 def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
-    """Marginal of the fundamental-solution prior, done as one radial integral.
+    """Marginal of the fundamental-solution prior through the kernel moment.
 
-    m(r) = c_p (p - 2) int_0^1 t^{p-3} F(r t) dt
+    m(r) = c_p (p - 2) r^{2-p} int_0^r t^{p-3} F(t) dt, tending to
+    c_p F(0) as r -> 0.
 
     This is exact for g(eta) = eta^{2-p} and is the fast route the
     2-d oracle is checked against.
@@ -208,17 +209,10 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     if r < 0:
         raise ConvolutionError("radius must be nonnegative")
     cp = sphere_surface(p)
-    if r == 0.0:
+    if r ** (p - 2.0) < 1e-290:
+        # r^{p-2} and the moment would underflow; m = c_p F(0) to double precision
         return cp * float(model.big_f(0.0))
-
-    def fn(t):
-        return t ** (p - 3.0) * model.big_f(r * t)
-
-    # for r beyond the kernel support the integrand is a spike near 0
-    spike = model.support_radius(1e-16)
-    hints = (spike / r,) if r > spike else ()
-    spec = replace(_CLOSED_SPEC, singularity_hints=hints)
-    return cp * (p - 2.0) * integrate(fn, 0.0, 1.0, spec).value
+    return cp * (p - 2.0) * float(model.kernel_moment(p - 3.0, r)) / r ** (p - 2.0)
 
 
 def harmonic_ratio_deviation(model: RadialDensity, r: float) -> float:

@@ -5,10 +5,11 @@ with its normalizing constant, the tail-mass kernel
 
     F(u) = int_u^inf s f(s) ds,
 
-raw moments of ||X||, and a certified polynomial tail bound.  Three
-parametric families carry closed forms throughout (standard normal,
-polynomial-times-Gaussian, difference of two Gaussian bells); a fourth
-family interpolates tabulated samples and falls back on quadrature.
+the cumulative kernel moments int_0^r t^m F(t) dt, raw moments of ||X||,
+and a certified polynomial tail bound.  Three parametric families carry
+closed forms throughout (standard normal, polynomial-times-Gaussian,
+difference of two Gaussian bells); a fourth family interpolates
+tabulated samples and falls back on quadrature.
 
 Each family is one small class that validates its parameters and owns
 its closed forms, tail data and minimax-audit answers; :func:`normalize`
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import gammainc
 
 from sphereshrink import numerics
 from sphereshrink.numerics import (
@@ -38,6 +40,10 @@ from sphereshrink.numerics import (
 # thresholds (s > 3 and friends), so any comfortably large value works;
 # the certification grid still checks the bound it implies.
 SUPER_EXPONENTIAL_S = 50.0
+
+# Segments of the tabulated kernel-moment tables: F is smooth between
+# its knots, so each piece converges to a relative target directly.
+_MOMENT_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
 
 
 class ModelError(ValueError):
@@ -60,15 +66,22 @@ class TailProfile:
 # -- families --------------------------------------------------------------
 
 
+def _bell_moment(m, beta, r):
+    """int_0^r t^m exp(-beta t^2) dt for m > -1, as a regularized incomplete gamma."""
+    a = 0.5 * (m + 1.0)
+    return 0.5 * beta ** (-a) * math.gamma(a) * gammainc(a, beta * r * r)
+
+
 class _Family:
     """Closed forms of one family at fixed parameters and dimension.
 
     A subclass validates ``params`` in its constructor and sets
     ``params``, ``norm_const`` and ``tail_decay`` (the keyword arguments
     ``integrate_semi_infinite`` needs for integrands carrying f or F).
-    ``shape`` and ``big_f`` receive float arrays.  ``monotone`` and
-    ``inf_ratio`` answer the minimax audit analytically, or return None
-    to have it scan a grid instead.
+    ``shape``, ``big_f`` and ``kernel_moment`` receive float arrays;
+    ``kernel_moment(m, r)`` is int_0^r t^m F(t) dt for m > -1.
+    ``monotone`` and ``inf_ratio`` answer the minimax audit analytically,
+    or return None to have it scan a grid instead.
     """
 
     name = ""
@@ -114,6 +127,9 @@ class _Gaussian(_Family):
     def big_f(self, u):
         return self.norm_const * np.exp(-0.5 * u**2)
 
+    def kernel_moment(self, m, r):
+        return self.norm_const * _bell_moment(m, 0.5, r)
+
     def moment(self, k):
         p = self.p
         if p + k <= 0:
@@ -154,6 +170,11 @@ class _PolyExp(_Family):
         s = 0.5 * self.alpha + 1.0
         pref = 0.5 * self.beta ** (-s)
         return self.norm_const * pref * upper_incomplete_gamma(s, self.beta * u**2)
+
+    def kernel_moment(self, m, r):
+        # by parts, with F'(t) = -t f(t): both terms are nonnegative
+        head = r ** (m + 1.0) * self.big_f(r)
+        return (head + self.norm_const * _bell_moment(m + 2.0 + self.alpha, self.beta, r)) / (m + 1.0)
 
     def moment(self, k):
         p, alpha, beta = self.p, self.alpha, self.beta
@@ -203,6 +224,12 @@ class _MixtureDiff(_Family):
 
     def big_f(self, u):
         return self.norm_const * (np.exp(-0.5 * u**2) - self.a * self.b * np.exp(-0.5 * u**2 / self.b))
+
+    def kernel_moment(self, m, r):
+        # the second bell is at most ab < 1 times the first, so the
+        # difference loses at most a factor 1/(1 - ab) to cancellation
+        a, b = self.a, self.b
+        return self.norm_const * (_bell_moment(m, 0.5, r) - a * b * _bell_moment(m, 0.5 / b, r))
 
     def moment(self, k):
         p, a, b = self.p, self.a, self.b
@@ -261,6 +288,7 @@ class _Tabulated(_Family):
         self.tail_decay = {"decay": "power", "scale": 1.0}
         self.norm_const = 1.0 / (sphere_surface(p) * self._power_integral(p - 1.0))
         self._build_big_f()
+        self._moment_tables = {}
 
     def _power_integral(self, m):
         """int_0^inf x^m shape(x) dx for -1 < m < q - 1.
@@ -320,6 +348,27 @@ class _Tabulated(_Family):
         out[inside] = np.exp(self._logF(uu[inside]))
         return out[0] if scalar else out
 
+    def kernel_moment(self, m, r):
+        # cumulative table on the knots of log F, built on first use; the
+        # piece from the knot below r is integrated on its own, so the
+        # value is exact at any r, and beyond the knots F is a power law
+        knots = self._logF.x
+        fn = lambda t: t**m * self.big_f(t)
+        cum = self._moment_tables.get(m)
+        if cum is None:
+            segs = numerics.cumulative_segments(fn, knots, _MOMENT_SPEC)
+            cum = self._moment_tables[m] = np.concatenate([[0.0], np.cumsum(segs)])
+        r_hi = self._r_hi
+        rr = np.atleast_1d(r)
+        rc = np.minimum(rr, r_hi)
+        k = np.searchsorted(knots, rc, side="right") - 1
+        out = cum[k] + np.array([integrate(fn, knots[j], x, _MOMENT_SPEC).value for j, x in zip(k, rc)])
+        e = m + 3.0 - self.q
+        log_rho = np.log(np.maximum(rr, r_hi) / r_hi)
+        growth = log_rho if e == 0.0 else np.expm1(e * log_rho) / e
+        out += self.big_f(knots[-1:])[0] * r_hi ** (m + 1.0) * growth
+        return out[0] if r.ndim == 0 else out
+
     def moment(self, k):
         p, q = self.p, self.q
         if p + k - q >= 0:
@@ -367,6 +416,13 @@ class RadialDensity:
     def big_f(self, u):
         """F(u) = int_u^inf s f(s) ds, vectorized over u."""
         return self.form.big_f(np.asarray(u, dtype=float))
+
+    def kernel_moment(self, m: float, r):
+        """int_0^r t^m F(t) dt for m > -1, vectorized over r >= 0."""
+        r = np.asarray(r, dtype=float)
+        if m <= -1 or np.any(r < 0):
+            raise ValueError("kernel moments need m > -1 and r >= 0")
+        return self.form.kernel_moment(float(m), r)
 
     def moment(self, k: float) -> float:
         """Raw moment E||X||^k under the model (theta = 0)."""

@@ -244,16 +244,18 @@ def _resolve_estimator(config: RiskConfig):
     if est == "harmonic_bayes":
         prof = _cached_profile(model)
         return lambda x, norms: x * np.asarray(prof.multiplier(norms))[:, None]
-    # generalized_bayes: tabulate the posterior-mean multiplier once
+    # generalized_bayes: tabulate psi = r^2 (1 - kappa) once.  Beyond the
+    # grid psi is held, so the multiplier tends to 1 - psi/r^2 as the
+    # profile's does; below it the multiplier itself is held.
     prior = config.prior
     hi = model.support_radius(1e-10)
     grid = np.geomspace(max(1e-2, 1e-3 * hi), max(hi, 1.0), 49)
-    vals = np.array([gb_multiplier(prior, model, config.p, float(r)) for r in grid])
-    interp = PchipInterpolator(grid, vals)
+    kappa = np.array([gb_multiplier(prior, model, config.p, float(r)) for r in grid])
+    interp = PchipInterpolator(grid, grid**2 * (1.0 - kappa))
 
     def gb(x, norms):
-        rc = np.clip(norms, grid[0], grid[-1])
-        return x * np.asarray(interp(rc))[:, None]
+        psi = interp(np.clip(norms, grid[0], grid[-1]))
+        return x * (1.0 - psi / np.maximum(norms, grid[0]) ** 2)[:, None]
 
     return gb
 

@@ -1,10 +1,13 @@
 """The shrinkage estimator and its radial weight function.
 
-phi(r) is a ratio of two cumulative moments of the tail kernel F; the
-estimator multiplies the observation by 1 - phi(||x||)/||x||^2.  The
-weight is computed once on a geometric grid by accumulating both
-integrals segment by segment, then interpolated with a shape-preserving
-rule so simulation code can call the estimator millions of times.
+phi(r) = A(r)/B(r) is a ratio of two cumulative moments of the tail
+kernel F, A = int_0^r t^{p-1} F and B = int_0^r t^{p-3} F, which every
+model family supplies exactly as ``kernel_moment``; the estimator
+multiplies the observation by 1 - psi(||x||) with psi = phi/r^2.  For
+simulation code that calls the estimator millions of times, psi is
+tabulated once as a cubic Hermite spline with exact knot values and
+slopes, checked against the exact moments between every pair of knots.
+The quadrature ratio ``phi_star`` is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from sphereshrink.numerics import QuadratureSpec, integrate
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.radial_convolution import directional_marginal, marginal_m
 from sphereshrink.rv_priors import RadialPrior
 
-_SEG_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=5e-13, max_subdivisions=200)
+# Knots of the profile's geometric grid (an origin knot comes on top).
+_KNOTS = 1025
 
 
 class ShrinkageError(Exception):
@@ -51,20 +55,6 @@ def phi_star(model: RadialDensity, p: int, r: float) -> float:
     return num / den
 
 
-def phi_star_scaled(model: RadialDensity, p: int, r: float) -> float:
-    """Same weight through the unit-interval form r^2 * int t^{p-1}F(rt) / int t^{p-3}F(rt)."""
-    _check_dims(model, p)
-    if r <= 0:
-        raise ShrinkageError("r must be positive")
-    spike = model.support_radius(1e-16)
-    hints = (spike / r,) if r > spike else ()
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400,
-                          singularity_hints=hints)
-    num = integrate(lambda t: t ** (p - 1.0) * model.big_f(r * t), 0.0, 1.0, spec).value
-    den = integrate(lambda t: t ** (p - 3.0) * model.big_f(r * t), 0.0, 1.0, spec).value
-    return r * r * num / den
-
-
 def phi_limit(model: RadialDensity, p: int) -> float:
     """Large-r limit of the weight: (p-2) E_0 ||X||^2 / p."""
     _check_dims(model, p)
@@ -75,94 +65,64 @@ def phi_limit(model: RadialDensity, p: int) -> float:
 class ShrinkageProfile:
     """Precomputed weight curve for one model.
 
-    Beyond the grid the weight is within 1% of its limit and is held at
-    its last computed value; below the grid the ratio phi/r^2 is
-    interpolated through its exact origin value (p-2)/p.
+    ``_psi`` interpolates psi = phi/r^2 from its exact origin value
+    (p-2)/p to the last grid radius.  Beyond the grid the weight is
+    within 1% of its limit and phi is held at its last value.
     """
 
     model: RadialDensity = field(compare=False)
     p: int
     r_grid: np.ndarray = field(compare=False)
-    phi_values: np.ndarray = field(compare=False)
     limit_value: float
-    _phi_interp: PchipInterpolator = field(compare=False, repr=False)
-    _psi_interp: PchipInterpolator = field(compare=False, repr=False)
+    _psi: CubicHermiteSpline = field(compare=False, repr=False)
 
     def phi(self, r):
         r = np.asarray(r, dtype=float)
-        lo, hi = self.r_grid[0], self.r_grid[-1]
-        rc = np.clip(r, lo, hi)
-        out = np.asarray(self._phi_interp(rc))
-        out = np.where(r < lo, self._psi_interp(np.minimum(r, lo)) * r * r, out)
-        out = np.where(r > hi, self.phi_values[-1], out)
+        out = np.asarray(self.psi(r)) * r * r
         return out if out.ndim else float(out)
 
     def psi(self, r):
         """The ratio phi(r)/r^2, continuous down to psi(0) = (p-2)/p."""
         r = np.asarray(r, dtype=float)
         hi = self.r_grid[-1]
-        inside = self._psi_interp(np.clip(r, 0.0, hi))
-        with np.errstate(divide="ignore"):
-            beyond = self.phi_values[-1] / np.where(r > 0, r * r, 1.0)
-        out = np.where(r > hi, beyond, inside)
+        out = self._psi(np.clip(r, 0.0, hi)) * (hi / np.maximum(r, hi)) ** 2
         return out if out.ndim else float(out)
 
     def multiplier(self, r):
         """Estimator factor 1 - phi(r)/r^2, equal to 2/p at r = 0."""
-        out = 1.0 - np.asarray(self.psi(r))
-        return out if out.ndim else float(out)
+        return 1.0 - self.psi(r)
 
 
-def build_profile(model: RadialDensity, *, n: int = 257, r_max: float | None = None) -> ShrinkageProfile:
-    """Accumulate phi along a geometric grid and wrap it for interpolation.
+def build_profile(model: RadialDensity) -> ShrinkageProfile:
+    """Tabulate psi = phi/r^2 as one cubic Hermite spline.
 
-    The two cumulative integrals are extended segment by segment, so the
-    full curve costs one pass.  The grid is refined (up to twice) until
-    the interpolant reproduces directly computed values to 1e-6 of the
-    limit; if the last grid still misses, ShrinkageError is raised.
+    Knot values and slopes are exact: from the kernel moments A and B,
+    phi' = r^{p-3} F (r^2 B - A) / B^2 = r^{p-3} F (r^2 - phi) / B, and
+    at the origin knot psi(0) = (p-2)/p, psi'(0) = 0.  phi is checked
+    against the exact moment ratio at every interval midpoint, and
+    ShrinkageError is raised if it misses by more than 1e-6 of
+    max(1, limit).
     """
     p = model.p
-    if n < 16:
-        raise ShrinkageError("grid too coarse")
     limit = phi_limit(model, p)
-    if r_max is None:
-        r_max = max(1.25 * model.support_radius(1e-10), 20.0)
+    r_max = max(1.25 * model.support_radius(1e-10), 20.0)
+    grid = np.geomspace(1e-3, r_max, _KNOTS)
+    knots = np.concatenate(([0.0], grid))
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    r = np.concatenate((grid, mids))
+    a = model.kernel_moment(p - 1.0, r)
+    b = model.kernel_moment(p - 3.0, r)
+    phi, phi_mids = np.split(a / b, [_KNOTS])
 
-    for _ in range(3):
-        grid = np.geomspace(1e-3, r_max, n)
-        num = 0.0
-        den = 0.0
-        nums = np.empty(n)
-        dens = np.empty(n)
-        lo = 0.0
-        for j, hi in enumerate(grid):
-            num += integrate(lambda t: t ** (p - 1.0) * model.big_f(t), lo, hi, _SEG_SPEC).value
-            den += integrate(lambda t: t ** (p - 3.0) * model.big_f(t), lo, hi, _SEG_SPEC).value
-            nums[j] = num
-            dens[j] = den
-            lo = hi
-        phi = nums / dens
-        phi_interp = PchipInterpolator(grid, phi, extrapolate=False)
-        psi_grid = np.concatenate(([0.0], grid))
-        psi_vals = np.concatenate(([(p - 2.0) / p], phi / grid**2))
-        psi_interp = PchipInterpolator(psi_grid, psi_vals, extrapolate=False)
+    dphi = grid ** (p - 3.0) * model.big_f(grid) * (grid**2 - phi) / b[:_KNOTS]
+    psi = np.concatenate(([(p - 2.0) / p], phi / grid**2))
+    dpsi = np.concatenate(([0.0], (dphi - 2.0 * phi / grid) / grid**2))
+    spline = CubicHermiteSpline(knots, psi, dpsi, extrapolate=False)
 
-        # check the interpolant where it bends hardest, plus a spread;
-        # pchip's error peaks off-center, so hot intervals get three probes
-        curv = np.abs(np.diff(phi, 2))
-        hot = np.argsort(curv)[-24:]
-        spread = np.arange(0, n - 1, max(1, (n - 1) // 12))
-        probes = [np.sqrt(grid[j] * grid[j + 1]) for j in spread]
-        for j in np.unique(np.concatenate((hot, hot + 1))):
-            a, b = grid[j], grid[j + 1]
-            probes.extend(a + f * (b - a) for f in (0.2, 0.5, 0.8))
-        worst = max(abs(float(phi_interp(rp)) - phi_star(model, p, float(rp))) for rp in probes)
-        if worst <= 1e-6 * max(1.0, limit):
-            break
-        n = 2 * n - 1
-    else:
-        raise ShrinkageError(f"profile interpolant misses phi by {worst:.3g} after three grid refinements")
-    return ShrinkageProfile(model, p, grid, phi, limit, phi_interp, psi_interp)
+    worst = float(np.max(np.abs(spline(mids) * mids**2 - phi_mids)))
+    if not worst <= 1e-6 * max(1.0, limit):
+        raise ShrinkageError(f"profile interpolant misses phi by {worst:.3g} at an interval midpoint")
+    return ShrinkageProfile(model, p, grid, limit, spline)
 
 
 _PROFILES: "weakref.WeakKeyDictionary[RadialDensity, ShrinkageProfile]" = weakref.WeakKeyDictionary()

@@ -69,13 +69,34 @@ def test_parametric_family_options_reach_the_model(tmp_path):
     assert float(rows["inf_ratio"]) == 0.5  # 1 / (2 beta)
 
 
-def test_tabulated_family_reads_its_table(tmp_path):
+def write_table(tmp_path):
     r = np.geomspace(0.02, 3.0, 220)
     table = tmp_path / "table.csv"
     np.savetxt(table, np.column_stack([r, np.exp(-(r**4))]), delimiter=",")
+    return table
+
+
+def test_tabulated_family_reads_its_table(tmp_path):
+    table = write_table(tmp_path)
     out = tmp_path / "tab.csv"
     assert cli.main(["model-info", "--family", "tabulated", "--p", "3", "--table", str(table),
                      "--out", str(out)]) == cli.EXIT_OK
     lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     rows = dict(row[:2] for row in csv.reader(lines))
     assert rows["f_nonincreasing"] == "holds"
+
+
+def test_phi_runs_on_a_tabulated_model(tmp_path):
+    table = write_table(tmp_path)
+    out = tmp_path / "phi.csv"
+    assert cli.main(["phi", "--family", "tabulated", "--p", "3", "--table", str(table),
+                     "--points", "5", "--out", str(out)]) == cli.EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    header, *rows = list(csv.reader(lines))
+    assert header == ["r", "phi_star", "multiplier", "limit_value"]
+    for row in rows:
+        r, phi, mult, limit = map(float, row)
+        # phi rises to its limit; the table's interpolated F reaches it
+        # within the profile's own 1e-6 tolerance, not to the last bit
+        assert 0.0 <= phi <= limit * (1.0 + 1e-6)
+        assert 2.0 / 3.0 <= mult < 1.0

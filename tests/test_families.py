@@ -1,9 +1,10 @@
 """Contract every sampling family in the name table must meet.
 
 Each case goes through the public API only: normalization, the tail
-kernel and second moment against scipy quadrature, the certified tail
-bound on a grid, and the audit's analytic answers (monotonicity
-verdicts, inf F/f) against the grid scans they replace.
+kernel, its cumulative moments and the second moment against scipy
+quadrature, the shrinkage profile against the exact moment ratio, the
+certified tail bound on a grid, and the audit's analytic answers
+(monotonicity verdicts, inf F/f) against the grid scans they replace.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy import integrate as sp_integrate
 from sphereshrink import radial_models
 from sphereshrink.minimax_audit import PROPERTIES, inf_ratio, probe_monotone
 from sphereshrink.numerics import sphere_surface
+from sphereshrink.shrinkage import build_profile
 
 _R_TAB = np.geomspace(0.02, 3.0, 220)
 
@@ -27,6 +29,15 @@ CASES = {
 
 # quad on the PCHIP-interpolated table is the looser of the two routes
 REL = {"tabulated": 1e-6}
+
+_R_GAUSS = np.geomspace(0.01, 8.0, 300)
+_R_POWER = np.geomspace(0.01, 100.0, 300)
+
+# further tables whose profile must build: light and power (q = 8) tails
+PROFILE_TABLES = {
+    "table_gaussian": radial_models.tabulated(_R_GAUSS, np.exp(-0.5 * _R_GAUSS**2), 5),
+    "table_power8": radial_models.tabulated(_R_POWER, (1.0 + _R_POWER**2) ** -4.0, 5),
+}
 
 
 def quad_to_inf(fn, lo=0.0, points=None):
@@ -64,6 +75,30 @@ def test_big_f_and_second_moment_match_quadrature(name):
     cp = sphere_surface(m.p)
     e2 = quad_to_inf(lambda r: cp * r ** (m.p + 1) * m.density(r), points=_breaks(name))
     assert m.moment(2.0) == pytest.approx(e2, rel=rel)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_moment_matches_quadrature(name):
+    m = CASES[name]
+    rel = REL.get(name, 1e-9)
+    for k in (m.p - 3, m.p - 1):
+        for r in (0.3, 1.0, 3.0, 10.0):
+            breaks = [x for x in (_breaks(name) or []) if x < r] + [r]
+            edges = [0.0, *breaks]
+            oracle = sum(sp_integrate.quad(lambda t: t**k * m.big_f(t), lo, hi, limit=400)[0]
+                         for lo, hi in zip(edges[:-1], edges[1:]))
+            assert m.kernel_moment(k, r) == pytest.approx(oracle, rel=rel)
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(PROFILE_TABLES))
+def test_profile_builds_and_matches_the_moment_ratio(name):
+    m = CASES.get(name) or PROFILE_TABLES[name]
+    p = m.p
+    prof = build_profile(m)
+    rng = np.random.default_rng(3)
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(prof.r_grid[-1]), 200))
+    exact = m.kernel_moment(p - 1, r) / m.kernel_moment(p - 3, r)
+    assert np.max(np.abs(prof.phi(r) - exact)) <= 1e-6 * max(1.0, prof.limit_value)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate as sp_integrate
 from scipy.special import erf
 
+from sphereshrink.numerics import sphere_surface
 from sphereshrink.radial_models import DivergentMoment, gaussian, mixture_diff, poly_exp, tabulated
 from sphereshrink.rv_priors import custom_prior, harmonic_prior, power_prior
 from sphereshrink.radial_convolution import (
@@ -112,8 +113,11 @@ def test_harmonic_closed_gaussian_potential():
 
 
 def test_harmonic_closed_at_origin():
-    # m(0) = c_p F(0) = E||X||^{2-p}
+    # m(0) = c_p F(0) = E||X||^{2-p}, also where r^{p-2} underflows
     assert harmonic_marginal_closed(gaussian(3), 0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+    m0 = harmonic_marginal_closed(gaussian(5), 0.0)
+    for r in (1e-30, 1e-103, 1e-120):
+        assert harmonic_marginal_closed(gaussian(5), r) == pytest.approx(m0, rel=1e-12)
 
 
 @pytest.mark.parametrize("model_fn", [gaussian, lambda p: poly_exp(2.0, 1.0, p), lambda p: mixture_diff(0.5, 0.5, p)],
@@ -125,6 +129,18 @@ def test_harmonic_closed_matches_oracle(model_fn, p, r):
     closed = harmonic_marginal_closed(model, r)
     oracle = marginal_m(harmonic_prior(p), model, r, force_oracle=True)
     assert abs(oracle - closed) / closed <= 1e-5
+
+
+def test_harmonic_closed_on_a_tabulated_model():
+    # the same radial integral c_p (p-2) r^{2-p} int_0^r u^{p-3} F(u) du by
+    # scipy quad, split at the table's knots
+    knots = np.geomspace(0.02, 3.0, 220)
+    m = tabulated(knots, np.exp(-(knots**4)), 3)
+    cp = sphere_surface(3)
+    for r in (0.5, 2.0, 10.0):
+        edges = np.concatenate(([0.0], knots[knots < r], [r]))
+        inner = sum(sp_integrate.quad(lambda u: m.big_f(u), lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:]))
+        assert harmonic_marginal_closed(m, r) == pytest.approx(cp * inner / r, rel=1e-9)
 
 
 # --- marginal dispatch ------------------------------------------------

@@ -252,12 +252,15 @@ def test_overshrinker_flagged():
 
 def test_generalized_bayes_tracks_harmonic():
     # posterior-mean multiplier under the harmonic prior equals the
-    # closed-form shrinkage factor, so the risks should agree closely
+    # closed-form shrinkage factor, so the risks should agree closely,
+    # also far beyond the GB multiplier table
     prior = harmonic_prior(5)
-    gb = small_curve("generalized_bayes", theta_norms=(0.0, 3.0), n=20_000, prior=prior)
-    hb = small_curve("harmonic_bayes", theta_norms=(0.0, 3.0), n=20_000)
+    norms = (0.0, 3.0, 20.0, 40.0)
+    gb = small_curve("generalized_bayes", theta_norms=norms, n=20_000, prior=prior)
+    hb = small_curve("harmonic_bayes", theta_norms=norms, n=20_000)
     for a, b in zip(gb.entries, hb.entries):
         assert abs(a.risk_estimate - b.risk_estimate) < 1e-3 * a.baseline_risk
+    assert dominance_report(gb).verdict != "violation_at"
 
 
 def test_general_quadratic_loss():

@@ -15,19 +15,20 @@ from sphereshrink.shrinkage import (
     gb_multiplier,
     phi_limit,
     phi_star,
-    phi_star_scaled,
 )
 
 MODELS = [gaussian(3), gaussian(5), poly_exp(2.0, 1.0, 5), mixture_diff(0.5, 0.5, 4)]
 
 
-# --- the two integral forms -------------------------------------------
+# --- the closed-form and quadrature forms ------------------------------
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)
 @pytest.mark.parametrize("r", [0.5, 2.0, 10.0])
 def test_forms_agree(model, r):
-    a = phi_star(model, model.p, r)
-    b = phi_star_scaled(model, model.p, r)
+    # the ratio of closed-form kernel moments against the quadrature oracle
+    p = model.p
+    a = phi_star(model, p, r)
+    b = model.kernel_moment(p - 1, r) / model.kernel_moment(p - 3, r)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -79,9 +80,10 @@ def test_small_r_ratio(model):
 def test_profile_monotone_and_bounded(model):
     prof = build_profile(model)
     assert len(prof.r_grid) >= 200
-    assert np.all(np.diff(prof.phi_values) >= -1e-10)
-    assert np.all(prof.phi_values >= 0.0)
-    psi = prof.phi_values / prof.r_grid**2
+    phi = prof.phi(prof.r_grid)
+    assert np.all(np.diff(phi) >= -1e-10)
+    assert np.all(phi >= 0.0)
+    psi = phi / prof.r_grid**2
     assert np.all(psi < 1.0) and np.all(psi <= (model.p - 2.0) / model.p + 1e-12)
     mult = prof.multiplier(np.concatenate((prof.r_grid, [10.0 * prof.r_grid[-1]])))
     assert np.all(mult >= 2.0 / model.p - 1e-12) and np.all(mult < 1.0)
@@ -90,7 +92,7 @@ def test_profile_monotone_and_bounded(model):
 def test_profile_psi_monotone_when_ratio_condition_holds():
     # gaussian has F/f constant, so F/(t^2 f) falls and psi must too
     prof = build_profile(gaussian(5))
-    psi = np.concatenate(([prof.psi(0.0)], prof.phi_values / prof.r_grid**2))
+    psi = np.concatenate(([prof.psi(0.0)], prof.phi(prof.r_grid) / prof.r_grid**2))
     assert np.all(np.diff(psi) <= 1e-10)
 
 
@@ -104,11 +106,10 @@ def test_profile_interpolation_budget():
     assert worst <= 1e-6 * max(1.0, prof.limit_value)
 
 
-def test_profile_accuracy_gate_raises_after_last_refinement(monkeypatch):
-    # a reference that the interpolant can never match: every pass misses
-    exact = sh.phi_star
-    monkeypatch.setattr(sh, "phi_star", lambda model, p, r: exact(model, p, r) + 1e-3)
-    with pytest.raises(ShrinkageError, match="three grid refinements"):
+def test_profile_accuracy_gate_raises_on_a_coarse_grid(monkeypatch):
+    # nine knots from 1e-3 to 20: the spline cannot follow phi between them
+    monkeypatch.setattr(sh, "_KNOTS", 9)
+    with pytest.raises(ShrinkageError, match="midpoint"):
         build_profile(gaussian(5))
 
 
@@ -117,7 +118,7 @@ def test_profile_origin_and_extension():
     assert prof.psi(0.0) == pytest.approx(0.6, rel=1e-12)
     assert prof.multiplier(0.0) == pytest.approx(0.4, rel=1e-12)
     big = 1e4
-    assert prof.multiplier(big) == pytest.approx(1.0 - prof.phi_values[-1] / big**2, rel=1e-12)
+    assert prof.multiplier(big) == pytest.approx(1.0 - prof.phi(prof.r_grid)[-1] / big**2, rel=1e-12)
 
 
 # --- the estimator ----------------------------------------------------
