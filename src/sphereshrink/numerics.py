@@ -1,7 +1,7 @@
 """Shared numerical kernel: adaptive quadrature and special functions.
 
 Every downstream module (density catalogue, prior machinery, convolution
-oracles, risk tables) funnels its integrals through the two integrators
+oracles, risk tables) funnels its integrals through the integrators
 defined here.  Integrands must accept numpy arrays of abscissae and
 return arrays of the same shape; a result is returned only once the
 accumulated error estimate is below the requested tolerance, otherwise a
@@ -12,6 +12,8 @@ The adaptive scheme is plain bisection driven by an embedded pair of
 Gauss-Legendre rules (7 and 15 points).  Nodes and weights are generated
 at import time to machine precision, the 15-point value is kept and the
 deviation from the 7-point value serves as the segment error estimate.
+``integrate_pieces`` applies the same pair to many smooth pieces in one
+array pass, without subdivision.
 Interior singularities or kinks are handled by listing them in
 ``QuadratureSpec.singularity_hints``: the interval is pre-split there so
 no node ever lands on the bad point, and endpoint singularities are
@@ -29,6 +31,8 @@ from scipy import special as _sp
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
+# Abscissae of one segment on [-1, 1]: the 15-point nodes, then the 7.
+_NODES = np.concatenate([_NODES_HI, _NODES_LO])
 
 # Highest polynomial degree the 15-point rule integrates exactly.
 EXACT_DEGREE = 29
@@ -93,23 +97,27 @@ class IntegralResult:
     evaluations: int
 
 
+def _gauss_pair(f, lo, hi):
+    """G15 values and |G15 - G7| error estimates on the segments [lo, hi].
+
+    ``lo`` and ``hi`` are floats or equal-shape arrays; ``f`` is called
+    once, on a flat array holding every segment's 22 nodes.
+    """
+    half = 0.5 * (hi - lo)
+    x = np.multiply.outer(half, _NODES)
+    x += np.expand_dims(0.5 * (hi + lo), -1)
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise NonFiniteIntegrand(f"integrand is not finite at x={x[~finite][0]!r}")
+    value = half * (y[..., : _NODES_HI.size] @ _WEIGHTS_HI)
+    return value, np.abs(value - half * (y[..., _NODES_HI.size :] @ _WEIGHTS_LO))
+
+
 def _eval_segment(f, lo: float, hi: float):
     """Return (value, error_estimate, evaluations) for one segment."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x_hi = mid + half * _NODES_HI
-    y_hi = np.asarray(f(x_hi), dtype=float)
-    if not np.all(np.isfinite(y_hi)):
-        bad = x_hi[~np.isfinite(y_hi)][0]
-        raise NonFiniteIntegrand(f"integrand is not finite at x={bad!r}")
-    x_lo = mid + half * _NODES_LO
-    y_lo = np.asarray(f(x_lo), dtype=float)
-    if not np.all(np.isfinite(y_lo)):
-        bad = x_lo[~np.isfinite(y_lo)][0]
-        raise NonFiniteIntegrand(f"integrand is not finite at x={bad!r}")
-    value = half * float(_WEIGHTS_HI @ y_hi)
-    coarse = half * float(_WEIGHTS_LO @ y_lo)
-    return value, abs(value - coarse), 22
+    value, err = _gauss_pair(f, lo, hi)
+    return float(value), float(err), _NODES.size
 
 
 def _initial_segments(a: float, b: float, hints) -> list[tuple[float, float]]:
@@ -283,6 +291,29 @@ def cumulative_segments(f, knots, spec: QuadratureSpec | None = None) -> np.ndar
     for j in range(knots.size - 1):
         out[j] = integrate(f, knots[j], knots[j + 1], spec).value
     return out
+
+
+def integrate_pieces(f, lo, hi, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Integrals of ``f`` over each [lo[i], hi[i]] from one G7/G15 pass.
+
+    Nothing is subdivided, so this is for integrands that are smooth on
+    every piece, such as a spline between its knots.  A piece whose
+    G15 - G7 gap exceeds ``max(abs_tol, rel_tol * |value|)`` raises
+    :class:`ToleranceNotReached` naming the worst piece.
+    """
+    spec = spec or DEFAULT_SPEC
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    value, err = _gauss_pair(f, lo, hi)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    if np.any(err > tol):
+        j = int(np.argmax(err / tol))
+        piece = (float(lo.flat[j]), float(hi.flat[j]))
+        raise ToleranceNotReached(
+            f"piece {piece} misses its tolerance (error={float(err.flat[j])!r})",
+            IntegralResult(float(value.sum()), float(err.sum()), value.size * _NODES.size),
+            worst_segment=piece,
+        )
+    return value
 
 
 # --- special functions -------------------------------------------------

@@ -8,8 +8,10 @@ with its normalizing constant, the tail-mass kernel
 the cumulative kernel moments int_0^r t^m F(t) dt, raw moments of ||X||,
 and a certified polynomial tail bound.  Three parametric families carry
 closed forms throughout (standard normal, polynomial-times-Gaussian,
-difference of two Gaussian bells); a fourth family interpolates
-tabulated samples and falls back on quadrature.
+difference of two Gaussian bells).  A fourth family interpolates
+tabulated samples; its F and kernel moments are sums of exact
+Gauss-Legendre pieces of t^k f(t) between the table's knots, with
+closed forms below and beyond the table.
 
 Each family is one small class that validates its parameters and owns
 its closed forms, tail data and minimax-audit answers; :func:`normalize`
@@ -26,10 +28,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gammainc
 
-from sphereshrink import numerics
 from sphereshrink.numerics import (
     QuadratureSpec,
-    integrate,
+    integrate_pieces,
     log_gamma,
     sphere_surface,
     upper_incomplete_gamma,
@@ -41,8 +42,8 @@ from sphereshrink.numerics import (
 # the certification grid still checks the bound it implies.
 SUPER_EXPONENTIAL_S = 50.0
 
-# Segments of the tabulated kernel-moment tables: F is smooth between
-# its knots, so each piece converges to a relative target directly.
+# Pieces of the tabulated integrals: the interpolant is smooth between
+# its knots, so one G7/G15 pass per piece meets a relative target.
 _MOMENT_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
 
 
@@ -286,88 +287,62 @@ class _Tabulated(_Family):
         self.r = r
         self.f = f
         self.tail_decay = {"decay": "power", "scale": 1.0}
-        self.norm_const = 1.0 / (sphere_surface(p) * self._power_integral(p - 1.0))
-        self._build_big_f()
-        self._moment_tables = {}
+        # the PCHIP's pieces, split further so that one G7/G15 pass
+        # integrates t^k shape(t) over each
+        self._knots = np.unique(np.concatenate([r, np.geomspace(r[0], r[-1], 4 * r.size)]))
+        self._sums = {}
+        self.norm_const = 1.0 / (sphere_surface(p) * self._above(p - 1.0, 0.0))
 
-    def _power_integral(self, m):
-        """int_0^inf x^m shape(x) dx for -1 < m < q - 1.
+    def _pieces(self, k, lo, hi):
+        return integrate_pieces(lambda t: t**k * self.shape(t), lo, hi, _MOMENT_SPEC)
 
-        Below r[0] the profile is held at f[0]; beyond r[-1] it is
-        f[-1] (x/r[-1])^-q, so both ends are exact.
-        """
-        r, f = self.r, self.f
-        head = f[0] * r[0] ** (m + 1.0) / (m + 1.0)
-        body = integrate(
-            lambda x: x**m * self.shape(x), r[0], r[-1], QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
-        ).value
-        tail = f[-1] * r[-1] ** (m + 1.0) / (self.q - m - 1.0)
-        return head + body + tail
+    def _table(self, k):
+        """Prefix and suffix sums of int t^k shape(t) dt over the knot intervals."""
+        sums = self._sums.get(k)
+        if sums is None:
+            pieces = self._pieces(k, self._knots[:-1], self._knots[1:])
+            sums = self._sums[k] = (
+                np.concatenate([[0.0], np.cumsum(pieces)]),
+                np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]]),
+            )
+        return sums
 
-    def _build_big_f(self):
-        # Backward-accumulated segment integrals of s*shape(s) on a
-        # refined grid, then monotone interpolation of log F.
-        r = self.r
-        knots = np.unique(np.concatenate(
-            [[0.0], r, np.geomspace(r[0], r[-1], 4 * r.size)]))
-        segs = numerics.cumulative_segments(
-            lambda s: s * self.shape(s), knots, QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12)
-        )
-        tail_mass = self.f[-1] * r[-1] ** 2 / (self.q - 2.0)
-        big = np.concatenate([np.cumsum(segs[::-1])[::-1] + tail_mass, [tail_mass]])
-        self._r_hi = knots[-1]
-        self._logF = PchipInterpolator(knots, np.log(big * self.norm_const), extrapolate=False)
+    # The profile is held at f[0] below r[0] and is f[-1] (t/r[-1])^-q
+    # beyond r[-1], so both ends of these integrals are closed forms.
+
+    def _below(self, k, r):
+        """int_0^r t^k shape(t) dt for k > -1."""
+        r0, r_hi, kn = self.r[0], self.r[-1], self._knots
+        x = np.clip(r, r0, r_hi)
+        j = np.searchsorted(kn, x, side="right") - 1
+        body = self._table(k)[0][j] + self._pieces(k, kn[j], x)
+        head = self.f[0] * np.minimum(r, r0) ** (k + 1.0) / (k + 1.0)
+        e = k + 1.0 - self.q
+        log_rho = np.log(np.maximum(r, r_hi) / r_hi)
+        growth = log_rho if e == 0.0 else np.expm1(e * log_rho) / e
+        return head + body + self.f[-1] * r_hi ** (k + 1.0) * growth
+
+    def _above(self, k, u):
+        """int_u^inf t^k shape(t) dt for -1 < k < q - 1."""
+        r0, r_hi, kn = self.r[0], self.r[-1], self._knots
+        x = np.clip(u, r0, r_hi)
+        j = np.searchsorted(kn, x, side="left")
+        body = self._table(k)[1][j] + self._pieces(k, x, kn[j])
+        head = self.f[0] * (r0 ** (k + 1.0) - np.minimum(u, r0) ** (k + 1.0)) / (k + 1.0)
+        e = k + 1.0 - self.q
+        return head + body + self.f[-1] * r_hi ** (k + 1.0) * (np.maximum(u, r_hi) / r_hi) ** e / -e
 
     def shape(self, r):
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        out = np.empty_like(rr)
-        below = rr < self.r[0]
-        above = rr > self.r[-1]
-        mid = ~(below | above)
-        out[below] = self.f[0]
-        out[above] = self.f[-1] * (rr[above] / self.r[-1]) ** (-self.q)
-        with np.errstate(divide="ignore"):
-            out[mid] = np.exp(self._logf(np.log(rr[mid])))
-        return out[0] if scalar else out
+        r0, r_hi = self.r[0], self.r[-1]
+        inside = np.exp(self._logf(np.log(np.clip(r, r0, r_hi))))
+        return np.where(r > r_hi, self.f[-1] * (np.maximum(r, r_hi) / r_hi) ** -self.q, inside)
 
     def big_f(self, u):
-        scalar = u.ndim == 0
-        uu = np.atleast_1d(u).astype(float)
-        out = np.empty_like(uu)
-        r_hi = self._r_hi
-        above = uu > r_hi
-        out[above] = (
-            self.norm_const
-            * self.f[-1]
-            * r_hi**2
-            / (self.q - 2.0)
-            * (uu[above] / r_hi) ** (2.0 - self.q)
-        )
-        inside = ~above
-        out[inside] = np.exp(self._logF(uu[inside]))
-        return out[0] if scalar else out
+        return self.norm_const * self._above(1.0, u)
 
     def kernel_moment(self, m, r):
-        # cumulative table on the knots of log F, built on first use; the
-        # piece from the knot below r is integrated on its own, so the
-        # value is exact at any r, and beyond the knots F is a power law
-        knots = self._logF.x
-        fn = lambda t: t**m * self.big_f(t)
-        cum = self._moment_tables.get(m)
-        if cum is None:
-            segs = numerics.cumulative_segments(fn, knots, _MOMENT_SPEC)
-            cum = self._moment_tables[m] = np.concatenate([[0.0], np.cumsum(segs)])
-        r_hi = self._r_hi
-        rr = np.atleast_1d(r)
-        rc = np.minimum(rr, r_hi)
-        k = np.searchsorted(knots, rc, side="right") - 1
-        out = cum[k] + np.array([integrate(fn, knots[j], x, _MOMENT_SPEC).value for j, x in zip(k, rc)])
-        e = m + 3.0 - self.q
-        log_rho = np.log(np.maximum(rr, r_hi) / r_hi)
-        growth = log_rho if e == 0.0 else np.expm1(e * log_rho) / e
-        out += self.big_f(knots[-1:])[0] * r_hi ** (m + 1.0) * growth
-        return out[0] if r.ndim == 0 else out
+        # by parts, with F'(t) = -t f(t): both terms are nonnegative
+        return (r ** (m + 1.0) * self.big_f(r) + self.norm_const * self._below(m + 2.0, r)) / (m + 1.0)
 
     def moment(self, k):
         p, q = self.p, self.q
@@ -375,7 +350,7 @@ class _Tabulated(_Family):
             raise DivergentMoment(f"moment {k} diverges for tabulated tail exponent {q}")
         if p + k <= 0:
             raise DivergentMoment(f"moment {k} diverges at the origin for p={p}")
-        return sphere_surface(p) * self.norm_const * self._power_integral(p + k - 1.0)
+        return sphere_surface(p) * self.norm_const * self._above(p + k - 1.0, 0.0)
 
     def tail_profile(self):
         # r^q f(r) is flat beyond the table, so its sup over r >= r[0] is
@@ -408,6 +383,7 @@ class RadialDensity:
         self.params = form.params
         self.p = form.p
         self.norm_const = form.norm_const
+        self._support = {}
 
     def density(self, r):
         """Normalized radial profile f(r); f(||x||) is the density."""
@@ -438,9 +414,18 @@ class RadialDensity:
         return self.form.tail_decay
 
     def support_radius(self, eps: float = 1e-12) -> float:
-        """Smallest radius R with F(R) <= eps * F(0), by bisection."""
+        """Smallest radius R with F(R) <= eps * F(0), by bisection.
+
+        The result is kept per ``eps``, so repeated calls cost nothing.
+        """
         if not 0 < eps < 1:
             raise ValueError("eps must be in (0, 1)")
+        hi = self._support.get(eps)
+        if hi is None:
+            hi = self._support[eps] = self._bisect_support(eps)
+        return hi
+
+    def _bisect_support(self, eps):
         f0 = float(self.big_f(0.0))
         hi = 1.0
         while float(self.big_f(hi)) > eps * f0:

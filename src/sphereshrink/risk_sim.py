@@ -20,7 +20,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from sphereshrink.numerics import QuadratureSpec, cumulative_segments, integrate, sphere_surface
+from sphereshrink.numerics import sphere_surface
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.rv_priors import RadialPrior
 from sphereshrink.shrinkage import _cached_profile, gb_multiplier
@@ -36,49 +36,41 @@ class RiskSimError(Exception):
 # -- radial sampling ----------------------------------------------------
 
 _SAMPLERS: "WeakKeyDictionary[RadialDensity, tuple]" = WeakKeyDictionary()
-_TABLE_SPEC = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-10, max_subdivisions=60)
+# Geometric knots of the inverse-CDF table (an origin knot comes on top).
+_SAMPLER_KNOTS = 6143
+
+
+def _cdf(model: RadialDensity, r):
+    """Radial CDF c_p int_0^r s^{p-1} f(s) ds, from the kernel moment B.
+
+    With F'(s) = -s f(s), integrating by parts gives
+    c_p [(p-2) B(r) - r^{p-2} F(r)], B(r) = int_0^r t^{p-3} F(t) dt.
+    """
+    p = model.p
+    return sphere_surface(p) * ((p - 2.0) * model.kernel_moment(p - 3.0, r) - r ** (p - 2.0) * model.big_f(r))
 
 
 def _build_sampler(model: RadialDensity):
-    """Inverse-CDF table: knots geometric in r, hence geometric in the
-    u tail as well; validated pointwise against direct quadrature."""
-    p = model.p
-    cp = sphere_surface(p)
-    weight = lambda s: cp * s ** (p - 1.0) * model.density(s)
+    """Inverse-CDF table: a PCHIP of r over the exact CDF at its knots.
+
+    The knots are the origin plus geometric radii up to
+    ``support_radius(1e-14)``, hence geometric in the u tail as well.
+    Where the CDF is below about 1e-20 the by-parts difference loses its
+    relative digits, so a knot is kept only if its CDF rises strictly
+    above that of every knot below it.  At every interval midpoint u,
+    CDF(ppf(u)) must lie within 1e-8 of u, else RiskSimError is raised.
+    """
     r_hi = model.support_radius(1e-14)
-    for n_knots in (6143, 12287):
-        knots = np.concatenate([[0.0], np.geomspace(r_hi * 1e-7, r_hi, n_knots)])
-        segs = cumulative_segments(weight, knots, _TABLE_SPEC)
-        cdf = np.concatenate([[0.0], np.cumsum(segs)])
-        keep = np.concatenate([[True], np.diff(cdf) > 0.0])
-        u_knots, r_knots = cdf[keep], knots[keep]
-        ppf = PchipInterpolator(u_knots, r_knots)
-        fwd = PchipInterpolator(r_knots, u_knots)
-        if _sampler_error(model, knots, cdf, ppf) <= 1e-8:
-            return ppf, fwd, float(u_knots[-1]), float(r_knots[-1])
-    raise RiskSimError("inverse-CDF table failed 1e-8 validation")
-
-
-def _sampler_error(model, knots, cdf, ppf) -> float:
-    """max |CDF(ppf(u)) - u| over a probe grid, CDF by direct quadrature
-    from the nearest exact node (the nodes themselves carry 1e-10 error)."""
-    p = model.p
-    cp = sphere_surface(p)
-    weight = lambda s: cp * s ** (p - 1.0) * model.density(s)
-    u_hi = cdf[-1]
-    probes = np.concatenate([
-        np.linspace(1e-4, 0.999, 41),
-        1.0 - np.geomspace(1e-9, 1e-3, 13),
-    ])
-    probes = probes[probes < u_hi]
-    worst = 0.0
-    for u in probes:
-        r = float(ppf(u))
-        i = int(np.searchsorted(knots, r)) - 1
-        i = max(i, 0)
-        exact = cdf[i] + integrate(weight, knots[i], r, _TABLE_SPEC).value
-        worst = max(worst, abs(exact - u))
-    return worst
+    knots = np.concatenate([[0.0], np.geomspace(r_hi * 1e-7, r_hi, _SAMPLER_KNOTS)])
+    cdf = _cdf(model, knots)
+    keep = cdf > np.maximum.accumulate(np.concatenate([[-np.inf], cdf[:-1]]))
+    u_knots, r_knots = cdf[keep], knots[keep]
+    ppf = PchipInterpolator(u_knots, r_knots)
+    u_mid = 0.5 * (u_knots[:-1] + u_knots[1:])
+    worst = float(np.max(np.abs(_cdf(model, ppf(u_mid)) - u_mid)))
+    if not worst <= 1e-8:
+        raise RiskSimError(f"inverse-CDF table misses the exact CDF by {worst:.3g} at an interval midpoint")
+    return ppf, float(u_knots[-1]), float(r_knots[-1])
 
 
 def _sampler(model: RadialDensity):
@@ -93,11 +85,12 @@ def sample_radius(model: RadialDensity, u):
     """Radius with law proportional to r^{p-1} f(r), by inverse CDF.
 
     Strictly increasing in u up to the table's last knot (CDF mass
-    1 - ~1e-14); the residual sliver maps to the last radius.
+    1 - ~1e-14); the residual sliver maps to the last radius.  Any u
+    outside [0, 1], nan included, raises RiskSimError.
     """
-    ppf, _, u_hi, r_hi = _sampler(model)
+    ppf, u_hi, r_hi = _sampler(model)
     uu = np.asarray(u, dtype=float)
-    if np.any((uu < 0.0) | (uu > 1.0)):
+    if not np.all((uu >= 0.0) & (uu <= 1.0)):
         raise RiskSimError("u must lie in [0, 1]")
     out = np.asarray(ppf(np.minimum(uu, u_hi)))
     out = np.where(uu >= u_hi, r_hi, out)
@@ -105,16 +98,14 @@ def sample_radius(model: RadialDensity, u):
 
 
 def radial_cdf(model: RadialDensity, r):
-    """Quadrature CDF of the radial law, interpolated between exact knots."""
-    _, fwd, u_hi, r_hi = _sampler(model)
+    """Exact CDF of the radial law, c_p [(p-2) B(r) - r^{p-2} F(r)], clipped to [0, 1]."""
     rr = np.asarray(r, dtype=float)
-    out = np.asarray(fwd(np.clip(rr, 0.0, r_hi)))
-    out = np.where(rr >= r_hi, 1.0, np.clip(out, 0.0, 1.0))
+    out = np.clip(_cdf(model, np.maximum(rr, 0.0)), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 def ks_statistic(model: RadialDensity, radii) -> float:
-    """Two-sided Kolmogorov-Smirnov distance to the quadrature CDF."""
+    """Two-sided Kolmogorov-Smirnov distance to the exact radial CDF."""
     x = np.sort(np.asarray(radii, dtype=float))
     n = x.size
     g = radial_cdf(model, x)

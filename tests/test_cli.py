@@ -96,7 +96,7 @@ def test_phi_runs_on_a_tabulated_model(tmp_path):
     assert header == ["r", "phi_star", "multiplier", "limit_value"]
     for row in rows:
         r, phi, mult, limit = map(float, row)
-        # phi rises to its limit; the table's interpolated F reaches it
-        # within the profile's own 1e-6 tolerance, not to the last bit
-        assert 0.0 <= phi <= limit * (1.0 + 1e-6)
+        # phi rises to its limit; the table's kernel moments and its
+        # second moment agree, so phi stays below it but for rounding
+        assert 0.0 <= phi <= limit * (1.0 + 1e-9)
         assert 2.0 / 3.0 <= mult < 1.0

@@ -13,7 +13,8 @@ from scipy import integrate as sp_integrate
 
 from sphereshrink import radial_models
 from sphereshrink.minimax_audit import PROPERTIES, inf_ratio, probe_monotone
-from sphereshrink.numerics import sphere_surface
+from sphereshrink.numerics import QuadratureSpec, ToleranceNotReached, sphere_surface
+from sphereshrink.risk_sim import radial_cdf, sample_radius
 from sphereshrink.shrinkage import build_profile
 
 _R_TAB = np.geomspace(0.02, 3.0, 220)
@@ -99,6 +100,50 @@ def test_profile_builds_and_matches_the_moment_ratio(name):
     r = np.exp(rng.uniform(np.log(1e-3), np.log(prof.r_grid[-1]), 200))
     exact = m.kernel_moment(p - 1, r) / m.kernel_moment(p - 3, r)
     assert np.max(np.abs(prof.phi(r) - exact)) <= 1e-6 * max(1.0, prof.limit_value)
+
+
+def test_tabulated_big_f_is_exact_between_and_below_the_knots():
+    # quad split at every table knot, where the log-log PCHIP is smooth
+    m = CASES["tabulated"]
+    cuts = np.append(_R_TAB, np.inf)
+
+    def oracle(u):
+        edges = np.concatenate([[u], cuts[cuts > u]])
+        return sum(sp_integrate.quad(lambda s: s * m.density(s), lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]))
+
+    mids = 0.5 * (_R_TAB[:-1] + _R_TAB[1:])
+    for u in (0.0, 0.5 * _R_TAB[0], *mids[::6]):
+        assert m.big_f(u) == pytest.approx(oracle(u), rel=1e-9)
+
+
+def test_tabulated_pieces_raise_when_they_miss_their_tolerance(monkeypatch):
+    m = radial_models.tabulated(_R_TAB, np.exp(-(_R_TAB**4)), 3)
+    monkeypatch.setattr(radial_models, "_MOMENT_SPEC", QuadratureSpec(abs_tol=1e-300, rel_tol=1e-30))
+    with pytest.raises(ToleranceNotReached):
+        m.kernel_moment(0.0, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_radial_cdf_matches_quadrature(name):
+    m = CASES[name]
+    cp = sphere_surface(m.p)
+    density = lambda s: cp * s ** (m.p - 1) * m.density(s)
+    for r in (0.3, 1.0, 3.0, 10.0):
+        edges = [0.0, *(x for x in (_R_TAB if name == "tabulated" else ()) if x < r), r]
+        oracle = sum(sp_integrate.quad(density, lo, hi, epsabs=1e-13, limit=400)[0]
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+        assert abs(radial_cdf(m, r) - oracle) <= 1e-9
+    cdf = radial_cdf(m, np.geomspace(1e-3, 1e3, 400))
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(PROFILE_TABLES))
+def test_sampler_table_passes_its_gate(name):
+    # building the inverse-CDF table runs its midpoint gate, which raises on a miss
+    m = CASES.get(name) or PROFILE_TABLES[name]
+    assert 0.0 < sample_radius(m, 0.5) < sample_radius(m, 0.9)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -137,6 +137,17 @@ def test_cumulative_segments_sum_matches_direct():
     assert np.all(pieces > 0)
 
 
+def test_integrate_pieces_in_one_pass_and_raises_on_a_miss():
+    # oracle: the antiderivative -exp(-x); sqrt is not smooth at 0, so
+    # one G7/G15 pass over [0, 1] cannot reach the default tolerance
+    edges = np.linspace(0.0, 3.0, 7)
+    pieces = numerics.integrate_pieces(lambda x: np.exp(-x), edges[:-1], edges[1:])
+    assert np.allclose(pieces, np.exp(-edges[:-1]) - np.exp(-edges[1:]), rtol=1e-14, atol=0.0)
+    with pytest.raises(ToleranceNotReached) as exc:
+        numerics.integrate_pieces(np.sqrt, np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+    assert exc.value.worst_segment == (0.0, 1.0)
+
+
 # --- special functions -------------------------------------------------
 
 def test_log_gamma_factorial():

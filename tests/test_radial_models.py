@@ -188,6 +188,15 @@ def test_support_radius_brackets_tail():
     assert m.big_f(0.9 * R) > 1e-10 * m.big_f(0.0)
 
 
+def test_support_radius_is_kept_per_eps(monkeypatch):
+    m = gaussian(4)
+    R = m.support_radius(1e-10)
+    calls = []
+    monkeypatch.setattr(m, "big_f", lambda u: calls.append(u))
+    assert m.support_radius(1e-10) == R
+    assert calls == []
+
+
 # --- validation -------------------------------------------------------
 
 def test_invalid_parameters_rejected():

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import erf
 
+from sphereshrink import risk_sim
 from sphereshrink.radial_models import normalize
 from sphereshrink.risk_sim import (
     DominanceVerdict,
@@ -63,6 +64,10 @@ def test_sampler_domain_errors():
         sample_radius(g, -0.01)
     with pytest.raises(RiskSimError):
         sample_radius(g, 1.01)
+    with pytest.raises(RiskSimError):
+        sample_radius(g, math.nan)
+    with pytest.raises(RiskSimError):
+        sample_radius(g, np.array([0.5, math.nan]))
 
 
 def test_sampler_scalar_and_array():
@@ -76,9 +81,16 @@ def test_radial_cdf_closed_form_chi3():
     g = gaussian(3)
     r = np.array([0.2, 0.8, 1.5, 2.5, 4.0])
     closed = erf(r / math.sqrt(2.0)) - math.sqrt(2.0 / math.pi) * r * np.exp(-r * r / 2.0)
-    assert np.max(np.abs(radial_cdf(g, r) - closed)) < 1e-7
+    assert np.max(np.abs(radial_cdf(g, r) - closed)) < 1e-12
     assert radial_cdf(g, 0.0) == 0.0
     assert radial_cdf(g, 50.0) == 1.0
+
+
+def test_sampler_gate_raises_on_a_coarse_table(monkeypatch):
+    # nine geometric knots cannot carry the inverse CDF to 1e-8
+    monkeypatch.setattr(risk_sim, "_SAMPLER_KNOTS", 9)
+    with pytest.raises(RiskSimError, match="midpoint"):
+        sample_radius(gaussian(5), 0.5)
 
 
 def test_sampler_moment_consistency():
