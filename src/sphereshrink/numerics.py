@@ -13,7 +13,9 @@ Gauss-Legendre rules (7 and 15 points).  Nodes and weights are generated
 at import time to machine precision, the 15-point value is kept and the
 deviation from the 7-point value serves as the segment error estimate.
 ``integrate_pieces`` applies the same pair to many smooth pieces in one
-array pass, without subdivision.
+array pass, without subdivision.  ``integrate_rows`` adapts many
+independent integrands at once: each refinement round is one integrand
+call on the new segments of every row that has not yet converged.
 Interior singularities or kinks are handled by listing them in
 ``QuadratureSpec.singularity_hints``: the interval is pre-split there so
 no node ever lands on the bad point, and endpoint singularities are
@@ -101,17 +103,18 @@ def _gauss_pair(f, lo, hi):
     """G15 values and |G15 - G7| error estimates on the segments [lo, hi].
 
     ``lo`` and ``hi`` are floats or equal-shape arrays; ``f`` is called
-    once, on a flat array holding every segment's 22 nodes.
+    once, on a flat array holding every segment's 22 nodes.  Each
+    segment is summed on its own, so its value does not depend on how
+    many segments share the call.
     """
-    half = 0.5 * (hi - lo)
-    x = np.multiply.outer(half, _NODES)
-    x += np.expand_dims(0.5 * (hi + lo), -1)
+    half = np.asarray(0.5 * (hi - lo))
+    x = half[..., None] * _NODES + np.asarray(0.5 * (hi + lo))[..., None]
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     finite = np.isfinite(y)
     if not finite.all():
         raise NonFiniteIntegrand(f"integrand is not finite at x={x[~finite][0]!r}")
-    value = half * (y[..., : _NODES_HI.size] @ _WEIGHTS_HI)
-    return value, np.abs(value - half * (y[..., _NODES_HI.size :] @ _WEIGHTS_LO))
+    value = half * (y[..., : _NODES_HI.size] * _WEIGHTS_HI).sum(-1)
+    return value, np.abs(value - half * (y[..., _NODES_HI.size :] * _WEIGHTS_LO).sum(-1))
 
 
 def _eval_segment(f, lo: float, hi: float):
@@ -314,6 +317,72 @@ def integrate_pieces(f, lo, hi, spec: QuadratureSpec | None = None) -> np.ndarra
             worst_segment=piece,
         )
     return value
+
+
+def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Integrals of many independent integrands, adapted in one batch.
+
+    Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
+    initially at its interior edges (an edge may repeat: a zero-width
+    piece contributes 0).  ``f(row, x)`` gets an index array ``row``
+    aligned with the abscissae ``x``.  Each round calls ``f`` once on
+    every new segment of every unconverged row and bisects, in each of
+    those rows, the segments whose error is at least a quarter of the
+    row's worst.  Row i is done once its error is at most
+    ``max(abs_tol[i], rel_tol * |value|)`` (``abs_tol`` is one float or
+    one per row); a segment at floating-point resolution is accepted as
+    is.  Segments stay sorted by (row, lo), so a row's value does not
+    depend on the other rows in the batch.  A row that needs more than
+    ``max_subdivisions`` splits raises :class:`ToleranceNotReached`
+    naming its worst segment.
+    """
+    spec = spec or DEFAULT_SPEC
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 2 or edges.shape[1] < 2:
+        raise ValueError("edges must be a 2-d array with at least two columns")
+    if np.any(np.diff(edges, axis=1) < 0):
+        raise ValueError("each row's edges must be nondecreasing")
+    n = edges.shape[0]
+    tol_abs = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
+    row = np.repeat(np.arange(n), edges.shape[1] - 1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    width = hi > lo
+    row, lo, hi = row[width], lo[width], hi[width]
+    val, err = np.empty(row.size), np.empty(row.size)
+    fresh = np.ones(row.size, dtype=bool)
+    splits = np.zeros(n, dtype=int)
+    evals = 0
+    while True:
+        nodes_row = row[fresh].repeat(_NODES.size)
+        val[fresh], err[fresh] = _gauss_pair(lambda x: f(nodes_row, x), lo[fresh], hi[fresh])
+        evals += nodes_row.size
+        mid = 0.5 * (lo + hi)
+        err[(mid <= lo) | (mid >= hi)] = 0.0  # at floating-point resolution
+        value = np.bincount(row, val, minlength=n)
+        error = np.bincount(row, err, minlength=n)
+        open_rows = error > np.maximum(tol_abs, spec.rel_tol * np.abs(value))
+        if not open_rows.any():
+            return value
+        worst = np.zeros(n)
+        np.maximum.at(worst, row, err)
+        split = open_rows[row] & (err >= 0.25 * worst[row])
+        splits += np.bincount(row[split], minlength=n)
+        if np.any(splits > spec.max_subdivisions):
+            i = int(np.argmax(splits > spec.max_subdivisions))
+            j = int(np.argmax(np.where(row == i, err, -1.0)))
+            raise ToleranceNotReached(
+                f"row {i} needed more than {spec.max_subdivisions} subdivisions "
+                f"(value={value[i]!r}, error={error[i]!r})",
+                IntegralResult(float(value[i]), float(error[i]), evals),
+                worst_segment=(float(lo[j]), float(hi[j])),
+            )
+        # each split segment becomes its two halves in place, which keeps
+        # the segments sorted by (row, lo)
+        reps = split + 1
+        left = (np.cumsum(reps) - reps)[split]
+        row, lo, hi, val, err = (a.repeat(reps) for a in (row, lo, hi, val, err))
+        hi[left] = lo[left + 1] = mid[split]
+        fresh = split.repeat(reps)
 
 
 # --- special functions -------------------------------------------------

@@ -14,6 +14,12 @@ cos-substitution with the Jacobi weight, reparametrized so that the
 ridge boundary layer sits at a known scale |r - lambda| / sqrt(2 r
 lambda) that the integrator can be pointed at.
 
+The angular integrals are batched: each call of the outer integrand
+gets all the lambdas of one outer segment (22 Gauss nodes) and adapts
+their angular integrals as the rows of one ``numerics.integrate_rows``
+pass, each row starting from its own ridge hints.  No integral is
+evaluated one lambda at a time.
+
 Everything here serves as the slow-but-independent oracle for the
 closed-form marginals used elsewhere.
 """
@@ -30,6 +36,7 @@ from sphereshrink.numerics import (
     NonFiniteIntegrand,
     QuadratureSpec,
     integrate,
+    integrate_rows,
     integrate_semi_infinite,
     sphere_surface,
 )
@@ -97,42 +104,6 @@ def _kernel_weight(problem: ConvolutionProblem):
     return lambda lam: problem.model.big_f(lam) / norm
 
 
-def _angular(problem: ConvolutionProblem, lam: float, cos_weight: bool = False) -> float:
-    """Integral over v of rho(||theta||) times the angular weight.
-
-    With ``cos_weight`` the integrand also carries the cos(phi) = v^2 - 1
-    factor used by directional (along-x) numerators.
-    """
-    p = problem.p
-    r = problem.r
-    rho = problem.integrand
-    two_rl = 2.0 * r * lam
-    gap = r - lam
-
-    def fn(v):
-        arg = np.sqrt(gap * gap + two_rl * v * v)
-        out = rho(arg) * 2.0 * v ** (p - 2.0) * (2.0 - v * v) ** (0.5 * (p - 3.0))
-        if cos_weight:
-            out = out * (v * v - 1.0)
-        return out
-
-    hints = ()
-    if problem.singularity_class < 0 and two_rl > 0:
-        layer = abs(gap) / math.sqrt(two_rl)
-        if layer < _ROOT2:
-            base = max(layer, 1e-9)
-            hints = tuple(h for h in (base, 8.0 * base, 64.0 * base) if h < _ROOT2)
-    abs_tol = _INNER_SPEC.abs_tol
-    if cos_weight:
-        # the cos-weighted integral can be an exact zero (symmetric rho),
-        # unreachable under a relative-only target; floor the absolute
-        # tolerance at the integrand's own magnitude scale
-        probe = float(np.abs(rho(math.sqrt(gap * gap + two_rl))))
-        abs_tol = max(abs_tol, 1e-15 * probe)
-    spec = replace(_INNER_SPEC, abs_tol=abs_tol, singularity_hints=hints)
-    return integrate(fn, 0.0, _ROOT2, spec).value
-
-
 def radial_expectation(problem: ConvolutionProblem) -> float:
     """The convolution integral int rho(||theta||) w(||theta - x||) dtheta."""
     p = problem.p
@@ -160,13 +131,43 @@ def _outer_sweep(problem: ConvolutionProblem, w, *, cos_weight: bool, extra_powe
     The kernel's mass lives within its support radius regardless of r;
     keep that region in the finite head so no spike hides from the
     initial nodes, and carry the ridge lambda = r as a split point.
+    Each call of ``outer`` adapts the angular integrals of all its
+    lambdas as the rows of one ``integrate_rows`` batch.  With
+    ``cos_weight`` the angular integrand also carries the
+    cos(phi) = v^2 - 1 factor used by directional (along-x) numerators.
     """
     p = problem.p
     r = problem.r
+    rho = problem.integrand
 
     def outer(lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        inner = np.array([_angular(problem, lam, cos_weight) for lam in lams])
+        two_rl = 2.0 * r * lams
+        gap = r - lams
+
+        def angular(row, v):
+            g = gap[row]
+            arg = np.sqrt(g * g + two_rl[row] * v * v)
+            out = rho(arg) * 2.0 * v ** (p - 2.0) * (2.0 - v * v) ** (0.5 * (p - 3.0))
+            if cos_weight:
+                out = out * (v * v - 1.0)
+            return out
+
+        # ridge hints at the boundary-layer scale |r - lambda| / sqrt(2 r
+        # lambda); a hint at or beyond sqrt(2) becomes a zero-width piece
+        base = np.full(lams.shape, _ROOT2)
+        if problem.singularity_class < 0:
+            ridge = two_rl > 0
+            base[ridge] = np.maximum(np.abs(gap[ridge]) / np.sqrt(two_rl[ridge]), 1e-9)
+        edges = np.minimum(base[:, None] * [0.0, 1.0, 8.0, 64.0, math.inf], _ROOT2)
+        abs_tol = _INNER_SPEC.abs_tol
+        if cos_weight:
+            # the cos-weighted integral can be an exact zero (symmetric rho),
+            # unreachable under a relative-only target; floor the absolute
+            # tolerance at the integrand's own magnitude scale
+            probe = np.abs(np.asarray(rho(np.sqrt(gap * gap + two_rl)), dtype=float))
+            abs_tol = np.maximum(abs_tol, 1e-15 * probe)
+        inner = integrate_rows(angular, edges, abs_tol, _INNER_SPEC)
         return inner * np.asarray(w(lams), dtype=float) * lams ** (p - 1.0 + extra_power)
 
     spike = problem.model.support_radius(1e-16)

@@ -53,14 +53,22 @@ def _cdf(model: RadialDensity, r):
 def _build_sampler(model: RadialDensity):
     """Inverse-CDF table: a PCHIP of r over the exact CDF at its knots.
 
-    The knots are the origin plus geometric radii up to
-    ``support_radius(1e-14)``, hence geometric in the u tail as well.
+    The knots are the origin plus geometric radii up to r_hi, hence
+    geometric in the u tail as well.  r_hi starts at
+    ``support_radius(1e-14)``, which bounds F rather than the radial
+    mass, and doubles until at most 1e-10 of the mass lies beyond it.
     Where the CDF is below about 1e-20 the by-parts difference loses its
     relative digits, so a knot is kept only if its CDF rises strictly
     above that of every knot below it.  At every interval midpoint u,
     CDF(ppf(u)) must lie within 1e-8 of u, else RiskSimError is raised.
     """
     r_hi = model.support_radius(1e-14)
+    for _ in range(100):
+        if 1.0 - _cdf(model, r_hi) <= 1e-10:
+            break
+        r_hi *= 2.0
+    else:
+        raise RiskSimError(f"more than 1e-10 of the radial mass lies beyond r = {r_hi:.3g}")
     knots = np.concatenate([[0.0], np.geomspace(r_hi * 1e-7, r_hi, _SAMPLER_KNOTS)])
     cdf = _cdf(model, knots)
     keep = cdf > np.maximum.accumulate(np.concatenate([[-np.inf], cdf[:-1]]))
@@ -84,8 +92,8 @@ def _sampler(model: RadialDensity):
 def sample_radius(model: RadialDensity, u):
     """Radius with law proportional to r^{p-1} f(r), by inverse CDF.
 
-    Strictly increasing in u up to the table's last knot (CDF mass
-    1 - ~1e-14); the residual sliver maps to the last radius.  Any u
+    Strictly increasing in u up to the table's last knot (CDF mass at
+    least 1 - 1e-10); the residual sliver maps to the last radius.  Any u
     outside [0, 1], nan included, raises RiskSimError.
     """
     ppf, u_hi, r_hi = _sampler(model)

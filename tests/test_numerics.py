@@ -5,6 +5,7 @@ by hand) or scipy.integrate.quad, never the integrator under test.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,71 @@ def test_integrate_pieces_in_one_pass_and_raises_on_a_miss():
     with pytest.raises(ToleranceNotReached) as exc:
         numerics.integrate_pieces(np.sqrt, np.array([1.0, 0.0]), np.array([2.0, 1.0]))
     assert exc.value.worst_segment == (0.0, 1.0)
+
+
+# --- integrate_rows ----------------------------------------------------
+
+# Row i integrates x^a[i] + cos(3 (i + 1) x) over its own initial pieces;
+# a < 0 is an integrable endpoint singularity that takes many splits.
+_ROOT2 = math.sqrt(2.0)
+_POWERS = np.array([-0.5, 1.5, -0.25, 3.0])
+_ROW_EDGES = np.array([
+    [0.0, 0.1, 0.8, _ROOT2, _ROOT2],
+    [0.0, _ROOT2, _ROOT2, _ROOT2, _ROOT2],
+    [0.0, 1e-3, 8e-3, 0.064, _ROOT2],
+    [0.0, 0.5, 0.5, 1.0, _ROOT2],
+])
+
+
+def _power_rows(row, x):
+    return x ** _POWERS[row] + np.cos(3.0 * (row + 1) * x)
+
+
+def test_integrate_rows_matches_integrate_row_by_row():
+    spec = QuadratureSpec(abs_tol=1e-280, rel_tol=5e-11, max_subdivisions=160)
+    values = numerics.integrate_rows(_power_rows, _ROW_EDGES, spec.abs_tol, spec)
+    for i, edges in enumerate(_ROW_EDGES):
+        exact = _ROOT2 ** (_POWERS[i] + 1.0) / (_POWERS[i] + 1.0) + math.sin(3.0 * (i + 1) * _ROOT2) / (3.0 * (i + 1))
+        hinted = replace(spec, singularity_hints=tuple(edges[1:-1]))
+        scalar = integrate(lambda x: _power_rows(np.full(x.shape, i), x), 0.0, _ROOT2, hinted).value
+        assert values[i] == pytest.approx(scalar, rel=1e-10)
+        assert values[i] == pytest.approx(exact, rel=1e-10)
+
+
+def test_integrate_rows_value_does_not_depend_on_the_batch():
+    together = numerics.integrate_rows(_power_rows, _ROW_EDGES, 1e-280)
+    for i in range(_ROW_EDGES.shape[0]):
+        alone = numerics.integrate_rows(lambda row, x: _power_rows(row + i, x), _ROW_EDGES[i : i + 1], 1e-280)
+        assert alone[0] == together[i]  # bitwise
+
+
+def test_integrate_rows_zero_width_pieces_contribute_nothing():
+    edges = np.array([[0.0, 1.0, 1.0, 1.0, 2.0], [3.0, 3.0, 3.0, 3.0, 3.0]])
+    calls = []
+
+    def f(row, x):
+        calls.append(x.copy())
+        return np.where(row == 0, np.exp(-x), np.nan)  # row 1 is never evaluated
+
+    values = numerics.integrate_rows(f, edges, 1e-14)
+    assert values[0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
+    assert values[1] == 0.0
+    assert all(np.all((x > 0.0) & (x < 2.0)) for x in calls)
+
+
+def test_integrate_rows_raises_when_a_row_runs_over_budget():
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
+    edges = np.array([[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ToleranceNotReached) as exc:
+        numerics.integrate_rows(lambda row, x: np.where(row == 0, 1.0, 1.0 / np.sqrt(x)), edges, spec.abs_tol, spec)
+    assert exc.value.worst_segment[0] == 0.0
+    assert "row 1" in str(exc.value)
+
+
+def test_integrate_rows_rejects_a_non_finite_value():
+    edges = np.array([[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteIntegrand):
+        numerics.integrate_rows(lambda row, x: np.where((row == 1) & (x > 0.4), np.inf, 1.0), edges, 1e-14)
 
 
 # --- special functions -------------------------------------------------

@@ -128,7 +128,7 @@ def test_harmonic_closed_matches_oracle(model_fn, p, r):
     model = model_fn(p)
     closed = harmonic_marginal_closed(model, r)
     oracle = marginal_m(harmonic_prior(p), model, r, force_oracle=True)
-    assert abs(oracle - closed) / closed <= 1e-5
+    assert abs(oracle - closed) / closed <= 1e-9
 
 
 def test_harmonic_closed_on_a_tabulated_model():

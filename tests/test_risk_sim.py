@@ -116,6 +116,23 @@ def test_sampler_tabulated_family():
     assert ks_statistic(m, r) < 1.6276 / math.sqrt(r.size)
 
 
+def test_sampler_table_reaches_the_heavy_tail():
+    # support_radius(1e-14) bounds F, not the radial mass: on this table it
+    # would leave 3.4e-7 of mass above the last knot, where every u mapped
+    # to one radius; the table now ends where at most 1e-10 is left
+    knots = np.geomspace(0.01, 100.0, 300)
+    m = normalize("tabulated", {"r": knots, "f": (1.0 + knots**2) ** -4.0}, 5)
+    u = np.array([1.0 - 1e-7, 1.0 - 1e-8])
+    r = sample_radius(m, u)  # builds the table, which passes its 1e-8 gate
+    assert r[1] > r[0] > m.support_radius(1e-14)
+    assert np.max(np.abs(radial_cdf(m, r) - u)) <= 1e-8
+    _, u_hi, _ = risk_sim._sampler(m)
+    assert 1.0 - u_hi <= 1e-10
+    # a light tail already has less than 1e-10 there: its table is unchanged
+    g = gaussian(5)
+    assert risk_sim._sampler(g)[2] == g.support_radius(1e-14)
+
+
 # -- observation sampler ------------------------------------------------
 
 

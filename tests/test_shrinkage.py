@@ -166,6 +166,16 @@ def test_gb_multiplier_harmonic_cross_check():
         assert gb_multiplier(prior, m, 5, r) == pytest.approx(expect, rel=1e-5)
 
 
+def test_gb_multiplier_harmonic_matches_the_profile_from_0p1_to_100():
+    # the 2-d oracle against the closed-form profile, across the ridge and
+    # the far tail where the GB defects live
+    m = gaussian(5)
+    prior = harmonic_prior(5)
+    prof = build_profile(m)
+    for r in np.geomspace(0.1, 100.0, 12):
+        assert abs(gb_multiplier(prior, m, 5, float(r)) - prof.multiplier(r)) <= 1e-6, r
+
+
 def test_gb_multiplier_flat_prior():
     assert gb_multiplier(power_prior(0.0, 5), gaussian(5), 5, 2.0) == pytest.approx(1.0, abs=1e-8)
 
