@@ -332,7 +332,7 @@ def _cmd_phi(args):
     rows = []
     for r in np.linspace(r_min, r_max, points):
         rows.append((float(r), float(prof.phi(r)), float(prof.multiplier(r)), limit))
-    return cfg, ("r", "phi_star", "multiplier", "limit_value"), rows, EXIT_OK
+    return cfg, ("r", "phi", "multiplier", "limit_value"), rows, EXIT_OK
 
 
 def _cmd_check(args):
@@ -417,14 +417,15 @@ def _cmd_hseq(args):
         raise CLIConfigError("need at least one i")
     etas = np.geomspace(float(cfg["eta_min"]), float(cfg["eta_max"]), int(cfg["points"]))
     seqs = [HSequence(kernel, i) for i in i_list]
+    h_all = [seq.h_eval(etas) for seq in seqs]
+    hp_all = [seq.h_derivative(etas) for seq in seqs]
+    bounds = 2.0 * kernel.beta_eval(etas) / kernel.beta_tail(etas)
     all_ok = True
     rows = []
-    for eta in etas:
+    for j, eta in enumerate(etas):
         prev_h = -1.0
-        for seq in seqs:
-            h = seq.h_eval(float(eta))
-            hp = seq.h_derivative(float(eta))
-            bound = 2.0 * kernel.beta_eval(float(eta)) / kernel.beta_tail(float(eta))
+        for seq, hs, hps in zip(seqs, h_all, hp_all):
+            h, hp, bound = float(hs[j]), float(hps[j]), float(bounds[j])
             in_range = 0.0 <= h <= 1.0
             mono = h >= prev_h - 1e-12
             dbound = abs(hp) < bound
@@ -438,10 +439,11 @@ def _cmd_hseq(args):
     eta_far = max(float(cfg["eta_max"]), 1e6)
     scale = kernel.beta_tail(eta_far) / kernel.beta_eval(eta_far)
     for seq in seqs:
-        ratio = scale * seq.h_eval(eta_far) / seq.i
+        h_far = seq.h_eval(eta_far)
+        ratio = scale * h_far / seq.i
         ok = abs(ratio - 1.0) <= 0.05
         all_ok = all_ok and ok
-        rows.append((eta_far, seq.i, seq.h_eval(eta_far), "scaling", "", ok, ratio, ok))
+        rows.append((eta_far, seq.i, h_far, "scaling", "", ok, ratio, ok))
     code = EXIT_VERDICT if args.strict and not all_ok else EXIT_OK
     header = ("eta", "i", "h", "h_prime", "monotone_in_i", "deriv_bound_ok", "elasticity", "ok")
     return cfg, header, rows, code

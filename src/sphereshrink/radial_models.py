@@ -82,10 +82,12 @@ class _Family:
     ``shape``, ``big_f`` and ``kernel_moment`` receive float arrays;
     ``kernel_moment(m, r)`` is int_0^r t^m F(t) dt for m > -1.
     ``monotone`` and ``inf_ratio`` answer the minimax audit analytically,
-    or return None to have it scan a grid instead.
+    or return None to have it scan a grid instead.  ``knots`` lists the
+    radii where f is only piecewise smooth (none for a closed form).
     """
 
     name = ""
+    knots = ()
 
     def __init__(self, params: dict, p: int):
         self.p = p
@@ -286,6 +288,7 @@ class _Tabulated(_Family):
         self._logf = PchipInterpolator(np.log(r), np.log(f), extrapolate=False)
         self.r = r
         self.f = f
+        self.knots = tuple(r)
         self.tail_decay = {"decay": "power", "scale": 1.0}
         # the PCHIP's pieces, split further so that one G7/G15 pass
         # integrates t^k shape(t) over each
@@ -407,6 +410,11 @@ class RadialDensity:
     def tail_profile(self) -> TailProfile:
         """Certified polynomial envelope of the density tail."""
         return self.form.tail_profile()
+
+    @property
+    def knots(self) -> tuple:
+        """Radii where f is only piecewise smooth: a table's samples, else none."""
+        return self.form.knots
 
     @property
     def tail_decay(self) -> dict:

@@ -93,7 +93,7 @@ def test_phi_runs_on_a_tabulated_model(tmp_path):
                      "--points", "5", "--out", str(out)]) == cli.EXIT_OK
     lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     header, *rows = list(csv.reader(lines))
-    assert header == ["r", "phi_star", "multiplier", "limit_value"]
+    assert header == ["r", "phi", "multiplier", "limit_value"]
     for row in rows:
         r, phi, mult, limit = map(float, row)
         # phi rises to its limit; the table's kernel moments and its

@@ -86,6 +86,16 @@ def test_unit_mass(model, kernel, r):
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
+def test_second_moment_at_the_origin_on_a_power_tail_table():
+    # a table's knots are kinks in f; at r = 0 the radial integral is
+    # split there, where unsplit it ran out of subdivisions
+    rr = np.geomspace(0.01, 100, 300)
+    m = tabulated(rr, (1.0 + rr**2) ** -4, 5)
+    val = radial_expectation(ConvolutionProblem(m, "density", lambda s: s**2, 0.0))
+    assert val == pytest.approx(m.moment(2.0), rel=1e-9)
+    assert val == pytest.approx(5.00129548784, rel=1e-9)
+
+
 def test_rotation_invariance_monte_carlo():
     # same ||x||, different directions: the p-dim MC integral must agree
     # with the reduced oracle within its own noise

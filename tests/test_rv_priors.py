@@ -2,12 +2,13 @@
 
 Derivative formulas are checked against sympy symbolics and central
 finite differences; the H averages against a two-level scipy oracle
-with an independent parametrization; the growth classifiers against
-frozen pilot values.
+with an independent parametrization and, with H', against a 40-digit
+mpmath reference; the growth classifiers against frozen pilot values.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -220,6 +221,44 @@ class TestHSequence:
         with pytest.raises(PriorError):
             HSequence(K1, 0.0)
 
+    def test_array_calls_equal_scalar_calls(self):
+        etas = np.array([1e-3, 0.7, 5.0, 300.0, 1e6])
+        for i in (1.0, 64.0):
+            hs = HSequence(K2, i)
+            h, hp = hs.h_eval(etas), hs.h_derivative(etas)
+            assert isinstance(hs.h_eval(0.7), float)
+            assert isinstance(hs.h_derivative(0.7), float)
+            assert h.tolist() == [hs.h_eval(float(e)) for e in etas]
+            assert hp.tolist() == [hs.h_derivative(float(e)) for e in etas]
+
+
+def h_reference(i, eta):
+    """H_i and H_i' of the kernel K1 at 40 digits with mpmath.
+
+    H' comes from the exact identity H' = H/i - (beta/Tail)(1 - H),
+    whose cancellation at eta >> i costs nothing at this precision.
+    """
+    with mpmath.workdps(40):
+        c, i, eta = mpmath.mpf(K1.tower.c), mpmath.mpf(i), mpmath.mpf(eta)
+
+        def beta(r):
+            return 1 / ((r + c) * mpmath.log(r + c) ** 2)
+
+        tail = 1 / mpmath.log(eta + c)
+        num = mpmath.quad(lambda v: mpmath.exp(-v / i) * beta(eta + v), [0, i, 10 * i, 100 * i, mpmath.inf])
+        h = num / tail
+        return float(h), float(h / i - beta(eta) / tail * (1 - h))
+
+
+@pytest.mark.parametrize("i", [1.0, 64.0])
+@pytest.mark.parametrize("eta", [1e-3, 1.0, 1e2, 1e4, 1e6, 1e8])
+def test_h_and_derivative_match_a_40_digit_reference(i, eta):
+    h_ref, hp_ref = h_reference(i, eta)
+    hs = HSequence(K1, i)
+    # abs=0: H' falls to 6e-18 here, below approx's default abs floor
+    assert hs.h_eval(eta) == pytest.approx(h_ref, rel=1e-10, abs=0.0)
+    assert hs.h_derivative(eta) == pytest.approx(hp_ref, rel=1e-9, abs=0.0)
+
 
 class TestSlowVariationTrend:
     """Limits of the kernel itself hold, but only at 1/log eta speed."""
@@ -420,6 +459,10 @@ class TestProperness:
 
     def test_gamma_search_lands_on_two(self):
         assert select_gamma(harmonic_prior(3), K1, step=0.5) == 2.0
+
+    def test_gamma_search_on_the_default_grid(self):
+        # all eight steps 0.25, ..., 2: only gamma = 2 keeps it proper
+        assert select_gamma(harmonic_prior(3), K1) == 2.0
 
 
 class TestBlythDecay:
