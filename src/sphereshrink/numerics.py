@@ -8,36 +8,66 @@ accumulated error estimate is below the requested tolerance, otherwise a
 :class:`ToleranceNotReached` (or, for tail integrals whose partial sums
 keep growing, :class:`DivergenceSuspected`) is raised.
 
-The adaptive scheme is plain bisection driven by an embedded pair of
-Gauss-Legendre rules (7 and 15 points).  Nodes and weights are generated
-at import time to machine precision, the 15-point value is kept and the
-deviation from the 7-point value serves as the segment error estimate.
-``integrate_pieces`` applies the same pair to many smooth pieces in one
-array pass, without subdivision.  ``integrate_rows`` adapts many
-independent integrands at once: each refinement round is one integrand
-call on the new segments of every row that has not yet converged.
-Interior singularities or kinks are handled by listing them in
-``QuadratureSpec.singularity_hints``: the interval is pre-split there so
-no node ever lands on the bad point, and endpoint singularities are
-never evaluated because Gauss nodes are interior.
+Each segment is summed by the nested Gauss-Kronrod pair of QUADPACK
+(Piessens et al. 1983): the 15-point Kronrod rule extends the 7-point
+Gauss rule, its value is kept and |K15 - G7| is the segment's error
+estimate, so a segment costs 15 evaluations.  One adaptive loop serves
+every integrator.  It adapts many independent integrands (rows) at
+once: each round calls the integrand once, on the new segments of every
+row that has not yet converged, then bisects in each such row the
+segments whose error is at least a quarter of the row's worst.
+``integrate_rows`` exposes the loop, ``integrate`` is its one-row case,
+``integrate_semi_infinite`` maps [a, inf) onto [0, 1) for
+``integrate``, and ``cumulative_segments`` is one row per knot
+interval.  ``integrate_pieces`` applies the pair to many smooth pieces
+in one array pass, without subdivision.  Interior singularities or
+kinks are handled by listing them in ``QuadratureSpec.singularity_hints``:
+the interval is pre-split there so no node ever lands on the bad point,
+and endpoint singularities are never evaluated because the nodes are
+interior.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sp
 
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-# Abscissae of one segment on [-1, 1]: the 15-point nodes, then the 7.
-_NODES = np.concatenate([_NODES_HI, _NODES_LO])
+# QUADPACK's 15-point Kronrod abscissae and weights on [-1, 1], outermost
+# first; the Gauss 7-point rule uses every second abscissa, from the
+# second one to the centre.
+_KRONROD_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_KRONROD_W = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_GAUSS_W = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+# The 15 abscissae of one segment in increasing order; the Gauss nodes
+# are _NODES[1::2], with weights _WEIGHTS_G.
+_NODES = np.concatenate([-_KRONROD_X, _KRONROD_X[-2::-1]])
+_WEIGHTS_G = np.concatenate([_GAUSS_W, _GAUSS_W[-2::-1]])
+# One pass sums K15 (first row: the Kronrod weights) and K15 - G7
+# (second row: the Kronrod weights less the Gauss weights at the Gauss
+# nodes).
+_PAIR_WEIGHTS = np.tile(np.concatenate([_KRONROD_W, _KRONROD_W[-2::-1]]), (2, 1))
+_PAIR_WEIGHTS[1, 1::2] -= _WEIGHTS_G
 
-# Highest polynomial degree the 15-point rule integrates exactly.
-EXACT_DEGREE = 29
+# Highest polynomial degree the 15-point Kronrod rule integrates exactly:
+# 3n + 1 = 22 for the n = 7 Gauss rule it extends, and then 23 as well,
+# since a symmetric rule integrates every odd power exactly.
+EXACT_DEGREE = 23
 
 
 class QuadratureError(Exception):
@@ -72,9 +102,11 @@ class NonFiniteIntegrand(QuadratureError):
 class QuadratureSpec:
     """Tolerance and budget knobs for one integration call.
 
-    ``singularity_hints`` are abscissae (in the caller's coordinates)
-    where the integrand is singular or merely kinked; the integrator
-    splits there before adapting.
+    ``max_subdivisions`` is the number of bisections each row may make
+    (for ``integrate``, the one integral).  ``singularity_hints`` are
+    abscissae (in the caller's coordinates) where the integrand is
+    singular or merely kinked; the integrator splits there before
+    adapting.
     """
 
     abs_tol: float = 1e-12
@@ -100,33 +132,81 @@ class IntegralResult:
 
 
 def _gauss_pair(f, lo, hi):
-    """G15 values and |G15 - G7| error estimates on the segments [lo, hi].
+    """K15 values and |K15 - G7| error estimates on the segments [lo, hi].
 
     ``lo`` and ``hi`` are floats or equal-shape arrays; ``f`` is called
-    once, on a flat array holding every segment's 22 nodes.  Each
-    segment is summed on its own, so its value does not depend on how
-    many segments share the call.
+    once, on a flat array holding every segment's 15 Kronrod nodes.  The
+    7 Gauss nodes are among them, so the error estimate costs no extra
+    evaluation; it is summed directly with the weight differences
+    K15 - G7.  Each segment is summed on its own, so its value does not
+    depend on how many segments share the call.
     """
     half = np.asarray(0.5 * (hi - lo))
     x = half[..., None] * _NODES + np.asarray(0.5 * (hi + lo))[..., None]
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     finite = np.isfinite(y)
-    if not finite.all():
+    if np.count_nonzero(finite) < y.size:
         raise NonFiniteIntegrand(f"integrand is not finite at x={x[~finite][0]!r}")
-    value = half * (y[..., : _NODES_HI.size] * _WEIGHTS_HI).sum(-1)
-    return value, np.abs(value - half * (y[..., _NODES_HI.size :] * _WEIGHTS_LO).sum(-1))
+    sums = (y[..., None, :] * _PAIR_WEIGHTS).sum(-1) * half[..., None]
+    return sums[..., 0], np.abs(sums[..., 1])
 
 
-def _eval_segment(f, lo: float, hi: float):
-    """Return (value, error_estimate, evaluations) for one segment."""
-    value, err = _gauss_pair(f, lo, hi)
-    return float(value), float(err), _NODES.size
+def _adapt(f, edges, abs_tol, spec: QuadratureSpec):
+    """The adaptive loop behind ``integrate`` and ``integrate_rows``.
 
-
-def _initial_segments(a: float, b: float, hints) -> list[tuple[float, float]]:
-    cuts = sorted({float(h) for h in hints if a < h < b})
-    edges = [a, *cuts, b]
-    return list(zip(edges[:-1], edges[1:]))
+    Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
+    initially at its nondecreasing interior edges.  Returns the per-row
+    arrays ``value``, ``error`` and ``evaluations``, and ``over``: None,
+    or ``(i, worst_segment)`` for the first row that would need more
+    than ``spec.max_subdivisions`` bisections, where the loop stops.
+    """
+    n, k = edges.shape[0], edges.shape[1] - 1
+    # Zero-width pieces stay as segments that are never evaluated (value
+    # and error 0, so never split): each row's segments are then the
+    # nonempty run from starts[i], sorted by lo, which the per-row
+    # reductions need, and row i holds k + (its bisections) segments.
+    starts = np.arange(0, n * k, k)
+    row = np.arange(n).repeat(k)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    fresh = hi > lo
+    evaluated = np.add.reduceat(fresh, starts, dtype=np.intp)
+    val, err = np.zeros(row.size), np.zeros(row.size)
+    count = k
+    over = None
+    while True:
+        new_lo, new_hi = lo[fresh], hi[fresh]
+        nodes_row = row[fresh].repeat(_NODES.size)
+        val[fresh], new_err = _gauss_pair(lambda x: f(nodes_row, x), new_lo, new_hi)
+        mid = 0.5 * (new_lo + new_hi)
+        new_err[(mid <= new_lo) | (mid >= new_hi)] = 0.0  # at floating-point resolution
+        err[fresh] = new_err
+        value = np.add.reduceat(val, starts)
+        error = np.add.reduceat(err, starts)
+        open_rows = error > np.maximum(abs_tol, spec.rel_tol * np.abs(value))
+        if not np.count_nonzero(open_rows):
+            break
+        # in each open row, bisect the segments whose error is at least a
+        # quarter of the row's worst
+        cut = np.where(open_rows, 0.25 * np.maximum.reduceat(err, starts), np.inf)
+        split = err >= cut[row]
+        reps = split + 1
+        new_count = np.add.reduceat(reps, starts)
+        if np.count_nonzero(new_count > k + spec.max_subdivisions):
+            i = int(np.argmax(new_count > k + spec.max_subdivisions))
+            j = int(np.argmax(np.where(row == i, err, -1.0)))
+            over = (i, (float(lo[j]), float(hi[j])))
+            break
+        count = new_count
+        # each split segment becomes its two halves in place, which keeps
+        # the segments sorted by (row, lo)
+        first = np.add.accumulate(reps) - reps
+        starts = first[starts]
+        left = first[split]
+        row, lo, hi, val, err = (a.repeat(reps) for a in (row, lo, hi, val, err))
+        hi[left] = lo[left + 1] = 0.5 * (lo[left] + hi[left])
+        fresh = split.repeat(reps)
+    # each bisection evaluates two new segments in place of one
+    return value, error, (evaluated + 2 * (count - k)) * _NODES.size, over
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> IntegralResult:
@@ -134,6 +214,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
 
     ``f`` must map a numpy array of points to an array of values.
     Success means ``error_estimate <= max(abs_tol, rel_tol * |value|)``.
+    This is the one-row case of ``integrate_rows``, with the interval
+    split initially at the hints inside it: each round bisects every
+    segment whose error is at least a quarter of the worst one.
     """
     spec = spec or DEFAULT_SPEC
     a = float(a)
@@ -146,59 +229,17 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
     if b < a:
         a, b = b, a
         sign = -1.0
-
-    evals = 0
-    heap: list[tuple[float, int, float, float, float]] = []
-    serial = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in _initial_segments(a, b, spec.singularity_hints):
-        val, err, n = _eval_segment(f, lo, hi)
-        evals += n
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, serial, lo, hi, val))
-        serial += 1
-
-    subdivisions = 0
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if subdivisions >= spec.max_subdivisions:
-            worst = max(heap, key=lambda item: -item[0])
-            raise ToleranceNotReached(
-                f"needed more than {spec.max_subdivisions} subdivisions "
-                f"(value={total!r}, error={total_err!r})",
-                IntegralResult(sign * total, total_err, evals),
-                worst_segment=(worst[2], worst[3]),
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        if neg_err == 0.0:
-            # Largest remaining error is zero: the running error total is
-            # stale float drift, nothing left to refine.
-            heapq.heappush(heap, (neg_err, serial, lo, hi, val))
-            serial += 1
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Interval is at floating point resolution; its estimate
-            # cannot improve, accept it as is.
-            heapq.heappush(heap, (0.0, serial, lo, hi, val))
-            serial += 1
-            total_err += neg_err  # removes this segment's error
-            continue
-        val_l, err_l, n_l = _eval_segment(f, lo, mid)
-        val_r, err_r, n_r = _eval_segment(f, mid, hi)
-        evals += n_l + n_r
-        total += val_l + val_r - val
-        total_err += err_l + err_r + neg_err
-        heapq.heappush(heap, (-err_l, serial, lo, mid, val_l))
-        heapq.heappush(heap, (-err_r, serial + 1, mid, hi, val_r))
-        serial += 2
-        subdivisions += 1
-
-    # Re-accumulate from the segments to avoid drift in the running sums.
-    total = sum(item[4] for item in heap)
-    total_err = sum(-item[0] for item in heap if item[0] <= 0.0)
-    return IntegralResult(sign * total, total_err, evals)
+    cuts = sorted({float(h) for h in spec.singularity_hints if a < h < b})
+    value, error, evals, over = _adapt(lambda row, x: f(x), np.array([[a, *cuts, b]]), spec.abs_tol, spec)
+    result = IntegralResult(sign * float(value[0]), float(error[0]), int(evals[0]))
+    if over is not None:
+        raise ToleranceNotReached(
+            f"needed more than {spec.max_subdivisions} subdivisions "
+            f"(value={result.value!r}, error={result.error_estimate!r})",
+            result,
+            worst_segment=over[1],
+        )
+    return result
 
 
 def integrate_semi_infinite(
@@ -283,25 +324,28 @@ def cumulative_segments(f, knots, spec: QuadratureSpec | None = None) -> np.ndar
 
     Useful for building monotone cumulative tables: each piece is
     integrated independently so the partial sums are exactly the sums of
-    nonnegative segment values when the integrand is nonnegative.
+    nonnegative segment values when the integrand is nonnegative.  The
+    pieces are the rows of one ``integrate_rows`` batch, each split
+    initially at the singularity hints inside it.
     """
+    spec = spec or DEFAULT_SPEC
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or knots.size < 2:
         raise ValueError("need at least two knots")
     if np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly increasing")
-    out = np.empty(knots.size - 1)
-    for j in range(knots.size - 1):
-        out[j] = integrate(f, knots[j], knots[j + 1], spec).value
-    return out
+    lo, hi = knots[:-1], knots[1:]
+    # a hint outside a piece is clipped to its end: a zero-width piece
+    cuts = np.clip(np.sort(np.asarray(spec.singularity_hints, dtype=float)), lo[:, None], hi[:, None])
+    return integrate_rows(lambda row, x: f(x), np.column_stack([lo, cuts, hi]), spec.abs_tol, spec)
 
 
 def integrate_pieces(f, lo, hi, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Integrals of ``f`` over each [lo[i], hi[i]] from one G7/G15 pass.
+    """Integrals of ``f`` over each [lo[i], hi[i]] from one K15/G7 pass.
 
     Nothing is subdivided, so this is for integrands that are smooth on
     every piece, such as a spline between its knots.  A piece whose
-    G15 - G7 gap exceeds ``max(abs_tol, rel_tol * |value|)`` raises
+    K15 - G7 gap exceeds ``max(abs_tol, rel_tol * |value|)`` raises
     :class:`ToleranceNotReached` naming the worst piece.
     """
     spec = spec or DEFAULT_SPEC
@@ -333,7 +377,7 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     one per row); a segment at floating-point resolution is accepted as
     is.  Segments stay sorted by (row, lo), so a row's value does not
     depend on the other rows in the batch.  A row that needs more than
-    ``max_subdivisions`` splits raises :class:`ToleranceNotReached`
+    ``max_subdivisions`` bisections raises :class:`ToleranceNotReached`
     naming its worst segment.
     """
     spec = spec or DEFAULT_SPEC
@@ -342,47 +386,16 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
         raise ValueError("edges must be a 2-d array with at least two columns")
     if np.any(np.diff(edges, axis=1) < 0):
         raise ValueError("each row's edges must be nondecreasing")
-    n = edges.shape[0]
-    tol_abs = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
-    row = np.repeat(np.arange(n), edges.shape[1] - 1)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    width = hi > lo
-    row, lo, hi = row[width], lo[width], hi[width]
-    val, err = np.empty(row.size), np.empty(row.size)
-    fresh = np.ones(row.size, dtype=bool)
-    splits = np.zeros(n, dtype=int)
-    evals = 0
-    while True:
-        nodes_row = row[fresh].repeat(_NODES.size)
-        val[fresh], err[fresh] = _gauss_pair(lambda x: f(nodes_row, x), lo[fresh], hi[fresh])
-        evals += nodes_row.size
-        mid = 0.5 * (lo + hi)
-        err[(mid <= lo) | (mid >= hi)] = 0.0  # at floating-point resolution
-        value = np.bincount(row, val, minlength=n)
-        error = np.bincount(row, err, minlength=n)
-        open_rows = error > np.maximum(tol_abs, spec.rel_tol * np.abs(value))
-        if not open_rows.any():
-            return value
-        worst = np.zeros(n)
-        np.maximum.at(worst, row, err)
-        split = open_rows[row] & (err >= 0.25 * worst[row])
-        splits += np.bincount(row[split], minlength=n)
-        if np.any(splits > spec.max_subdivisions):
-            i = int(np.argmax(splits > spec.max_subdivisions))
-            j = int(np.argmax(np.where(row == i, err, -1.0)))
-            raise ToleranceNotReached(
-                f"row {i} needed more than {spec.max_subdivisions} subdivisions "
-                f"(value={value[i]!r}, error={error[i]!r})",
-                IntegralResult(float(value[i]), float(error[i]), evals),
-                worst_segment=(float(lo[j]), float(hi[j])),
-            )
-        # each split segment becomes its two halves in place, which keeps
-        # the segments sorted by (row, lo)
-        reps = split + 1
-        left = (np.cumsum(reps) - reps)[split]
-        row, lo, hi, val, err = (a.repeat(reps) for a in (row, lo, hi, val, err))
-        hi[left] = lo[left + 1] = mid[split]
-        fresh = split.repeat(reps)
+    value, error, evals, over = _adapt(f, edges, abs_tol, spec)
+    if over is not None:
+        i, segment = over
+        raise ToleranceNotReached(
+            f"row {i} needed more than {spec.max_subdivisions} subdivisions "
+            f"(value={value[i]!r}, error={error[i]!r})",
+            IntegralResult(float(value[i]), float(error[i]), int(evals[i])),
+            worst_segment=segment,
+        )
+    return value
 
 
 # --- special functions -------------------------------------------------

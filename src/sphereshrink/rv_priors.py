@@ -486,13 +486,12 @@ class GrowthReport:
     decay_exponent: float
 
 
-def _decade_partials(integrand, lo: float, hi: float, spec=None):
+def _decade_partials(integrand, lo: float, hi: float, spec: QuadratureSpec):
+    """Integrals of ``integrand`` over each decade of [lo, hi], one ``integrate_rows`` row each."""
     n_dec = int(round(math.log10(hi / lo)))
     edges = lo * 10.0 ** np.arange(n_dec + 1)
-    parts = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        parts.append(integrate(integrand, a, b, spec).value)
-    return edges, np.asarray(parts)
+    rows = np.column_stack([edges[:-1], edges[1:]])
+    return edges, integrate_rows(lambda row, eta: integrand(eta), rows, spec.abs_tol, spec)
 
 
 def _classify_growth(partials: np.ndarray, flatten_tol: float = 1e-4,

@@ -34,10 +34,45 @@ def test_unit_constant():
 
 
 def test_polynomial_exactness_high_degree():
-    # 15-point Gauss is exact through degree 29; a single segment must
-    # nail x^29 on [0, 1] without any subdivision help.
+    # The 15-point Kronrod rule is exact through degree 23; x^23 on
+    # [0, 1] must come out right however the integrator adapts.
     res = integrate(lambda x: x**numerics.EXACT_DEGREE, 0.0, 1.0)
     assert abs(res.value - 1.0 / (numerics.EXACT_DEGREE + 1)) < 1e-14
+
+
+# One segment, no bisection: an absolute tolerance of 1 accepts any first estimate.
+_ONE_SEGMENT = QuadratureSpec(abs_tol=1.0)
+
+
+def test_kronrod_rule_is_exact_through_its_degree():
+    # oracle: int_0^1 x^k dx = 1/(k+1); K15 is exact through degree 22
+    # (3n + 1 for the n = 7 Gauss rule it extends) and, being symmetric,
+    # at the odd degree 23 too, but not at degree 24 on [-1, 1]
+    for k in range(numerics.EXACT_DEGREE + 1):
+        res = integrate(lambda x: x**k, 0.0, 1.0, _ONE_SEGMENT)
+        assert res.evaluations == 15
+        assert res.value == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0.0)
+    k = numerics.EXACT_DEGREE + 1
+    res = integrate(lambda x: x**k, -1.0, 1.0, _ONE_SEGMENT)
+    assert abs(res.value - (1.0 - (-1.0) ** (k + 1)) / (k + 1)) > 1e-10
+
+
+def test_gauss_nodes_are_the_seven_point_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(numerics._NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(numerics._WEIGHTS_G, weights, rtol=0.0, atol=1e-15)
+
+
+def test_error_estimate_is_the_kronrod_gauss_gap():
+    # K15 is exact for x^14 on [0, 1] and G7 is not: the estimate is
+    # |1/15 - G7(x^14)|, with G7 from numpy's 7-point Legendre rule.
+    # The gap is 5.7e-9, so rounding of order 1e-16 on either side
+    # moves it by about 2e-8 relative.
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    g7 = 0.5 * np.sum(weights * (0.5 * (nodes + 1.0)) ** 14)
+    res = integrate(lambda x: x**14, 0.0, 1.0, _ONE_SEGMENT)
+    assert res.evaluations == 15
+    assert res.error_estimate == pytest.approx(abs(1.0 / 15.0 - g7), rel=1e-6)
 
 
 def test_sin_squared_over_pi():
@@ -138,9 +173,21 @@ def test_cumulative_segments_sum_matches_direct():
     assert np.all(pieces > 0)
 
 
+def test_cumulative_segments_split_at_hints_inside_each_piece():
+    # oracle: int |x - 1.3| over [0, 1], [1, 2], [2, 3] = 0.8, 0.29, 1.2;
+    # unsplit, the kink at 1.3 needs more than two bisections
+    kink = lambda x: np.abs(x - 1.3)
+    knots = [0.0, 1.0, 2.0, 3.0]
+    spec = QuadratureSpec(max_subdivisions=2, singularity_hints=(7.0, 1.3))
+    pieces = numerics.cumulative_segments(kink, knots, spec)
+    assert pieces == pytest.approx([0.8, 0.29, 1.2], rel=1e-14)
+    with pytest.raises(ToleranceNotReached):
+        numerics.cumulative_segments(kink, knots, replace(spec, singularity_hints=()))
+
+
 def test_integrate_pieces_in_one_pass_and_raises_on_a_miss():
     # oracle: the antiderivative -exp(-x); sqrt is not smooth at 0, so
-    # one G7/G15 pass over [0, 1] cannot reach the default tolerance
+    # one K15/G7 pass over [0, 1] cannot reach the default tolerance
     edges = np.linspace(0.0, 3.0, 7)
     pieces = numerics.integrate_pieces(lambda x: np.exp(-x), edges[:-1], edges[1:])
     assert np.allclose(pieces, np.exp(-edges[:-1]) - np.exp(-edges[1:]), rtol=1e-14, atol=0.0)
@@ -176,6 +223,20 @@ def test_integrate_rows_matches_integrate_row_by_row():
         scalar = integrate(lambda x: _power_rows(np.full(x.shape, i), x), 0.0, _ROOT2, hinted).value
         assert values[i] == pytest.approx(scalar, rel=1e-10)
         assert values[i] == pytest.approx(exact, rel=1e-10)
+
+
+def test_integrate_is_the_one_row_case_of_integrate_rows():
+    # the same loop: bitwise equal values, with the hints inside [a, b]
+    # as the row's interior edges (outside or repeated hints drop out),
+    # and a sign flip for reversed bounds
+    f = lambda x: np.sqrt(np.abs(x - 0.3)) * np.cos(2.0 * x) + np.abs(x - 1.7)
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, singularity_hints=(1.7, 0.3, 5.0, 0.3))
+    row = numerics.integrate_rows(lambda row, x: f(x), [[0.0, 0.3, 1.7, 2.0]], spec.abs_tol, spec)[0]
+    assert integrate(f, 0.0, 2.0, spec).value == row
+    assert integrate(f, 2.0, 0.0, spec).value == -row
+    plain = numerics.integrate_rows(lambda row, x: np.exp(-x * x), [[0.0, 8.0]], 1e-12)[0]
+    assert integrate(lambda x: np.exp(-x * x), 0.0, 8.0).value == plain
+    assert integrate(lambda x: np.exp(-x * x), 8.0, 0.0).value == -plain
 
 
 def test_integrate_rows_value_does_not_depend_on_the_batch():
