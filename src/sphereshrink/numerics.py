@@ -1,4 +1,4 @@
-"""Shared numerical kernel: adaptive quadrature and special functions.
+"""Shared numerical kernel: adaptive quadrature, per-draw tables, special functions.
 
 Every downstream module (density catalogue, prior machinery, convolution
 oracles, risk tables) funnels its integrals through the integrators
@@ -22,13 +22,18 @@ segments whose error is at least a quarter of the row's worst.
 interval.  ``integrate_pieces`` applies the pair to many smooth pieces
 in one array pass, without subdivision.  Interior singularities or
 kinks are handled by listing them in ``QuadratureSpec.singularity_hints``:
-the interval is pre-split there so no node ever lands on the bad point,
-and endpoint singularities are never evaluated because the nodes are
-interior.
+every integrator, ``integrate_rows`` included, pre-splits there so no
+node ever lands on the bad point, and endpoint singularities are never
+evaluated because the nodes are interior.
+
+``CubicTable`` evaluates a scipy cubic spline, bitwise as scipy does,
+with an O(1) guide-table search in place of scipy's binary search; the
+risk simulation's per-draw lookups go through it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -334,10 +339,7 @@ def cumulative_segments(f, knots, spec: QuadratureSpec | None = None) -> np.ndar
         raise ValueError("need at least two knots")
     if np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly increasing")
-    lo, hi = knots[:-1], knots[1:]
-    # a hint outside a piece is clipped to its end: a zero-width piece
-    cuts = np.clip(np.sort(np.asarray(spec.singularity_hints, dtype=float)), lo[:, None], hi[:, None])
-    return integrate_rows(lambda row, x: f(x), np.column_stack([lo, cuts, hi]), spec.abs_tol, spec)
+    return integrate_rows(lambda row, x: f(x), np.column_stack([knots[:-1], knots[1:]]), spec.abs_tol, spec)
 
 
 def integrate_pieces(f, lo, hi, spec: QuadratureSpec | None = None) -> np.ndarray:
@@ -372,7 +374,10 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     aligned with the abscissae ``x``.  Each round calls ``f`` once on
     every new segment of every unconverged row and bisects, in each of
     those rows, the segments whose error is at least a quarter of the
-    row's worst.  Row i is done once its error is at most
+    row's worst.  Each of ``spec.singularity_hints`` is folded into
+    every row's edges, clipped to the row's span (outside it, a
+    zero-width piece), so a row splits there as ``integrate`` would.
+    Row i is done once its error is at most
     ``max(abs_tol[i], rel_tol * |value|)`` (``abs_tol`` is one float or
     one per row); a segment at floating-point resolution is accepted as
     is.  Segments stay sorted by (row, lo), so a row's value does not
@@ -386,6 +391,10 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
         raise ValueError("edges must be a 2-d array with at least two columns")
     if np.any(np.diff(edges, axis=1) < 0):
         raise ValueError("each row's edges must be nondecreasing")
+    if spec.singularity_hints:
+        hints = np.asarray(spec.singularity_hints, dtype=float)
+        cuts = np.clip(np.broadcast_to(hints, (edges.shape[0], hints.size)), edges[:, :1], edges[:, -1:])
+        edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)
     value, error, evals, over = _adapt(f, edges, abs_tol, spec)
     if over is not None:
         i, segment = over
@@ -396,6 +405,120 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
             worst_segment=segment,
         )
     return value
+
+
+# --- per-draw cubic tables ----------------------------------------------
+
+# Guide buckets per knot interval of a CubicTable.
+_BUCKETS_PER_INTERVAL = 2
+# Width, in buckets, by which each bucket's candidate intervals are
+# widened on both sides.  A point's bucket is off by a few ulps of its
+# coordinate times the buckets per coordinate unit; a table where that
+# could exceed half the slack is refused, so a point is never put in a
+# bucket whose candidates miss its interval.
+_BUCKET_SLACK = 1e-6
+# Points evaluated per array pass.
+_TABLE_CHUNK = 16384
+
+
+class CubicTable:
+    """A scalar cubic scipy ``PPoly`` evaluated by indexed search.
+
+    ``pp`` supplies the knots ``x`` and the power-basis coefficients
+    ``c``; ``coordinate`` maps an array of abscissae onto a scale where
+    the knots are nearly uniform (log r for geometric radii, logit u for
+    CDF values) and returns a new array.  That scale is cut into equal
+    buckets, two per knot interval, and a guide array holds each
+    bucket's first candidate interval and the next knot (Chen & Asau
+    1974; Devroye 1986, section III.2.4).  An array point finds its
+    bucket in O(1) and one comparison with that knot settles its
+    interval, so the coordinate's rounding never decides it.  Points in
+    the rare buckets with more than two candidates (on a CDF table, where
+    the CDF is below about 1e-18) are located by ``np.searchsorted``.  A
+    0-d input is located by ``bisect`` on a list of the knots and summed
+    in Python floats.  Either way the interval is scipy's, x[i] <= x <
+    x[i+1] with the last one closed and the end intervals extended, and
+    the cubic is summed in scipy's order, so the value is bitwise
+    ``pp(x)``: nan for nan, and a float for a 0-d input.
+    """
+
+    def __init__(self, pp, coordinate):
+        x = np.ascontiguousarray(pp.x, dtype=float)
+        c = np.asarray(pp.c, dtype=float)
+        if x.ndim != 1 or x.size < 2 or c.shape != (4, x.size - 1):
+            raise ValueError("need a scalar cubic PPoly")
+        n = x.size
+        self._coordinate = coordinate
+        self._x = x
+        # scipy sums from 0.0, which turns a -0.0 constant term into +0.0
+        self._c3, self._c2, self._c1, self._c0 = (np.ascontiguousarray(row) for row in (c[3] + 0.0, c[2], c[1], c[0]))
+        # the same table as Python floats, for 0-d input
+        self._lists = tuple(row.tolist() for row in (x, self._c3, self._c2, self._c1, self._c0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = coordinate(x)
+        finite = t[np.isfinite(t)]
+        if finite.size < 2 or not finite[-1] > finite[0]:
+            raise ValueError("need two knots with distinct finite coordinates")
+        n_buckets = _BUCKETS_PER_INTERVAL * (n - 1)
+        self._t0 = float(finite[0])
+        self._scale = n_buckets / float(finite[-1] - finite[0])
+        self._top = float(n_buckets - 1)
+        rounding = 16.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(finite))) * self._scale
+        if not rounding <= 0.5 * _BUCKET_SLACK:
+            raise ValueError("knots too close together for their coordinate's precision")
+        # Knot positions in buckets, by the formula a point's bucket uses.
+        # Bucket b's candidates run from the interval holding b - slack to
+        # the one holding b + 1 + slack; the top bucket also takes every
+        # point beyond the last knot, the bottom one every point below t0.
+        y = np.sort((t - self._t0) * self._scale)
+        edges = np.arange(n_buckets, dtype=float)
+        first = np.maximum(np.searchsorted(y, edges - _BUCKET_SLACK) - 1, 0)
+        last = np.minimum(np.searchsorted(y, edges + (1.0 + _BUCKET_SLACK)) - 1, n - 2)
+        last[-1] = n - 2
+        # one candidate: no next knot, so nan, which no point reaches;
+        # more than two: crowded, -1
+        self._next = np.where(last == first + 1, x[np.minimum(first + 1, n - 1)], np.nan)
+        self._first = np.where(last > first + 1, -1, first)
+
+    def __call__(self, x):
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
+            if x.ndim:
+                return self._array(x)
+        x = float(x)
+        knots, c3, c2, c1, c0 = self._lists
+        i = min(max(bisect.bisect_right(knots, x) - 1, 0), len(c3) - 1)
+        s = x - knots[i]
+        z = s * s
+        return (c3[i] + c2[i] * s) + c1[i] * z + c0[i] * (z * s)
+
+    def _array(self, x):
+        # chunks keep the temporaries of a large array small
+        out = np.empty(x.shape)
+        flat, flat_out = x.reshape(-1), out.reshape(-1)
+        for k in range(0, flat.size, _TABLE_CHUNK):
+            flat_out[k : k + _TABLE_CHUNK] = self._chunk(flat[k : k + _TABLE_CHUNK])
+        return out
+
+    def _chunk(self, x):
+        # as in scipy's compiled loop, overflow and nan pass without warning
+        with np.errstate(all="ignore"):
+            y = self._coordinate(x)
+            y -= self._t0
+            y *= self._scale
+            # fmax and fmin send nan to bucket 0, where its comparison fails
+            np.fmax(y, 0.0, out=y)
+            np.fmin(y, self._top, out=y)
+            bucket = y.astype(np.intp)
+            i = self._first[bucket]
+            i += x >= self._next[bucket]
+            if i.min() < 0:
+                crowded = i < 0
+                i[crowded] = np.searchsorted(self._x, x[crowded], side="right") - 1
+                np.clip(i, 0, self._x.size - 2, out=i)
+            s = x - self._x[i]
+            z = s * s
+            return (self._c3[i] + self._c2[i] * s) + self._c1[i] * z + self._c0[i] * (z * s)
 
 
 # --- special functions -------------------------------------------------

@@ -1,7 +1,13 @@
 """Monte Carlo risk estimation for location estimators under quadratic loss.
 
 Observations are X = theta + R U with R drawn by inverse CDF of the
-radial law r^{p-1} f(r) and U uniform on the sphere.  Draws are keyed by
+radial law r^{p-1} f(r) and U uniform on the sphere.  The per-draw
+tables (the inverse CDF, the harmonic weight and the generalized-Bayes
+weight) are scipy cubics evaluated by ``numerics.CubicTable``: a block
+of draws finds each point's knot interval in O(1) from a guide table
+over a coordinate the knots are nearly uniform in (logit u, log r) and
+one knot comparison, not a binary search, and gets bitwise the value
+scipy would.  Draws are keyed by
 (seed, theta index, block index) through counter-based streams, and the
 per-block partial sums are reduced in a fixed order, so results are
 byte-identical for any worker-thread count.  Paired (common random
@@ -20,7 +26,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from sphereshrink.numerics import sphere_surface
+from sphereshrink.numerics import CubicTable, sphere_surface
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.rv_priors import RadialPrior
 from sphereshrink.shrinkage import _cached_profile, gb_multiplier
@@ -50,6 +56,11 @@ def _cdf(model: RadialDensity, r):
     return sphere_surface(p) * ((p - 2.0) * model.kernel_moment(p - 3.0, r) - r ** (p - 2.0) * model.big_f(r))
 
 
+def _logit(u):
+    """log(u / (1 - u)), the sampler table's bucket coordinate."""
+    return np.log(u / (1.0 - u))
+
+
 def _build_sampler(model: RadialDensity):
     """Inverse-CDF table: a PCHIP of r over the exact CDF at its knots.
 
@@ -59,8 +70,11 @@ def _build_sampler(model: RadialDensity):
     mass, and doubles until at most 1e-10 of the mass lies beyond it.
     Where the CDF is below about 1e-20 the by-parts difference loses its
     relative digits, so a knot is kept only if its CDF rises strictly
-    above that of every knot below it.  At every interval midpoint u,
-    CDF(ppf(u)) must lie within 1e-8 of u, else RiskSimError is raised.
+    above that of every knot below it.  The PCHIP is evaluated as a
+    ``numerics.CubicTable`` over logit u, which covers both tails: near 0
+    the CDF behaves like r^p, and the tail is exponential or a power law.
+    At every interval midpoint u, CDF(ppf(u)) through that table must lie
+    within 1e-8 of u, else RiskSimError is raised.
     """
     r_hi = model.support_radius(1e-14)
     for _ in range(100):
@@ -73,7 +87,7 @@ def _build_sampler(model: RadialDensity):
     cdf = _cdf(model, knots)
     keep = cdf > np.maximum.accumulate(np.concatenate([[-np.inf], cdf[:-1]]))
     u_knots, r_knots = cdf[keep], knots[keep]
-    ppf = PchipInterpolator(u_knots, r_knots)
+    ppf = CubicTable(PchipInterpolator(u_knots, r_knots), _logit)
     u_mid = 0.5 * (u_knots[:-1] + u_knots[1:])
     worst = float(np.max(np.abs(_cdf(model, ppf(u_mid)) - u_mid)))
     if not worst <= 1e-8:
@@ -94,15 +108,22 @@ def sample_radius(model: RadialDensity, u):
 
     Strictly increasing in u up to the table's last knot (CDF mass at
     least 1 - 1e-10); the residual sliver maps to the last radius.  Any u
-    outside [0, 1], nan included, raises RiskSimError.
+    outside [0, 1], nan included, raises RiskSimError.  The table is a
+    PCHIP of r over u evaluated by ``numerics.CubicTable``: an array of u
+    finds its knot intervals through a guide table over logit u, a float
+    through ``bisect``, and each radius is bitwise the value scipy's
+    ``PchipInterpolator`` gives.
     """
     ppf, u_hi, r_hi = _sampler(model)
+    if isinstance(u, float) or np.ndim(u) == 0:
+        u = float(u)
+        if not 0.0 <= u <= 1.0:
+            raise RiskSimError("u must lie in [0, 1]")
+        return r_hi if u >= u_hi else ppf(u)
     uu = np.asarray(u, dtype=float)
     if not np.all((uu >= 0.0) & (uu <= 1.0)):
         raise RiskSimError("u must lie in [0, 1]")
-    out = np.asarray(ppf(np.minimum(uu, u_hi)))
-    out = np.where(uu >= u_hi, r_hi, out)
-    return float(out) if out.ndim == 0 else out
+    return np.where(uu >= u_hi, r_hi, ppf(uu))
 
 
 def radial_cdf(model: RadialDensity, r):
@@ -243,17 +264,18 @@ def _resolve_estimator(config: RiskConfig):
     if est == "harmonic_bayes":
         prof = _cached_profile(model)
         return lambda x, norms: x * np.asarray(prof.multiplier(norms))[:, None]
-    # generalized_bayes: tabulate psi = r^2 (1 - kappa) once.  Beyond the
+    # generalized_bayes: tabulate psi = r^2 (1 - kappa) once, a PCHIP on
+    # geometric knots looked up as a CubicTable over log r.  Beyond the
     # grid psi is held, so the multiplier tends to 1 - psi/r^2 as the
     # profile's does; below it the multiplier itself is held.
     prior = config.prior
     hi = model.support_radius(1e-10)
     grid = np.geomspace(max(1e-2, 1e-3 * hi), max(hi, 1.0), 49)
     kappa = np.array([gb_multiplier(prior, model, config.p, float(r)) for r in grid])
-    interp = PchipInterpolator(grid, grid**2 * (1.0 - kappa))
+    psi_table = CubicTable(PchipInterpolator(grid, grid**2 * (1.0 - kappa)), np.log)
 
     def gb(x, norms):
-        psi = interp(np.clip(norms, grid[0], grid[-1]))
+        psi = psi_table(np.clip(norms, grid[0], grid[-1]))
         return x * (1.0 - psi / np.maximum(norms, grid[0]) ** 2)[:, None]
 
     return gb
@@ -264,7 +286,12 @@ def _loss_fn(config: RiskConfig):
     if q is None:
         return lambda v: np.einsum("ij,ij->i", v, v)
     chol = np.linalg.cholesky(q)
-    return lambda v: np.einsum("ij,ij->i", v @ chol, v @ chol)
+
+    def loss(v):
+        w = v @ chol
+        return np.einsum("ij,ij->i", w, w)
+
+    return loss
 
 
 def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:

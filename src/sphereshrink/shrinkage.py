@@ -7,7 +7,11 @@ multiplies the observation by 1 - psi(||x||) with psi = phi/r^2.  For
 simulation code that calls the estimator millions of times, psi is
 tabulated once as a cubic Hermite spline with exact knot values and
 slopes, checked against the exact moments between every pair of knots.
-The quadrature ratio ``phi_star`` is kept as an independent oracle.
+A lookup finds its knot interval without a binary search: an array of
+radii through a guide table over log r (``numerics.CubicTable``), one
+radius through ``bisect``; either way the weight is bitwise the value
+scipy's spline gives.  The quadrature ratio ``phi_star`` is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from sphereshrink.numerics import QuadratureSpec, integrate
+from sphereshrink.numerics import CubicTable, QuadratureSpec, integrate
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.radial_convolution import directional_marginal, marginal_m
 from sphereshrink.rv_priors import RadialPrior
@@ -67,14 +71,19 @@ class ShrinkageProfile:
 
     ``_psi`` interpolates psi = phi/r^2 from its exact origin value
     (p-2)/p to the last grid radius.  Beyond the grid the weight is
-    within 1% of its limit and phi is held at its last value.
+    within 1% of its limit and phi is held at its last value.  It is a
+    ``numerics.CubicTable`` over log r: an array of radii finds its knot
+    intervals in O(1) through the table's guide buckets and one knot
+    comparison each, a single radius through ``bisect`` and Python
+    floats, and both return bitwise what scipy's ``CubicHermiteSpline``
+    would.  nan gives nan.
     """
 
     model: RadialDensity = field(compare=False)
     p: int
     r_grid: np.ndarray = field(compare=False)
     limit_value: float
-    _psi: CubicHermiteSpline = field(compare=False, repr=False)
+    _psi: CubicTable = field(compare=False, repr=False)
 
     def phi(self, r):
         r = np.asarray(r, dtype=float)
@@ -83,10 +92,12 @@ class ShrinkageProfile:
 
     def psi(self, r):
         """The ratio phi(r)/r^2, continuous down to psi(0) = (p-2)/p."""
+        hi = float(self.r_grid[-1])
+        if isinstance(r, float) or np.ndim(r) == 0:
+            r = float(r)
+            return self._psi(min(max(r, 0.0), hi)) * (hi / max(r, hi)) ** 2
         r = np.asarray(r, dtype=float)
-        hi = self.r_grid[-1]
-        out = self._psi(np.clip(r, 0.0, hi)) * (hi / np.maximum(r, hi)) ** 2
-        return out if out.ndim else float(out)
+        return self._psi(np.clip(r, 0.0, hi)) * (hi / np.maximum(r, hi)) ** 2
 
     def multiplier(self, r):
         """Estimator factor 1 - phi(r)/r^2, equal to 2/p at r = 0."""
@@ -98,10 +109,10 @@ def build_profile(model: RadialDensity) -> ShrinkageProfile:
 
     Knot values and slopes are exact: from the kernel moments A and B,
     phi' = r^{p-3} F (r^2 B - A) / B^2 = r^{p-3} F (r^2 - phi) / B, and
-    at the origin knot psi(0) = (p-2)/p, psi'(0) = 0.  phi is checked
-    against the exact moment ratio at every interval midpoint, and
-    ShrinkageError is raised if it misses by more than 1e-6 of
-    max(1, limit).
+    at the origin knot psi(0) = (p-2)/p, psi'(0) = 0.  phi is checked,
+    through the table the estimator evaluates, against the exact moment
+    ratio at every interval midpoint, and ShrinkageError is raised if it
+    misses by more than 1e-6 of max(1, limit).
     """
     p = model.p
     limit = phi_limit(model, p)
@@ -117,7 +128,7 @@ def build_profile(model: RadialDensity) -> ShrinkageProfile:
     dphi = grid ** (p - 3.0) * model.big_f(grid) * (grid**2 - phi) / b[:_KNOTS]
     psi = np.concatenate(([(p - 2.0) / p], phi / grid**2))
     dpsi = np.concatenate(([0.0], (dphi - 2.0 * phi / grid) / grid**2))
-    spline = CubicHermiteSpline(knots, psi, dpsi, extrapolate=False)
+    spline = CubicTable(CubicHermiteSpline(knots, psi, dpsi), np.log)
 
     worst = float(np.max(np.abs(spline(mids) * mids**2 - phi_mids)))
     if not worst <= 1e-6 * max(1.0, limit):

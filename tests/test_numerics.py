@@ -260,6 +260,20 @@ def test_integrate_rows_zero_width_pieces_contribute_nothing():
     assert all(np.all((x > 0.0) & (x < 2.0)) for x in calls)
 
 
+def test_integrate_rows_splits_at_hints_as_integrate_does():
+    # oracle: int_0^3 |x - 1.3| dx = (1.3^2 + 1.7^2) / 2 = 2.29; unsplit,
+    # the kink at 1.3 needs more than two bisections.  Hints outside a
+    # row (4.0, and 1.3 for the second row) are clipped to its span.
+    kink = lambda x: np.abs(x - 1.3)
+    spec = QuadratureSpec(max_subdivisions=2, singularity_hints=(4.0, 1.3))
+    values = numerics.integrate_rows(lambda row, x: kink(x), [[0.0, 3.0], [2.0, 3.0]], spec.abs_tol, spec)
+    assert values[0] == integrate(kink, 0.0, 3.0, spec).value
+    assert values[0] == pytest.approx(2.29, rel=1e-14)
+    assert values[1] == pytest.approx(1.2, rel=1e-14)
+    with pytest.raises(ToleranceNotReached):
+        numerics.integrate_rows(lambda row, x: kink(x), [[0.0, 3.0]], spec.abs_tol, replace(spec, singularity_hints=()))
+
+
 def test_integrate_rows_raises_when_a_row_runs_over_budget():
     spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
     edges = np.array([[0.0, 1.0], [0.0, 1.0]])

@@ -64,10 +64,9 @@ def test_sampler_domain_errors():
         sample_radius(g, -0.01)
     with pytest.raises(RiskSimError):
         sample_radius(g, 1.01)
-    with pytest.raises(RiskSimError):
-        sample_radius(g, math.nan)
-    with pytest.raises(RiskSimError):
-        sample_radius(g, np.array([0.5, math.nan]))
+    for nan in (math.nan, np.float64(math.nan), np.array(math.nan), np.array([0.5, math.nan])):
+        with pytest.raises(RiskSimError):
+            sample_radius(g, nan)
 
 
 def test_sampler_scalar_and_array():
