@@ -429,21 +429,27 @@ def _cmd_hseq(args):
             in_range = 0.0 <= h <= 1.0
             mono = h >= prev_h - 1e-12
             dbound = abs(hp) < bound
+            # H does not increase in eta; its elasticity has no lower
+            # bound short of the far field (-1.17 near eta = 100 at i = 1)
             elast = eta * hp / h if h > 0 else math.nan
-            elast_ok = -1.1 < elast <= 1e-12
-            ok = in_range and mono and dbound and elast_ok
+            ok = in_range and mono and dbound and elast <= 1e-12
             all_ok = all_ok and ok
             rows.append((float(eta), seq.i, h, hp, mono, dbound, elast, ok))
             prev_h = h
-    # large-eta scaling law: Tail/beta * H_i ~ i
+    # large-eta laws, from H_i ~ i*beta/Tail: the scaling Tail/beta * H_i
+    # ~ i and the elasticity eta H'/H ~ eta (beta'/beta + beta/Tail)
     eta_far = max(float(cfg["eta_max"]), 1e6)
-    scale = kernel.beta_tail(eta_far) / kernel.beta_eval(eta_far)
+    beta, tail = kernel.beta_eval(eta_far), kernel.beta_tail(eta_far)
+    elast_law = eta_far * (kernel.beta_deriv(eta_far) / beta + beta / tail)
     for seq in seqs:
         h_far = seq.h_eval(eta_far)
-        ratio = scale * h_far / seq.i
+        ratio = tail / beta * h_far / seq.i
         ok = abs(ratio - 1.0) <= 0.05
-        all_ok = all_ok and ok
         rows.append((eta_far, seq.i, h_far, "scaling", "", ok, ratio, ok))
+        elast = eta_far * seq.h_derivative(eta_far) / h_far
+        elast_ok = abs(elast - elast_law) <= 0.01
+        rows.append((eta_far, seq.i, h_far, "elasticity", "", elast_ok, elast, elast_ok))
+        all_ok = all_ok and ok and elast_ok
     code = EXIT_VERDICT if args.strict and not all_ok else EXIT_OK
     header = ("eta", "i", "h", "h_prime", "monotone_in_i", "deriv_bound_ok", "elasticity", "ok")
     return cfg, header, rows, code

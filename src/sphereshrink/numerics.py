@@ -370,13 +370,14 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
 
     Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
     initially at its interior edges (an edge may repeat: a zero-width
-    piece contributes 0).  ``f(row, x)`` gets an index array ``row``
-    aligned with the abscissae ``x``.  Each round calls ``f`` once on
-    every new segment of every unconverged row and bisects, in each of
-    those rows, the segments whose error is at least a quarter of the
-    row's worst.  Each of ``spec.singularity_hints`` is folded into
-    every row's edges, clipped to the row's span (outside it, a
-    zero-width piece), so a row splits there as ``integrate`` would.
+    piece contributes 0).  ``f(row, x)`` gets a nondecreasing index
+    array ``row`` aligned with the abscissae ``x``.  Each round calls
+    ``f`` once on every new segment of every unconverged row and
+    bisects, in each of those rows, the segments whose error is at
+    least a quarter of the row's worst.  Each of
+    ``spec.singularity_hints`` is folded into every row's edges, clipped
+    to the row's span (outside it, a zero-width piece), so a row splits
+    there as ``integrate`` would.
     Row i is done once its error is at most
     ``max(abs_tol[i], rel_tol * |value|)`` (``abs_tol`` is one float or
     one per row); a segment at floating-point resolution is accepted as

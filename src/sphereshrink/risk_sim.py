@@ -42,6 +42,7 @@ class RiskSimError(Exception):
 # -- radial sampling ----------------------------------------------------
 
 _SAMPLERS: "WeakKeyDictionary[RadialDensity, tuple]" = WeakKeyDictionary()
+_GB_TABLES: "WeakKeyDictionary[RadialDensity, WeakKeyDictionary[RadialPrior, tuple]]" = WeakKeyDictionary()
 # Geometric knots of the inverse-CDF table (an origin knot comes on top).
 _SAMPLER_KNOTS = 6143
 
@@ -254,6 +255,23 @@ def _resolve_threads(threads) -> int:
     return threads
 
 
+def _gb_table(model: RadialDensity, prior: RadialPrior):
+    """Knots and table of psi = r^2 (1 - kappa) of the GB estimator.
+
+    A PCHIP on 49 geometric knots, looked up as a CubicTable over log r,
+    built once per (model, prior) pair, as the profile and the sampler
+    are per model.
+    """
+    tables = _GB_TABLES.setdefault(model, WeakKeyDictionary())
+    tab = tables.get(prior)
+    if tab is None:
+        hi = model.support_radius(1e-10)
+        grid = np.geomspace(max(1e-2, 1e-3 * hi), max(hi, 1.0), 49)
+        kappa = np.array([gb_multiplier(prior, model, model.p, float(r)) for r in grid])
+        tab = tables[prior] = (grid, CubicTable(PchipInterpolator(grid, grid**2 * (1.0 - kappa)), np.log))
+    return tab
+
+
 def _resolve_estimator(config: RiskConfig):
     est = config.estimator
     if callable(est):
@@ -264,15 +282,10 @@ def _resolve_estimator(config: RiskConfig):
     if est == "harmonic_bayes":
         prof = _cached_profile(model)
         return lambda x, norms: x * np.asarray(prof.multiplier(norms))[:, None]
-    # generalized_bayes: tabulate psi = r^2 (1 - kappa) once, a PCHIP on
-    # geometric knots looked up as a CubicTable over log r.  Beyond the
-    # grid psi is held, so the multiplier tends to 1 - psi/r^2 as the
-    # profile's does; below it the multiplier itself is held.
-    prior = config.prior
-    hi = model.support_radius(1e-10)
-    grid = np.geomspace(max(1e-2, 1e-3 * hi), max(hi, 1.0), 49)
-    kappa = np.array([gb_multiplier(prior, model, config.p, float(r)) for r in grid])
-    psi_table = CubicTable(PchipInterpolator(grid, grid**2 * (1.0 - kappa)), np.log)
+    # generalized_bayes: beyond the grid psi is held, so the multiplier
+    # tends to 1 - psi/r^2 as the profile's does; below it the
+    # multiplier itself is held.
+    grid, psi_table = _gb_table(model, config.prior)
 
     def gb(x, norms):
         psi = psi_table(np.clip(norms, grid[0], grid[-1]))

@@ -38,6 +38,9 @@ from sphereshrink.numerics import (
 )
 
 _H_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
+# k of each H row's map v = -k*i*log(1-t), which leaves (1-t)^(k-1) in
+# the integrand (see HSequence._avg)
+_H_MAP_EXPONENT = 3
 # initial pieces of each H row in t, crowding toward t = 1 where the
 # map stretches furthest
 _H_EDGES = np.array([0.0, 0.5, 0.9, 0.99, 0.999, 1.0])
@@ -139,31 +142,52 @@ class HSequence:
         self.kernel = kernel
         self.i = float(i)
 
-    def _avg(self, eta, fn):
-        """int_eta^inf e^{(eta-r)/i} fn(r) dr, one ``integrate_rows`` row per eta.
+    def _avg(self, eta, *fns):
+        """int_eta^inf e^{(eta-r)/i} fn(r) dr for each fn in ``fns``, as a list.
 
-        The map r = eta - i*log(1-t) absorbs the weight exactly:
-        int_0^inf e^{-v/i} fn(eta+v) dv = int_0^1 i*fn(eta - i*log(1-t)) dt,
-        a bounded integrand on [0, 1).  Shifting by eta first keeps the
-        exponent exact; forming eta - r at large eta would cancel away
-        most of its digits.  Each row is scaled by beta(eta) so that its
-        absolute tolerance is relative to the answer's size.
+        One ``integrate_rows`` call holds a row per (fn, eta), those of
+        the first fn first; each entry is a float for a float eta.
+
+        With k = _H_MAP_EXPONENT, the map v = r - eta = -k*i*log(1-t)
+        has dv = k*i dt/(1-t) and e^{-v/i} = (1-t)^k, so
+
+            int_0^inf e^{-v/i} fn(eta+v) dv
+              = int_0^1 k*i * fn(eta - k*i*log(1-t)) * (1-t)^(k-1) dt,
+
+        exactly.  With k = 1 the weight would be absorbed whole, but the
+        integrand i*fn(eta+v) of a kernel like beta then decays only
+        like 1/log(1-t)^2 at t = 1 and the last piece needs many
+        bisections; with k = 3 the factor (1-t)^2 makes it vanish there.
+        Shifting by eta first keeps the exponent exact; forming eta - r
+        at large eta would cancel away most of its digits.  Each row is
+        scaled by beta(eta) so that its absolute tolerance is relative
+        to the answer's size.
         """
         etas = np.atleast_1d(np.asarray(eta, dtype=float))
+        n, m = etas.size, len(fns)
         scale_out = self.kernel.beta_eval(etas)
+        row_eta, row_scale = np.concatenate([etas] * m), np.concatenate([scale_out] * m)
+        stretch = _H_MAP_EXPONENT * self.i
 
         def rows(row, t):
             # the floor on 1 - t keeps the log finite as t -> 1
-            v = -self.i * np.log(np.maximum(1.0 - t, 1e-150))
-            return self.i * fn(etas[row] + v) / scale_out[row]
+            w = np.maximum(1.0 - t, 1e-150)
+            r = row_eta[row] - stretch * np.log(w)
+            if m == 1:
+                y = fns[0](r)
+            else:
+                # ``row`` is nondecreasing, so each fn's rows are one block
+                ends = np.searchsorted(row, n * np.arange(m + 1)).tolist()
+                y = np.concatenate([fn(r[a:b]) for fn, a, b in zip(fns, ends, ends[1:]) if b > a])
+            return stretch * y * w ** (_H_MAP_EXPONENT - 1) / row_scale[row]
 
-        edges = np.broadcast_to(_H_EDGES, (etas.size, _H_EDGES.size))
-        out = integrate_rows(rows, edges, _H_SPEC.abs_tol, _H_SPEC) * scale_out
-        return out if np.ndim(eta) else float(out[0])
+        edges = np.broadcast_to(_H_EDGES, (m * n, _H_EDGES.size))
+        out = integrate_rows(rows, edges, _H_SPEC.abs_tol, _H_SPEC).reshape(m, n) * scale_out
+        return [part if np.ndim(eta) else float(part[0]) for part in out]
 
     def numerator(self, eta):
         """int_eta^inf e^{(eta-r)/i} beta(r) dr."""
-        return self._avg(eta, self.kernel.beta_eval)
+        return self._avg(eta, self.kernel.beta_eval)[0]
 
     def h_eval(self, eta):
         """H_i(eta) in (0, 1)."""
@@ -181,8 +205,7 @@ class HSequence:
         is off by 6e-14, so the second integral stays.
         """
         tail = self.kernel.beta_tail(eta)
-        num = self.numerator(eta)
-        dpart = self._avg(eta, lambda r: -self.kernel.beta_deriv(r))
+        num, dpart = self._avg(eta, self.kernel.beta_eval, lambda r: -self.kernel.beta_deriv(r))
         return self.kernel.beta_eval(eta) * num / tail**2 - dpart / tail
 
 

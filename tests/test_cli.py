@@ -100,3 +100,16 @@ def test_phi_runs_on_a_tabulated_model(tmp_path):
         # second moment agree, so phi stays below it but for rounding
         assert 0.0 <= phi <= limit * (1.0 + 1e-9)
         assert 2.0 / 3.0 <= mult < 1.0
+
+
+@pytest.mark.parametrize("flags", [[], ["--n", "2", "--c", "16"]])
+def test_hseq_strict_passes_on_its_default_config(flags, tmp_path):
+    # the grid's eta H'/H dips to -1.17 near eta = 100 at i = 1, and the
+    # far rows hold it to the kernel's closed form
+    out = tmp_path / "hseq.csv"
+    assert cli.main(["hseq", "--strict", *flags, "--out", str(out)]) == cli.EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    header, *rows = list(csv.reader(lines))
+    labels = [row[header.index("h_prime")] for row in rows]
+    assert labels.count("scaling") == labels.count("elasticity") == 3
+    assert all(row[-1] == "true" for row in rows)

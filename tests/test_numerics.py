@@ -240,7 +240,15 @@ def test_integrate_is_the_one_row_case_of_integrate_rows():
 
 
 def test_integrate_rows_value_does_not_depend_on_the_batch():
-    together = numerics.integrate_rows(_power_rows, _ROW_EDGES, 1e-280)
+    rounds = []
+
+    def sorted_rows(row, x):
+        rounds.append(row)
+        return _power_rows(row, x)
+
+    together = numerics.integrate_rows(sorted_rows, _ROW_EDGES, 1e-280)
+    # each round hands f its rows in nondecreasing order
+    assert len(rounds) > 1 and all(np.all(np.diff(row) >= 0) for row in rounds)
     for i in range(_ROW_EDGES.shape[0]):
         alone = numerics.integrate_rows(lambda row, x: _power_rows(row + i, x), _ROW_EDGES[i : i + 1], 1e-280)
         assert alone[0] == together[i]  # bitwise

@@ -291,6 +291,24 @@ def test_generalized_bayes_tracks_harmonic():
     assert dominance_report(gb).verdict != "violation_at"
 
 
+def test_generalized_bayes_table_is_built_once_per_model_and_prior(monkeypatch):
+    calls, build = [], risk_sim.gb_multiplier
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(risk_sim, "gb_multiplier", counted)
+    cfg = RiskConfig(model=gaussian(3), p=3, estimator="generalized_bayes", prior=harmonic_prior(3),
+                     theta_norms=(0.0, 2.0), samples_per_point=4096, seed=7)
+    first = estimate_risk(cfg, threads=1)
+    built = len(calls)
+    assert built == 49
+    second = estimate_risk(cfg, threads=1)
+    assert len(calls) == built
+    assert second.entries == first.entries
+
+
 def test_general_quadratic_loss():
     q = np.diag([2.0, 1.0, 1.0, 1.0, 1.0])
     curve = small_curve("identity", theta_norms=(0.0, 2.0), n=40_000, loss_Q=q)
