@@ -416,9 +416,12 @@ def _cmd_hseq(args):
     if not i_list:
         raise CLIConfigError("need at least one i")
     etas = np.geomspace(float(cfg["eta_min"]), float(cfg["eta_max"]), int(cfg["points"]))
+    # the far rows' eta rides last in each array call
+    eta_far = max(float(cfg["eta_max"]), 1e6)
+    eta_all = np.append(etas, eta_far)
     seqs = [HSequence(kernel, i) for i in i_list]
-    h_all = [seq.h_eval(etas) for seq in seqs]
-    hp_all = [seq.h_derivative(etas) for seq in seqs]
+    h_all = [seq.h_eval(eta_all) for seq in seqs]
+    hp_all = [seq.h_derivative(eta_all) for seq in seqs]
     bounds = 2.0 * kernel.beta_eval(etas) / kernel.beta_tail(etas)
     all_ok = True
     rows = []
@@ -438,15 +441,14 @@ def _cmd_hseq(args):
             prev_h = h
     # large-eta laws, from H_i ~ i*beta/Tail: the scaling Tail/beta * H_i
     # ~ i and the elasticity eta H'/H ~ eta (beta'/beta + beta/Tail)
-    eta_far = max(float(cfg["eta_max"]), 1e6)
     beta, tail = kernel.beta_eval(eta_far), kernel.beta_tail(eta_far)
     elast_law = eta_far * (kernel.beta_deriv(eta_far) / beta + beta / tail)
-    for seq in seqs:
-        h_far = seq.h_eval(eta_far)
+    for seq, hs, hps in zip(seqs, h_all, hp_all):
+        h_far = float(hs[-1])
         ratio = tail / beta * h_far / seq.i
         ok = abs(ratio - 1.0) <= 0.05
         rows.append((eta_far, seq.i, h_far, "scaling", "", ok, ratio, ok))
-        elast = eta_far * seq.h_derivative(eta_far) / h_far
+        elast = eta_far * float(hps[-1]) / h_far
         elast_ok = abs(elast - elast_law) <= 0.01
         rows.append((eta_far, seq.i, h_far, "elasticity", "", elast_ok, elast, elast_ok))
         all_ok = all_ok and ok and elast_ok

@@ -7,8 +7,13 @@ weight) are scipy cubics evaluated by ``numerics.CubicTable``: a block
 of draws finds each point's knot interval in O(1) from a guide table
 over a coordinate the knots are nearly uniform in (logit u, log r) and
 one knot comparison, not a binary search, and gets bitwise the value
-scipy would.  Draws are keyed by
-(seed, theta index, block index) through counter-based streams, and the
+scipy would.  R U does not depend on theta, so a risk curve draws it
+once per block of draws, from a counter-based stream keyed by
+(seed, block index), and every theta of the curve uses that block:
+X = theta + R U.  The entries of a curve are therefore positively
+correlated across theta, each with the standard error it would have
+alone, and an entry depends only on the seed, its theta and the rest
+of the configuration, not on the other thetas or their order.  The
 per-block partial sums are reduced in a fixed order, so results are
 byte-identical for any worker-thread count.  Paired (common random
 numbers) sampling estimates the risk difference against the identity
@@ -153,14 +158,12 @@ def sample_obs(model: RadialDensity, theta, rng) -> np.ndarray:
     return theta + sample_radius(model, u) * z / np.linalg.norm(z)
 
 
-def _sample_block(model, theta, rng, n):
-    """Block draw with a fixed stream layout: normals first, then uniforms."""
-    p = model.p
-    z = rng.standard_normal((n, p))
+def _sample_block(model, rng, n):
+    """n draws of R U, with a fixed stream layout: normals first, then uniforms."""
+    z = rng.standard_normal((n, model.p))
     u = rng.random(n)
-    radii = sample_radius(model, u)
-    scale = radii / np.linalg.norm(z, axis=1)
-    return theta + z * scale[:, None]
+    scale = sample_radius(model, u) / np.linalg.norm(z, axis=1)
+    return z * scale[:, None]
 
 
 # -- configuration ------------------------------------------------------
@@ -312,7 +315,11 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
 
     The risk of the identity estimator is tr(Q) E_0 ||X||^2 / p exactly,
     reported as the baseline; the paired columns estimate risk(delta) -
-    risk(X) from common draws.
+    risk(X) from common draws.  Block j of every theta shares one draw
+    of R U from the stream keyed by (seed, j), so the entries are
+    correlated across theta while each keeps its own standard error,
+    and an entry is bitwise the same whatever other thetas the curve
+    holds and in whatever order.
     """
     model = config.model
     p = config.p
@@ -331,30 +338,29 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
     baseline = trace_q * model.moment(2.0) / p
 
     norms = config.theta_norms
+    thetas = [norm * direction for norm in norms]
     n_blocks = (n_total + _BLOCK - 1) // _BLOCK
     partials = np.zeros((len(norms), n_blocks, 6))
 
-    def run_block(t, j):
-        theta = norms[t] * direction
-        lo = j * _BLOCK
-        n = min(_BLOCK, n_total - lo)
-        ss = np.random.SeedSequence(config.seed, spawn_key=(t, j))
-        rng = np.random.Generator(np.random.Philox(ss))
-        x = _sample_block(model, theta, rng, n)
-        delta = est_fn(x, np.linalg.norm(x, axis=1))
-        ld = loss(delta - theta)
-        lx = loss(x - theta)
-        d = ld - lx
-        partials[t, j] = (ld.sum(), (ld * ld).sum(), lx.sum(), (lx * lx).sum(), d.sum(), (d * d).sum())
+    def run_block(j):
+        n = min(_BLOCK, n_total - j * _BLOCK)
+        ss = np.random.SeedSequence(config.seed, spawn_key=(j,))
+        ru = _sample_block(model, np.random.Generator(np.random.Philox(ss)), n)
+        for t, theta in enumerate(thetas):
+            x = theta + ru
+            delta = est_fn(x, np.linalg.norm(x, axis=1))
+            ld = loss(delta - theta)
+            lx = loss(x - theta)
+            d = ld - lx
+            partials[t, j] = (ld.sum(), (ld * ld).sum(), lx.sum(), (lx * lx).sum(), d.sum(), (d * d).sum())
 
-    jobs = [(t, j) for t in range(len(norms)) for j in range(n_blocks)]
     n_workers = _resolve_threads(threads)
-    if n_workers <= 1 or len(jobs) == 1:
-        for t, j in jobs:
-            run_block(t, j)
+    if n_workers <= 1 or n_blocks == 1:
+        for j in range(n_blocks):
+            run_block(j)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda tj: run_block(*tj), jobs))
+            list(pool.map(run_block, range(n_blocks)))
 
     def mean_se(total, total_sq):
         mean = total / n_total

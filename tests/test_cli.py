@@ -113,3 +113,24 @@ def test_hseq_strict_passes_on_its_default_config(flags, tmp_path):
     labels = [row[header.index("h_prime")] for row in rows]
     assert labels.count("scaling") == labels.count("elasticity") == 3
     assert all(row[-1] == "true" for row in rows)
+
+
+def test_hseq_integrates_each_i_in_one_array_call(monkeypatch, tmp_path):
+    # the far rows' eta (1e6, the grid's last point by default) joins the
+    # grid's array call instead of a second scalar call per i
+    calls = []
+
+    def counted(name):
+        method = getattr(cli.HSequence, name)
+
+        def call(self, eta):
+            calls.append(name)
+            return method(self, eta)
+
+        return call
+
+    for name in ("h_eval", "h_derivative"):
+        monkeypatch.setattr(cli.HSequence, name, counted(name))
+    out = tmp_path / "hseq.csv"
+    assert cli.main(["hseq", "--strict", "--points", "4", "--i", "1,64", "--out", str(out)]) == cli.EXIT_OK
+    assert calls.count("h_eval") == calls.count("h_derivative") == 2

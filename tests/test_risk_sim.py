@@ -257,6 +257,41 @@ def test_determinism_across_thread_counts():
     assert one.entries == eight.entries
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kw", [
+    {},
+    {"loss_Q": np.diag([3.0, 1.0, 2.0, 1.0, 0.5]), "theta_direction": np.array([1.0, -2.0, 0.0, 0.5, 1.0])},
+], ids=["default", "loss_Q_and_direction"])
+def test_an_entry_does_not_depend_on_the_other_thetas(kw, threads):
+    # every theta reads the same block of R U draws, so an entry is
+    # bitwise the same in any curve that holds its theta
+    def curve(norms):
+        cfg = RiskConfig(model=gaussian(5), p=5, estimator="harmonic_bayes", theta_norms=norms,
+                         samples_per_point=10_000, seed=11, **kw)
+        return estimate_risk(cfg, threads=threads).entries
+
+    forward = curve((0.0, 4.0, 8.0))
+    assert curve((8.0, 0.0, 4.0)) == (forward[2], forward[0], forward[1])
+    for e in forward:
+        assert curve((e.theta_norm,)) == (e,)
+
+
+def test_one_radius_draw_per_block(monkeypatch):
+    calls, draw = [], risk_sim.sample_radius
+
+    def counted(model, u):
+        calls.append(np.size(u))
+        return draw(model, u)
+
+    monkeypatch.setattr(risk_sim, "sample_radius", counted)
+    n = 10_000
+    cfg = RiskConfig(model=gaussian(5), p=5, estimator="harmonic_bayes",
+                     theta_norms=(0.0, 1.0, 2.0, 4.0, 8.0), samples_per_point=n, seed=3)
+    estimate_risk(cfg, threads=2)
+    assert len(calls) == math.ceil(n / 4096)
+    assert sum(calls) == n
+
+
 def test_unpaired_curve():
     curve = small_curve("harmonic_bayes", paired=False)
     assert math.isnan(curve.entries[0].paired_diff_estimate)
