@@ -7,6 +7,14 @@ configuration as `# key = value` header lines, and writes one CSV table
 line plot of the first two numeric columns.  Exit codes: 0 success,
 1 numeric failure, 2 configuration error, 3 failed verdict under
 --strict.
+
+Each option is declared once, in its subcommand's table in `_COMMANDS`:
+its default, and the keywords of its flag, or none for a config-only
+key.  The parser, the config reader and the header echo all read that
+table.  --strict exists only on the subcommands that have a verdict
+(check, risk, hseq, verify).  --depth and --offset set the
+log-thickened prior only; the Blyth kernel of `prior` is derived from
+the prior, one log level deeper than the prior's own log tower.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import io
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +40,6 @@ from sphereshrink.rv_priors import (
     LogTower,
     PriorError,
     blyth_decay,
-    brown_diagnostic,
     classify_prior,
     harmonic_prior,
     log_thickened_prior,
@@ -63,56 +71,33 @@ class CLIConfigError(ValueError):
     pass
 
 
-# -- option plumbing ----------------------------------------------------
+# -- option tables ------------------------------------------------------
+#
+# name -> (default, keywords of the flag --name, underscores written as
+# dashes; None for a config-only key)
 
-_MODEL_SCHEMA = {
-    "family": None,
-    "p": None,
-    "alpha": None,
-    "beta": None,
-    "a": None,
-    "b": None,
-    "table": None,
-    "table_r": None,
-    "table_f": None,
+_MODEL = {
+    "family": (None, {}),
+    "p": (None, {"type": int}),
+    "alpha": (None, {"type": float}),
+    "beta": (None, {"type": float}),
+    "a": (None, {"type": float}),
+    "b": (None, {"type": float}),
+    "table": (None, {"help": "CSV file with columns r, f for tabulated models"}),
+    "table_r": (None, None),
+    "table_f": (None, None),
 }
 
-_PRIOR_SCHEMA = {"prior": "harmonic", "gamma": 2.0, "k": None, "depth": 1, "offset": _E}
-
-
-def _schema(*parts, **extra):
-    out = {}
-    for part in parts:
-        out.update(part)
-    out.update(extra)
-    return out
-
-
-_SCHEMAS = {
-    "model-info": _schema(_MODEL_SCHEMA),
-    "phi": _schema(_MODEL_SCHEMA, r_min=0.1, r_max=20.0, points=100),
-    "check": _schema(_MODEL_SCHEMA),
-    "risk": _schema(
-        _MODEL_SCHEMA,
-        estimator="harmonic",
-        theta="0:10:1",
-        n=10000,
-        seed=0,
-        paired=True,
-        prior="harmonic",
-        gamma=2.0,
-        k=None,
-    ),
-    "hseq": _schema(n=1, c=_E, i="1,10,100", eta_min=2.0, eta_max=1e6, points=13),
-    "prior": _schema(_PRIOR_SCHEMA, p=None, i="1,4,16,64", blyth=True),
-    "verify": _schema(_MODEL_SCHEMA, identity="all", a=None, t=None),
-    "probe": _schema(_MODEL_SCHEMA, _PRIOR_SCHEMA, radii="10,100,1000"),
+_PRIOR = {
+    "prior": ("harmonic", {"choices": ["harmonic", "power", "logthick"]}),
+    "k": (None, {"type": float, "help": "exponent of the power prior"}),
+    "depth": (0, {"type": int, "help": "log depth n of the log-thickened prior"}),
+    "offset": (_E, {"type": float, "help": "log offset c of the log-thickened prior"}),
 }
 
 
-def _resolve_config(args, command):
-    schema = _SCHEMAS[command]
-    cfg = dict(schema)
+def _resolve_config(args, options):
+    cfg = {key: default for key, (default, _) in options.items()}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -122,10 +107,10 @@ def _resolve_config(args, command):
         if not isinstance(doc, dict):
             raise CLIConfigError("config document must be a JSON object")
         for key, val in doc.items():
-            if key not in schema:
-                raise CLIConfigError(f"unknown config key {key!r} for {command}")
+            if key not in options:
+                raise CLIConfigError(f"unknown config key {key!r} for {args.command}")
             cfg[key] = val
-    for key in schema:
+    for key in options:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
@@ -205,17 +190,30 @@ def _table_column(cfg, key):
 
 
 def _build_prior(cfg, p):
-    name = str(cfg.get("prior", "harmonic"))
+    name = str(cfg["prior"])
+    # only `prior` sets gamma: no number of risk or probe depends on it
     gamma = float(cfg.get("gamma", 2.0))
     if name == "harmonic":
         return harmonic_prior(p, gamma)
     if name == "power":
-        if cfg.get("k") is None:
+        if cfg["k"] is None:
             raise CLIConfigError("power prior needs --k")
         return power_prior(float(cfg["k"]), p, gamma)
     if name in ("logthick", "log_thickened"):
-        return log_thickened_prior(int(cfg.get("depth", 1)), float(cfg.get("offset", _E)), p, gamma)
+        return log_thickened_prior(int(cfg["depth"]), float(cfg["offset"]), p, gamma)
     raise CLIConfigError(f"unknown prior {name!r}")
+
+
+def _blyth_kernel(prior):
+    """Kernel one log level deeper than the prior's own tower, Log_n(c) = 1.
+
+    The harmonic and power priors get LogTower(1, e).
+    """
+    n = prior.log_depth + 1
+    c = 1.0
+    for _ in range(n):
+        c = math.exp(c)
+    return BetaKernel(LogTower(n, c))
 
 
 # -- output -------------------------------------------------------------
@@ -298,8 +296,7 @@ def _emit(args, command, cfg, header, rows):
 # -- subcommands --------------------------------------------------------
 
 
-def _cmd_model_info(args):
-    cfg = _resolve_config(args, "model-info")
+def _cmd_model_info(cfg):
     model = _build_model(cfg)
     rows = [
         ("normalization_constant", model.norm_const),
@@ -317,11 +314,10 @@ def _cmd_model_info(args):
     for prop in PROPERTIES:
         v = probe_monotone(model, prop)
         rows.append((prop, v.verdict if v.fails_at is None else f"{v.verdict}@{v.fails_at:.6g}"))
-    return cfg, ("quantity", "value"), rows, EXIT_OK
+    return ("quantity", "value"), rows, True
 
 
-def _cmd_phi(args):
-    cfg = _resolve_config(args, "phi")
+def _cmd_phi(cfg):
     model = _build_model(cfg)
     r_min, r_max = float(cfg["r_min"]), float(cfg["r_max"])
     points = int(cfg["points"])
@@ -332,11 +328,10 @@ def _cmd_phi(args):
     rows = []
     for r in np.linspace(r_min, r_max, points):
         rows.append((float(r), float(prof.phi(r)), float(prof.multiplier(r)), limit))
-    return cfg, ("r", "phi", "multiplier", "limit_value"), rows, EXIT_OK
+    return ("r", "phi", "multiplier", "limit_value"), rows, True
 
 
-def _cmd_check(args):
-    cfg = _resolve_config(args, "check")
+def _cmd_check(cfg):
     model = _build_model(cfg)
     report = evaluate_conditions(model, model.p)
     rows = []
@@ -345,16 +340,13 @@ def _cmd_check(args):
         rows.append((e.condition, e.applicable, hyp, e.bound, e.phi_limit, e.satisfied, e.note))
     for key in sorted(report.quantities):
         rows.append((f"quantity:{key}", "", "", report.quantities[key], "", "", ""))
-    rows.append(("overall", "", "", "", "", report.overall == "minimax_certified", report.overall))
-    code = EXIT_OK
-    if args.strict and report.overall != "minimax_certified":
-        code = EXIT_VERDICT
+    ok = report.overall == "minimax_certified"
+    rows.append(("overall", "", "", "", "", ok, report.overall))
     header = ("condition", "applicable", "hypotheses", "bound", "phi_limit", "satisfied", "note")
-    return cfg, header, rows, code
+    return header, rows, ok
 
 
-def _cmd_risk(args):
-    cfg = _resolve_config(args, "risk")
+def _cmd_risk(cfg):
     model = _build_model(cfg)
     est_raw = str(cfg["estimator"])
     aliases = {
@@ -403,14 +395,11 @@ def _cmd_risk(args):
         )
     if verdict is not None:
         rows.append(("dominance", "", "", "", "", "", verdict.verdict))
-    code = EXIT_OK
-    if args.strict and (verdict is None or verdict.verdict != "dominates"):
-        code = EXIT_VERDICT
-    return cfg, ("theta_norm", "risk", "se", "baseline", "diff", "diff_se", "verdict"), rows, code
+    ok = verdict is not None and verdict.verdict == "dominates"
+    return ("theta_norm", "risk", "se", "baseline", "diff", "diff_se", "verdict"), rows, ok
 
 
-def _cmd_hseq(args):
-    cfg = _resolve_config(args, "hseq")
+def _cmd_hseq(cfg):
     kernel = BetaKernel(LogTower(int(cfg["n"]), float(cfg["c"])))
     i_list = _parse_list(cfg["i"])
     if not i_list:
@@ -452,18 +441,14 @@ def _cmd_hseq(args):
         elast_ok = abs(elast - elast_law) <= 0.01
         rows.append((eta_far, seq.i, h_far, "elasticity", "", elast_ok, elast, elast_ok))
         all_ok = all_ok and ok and elast_ok
-    code = EXIT_VERDICT if args.strict and not all_ok else EXIT_OK
     header = ("eta", "i", "h", "h_prime", "monotone_in_i", "deriv_bound_ok", "elasticity", "ok")
-    return cfg, header, rows, code
+    return header, rows, all_ok
 
 
-def _cmd_prior(args):
-    cfg = _resolve_config(args, "prior")
-    if cfg.get("p") is None:
+def _cmd_prior(cfg):
+    if cfg["p"] is None:
         raise CLIConfigError("the dimension is required (--p)")
-    p = int(cfg["p"])
-    prior = _build_prior(cfg, p)
-    kernel = BetaKernel(LogTower(int(cfg["depth"]), float(cfg["offset"])))
+    prior = _build_prior(cfg, int(cfg["p"]))
     cls = classify_prior(prior)
     rows = [
         ("classification", "verdict", cls.verdict),
@@ -472,28 +457,25 @@ def _cmd_prior(args):
         ("classification", "fg1_ok", cls.fg1_ok),
         ("classification", "boundary_margin", cls.boundary_margin),
         ("classification", "detail", cls.detail),
-    ]
-    brown = brown_diagnostic(prior)
-    rows += [
-        ("brown", "verdict", brown.verdict),
-        ("brown", "decay_exponent", brown.decay_exponent),
-        ("brown", "total", brown.total),
+        ("brown", "verdict", cls.brown.verdict),
+        ("brown", "decay_exponent", cls.brown.decay_exponent),
+        # c_p int eta^{1-p} / G over eta > 1, not Brown's integral itself
+        ("brown", "reduced_integral_total", cls.brown.total),
     ]
     if bool(cfg["blyth"]):
         i_list = _parse_list(cfg["i"])
-        js = blyth_decay(prior, kernel, i_list)
+        js = blyth_decay(prior, _blyth_kernel(prior), i_list)
         for i, j in zip(i_list, js):
             rows.append(("blyth", f"J({_fmt(i)})", j))
         if len(js) >= 2 and js[0] > 0:
             rows.append(("blyth", "last_over_first", js[-1] / js[0]))
-    return cfg, ("section", "key", "value"), rows, EXIT_OK
+    return ("section", "key", "value"), rows, True
 
 
 _VERIFY_TOL = {"gegenbauer": 1e-8, "minpower": 1e-5, "kernelmass": 5e-6}
 
 
-def _cmd_verify(args):
-    cfg = _resolve_config(args, "verify")
+def _cmd_verify(cfg):
     which = str(cfg["identity"])
     rows = []
     checks = []
@@ -533,12 +515,10 @@ def _cmd_verify(args):
         params = ";".join(f"{k}={_fmt(float(v)) if isinstance(v, (int, float)) else v}"
                           for k, v in sorted(chk.params.items()))
         rows.append((name, params, chk.lhs, chk.rhs, chk.rel_error, ok))
-    code = EXIT_VERDICT if args.strict and worst_fail else EXIT_OK
-    return cfg, ("identity", "params", "lhs", "rhs", "rel_error", "ok"), rows, code
+    return ("identity", "params", "lhs", "rhs", "rel_error", "ok"), rows, not worst_fail
 
 
-def _cmd_probe(args):
-    cfg = _resolve_config(args, "probe")
+def _cmd_probe(cfg):
     model = _build_model(cfg)
     prior = _build_prior(cfg, model.p)
     radii = _parse_list(cfg["radii"])
@@ -551,18 +531,59 @@ def _cmd_probe(args):
                          abs(float(probe.ratios[name][idx]) - 1.0)))
     for name in names:
         rows.append(("fitted_eps", name, float(probe.fitted_eps[name]), ""))
-    return cfg, ("r", "ratio", "value", "abs_deviation"), rows, EXIT_OK
+    return ("r", "ratio", "value", "abs_deviation"), rows, True
+
+
+class _Command(NamedTuple):
+    run: Callable  # cfg -> (header, rows, whether the verdict holds; True if none)
+    help: str
+    options: dict
+    verdict: bool = False  # the subcommand takes --strict
 
 
 _COMMANDS = {
-    "model-info": _cmd_model_info,
-    "phi": _cmd_phi,
-    "check": _cmd_check,
-    "risk": _cmd_risk,
-    "hseq": _cmd_hseq,
-    "prior": _cmd_prior,
-    "verify": _cmd_verify,
-    "probe": _cmd_probe,
+    "model-info": _Command(_cmd_model_info, "moments, tail and monotonicity summary", _MODEL),
+    "phi": _Command(_cmd_phi, "shrinkage weight curve as CSV", {
+        **_MODEL,
+        "r_min": (0.1, {"type": float}),
+        "r_max": (20.0, {"type": float}),
+        "points": (100, {"type": int}),
+    }),
+    "check": _Command(_cmd_check, "minimaxity condition audit", _MODEL, verdict=True),
+    "risk": _Command(_cmd_risk, "Monte Carlo risk curve", {
+        **_MODEL,
+        **_PRIOR,
+        "estimator": ("harmonic", {}),
+        "theta": ("0:10:1", {"help": "comma list or start:stop:step"}),
+        "n": (10000, {"type": int, "help": "samples per theta"}),
+        "seed": (0, {"type": int}),
+        "paired": (True, {"action": argparse.BooleanOptionalAction}),
+    }, verdict=True),
+    "hseq": _Command(_cmd_hseq, "exponential-average sequence properties", {
+        "n": (1, {"type": int, "help": "log-tower depth"}),
+        "c": (_E, {"type": float, "help": "log-tower offset"}),
+        "i": ("1,10,100", {"help": "comma list of timescales"}),
+        "eta_min": (2.0, {"type": float}),
+        "eta_max": (1e6, {"type": float}),
+        "points": (13, {"type": int}),
+    }, verdict=True),
+    "prior": _Command(_cmd_prior, "prior classification and decay diagnostics", {
+        **_PRIOR,
+        "gamma": (2.0, {"type": float}),
+        "p": (None, {"type": int}),
+        "i": ("1,4,16,64", {"help": "comma list of decay timescales"}),
+        "blyth": (True, {"action": argparse.BooleanOptionalAction}),
+    }),
+    "verify": _Command(_cmd_verify, "closed-form integral identities", {
+        **_MODEL,
+        "identity": ("all", {"choices": ["gegenbauer", "minpower", "kernelmass", "all"]}),
+        "t": (None, {"type": float}),
+    }, verdict=True),
+    "probe": _Command(_cmd_probe, "large-radius marginal ratio table", {
+        **_MODEL,
+        **_PRIOR,
+        "radii": ("10,100,1000", {"help": "comma list of radii"}),
+    }),
 }
 
 _CONFIG_STAGE = (CLIConfigError, ModelError, PriorError, RiskSimError)
@@ -580,76 +601,18 @@ def _build_parser():
     common.add_argument("--config", help="JSON config document; flags override it")
     common.add_argument("--out", help="output CSV path (default stdout)")
     common.add_argument("--svg", help="also write a line plot of the first two numeric columns")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 3 when the subcommand's verdict fails")
 
     parser = argparse.ArgumentParser(prog="sphereshrink",
                                      description="shrinkage estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def model_flags(sp):
-        sp.add_argument("--family")
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--b", type=float)
-        sp.add_argument("--table", help="CSV file with columns r, f for tabulated models")
-
-    def prior_flags(sp):
-        sp.add_argument("--prior", choices=["harmonic", "power", "logthick"])
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--k", type=float)
-        sp.add_argument("--depth", type=int, help="log-tower depth of the beta kernel")
-        sp.add_argument("--offset", type=float, help="log-tower offset c")
-
-    sp = sub.add_parser("model-info", parents=[common], help="moments, tail and monotonicity summary")
-    model_flags(sp)
-
-    sp = sub.add_parser("phi", parents=[common], help="shrinkage weight curve as CSV")
-    model_flags(sp)
-    sp.add_argument("--r-min", dest="r_min", type=float)
-    sp.add_argument("--r-max", dest="r_max", type=float)
-    sp.add_argument("--points", type=int)
-
-    sp = sub.add_parser("check", parents=[common], help="minimaxity condition audit")
-    model_flags(sp)
-
-    sp = sub.add_parser("risk", parents=[common], help="Monte Carlo risk curve")
-    model_flags(sp)
-    sp.add_argument("--estimator")
-    sp.add_argument("--theta", help="comma list or start:stop:step")
-    sp.add_argument("--n", type=int, help="samples per theta")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--paired", action=argparse.BooleanOptionalAction)
-    sp.add_argument("--prior", choices=["harmonic", "power"])
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--k", type=float)
-
-    sp = sub.add_parser("hseq", parents=[common], help="exponential-average sequence properties")
-    sp.add_argument("--n", type=int, help="log-tower depth")
-    sp.add_argument("--c", type=float, help="log-tower offset")
-    sp.add_argument("--i", help="comma list of timescales")
-    sp.add_argument("--eta-min", dest="eta_min", type=float)
-    sp.add_argument("--eta-max", dest="eta_max", type=float)
-    sp.add_argument("--points", type=int)
-
-    sp = sub.add_parser("prior", parents=[common], help="prior classification and decay diagnostics")
-    prior_flags(sp)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--i", help="comma list of decay timescales")
-    sp.add_argument("--blyth", action=argparse.BooleanOptionalAction)
-
-    sp = sub.add_parser("verify", parents=[common], help="closed-form integral identities")
-    model_flags(sp)
-    sp.add_argument("--identity", choices=["gegenbauer", "minpower", "kernelmass", "all"])
-    sp.add_argument("--t", type=float)
-
-    sp = sub.add_parser("probe", parents=[common], help="large-radius marginal ratio table")
-    model_flags(sp)
-    prior_flags(sp)
-    sp.add_argument("--radii", help="comma list of radii")
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        if command.verdict:
+            sp.add_argument("--strict", action="store_true",
+                            help="exit 3 when the subcommand's verdict fails")
+        for key, (_, flag) in command.options.items():
+            if flag is not None:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
     return parser
 
 
@@ -659,9 +622,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = _COMMANDS[args.command]
+    command = _COMMANDS[args.command]
     try:
-        cfg, header, rows, code = handler(args)
+        cfg = _resolve_config(args, command.options)
+        header, rows, ok = command.run(cfg)
     except _CONFIG_STAGE as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -676,7 +640,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return code
+    return EXIT_VERDICT if command.verdict and args.strict and not ok else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -218,30 +218,6 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     return cp * (p - 2.0) * float(model.kernel_moment(p - 3.0, r)) / r ** (p - 2.0)
 
 
-def harmonic_ratio_deviation(model: RadialDensity, r: float) -> float:
-    """Signed m(g|x)/g(x) - 1 for the fundamental-solution prior.
-
-    Algebraically m/g = c_p (p-2) int_0^r u^{p-3} F(u) du and the full
-    integral is exactly 1, so the deviation is minus the tail
-
-        m/g - 1 = -c_p (p-2) int_r^inf u^{p-3} F(u) du.
-
-    Computing the tail directly keeps the quantity meaningful far beyond
-    the point where m/g - 1 drowns in subtraction roundoff (for light
-    kernels it underflows to an honest zero instead).
-    """
-    p = model.p
-    if r <= 0:
-        raise ConvolutionError("radius must be positive")
-    cp = sphere_surface(p)
-
-    def fn(u):
-        return u ** (p - 3.0) * model.big_f(u)
-
-    tail = integrate_semi_infinite(fn, r, _CLOSED_SPEC, **model.tail_decay).value
-    return -cp * (p - 2.0) * tail
-
-
 def marginal_m(prior: RadialPrior, model: RadialDensity, r: float, *, force_oracle: bool = False) -> float:
     """Prior marginal m(g|x) at ||x|| = r.
 

@@ -451,17 +451,6 @@ class RadialDensity:
                 break
         return hi
 
-    @property
-    def cache_key(self):
-        items = []
-        for key in sorted(self.params):
-            val = self.params[key]
-            if isinstance(val, np.ndarray):
-                items.append((key, val.tobytes()))
-            else:
-                items.append((key, val))
-        return (self.family, self.p, tuple(items))
-
     def __repr__(self):
         ps = ", ".join(
             f"{k}=<{len(v)} pts>" if isinstance(v, np.ndarray) else f"{k}={v!r}"

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand end to end, and its CSV cells."""
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -134,3 +135,53 @@ def test_hseq_integrates_each_i_in_one_array_call(monkeypatch, tmp_path):
     out = tmp_path / "hseq.csv"
     assert cli.main(["hseq", "--strict", "--points", "4", "--i", "1,64", "--out", str(out)]) == cli.EXIT_OK
     assert calls.count("h_eval") == calls.count("h_derivative") == 2
+
+
+def data_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return list(csv.reader(lines))[1:]
+
+
+def test_prior_takes_the_log_thickened_prior(tmp_path):
+    # --depth/--offset set the prior alone; the Blyth kernel follows from it
+    out = tmp_path / "prior.csv"
+    assert cli.main(["prior", "--p", "3", "--prior", "logthick", "--depth", "0", "--offset", "2",
+                     "--i", "1,4", "--out", str(out)]) == cli.EXIT_OK
+    js = [float(row[2]) for row in data_rows(out) if row[1].startswith("J(")]
+    assert len(js) == 2 and all(j > 0 for j in js)
+
+
+def test_risk_takes_the_log_thickened_prior(tmp_path):
+    out = tmp_path / "risk.csv"
+    assert cli.main(["risk", *MODEL, "--estimator", "gb", "--prior", "logthick", "--n", "2000",
+                     "--theta", "0,4", "--out", str(out)]) == cli.EXIT_OK
+    assert [row[0] for row in data_rows(out)] == ["0.0", "4.0", "dominance"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk", *MODEL, "--gamma", "1"],  # gamma changes no number of risk or probe
+    ["probe", *MODEL, "--gamma", "1"],
+    ["phi", *MODEL, "--strict"],  # phi has no verdict
+])
+def test_options_a_subcommand_does_not_use_are_refused(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --depth/--offset shape the log-thickened prior and reach no other
+@pytest.mark.parametrize("flags, tower", [
+    (["--depth", "2", "--offset", "16"], cli.LogTower(1, math.e)),
+    (["--prior", "power", "--k", "-2.7", "--depth", "2", "--offset", "16"], cli.LogTower(1, math.e)),
+    (["--prior", "logthick"], cli.LogTower(2, math.exp(math.e))),
+])
+def test_blyth_kernel_is_one_log_level_deeper_than_the_prior(flags, tower, monkeypatch, tmp_path):
+    towers = []
+
+    def blyth_decay(prior, kernel, i_list):
+        towers.append(kernel.tower)
+        return [1.0] * len(i_list)
+
+    monkeypatch.setattr(cli, "blyth_decay", blyth_decay)
+    out = tmp_path / "prior.csv"
+    assert cli.main(["prior", "--p", "5", *flags, "--i", "1,4", "--out", str(out)]) == cli.EXIT_OK
+    assert towers == [tower]

@@ -22,7 +22,6 @@ from sphereshrink.radial_convolution import (
     asymptotic_ratio_probe,
     c_f,
     harmonic_marginal_closed,
-    harmonic_ratio_deviation,
     kernel_marginal_M,
     marginal_m,
     radial_expectation,
@@ -183,28 +182,6 @@ def test_marginal_integrability_failure():
     wild = custom_prior(g, gp, 3)
     with pytest.raises(ConvolutionError):
         marginal_m(wild, gaussian(3), 1.0)
-
-
-# --- large-r deviation ------------------------------------------------
-
-def test_ratio_deviation_matches_direct_subtraction():
-    m = gaussian(3)
-    for r in (0.5, 1.0, 2.0):
-        direct = harmonic_marginal_closed(m, r) * r - 1.0  # g = 1/r at p=3
-        ident = harmonic_ratio_deviation(m, r)
-        assert ident == pytest.approx(direct, rel=1e-12)
-        assert ident < 0  # shell property: outside mass only drags m below g
-
-
-def test_ratio_deviation_decade_decay():
-    devs = [abs(harmonic_ratio_deviation(gaussian(3), r)) for r in (10.0, 100.0, 1000.0)]
-    assert devs[0] < 1e-20
-    assert devs[1] <= devs[0] / 5.0 and devs[2] <= devs[1] / 5.0
-
-    # heavier kernel: deviations stay representable and still collapse
-    devs = [abs(harmonic_ratio_deviation(poly_exp(2.0, 0.25, 5), r)) for r in (10.0, 20.0, 40.0)]
-    assert all(d > 0 for d in devs)
-    assert devs[1] < devs[0] / 5.0 and devs[2] < devs[1] / 5.0
 
 
 # --- asymptotic probe -------------------------------------------------
