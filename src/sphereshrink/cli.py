@@ -32,8 +32,8 @@ import numpy as np
 from sphereshrink.minimax_audit import PROPERTIES, evaluate_conditions, inf_ratio, probe_monotone
 from sphereshrink.numerics import QuadratureError
 from sphereshrink.radial_convolution import ConvolutionError, asymptotic_ratio_probe, c_f
-from sphereshrink.radial_models import DivergentMoment, ModelError, normalize
-from sphereshrink.risk_sim import RiskConfig, RiskSimError, dominance_report, estimate_risk
+from sphereshrink.radial_models import _FAMILIES as _FAMILY_CLASSES, DivergentMoment, ModelError, normalize
+from sphereshrink.risk_sim import RiskConfig, RiskSimError, dominance_report, estimate_risk, point_verdict
 from sphereshrink.rv_priors import (
     BetaKernel,
     HSequence,
@@ -47,6 +47,7 @@ from sphereshrink.rv_priors import (
 )
 from sphereshrink.shrinkage import ShrinkageError, _cached_profile, phi_limit
 from sphereshrink.special_integrals import (
+    IdentityError,
     gegenbauer_identity,
     kernel_mass_identity,
     min_power_identity,
@@ -54,15 +55,16 @@ from sphereshrink.special_integrals import (
 
 EXIT_OK, EXIT_NUMERIC, EXIT_CONFIG, EXIT_VERDICT = 0, 1, 2, 3
 
-# command-line spelling -> (family, the options holding its parameters);
-# a tabulated model's "r" and "f" are the columns of its table
+# command-line spelling -> family; each parameter of a family is the
+# option of the same name, but a tabulated model's "r" and "f" are the
+# columns of its table
 _FAMILIES = {
-    "gaussian": ("gaussian", ()),
-    "polyexp": ("poly_exp", ("alpha", "beta")),
-    "poly_exp": ("poly_exp", ("alpha", "beta")),
-    "mixdiff": ("mixture_diff", ("a", "b")),
-    "mixture_diff": ("mixture_diff", ("a", "b")),
-    "tabulated": ("tabulated", ("r", "f")),
+    "gaussian": "gaussian",
+    "polyexp": "poly_exp",
+    "poly_exp": "poly_exp",
+    "mixdiff": "mixture_diff",
+    "mixture_diff": "mixture_diff",
+    "tabulated": "tabulated",
 }
 _E = math.e
 
@@ -163,7 +165,8 @@ def _build_model(cfg):
         raise CLIConfigError("a model family is required (--family)")
     if str(fam_raw) not in _FAMILIES:
         raise CLIConfigError(f"unknown family {fam_raw!r}; choose from {sorted(set(_FAMILIES))}")
-    family, keys = _FAMILIES[str(fam_raw)]
+    family = _FAMILIES[str(fam_raw)]
+    keys = _FAMILY_CLASSES[family].param_names
     if cfg.get("p") is None:
         raise CLIConfigError("the dimension is required (--p)")
     p = int(cfg["p"])
@@ -374,14 +377,6 @@ def _cmd_risk(cfg):
     verdict = dominance_report(curve) if rc.paired else None
     rows = []
     for e in curve.entries:
-        if verdict is None:
-            status = ""
-        elif verdict.verdict == "violation_at" and e.theta_norm == verdict.theta:
-            status = "violation"
-        elif e.paired_diff_estimate + 3.0 * e.paired_diff_std_error <= 0.0 and e.paired_diff_estimate < 0.0:
-            status = "win"
-        else:
-            status = "tie"
         rows.append(
             (
                 e.theta_norm,
@@ -390,7 +385,7 @@ def _cmd_risk(cfg):
                 e.baseline_risk,
                 e.paired_diff_estimate,
                 e.paired_diff_std_error,
-                status,
+                "" if verdict is None else point_verdict(e),
             )
         )
     if verdict is not None:
@@ -586,7 +581,7 @@ _COMMANDS = {
     }),
 }
 
-_CONFIG_STAGE = (CLIConfigError, ModelError, PriorError, RiskSimError)
+_CONFIG_STAGE = (CLIConfigError, ModelError, PriorError, RiskSimError, IdentityError)
 _NUMERIC_STAGE = (
     QuadratureError,
     ConvolutionError,

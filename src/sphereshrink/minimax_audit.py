@@ -87,7 +87,7 @@ def probe_monotone(model: RadialDensity, prop: str, grid=None, tol: float = 1e-9
     if worst <= 0.0:
         worst = 0.0
 
-    closed = model.form.monotone(prop)
+    closed = model.monotone(prop)
     if closed is None:
         holds = worst <= tol
     else:
@@ -104,7 +104,7 @@ def inf_ratio(model: RadialDensity) -> float:
 
     Closed form where the family has one, else the minimum over a grid.
     """
-    closed = model.form.inf_ratio()
+    closed = model.inf_ratio()
     if closed is not None:
         return closed
     hi = model.support_radius(1e-12)

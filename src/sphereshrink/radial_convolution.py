@@ -15,10 +15,10 @@ ridge boundary layer sits at a known scale |r - lambda| / sqrt(2 r
 lambda) that the integrator can be pointed at.
 
 The angular integrals are batched: each call of the outer integrand
-gets all the lambdas of one outer segment (22 Gauss nodes) and adapts
-their angular integrals as the rows of one ``numerics.integrate_rows``
-pass, each row starting from its own ridge hints.  No integral is
-evaluated one lambda at a time.
+gets the 15 Kronrod nodes of every outer segment in one pass of the
+outer integrator and adapts their angular integrals as the rows of one
+``numerics.integrate_rows`` pass, each row starting from its own ridge
+hints.  No integral is evaluated one lambda at a time.
 
 Everything here serves as the slow-but-independent oracle for the
 closed-form marginals used elsewhere.
@@ -108,11 +108,11 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
     """The convolution integral int rho(||theta||) w(||theta - x||) dtheta."""
     p = problem.p
     r = problem.r
-    w = _kernel_weight(problem)
 
     if r == 0.0:
         # kernel centered at the origin: purely radial
         rho = problem.integrand
+        w = _kernel_weight(problem)
 
         def radial(lam):
             return rho(lam) * w(lam) * lam ** (p - 1.0)
@@ -124,10 +124,10 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
         tail = integrate_semi_infinite(radial, 1.0, spec, **problem.model.tail_decay).value
         return sphere_surface(p) * (head + tail)
 
-    return _outer_sweep(problem, w, cos_weight=False, extra_power=0.0)
+    return _outer_sweep(problem, cos_weight=False)
 
 
-def _outer_sweep(problem: ConvolutionProblem, w, *, cos_weight: bool, extra_power: float) -> float:
+def _outer_sweep(problem: ConvolutionProblem, *, cos_weight: bool) -> float:
     """Radial (lambda) integral wrapping the angular one.
 
     The kernel's mass lives within its support radius regardless of r;
@@ -136,11 +136,14 @@ def _outer_sweep(problem: ConvolutionProblem, w, *, cos_weight: bool, extra_powe
     Each call of ``outer`` adapts the angular integrals of all its
     lambdas as the rows of one ``integrate_rows`` batch.  With
     ``cos_weight`` the angular integrand also carries the
-    cos(phi) = v^2 - 1 factor used by directional (along-x) numerators.
+    cos(phi) = v^2 - 1 factor used by directional (along-x) numerators,
+    and the radial integrand one more power of lambda.
     """
     p = problem.p
     r = problem.r
     rho = problem.integrand
+    w = _kernel_weight(problem)
+    extra_power = 1.0 if cos_weight else 0.0
 
     def outer(lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -181,9 +184,8 @@ def _outer_sweep(problem: ConvolutionProblem, w, *, cos_weight: bool, extra_powe
     return sphere_surface(p - 1) * (head + tail)
 
 
-def directional_marginal(integrand, model: RadialDensity, r: float, *,
-                         singularity_class: float = 0.0, kernel: str = "density") -> float:
-    """Along-x numerator piece: int rho(||theta||) lambda cos(phi) w(lambda) dtheta.
+def directional_marginal(integrand, model: RadialDensity, r: float, *, singularity_class: float = 0.0) -> float:
+    """Along-x numerator piece: int rho(||theta||) lambda cos(phi) f(lambda) dtheta.
 
     Here lambda cos(phi) is the projection of theta - x onto the x
     direction, so the full posterior-mean numerator along x is
@@ -191,10 +193,9 @@ def directional_marginal(integrand, model: RadialDensity, r: float, *,
     """
     if r == 0.0:
         return 0.0
-    problem = ConvolutionProblem(model, kernel, integrand, float(r), singularity_class)
-    w = _kernel_weight(problem)
+    problem = ConvolutionProblem(model, "density", integrand, float(r), singularity_class)
     try:
-        return _outer_sweep(problem, w, cos_weight=True, extra_power=1.0)
+        return _outer_sweep(problem, cos_weight=True)
     except (DivergenceSuspected, NonFiniteIntegrand) as exc:
         raise ConvolutionError(f"directional marginal integrability fails: {exc}") from exc
 
@@ -226,7 +227,7 @@ def marginal_m(prior: RadialPrior, model: RadialDensity, r: float, *, force_orac
     """
     if prior.p != model.p:
         raise ConvolutionError("prior and model dimensions differ")
-    if prior.form.harmonic and not force_oracle:
+    if prior.harmonic and not force_oracle:
         return harmonic_marginal_closed(model, r)
     problem = ConvolutionProblem(model, "density", prior.g_eval, float(r), prior.origin_class)
     try:

@@ -390,16 +390,26 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
     return RiskCurve(tuple(entries), metadata)
 
 
+def point_verdict(point: RiskPoint) -> str:
+    """Three-sigma label of one paired entry: "violation", "win" or "tie".
+
+    A violation is d - 3 se > 0, a strict win d + 3 se <= 0 with d < 0;
+    anything else is within 3 sigma of 0.
+    """
+    d, se = point.paired_diff_estimate, point.paired_diff_std_error
+    if d - 3.0 * se > 0.0:
+        return "violation"
+    return "win" if d + 3.0 * se <= 0.0 and d < 0.0 else "tie"
+
+
 def dominance_report(curve: RiskCurve) -> DominanceVerdict:
-    """Three-sigma verdict on dominance over the identity estimator."""
+    """Three-sigma verdict on dominance over the identity estimator.
+
+    The first violating entry decides; else any strict win dominates.
+    """
     if not curve.metadata.get("paired", False):
         raise RiskSimError("dominance_report needs a paired curve")
-    strict_win = False
-    for e in curve.entries:
-        d, se = e.paired_diff_estimate, e.paired_diff_std_error
-        if d - 3.0 * se > 0.0:
-            return DominanceVerdict("violation_at", e.theta_norm)
-        # anything else is a strict win (d + 3 se <= 0) or within 3 sigma of 0
-        if d + 3.0 * se <= 0.0 and d < 0.0:
-            strict_win = True
-    return DominanceVerdict("dominates" if strict_win else "inconclusive")
+    labels = [point_verdict(e) for e in curve.entries]
+    if "violation" in labels:
+        return DominanceVerdict("violation_at", curve.entries[labels.index("violation")].theta_norm)
+    return DominanceVerdict("dominates" if "win" in labels else "inconclusive")

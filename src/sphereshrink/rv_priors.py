@@ -17,11 +17,13 @@ index, the decay of the Blyth quadratic-form integrals J(i), a
 Brown-type integral test on partial sums, and a coarse
 admissible/inadmissible classification.
 Each prior family (power, which also serves the harmonic prior,
-log-thickened and custom) is one small class built by its factory.
+log-thickened and custom) is a subclass of :class:`RadialPrior` built by
+its factory.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -216,71 +218,137 @@ def _value(out):
     return out if out.ndim else float(out)
 
 
-def _check_dimension(p) -> int:
-    if p < 3:
-        raise PriorError("dimension p must be at least 3")
-    return int(p)
+class RadialPrior:
+    """Radial prior density G(eta) on R^p with thin-tail exponent data.
 
-
-class _PriorFamily:
-    """Closed forms of one prior family at fixed parameters and dimension.
-
-    Methods receive float arrays.  ``rv_index`` (the tail index) and
-    ``origin_slope`` (the limit of eta G'/G at 0) are None when they must
-    be estimated; ``harmonic`` marks G = eta^{2-p}, whose marginal has a
-    closed form; ``detail`` is the parameter text of the prior's repr.
+    Each family subclasses this type and is built by its factory.  A
+    family sets ``params`` and ``detail`` (the parameter text of its
+    repr) and defines ``_g``, ``_g_deriv`` and ``_g_deriv2``; the public
+    methods here convert their input to float arrays and call them, and
+    no family overrides them, so ``perfbench/tracer.py`` can wrap
+    ``g_eval`` here.
+    ``rv_index`` (the regular-variation index) and ``origin_slope`` (the
+    limit of eta G'/G at 0) are None when they must be estimated;
+    ``log_depth`` counts the iterated-log factors riding on the power
+    part; ``harmonic`` marks G = eta^{2-p}, whose marginal has a closed
+    form.  ``gamma`` is the exponent used when the smoothing sequence is
+    glued onto the prior in properness and Blyth integrals.
     """
 
-    name = ""
+    family = ""
     rv_index = None
     origin_slope = None
     log_depth = 0
     harmonic = False
 
-    def log_deriv(self, eta):
-        return eta * self.g_deriv(eta) / self.g(eta)
+    def __new__(cls, *args, **kwargs):
+        if cls is RadialPrior:
+            raise PriorError("use a prior factory (power_prior, harmonic_prior, ...)")
+        return super().__new__(cls)
 
-    def second_log_deriv(self, eta):
-        return eta * self.g_deriv2(eta) / self.g_deriv(eta)
+    def __init__(self, p, gamma):
+        if p < 3:
+            raise PriorError("dimension p must be at least 3")
+        self.p = int(p)
+        self.gamma = float(gamma)
+        if not 0.0 < self.gamma <= 2.0:
+            raise PriorError("gamma must lie in (0, 2]")
 
+    # G and its derivatives ------------------------------------------
 
-class _Power(_PriorFamily):
-    """G(eta) = eta^k; under the name "harmonic" it is k = 2 - p."""
-
-    def __init__(self, name: str, k: float, p: int):
-        self.name, self.p, self.k = name, p, k
-        self.params = {"k": k}
-        self.rv_index = self.origin_slope = k
-        self.harmonic = k == 2.0 - p
-        self.detail = f"k={k}"
-
-    def g(self, eta):
-        return eta**self.k
+    def g_eval(self, eta):
+        return _value(self._g(np.asarray(eta, dtype=float)))
 
     def g_deriv(self, eta):
-        return self.k * eta ** (self.k - 1.0)
+        return _value(self._g_deriv(np.asarray(eta, dtype=float)))
 
     def g_deriv2(self, eta):
-        return self.k * (self.k - 1.0) * eta ** (self.k - 2.0)
+        return _value(self._g_deriv2(np.asarray(eta, dtype=float)))
 
     def log_deriv(self, eta):
-        return np.full_like(eta, self.k)
+        """eta G'(eta) / G(eta)."""
+        return _value(self._log_deriv(np.asarray(eta, dtype=float)))
 
     def second_log_deriv(self, eta):
+        """eta G''(eta) / G'(eta)."""
+        return _value(self._second_log_deriv(np.asarray(eta, dtype=float)))
+
+    def _log_deriv(self, eta):
+        return eta * self._g_deriv(eta) / self._g(eta)
+
+    def _second_log_deriv(self, eta):
+        return eta * self._g_deriv2(eta) / self._g_deriv(eta)
+
+    @property
+    def origin_class(self) -> float:
+        """Power growth of G at the origin: closed form, else the audited slope t0."""
+        t0 = self.origin_slope
+        return self.assumption_profile.t0 if t0 is None else t0
+
+    def estimated_rv_index(self) -> float:
+        k = self.rv_index
+        if k is not None:
+            return k
+        grid = np.geomspace(1e4, 1e8, 60)
+        slope = np.polyfit(np.log(grid), np.log(np.abs(self.g_eval(grid))), 1)[0]
+        return float(slope)
+
+    @property
+    def assumption_profile(self):
+        """Slope-bound audit over the default grid, computed once."""
+        if not hasattr(self, "_profile"):
+            self._profile = prior_assumption_audit(self)
+        return self._profile
+
+    def __repr__(self):
+        return f"RadialPrior({self.family}, p={self.p}, {self.detail}, gamma={self.gamma})"
+
+
+class _Power(RadialPrior):
+    """G(eta) = eta^k; the harmonic prior is k = 2 - p, given as k = None."""
+
+    def __init__(self, family: str, k, p: int, gamma):
+        super().__init__(p, gamma)
+        k = 2.0 - self.p if k is None else float(k)
+        self.family, self.k = family, k
+        self.params = {"k": k}
+        self.rv_index = self.origin_slope = k
+        self.harmonic = k == 2.0 - self.p
+        self.detail = f"k={k}"
+
+    def _g(self, eta):
+        return eta**self.k
+
+    def _g_deriv(self, eta):
+        return self.k * eta ** (self.k - 1.0)
+
+    def _g_deriv2(self, eta):
+        return self.k * (self.k - 1.0) * eta ** (self.k - 2.0)
+
+    def _log_deriv(self, eta):
+        return np.full_like(eta, self.k)
+
+    def _second_log_deriv(self, eta):
         return np.full_like(eta, self.k - 1.0)
 
 
-class _LogThickened(_PriorFamily):
+class _LogThickened(RadialPrior):
     """eta^{2-p} times n+1 nested logarithms of eta + c."""
 
-    name = "log_thickened"
+    family = "log_thickened"
 
-    def __init__(self, n: int, c: float, p: int):
-        self.p, self.n, self.c = p, n, c
-        self.params = {"n": n, "c": c}
-        self.rv_index = self.origin_slope = 2.0 - p
-        self.log_depth = n + 1
-        self.detail = f"n={n}, c={c}"
+    def __init__(self, n: int, c: float, p: int, gamma):
+        super().__init__(p, gamma)
+        if n < 0:
+            raise PriorError("log depth n must be >= 0")
+        # all factors must be positive at eta = 0
+        if not log_tower(n + 1, float(c)) > 0.0:
+            raise PriorError(f"Log_{n+1}({c}) must be positive")
+        self.n, self.c = int(n), float(c)
+        self.params = {"n": self.n, "c": self.c}
+        self.rv_index = self.origin_slope = 2.0 - self.p
+        self.log_depth = self.n + 1
+        self.detail = f"n={self.n}, c={self.c}"
 
     def _log_product(self, eta):
         y = eta + self.c
@@ -310,146 +378,60 @@ class _LogThickened(_PriorFamily):
             d = d / lev
         return psi, psi_prime
 
-    def g(self, eta):
+    def _g(self, eta):
         return eta ** (2.0 - self.p) * self._log_product(eta)
 
-    def g_deriv(self, eta):
+    def _g_deriv(self, eta):
         psi, _ = self._psi_parts(eta)
-        return self.g(eta) * psi / eta
+        return self._g(eta) * psi / eta
 
-    def g_deriv2(self, eta):
+    def _g_deriv2(self, eta):
         psi, psi_prime = self._psi_parts(eta)
-        return self.g(eta) / eta**2 * (psi**2 - psi + eta * psi_prime)
+        return self._g(eta) / eta**2 * (psi**2 - psi + eta * psi_prime)
 
-    def log_deriv(self, eta):
+    def _log_deriv(self, eta):
         psi, _ = self._psi_parts(eta)
         return psi
 
 
-class _Custom(_PriorFamily):
+class _Custom(RadialPrior):
     """User-supplied G and derivatives; exponent data is estimated."""
 
-    name = "custom"
+    family = "custom"
     detail = "custom"
 
-    def __init__(self, g, g_prime, g_double_prime, p: int):
-        self.p = p
+    def __init__(self, g, g_prime, g_double_prime, p: int, gamma):
+        super().__init__(p, gamma)
         self.params = {"g": g, "g_prime": g_prime, "g_double_prime": g_double_prime}
 
-    def g(self, eta):
+    def _g(self, eta):
         return np.asarray(self.params["g"](eta), dtype=float)
 
-    def g_deriv(self, eta):
+    def _g_deriv(self, eta):
         return np.asarray(self.params["g_prime"](eta), dtype=float)
 
-    def g_deriv2(self, eta):
+    def _g_deriv2(self, eta):
         fn = self.params["g_double_prime"]
         if fn is None:
             raise PriorError("custom prior has no second derivative")
         return np.asarray(fn(eta), dtype=float)
 
 
-class RadialPrior:
-    """Radial prior density G(eta) on R^p with thin-tail exponent data.
-
-    ``form`` is the prior's family object, which owns G, its derivatives
-    and exponent data; the methods here delegate to it.  ``gamma`` is the
-    exponent used when the smoothing sequence is glued onto the prior in
-    properness and Blyth integrals.
-    """
-
-    def __init__(self, form: _PriorFamily, gamma=2.0, _token=None):
-        if _token is not _PRIOR_TOKEN:
-            raise PriorError("use a prior factory (power_prior, harmonic_prior, ...)")
-        self.form = form
-        self.family = form.name
-        self.p = form.p
-        self.params = form.params
-        self.gamma = float(gamma)
-        if not 0.0 < self.gamma <= 2.0:
-            raise PriorError("gamma must lie in (0, 2]")
-
-    # G and its derivatives ------------------------------------------
-
-    def g_eval(self, eta):
-        return _value(self.form.g(np.asarray(eta, dtype=float)))
-
-    def g_deriv(self, eta):
-        return _value(self.form.g_deriv(np.asarray(eta, dtype=float)))
-
-    def g_deriv2(self, eta):
-        return _value(self.form.g_deriv2(np.asarray(eta, dtype=float)))
-
-    def log_deriv(self, eta):
-        """eta G'(eta) / G(eta)."""
-        return _value(self.form.log_deriv(np.asarray(eta, dtype=float)))
-
-    def second_log_deriv(self, eta):
-        """eta G''(eta) / G'(eta)."""
-        return _value(self.form.second_log_deriv(np.asarray(eta, dtype=float)))
-
-    @property
-    def rv_index(self):
-        """Regular-variation index, or None when it must be estimated."""
-        return self.form.rv_index
-
-    @property
-    def log_depth(self) -> int:
-        """Number of iterated-log factors riding on the power part."""
-        return self.form.log_depth
-
-    @property
-    def origin_class(self) -> float:
-        """Power growth of G at the origin: closed form, else the audited slope t0."""
-        t0 = self.form.origin_slope
-        return self.assumption_profile.t0 if t0 is None else t0
-
-    def estimated_rv_index(self) -> float:
-        k = self.rv_index
-        if k is not None:
-            return k
-        grid = np.geomspace(1e4, 1e8, 60)
-        slope = np.polyfit(np.log(grid), np.log(np.abs(self.g_eval(grid))), 1)[0]
-        return float(slope)
-
-    @property
-    def assumption_profile(self):
-        """Slope-bound audit over the default grid, computed once."""
-        if not hasattr(self, "_profile"):
-            self._profile = prior_assumption_audit(self)
-        return self._profile
-
-    def __repr__(self):
-        return f"RadialPrior({self.family}, p={self.p}, {self.form.detail}, gamma={self.gamma})"
-
-
-_PRIOR_TOKEN = object()
-
-
 def power_prior(k: float, p: int, gamma: float = 2.0) -> RadialPrior:
-    p = _check_dimension(p)
-    return RadialPrior(_Power("power", float(k), p), gamma, _token=_PRIOR_TOKEN)
+    return _Power("power", k, p, gamma)
 
 
 def harmonic_prior(p: int, gamma: float = 2.0) -> RadialPrior:
-    p = _check_dimension(p)
-    return RadialPrior(_Power("harmonic", 2.0 - p, p), gamma, _token=_PRIOR_TOKEN)
+    return _Power("harmonic", None, p, gamma)
 
 
 def log_thickened_prior(n: int, c: float, p: int, gamma: float = 2.0) -> RadialPrior:
     """eta^{2-p} times n+1 nested log factors: n=0 is eta^{2-p} log(eta+c)."""
-    p = _check_dimension(p)
-    if n < 0:
-        raise PriorError("log depth n must be >= 0")
-    # all factors must be positive at eta = 0
-    if not log_tower(n + 1, float(c)) > 0.0:
-        raise PriorError(f"Log_{n+1}({c}) must be positive")
-    return RadialPrior(_LogThickened(int(n), float(c), p), gamma, _token=_PRIOR_TOKEN)
+    return _LogThickened(n, c, p, gamma)
 
 
 def custom_prior(g, g_prime, p: int, g_double_prime=None, gamma: float = 2.0) -> RadialPrior:
-    p = _check_dimension(p)
-    return RadialPrior(_Custom(g, g_prime, g_double_prime, p), gamma, _token=_PRIOR_TOKEN)
+    return _Custom(g, g_prime, g_double_prime, p, gamma)
 
 
 # --- audits ------------------------------------------------------------
@@ -475,8 +457,9 @@ class AssumptionProfile:
     origin_ok: bool
 
 
-def prior_assumption_audit(prior: RadialPrior, eta_low: float = 1.0, eta_high: float = 1e8) -> AssumptionProfile:
-    grid = np.geomspace(eta_low, eta_high, 400)
+def prior_assumption_audit(prior: RadialPrior) -> AssumptionProfile:
+    """Slope bounds of ``prior`` on [1, 1e8] and its slope at the origin."""
+    grid = np.geomspace(1.0, 1e8, 400)
     slopes = np.asarray(prior.log_deriv(grid), dtype=float)
     t1 = float(np.min(slopes))
     t2 = float(np.max(slopes))
@@ -491,7 +474,7 @@ def prior_assumption_audit(prior: RadialPrior, eta_low: float = 1.0, eta_high: f
     t0 = float(np.asarray(prior.log_deriv(probes), dtype=float)[-1])
     return AssumptionProfile(
         t0=t0, t1=t1, t2=t2, t3=t3, t4=t4,
-        eta_low=eta_low, eta_high=eta_high,
+        eta_low=1.0, eta_high=1e8,
         origin_ok=bool(t0 > 1.0 - prior.p),
     )
 
@@ -509,23 +492,22 @@ class GrowthReport:
     decay_exponent: float
 
 
-def _decade_partials(integrand, lo: float, hi: float, spec: QuadratureSpec):
-    """Integrals of ``integrand`` over each decade of [lo, hi], one ``integrate_rows`` row each."""
-    n_dec = int(round(math.log10(hi / lo)))
-    edges = lo * 10.0 ** np.arange(n_dec + 1)
+def _decade_partials(integrand, spec: QuadratureSpec):
+    """Integrals of ``integrand`` over each decade of [1, 1e8], one ``integrate_rows`` row each."""
+    edges = 10.0 ** np.arange(9)
     rows = np.column_stack([edges[:-1], edges[1:]])
     return edges, integrate_rows(lambda row, eta: integrand(eta), rows, spec.abs_tol, spec)
 
 
-def _classify_growth(partials: np.ndarray, flatten_tol: float = 1e-4,
-                     diverge_q: float = 1.25, converge_q: float = 1.6):
+def _classify_growth(partials: np.ndarray):
     """Label decade increments as a divergent or convergent tail.
 
     The increments of a borderline integrand behave like a power of the
     decade ordinal k: like 1/k for iterated-log divergence, like 1/k^2
     for the first convergent member of the same family.  The fitted
-    exponent q separates the two; monotone non-decaying increments and
-    hard flattening are decided directly.
+    exponent q separates the two (q <= 1.25 diverges, q >= 1.6
+    converges); monotone non-decaying increments, and a last increment
+    below 1e-4 of the total, are decided directly.
     """
     total = float(np.sum(partials))
     tail = partials[-5:] if partials.size >= 5 else partials
@@ -537,11 +519,11 @@ def _classify_growth(partials: np.ndarray, flatten_tol: float = 1e-4,
     last3 = partials[-3:]
     if np.all(np.diff(last3) >= -1e-9 * np.abs(last3[:-1])) and last3[-1] > 0:
         return "diverges", q, total
-    if total > 0 and partials[-1] / total < flatten_tol:
+    if total > 0 and partials[-1] / total < 1e-4:
         return "converges", q, total
-    if q <= diverge_q:
+    if q <= 1.25:
         return "diverges", q, total
-    if q >= converge_q:
+    if q >= 1.6:
         return "converges", q, total
     return "indeterminate", q, total
 
@@ -555,8 +537,8 @@ class PropernessReport:
     growth: GrowthReport
 
 
-def properness_index(prior: RadialPrior, kernel: BetaKernel, hi: float = 1e8) -> PropernessReport:
-    """Partial integrals of eta^{p-1} G(eta) H_1(eta)^gamma from 1 out to hi."""
+def properness_index(prior: RadialPrior, kernel: BetaKernel) -> PropernessReport:
+    """Partial integrals of eta^{p-1} G(eta) H_1(eta)^gamma over the decades of [1, 1e8]."""
     h1 = HSequence(kernel, 1.0)
     p = prior.p
     gamma = prior.gamma
@@ -565,7 +547,7 @@ def properness_index(prior: RadialPrior, kernel: BetaKernel, hi: float = 1e8) ->
         return eta ** (p - 1.0) * prior.g_eval(eta) * h1.h_eval(eta) ** gamma
 
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-8, max_subdivisions=200)
-    edges, parts = _decade_partials(integrand, 1.0, hi, spec)
+    edges, parts = _decade_partials(integrand, spec)
     verdict, q, total = _classify_growth(parts)
     growth = GrowthReport(tuple(edges), tuple(parts), total, verdict, q)
     label = "finite" if verdict == "converges" else (
@@ -574,17 +556,17 @@ def properness_index(prior: RadialPrior, kernel: BetaKernel, hi: float = 1e8) ->
     return PropernessReport(value=total, verdict=label, growth=growth)
 
 
-def brown_diagnostic(prior: RadialPrior, hi: float = 1e8) -> GrowthReport:
+def brown_diagnostic(prior: RadialPrior) -> GrowthReport:
     """Brown-type integral test on the radial reduction.
 
     Replaces the marginal m(g|x) by G(||x||), which reduces the test
     integral over {||x|| > 1} to c_p int_1^inf eta^{1-p} / G(eta) deta,
-    then classifies the growth of its decade partial sums.  The two are
-    not close near ||x|| = 1: on gaussian p = 5 with the harmonic prior,
-    m/G is 0.20, 0.48 and 0.74 at r = 1, 1.5 and 2.  They agree in the
-    tail (m/G = 1.0000 at r = 10 to 100), and the verdict rests only on
-    the tail's growth.  ``total`` is the total of the reduced integral,
-    not Brown's integral itself.
+    then classifies the growth of its decade partial sums on [1, 1e8].
+    The two are not close near ||x|| = 1: on gaussian p = 5 with the
+    harmonic prior, m/G is 0.20, 0.48 and 0.74 at r = 1, 1.5 and 2.
+    They agree in the tail (m/G = 1.0000 at r = 10 to 100), and the
+    verdict rests only on the tail's growth.  ``total`` is the total of
+    the reduced integral, not Brown's integral itself.
     """
     p = prior.p
     cp = sphere_surface(p)
@@ -593,7 +575,7 @@ def brown_diagnostic(prior: RadialPrior, hi: float = 1e8) -> GrowthReport:
         return cp * eta ** (1.0 - p) / prior.g_eval(eta)
 
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=400)
-    edges, parts = _decade_partials(integrand, 1.0, hi, spec)
+    edges, parts = _decade_partials(integrand, spec)
     verdict, q, total = _classify_growth(parts)
     return GrowthReport(tuple(edges), tuple(parts), total, verdict, q)
 
@@ -607,10 +589,10 @@ def select_gamma(prior: RadialPrior, kernel: BetaKernel, step: float = 0.25):
     gamma = 2 fails.
     """
     for j in range(1, int(round(2.0 / step)) + 1):
-        gamma = step * j
-        trial = RadialPrior(prior.form, gamma, _token=_PRIOR_TOKEN)
+        trial = copy.copy(prior)
+        trial.gamma = step * j
         if properness_index(trial, kernel).verdict == "finite":
-            return gamma
+            return trial.gamma
     return None
 
 

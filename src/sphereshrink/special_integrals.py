@@ -21,6 +21,10 @@ from sphereshrink.radial_models import RadialDensity
 _SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
 
 
+class IdentityError(ValueError):
+    """Parameters outside the range where an identity is checked."""
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """One verified identity: both sides and their relative gap."""
@@ -48,9 +52,9 @@ def gegenbauer_identity(alpha: float, a: float) -> IdentityCheck:
     spike and the check would measure the integrator, not the formula.
     """
     if alpha <= -0.5:
-        raise ValueError("alpha must exceed -1/2")
+        raise IdentityError("alpha must exceed -1/2")
     if abs(a) > 0.99:
-        raise ValueError("mixing parameter capped at |a| <= 0.99")
+        raise IdentityError("mixing parameter capped at |a| <= 0.99")
 
     def integrand(phi):
         w = 1.0 + 2.0 * a * np.cos(phi) + a * a
@@ -74,9 +78,9 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
     report convergence on the unresolved spike.
     """
     if p < 3:
-        raise ValueError("dimension p must be at least 3")
+        raise IdentityError("dimension p must be at least 3")
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise IdentityError("t must be positive")
 
     def integrand(phi):
         # half-angle form of 1 + 2 t cos(phi) + t^2: no cancellation at
@@ -104,7 +108,7 @@ def kernel_mass_identity(model: RadialDensity, alpha: float) -> IdentityCheck:
     """
     p = model.p
     if p + alpha <= 0:
-        raise ValueError("need p + alpha > 0")
+        raise IdentityError("need p + alpha > 0")
     rhs = model.moment(alpha + 2.0) / (p + alpha)
 
     cp = sphere_surface(p)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sphereshrink import cli
+from sphereshrink.risk_sim import RiskCurve, RiskPoint
 
 MODEL = ["--family", "gaussian", "--p", "5"]
 
@@ -185,3 +186,27 @@ def test_blyth_kernel_is_one_log_level_deeper_than_the_prior(flags, tower, monke
     out = tmp_path / "prior.csv"
     assert cli.main(["prior", "--p", "5", *flags, "--i", "1,4", "--out", str(out)]) == cli.EXIT_OK
     assert towers == [tower]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--identity", "kernelmass", "--family", "gaussian", "--p", "3", "--alpha", "-5"],  # p + alpha <= 0
+    ["--identity", "gegenbauer", "--alpha", "1", "--a", "3"],  # |a| > 0.99
+    ["--identity", "minpower", "--p", "2", "--t", "0.5"],
+    ["--identity", "minpower", "--t", "-1"],
+])
+def test_verify_out_of_range_parameters_are_a_config_error(argv, tmp_path, capsys):
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_every_violating_theta_is_labelled_a_violation(monkeypatch, tmp_path):
+    # d - 3 se > 0 at theta = 1 and 3: both rows are violations, the
+    # first one decides the curve's verdict
+    diffs = [(-1.0, 0.1), (1.0, 0.1), (0.0, 0.1), (2.0, 0.1)]
+    points = [RiskPoint(float(t), 5.0 + d, 0.1, 5.0, d, se) for t, (d, se) in enumerate(diffs)]
+    monkeypatch.setattr(cli, "estimate_risk", lambda config: RiskCurve(tuple(points), {"paired": True}))
+    out = tmp_path / "risk.csv"
+    assert cli.main(["risk", *MODEL, "--theta", "0,1,2,3", "--out", str(out)]) == cli.EXIT_OK
+    labels = [(row[0], row[-1]) for row in data_rows(out)]
+    assert labels == [("0.0", "win"), ("1.0", "violation"), ("2.0", "tie"), ("3.0", "violation"),
+                      ("dominance", "violation_at")]

@@ -21,6 +21,7 @@ from sphereshrink.radial_convolution import (
     ConvolutionProblem,
     asymptotic_ratio_probe,
     c_f,
+    directional_marginal,
     harmonic_marginal_closed,
     kernel_marginal_M,
     marginal_m,
@@ -150,6 +151,18 @@ def test_harmonic_closed_on_a_tabulated_model():
         edges = np.concatenate(([0.0], knots[knots < r], [r]))
         inner = sum(sp_integrate.quad(lambda u: m.big_f(u), lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:]))
         assert harmonic_marginal_closed(m, r) == pytest.approx(cp * inner / r, rel=1e-9)
+
+
+# --- directional numerator ---------------------------------------------
+
+@pytest.mark.parametrize("model", [gaussian(5), poly_exp(2.0, 1.0, 4)], ids=repr)
+@pytest.mark.parametrize("r", [0.5, 3.0, 20.0])
+def test_directional_marginal_closed_forms(model, r):
+    # with theta = x + y, the y-odd part of rho(||x + y||) (y . x/r) integrates
+    # to 0: nothing is left for rho = 1, and 2 r E(y . x/r)^2 for rho = s^2
+    assert abs(directional_marginal(ones, model, r)) <= 1e-14
+    expected = 2.0 * r * model.moment(2.0) / model.p
+    assert directional_marginal(lambda s: s**2, model, r) == pytest.approx(expected, rel=1e-10)
 
 
 # --- marginal dispatch ------------------------------------------------

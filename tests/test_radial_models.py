@@ -216,6 +216,8 @@ def test_invalid_parameters_rejected():
         radial_models.normalize("cauchy", {}, 3)
     with pytest.raises(ModelError):
         radial_models.normalize("gaussian", {"sigma": 2.0}, 3)
+    with pytest.raises(ModelError):
+        radial_models.normalize("poly_exp", {"alpha": 1, "beta": 1, "betta": 3}, 4)
 
 
 def test_tabulated_validation():
