@@ -299,19 +299,24 @@ def _emit(args, command, cfg, header, rows):
 # -- subcommands --------------------------------------------------------
 
 
+def _or_divergent(fn, *args):
+    """fn(*args), or "divergent" where it needs a moment that diverges."""
+    try:
+        return fn(*args)
+    except DivergentMoment:
+        return "divergent"
+
+
 def _cmd_model_info(cfg):
     model = _build_model(cfg)
     rows = [
         ("normalization_constant", model.norm_const),
-        ("c_f", c_f(model)),
-        ("second_moment", model.moment(2.0)),
+        ("c_f", _or_divergent(c_f, model)),
+        ("second_moment", _or_divergent(model.moment, 2.0)),
+        ("inverse_second_moment", _or_divergent(model.moment, -2.0)),
+        ("phi_limit", _or_divergent(phi_limit, model, model.p)),
+        ("inf_ratio", inf_ratio(model)),
     ]
-    try:
-        rows.append(("inverse_second_moment", model.moment(-2.0)))
-    except DivergentMoment:
-        rows.append(("inverse_second_moment", "divergent"))
-    rows.append(("phi_limit", phi_limit(model, model.p)))
-    rows.append(("inf_ratio", inf_ratio(model)))
     tail = model.tail_profile()
     rows += [("tail_r0", tail.r0), ("tail_L", tail.L), ("tail_s", tail.s)]
     for prop in PROPERTIES:
@@ -586,7 +591,6 @@ _NUMERIC_STAGE = (
     QuadratureError,
     ConvolutionError,
     ShrinkageError,
-    DivergentMoment,
     ArithmeticError,
 )
 

@@ -18,9 +18,12 @@ row that has not yet converged, then bisects in each such row the
 segments whose error is at least a quarter of the row's worst.
 ``integrate_rows`` exposes the loop, ``integrate`` is its one-row case,
 ``integrate_semi_infinite`` maps [a, inf) onto [0, 1) for
-``integrate``, and ``cumulative_segments`` is one row per knot
-interval.  ``integrate_pieces`` applies the pair to many smooth pieces
-in one array pass, without subdivision.  Interior singularities or
+``integrate`` through a ``TailMap``, which also probes the mapped tail
+for divergence and judges a tail that runs out of budget (as
+``integrate_rows`` does for the rows it is told are tails), and
+``cumulative_segments`` is one row per knot interval.
+``integrate_pieces`` applies the pair to many smooth pieces in one
+array pass, without subdivision.  Interior singularities or
 kinks are handled by listing them in ``QuadratureSpec.singularity_hints``:
 every integrator, ``integrate_rows`` included, pre-splits there so no
 node ever lands on the bad point, and endpoint singularities are never
@@ -82,13 +85,16 @@ class QuadratureError(Exception):
 class ToleranceNotReached(QuadratureError):
     """Subdivision budget exhausted before the tolerance was met.
 
-    Carries the best available partial result in ``result``.
+    Carries the best available partial result in ``result``, the worst
+    segment in ``worst_segment`` and, from ``integrate_rows``, the row
+    in ``row``.
     """
 
-    def __init__(self, message: str, result: "IntegralResult", worst_segment=None):
+    def __init__(self, message: str, result: "IntegralResult", worst_segment=None, row=None):
         super().__init__(message)
         self.result = result
         self.worst_segment = worst_segment
+        self.row = row
 
 
 class DivergenceSuspected(QuadratureError):
@@ -156,23 +162,23 @@ def _gauss_pair(f, lo, hi):
     return sums[..., 0], np.abs(sums[..., 1])
 
 
-def _adapt(f, edges, abs_tol, spec: QuadratureSpec):
+def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
     """The adaptive loop behind ``integrate`` and ``integrate_rows``.
 
-    Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
-    initially at its nondecreasing interior edges.  Returns the per-row
-    arrays ``value``, ``error`` and ``evaluations``, and ``over``: None,
-    or ``(i, worst_segment)`` for the first row that would need more
-    than ``spec.max_subdivisions`` bisections, where the loop stops.
+    Row i integrates ``f(i, x)`` over its k[i] initial pieces, the next
+    k[i] entries of the flat arrays ``lo`` and ``hi``, which run in
+    order and tile the row's interval.  Returns the per-row arrays
+    ``value``, ``error`` and ``evaluations``, and ``over``: None, or
+    ``(i, worst_segment)`` for the first row that would need more than
+    ``spec.max_subdivisions`` bisections, where the loop stops.
     """
-    n, k = edges.shape[0], edges.shape[1] - 1
     # Zero-width pieces stay as segments that are never evaluated (value
     # and error 0, so never split): each row's segments are then the
     # nonempty run from starts[i], sorted by lo, which the per-row
-    # reductions need, and row i holds k + (its bisections) segments.
-    starts = np.arange(0, n * k, k)
-    row = np.arange(n).repeat(k)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    # reductions need, and row i holds k[i] + (its bisections) segments.
+    starts = np.add.accumulate(k) - k
+    row = np.arange(k.size).repeat(k)
+    budget = k + spec.max_subdivisions
     fresh = hi > lo
     evaluated = np.add.reduceat(fresh, starts, dtype=np.intp)
     val, err = np.zeros(row.size), np.zeros(row.size)
@@ -196,8 +202,8 @@ def _adapt(f, edges, abs_tol, spec: QuadratureSpec):
         split = err >= cut[row]
         reps = split + 1
         new_count = np.add.reduceat(reps, starts)
-        if np.count_nonzero(new_count > k + spec.max_subdivisions):
-            i = int(np.argmax(new_count > k + spec.max_subdivisions))
+        if np.count_nonzero(new_count > budget):
+            i = int(np.argmax(new_count > budget))
             j = int(np.argmax(np.where(row == i, err, -1.0)))
             over = (i, (float(lo[j]), float(hi[j])))
             break
@@ -234,8 +240,10 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
     if b < a:
         a, b = b, a
         sign = -1.0
-    cuts = sorted({float(h) for h in spec.singularity_hints if a < h < b})
-    value, error, evals, over = _adapt(lambda row, x: f(x), np.array([[a, *cuts, b]]), spec.abs_tol, spec)
+    edges = np.array([a, *sorted({float(h) for h in spec.singularity_hints if a < h < b}), b])
+    value, error, evals, over = _adapt(
+        lambda row, x: f(x), edges[:-1], edges[1:], np.array([edges.size - 1]), spec.abs_tol, spec
+    )
     result = IntegralResult(sign * float(value[0]), float(error[0]), int(evals[0]))
     if over is not None:
         raise ToleranceNotReached(
@@ -245,6 +253,78 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
             worst_segment=over[1],
         )
     return result
+
+
+# A mapped tail is probed for divergence at these depths 1 - t.
+_PROBE_DEPTHS = np.array([1e-6, 1e-9, 1e-12])
+# Floor on 1 - t: keeps the Jacobian representable arbitrarily close to
+# t = 1, so a divergent integrand shows up as huge finite values that
+# exhaust the budget instead of tripping the non-finite check.
+_OM_FLOOR = 1e-150
+
+
+class TailMap:
+    """[a, inf) mapped onto [0, 1), with the checks a mapped tail needs.
+
+    The caller declares how the integrand dies off:
+
+    - ``decay="exp"``: substitution r = a - scale*log(1-t), suited to
+      integrands falling at least like exp(-r/scale);
+    - ``decay="power"``: substitution r = a + scale*t/(1-t), suited to
+      integrands falling like r**q with q < -1.
+
+    ``radius(t)`` gives the nodes' radii r and 1 - t, and
+    ``weigh(f(r), 1 - t)`` the mapped integrand f(r) dr/dt.
+    ``probe(values)`` takes that integrand at ``probe_nodes`` and
+    ``diverged(segment)`` judges a row that ran out of budget; either
+    flags a tail that cannot be integrable.
+    """
+
+    probe_nodes = 1.0 - _PROBE_DEPTHS
+
+    def __init__(self, a: float, decay: str = "exp", scale: float = 1.0):
+        if scale <= 0:
+            raise ValueError("scale must be positive")
+        if decay not in ("exp", "power"):
+            raise ValueError(f"unknown decay class {decay!r}")
+        self.a, self.decay, self.scale = float(a), decay, float(scale)
+
+    def radius(self, t):
+        om = np.maximum(1.0 - t, _OM_FLOOR)
+        if self.decay == "exp":
+            return self.a - self.scale * np.log(om), om
+        return self.a + self.scale * (1.0 - om) / om, om
+
+    def weigh(self, y, om):
+        y = y * (self.scale / om)
+        return y if self.decay == "exp" else y / om
+
+    def to_t(self, r: float) -> float:
+        if self.decay == "exp":
+            return -math.expm1(-(r - self.a) / self.scale)
+        return (r - self.a) / (self.scale + (r - self.a))
+
+    def probe(self, values):
+        """Raise DivergenceSuspected unless every row's tail is clearly shrinking.
+
+        ``values`` holds the mapped integrand g at ``probe_nodes``, one
+        row of three per tail.  A convergent tail needs g(t)(1-t) -> 0
+        as t -> 1; a product that is not clearly shrinking over the
+        three depths means it is not integrable.
+        """
+        w = np.abs(np.asarray(values, dtype=float)).reshape(-1, _PROBE_DEPTHS.size) * _PROBE_DEPTHS
+        for row in w:
+            if np.all(np.isfinite(row)) and row[2] > 0.0 and row[2] >= 0.8 * row.max():
+                raise DivergenceSuspected(
+                    f"integrand tail does not look integrable under decay={self.decay!r} "
+                    f"(boundary weights {row.tolist()!r})",
+                    IntegralResult(math.nan, math.inf, 3),
+                )
+
+    @staticmethod
+    def diverged(segment) -> bool:
+        """A divergent tail parks the worst segment against t = 1 and keeps it there."""
+        return segment is not None and segment[1] > 0.999
 
 
 def integrate_semi_infinite(
@@ -257,69 +337,25 @@ def integrate_semi_infinite(
 ) -> IntegralResult:
     """Integrate ``f`` over [a, inf) after mapping onto [0, 1).
 
-    The caller declares how the integrand dies off:
-
-    - ``decay="exp"``: substitution r = a - scale*log(1-t), suited to
-      integrands falling at least like exp(-r/scale);
-    - ``decay="power"``: substitution r = a + scale*t/(1-t), suited to
-      integrands falling like r**q with q < -1.
-
-    If the budget runs out with the error mass parked against t=1 the
-    failure is reported as :class:`DivergenceSuspected`.
+    The map is ``TailMap(a, decay, scale)``.  The mapped integrand is
+    probed for divergence first; if the budget runs out with the error
+    mass parked against t=1 the failure is reported as
+    :class:`DivergenceSuspected` too, so callers can treat "slow" and
+    "infinite" differently.
     """
     spec = spec or DEFAULT_SPEC
-    a = float(a)
-    s = float(scale)
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    # Floor on 1-t keeps the Jacobian representable arbitrarily close to
-    # t=1; a divergent integrand then shows up as huge finite values that
-    # exhaust the budget instead of tripping the non-finite check.
-    om_floor = 1e-150
-    if decay == "exp":
+    tail = TailMap(a, decay, scale)
 
-        def g(t):
-            om = np.maximum(1.0 - t, om_floor)
-            r = a - s * np.log(om)
-            return f(r) * (s / om)
+    def g(t):
+        r, om = tail.radius(t)
+        return tail.weigh(f(r), om)
 
-        def to_t(r):
-            return -math.expm1(-(r - a) / s)
-
-    elif decay == "power":
-
-        def g(t):
-            om = np.maximum(1.0 - t, om_floor)
-            r = a + s * (1.0 - om) / om
-            return f(r) * (s / om) / om
-
-        def to_t(r):
-            return (r - a) / (s + (r - a))
-
-    else:
-        raise ValueError(f"unknown decay class {decay!r}")
-
-    # Divergence probe: a convergent transformed integrand must satisfy
-    # g(t)*(1-t) -> 0 as t -> 1.  Sample three depths; if the product is
-    # not clearly shrinking the tail cannot be integrable.
-    oms = np.array([1e-6, 1e-9, 1e-12])
-    w = np.abs(np.asarray(g(1.0 - oms), dtype=float)) * oms
-    if np.all(np.isfinite(w)) and w[2] > 0.0 and w[2] >= 0.8 * w.max():
-        raise DivergenceSuspected(
-            f"integrand tail does not look integrable under decay={decay!r} "
-            f"(boundary weights {w.tolist()!r})",
-            IntegralResult(math.nan, math.inf, 3),
-        )
-
-    hints = tuple(to_t(h) for h in spec.singularity_hints if h > a)
-    inner = replace(spec, singularity_hints=hints)
+    tail.probe(g(tail.probe_nodes))
+    hints = tuple(tail.to_t(h) for h in spec.singularity_hints if h > tail.a)
     try:
-        return integrate(g, 0.0, 1.0, inner)
+        return integrate(g, 0.0, 1.0, replace(spec, singularity_hints=hints))
     except ToleranceNotReached as exc:
-        # A divergent tail parks the dominant error segment against t=1
-        # and keeps it there; flag that separately so callers can treat
-        # "slow" and "infinite" differently.
-        if exc.worst_segment is not None and exc.worst_segment[1] > 0.999:
+        if tail.diverged(exc.worst_segment):
             raise DivergenceSuspected(str(exc), exc.result) from exc
         raise
 
@@ -365,16 +401,17 @@ def integrate_pieces(f, lo, hi, spec: QuadratureSpec | None = None) -> np.ndarra
     return value
 
 
-def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.ndarray:
+def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tails=None) -> np.ndarray:
     """Integrals of many independent integrands, adapted in one batch.
 
     Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
     initially at its interior edges (an edge may repeat: a zero-width
-    piece contributes 0).  ``f(row, x)`` gets a nondecreasing index
-    array ``row`` aligned with the abscissae ``x``.  Each round calls
-    ``f`` once on every new segment of every unconverged row and
-    bisects, in each of those rows, the segments whose error is at
-    least a quarter of the row's worst.  Each of
+    piece contributes 0).  A row with fewer pieces than the others ends
+    in NaN edges, which pad it to the array's width.  ``f(row, x)`` gets
+    a nondecreasing index array ``row`` aligned with the abscissae
+    ``x``.  Each round calls ``f`` once on every new segment of every
+    unconverged row and bisects, in each of those rows, the segments
+    whose error is at least a quarter of the row's worst.  Each of
     ``spec.singularity_hints`` is folded into every row's edges, clipped
     to the row's span (outside it, a zero-width piece), so a row splits
     there as ``integrate`` would.
@@ -384,27 +421,37 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     is.  Segments stay sorted by (row, lo), so a row's value does not
     depend on the other rows in the batch.  A row that needs more than
     ``max_subdivisions`` bisections raises :class:`ToleranceNotReached`
-    naming its worst segment.
+    naming the row and its worst segment; where ``tails`` (one bool per
+    row) marks it as a ``TailMap`` image of [a, inf) and
+    ``TailMap.diverged`` holds, :class:`DivergenceSuspected` instead, as
+    ``integrate_semi_infinite`` does.
     """
     spec = spec or DEFAULT_SPEC
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] < 2:
         raise ValueError("edges must be a 2-d array with at least two columns")
-    if np.any(np.diff(edges, axis=1) < 0):
+    if (edges[:, 1:] < edges[:, :-1]).any():
         raise ValueError("each row's edges must be nondecreasing")
     if spec.singularity_hints:
         hints = np.asarray(spec.singularity_hints, dtype=float)
-        cuts = np.clip(np.broadcast_to(hints, (edges.shape[0], hints.size)), edges[:, :1], edges[:, -1:])
-        edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)
-    value, error, evals, over = _adapt(f, edges, abs_tol, spec)
+        span = (edges[:, :1], np.fmax.reduce(edges, axis=1, keepdims=True))
+        cuts = np.clip(np.broadcast_to(hints, (edges.shape[0], hints.size)), *span)
+        edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)  # NaN sorts last
+    pad = np.isnan(edges)
+    if pad[:, :2].any() or (pad[:, :-1] > pad[:, 1:]).any():
+        raise ValueError("NaN edges may only pad the end of a row of at least two edges")
+    real = ~pad[:, 1:]
+    value, error, evals, over = _adapt(f, edges[:, :-1][real], edges[:, 1:][real], real.sum(axis=1), abs_tol, spec)
     if over is not None:
         i, segment = over
-        raise ToleranceNotReached(
+        message = (
             f"row {i} needed more than {spec.max_subdivisions} subdivisions "
-            f"(value={value[i]!r}, error={error[i]!r})",
-            IntegralResult(float(value[i]), float(error[i]), int(evals[i])),
-            worst_segment=segment,
+            f"(value={value[i]!r}, error={error[i]!r})"
         )
+        result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
+        if tails is not None and tails[i] and TailMap.diverged(segment):
+            raise DivergenceSuspected(message, result)
+        raise ToleranceNotReached(message, result, worst_segment=segment, row=i)
     return value
 
 

@@ -14,11 +14,29 @@ cos-substitution with the Jacobi weight, reparametrized so that the
 ridge boundary layer sits at a known scale |r - lambda| / sqrt(2 r
 lambda) that the integrator can be pointed at.
 
-The angular integrals are batched: each call of the outer integrand
-gets the 15 Kronrod nodes of every outer segment in one pass of the
-outer integrator and adapts their angular integrals as the rows of one
-``numerics.integrate_rows`` pass, each row starting from its own ridge
-hints.  No integral is evaluated one lambda at a time.
+Every request at one radius r > 0 is one sweep over a list of terms;
+a term is an integrand rho, a kernel weight (the density f or the tail
+kernel F/C_f) and a flag for the directional numerator's extra
+lambda cos(phi).  The lambda integral of each term is a head [0, cut]
+and a tail [cut, inf) mapped onto [0, 1) by ``numerics.TailMap``, and
+all terms' heads and tails are the rows of one outer
+``numerics.integrate_rows`` batch:
+
+    row:    0 .. n-1              n .. 2n-1
+    term:   j = row               j = row - n
+    piece:  head [0, r, cut]      tail [0, 1), mapped by TailMap
+
+Each outer round calls the outer integrand once, on the 15 Kronrod
+nodes of every new segment of every row, and it adapts the angular
+integrals at all those lambdas as the rows of one inner
+``integrate_rows`` batch, each row starting from its own ridge hints.
+No integral is evaluated one lambda, one term or one piece at a time.
+Rows never share segments, so a term's value is the same, bitwise,
+alone and in any batch.  ``marginal_m``, ``directional_marginal``,
+``kernel_marginal_M`` and ``radial_expectation`` are one-term sweeps,
+``gb_marginals`` sweeps m and the directional numerator together, and
+``asymptotic_ratio_probe`` its three quantities; either leaves m out
+where the harmonic prior's closed form gives it.
 
 Everything here serves as the slow-but-independent oracle for the
 closed-form marginals used elsewhere.
@@ -35,6 +53,7 @@ from sphereshrink.numerics import (
     DivergenceSuspected,
     NonFiniteIntegrand,
     QuadratureSpec,
+    TailMap,
     integrate,
     integrate_rows,
     integrate_semi_infinite,
@@ -97,11 +116,11 @@ def c_f(model: RadialDensity) -> float:
     return model.moment(2.0) / model.p
 
 
-def _kernel_weight(problem: ConvolutionProblem):
-    if problem.kernel == "density":
-        return problem.model.density
-    norm = c_f(problem.model)
-    return lambda lam: problem.model.big_f(lam) / norm
+def _kernel_weight(model: RadialDensity, kernel: str):
+    if kernel == "density":
+        return model.density
+    norm = c_f(model)
+    return lambda lam: model.big_f(lam) / norm
 
 
 def radial_expectation(problem: ConvolutionProblem) -> float:
@@ -112,7 +131,7 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
     if r == 0.0:
         # kernel centered at the origin: purely radial
         rho = problem.integrand
-        w = _kernel_weight(problem)
+        w = _kernel_weight(problem.model, problem.kernel)
 
         def radial(lam):
             return rho(lam) * w(lam) * lam ** (p - 1.0)
@@ -124,64 +143,116 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
         tail = integrate_semi_infinite(radial, 1.0, spec, **problem.model.tail_decay).value
         return sphere_surface(p) * (head + tail)
 
-    return _outer_sweep(problem, cos_weight=False)
+    return float(_sweep([problem])[0])
 
 
-def _outer_sweep(problem: ConvolutionProblem, *, cos_weight: bool) -> float:
-    """Radial (lambda) integral wrapping the angular one.
+def _sweep(problems, directional=()) -> np.ndarray:
+    """The radial (lambda) integrals wrapping the angular ones, all in one batch.
 
-    The kernel's mass lives within its support radius regardless of r;
-    keep that region in the finite head so no spike hides from the
-    initial nodes, and carry the ridge lambda = r as a split point.
-    Each call of ``outer`` adapts the angular integrals of all its
-    lambdas as the rows of one ``integrate_rows`` batch.  With
-    ``cos_weight`` the angular integrand also carries the
-    cos(phi) = v^2 - 1 factor used by directional (along-x) numerators,
-    and the radial integrand one more power of lambda.
+    Each problem is one term: its integrand rho, its kernel weight w and
+    its ridge class; the problems share the model and the radius r > 0.
+    A problem whose index is in ``directional`` also carries cos(phi) =
+    v^2 - 1 in its angular integrand and one more power of lambda in
+    its radial one, as the directional (along-x) numerators need.
+
+    The kernel's mass lives within its support radius regardless of r,
+    so each term's lambda integral is a finite head [0, cut] split at
+    the ridge lambda = r, where no spike hides from the initial nodes,
+    and a tail [cut, inf) mapped onto [0, 1) by the model's ``TailMap``.
+    Heads and tails of every term are the rows of one outer
+    ``integrate_rows`` call (a tail row has one piece, so its edges end
+    in NaN), and the tails are probed for divergence in one call of the
+    outer integrand first.  Each call of the outer integrand adapts the
+    angular integrals of all its lambdas, whatever their row, as the
+    rows of one inner ``integrate_rows`` batch.  A row's value does not
+    depend on the other rows of either batch, so a term's value is the
+    same alone and among others.
     """
-    p = problem.p
-    r = problem.r
-    rho = problem.integrand
-    w = _kernel_weight(problem)
-    extra_power = 1.0 if cos_weight else 0.0
+    model, r = problems[0].model, problems[0].r
+    p = model.p
+    n = len(problems)
+    cos = np.isin(np.arange(n), directional)
+    ridge = np.array([pr.singularity_class < 0 for pr in problems])
+    # an integrand, kernel weight or power of lambda that several terms
+    # share is called once per round on all their nodes
+    rhos, rho_of = _distinct([pr.integrand for pr in problems])
+    kernels, weight_of = _distinct([pr.kernel for pr in problems])
+    weights = [_kernel_weight(model, kernel) for kernel in kernels]
+    exponents, power_of = _distinct([p - 1.0 + float(c) for c in cos])
+    powers = [lambda lam, e=e: lam**e for e in exponents]
+    spike = model.support_radius(1e-16)
+    cut = max(1.0, spike, min(2.0 * r, r + spike))
+    tail = TailMap(cut, **model.tail_decay)
 
-    def outer(lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    def outer(rows, x):
+        term = rows % n
+        tails = rows >= n
+        lams = x.copy()
+        lams[tails], om = tail.radius(x[tails])
         two_rl = 2.0 * r * lams
         gap = r - lams
+        inner_rho = rho_of[term]
+        inner_cos = cos[term]
+        all_cos, any_cos = inner_cos.all(), inner_cos.any()
 
         def angular(row, v):
             g = gap[row]
             arg = np.sqrt(g * g + two_rl[row] * v * v)
-            out = rho(arg) * 2.0 * v ** (p - 2.0) * (2.0 - v * v) ** (0.5 * (p - 3.0))
-            if cos_weight:
+            out = _by_group(rhos, inner_rho, row, arg) * 2.0 * v ** (p - 2.0) * (2.0 - v * v) ** (0.5 * (p - 3.0))
+            if all_cos:
                 out = out * (v * v - 1.0)
+            elif any_cos:
+                out = out * np.where(inner_cos[row], v * v - 1.0, 1.0)  # x * 1.0 is x
             return out
 
         # ridge hints at the boundary-layer scale |r - lambda| / sqrt(2 r
         # lambda); a hint at or beyond sqrt(2) becomes a zero-width piece
         base = np.full(lams.shape, _ROOT2)
-        if problem.singularity_class < 0:
-            ridge = two_rl > 0
-            base[ridge] = np.maximum(np.abs(gap[ridge]) / np.sqrt(two_rl[ridge]), 1e-9)
+        near = ridge[term] & (two_rl > 0)
+        base[near] = np.maximum(np.abs(gap[near]) / np.sqrt(two_rl[near]), 1e-9)
         edges = np.minimum(base[:, None] * [0.0, 1.0, 8.0, 64.0, math.inf], _ROOT2)
         abs_tol = _INNER_SPEC.abs_tol
-        if cos_weight:
+        if any_cos:
             # the cos-weighted integral can be an exact zero (symmetric rho),
             # unreachable under a relative-only target; floor the absolute
             # tolerance at the integrand's own magnitude scale
-            probe = np.abs(np.asarray(rho(np.sqrt(gap * gap + two_rl)), dtype=float))
-            abs_tol = np.maximum(abs_tol, 1e-15 * probe)
+            at = inner_cos
+            probe = np.abs(_by_group(rhos, inner_rho[at], slice(None), np.sqrt(gap[at] * gap[at] + two_rl[at])))
+            abs_tol = np.full(lams.shape, abs_tol)
+            abs_tol[at] = np.maximum(abs_tol[at], 1e-15 * probe)
         inner = integrate_rows(angular, edges, abs_tol, _INNER_SPEC)
-        return inner * np.asarray(w(lams), dtype=float) * lams ** (p - 1.0 + extra_power)
+        y = inner * _by_group(weights, weight_of, term, lams)
+        y *= _by_group(powers, power_of, term, lams)
+        y[tails] = tail.weigh(y[tails], om)
+        return y
 
-    spike = problem.model.support_radius(1e-16)
-    cut = max(1.0, spike, min(2.0 * r, r + spike))
-    hints = (r,) if 0.0 < r < cut else ()
-    head = integrate(outer, 0.0, cut, replace(_OUTER_SPEC, singularity_hints=hints)).value
-    tail_spec = replace(_OUTER_SPEC, singularity_hints=(r,) if r > cut else ())
-    tail = integrate_semi_infinite(outer, cut, tail_spec, **problem.model.tail_decay).value
-    return sphere_surface(p - 1) * (head + tail)
+    tail_rows = np.arange(n, 2 * n)
+    tail.probe(outer(tail_rows.repeat(tail.probe_nodes.size), np.tile(tail.probe_nodes, n)))
+    edges = np.array([[0.0, r, cut]] * n + [[0.0, 1.0, math.nan]] * n)
+    values = integrate_rows(outer, edges, _OUTER_SPEC.abs_tol, _OUTER_SPEC, tails=np.arange(2 * n) >= n)
+    return sphere_surface(p - 1) * (values[:n] + values[n:])
+
+
+def _distinct(items):
+    """The distinct items (by ==) in order, and each item's index among them."""
+    out = []
+    for item in items:
+        if item not in out:
+            out.append(item)
+    return out, np.array([out.index(item) for item in items])
+
+
+def _by_group(fns, group, row, x):
+    """fns[group[row[i]]](x[i]) for every i, one call per function used."""
+    if len(fns) == 1:
+        return np.asarray(fns[0](x), dtype=float)
+    of = group[row]
+    out = np.empty(x.shape)
+    for j, fn in enumerate(fns):
+        at = of == j
+        if at.any():
+            out[at] = fn(x[at])
+    return out
 
 
 def directional_marginal(integrand, model: RadialDensity, r: float, *, singularity_class: float = 0.0) -> float:
@@ -195,7 +266,7 @@ def directional_marginal(integrand, model: RadialDensity, r: float, *, singulari
         return 0.0
     problem = ConvolutionProblem(model, "density", integrand, float(r), singularity_class)
     try:
-        return _outer_sweep(problem, cos_weight=True)
+        return float(_sweep([problem], directional=(0,))[0])
     except (DivergenceSuspected, NonFiniteIntegrand) as exc:
         raise ConvolutionError(f"directional marginal integrability fails: {exc}") from exc
 
@@ -247,6 +318,27 @@ def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_
         raise ConvolutionError(f"kernel marginal integrability fails: {exc}") from exc
 
 
+def gb_marginals(prior: RadialPrior, model: RadialDensity, r: float) -> tuple[float, float]:
+    """The marginal m(g|x) and the directional numerator S at ||x|| = r > 0.
+
+    S is ``directional_marginal`` of g.  A harmonic prior takes m from
+    its closed form and sweeps S alone; any other prior sweeps m and S
+    as two terms of one batch.
+    """
+    if prior.p != model.p:
+        raise ConvolutionError("prior and model dimensions differ")
+    if not r > 0:
+        raise ConvolutionError("radius must be positive")
+    problem = ConvolutionProblem(model, "density", prior.g_eval, float(r), prior.origin_class)
+    try:
+        if prior.harmonic:
+            return harmonic_marginal_closed(model, r), float(_sweep([problem], directional=(0,))[0])
+        m, s = _sweep([problem, problem], directional=(1,))
+    except (DivergenceSuspected, NonFiniteIntegrand) as exc:
+        raise ConvolutionError(f"marginal integrability fails: {exc}") from exc
+    return float(m), float(s)
+
+
 @dataclass(frozen=True)
 class AsymptoticProbe:
     """Ratio table for the large-r marginal approximations."""
@@ -281,12 +373,22 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
 
     ratios = {"m_g": [], "M_g": [], "M_g_over_norm": []}
     for r in radii:
+        # M(g), M(g/||theta||) and, unless it has a closed form, m: one sweep
+        problems = [
+            ConvolutionProblem(model, "tail_kernel", g, r, cls),
+            ConvolutionProblem(model, "tail_kernel", over_norm, r, cls - 1.0),
+        ]
+        if not prior.harmonic:
+            problems.append(ConvolutionProblem(model, "density", g, r, cls))
+        try:
+            values = _sweep(problems)
+        except (DivergenceSuspected, NonFiniteIntegrand) as exc:
+            raise ConvolutionError(f"marginal integrability fails: {exc}") from exc
+        m = harmonic_marginal_closed(model, r) if prior.harmonic else float(values[2])
         gr = float(g(r))
-        ratios["m_g"].append(marginal_m(prior, model, r) / gr)
-        ratios["M_g"].append(kernel_marginal_M(g, model, r, singularity_class=cls) / gr)
-        ratios["M_g_over_norm"].append(
-            kernel_marginal_M(over_norm, model, r, singularity_class=cls - 1.0) / (gr / r)
-        )
+        ratios["m_g"].append(m / gr)
+        ratios["M_g"].append(float(values[0]) / gr)
+        ratios["M_g_over_norm"].append(float(values[1]) / (gr / r))
 
     eps = {}
     logr = np.log(np.asarray(radii))

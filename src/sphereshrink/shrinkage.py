@@ -24,7 +24,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from sphereshrink.numerics import CubicTable, QuadratureSpec, integrate
 from sphereshrink.radial_models import RadialDensity
-from sphereshrink.radial_convolution import directional_marginal, marginal_m
+from sphereshrink.radial_convolution import gb_marginals
 from sphereshrink.rv_priors import RadialPrior
 
 # Knots of the profile's geometric grid (an origin knot comes on top).
@@ -162,13 +162,12 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
 
     Splitting theta along and across x gives
     kappa = 1 + S / (r m), where S is the cos-weighted marginal and m
-    the plain one.
+    the plain one, both from one sweep of the convolution oracle.
     """
     _check_dims(model, p)
     if prior.p != p:
         raise ShrinkageError("prior dimension does not match")
     if r <= 0:
         raise ShrinkageError("r must be positive")
-    m = marginal_m(prior, model, r)
-    s = directional_marginal(prior.g_eval, model, r, singularity_class=prior.origin_class)
+    m, s = gb_marginals(prior, model, r)
     return 1.0 + s / (r * m)

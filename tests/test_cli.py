@@ -88,6 +88,25 @@ def test_tabulated_family_reads_its_table(tmp_path):
     assert rows["f_nonincreasing"] == "holds"
 
 
+def test_model_info_reports_divergent_moments_of_a_heavy_table(tmp_path, capsys):
+    # (1 + r^2)^-2.25 on p = 3: tail exponent 4.5 <= p + 2, so E||X||^2
+    # diverges while E||X||^-2 is finite
+    r = np.geomspace(0.01, 1000.0, 400)
+    table = tmp_path / "heavy.csv"
+    np.savetxt(table, np.column_stack([r, (1.0 + r**2) ** -2.25]), delimiter=",")
+    model = ["--family", "tabulated", "--p", "3", "--table", str(table)]
+    out = tmp_path / "info.csv"
+    assert cli.main(["model-info", *model, "--out", str(out)]) == cli.EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = dict(row[:2] for row in csv.reader(lines))
+    for key in ("c_f", "second_moment", "phi_limit"):
+        assert rows[key] == "divergent", key
+    assert math.isfinite(float(rows["inverse_second_moment"]))
+    # the weight profile needs E||X||^2: the model is refused as configured
+    assert cli.main(["phi", *model, "--out", str(tmp_path / "phi.csv")]) == cli.EXIT_CONFIG
+    assert "moment 2.0 diverges" in capsys.readouterr().err
+
+
 def test_phi_runs_on_a_tabulated_model(tmp_path):
     table = write_table(tmp_path)
     out = tmp_path / "phi.csv"

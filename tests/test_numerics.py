@@ -288,7 +288,42 @@ def test_integrate_rows_raises_when_a_row_runs_over_budget():
     with pytest.raises(ToleranceNotReached) as exc:
         numerics.integrate_rows(lambda row, x: np.where(row == 0, 1.0, 1.0 / np.sqrt(x)), edges, spec.abs_tol, spec)
     assert exc.value.worst_segment[0] == 0.0
+    assert exc.value.row == 1
     assert "row 1" in str(exc.value)
+
+
+def test_integrate_rows_nan_edges_pad_a_shorter_row():
+    # a padded row is the row alone, bitwise, and so is its wider neighbour
+    f = lambda row, x: np.exp(-x) * (row + 1.0) + np.sqrt(x)
+    edges = np.array([[0.0, 0.3, 2.0], [0.0, 2.0, math.nan]])
+    together = numerics.integrate_rows(f, edges, 1e-280)
+    assert together[0] == numerics.integrate_rows(f, edges[:1], 1e-280)[0]
+    assert together[1] == numerics.integrate_rows(lambda row, x: f(row + 1, x), [[0.0, 2.0]], 1e-280)[0]
+    assert together[1] == pytest.approx(2.0 * (1.0 - math.exp(-2.0)) + 2.0 / 3.0 * 2.0**1.5, rel=1e-9)
+    for bad in ([[math.nan, 0.0, 1.0]], [[0.0, math.nan, 1.0]], [[0.0, math.nan, math.nan]]):
+        with pytest.raises(ValueError):
+            numerics.integrate_rows(f, bad, 1e-12)
+
+
+def test_integrate_rows_flags_a_tail_row_parked_at_infinity():
+    # row 1 is 1/(1+r) on [0, inf) under the power map: 1/(1-t) on [0, 1),
+    # which diverges and keeps its worst segment against t = 1 until the
+    # budget runs out
+    tail = numerics.TailMap(0.0, "power", 1.0)
+
+    def f(row, t):
+        r, om = tail.radius(t)
+        return np.where(row == 0, np.exp(-t), tail.weigh(1.0 / (1.0 + r), om))
+
+    spec = QuadratureSpec(max_subdivisions=20)
+    edges = [[0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(DivergenceSuspected):
+        numerics.integrate_rows(f, edges, spec.abs_tol, spec, tails=[False, True])
+    with pytest.raises(ToleranceNotReached) as exc:
+        numerics.integrate_rows(f, edges, spec.abs_tol, spec)
+    assert exc.value.row == 1 and tail.diverged(exc.value.worst_segment)
+    with pytest.raises(DivergenceSuspected):
+        tail.probe(f(np.ones(3, dtype=int), tail.probe_nodes))
 
 
 def test_integrate_rows_rejects_a_non_finite_value():

@@ -12,7 +12,8 @@ import pytest
 from scipy import integrate as sp_integrate
 from scipy.special import erf
 
-from sphereshrink.numerics import sphere_surface
+from sphereshrink import radial_convolution
+from sphereshrink.numerics import ToleranceNotReached, sphere_surface
 from sphereshrink.radial_models import DivergentMoment, gaussian, mixture_diff, poly_exp, tabulated
 from sphereshrink.rv_priors import custom_prior, harmonic_prior, power_prior
 from sphereshrink.radial_convolution import (
@@ -22,6 +23,7 @@ from sphereshrink.radial_convolution import (
     asymptotic_ratio_probe,
     c_f,
     directional_marginal,
+    gb_marginals,
     harmonic_marginal_closed,
     kernel_marginal_M,
     marginal_m,
@@ -229,3 +231,122 @@ def test_probe_rejections():
     heavy = tabulated(r, r ** (-p - 2.6), p)  # s ~ 2.6 under the lemma threshold
     with pytest.raises(ConvolutionError):
         asymptotic_ratio_probe(harmonic_prior(3), heavy, [10.0, 100.0])
+
+
+# --- parity with the unbatched sweep -------------------------------------
+
+# m, S = directional_marginal(g) and M = kernel_marginal_M(g) on the
+# parity grid (tests/conftest.py), as float.hex, from the sweep that ran
+# each quantity's head and tail as separate one-row integrals.  The
+# batched sweep gives them bitwise.
+PARITY = {
+    ("harmonic", "gaussian"): {
+        "m": ("0x1.0f876ddbdefe2p-2", "0x1.970936ca06d76p-3", "0x1.9e77e8d76fc51p-10", "0x1.ffffffffffffdp-19", "0x1.12e0be826d693p-30"),
+        "S": ("-0x1.0484d4deb7084p-6", "-0x1.cbfde52f63401p-4", "-0x1.21b523100678bp-11", "-0x1.8000000000010p-23", "-0x1.a636641c4de9cp-39"),
+        "M": ("0x1.0f876ddbdefe4p-2", "0x1.970936ca06d81p-3", "0x1.9e77e8d76fc59p-10", "0x1.0000000000004p-18", "0x1.12e0be826d699p-30"),
+    },
+    ("harmonic", "poly_exp"): {
+        "m": ("0x1.341dbd470bebep-2", "0x1.0bd3d747f3ce3p-2", "0x1.fb405319dfa77p-9", "0x1.0000000000002p-18", "0x1.12e0be826d697p-30"),
+        "S": ("-0x1.27ca26ecce4c4p-6", "-0x1.34bdb002125d2p-3", "-0x1.4e7c328f55042p-10", "-0x1.0ccccccccccdap-23", "-0x1.278c794703556p-39"),
+        "M": ("0x1.b6dad5e091e62p-2", "0x1.3c682d4a943c1p-2", "0x1.fb405319dfa72p-9", "0x1.0000000000001p-18", "0x1.12e0be826d695p-30"),
+    },
+    ("harmonic", "tabulated"): {
+        "m": ("0x1.aae2f952f78f3p+0", "0x1.fffffe96e3f57p-2", "0x1.53edb57bdc666p-27", "0x1.ffff265b11ac4p-19", "0x1.12e0be7a50a49p-30"),
+        "S": ("-0x1.986978233f921p-4", "-0x1.d067c7d8b0033p-3", "-0x1.173c29de67c8ep-34", "-0x1.75d11d8cdd5ccp-23", "-0x1.a5929d9b90a44p-39"),
+        "M": ("0x1.ad53f53bfbb0fp-2", "0x1.7401455a286bap-3", "0x1.52f6ce64c477dp-27", "0x1.f5b0c16d03193p-19", "0x1.1282d31cb5579p-30"),
+    },
+    ("power", "gaussian"): {
+        "m": ("0x1.24d3dd21adb04p-2", "0x1.cd581e397d89dp-3", "0x1.2cf144052104bp-8", "0x1.ffebfde37fd93p-16", "0x1.0fa32d7d19e3ap-25"),
+        "S": ("-0x1.d43082553ba10p-7", "-0x1.ac7f5e975756ep-4", "-0x1.5c124ef177cedp-10", "-0x1.3fe97c916f96fp-20", "-0x1.5bb21a5a2732ap-34"),
+        "M": ("0x1.24d3dd21adb07p-2", "0x1.cd581e397d8a3p-3", "0x1.2cf144052104fp-8", "0x1.ffebfde37fd98p-16", "0x1.0fa32d7d19e3dp-25"),
+    },
+    ("power", "poly_exp"): {
+        "m": ("0x1.5cc06688eee43p-2", "0x1.26c53c0381928p-2", "0x1.3c7ed4e562d36p-7", "0x1.fff1ff0cdcc7dp-16", "0x1.0fa330d39a0acp-25"),
+        "S": ("-0x1.16eb96aaa227ep-6", "-0x1.1552d66853eacp-3", "-0x1.5936cde05645ep-9", "-0x1.bfebbe1d0789cp-21", "-0x1.e6c631b5e669dp-35"),
+        "M": ("0x1.bf9a1e800cc70p-2", "0x1.4feaa3e585f1cp-2", "0x1.3cca316068894p-7", "0x1.fff323be06d71p-16", "0x1.0fa331765d0f1p-25"),
+    },
+    ("power", "tabulated"): {
+        "m": ("0x1.387ade4aa5558p+0", "0x1.ee47c623dff3bp-2", "0x1.ca8a1e6fc0d3dp-23", "0x1.ffeb91ba46ae8p-16", "0x1.0fa32d781f2f9p-25"),
+        "S": ("-0x1.f20376d818ffap-5", "-0x1.6aa381e47174ep-3", "-0x1.399e22542b237p-30", "-0x1.3596e24b46d1ap-20", "-0x1.5b06eb8b5a143p-34"),
+        "M": ("0x1.66ce3c851ccc1p-2", "0x1.81f4fd928b7f8p-3", "0x1.c90408685b503p-23", "0x1.f3f4a456cef0cp-16", "0x1.0f36642b8c7bep-25"),
+    },
+    ("log_thickened", "gaussian"): {
+        "m": ("0x1.d95752a4b06e5p-1", "0x1.aa534ed807e0bp-1", "0x1.18e9c757bb752p-2", "0x1.0c216c098ecd8p-4", "0x1.c4d66a3aaaeb7p-8"),
+        "S": ("-0x1.5b43ca27feca2p-6", "-0x1.4b8c4c7e7b16dp-3", "-0x1.559dc0c945863p-6", "-0x1.9c1c83a05f99ap-11", "-0x1.8cbb0dc6965b4p-18"),
+        "M": ("0x1.d95752a4b06e1p-1", "0x1.aa534ed807e07p-1", "0x1.18e9c757bb74ep-2", "0x1.0c216c098ecd4p-4", "0x1.c4d66a3aaaeb3p-8"),
+    },
+    ("log_thickened", "poly_exp"): {
+        "m": ("0x1.cb2ea65006ea6p-1", "0x1.b40da1047b6d6p-1", "0x1.5498bbcae8635p-2", "0x1.0c21bc58b2142p-4", "0x1.c4d66a95edb5ap-8"),
+        "S": ("-0x1.4aef6b3452353p-6", "-0x1.66d54bf650263p-3", "-0x1.c68f4bd7215b3p-6", "-0x1.576fdcab2619cp-11", "-0x1.4a9be274207acp-18"),
+        "M": ("0x1.027f05e04b0abp+0", "0x1.cad1b81b01734p-1", "0x1.54c0c67b3f22bp-2", "0x1.0c21fc8f81311p-4", "0x1.c4d66adeefe6fp-8"),
+    },
+    ("log_thickened", "tabulated"): {
+        "m": ("0x1.95f2bd2de59f4p+0", "0x1.0782a4eed81b6p+0", "0x1.b07bb90c02084p-7", "0x1.0c22ad1b13d78p-4", "0x1.c4d66ba86be51p-8"),
+        "S": ("-0x1.4c006bd7094fcp-5", "-0x1.06bfc3f5a85d4p-3", "-0x1.09942433ddf81p-17", "-0x1.12bd57bce5955p-12", "-0x1.087cb4983a644p-19"),
+        "M": ("0x1.4616c14a2bc08p+0", "0x1.e1b4d3806373ap-1", "0x1.b07bb1eaf71ccp-7", "0x1.0c215a1593f65p-4", "0x1.c4d66a38d896dp-8"),
+    },
+}
+
+
+@pytest.mark.parametrize("names", sorted(PARITY), ids="/".join)
+def test_marginals_match_the_unbatched_sweep_bitwise(names, parity_case):
+    prior, model, radii = parity_case(*names)
+    cls = prior.origin_class
+    for j, r in enumerate(radii):
+        got = {
+            "m": marginal_m(prior, model, r),
+            "S": directional_marginal(prior.g_eval, model, r, singularity_class=cls),
+            "M": kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls),
+        }
+        for key, value in got.items():
+            assert value.hex() == PARITY[names][key][j], (key, r)
+
+
+@pytest.mark.parametrize("prior_name", ["power", "log_thickened"])
+def test_a_term_has_the_same_value_alone_and_in_a_batch(prior_name, parity_case):
+    prior, model, _ = parity_case(prior_name, "tabulated")
+    cls = prior.origin_class
+    for r in (1.0, 64.0):
+        m, s = gb_marginals(prior, model, r)
+        assert m == marginal_m(prior, model, r)
+        assert s == directional_marginal(prior.g_eval, model, r, singularity_class=cls)
+    # the ratio probe's three terms, each against its one-term sweep
+    prior, model, _ = parity_case(prior_name, "gaussian")
+    probe = asymptotic_ratio_probe(prior, model, [10.0, 100.0])
+    for r, m_g, big_m_g in zip(probe.radii, probe.ratios["m_g"], probe.ratios["M_g"]):
+        g = float(prior.g_eval(r))
+        assert m_g == marginal_m(prior, model, r) / g
+        assert big_m_g == kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls) / g
+
+
+def test_gb_marginals_take_the_closed_form_for_the_harmonic_prior():
+    m, s = gb_marginals(harmonic_prior(5), gaussian(5), 2.0)
+    assert m == harmonic_marginal_closed(gaussian(5), 2.0)
+    assert s == directional_marginal(harmonic_prior(5).g_eval, gaussian(5), 2.0, singularity_class=-3.0)
+
+
+# --- failure paths ----------------------------------------------------------
+
+def wild_prior():
+    # the prior of test_marginal_integrability_failure
+    g = lambda e: np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
+    gp = lambda e: 1.2 * np.asarray(e, dtype=float) * np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
+    return custom_prior(g, gp, 3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_integrable_prior_fails_loudly_through_every_batched_entry():
+    with pytest.raises(ConvolutionError):
+        gb_marginals(wild_prior(), gaussian(3), 1.0)
+    with pytest.raises(ConvolutionError):
+        asymptotic_ratio_probe(wild_prior(), gaussian(3), [10.0, 100.0])
+
+
+def test_a_head_row_over_budget_raises_rather_than_returns(monkeypatch):
+    tight = radial_convolution._OUTER_SPEC.__class__(abs_tol=1e-280, rel_tol=1e-9, max_subdivisions=2)
+    monkeypatch.setattr(radial_convolution, "_OUTER_SPEC", tight)
+    for call in (lambda: marginal_m(power_prior(-2.5, 5), gaussian(5), 1.0),
+                 lambda: gb_marginals(power_prior(-2.5, 5), gaussian(5), 1.0)):
+        with pytest.raises(ToleranceNotReached) as exc:
+            call()
+        assert exc.value.row == 0  # the first term's head [0, cut]

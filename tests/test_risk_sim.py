@@ -338,10 +338,18 @@ def test_generalized_bayes_table_is_built_once_per_model_and_prior(monkeypatch):
                      theta_norms=(0.0, 2.0), samples_per_point=4096, seed=7)
     first = estimate_risk(cfg, threads=1)
     built = len(calls)
-    assert built == 49
+    assert built == 49 + 48  # the knots, then the gate's interval midpoints
     second = estimate_risk(cfg, threads=1)
     assert len(calls) == built
     assert second.entries == first.entries
+
+
+def test_generalized_bayes_table_gate_trips_on_a_coarse_table(monkeypatch):
+    monkeypatch.setattr(risk_sim, "_GB_KNOTS", 9)
+    cfg = RiskConfig(model=gaussian(3), p=3, estimator="generalized_bayes", prior=harmonic_prior(3),
+                     theta_norms=(0.0,), samples_per_point=4096, seed=7)
+    with pytest.raises(RiskSimError, match="GB table misses psi"):
+        estimate_risk(cfg, threads=1)
 
 
 def test_general_quadratic_loss():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from sphereshrink.radial_convolution import ConvolutionError
 from sphereshrink.radial_models import gaussian, mixture_diff, poly_exp
-from sphereshrink.rv_priors import harmonic_prior, log_thickened_prior, power_prior
+from sphereshrink.rv_priors import custom_prior, harmonic_prior, log_thickened_prior, power_prior
 from sphereshrink import shrinkage as sh
 from sphereshrink.shrinkage import (
     ShrinkageError,
@@ -196,3 +197,53 @@ def test_gb_multiplier_rejections():
         gb_multiplier(harmonic_prior(4), gaussian(5), 5, 1.0)
     with pytest.raises(ShrinkageError):
         gb_multiplier(harmonic_prior(5), gaussian(5), 5, 0.0)
+
+
+# gb_multiplier on the parity grid (tests/conftest.py), as float.hex, from
+# the oracle that swept m and S one after the other; the one batched
+# sweep of both gives them bitwise.
+GB_PARITY = {
+    ("harmonic", "gaussian"): {
+        "gb": ("0x1.99f37f75ce7f4p-2", "0x1.bd636722c0d16p-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
+    },
+    ("harmonic", "poly_exp"): {
+        "gb": ("0x1.999a97a31043ep-2", "0x1.b1c960350b81ap-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
+    },
+    ("harmonic", "tabulated"): {
+        "gb": ("0x1.9bb29a082f6f2p-2", "0x1.17cc1b6fe2b02p-1", "0x1.fffe31b952dd8p-1", "0x1.ffa28b90e2d4cp-1", "0x1.ffff9b7d3e477p-1"),
+    },
+    ("power", "gaussian"): {
+        "gb": ("0x1.002ecfb8c7936p-1", "0x1.123a042fa7f76p-1", "0x1.eec0c8367909fp-1", "0x1.ffb00280a0390p-1", "0x1.ffffac1d2c9c2p-1"),
+    },
+    ("power", "poly_exp"): {
+        "gb": ("0x1.001305d0ab8d0p-1", "0x1.0f26f145d0554p-1", "0x1.ea148bd73ba2ap-1", "0x1.ffc8010028c8dp-1", "0x1.ffffc5479e670p-1"),
+    },
+    ("power", "tabulated"): {
+        "gb": ("0x1.01002ed115f6fp-1", "0x1.442e332125b95p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796abp-1"),
+    },
+    ("log_thickened", "gaussian"): {
+        "gb": ("0x1.8a9ddc396e1f5p-1", "0x1.9c74baa176dfep-1", "0x1.fb776ca27ed04p-1", "0x1.ffe768875559cp-1", "0x1.ffffe34abf06fp-1"),
+    },
+    ("log_thickened", "poly_exp"): {
+        "gb": ("0x1.8cafe5661a966p-1", "0x1.96aad6a94dc39p-1", "0x1.f94b7ecb6d101p-1", "0x1.ffeb81a1fb889p-1", "0x1.ffffe8139f16ep-1"),
+    },
+    ("log_thickened", "tabulated"): {
+        "gb": ("0x1.7d252cfa5f877p-1", "0x1.c02f54c55bbd9p-1", "0x1.ffffd4cd94c3ep-1", "0x1.fff7cd8ece68fp-1", "0x1.fffff66e3faddp-1"),
+    },
+}
+
+
+@pytest.mark.parametrize("names", sorted(GB_PARITY), ids="/".join)
+def test_gb_multiplier_matches_the_unbatched_oracle_bitwise(names, parity_case):
+    prior, model, radii = parity_case(*names)
+    for r, expected in zip(radii, GB_PARITY[names]["gb"]):
+        assert gb_multiplier(prior, model, prior.p, r).hex() == expected, r
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gb_multiplier_fails_loudly_on_a_non_integrable_prior():
+    # the prior of test_marginal_integrability_failure
+    g = lambda e: np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
+    gp = lambda e: 1.2 * np.asarray(e, dtype=float) * np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
+    with pytest.raises(ConvolutionError):
+        gb_multiplier(custom_prior(g, gp, 3), gaussian(3), 3, 1.0)
