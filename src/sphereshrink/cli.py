@@ -42,6 +42,7 @@ from sphereshrink.rv_priors import (
     blyth_decay,
     classify_prior,
     harmonic_prior,
+    kernel_offset,
     log_thickened_prior,
     power_prior,
 )
@@ -208,15 +209,12 @@ def _build_prior(cfg, p):
 
 
 def _blyth_kernel(prior):
-    """Kernel one log level deeper than the prior's own tower, Log_n(c) = 1.
+    """Kernel one log level deeper than the prior's own tower, at ``kernel_offset``.
 
     The harmonic and power priors get LogTower(1, e).
     """
     n = prior.log_depth + 1
-    c = 1.0
-    for _ in range(n):
-        c = math.exp(c)
-    return BetaKernel(LogTower(n, c))
+    return BetaKernel(LogTower(n, kernel_offset(n)))
 
 
 # -- output -------------------------------------------------------------

@@ -362,6 +362,8 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
         raise ConvolutionError("need at least two positive radii")
 
     prof = prior.assumption_profile
+    if not (math.isfinite(prof.t1) and math.isfinite(prof.t2)):
+        raise ConvolutionError(f"slope audit of the prior is not finite: t1={prof.t1}, t2={prof.t2}")
     s = model.tail_profile().s
     need = 2.0 + max(1.0, 1.0 - prof.t1 - prior.p, prof.t2 - 1.0)
     if not s > need:

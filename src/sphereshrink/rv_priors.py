@@ -1,12 +1,18 @@
 """Regularly varying radial priors and their admissibility machinery.
 
-The module has two halves.  The first builds the smoothing sequence used
-in Blyth-style admissibility arguments: an iterated-logarithm kernel
+Both halves of the module rest on one product of iterated logarithms,
 
-    beta(eta) = 1/(eta+c) * 1/Log_n(eta+c)^2 * prod_{i<n} 1/Log_i(eta+c)
+    f(eta) = prod_{j=0..n} Log_j(eta+c)^{e_j},    Log_0(y) = y,
 
-whose tail integral collapses to 1/Log_n(eta+c), and the exponential
-averages
+whose logarithmic derivatives have a closed form in the partial
+products P_j = 1/(Log_0 ... Log_j) (see :class:`_LogProduct`).  The
+first half builds the smoothing sequence used in Blyth-style
+admissibility arguments: the iterated-logarithm kernel
+
+    beta(eta) = 1/(eta+c) * 1/Log_n(eta+c)^2 * prod_{0<j<n} 1/Log_j(eta+c),
+
+the product with exponents (-1, ..., -1, -2), whose tail integral
+collapses to 1/Log_n(eta+c), and the exponential averages
 
     H_i(eta) = int_eta^inf e^{(eta-r)/i} beta(r) dr / int_eta^inf beta(r) dr
 
@@ -15,7 +21,9 @@ array of eta and integrate it as one batch, a row per eta.  The second
 half audits a radial prior G: slope bounds eta G'/G, a properness
 index, the decay of the Blyth quadratic-form integrals J(i), a
 Brown-type integral test on partial sums, and a coarse
-admissible/inadmissible classification.
+admissible/inadmissible classification.  The log-thickened prior
+eta^{2-p} Log_1 ... Log_{n+1} and the admissible boundary of the
+classification are products of the same tower.
 Each prior family (power, which also serves the harmonic prior,
 log-thickened and custom) is a subclass of :class:`RadialPrior` built by
 its factory.
@@ -46,6 +54,10 @@ _H_MAP_EXPONENT = 3
 # initial pieces of each H row in t, crowding toward t = 1 where the
 # map stretches furthest
 _H_EDGES = np.array([0.0, 0.5, 0.9, 0.99, 0.999, 1.0])
+# both pieces of each J(i) answer to the relative tolerance, since J can
+# sit far below a fixed absolute one (J(1) = 2.8e-16 for the depth-1
+# log-thickened prior with c = 100); the floor is the convolution specs'
+_BLYTH_SPEC = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-6, max_subdivisions=120)
 
 
 class PriorError(ValueError):
@@ -73,6 +85,22 @@ def log_tower(j: int, y):
     return out if out.ndim else float(out)
 
 
+def kernel_offset(n: int) -> float:
+    """Offset c of the depth-n kernel: the c with Log_n(c) = 1, c = exp^n(1).
+
+    That is 1, e, e^e and e^e^e ~ 3.8e6 for n = 0, 1, 2, 3.  No double
+    has Log_4(c) = 1 (exp^4(1) overflows), so depth 4 takes
+    c = 2 e^e^e ~ 7.6e6, where Log_4(c) ~ 0.016 > 0.  Log_5 of every
+    double is negative, so a depth of 5 or more raises PriorError.
+    """
+    if n > 4:
+        raise PriorError(f"no kernel of depth {n}: Log_{n}(c) < 0 for every double c")
+    c = 1.0
+    for _ in range(min(n, 3)):
+        c = math.exp(c)
+    return 2.0 * c if n == 4 else c
+
+
 @dataclass(frozen=True)
 class LogTower:
     """Depth and offset of an iterated-log kernel; requires Log_n(c) > 0."""
@@ -88,45 +116,88 @@ class LogTower:
             raise PriorError(f"Log_{self.n}({self.c}) = {val} must be positive")
 
 
+class _LogProduct:
+    """f(eta) = prod_{j=0..n} Log_j(eta+c)^{e_j} with Log_0(y) = y, integer e_j.
+
+    (``log_tower`` takes Log_0 = 1 instead.)  Since
+    Log_j' = 1/(Log_0 ... Log_{j-1}), the partial products
+    P_j = 1/(Log_0 ... Log_j) satisfy Log_j'/Log_j = P_j and
+    P_j' = -P_j (P_0 + ... + P_j), so
+
+        (log f)'  =  sum_j e_j P_j,
+        (log f)'' = -sum_j e_j P_j (P_0 + ... + P_j).
+
+    Each call builds the levels Log_0 ... Log_n once; f is one quotient
+    of the positive powers by the negative ones.
+    """
+
+    def __init__(self, c: float, exponents):
+        self.c = float(c)
+        # integers held as floats: numpy mixes a float scalar in faster
+        self.exponents = tuple(float(int(e)) for e in exponents)
+        # (j, |e_j|) of the powers above and below the fraction bar
+        self._above = tuple((j, e) for j, e in enumerate(self.exponents) if e > 0)
+        self._below = tuple((j, -e) for j, e in enumerate(self.exponents) if e < 0)
+
+    def __call__(self, eta, order: int = 0):
+        """[f, (log f)', (log f)''][:order + 1] at eta."""
+        levels = [np.asarray(eta, dtype=float) + self.c]
+        for _ in self.exponents[1:]:
+            levels.append(np.log(levels[-1]))
+        num, den = _power_product(levels, self._above), _power_product(levels, self._below)
+        if den is None:
+            out = [num]
+        else:
+            out = [1.0 / den if num is None else num / den]
+        if order:
+            d1 = d2 = s = 0.0
+            p = 1.0
+            for lev, e in zip(levels, self.exponents):
+                p = p / lev
+                if e:
+                    d1 = d1 + e * p
+                if order > 1:
+                    s = s + p
+                    d2 = d2 - e * p * s
+            out += [d1, d2][:order]
+        return out
+
+
+def _power_product(levels, powers):
+    """prod levels[j]**k over (j, k) in ``powers``; None when there is none."""
+    out = None
+    for j, k in powers:
+        power = levels[j] if k == 1.0 else levels[j] ** k
+        out = power if out is None else out * power
+    return out
+
+
 class BetaKernel:
-    """Normalized decay kernel with closed-form tail 1/Log_n(eta+c)."""
+    """Normalized decay kernel beta = 1/((eta+c) Log_1 ... Log_{n-1} Log_n^2).
+
+    beta and its closed-form tail 1/Log_n(eta+c) are the
+    :class:`_LogProduct` of eta + c with exponents (-1, ..., -1, -2) and
+    (0, ..., 0, -1); beta' = beta (log beta)' takes the product's chain
+    rule.
+    """
 
     def __init__(self, tower: LogTower):
         self.tower = tower
-
-    def _levels(self, eta):
-        """Stack of [L_1, ..., L_n] evaluated at eta + c."""
-        y = np.asarray(eta, dtype=float) + self.tower.c
-        levels = [np.log(y)]
-        for _ in range(1, self.tower.n):
-            levels.append(np.log(levels[-1]))
-        return y, levels
+        n = tower.n
+        self._beta = _LogProduct(tower.c, (-1,) * n + (-2,))
+        self._tail = _LogProduct(tower.c, (0,) * n + (-1,))
 
     def beta_eval(self, eta):
-        y, levels = self._levels(eta)
-        out = 1.0 / (y * levels[-1] ** 2)
-        for lev in levels[:-1]:
-            out = out / lev
-        return out if np.ndim(eta) else float(out)
+        return _value(self._beta(eta)[0])
 
     def beta_tail(self, eta):
         """int_eta^inf beta = 1/Log_n(eta+c), exact."""
-        _, levels = self._levels(eta)
-        out = 1.0 / levels[-1]
-        return out if np.ndim(eta) else float(out)
+        return _value(self._tail(eta)[0])
 
     def beta_deriv(self, eta):
         """Analytic derivative of beta."""
-        y, levels = self._levels(eta)
-        # D_j = d Log_j(eta+c) / d eta
-        d = 1.0 / y
-        logsum = 1.0 / y
-        for j, lev in enumerate(levels):
-            weight = 2.0 if j == len(levels) - 1 else 1.0
-            logsum = logsum + weight * d / lev
-            d = d / lev
-        out = -self.beta_eval(eta) * logsum
-        return out if np.ndim(eta) else float(out)
+        beta, dlog = self._beta(eta, 1)
+        return _value(beta * dlog)
 
 
 class HSequence:
@@ -333,7 +404,12 @@ class _Power(RadialPrior):
 
 
 class _LogThickened(RadialPrior):
-    """eta^{2-p} times n+1 nested logarithms of eta + c."""
+    """G = eta^{2-p} f, f the :class:`_LogProduct` of eta + c with exponents (0, 1, ..., 1).
+
+    f holds the n+1 nested logarithms Log_1 ... Log_{n+1}, so
+    (log G)' = (2-p)/eta + (log f)' and G' = G (log G)',
+    G'' = G ((log G)'^2 + (log G)'').
+    """
 
     family = "log_thickened"
 
@@ -349,49 +425,23 @@ class _LogThickened(RadialPrior):
         self.rv_index = self.origin_slope = 2.0 - self.p
         self.log_depth = self.n + 1
         self.detail = f"n={self.n}, c={self.c}"
-
-    def _log_product(self, eta):
-        y = eta + self.c
-        prod = np.ones_like(np.asarray(y, dtype=float))
-        cur = np.log(y)
-        for _ in range(self.n + 1):
-            prod = prod * cur
-            cur = np.log(cur)
-        return prod
-
-    def _psi_parts(self, eta):
-        """psi = eta G'/G and psi'."""
-        k = 2.0 - self.p
-        y = eta + self.c
-        levels = [np.log(y)]
-        for _ in range(self.n):
-            levels.append(np.log(levels[-1]))
-        psi = np.full_like(y, k)
-        psi_prime = np.zeros_like(y)
-        d = 1.0 / y
-        d_prime = -1.0 / y**2
-        for lev in levels:
-            term = eta * d / lev
-            psi = psi + term
-            psi_prime = psi_prime + d / lev + eta * (d_prime * lev - d * d) / lev**2
-            d_prime = d_prime / lev - (d / lev) ** 2
-            d = d / lev
-        return psi, psi_prime
+        self._logs = _LogProduct(self.c, (0,) + (1,) * self.log_depth)
 
     def _g(self, eta):
-        return eta ** (2.0 - self.p) * self._log_product(eta)
+        return eta ** (2.0 - self.p) * self._logs(eta)[0]
 
     def _g_deriv(self, eta):
-        psi, _ = self._psi_parts(eta)
-        return self._g(eta) * psi / eta
+        k = 2.0 - self.p
+        f, dlog = self._logs(eta, 1)
+        return eta**k * f * (k / eta + dlog)
 
     def _g_deriv2(self, eta):
-        psi, psi_prime = self._psi_parts(eta)
-        return self._g(eta) / eta**2 * (psi**2 - psi + eta * psi_prime)
+        k = 2.0 - self.p
+        f, dlog, dlog2 = self._logs(eta, 2)
+        return eta**k * f * ((k / eta + dlog) ** 2 + dlog2 - k / eta**2)
 
     def _log_deriv(self, eta):
-        psi, _ = self._psi_parts(eta)
-        return psi
+        return (2.0 - self.p) + eta * self._logs(eta, 1)[1]
 
 
 class _Custom(RadialPrior):
@@ -615,14 +665,13 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
                 w = w * h1.h_eval(eta) ** (gamma - 2.0)
             return w * hseq.h_derivative(eta) ** 2
 
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-6, max_subdivisions=120)
-        head = integrate(integrand, 0.0, 1.0, spec).value
+        head = integrate(integrand, 0.0, 1.0, _BLYTH_SPEC).value
 
         def integrand_log(v):
             eta = np.exp(v)
             return integrand(eta) * eta
 
-        tail = integrate_semi_infinite(integrand_log, 0.0, spec, decay="exp", scale=1.0).value
+        tail = integrate_semi_infinite(integrand_log, 0.0, _BLYTH_SPEC, decay="exp", scale=1.0).value
         out.append(head + tail)
     return out
 
@@ -670,20 +719,16 @@ def _boundary_margin(prior: RadialPrior, depth: int) -> float:
 
     The admissible boundary allows G(eta) up to
     eta^{2-p} * Tail(eta)^2 / (eta * beta(eta)) for a kernel one level
-    deeper than the prior's own log tower; the ratio is evaluated on a
-    wide grid and its maximum returned.
+    deeper than the prior's own log tower, at c = 2 exp^{depth-1}(1).
+    Log_depth cancels from Tail^2/beta, which leaves the closed form
+    eta^{1-p} times the :class:`_LogProduct` with exponents (1, ..., 1)
+    on Log_0 ... Log_{depth-1}.  The ratio is evaluated on a wide grid
+    and its maximum returned.
     """
-    c = 1.0
-    for _ in range(1, depth):
-        c = math.exp(c)
-    tower = LogTower(depth, 2.0 * c)
-    kernel = BetaKernel(tower)
+    tower = LogTower(depth, 2.0 * kernel_offset(depth - 1))
     grid = np.geomspace(1.0, 1e8, 200)
-    bound = grid ** (2.0 - prior.p) * np.asarray(kernel.beta_tail(grid)) ** 2 / (
-        grid * np.asarray(kernel.beta_eval(grid))
-    )
-    ratio = np.asarray(prior.g_eval(grid), dtype=float) / bound
-    return float(np.max(ratio))
+    bound = grid ** (1.0 - prior.p) * _LogProduct(tower.c, (1,) * depth)(grid)[0]
+    return float(np.max(prior.g_eval(grid) / bound))
 
 
 def classify_prior(prior: RadialPrior, model=None) -> PriorClassification:

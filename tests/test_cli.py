@@ -171,6 +171,22 @@ def test_prior_takes_the_log_thickened_prior(tmp_path):
     assert len(js) == 2 and all(j > 0 for j in js)
 
 
+def test_prior_takes_a_depth_four_blyth_kernel(tmp_path):
+    # --depth 2 asks for a depth-4 kernel, whose Log_4(c) = 1 no double holds
+    out = tmp_path / "prior.csv"
+    assert cli.main(["prior", "--p", "3", "--prior", "logthick", "--depth", "2", "--offset", "1e6",
+                     "--i", "1,4", "--out", str(out)]) == cli.EXIT_OK
+    js = [float(row[2]) for row in data_rows(out) if row[1].startswith("J(")]
+    assert len(js) == 2 and all(j > 0 for j in js)
+
+
+def test_prior_refuses_a_kernel_deeper_than_a_double_holds(tmp_path, capsys):
+    out = tmp_path / "prior.csv"
+    assert cli.main(["prior", "--p", "3", "--prior", "logthick", "--depth", "3", "--offset", "1e7",
+                     "--i", "1,4", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_risk_takes_the_log_thickened_prior(tmp_path):
     out = tmp_path / "risk.csv"
     assert cli.main(["risk", *MODEL, "--estimator", "gb", "--prior", "logthick", "--n", "2000",

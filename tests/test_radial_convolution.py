@@ -338,7 +338,8 @@ def wild_prior():
 def test_a_non_integrable_prior_fails_loudly_through_every_batched_entry():
     with pytest.raises(ConvolutionError):
         gb_marginals(wild_prior(), gaussian(3), 1.0)
-    with pytest.raises(ConvolutionError):
+    # its slope audit overflows to nan, which the probe's tail gate refuses
+    with pytest.raises(ConvolutionError, match="slope audit"):
         asymptotic_ratio_probe(wild_prior(), gaussian(3), [10.0, 100.0])
 
 

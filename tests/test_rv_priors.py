@@ -14,6 +14,7 @@ import pytest
 import sympy
 from scipy.integrate import quad
 
+from sphereshrink import rv_priors
 from sphereshrink.radial_models import gaussian
 from sphereshrink.rv_priors import (
     AssumptionProfile,
@@ -26,6 +27,7 @@ from sphereshrink.rv_priors import (
     classify_prior,
     custom_prior,
     harmonic_prior,
+    kernel_offset,
     log_thickened_prior,
     log_tower,
     power_prior,
@@ -77,6 +79,19 @@ class TestLogTower:
     def test_depth_zero_rejected(self):
         with pytest.raises(PriorError):
             LogTower(0, 10.0)
+
+    def test_kernel_offsets(self):
+        assert [kernel_offset(n) for n in range(4)] == [1.0, math.e, math.exp(math.e), math.exp(math.exp(math.e))]
+        # exp^4(1) overflows: depth 4 sits at 2 exp^3(1), where Log_4 is small but positive
+        c4 = kernel_offset(4)
+        assert c4 == 2.0 * kernel_offset(3)
+        assert log_tower(4, c4) == pytest.approx(0.01619, abs=1e-5)
+        LogTower(4, c4)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_no_kernel_fits_a_double_past_depth_four(self, n):
+        with pytest.raises(PriorError, match=f"depth {n}"):
+            kernel_offset(n)
 
 
 class TestBetaKernel:
@@ -279,6 +294,92 @@ def test_h_rows_converge_in_few_passes():
             hs._avg(eta, counted(K1.beta_eval))
             hs._avg(eta, counted(lambda r: -K1.beta_deriv(r)))
     assert len(passes) <= 120
+
+
+# --- the iterated-log product at 40 digits -----------------------------
+
+ETAS = [1e-6, 1e-3, 0.5, 3.0, 1e2, 1e5, 1e8, 1e12]
+
+
+def mp_levels(eta, c, n):
+    """[eta + c, Log_1(eta + c), ..., Log_n(eta + c)] in the current mpmath precision."""
+    levels = [eta + c]
+    for _ in range(n):
+        levels.append(mpmath.log(levels[-1]))
+    return levels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_matches_a_40_digit_reference(n):
+    # the depth-4 kernel loses the most: Log_4(c) = 0.016 turns the last
+    # bit of Log_3 into 6e-15 of Log_4, and beta holds Log_4 squared
+    c = kernel_offset(n)
+    kernel = BetaKernel(LogTower(n, c))
+    with mpmath.workdps(40):
+        def beta(x):
+            levels = mp_levels(x, mpmath.mpf(c), n)
+            return 1 / (mpmath.fprod(levels[:-1]) * levels[-1] ** 2)
+
+        want = []
+        for e in ETAS:
+            x = mpmath.mpf(e)
+            want.append((beta(x), mpmath.diff(beta, x), 1 / mp_levels(x, mpmath.mpf(c), n)[-1]))
+    got = [(kernel.beta_eval(e), kernel.beta_deriv(e), kernel.beta_tail(e)) for e in ETAS]
+    assert np.asarray(got) == pytest.approx(np.asarray(want, dtype=float), rel=5e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n,c", [(0, 2.0), (1, 16.0), (2, 1e6), (3, 1e7)])
+@pytest.mark.parametrize("p", [3, 5])
+def test_log_thickened_prior_matches_a_40_digit_reference(n, c, p):
+    prior = log_thickened_prior(n, c, p)
+    with mpmath.workdps(40):
+        def g(x):
+            return x ** (2 - p) * mpmath.fprod(mp_levels(x, mpmath.mpf(c), n + 1)[1:])
+
+        want = []
+        for e in ETAS:
+            x = mpmath.mpf(e)
+            g0, g1 = g(x), mpmath.diff(g, x)
+            want.append((g0, g1, mpmath.diff(g, x, 2), x * g1 / g0))
+    got = [(prior.g_eval(e), prior.g_deriv(e), prior.g_deriv2(e), prior.log_deriv(e)) for e in ETAS]
+    assert np.asarray(got) == pytest.approx(np.asarray(want, dtype=float), rel=5e-14, abs=0.0)
+
+
+# --- parity with the per-level formulas the product replaced -------------
+
+# H_i, H_i' (kernel LogTower(1, e), rows eta = 0.1, 3, 100, 1e4), J(i)
+# and the properness index of the benchmark's prior diagnostics, as the
+# separate kernel, tail and derivative loops computed them
+H_PARITY = {
+    1.0: (("0x1.839f910fc004cp-3", "0x1.3627cd3b4ba29p-4", "0x1.0fbbb13194d41p-9", "0x1.6c2897519aee5p-17"),
+          ("-0x1.69f5883ff6323p-4", "-0x1.162715818b0bap-6", "-0x1.96dabeb1487dap-16", "-0x1.4a9496ae216ecp-30")),
+    32.0: (("0x1.4351ce5222e41p-1", "0x1.c20abfd9c4de2p-2", "0x1.92e796ee74487p-5", "0x1.6acb768f8180cp-12"),
+           ("-0x1.b415d6379fe5ep-4", "-0x1.5c004e36f12cbp-5", "-0x1.e3da2cba0e2f6p-12", "-0x1.4836423d6e6aep-25")),
+    1024.0: (("0x1.a7d7900ff52a6p-1", "0x1.6d0721f704ae6p-1", "0x1.27c817c3f3266p-2", "0x1.46c1ec129606ap-7"),
+             ("-0x1.dc6b1b225a608p-5", "-0x1.cc481a8c9f780p-6", "-0x1.3ddfd007d2612p-10", "-0x1.0e82371675641p-20")),
+}
+
+
+def from_hex(values):
+    return [float.fromhex(v) for v in values]
+
+
+@pytest.mark.parametrize("i", sorted(H_PARITY))
+def test_h_sequence_parity(i):
+    hs = HSequence(K1, i)
+    etas = np.array([0.1, 3.0, 100.0, 1e4])
+    h, hp = H_PARITY[i]
+    assert hs.h_eval(etas) == pytest.approx(from_hex(h), rel=1e-14, abs=0.0)
+    assert hs.h_derivative(etas) == pytest.approx(from_hex(hp), rel=1e-14, abs=0.0)
+
+
+def test_blyth_and_properness_parity():
+    js = blyth_decay(harmonic_prior(3), BetaKernel(LogTower(1, 1.02)), [64.0, 1024.0])
+    assert js == pytest.approx(from_hex(("0x1.0f952639d91d2p-3", "0x1.b0750d6a550dfp-4")), rel=1e-14, abs=0.0)
+    jg = blyth_decay(harmonic_prior(3, gamma=1.5), K1, [4.0])
+    assert jg == pytest.approx(from_hex(("0x1.c6558a0e9cc8ap-4",)), rel=1e-14, abs=0.0)
+    value = properness_index(harmonic_prior(3), K1).value
+    assert value == pytest.approx(float.fromhex("0x1.abdda2eafdfddp-2"), rel=1e-14, abs=0.0)
 
 
 class TestSlowVariationTrend:
@@ -502,6 +603,16 @@ class TestBlythDecay:
         assert js[0] == pytest.approx(0.0070358, rel=5e-3)
         assert js[1] == pytest.approx(0.0257586, rel=5e-3)
 
+    def test_tiny_integrals_are_held_to_the_relative_tolerance(self, monkeypatch):
+        # J(1) = 2.8e-16 here; an absolute tolerance of 1e-14 passed
+        # 5.3e-24 after one segment per piece
+        prior = log_thickened_prior(1, 100.0, 3)
+        kernel = BetaKernel(LogTower(3, kernel_offset(3)))
+        js = blyth_decay(prior, kernel, [1, 64])
+        tight = rv_priors.QuadratureSpec(abs_tol=1e-280, rel_tol=1e-9, max_subdivisions=400)
+        monkeypatch.setattr(rv_priors, "_BLYTH_SPEC", tight)
+        assert js == pytest.approx(blyth_decay(prior, kernel, [1, 64]), rel=1e-5, abs=0.0)
+
 
 class TestClassification:
     def test_harmonic_gaussian_certified(self):
@@ -534,6 +645,26 @@ class TestClassification:
         # it clearly, so this is certified rather than left open
         out = classify_prior(power_prior(-0.7, 3), gaussian(3))
         assert out.verdict == "inadmissible_certified"
+
+    def test_log_thickened_certified_at_depth_two(self):
+        out = classify_prior(log_thickened_prior(2, 1e6, 3), gaussian(3))
+        assert out.verdict == "admissible_certified"
+
+    def test_no_boundary_kernel_of_depth_five(self):
+        # the prior's four log factors ask for a depth-5 boundary kernel
+        with pytest.raises(PriorError, match="Log_5"):
+            classify_prior(log_thickened_prior(3, 1e7, 3), gaussian(3))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_boundary_closed_form_matches_the_kernel(self, depth):
+        # eta^{2-p} Tail^2 / (eta beta) of the depth-`depth` kernel, as the
+        # classification bounded a boundary prior before the closed form
+        prior = log_thickened_prior(0, 2.0, 3)
+        kernel = BetaKernel(LogTower(depth, 2.0 * kernel_offset(depth - 1)))
+        grid = np.geomspace(1.0, 1e8, 200)
+        bound = grid ** (2.0 - prior.p) * kernel.beta_tail(grid) ** 2 / (grid * kernel.beta_eval(grid))
+        want = float(np.max(prior.g_eval(grid) / bound))
+        assert rv_priors._boundary_margin(prior, depth) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_nonintegrable_power_uncertified(self):
         out = classify_prior(power_prior(-3.0, 3), gaussian(3))
