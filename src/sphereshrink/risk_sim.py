@@ -18,6 +18,15 @@ per-block partial sums are reduced in a fixed order, so results are
 byte-identical for any worker-thread count.  Paired (common random
 numbers) sampling estimates the risk difference against the identity
 estimator with far smaller variance than independent runs.
+
+The built-in estimators are radial, delta(x) = (1 - w(||x||)) x, so a
+block never forms X.  With theta = t d and v = R U it keeps the per-draw
+scalars R^2, v.d, v'Qv and v'Qd, and each theta works on n-vectors:
+||x||^2 = R^2 + t (2 v.d + t), and the paired loss difference
+w (w x'Qx - 2 x'Qv) is computed directly from them rather than as the
+difference of two nearly equal losses.  A callable estimator takes the
+materialized path, X = theta + R U and delta = est(X, ||X||), on the
+same draws.
 """
 
 from __future__ import annotations
@@ -162,11 +171,14 @@ def sample_obs(model: RadialDensity, theta, rng) -> np.ndarray:
 
 
 def _sample_block(model, rng, n):
-    """n draws of R U, with a fixed stream layout: normals first, then uniforms."""
+    """n draws of R U = z (R / ||z||) as (z, R, R / ||z||).
+
+    The stream layout is fixed: normals first, then uniforms.
+    """
     z = rng.standard_normal((n, model.p))
     u = rng.random(n)
-    scale = sample_radius(model, u) / np.linalg.norm(z, axis=1)
-    return z * scale[:, None]
+    r = sample_radius(model, u)
+    return z, r, r / np.linalg.norm(z, axis=1)
 
 
 # -- configuration ------------------------------------------------------
@@ -291,39 +303,22 @@ def _gb_table(model: RadialDensity, prior: RadialPrior):
     return tab
 
 
-def _resolve_estimator(config: RiskConfig):
+def _weight(config: RiskConfig):
+    """Weight w(r) of a built-in estimator delta(x) = (1 - w(||x||)) x.
+
+    The profile's psi for ``harmonic_bayes``; psi_table(clip r) /
+    max(r, r0)^2 for ``generalized_bayes``, which holds psi beyond the
+    table's grid, so w tends to psi/r^2 as the profile's does, and holds
+    w itself below it; None for ``identity``, whose weight is 0.
+    """
     est = config.estimator
-    if callable(est):
-        return est
     if est == "identity":
-        return lambda x, norms: x
-    model = config.model
+        return None
     if est == "harmonic_bayes":
-        prof = _cached_profile(model)
-        return lambda x, norms: x * np.asarray(prof.multiplier(norms))[:, None]
-    # generalized_bayes: beyond the grid psi is held, so the multiplier
-    # tends to 1 - psi/r^2 as the profile's does; below it the
-    # multiplier itself is held.
-    grid, psi_table = _gb_table(model, config.prior)
-
-    def gb(x, norms):
-        psi = psi_table(np.clip(norms, grid[0], grid[-1]))
-        return x * (1.0 - psi / np.maximum(norms, grid[0]) ** 2)[:, None]
-
-    return gb
-
-
-def _loss_fn(config: RiskConfig):
-    q = config.loss_Q
-    if q is None:
-        return lambda v: np.einsum("ij,ij->i", v, v)
-    chol = np.linalg.cholesky(q)
-
-    def loss(v):
-        w = v @ chol
-        return np.einsum("ij,ij->i", w, w)
-
-    return loss
+        return _cached_profile(config.model).psi
+    grid, psi_table = _gb_table(config.model, config.prior)
+    lo, hi = grid[0], grid[-1]
+    return lambda r: psi_table(np.clip(r, lo, hi)) / np.maximum(r, lo) ** 2
 
 
 def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
@@ -336,12 +331,26 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
     correlated across theta while each keeps its own standard error,
     and an entry is bitwise the same whatever other thetas the curve
     holds and in whatever order.
+
+    With theta = t d and v = R U, a block first reduces its draws to the
+    per-draw scalars R^2, s = v.d, a = v'Qv and q = v'Qd (a = R^2 and
+    q = s without Q); the loss of X is a, whatever theta.  A built-in
+    estimator is radial, delta = (1 - w(||x||)) x, so each theta needs
+    only n-vectors: ||x||^2 = R^2 + t (2 s + t), x'Qv = t q + a,
+    x'Qx = t (t d'Qd + 2 q) + a, and the paired difference
+    w (w x'Qx - 2 x'Qv) is computed directly, not as the difference of
+    the two losses, which cancels far from the origin; the loss of delta
+    is a plus it.  A callable estimator is the one materialized path: it
+    forms X = theta + R U and calls est(X, ||X||), then takes its loss
+    and the difference from a.  Both paths share the draws, the
+    per-block partial sums and their fixed-order reduction.
     """
     model = config.model
     p = config.p
     n_total = config.samples_per_point
-    est_fn = _resolve_estimator(config)
-    loss = _loss_fn(config)
+    est = config.estimator
+    materialized = callable(est)
+    weight = None if materialized else _weight(config)
     _sampler(model)  # build the table before threads fan out
 
     direction = config.theta_direction
@@ -352,23 +361,40 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
     trace_q = float(p if q is None else np.trace(q))
     scalar_q = q is None or bool(np.allclose(q, q[0, 0] * np.eye(p), rtol=1e-12, atol=1e-12))
     baseline = trace_q * model.moment(2.0) / p
+    dqd = 1.0 if q is None else float(direction @ q @ direction)
 
     norms = config.theta_norms
-    thetas = [norm * direction for norm in norms]
     n_blocks = (n_total + _BLOCK - 1) // _BLOCK
-    partials = np.zeros((len(norms), n_blocks, 6))
+    partials = np.zeros((len(norms), n_blocks, 4))
 
     def run_block(j):
         n = min(_BLOCK, n_total - j * _BLOCK)
         ss = np.random.SeedSequence(config.seed, spawn_key=(j,))
-        ru = _sample_block(model, np.random.Generator(np.random.Philox(ss)), n)
-        for t, theta in enumerate(thetas):
-            x = theta + ru
-            delta = est_fn(x, np.linalg.norm(x, axis=1))
-            ld = loss(delta - theta)
-            lx = loss(x - theta)
-            d = ld - lx
-            partials[t, j] = (ld.sum(), (ld * ld).sum(), lx.sum(), (lx * lx).sum(), d.sum(), (d * d).sum())
+        z, r, scale = _sample_block(model, np.random.Generator(np.random.Philox(ss)), n)
+        r2 = r * r
+        s = scale * (z @ direction)
+        if q is None:
+            a, qd = r2, s
+        else:
+            zq = z @ q
+            a = scale * scale * np.einsum("ij,ij->i", zq, z)
+            qd = scale * (zq @ direction)
+        ru = z * scale[:, None] if materialized else None
+        for k, t in enumerate(norms):
+            if materialized:
+                x = t * direction + ru
+                e = est(x, np.linalg.norm(x, axis=1)) - t * direction
+                ld = np.einsum("ij,ij->i", e, e if q is None else e @ q)
+                d = ld - a
+            elif weight is None:
+                ld, d = a, np.zeros(n)
+            else:
+                nx2 = np.maximum(r2 + t * (2.0 * s + t), 0.0)
+                w = weight(np.sqrt(nx2))
+                xqx = nx2 if q is None else t * (t * dqd + 2.0 * qd) + a
+                d = w * (w * xqx - 2.0 * (t * qd + a))
+                ld = a + d
+            partials[k, j] = (ld.sum(), (ld * ld).sum(), d.sum(), (d * d).sum())
 
     n_workers = _resolve_threads(threads)
     if n_workers <= 1 or n_blocks == 1:
@@ -390,7 +416,7 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
         s = partials[t].sum(axis=0)  # fixed block order
         risk, se = mean_se(s[0], s[1])
         if config.paired:
-            diff, diff_se = mean_se(s[4], s[5])
+            diff, diff_se = mean_se(s[2], s[3])
         else:
             diff, diff_se = math.nan, math.nan
         entries.append(RiskPoint(norm, risk, se, baseline, diff, diff_se))

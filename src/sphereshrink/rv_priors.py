@@ -723,8 +723,14 @@ def _boundary_margin(prior: RadialPrior, depth: int) -> float:
     Log_depth cancels from Tail^2/beta, which leaves the closed form
     eta^{1-p} times the :class:`_LogProduct` with exponents (1, ..., 1)
     on Log_0 ... Log_{depth-1}.  The ratio is evaluated on a wide grid
-    and its maximum returned.
+    and its maximum returned.  A depth no double supports raises
+    PriorError naming the prior's log depth that asks for it.
     """
+    try:
+        kernel_offset(depth)
+    except PriorError as exc:
+        raise PriorError(f"the prior's log depth {depth - 1} asks for a boundary kernel of depth {depth}, "
+                         f"which no double supports ({exc})") from None
     tower = LogTower(depth, 2.0 * kernel_offset(depth - 1))
     grid = np.geomspace(1.0, 1e8, 200)
     bound = grid ** (1.0 - prior.p) * _LogProduct(tower.c, (1,) * depth)(grid)[0]

@@ -187,6 +187,15 @@ def test_prior_refuses_a_kernel_deeper_than_a_double_holds(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_prior_refusal_names_the_kernel_depth_the_prior_asks_for(tmp_path, capsys):
+    out = tmp_path / "prior.csv"
+    assert cli.main(["prior", "--p", "3", "--prior", "logthick", "--depth", "3", "--offset", "1e7",
+                     "--i", "1,4", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "the prior's log depth 4 asks for a boundary kernel of depth 5, which no double supports" in err
+    assert "15257116" not in err
+
+
 def test_risk_takes_the_log_thickened_prior(tmp_path):
     out = tmp_path / "risk.csv"
     assert cli.main(["risk", *MODEL, "--estimator", "gb", "--prior", "logthick", "--n", "2000",

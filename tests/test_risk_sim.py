@@ -21,6 +21,7 @@ from sphereshrink.risk_sim import (
     sample_radius,
 )
 from sphereshrink.rv_priors import harmonic_prior
+from sphereshrink.shrinkage import build_profile
 
 
 def gaussian(p):
@@ -29,6 +30,12 @@ def gaussian(p):
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def heavy_table():
+    """A (1 + r^2)^-4 table on 300 knots, p = 5: a power-law tail."""
+    knots = np.geomspace(0.01, 100.0, 300)
+    return normalize("tabulated", {"r": knots, "f": (1.0 + knots**2) ** -4.0}, 5)
 
 
 # -- radial sampler -----------------------------------------------------
@@ -119,8 +126,7 @@ def test_sampler_table_reaches_the_heavy_tail():
     # support_radius(1e-14) bounds F, not the radial mass: on this table it
     # would leave 3.4e-7 of mass above the last knot, where every u mapped
     # to one radius; the table now ends where at most 1e-10 is left
-    knots = np.geomspace(0.01, 100.0, 300)
-    m = normalize("tabulated", {"r": knots, "f": (1.0 + knots**2) ** -4.0}, 5)
+    m = heavy_table()
     u = np.array([1.0 - 1e-7, 1.0 - 1e-8])
     r = sample_radius(m, u)  # builds the table, which passes its 1e-8 gate
     assert r[1] > r[0] > m.support_radius(1e-14)
@@ -290,6 +296,43 @@ def test_one_radius_draw_per_block(monkeypatch):
     estimate_risk(cfg, threads=2)
     assert len(calls) == math.ceil(n / 4096)
     assert sum(calls) == n
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", ["identity_loss", "loss_Q_and_direction", "heavy_table"])
+def test_radial_path_matches_its_materialized_twin(case, threads):
+    # a callable equal to harmonic_bayes forms X = theta + R U and delta;
+    # the built-in estimator reduces each draw to scalars: same curve
+    model = heavy_table() if case == "heavy_table" else gaussian(5)
+    kw = {}
+    if case == "loss_Q_and_direction":
+        kw = {"loss_Q": np.diag([3.0, 1.0, 2.0, 1.0, 0.5]), "theta_direction": np.array([1.0, -2.0, 0.0, 0.5, 1.0])}
+    prof = build_profile(model)
+    twin = lambda x, norms: x * prof.multiplier(norms)[:, None]
+
+    def curve(estimator):
+        cfg = RiskConfig(model=model, p=5, estimator=estimator, theta_norms=(0.0, 4.0, 40.0),
+                         samples_per_point=10_000, seed=13, **kw)
+        return estimate_risk(cfg, threads=threads).entries
+
+    for a, b in zip(curve("harmonic_bayes"), curve(twin)):
+        tol = 1e-12 * a.baseline_risk
+        assert a.baseline_risk == b.baseline_risk
+        assert abs(a.risk_estimate - b.risk_estimate) <= tol
+        assert abs(a.std_error - b.std_error) <= tol
+        assert abs(a.paired_diff_estimate - b.paired_diff_estimate) <= tol
+        assert abs(a.paired_diff_std_error - b.paired_diff_std_error) <= tol
+
+
+def test_paired_difference_matches_the_exact_risk_far_out():
+    # exact paired differences of the harmonic estimator, gaussian p = 5,
+    # from the convolution oracle; far out the difference is a few
+    # thousandths of a risk of 5, where ld - lx would cancel
+    exact = {0.0: -3.0000000, 20.0: -0.0224436, 40.0: -0.0056215}
+    cfg = RiskConfig(model=gaussian(5), p=5, estimator="harmonic_bayes", theta_norms=tuple(exact),
+                     samples_per_point=200_000, seed=7)
+    for e in estimate_risk(cfg, threads=2).entries:
+        assert abs(e.paired_diff_estimate - exact[e.theta_norm]) <= 4.0 * e.paired_diff_std_error
 
 
 def test_unpaired_curve():

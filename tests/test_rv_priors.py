@@ -655,6 +655,16 @@ class TestClassification:
         with pytest.raises(PriorError, match="Log_5"):
             classify_prior(log_thickened_prior(3, 1e7, 3), gaussian(3))
 
+    def test_depth_five_refusal_names_the_prior_not_an_offset(self):
+        # the refusal comes from the kernel depth the prior asks for, not
+        # from a tower built at an offset the caller never gave
+        with pytest.raises(PriorError) as info:
+            classify_prior(log_thickened_prior(3, 1e7, 3), gaussian(3))
+        msg = str(info.value)
+        assert "the prior's log depth 4 asks for a boundary kernel of depth 5" in msg
+        assert "no double supports" in msg
+        assert "15257116" not in msg
+
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_boundary_closed_form_matches_the_kernel(self, depth):
         # eta^{2-p} Tail^2 / (eta beta) of the depth-`depth` kernel, as the
