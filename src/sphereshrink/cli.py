@@ -14,7 +14,10 @@ key.  The parser, the config reader and the header echo all read that
 table.  --strict exists only on the subcommands that have a verdict
 (check, risk, hseq, verify).  --depth and --offset set the
 log-thickened prior only; the Blyth kernel of `prior` is derived from
-the prior, one log level deeper than the prior's own log tower.
+the prior, one log level deeper than the prior's own log tower.  The
+identities of `verify` take their own parameters (--order, --gegen-alpha,
+--gegen-a, --t), so --alpha, --a and --beta always set the model, and
+`verify` refuses one that no model of its run takes.
 """
 
 from __future__ import annotations
@@ -475,12 +478,20 @@ _VERIFY_TOL = {"gegenbauer": 1e-8, "minpower": 1e-5, "kernelmass": 5e-6}
 
 def _cmd_verify(cfg):
     which = str(cfg["identity"])
+    model = _build_model(cfg) if which == "kernelmass" and cfg.get("family") is not None else None
+    # --alpha and --a once also set the identities' parameters: refuse
+    # a model parameter that no model built here takes
+    taken = model.param_names if model is not None else ()
+    for key, hint in (("alpha", "--gegen-alpha or --order"), ("a", "--gegen-a"), ("beta", None), ("b", None)):
+        if cfg.get(key) is not None and key not in taken:
+            use = f"; for an identity parameter use {hint}" if hint else ""
+            raise CLIConfigError(f"--{key} is a model parameter, and this verify run builds no model taking it{use}")
     rows = []
     checks = []
     if which in ("gegenbauer", "all"):
-        if which == "gegenbauer" and cfg.get("alpha") is not None:
-            alphas = [float(cfg["alpha"])]
-            avals = [float(cfg["a"])] if cfg.get("a") is not None else [0.0]
+        if which == "gegenbauer" and cfg.get("gegen_alpha") is not None:
+            alphas = [float(cfg["gegen_alpha"])]
+            avals = [float(cfg["gegen_a"])] if cfg.get("gegen_a") is not None else [0.0]
         else:
             alphas = [0.5, 1.0, 1.5, 2.5, 4.0]
             avals = [-0.9, -0.5, 0.0, 0.5, 0.9]
@@ -495,15 +506,14 @@ def _cmd_verify(cfg):
         for p, t in pts:
             checks.append(("minpower", min_power_identity(p, t)))
     if which in ("kernelmass", "all"):
-        if which == "kernelmass" and cfg.get("family") is not None:
-            model = _build_model(cfg)
-            al = float(cfg["alpha"]) if cfg.get("alpha") is not None else 0.0
-            checks.append(("kernelmass", kernel_mass_identity(model, al)))
+        if model is not None:
+            order = float(cfg["order"]) if cfg.get("order") is not None else 0.0
+            checks.append(("kernelmass", kernel_mass_identity(model, order)))
         else:
             g3 = normalize("gaussian", {}, 3)
             pe = normalize("poly_exp", {"alpha": 2.0, "beta": 1.0}, 5)
-            for model, al in ((g3, 0.0), (g3, 1.0), (pe, 2.0)):
-                checks.append(("kernelmass", kernel_mass_identity(model, al)))
+            for model, order in ((g3, 0.0), (g3, 1.0), (pe, 2.0)):
+                checks.append(("kernelmass", kernel_mass_identity(model, order)))
     if not checks:
         raise CLIConfigError(f"unknown identity {which!r}")
     worst_fail = False
@@ -575,7 +585,10 @@ _COMMANDS = {
     "verify": _Command(_cmd_verify, "closed-form integral identities", {
         **_MODEL,
         "identity": ("all", {"choices": ["gegenbauer", "minpower", "kernelmass", "all"]}),
-        "t": (None, {"type": float}),
+        "t": (None, {"type": float, "help": "radius ratio of the minpower identity"}),
+        "order": (None, {"type": float, "help": "moment order of the kernelmass identity (default 0)"}),
+        "gegen_alpha": (None, {"type": float, "help": "exponent alpha of the gegenbauer identity"}),
+        "gegen_a": (None, {"type": float, "help": "mixing parameter a of the gegenbauer identity (default 0)"}),
     }, verdict=True),
     "probe": _Command(_cmd_probe, "large-radius marginal ratio table", {
         **_MODEL,

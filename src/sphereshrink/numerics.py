@@ -304,19 +304,21 @@ class TailMap:
             return -math.expm1(-(r - self.a) / self.scale)
         return (r - self.a) / (self.scale + (r - self.a))
 
-    def probe(self, values):
+    def probe(self, values, names=None):
         """Raise DivergenceSuspected unless every row's tail is clearly shrinking.
 
         ``values`` holds the mapped integrand g at ``probe_nodes``, one
         row of three per tail.  A convergent tail needs g(t)(1-t) -> 0
         as t -> 1; a product that is not clearly shrinking over the
-        three depths means it is not integrable.
+        three depths means it is not integrable.  The message names the
+        tail ``names[k]`` of row k when ``names`` is given.
         """
         w = np.abs(np.asarray(values, dtype=float)).reshape(-1, _PROBE_DEPTHS.size) * _PROBE_DEPTHS
-        for row in w:
+        for k, row in enumerate(w):
             if np.all(np.isfinite(row)) and row[2] > 0.0 and row[2] >= 0.8 * row.max():
                 raise DivergenceSuspected(
-                    f"integrand tail does not look integrable under decay={self.decay!r} "
+                    f"{'integrand tail' if names is None else names[k]} does not look integrable "
+                    f"under decay={self.decay!r} "
                     f"(boundary weights {row.tolist()!r})",
                     IntegralResult(math.nan, math.inf, 3),
                 )
@@ -401,7 +403,7 @@ def integrate_pieces(f, lo, hi, spec: QuadratureSpec | None = None) -> np.ndarra
     return value
 
 
-def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tails=None) -> np.ndarray:
+def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tails=None, names=None) -> np.ndarray:
     """Integrals of many independent integrands, adapted in one batch.
 
     Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
@@ -424,7 +426,8 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tai
     naming the row and its worst segment; where ``tails`` (one bool per
     row) marks it as a ``TailMap`` image of [a, inf) and
     ``TailMap.diverged`` holds, :class:`DivergenceSuspected` instead, as
-    ``integrate_semi_infinite`` does.
+    ``integrate_semi_infinite`` does.  The message calls row i "row i",
+    or ``names[i]`` when ``names`` is given.
     """
     spec = spec or DEFAULT_SPEC
     edges = np.asarray(edges, dtype=float)
@@ -444,11 +447,11 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tai
     value, error, evals, over = _adapt(f, edges[:, :-1][real], edges[:, 1:][real], real.sum(axis=1), abs_tol, spec)
     if over is not None:
         i, segment = over
-        message = (
-            f"row {i} needed more than {spec.max_subdivisions} subdivisions "
-            f"(value={value[i]!r}, error={error[i]!r})"
-        )
         result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
+        message = (
+            f"{f'row {i}' if names is None else names[i]} needed more than {spec.max_subdivisions} subdivisions "
+            f"(value={result.value!r}, error={result.error_estimate!r})"
+        )
         if tails is not None and tails[i] and TailMap.diverged(segment):
             raise DivergenceSuspected(message, result)
         raise ToleranceNotReached(message, result, worst_segment=segment, row=i)

@@ -32,6 +32,7 @@ its factory.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from sphereshrink.numerics import (
     DivergenceSuspected,
     QuadratureError,
     QuadratureSpec,
+    TailMap,
     integrate,
     integrate_rows,
     integrate_semi_infinite,
@@ -210,7 +212,7 @@ class HSequence:
     """
 
     def __init__(self, kernel: BetaKernel, i: float):
-        if i <= 0:
+        if not i > 0:
             raise PriorError("timescale i must be positive")
         self.kernel = kernel
         self.i = float(i)
@@ -218,44 +220,11 @@ class HSequence:
     def _avg(self, eta, *fns):
         """int_eta^inf e^{(eta-r)/i} fn(r) dr for each fn in ``fns``, as a list.
 
-        One ``integrate_rows`` call holds a row per (fn, eta), those of
-        the first fn first; each entry is a float for a float eta.
-
-        With k = _H_MAP_EXPONENT, the map v = r - eta = -k*i*log(1-t)
-        has dv = k*i dt/(1-t) and e^{-v/i} = (1-t)^k, so
-
-            int_0^inf e^{-v/i} fn(eta+v) dv
-              = int_0^1 k*i * fn(eta - k*i*log(1-t)) * (1-t)^(k-1) dt,
-
-        exactly.  With k = 1 the weight would be absorbed whole, but the
-        integrand i*fn(eta+v) of a kernel like beta then decays only
-        like 1/log(1-t)^2 at t = 1 and the last piece needs many
-        bisections; with k = 3 the factor (1-t)^2 makes it vanish there.
-        Shifting by eta first keeps the exponent exact; forming eta - r
-        at large eta would cancel away most of its digits.  Each row is
-        scaled by beta(eta) so that its absolute tolerance is relative
-        to the answer's size.
+        One ``_averages`` batch at this sequence's timescale, a block of
+        rows per fn; each entry is a float for a float eta.
         """
         etas = np.atleast_1d(np.asarray(eta, dtype=float))
-        n, m = etas.size, len(fns)
-        scale_out = self.kernel.beta_eval(etas)
-        row_eta, row_scale = np.concatenate([etas] * m), np.concatenate([scale_out] * m)
-        stretch = _H_MAP_EXPONENT * self.i
-
-        def rows(row, t):
-            # the floor on 1 - t keeps the log finite as t -> 1
-            w = np.maximum(1.0 - t, 1e-150)
-            r = row_eta[row] - stretch * np.log(w)
-            if m == 1:
-                y = fns[0](r)
-            else:
-                # ``row`` is nondecreasing, so each fn's rows are one block
-                ends = np.searchsorted(row, n * np.arange(m + 1)).tolist()
-                y = np.concatenate([fn(r[a:b]) for fn, a, b in zip(fns, ends, ends[1:]) if b > a])
-            return stretch * y * w ** (_H_MAP_EXPONENT - 1) / row_scale[row]
-
-        edges = np.broadcast_to(_H_EDGES, (m * n, _H_EDGES.size))
-        out = integrate_rows(rows, edges, _H_SPEC.abs_tol, _H_SPEC).reshape(m, n) * scale_out
+        out = _averages(etas, self.kernel.beta_eval(etas), [(fn, self.i, slice(None)) for fn in fns])
         return [part if np.ndim(eta) else float(part[0]) for part in out]
 
     def numerator(self, eta):
@@ -280,6 +249,63 @@ class HSequence:
         tail = self.kernel.beta_tail(eta)
         num, dpart = self._avg(eta, self.kernel.beta_eval, lambda r: -self.kernel.beta_deriv(r))
         return self.kernel.beta_eval(eta) * num / tail**2 - dpart / tail
+
+
+def _averages(etas, scale, blocks):
+    """Exponential averages of kernel functions, every block in one batch.
+
+    Each block ``(fn, i, at)`` asks for int_eta^inf e^{(eta-r)/i} fn(r) dr
+    at the etas ``etas[at]`` (``at`` a slice), and gets an array of them,
+    in the order of ``blocks``.  One ``integrate_rows`` call holds a row
+    per (block, eta), the blocks' rows one run after another; each round
+    calls a block's fn once, on its rows' nodes, with the block's
+    timescale as a scalar; a one-block batch, such as a scalar
+    ``h_eval``, takes views of ``etas`` and skips the split.  A row's
+    value does not depend on its batch, so an average is the same
+    whatever timescales share it.
+
+    With k = _H_MAP_EXPONENT, the map v = r - eta = -k*i*log(1-t)
+    has dv = k*i dt/(1-t) and e^{-v/i} = (1-t)^k, so
+
+        int_0^inf e^{-v/i} fn(eta+v) dv
+          = int_0^1 k*i * fn(eta - k*i*log(1-t)) * (1-t)^(k-1) dt,
+
+    exactly.  With k = 1 the weight would be absorbed whole, but the
+    integrand i*fn(eta+v) of a kernel like beta then decays only
+    like 1/log(1-t)^2 at t = 1 and the last piece needs many
+    bisections; with k = 3 the factor (1-t)^2 makes it vanish there.
+    Shifting by eta first keeps the exponent exact; forming eta - r
+    at large eta would cancel away most of its digits.  Each row is
+    scaled by ``scale`` at its eta, beta(eta), so that its absolute
+    tolerance is relative to the answer's size.
+    """
+    stretches = [_H_MAP_EXPONENT * i for _, i, _ in blocks]
+    if len(blocks) == 1:
+        (_, _, at), = blocks
+        row_eta, row_scale = etas[at], scale[at]
+        first = (0, row_eta.size)
+    else:
+        parts = [etas[at] for _, _, at in blocks]
+        row_eta = np.concatenate(parts)
+        row_scale = np.concatenate([scale[at] for _, _, at in blocks])
+        first = list(itertools.accumulate(map(len, parts), initial=0))
+
+    def rows(row, t):
+        # the floor on 1 - t keeps the log finite as t -> 1
+        w = np.maximum(1.0 - t, 1e-150)
+        log_w, eta = np.log(w), row_eta[row]
+        if len(blocks) == 1:
+            y = stretches[0] * blocks[0][0](eta - stretches[0] * log_w)
+        else:
+            # ``row`` is nondecreasing, so each block's rows are one run
+            ends = np.searchsorted(row, first).tolist()
+            y = np.concatenate([s * fn(eta[a:b] - s * log_w[a:b])
+                                for (fn, _, _), s, a, b in zip(blocks, stretches, ends, ends[1:]) if b > a])
+        return y * w ** (_H_MAP_EXPONENT - 1) / row_scale[row]
+
+    edges = np.broadcast_to(_H_EDGES, (row_eta.size, _H_EDGES.size))
+    values = integrate_rows(rows, edges, _H_SPEC.abs_tol, _H_SPEC)
+    return [values[a:b] * scale[at] for (_, _, at), a, b in zip(blocks, first, first[1:])]
 
 
 # --- radial priors ----------------------------------------------------
@@ -651,29 +677,65 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
 
     J(i) = int_0^inf eta^{p-1} G(eta) H_1(eta)^{gamma-2} H_i'(eta)^2 deta.
     For gamma = 2 the H_1 factor drops out exactly.
+
+    Every J(i) is two rows of one outer ``integrate_rows`` call: a head
+    row on [0, 1] and a tail row, the ``TailMap(0, "exp", 1)`` image of
+    v in [0, inf) with eta = e^v.  The tails are probed for divergence
+    by one call of the outer integrand first.  Each call of the outer
+    integrand makes one ``_averages`` batch for all its nodes, head and
+    tail alike: at each node the H_i numerator (beta) and the H_i' part
+    (-beta') at the node's timescale i, and, when gamma != 2, the H_1
+    numerator at timescale 1.  A row's value does not depend on the
+    other rows of either batch, so a J(i) is the same alone and among
+    others.  A row that exhausts ``_BLYTH_SPEC`` raises
+    :class:`ToleranceNotReached`, or :class:`DivergenceSuspected` for a
+    tail parked at t -> 1, and a tail the probe refuses raises
+    :class:`DivergenceSuspected`; each message names the J(i) and its
+    head or tail.  A timescale that is not positive (nan included)
+    raises :class:`PriorError`, as ``HSequence`` does.
     """
-    p = prior.p
-    gamma = prior.gamma
-    h1 = HSequence(kernel, 1.0) if gamma != 2.0 else None
-    out = []
-    for i in i_list:
-        hseq = HSequence(kernel, float(i))
+    p, gamma = prior.p, prior.gamma
+    spec = _BLYTH_SPEC
+    timescales = [float(i) for i in i_list]
+    if not all(i > 0 for i in timescales):
+        raise PriorError("timescale i must be positive")
+    n = len(timescales)
+    if not n:
+        return []
+    tail = TailMap(0.0, "exp", 1.0)
+    names = [f"J({i!r}) {piece}" for i in timescales for piece in ("head", "tail")]
+    first = 2 * np.arange(n + 1)  # J(i_j) is rows 2j (head) and 2j + 1 (tail)
 
-        def integrand(eta):
-            w = eta ** (p - 1.0) * prior.g_eval(eta)
-            if h1 is not None:
-                w = w * h1.h_eval(eta) ** (gamma - 2.0)
-            return w * hseq.h_derivative(eta) ** 2
+    def minus_beta_deriv(r):
+        return -kernel.beta_deriv(r)
 
-        head = integrate(integrand, 0.0, 1.0, _BLYTH_SPEC).value
+    def outer(rows, x):
+        in_tail = rows % 2 == 1
+        eta = x.copy()
+        v, om = tail.radius(x[in_tail])
+        eta[in_tail] = np.exp(v)
+        # ``rows`` is nondecreasing, so each J(i)'s nodes are one run
+        ends = np.searchsorted(rows, first).tolist()
+        runs = [(i, slice(a, b)) for i, a, b in zip(timescales, ends, ends[1:]) if b > a]
+        blocks = [(fn, i, at) for i, at in runs for fn in (kernel.beta_eval, minus_beta_deriv)]
+        if gamma != 2.0:
+            blocks.append((kernel.beta_eval, 1.0, slice(None)))
+        beta, beta_tail = kernel.beta_eval(eta), kernel.beta_tail(eta)
+        avgs = _averages(eta, beta, blocks)
+        num, dpart = np.concatenate(avgs[0 : 2 * len(runs) : 2]), np.concatenate(avgs[1 : 2 * len(runs) : 2])
+        w = eta ** (p - 1.0) * prior.g_eval(eta)
+        if gamma != 2.0:
+            w = w * (avgs[-1] / beta_tail) ** (gamma - 2.0)
+        # H_i' in the two-integral form of HSequence.h_derivative
+        y = w * (beta * num / beta_tail**2 - dpart / beta_tail) ** 2
+        y[in_tail] = tail.weigh(y[in_tail] * eta[in_tail], om)
+        return y
 
-        def integrand_log(v):
-            eta = np.exp(v)
-            return integrand(eta) * eta
-
-        tail = integrate_semi_infinite(integrand_log, 0.0, _BLYTH_SPEC, decay="exp", scale=1.0).value
-        out.append(head + tail)
-    return out
+    tail_rows = first[:-1] + 1
+    tail.probe(outer(tail_rows.repeat(tail.probe_nodes.size), np.tile(tail.probe_nodes, n)), names[1::2])
+    edges = np.tile([0.0, 1.0], (2 * n, 1))
+    values = integrate_rows(outer, edges, spec.abs_tol, spec, tails=np.arange(2 * n) % 2 == 1, names=names)
+    return (values[0::2] + values[1::2]).tolist()
 
 
 # --- classification ----------------------------------------------------

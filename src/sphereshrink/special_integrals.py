@@ -98,25 +98,26 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
     return _check("min_power", {"p": p, "t": t}, lhs, rhs)
 
 
-def kernel_mass_identity(model: RadialDensity, alpha: float) -> IdentityCheck:
+def kernel_mass_identity(model: RadialDensity, order: float) -> IdentityCheck:
     """Weighted mass of the tail kernel against a plain density moment.
 
-    int_{R^p} ||y||^alpha F(||y||) dy = c_p/(p+alpha) int_0^inf z^{p+1+alpha} f(z) dz
+    int_{R^p} ||y||^s F(||y||) dy = c_p/(p+s) int_0^inf z^{p+1+s} f(z) dz
 
-    The left side integrates the tail kernel radially; the right side is
-    moment(alpha+2)/(p+alpha), so a divergent moment propagates as such.
+    for the moment order s.  The left side integrates the tail kernel
+    radially; the right side is moment(s+2)/(p+s), so a divergent moment
+    propagates as such.
     """
     p = model.p
-    if p + alpha <= 0:
-        raise IdentityError("need p + alpha > 0")
-    rhs = model.moment(alpha + 2.0) / (p + alpha)
+    if p + order <= 0:
+        raise IdentityError("need p + order > 0")
+    rhs = model.moment(order + 2.0) / (p + order)
 
     cp = sphere_surface(p)
 
     def radial(r):
-        return r ** (p - 1.0 + alpha) * model.big_f(r)
+        return r ** (p - 1.0 + order) * model.big_f(r)
 
     head = integrate(radial, 0.0, 1.0, _SPEC).value
     tail = integrate_semi_infinite(radial, 1.0, _SPEC, **model.tail_decay).value
     lhs = cp * (head + tail)
-    return _check("kernel_mass", {"family": model.family, "alpha": alpha}, lhs, rhs)
+    return _check("kernel_mass", {"family": model.family, "order": order}, lhs, rhs)

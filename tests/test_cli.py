@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from sphereshrink import cli
+from sphereshrink.radial_models import poly_exp
 from sphereshrink.risk_sim import RiskCurve, RiskPoint
+from sphereshrink.special_integrals import kernel_mass_identity
 
 MODEL = ["--family", "gaussian", "--p", "5"]
 
@@ -196,6 +198,12 @@ def test_prior_refusal_names_the_kernel_depth_the_prior_asks_for(tmp_path, capsy
     assert "15257116" not in err
 
 
+@pytest.mark.parametrize("i_list", ["0", "1,-4"])
+def test_prior_refuses_a_timescale_that_is_not_positive(i_list, tmp_path, capsys):
+    assert cli.main(["prior", "--p", "3", "--i", i_list, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert "timescale i must be positive" in capsys.readouterr().err
+
+
 def test_risk_takes_the_log_thickened_prior(tmp_path):
     out = tmp_path / "risk.csv"
     assert cli.main(["risk", *MODEL, "--estimator", "gb", "--prior", "logthick", "--n", "2000",
@@ -233,14 +241,43 @@ def test_blyth_kernel_is_one_log_level_deeper_than_the_prior(flags, tower, monke
 
 
 @pytest.mark.parametrize("argv", [
-    ["--identity", "kernelmass", "--family", "gaussian", "--p", "3", "--alpha", "-5"],  # p + alpha <= 0
-    ["--identity", "gegenbauer", "--alpha", "1", "--a", "3"],  # |a| > 0.99
+    ["--identity", "kernelmass", "--family", "gaussian", "--p", "3", "--order", "-5"],  # p + order <= 0
+    ["--identity", "gegenbauer", "--gegen-alpha", "1", "--gegen-a", "3"],  # |a| > 0.99
     ["--identity", "minpower", "--p", "2", "--t", "0.5"],
     ["--identity", "minpower", "--t", "-1"],
 ])
 def test_verify_out_of_range_parameters_are_a_config_error(argv, tmp_path, capsys):
     assert cli.main(["verify", *argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_identity_parameters_are_not_model_parameters(tmp_path):
+    # --alpha 2 is the model's alpha and --order 1 the moment order
+    out = tmp_path / "verify.csv"
+    argv = ["verify", "--identity", "kernelmass", "--family", "polyexp", "--p", "5",
+            "--alpha", "2", "--beta", "1", "--order", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    (row,) = data_rows(out)
+    assert row[:2] == ["kernelmass", "family=poly_exp;order=1.0"]
+    want = kernel_mass_identity(poly_exp(2.0, 1.0, 5), 1.0)
+    assert [float(v) for v in row[2:4]] == [want.lhs, want.rhs]
+    out = tmp_path / "gegen.csv"
+    argv = ["verify", "--identity", "gegenbauer", "--gegen-alpha", "1.5", "--gegen-a", "0.5", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert [row[1] for row in data_rows(out)] == ["a=0.5;alpha=1.5"]
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["--identity", "gegenbauer", "--alpha", "1", "--a", "3"], "--gegen-alpha or --order"),
+    (["--identity", "kernelmass", "--family", "gaussian", "--p", "3", "--alpha", "1"], "--gegen-alpha or --order"),
+    (["--identity", "gegenbauer", "--gegen-alpha", "1", "--a", "0.5"], "--gegen-a"),
+    (["--identity", "all", "--beta", "1"], "--beta is a model parameter"),
+])
+def test_verify_refuses_the_old_identity_spellings(argv, hint, tmp_path, capsys):
+    # a model parameter no model of the run takes is refused, not dropped
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and hint in err
 
 
 def test_every_violating_theta_is_labelled_a_violation(monkeypatch, tmp_path):

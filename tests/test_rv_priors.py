@@ -15,6 +15,7 @@ import sympy
 from scipy.integrate import quad
 
 from sphereshrink import rv_priors
+from sphereshrink.numerics import DivergenceSuspected, ToleranceNotReached
 from sphereshrink.radial_models import gaussian
 from sphereshrink.rv_priors import (
     AssumptionProfile,
@@ -373,6 +374,18 @@ def test_h_sequence_parity(i):
     assert hs.h_derivative(etas) == pytest.approx(from_hex(hp), rel=1e-14, abs=0.0)
 
 
+def test_mixed_timescale_average_equals_single_timescale_calls():
+    # H_1 numerators, H_32' parts and H_1024 numerators share one batch,
+    # on overlapping runs of the H_PARITY etas
+    etas = np.array([0.1, 3.0, 100.0, 1e4])
+    minus_deriv = lambda r: -K1.beta_deriv(r)
+    blocks = [(K1.beta_eval, 1.0, slice(None)), (minus_deriv, 32.0, slice(1, 4)), (K1.beta_eval, 1024.0, slice(0, 2))]
+    got = rv_priors._averages(etas, K1.beta_eval(etas), blocks)
+    for (fn, i, at), part in zip(blocks, got):
+        assert part.tolist() == HSequence(K1, i)._avg(etas[at], fn)[0].tolist()
+    assert (got[0] / K1.beta_tail(etas)).tolist() == HSequence(K1, 1.0).h_eval(etas).tolist()
+
+
 def test_blyth_and_properness_parity():
     js = blyth_decay(harmonic_prior(3), BetaKernel(LogTower(1, 1.02)), [64.0, 1024.0])
     assert js == pytest.approx(from_hex(("0x1.0f952639d91d2p-3", "0x1.b0750d6a550dfp-4")), rel=1e-14, abs=0.0)
@@ -612,6 +625,44 @@ class TestBlythDecay:
         tight = rv_priors.QuadratureSpec(abs_tol=1e-280, rel_tol=1e-9, max_subdivisions=400)
         monkeypatch.setattr(rv_priors, "_BLYTH_SPEC", tight)
         assert js == pytest.approx(blyth_decay(prior, kernel, [1, 64]), rel=1e-5, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.5])
+    def test_a_j_alone_equals_the_same_j_in_a_batch(self, gamma):
+        # gamma = 1.5 glues H_1 on, which at i = 1 shares its timescale
+        prior = harmonic_prior(3, gamma=gamma)
+        i_list = [1.0, 4.0, 64.0, 1024.0]
+        batch = blyth_decay(prior, K1, i_list)
+        assert batch == [blyth_decay(prior, K1, [i])[0] for i in i_list]
+        assert blyth_decay(prior, K1, []) == []
+
+    @pytest.mark.parametrize("i_list", [[0.0], [4.0, -1.0], [math.nan]])
+    def test_a_timescale_that_is_not_positive_is_refused(self, i_list):
+        with pytest.raises(PriorError, match="timescale i must be positive"):
+            blyth_decay(harmonic_prior(3), K1, i_list)
+
+    def test_an_exhausted_budget_names_its_j_and_piece(self, monkeypatch):
+        monkeypatch.setattr(rv_priors, "_BLYTH_SPEC", rv_priors.QuadratureSpec(
+            abs_tol=1e-280, rel_tol=1e-6, max_subdivisions=1))
+        # the head's worst segment is interior: the gate fails
+        with pytest.raises(ToleranceNotReached, match=r"^J\(64\.0\) head needed more than 1 subdivisions") as exc:
+            blyth_decay(harmonic_prior(3), BetaKernel(LogTower(1, 1.02)), [64.0])
+        assert exc.value.row == 0
+        # the tail's worst segment is parked against t = 1
+        with pytest.raises(DivergenceSuspected, match=r"^J\(1\.0\) tail needed more than 1 subdivisions"):
+            blyth_decay(harmonic_prior(3), K1, [1.0, 4.0])
+
+    def test_a_divergent_tail_is_refused_by_the_probe(self, monkeypatch):
+        # J's tail integrand in v grows like e^{(p+k-4)v}: k = 2 > 4 - p
+        outer_calls, real = [], rv_priors.integrate_rows
+
+        def integrate_rows(*args, **kwargs):
+            outer_calls.append("tails" in kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rv_priors, "integrate_rows", integrate_rows)
+        with pytest.raises(DivergenceSuspected, match=r"^J\(4\.0\) tail does not look integrable"):
+            blyth_decay(power_prior(2.0, 3), K1, [4.0])
+        assert outer_calls and not any(outer_calls)  # only the probe's H averages ran
 
 
 class TestClassification:

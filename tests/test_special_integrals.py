@@ -133,7 +133,7 @@ def test_min_power_domain():
 # --- tail-kernel mass vs density moment -------------------------------
 
 def test_kernel_mass_gaussian_unit():
-    # alpha = 0 reduces to E||X||^2 / p = 1 for the standard gaussian
+    # order 0 reduces to E||X||^2 / p = 1 for the standard gaussian
     chk = kernel_mass_identity(gaussian(3), 0.0)
     assert chk.rhs == pytest.approx(1.0, rel=1e-12)
     assert chk.rel_error < 1e-8
@@ -147,7 +147,7 @@ def test_kernel_mass_gaussian_odd_weight():
 
 
 def test_kernel_mass_poly_exp_closed_form():
-    # poly_exp(2, 1) at p = 5, alpha = 2: Gamma(5.5)/Gamma(3.5)/7 = 2.25
+    # poly_exp(2, 1) at p = 5, order 2: Gamma(5.5)/Gamma(3.5)/7 = 2.25
     chk = kernel_mass_identity(poly_exp(2.0, 1.0, 5), 2.0)
     assert chk.rhs == pytest.approx(2.25, rel=1e-12)
     assert chk.rel_error < 1e-8
