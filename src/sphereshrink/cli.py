@@ -17,7 +17,7 @@ log-thickened prior only; the Blyth kernel of `prior` is derived from
 the prior, one log level deeper than the prior's own log tower.  The
 identities of `verify` take their own parameters (--order, --gegen-alpha,
 --gegen-a, --t), so --alpha, --a and --beta always set the model, and
-`verify` refuses one that no model of its run takes.
+a model option that no model of the run takes is refused.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ _MODEL = {
     "table_f": (None, None),
 }
 
+# the family parameter each model option sets
+_MODEL_PARAMS = {"alpha": "alpha", "beta": "beta", "a": "a", "b": "b", "table": "r", "table_r": "r", "table_f": "f"}
+
 _PRIOR = {
     "prior": ("harmonic", {"choices": ["harmonic", "power", "logthick"]}),
     "k": (None, {"type": float, "help": "exponent of the power prior"}),
@@ -163,7 +166,7 @@ def _parse_theta(text):
     return _parse_list(s)
 
 
-def _build_model(cfg):
+def _build_model(cfg, hints=None):
     fam_raw = cfg.get("family")
     if fam_raw is None:
         raise CLIConfigError("a model family is required (--family)")
@@ -171,6 +174,7 @@ def _build_model(cfg):
         raise CLIConfigError(f"unknown family {fam_raw!r}; choose from {sorted(set(_FAMILIES))}")
     family = _FAMILIES[str(fam_raw)]
     keys = _FAMILY_CLASSES[family].param_names
+    _refuse_model_options(cfg, keys, f"the {family} model does not take it", hints)
     if cfg.get("p") is None:
         raise CLIConfigError("the dimension is required (--p)")
     p = int(cfg["p"])
@@ -179,6 +183,15 @@ def _build_model(cfg):
         raise CLIConfigError(f"{family} needs {' and '.join(missing)}")
     params = {k: _table_column(cfg, k) if k in ("r", "f") else float(cfg[k]) for k in keys}
     return normalize(family, params, p)
+
+
+def _refuse_model_options(cfg, taken, why, hints=None):
+    """Refuse a model option setting none of ``taken``; ``hints`` maps an option to the one meant."""
+    for key, param in _MODEL_PARAMS.items():
+        if cfg.get(key) is not None and param not in taken:
+            name = f"--{key}" if _MODEL[key][1] is not None else f"config key {key!r}"
+            use = f"; for an identity parameter use {hints[key]}" if hints and key in hints else ""
+            raise CLIConfigError(f"{name} is a model parameter, and {why}{use}")
 
 
 def _table_column(cfg, key):
@@ -478,14 +491,13 @@ _VERIFY_TOL = {"gegenbauer": 1e-8, "minpower": 1e-5, "kernelmass": 5e-6}
 
 def _cmd_verify(cfg):
     which = str(cfg["identity"])
-    model = _build_model(cfg) if which == "kernelmass" and cfg.get("family") is not None else None
-    # --alpha and --a once also set the identities' parameters: refuse
-    # a model parameter that no model built here takes
-    taken = model.param_names if model is not None else ()
-    for key, hint in (("alpha", "--gegen-alpha or --order"), ("a", "--gegen-a"), ("beta", None), ("b", None)):
-        if cfg.get(key) is not None and key not in taken:
-            use = f"; for an identity parameter use {hint}" if hint else ""
-            raise CLIConfigError(f"--{key} is a model parameter, and this verify run builds no model taking it{use}")
+    # --alpha and --a once also set the identities' parameters
+    hints = {"alpha": "--gegen-alpha or --order", "a": "--gegen-a"}
+    model = None
+    if which == "kernelmass" and cfg.get("family") is not None:
+        model = _build_model(cfg, hints)
+    else:
+        _refuse_model_options(cfg, (), "this verify run builds no model taking it", hints)
     rows = []
     checks = []
     if which in ("gegenbauer", "all"):

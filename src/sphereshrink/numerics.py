@@ -16,12 +16,12 @@ every integrator.  It adapts many independent integrands (rows) at
 once: each round calls the integrand once, on the new segments of every
 row that has not yet converged, then bisects in each such row the
 segments whose error is at least a quarter of the row's worst.
-``integrate_rows`` exposes the loop, ``integrate`` is its one-row case,
-``integrate_semi_infinite`` maps [a, inf) onto [0, 1) for
-``integrate`` through a ``TailMap``, which also probes the mapped tail
-for divergence and judges a tail that runs out of budget (as
-``integrate_rows`` does for the rows it is told are tails), and
-``cumulative_segments`` is one row per knot interval.
+``integrate_rows`` exposes the loop, ``integrate`` is its one-row case
+and ``cumulative_segments`` is one row per knot interval.
+``integrate_half_lines`` batches many terms, each a head row and a tail
+row [a, inf) mapped onto [0, 1) by a ``TailMap``, which also judges the
+tail's divergence; no other module maps a tail.  ``integrate_semi_infinite``
+is its one-term case without a head.
 ``integrate_pieces`` applies the pair to many smooth pieces in one
 array pass, without subdivision.  Interior singularities or
 kinks are handled by listing them in ``QuadratureSpec.singularity_hints``:
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -246,13 +246,13 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
     )
     result = IntegralResult(sign * float(value[0]), float(error[0]), int(evals[0]))
     if over is not None:
-        raise ToleranceNotReached(
-            f"needed more than {spec.max_subdivisions} subdivisions "
-            f"(value={result.value!r}, error={result.error_estimate!r})",
-            result,
-            worst_segment=over[1],
-        )
+        raise ToleranceNotReached(_over_budget(spec, result), result, worst_segment=over[1])
     return result
+
+
+def _over_budget(spec: QuadratureSpec, result: IntegralResult) -> str:
+    return (f"needed more than {spec.max_subdivisions} subdivisions "
+            f"(value={result.value!r}, error={result.error_estimate!r})")
 
 
 # A mapped tail is probed for divergence at these depths 1 - t.
@@ -266,18 +266,12 @@ _OM_FLOOR = 1e-150
 class TailMap:
     """[a, inf) mapped onto [0, 1), with the checks a mapped tail needs.
 
-    The caller declares how the integrand dies off:
-
-    - ``decay="exp"``: substitution r = a - scale*log(1-t), suited to
-      integrands falling at least like exp(-r/scale);
-    - ``decay="power"``: substitution r = a + scale*t/(1-t), suited to
-      integrands falling like r**q with q < -1.
-
-    ``radius(t)`` gives the nodes' radii r and 1 - t, and
-    ``weigh(f(r), 1 - t)`` the mapped integrand f(r) dr/dt.
-    ``probe(values)`` takes that integrand at ``probe_nodes`` and
-    ``diverged(segment)`` judges a row that ran out of budget; either
-    flags a tail that cannot be integrable.
+    ``decay="exp"`` is r = a - scale*log(1-t), for integrands falling at
+    least like exp(-r/scale); ``decay="power"`` is r = a + scale*t/(1-t),
+    for integrands falling like r**q with q < -1.  ``radius(t)`` gives
+    the radii and 1 - t, ``weigh(f(r), 1 - t)`` the mapped integrand
+    f(r) dr/dt; ``probe`` (at ``probe_nodes``) and ``diverged`` (of a row
+    over budget) flag a tail that cannot be integrable.
     """
 
     probe_nodes = 1.0 - _PROBE_DEPTHS
@@ -304,62 +298,110 @@ class TailMap:
             return -math.expm1(-(r - self.a) / self.scale)
         return (r - self.a) / (self.scale + (r - self.a))
 
-    def probe(self, values, names=None):
+    def probe(self, values, names):
         """Raise DivergenceSuspected unless every row's tail is clearly shrinking.
 
         ``values`` holds the mapped integrand g at ``probe_nodes``, one
         row of three per tail.  A convergent tail needs g(t)(1-t) -> 0
         as t -> 1; a product that is not clearly shrinking over the
-        three depths means it is not integrable.  The message names the
-        tail ``names[k]`` of row k when ``names`` is given.
+        three depths means it is not integrable.  The message calls
+        row k's tail "``names[k]`` tail".
         """
         w = np.abs(np.asarray(values, dtype=float)).reshape(-1, _PROBE_DEPTHS.size) * _PROBE_DEPTHS
-        for k, row in enumerate(w):
-            if np.all(np.isfinite(row)) and row[2] > 0.0 and row[2] >= 0.8 * row.max():
+        for k, row in enumerate(w.tolist()):
+            if all(map(math.isfinite, row)) and row[2] > 0.0 and row[2] >= 0.8 * max(row):
                 raise DivergenceSuspected(
-                    f"{'integrand tail' if names is None else names[k]} does not look integrable "
-                    f"under decay={self.decay!r} "
-                    f"(boundary weights {row.tolist()!r})",
+                    f"{names[k]} tail does not look integrable under decay={self.decay!r} "
+                    f"(boundary weights {row!r})",
                     IntegralResult(math.nan, math.inf, 3),
                 )
 
     @staticmethod
     def diverged(segment) -> bool:
-        """A divergent tail parks the worst segment against t = 1 and keeps it there."""
-        return segment is not None and segment[1] > 0.999
+        """A divergent tail keeps its worst segment starting against t = 1.
+
+        Every tail row's last segment ends at t = 1, so only its start tells.
+        """
+        return segment is not None and segment[0] >= 0.999
 
 
-def integrate_semi_infinite(
-    f,
-    a: float,
-    spec: QuadratureSpec | None = None,
-    *,
-    decay: str = "exp",
-    scale: float = 1.0,
-) -> IntegralResult:
+def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay: str = "exp",
+                         scale: float = 1.0, names=None) -> np.ndarray:
+    """Integrals of many terms over half-lines, adapted in one batch.
+
+    Term j is a head row over the edges ``heads[j]``, which all end at
+    the same a (a head of the one edge a is no row), and a tail row
+    [a, inf) mapped onto [0, 1) by ``TailMap(a, decay, scale)``.
+    ``f(term, r)`` gets a nondecreasing array of term indices aligned
+    with real radii and returns a new array.  ``spec.singularity_hints``
+    split the heads and, through ``TailMap.to_t``, the tails beyond a.
+    One call of ``f`` probes every tail first.  Returns each term's head
+    plus tail.  A failure names term j ``names[j]`` (default "term j")
+    and its head or tail: a row over budget raises
+    :class:`ToleranceNotReached` with its batch ``row``, or, for a tail
+    that ``TailMap.diverged`` judges or the probe refuses,
+    :class:`DivergenceSuspected`.
+    """
+    return _half_lines(f, heads, spec or DEFAULT_SPEC, decay, scale, names)[0]
+
+
+def _half_lines(f, heads, spec, decay, scale, names):
+    """``integrate_half_lines``' work: each term's value, error estimate and evaluations."""
+    heads = [[float(x) for x in head] for head in heads]  # short Python lists: cheap to set up
+    a = heads[0][-1]
+    if any(head[-1] != a for head in heads):
+        raise ValueError("every head must end where the tails start")
+    # row i is term i // stride's head (i even) or tail (i odd), or term i's tail
+    n, stride = len(heads), 2 if len(heads[0]) > 1 else 1
+    tail = TailMap(a, decay, scale)
+    names = names or [f"term {j}" for j in range(n)]
+    hints = spec.singularity_hints
+    tail_edges = [0.0, *sorted({t for t in (tail.to_t(h) for h in hints if h > a) if t < 1.0}), 1.0]
+    rows = [tail_edges] * n
+    if stride == 2:
+        if hints:
+            heads = [sorted({*head, *(h for h in hints if head[0] < h < a)}) for head in heads]
+        rows = [row for head in heads for row in (head, tail_edges)]
+
+    def mapped(row, x):
+        if stride == 1:
+            r, om = tail.radius(x)
+            return tail.weigh(f(row, r), om)
+        in_tail = row % 2 == 1
+        r = x.copy()
+        r[in_tail], om = tail.radius(x[in_tail])
+        y = f(row // 2, r)
+        y[in_tail] = tail.weigh(y[in_tail], om)
+        return y
+
+    probe_rows = np.array([i for i in range(stride - 1, stride * n, stride) for _ in _PROBE_DEPTHS])
+    tail.probe(mapped(probe_rows, np.array(tail.probe_nodes.tolist() * n)), names)
+    lo = np.array([x for row in rows for x in row[:-1]])
+    hi = np.array([x for row in rows for x in row[1:]])
+    value, error, evals, over = _adapt(mapped, lo, hi, np.array([len(row) - 1 for row in rows]), spec.abs_tol, spec)
+    if over is not None:
+        i, segment = over
+        piece = "tail" if i % stride == stride - 1 else "head"
+        result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
+        message = f"{names[i // stride]} {piece} {_over_budget(spec, result)}"
+        if piece == "tail" and tail.diverged(segment):
+            raise DivergenceSuspected(message, result)
+        raise ToleranceNotReached(message, result, worst_segment=segment, row=i)
+    if stride == 2:
+        return value[0::2] + value[1::2], error[0::2] + error[1::2], evals[0::2] + evals[1::2]
+    return value, error, evals
+
+
+def integrate_semi_infinite(f, a: float, spec: QuadratureSpec | None = None, *, decay: str = "exp",
+                            scale: float = 1.0) -> IntegralResult:
     """Integrate ``f`` over [a, inf) after mapping onto [0, 1).
 
-    The map is ``TailMap(a, decay, scale)``.  The mapped integrand is
-    probed for divergence first; if the budget runs out with the error
-    mass parked against t=1 the failure is reported as
-    :class:`DivergenceSuspected` too, so callers can treat "slow" and
-    "infinite" differently.
+    The one-term, no-head case of ``integrate_half_lines``, whose
+    failures it raises, naming the integral "integrand tail"; a
+    :class:`DivergenceSuspected` tells "infinite" from "slow".
     """
-    spec = spec or DEFAULT_SPEC
-    tail = TailMap(a, decay, scale)
-
-    def g(t):
-        r, om = tail.radius(t)
-        return tail.weigh(f(r), om)
-
-    tail.probe(g(tail.probe_nodes))
-    hints = tuple(tail.to_t(h) for h in spec.singularity_hints if h > tail.a)
-    try:
-        return integrate(g, 0.0, 1.0, replace(spec, singularity_hints=hints))
-    except ToleranceNotReached as exc:
-        if tail.diverged(exc.worst_segment):
-            raise DivergenceSuspected(str(exc), exc.result) from exc
-        raise
+    value, error, evals = _half_lines(lambda term, r: f(r), [[a]], spec or DEFAULT_SPEC, decay, scale, ("integrand",))
+    return IntegralResult(float(value[0]), float(error[0]), int(evals[0]))
 
 
 def cumulative_segments(f, knots, spec: QuadratureSpec | None = None) -> np.ndarray:
@@ -403,7 +445,7 @@ def integrate_pieces(f, lo, hi, spec: QuadratureSpec | None = None) -> np.ndarra
     return value
 
 
-def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tails=None, names=None) -> np.ndarray:
+def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.ndarray:
     """Integrals of many independent integrands, adapted in one batch.
 
     Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
@@ -423,11 +465,7 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tai
     is.  Segments stay sorted by (row, lo), so a row's value does not
     depend on the other rows in the batch.  A row that needs more than
     ``max_subdivisions`` bisections raises :class:`ToleranceNotReached`
-    naming the row and its worst segment; where ``tails`` (one bool per
-    row) marks it as a ``TailMap`` image of [a, inf) and
-    ``TailMap.diverged`` holds, :class:`DivergenceSuspected` instead, as
-    ``integrate_semi_infinite`` does.  The message calls row i "row i",
-    or ``names[i]`` when ``names`` is given.
+    naming the row ("row i") and its worst segment.
     """
     spec = spec or DEFAULT_SPEC
     edges = np.asarray(edges, dtype=float)
@@ -448,13 +486,7 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None, *, tai
     if over is not None:
         i, segment = over
         result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
-        message = (
-            f"{f'row {i}' if names is None else names[i]} needed more than {spec.max_subdivisions} subdivisions "
-            f"(value={result.value!r}, error={result.error_estimate!r})"
-        )
-        if tails is not None and tails[i] and TailMap.diverged(segment):
-            raise DivergenceSuspected(message, result)
-        raise ToleranceNotReached(message, result, worst_segment=segment, row=i)
+        raise ToleranceNotReached(f"row {i} {_over_budget(spec, result)}", result, worst_segment=segment, row=i)
     return value
 
 

@@ -17,22 +17,16 @@ lambda) that the integrator can be pointed at.
 Every request at one radius r > 0 is one sweep over a list of terms;
 a term is an integrand rho, a kernel weight (the density f or the tail
 kernel F/C_f) and a flag for the directional numerator's extra
-lambda cos(phi).  The lambda integral of each term is a head [0, cut]
-and a tail [cut, inf) mapped onto [0, 1) by ``numerics.TailMap``, and
-all terms' heads and tails are the rows of one outer
-``numerics.integrate_rows`` batch:
-
-    row:    0 .. n-1              n .. 2n-1
-    term:   j = row               j = row - n
-    piece:  head [0, r, cut]      tail [0, 1), mapped by TailMap
-
-Each outer round calls the outer integrand once, on the 15 Kronrod
-nodes of every new segment of every row, and it adapts the angular
-integrals at all those lambdas as the rows of one inner
-``integrate_rows`` batch, each row starting from its own ridge hints.
-No integral is evaluated one lambda, one term or one piece at a time.
-Rows never share segments, so a term's value is the same, bitwise,
-alone and in any batch.  ``marginal_m``, ``directional_marginal``,
+lambda cos(phi).  The lambda integrals of all terms are one
+``numerics.integrate_half_lines`` call: each term is a head [0, r, cut]
+and a tail [cut, inf), both rows of one outer batch.  Each outer round
+calls the outer integrand once, on the 15 Kronrod nodes of every new
+segment of every row, and it adapts the angular integrals at all those
+lambdas as the rows of one inner ``integrate_rows`` batch, each row
+starting from its own ridge hints.  No integral is evaluated one
+lambda, one term or one piece at a time.  Rows never share segments,
+so a term's value is the same, bitwise, alone and in any batch.
+``marginal_m``, ``directional_marginal``,
 ``kernel_marginal_M`` and ``radial_expectation`` are one-term sweeps,
 ``gb_marginals`` sweeps m and the directional numerator together, and
 ``asymptotic_ratio_probe`` its three quantities; either leaves m out
@@ -53,10 +47,8 @@ from sphereshrink.numerics import (
     DivergenceSuspected,
     NonFiniteIntegrand,
     QuadratureSpec,
-    TailMap,
-    integrate,
+    integrate_half_lines,
     integrate_rows,
-    integrate_semi_infinite,
     sphere_surface,
 )
 from sphereshrink.radial_models import RadialDensity
@@ -133,15 +125,14 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
         rho = problem.integrand
         w = _kernel_weight(problem.model, problem.kernel)
 
-        def radial(lam):
+        def radial(_, lam):
             return rho(lam) * w(lam) * lam ** (p - 1.0)
 
         # split at a table's knots: each is a kink in f that would
         # otherwise take tens of bisections at this tolerance
         spec = replace(_CLOSED_SPEC, singularity_hints=problem.model.knots)
-        head = integrate(radial, 0.0, 1.0, spec).value
-        tail = integrate_semi_infinite(radial, 1.0, spec, **problem.model.tail_decay).value
-        return sphere_surface(p) * (head + tail)
+        (value,) = integrate_half_lines(radial, [[0.0, 1.0]], spec, **problem.model.tail_decay)
+        return sphere_surface(p) * float(value)
 
     return float(_sweep([problem])[0])
 
@@ -158,15 +149,13 @@ def _sweep(problems, directional=()) -> np.ndarray:
     The kernel's mass lives within its support radius regardless of r,
     so each term's lambda integral is a finite head [0, cut] split at
     the ridge lambda = r, where no spike hides from the initial nodes,
-    and a tail [cut, inf) mapped onto [0, 1) by the model's ``TailMap``.
-    Heads and tails of every term are the rows of one outer
-    ``integrate_rows`` call (a tail row has one piece, so its edges end
-    in NaN), and the tails are probed for divergence in one call of the
-    outer integrand first.  Each call of the outer integrand adapts the
-    angular integrals of all its lambdas, whatever their row, as the
-    rows of one inner ``integrate_rows`` batch.  A row's value does not
-    depend on the other rows of either batch, so a term's value is the
-    same alone and among others.
+    and a tail [cut, inf) under the model's ``tail_decay``: the terms
+    of one ``integrate_half_lines`` call, which probes the tails and
+    maps them.  Each call of the outer integrand adapts the angular
+    integrals of all its lambdas, whatever their term, as the rows of
+    one inner ``integrate_rows`` batch.  A row's value does not depend
+    on the other rows of either batch, so a term's value is the same
+    alone and among others.
     """
     model, r = problems[0].model, problems[0].r
     p = model.p
@@ -182,13 +171,8 @@ def _sweep(problems, directional=()) -> np.ndarray:
     powers = [lambda lam, e=e: lam**e for e in exponents]
     spike = model.support_radius(1e-16)
     cut = max(1.0, spike, min(2.0 * r, r + spike))
-    tail = TailMap(cut, **model.tail_decay)
 
-    def outer(rows, x):
-        term = rows % n
-        tails = rows >= n
-        lams = x.copy()
-        lams[tails], om = tail.radius(x[tails])
+    def outer(term, lams):
         two_rl = 2.0 * r * lams
         gap = r - lams
         inner_rho = rho_of[term]
@@ -223,14 +207,9 @@ def _sweep(problems, directional=()) -> np.ndarray:
         inner = integrate_rows(angular, edges, abs_tol, _INNER_SPEC)
         y = inner * _by_group(weights, weight_of, term, lams)
         y *= _by_group(powers, power_of, term, lams)
-        y[tails] = tail.weigh(y[tails], om)
         return y
 
-    tail_rows = np.arange(n, 2 * n)
-    tail.probe(outer(tail_rows.repeat(tail.probe_nodes.size), np.tile(tail.probe_nodes, n)))
-    edges = np.array([[0.0, r, cut]] * n + [[0.0, 1.0, math.nan]] * n)
-    values = integrate_rows(outer, edges, _OUTER_SPEC.abs_tol, _OUTER_SPEC, tails=np.arange(2 * n) >= n)
-    return sphere_surface(p - 1) * (values[:n] + values[n:])
+    return sphere_surface(p - 1) * integrate_half_lines(outer, [[0.0, r, cut]] * n, _OUTER_SPEC, **model.tail_decay)
 
 
 def _distinct(items):

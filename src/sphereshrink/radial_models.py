@@ -76,8 +76,8 @@ class RadialDensity:
     :func:`poly_exp`, :func:`mixture_diff`, :func:`tabulated`).  A
     family names the keys of ``params`` in ``param_names``; its
     constructor validates their values and sets ``params``,
-    ``norm_const`` and ``tail_decay``, the tail class that
-    ``integrate_semi_infinite`` needs for integrands carrying f or F.
+    ``norm_const`` and ``tail_decay``, the ``decay`` and ``scale`` that
+    ``integrate_half_lines`` needs for integrands carrying f or F.
     The public methods here convert their input to float arrays and call
     the family's ``_shape``, ``_big_f`` and ``_kernel_moment``; no family
     overrides them, so ``perfbench/tracer.py`` can wrap them here.

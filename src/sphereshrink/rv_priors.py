@@ -42,8 +42,8 @@ from sphereshrink.numerics import (
     DivergenceSuspected,
     QuadratureError,
     QuadratureSpec,
-    TailMap,
     integrate,
+    integrate_half_lines,
     integrate_rows,
     integrate_semi_infinite,
     sphere_surface,
@@ -678,44 +678,33 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
     J(i) = int_0^inf eta^{p-1} G(eta) H_1(eta)^{gamma-2} H_i'(eta)^2 deta.
     For gamma = 2 the H_1 factor drops out exactly.
 
-    Every J(i) is two rows of one outer ``integrate_rows`` call: a head
-    row on [0, 1] and a tail row, the ``TailMap(0, "exp", 1)`` image of
-    v in [0, inf) with eta = e^v.  The tails are probed for divergence
-    by one call of the outer integrand first.  Each call of the outer
-    integrand makes one ``_averages`` batch for all its nodes, head and
-    tail alike: at each node the H_i numerator (beta) and the H_i' part
-    (-beta') at the node's timescale i, and, when gamma != 2, the H_1
-    numerator at timescale 1.  A row's value does not depend on the
-    other rows of either batch, so a J(i) is the same alone and among
-    others.  A row that exhausts ``_BLYTH_SPEC`` raises
-    :class:`ToleranceNotReached`, or :class:`DivergenceSuspected` for a
-    tail parked at t -> 1, and a tail the probe refuses raises
-    :class:`DivergenceSuspected`; each message names the J(i) and its
-    head or tail.  A timescale that is not positive (nan included)
-    raises :class:`PriorError`, as ``HSequence`` does.
+    Every J(i) is one term of one ``integrate_half_lines`` call: a head
+    row on [0, 1] and a tail row on [1, inf) under the power map
+    eta = 1/(1-t).  Each call of the outer integrand makes one
+    ``_averages`` batch for all its nodes, head and tail alike: at each
+    node the H_i numerator (beta) and the H_i' part (-beta') at the
+    node's timescale i, and, when gamma != 2, the H_1 numerator at
+    timescale 1.  A row's value does not depend on the other rows of
+    either batch, so a J(i) is the same alone and among others.  A
+    failure (an exhausted ``_BLYTH_SPEC``, a tail the probe refuses or
+    one parked at t -> 1) names the J(i) and its head or tail.  A
+    timescale that is not positive (nan included) raises
+    :class:`PriorError`, as ``HSequence`` does.
     """
     p, gamma = prior.p, prior.gamma
-    spec = _BLYTH_SPEC
     timescales = [float(i) for i in i_list]
     if not all(i > 0 for i in timescales):
         raise PriorError("timescale i must be positive")
     n = len(timescales)
     if not n:
         return []
-    tail = TailMap(0.0, "exp", 1.0)
-    names = [f"J({i!r}) {piece}" for i in timescales for piece in ("head", "tail")]
-    first = 2 * np.arange(n + 1)  # J(i_j) is rows 2j (head) and 2j + 1 (tail)
 
     def minus_beta_deriv(r):
         return -kernel.beta_deriv(r)
 
-    def outer(rows, x):
-        in_tail = rows % 2 == 1
-        eta = x.copy()
-        v, om = tail.radius(x[in_tail])
-        eta[in_tail] = np.exp(v)
-        # ``rows`` is nondecreasing, so each J(i)'s nodes are one run
-        ends = np.searchsorted(rows, first).tolist()
+    def outer(terms, eta):
+        # ``terms`` is nondecreasing, so each J(i)'s nodes are one run
+        ends = np.searchsorted(terms, np.arange(n + 1)).tolist()
         runs = [(i, slice(a, b)) for i, a, b in zip(timescales, ends, ends[1:]) if b > a]
         blocks = [(fn, i, at) for i, at in runs for fn in (kernel.beta_eval, minus_beta_deriv)]
         if gamma != 2.0:
@@ -727,15 +716,10 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
         if gamma != 2.0:
             w = w * (avgs[-1] / beta_tail) ** (gamma - 2.0)
         # H_i' in the two-integral form of HSequence.h_derivative
-        y = w * (beta * num / beta_tail**2 - dpart / beta_tail) ** 2
-        y[in_tail] = tail.weigh(y[in_tail] * eta[in_tail], om)
-        return y
+        return w * (beta * num / beta_tail**2 - dpart / beta_tail) ** 2
 
-    tail_rows = first[:-1] + 1
-    tail.probe(outer(tail_rows.repeat(tail.probe_nodes.size), np.tile(tail.probe_nodes, n)), names[1::2])
-    edges = np.tile([0.0, 1.0], (2 * n, 1))
-    values = integrate_rows(outer, edges, spec.abs_tol, spec, tails=np.arange(2 * n) % 2 == 1, names=names)
-    return (values[0::2] + values[1::2]).tolist()
+    names = [f"J({i!r})" for i in timescales]
+    return integrate_half_lines(outer, [[0.0, 1.0]] * n, _BLYTH_SPEC, decay="power", scale=1.0, names=names).tolist()
 
 
 # --- classification ----------------------------------------------------

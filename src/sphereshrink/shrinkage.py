@@ -70,8 +70,9 @@ class ShrinkageProfile:
     """Precomputed weight curve for one model.
 
     ``_psi`` interpolates psi = phi/r^2 from its exact origin value
-    (p-2)/p to the last grid radius.  Beyond the grid the weight is
-    within 1% of its limit and phi is held at its last value.  It is a
+    (p-2)/p to the grid's end, max(1.25 * support_radius(1e-10), 20),
+    and holds phi there: the gaussian's phi is at its limit there, but on
+    a (1+r^2)^-4 table in p = 5 the held value is 2.9% low.  It is a
     ``numerics.CubicTable`` over log r: an array of radii finds its knot
     intervals in O(1) through the table's guide buckets and one knot
     comparison each, a single radius through ``bisect`` and Python

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from sphereshrink.numerics import QuadratureSpec, beta_fn, integrate, integrate_semi_infinite, sphere_surface
+from sphereshrink.numerics import QuadratureSpec, beta_fn, integrate, integrate_half_lines, sphere_surface
 from sphereshrink.radial_models import RadialDensity
 
 _SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
@@ -114,10 +114,9 @@ def kernel_mass_identity(model: RadialDensity, order: float) -> IdentityCheck:
 
     cp = sphere_surface(p)
 
-    def radial(r):
+    def radial(_, r):
         return r ** (p - 1.0 + order) * model.big_f(r)
 
-    head = integrate(radial, 0.0, 1.0, _SPEC).value
-    tail = integrate_semi_infinite(radial, 1.0, _SPEC, **model.tail_decay).value
-    lhs = cp * (head + tail)
+    (total,) = integrate_half_lines(radial, [[0.0, 1.0]], _SPEC, **model.tail_decay)
+    lhs = cp * float(total)
     return _check("kernel_mass", {"family": model.family, "order": order}, lhs, rhs)

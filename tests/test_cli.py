@@ -267,6 +267,26 @@ def test_verify_identity_parameters_are_not_model_parameters(tmp_path):
     assert [row[1] for row in data_rows(out)] == ["a=0.5;alpha=1.5"]
 
 
+@pytest.mark.parametrize("command", ["model-info", "phi", "check", "risk", "probe"])
+@pytest.mark.parametrize("extra, named", [
+    (["--alpha", "3", "--b", "7"], "--alpha"),  # the gaussian model takes neither
+    (["--table", "t.csv"], "--table"),
+])
+def test_a_model_option_the_family_does_not_take_is_refused(command, extra, named, tmp_path, capsys):
+    argv = [command, *SUBCOMMANDS[command], *extra, "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {named} is a model parameter, and the gaussian model")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_table_config_keys_are_refused_for_a_parametric_family(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"table_r": [0.1, 1.0], "table_f": [1.0, 0.5]}', encoding="utf-8")
+    argv = ["model-info", "--family", "polyexp", "--p", "5", "--alpha", "2", "--beta", "1", "--config", str(config)]
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert "config key 'table_r' is a model parameter" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, hint", [
     (["--identity", "gegenbauer", "--alpha", "1", "--a", "3"], "--gegen-alpha or --order"),
     (["--identity", "kernelmass", "--family", "gaussian", "--p", "3", "--alpha", "1"], "--gegen-alpha or --order"),

@@ -24,6 +24,7 @@ from sphereshrink.numerics import (
     sphere_surface,
     upper_incomplete_gamma,
 )
+from sphereshrink.radial_models import tabulated
 
 
 def test_unit_constant():
@@ -162,6 +163,15 @@ def test_semi_infinite_divergence_flagged():
     spec = QuadratureSpec(max_subdivisions=200)
     with pytest.raises(DivergenceSuspected):
         integrate_semi_infinite(lambda r: 1.0 / (1.0 + r), 0.0, spec, decay="power", scale=1.0)
+
+
+def test_semi_infinite_slow_but_convergent_tail_is_not_called_divergent():
+    # (1+r)^-2.2 under the power map is (1-t)^0.2 in t: integrable, but
+    # one bisection leaves [0.5, 1] worst, which ends at t = 1 as every
+    # tail's last segment does
+    with pytest.raises(ToleranceNotReached, match="^integrand tail needed more than 1 subdivisions") as exc:
+        integrate_semi_infinite(lambda r: (1.0 + r) ** -2.2, 0.0, QuadratureSpec(max_subdivisions=1), decay="power")
+    assert exc.value.worst_segment == (0.5, 1.0)
 
 
 def test_cumulative_segments_sum_matches_direct():
@@ -305,31 +315,118 @@ def test_integrate_rows_nan_edges_pad_a_shorter_row():
             numerics.integrate_rows(f, bad, 1e-12)
 
 
-def test_integrate_rows_flags_a_tail_row_parked_at_infinity():
-    # row 1 is 1/(1+r) on [0, inf) under the power map: 1/(1-t) on [0, 1),
-    # which diverges and keeps its worst segment against t = 1 until the
-    # budget runs out
-    tail = numerics.TailMap(0.0, "power", 1.0)
-
-    def f(row, t):
-        r, om = tail.radius(t)
-        return np.where(row == 0, np.exp(-t), tail.weigh(1.0 / (1.0 + r), om))
-
-    spec = QuadratureSpec(max_subdivisions=20)
-    edges = [[0.0, 1.0], [0.0, 1.0]]
-    with pytest.raises(DivergenceSuspected):
-        numerics.integrate_rows(f, edges, spec.abs_tol, spec, tails=[False, True])
-    with pytest.raises(ToleranceNotReached) as exc:
-        numerics.integrate_rows(f, edges, spec.abs_tol, spec)
-    assert exc.value.row == 1 and tail.diverged(exc.value.worst_segment)
-    with pytest.raises(DivergenceSuspected):
-        tail.probe(f(np.ones(3, dtype=int), tail.probe_nodes))
-
-
 def test_integrate_rows_rejects_a_non_finite_value():
     edges = np.array([[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteIntegrand):
         numerics.integrate_rows(lambda row, x: np.where((row == 1) & (x > 0.4), np.inf, 1.0), edges, 1e-14)
+
+
+# --- integrate_half_lines --------------------------------------------
+
+# Term j of the batch below: e^{-r}, r^2 e^{-r/2}, a kink |r - 3| e^{-r}
+# beyond the heads, and e^{-r}/sqrt(r), singular at 0.
+_TERMS = [
+    lambda r: np.exp(-r),
+    lambda r: r * r * np.exp(-0.5 * r),
+    lambda r: np.abs(r - 3.0) * np.exp(-r),
+    lambda r: np.exp(-r) / np.sqrt(r),
+]
+_EXACT = [1.0, 16.0, 2.0 + 2.0 * math.exp(-3.0), math.sqrt(math.pi)]
+
+
+def _terms(term, r):
+    return np.concatenate([_TERMS[j](r[term == j]) for j in np.unique(term)])
+
+
+@pytest.mark.parametrize("decay, scale", [("exp", 2.0), ("power", 1.0)])
+def test_integrate_half_lines_term_alone_equals_term_in_a_batch(decay, scale):
+    spec = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-11, max_subdivisions=200, singularity_hints=(0.3, 3.0))
+    heads = [[0.0, 0.3, 1.0]] * len(_TERMS)
+    calls = []
+
+    def f(term, r):
+        calls.append((term, r))
+        return _terms(term, r)
+
+    together = numerics.integrate_half_lines(f, heads, spec, decay=decay, scale=scale)
+    # every call gets nondecreasing terms and real radii; the first is
+    # the probe's, on the tails only, and the next holds heads and tails
+    assert all(np.all(np.diff(term) >= 0) and np.all(r >= 0.0) for term, r in calls)
+    assert np.all(calls[0][1] > 1.0) and np.any(calls[1][1] < 1.0) and np.any(calls[1][1] > 1.0)
+    assert together == pytest.approx(_EXACT, rel=1e-10)
+    for j in range(len(_TERMS)):
+        alone = numerics.integrate_half_lines(lambda term, r: _terms(term + j, r), heads[j : j + 1], spec,
+                                              decay=decay, scale=scale)
+        assert alone[0] == together[j]  # bitwise
+
+
+def test_integrate_semi_infinite_is_the_no_head_case_of_integrate_half_lines():
+    f = lambda r: np.abs(r - 3.0) * np.exp(-r)
+    spec = QuadratureSpec(singularity_hints=(0.5, 3.0, 7.0))
+    res = integrate_semi_infinite(f, 1.0, spec)
+    assert res.value == numerics.integrate_half_lines(lambda term, r: f(r), [[1.0]], spec)[0]
+    assert res.value == pytest.approx(2.0 * math.exp(-3.0) + math.exp(-1.0), rel=1e-10)
+
+
+def test_integrate_half_lines_splits_a_tail_at_the_hints_beyond_its_start():
+    # r^4 f(r) on a (1+r^2)^-4 table with knots out to 60: its PCHIP is
+    # kinked at every knot, and the knots beyond r = 1 split the tail
+    knots = np.geomspace(0.01, 60.0, 120)
+    model = tabulated(knots, (1.0 + knots**2) ** -4.0, 5)
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=100, singularity_hints=model.knots)
+    mass = lambda term, r: r**4 * model.density(r)
+    total = numerics.integrate_half_lines(mass, [[0.0, 1.0]], spec, **model.tail_decay)[0]
+    assert total * sphere_surface(5) == pytest.approx(1.0, rel=1e-12)
+    head_knots = tuple(k for k in model.knots if k < 1.0)
+    with pytest.raises(ToleranceNotReached, match="^term 0 tail needed more than 100 subdivisions"):
+        numerics.integrate_half_lines(mass, [[0.0, 1.0]], replace(spec, singularity_hints=head_knots),
+                                      **model.tail_decay)
+
+
+def test_integrate_half_lines_flags_a_tail_parked_at_infinity():
+    # term 1 is 1/((1+r) log(e+r)) on [0, inf) under the power map: its
+    # boundary weights fall like 1/log r, so the probe lets it through,
+    # but it diverges like log log r and keeps its worst segment against
+    # t = 1 until the budget runs out
+    slow = lambda r: 1.0 / ((1.0 + r) * np.log(math.e + r))
+    f = lambda term, r: np.where(term == 0, np.exp(-r), slow(r))
+    spec = QuadratureSpec(max_subdivisions=20)
+    with pytest.raises(DivergenceSuspected, match=r"^slow tail needed more than 20 subdivisions"):
+        numerics.integrate_half_lines(f, [[0.0], [0.0]], spec, decay="power", names=["exp", "slow"])
+    # integrate_rows judges no divergence: the same two mapped rows raise
+    # ToleranceNotReached, with the worst segment parked at t = 1
+    tail = numerics.TailMap(0.0, "power", 1.0)
+
+    def mapped(row, t):
+        r, om = tail.radius(t)
+        return tail.weigh(f(row, r), om)
+
+    with pytest.raises(ToleranceNotReached) as exc:
+        numerics.integrate_rows(mapped, [[0.0, 1.0], [0.0, 1.0]], spec.abs_tol, spec)
+    assert exc.value.row == 1 and tail.diverged(exc.value.worst_segment)
+    # nor is a head: 1/sqrt(1 - r) on [0, 1] parks its worst segment at
+    # r = 1 too
+    head = lambda term, r: np.where(r < 1.0, 1.0 / np.sqrt(np.abs(1.0 - r)), 0.0)
+    with pytest.raises(ToleranceNotReached, match="^term 0 head needed more than 20 subdivisions") as exc:
+        numerics.integrate_half_lines(head, [[0.0, 1.0]], spec, decay="power")
+    assert exc.value.row == 0 and exc.value.worst_segment[0] >= 0.999
+
+
+def test_integrate_half_lines_probe_refusal_names_the_term():
+    # 1/(1+r) under the power map is 1/(1-t): its boundary weights stay at 1
+    f = lambda term, r: np.where(term == 0, np.exp(-r), 1.0 / (1.0 + r))
+    calls = []
+
+    def counted(term, r):
+        calls.append(term)
+        return f(term, r)
+
+    with pytest.raises(DivergenceSuspected, match=r"^harmonic tail does not look integrable"):
+        numerics.integrate_half_lines(counted, [[0.0, 1.0], [0.0, 1.0]], decay="power", names=["exp", "harmonic"])
+    # one call, the probe's, on both tails' three nodes
+    assert len(calls) == 1 and calls[0].tolist() == [0, 0, 0, 1, 1, 1]
+    with pytest.raises(DivergenceSuspected, match=r"^term 1 tail does not look integrable"):
+        numerics.integrate_half_lines(f, [[0.0], [0.0]], decay="power")
 
 
 # --- special functions -------------------------------------------------

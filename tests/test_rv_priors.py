@@ -647,22 +647,24 @@ class TestBlythDecay:
         with pytest.raises(ToleranceNotReached, match=r"^J\(64\.0\) head needed more than 1 subdivisions") as exc:
             blyth_decay(harmonic_prior(3), BetaKernel(LogTower(1, 1.02)), [64.0])
         assert exc.value.row == 0
-        # the tail's worst segment is parked against t = 1
-        with pytest.raises(DivergenceSuspected, match=r"^J\(1\.0\) tail needed more than 1 subdivisions"):
+        # the tail is slow, not divergent: after one bisection its worst
+        # segment is [0.5, 1], which starts far from t = 1
+        with pytest.raises(ToleranceNotReached, match=r"^J\(1\.0\) tail needed more than 1 subdivisions") as exc:
             blyth_decay(harmonic_prior(3), K1, [1.0, 4.0])
+        assert exc.value.row == 1 and exc.value.worst_segment == (0.5, 1.0)
 
     def test_a_divergent_tail_is_refused_by_the_probe(self, monkeypatch):
         # J's tail integrand in v grows like e^{(p+k-4)v}: k = 2 > 4 - p
-        outer_calls, real = [], rv_priors.integrate_rows
+        calls, real = [], rv_priors._averages
 
-        def integrate_rows(*args, **kwargs):
-            outer_calls.append("tails" in kwargs)
-            return real(*args, **kwargs)
+        def averages(etas, scale, blocks):
+            calls.append(etas.size)
+            return real(etas, scale, blocks)
 
-        monkeypatch.setattr(rv_priors, "integrate_rows", integrate_rows)
+        monkeypatch.setattr(rv_priors, "_averages", averages)
         with pytest.raises(DivergenceSuspected, match=r"^J\(4\.0\) tail does not look integrable"):
             blyth_decay(power_prior(2.0, 3), K1, [4.0])
-        assert outer_calls and not any(outer_calls)  # only the probe's H averages ran
+        assert calls == [3]  # only the probe's outer call ran, on its three nodes
 
 
 class TestClassification:
