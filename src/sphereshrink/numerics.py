@@ -188,8 +188,11 @@ def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
         new_lo, new_hi = lo[fresh], hi[fresh]
         nodes_row = row[fresh].repeat(_NODES.size)
         val[fresh], new_err = _gauss_pair(lambda x: f(nodes_row, x), new_lo, new_hi)
+        # a segment at floating-point resolution cannot be bisected, so its
+        # estimate proves nothing: it is charged its whole |value|
         mid = 0.5 * (new_lo + new_hi)
-        new_err[(mid <= new_lo) | (mid >= new_hi)] = 0.0  # at floating-point resolution
+        stuck = (mid <= new_lo) | (mid >= new_hi)
+        new_err[stuck] = np.abs(val[fresh][stuck])
         err[fresh] = new_err
         value = np.add.reduceat(val, starts)
         error = np.add.reduceat(err, starts)
@@ -450,8 +453,8 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
 
     Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
     initially at its interior edges (an edge may repeat: a zero-width
-    piece contributes 0).  A row with fewer pieces than the others ends
-    in NaN edges, which pad it to the array's width.  ``f(row, x)`` gets
+    piece contributes 0, so a row with fewer pieces than the others
+    repeats its last edge).  ``f(row, x)`` gets
     a nondecreasing index array ``row`` aligned with the abscissae
     ``x``.  Each round calls ``f`` once on every new segment of every
     unconverged row and bisects, in each of those rows, the segments
@@ -461,8 +464,10 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     there as ``integrate`` would.
     Row i is done once its error is at most
     ``max(abs_tol[i], rel_tol * |value|)`` (``abs_tol`` is one float or
-    one per row); a segment at floating-point resolution is accepted as
-    is.  Segments stay sorted by (row, lo), so a row's value does not
+    one per row); a segment at floating-point resolution, which cannot
+    be bisected, counts its whole |value| as its error, so a row that
+    needs one fails instead of passing on a meaningless estimate.
+    Segments stay sorted by (row, lo), so a row's value does not
     depend on the other rows in the batch.  A row that needs more than
     ``max_subdivisions`` bisections raises :class:`ToleranceNotReached`
     naming the row ("row i") and its worst segment.
@@ -471,18 +476,14 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] < 2:
         raise ValueError("edges must be a 2-d array with at least two columns")
-    if (edges[:, 1:] < edges[:, :-1]).any():
-        raise ValueError("each row's edges must be nondecreasing")
+    if not (edges[:, 1:] >= edges[:, :-1]).all():  # False for NaN too
+        raise ValueError("each row's edges must be nondecreasing numbers")
     if spec.singularity_hints:
         hints = np.asarray(spec.singularity_hints, dtype=float)
-        span = (edges[:, :1], np.fmax.reduce(edges, axis=1, keepdims=True))
-        cuts = np.clip(np.broadcast_to(hints, (edges.shape[0], hints.size)), *span)
-        edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)  # NaN sorts last
-    pad = np.isnan(edges)
-    if pad[:, :2].any() or (pad[:, :-1] > pad[:, 1:]).any():
-        raise ValueError("NaN edges may only pad the end of a row of at least two edges")
-    real = ~pad[:, 1:]
-    value, error, evals, over = _adapt(f, edges[:, :-1][real], edges[:, 1:][real], real.sum(axis=1), abs_tol, spec)
+        cuts = np.clip(np.broadcast_to(hints, (edges.shape[0], hints.size)), edges[:, :1], edges[:, -1:])
+        edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)
+    k = np.full(edges.shape[0], edges.shape[1] - 1)
+    value, error, evals, over = _adapt(f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), k, abs_tol, spec)
     if over is not None:
         i, segment = over
         result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))

@@ -11,7 +11,7 @@ sqrt((r - lambda)^2 + 2 r lambda v^2), which is cancellation-free and
 linear in v at the singular ridge lambda = r, and the angular weight
 becomes 2 v^(p-2) (2 - v^2)^((p-3)/2) on [0, sqrt(2)].  This is the
 cos-substitution with the Jacobi weight, reparametrized so that the
-ridge boundary layer sits at a known scale |r - lambda| / sqrt(2 r
+ridge boundary layer sits at a known scale b = |r - lambda| / sqrt(2 r
 lambda) that the integrator can be pointed at.
 
 Every request at one radius r > 0 is one sweep over a list of terms;
@@ -22,8 +22,12 @@ lambda cos(phi).  The lambda integrals of all terms are one
 and a tail [cut, inf), both rows of one outer batch.  Each outer round
 calls the outer integrand once, on the 15 Kronrod nodes of every new
 segment of every row, and it adapts the angular integrals at all those
-lambdas as the rows of one inner ``integrate_rows`` batch, each row
-starting from its own ridge hints.  No integral is evaluated one
+lambdas as the rows of one inner ``integrate_rows`` batch.  A row of a
+term with a singular integrand starts from a mesh graded at its own b,
+with edges b * {0, 1/4, 1/2, 1, 2, ..., 2^16} clipped to sqrt(2), so
+each piece spans a factor of 2 of the boundary layer and meets the
+inner tolerance in about one round; every other row is the one piece
+[0, sqrt(2)].  No integral is evaluated one
 lambda, one term or one piece at a time.  Rows never share segments,
 so a term's value is the same, bitwise, alone and in any batch.
 ``marginal_m``, ``directional_marginal``,
@@ -61,6 +65,12 @@ _ROOT2 = math.sqrt(2.0)
 _INNER_SPEC = QuadratureSpec(abs_tol=1e-280, rel_tol=5e-11, max_subdivisions=160)
 _OUTER_SPEC = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-9, max_subdivisions=300)
 _CLOSED_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400)
+
+# Initial angular edges of a ridge row, in units of its boundary-layer
+# scale b: ratio-2 steps from b/4 to 2^16 b, so each K15 piece meets the
+# inner tolerance in about one round instead of after 2-3 bisections.
+# Beyond 2^16 b the row is smooth enough that more steps save nothing.
+_RIDGE_MESH = np.array([0.0, *np.exp2(np.arange(-2.0, 17.0)), math.inf])
 
 KERNELS = ("density", "tail_kernel")
 
@@ -153,7 +163,11 @@ def _sweep(problems, directional=()) -> np.ndarray:
     of one ``integrate_half_lines`` call, which probes the tails and
     maps them.  Each call of the outer integrand adapts the angular
     integrals of all its lambdas, whatever their term, as the rows of
-    one inner ``integrate_rows`` batch.  A row's value does not depend
+    one inner ``integrate_rows`` batch.  A ridge row (a term whose
+    singularity class is negative) starts from ``_RIDGE_MESH`` scaled by
+    its b = |r - lambda| / sqrt(2 r lambda), floored at 1e-9 and clipped
+    to sqrt(2); any other row is the one piece [0, sqrt(2)].  A row's
+    value does not depend
     on the other rows of either batch, so a term's value is the same
     alone and among others.
     """
@@ -189,12 +203,13 @@ def _sweep(problems, directional=()) -> np.ndarray:
                 out = out * np.where(inner_cos[row], v * v - 1.0, 1.0)  # x * 1.0 is x
             return out
 
-        # ridge hints at the boundary-layer scale |r - lambda| / sqrt(2 r
-        # lambda); a hint at or beyond sqrt(2) becomes a zero-width piece
-        base = np.full(lams.shape, _ROOT2)
+        # every row has the mesh's width: an edge at or beyond sqrt(2)
+        # becomes a zero-width piece
+        edges = np.full((lams.size, _RIDGE_MESH.size), _ROOT2)
+        edges[:, 0] = 0.0
         near = ridge[term] & (two_rl > 0)
-        base[near] = np.maximum(np.abs(gap[near]) / np.sqrt(two_rl[near]), 1e-9)
-        edges = np.minimum(base[:, None] * [0.0, 1.0, 8.0, 64.0, math.inf], _ROOT2)
+        b = np.maximum(np.abs(gap[near]) / np.sqrt(two_rl[near]), 1e-9)
+        edges[near] = np.minimum(b[:, None] * _RIDGE_MESH, _ROOT2)
         abs_tol = _INNER_SPEC.abs_tol
         if any_cos:
             # the cos-weighted integral can be an exact zero (symmetric rho),

@@ -165,6 +165,29 @@ def test_semi_infinite_divergence_flagged():
         integrate_semi_infinite(lambda r: 1.0 / (1.0 + r), 0.0, spec, decay="power", scale=1.0)
 
 
+def test_semi_infinite_too_light_a_decay_class_raises_instead_of_passing():
+    # (1+r)^-3 under the exp map is ~ e^{2v} in v = -log(1-t): its tail
+    # segments bisect down to floating-point resolution next to t = 1,
+    # where the 1e-150 floor makes the Jacobian huge.  Such a segment
+    # cannot be bisected, so it must not pass on an error estimate of 0
+    # (it used to return 2.67e126 for the true 0.5).
+    with pytest.raises(DivergenceSuspected):
+        integrate_semi_infinite(lambda r: (1.0 + r) ** -3, 0.0, decay="exp")
+    # declared correctly, the same integrand converges
+    assert integrate_semi_infinite(lambda r: (1.0 + r) ** -3, 0.0, decay="power").value == pytest.approx(0.5, rel=1e-10)
+
+
+def test_integrate_rows_fails_a_row_stuck_at_floating_point_resolution():
+    # a segment one ulp wide cannot be bisected: it counts its |value|
+    # as error, so its row runs over budget instead of passing
+    lo = 1.0
+    hi = math.nextafter(lo, 2.0)
+    with pytest.raises(ToleranceNotReached) as exc:
+        numerics.integrate_rows(lambda row, x: np.full(x.shape, 1e300), [[lo, hi]], 1e-280,
+                                QuadratureSpec(max_subdivisions=5))
+    assert exc.value.row == 0
+
+
 def test_semi_infinite_slow_but_convergent_tail_is_not_called_divergent():
     # (1+r)^-2.2 under the power map is (1-t)^0.2 in t: integrable, but
     # one bisection leaves [0.5, 1] worst, which ends at t = 1 as every
@@ -302,17 +325,21 @@ def test_integrate_rows_raises_when_a_row_runs_over_budget():
     assert "row 1" in str(exc.value)
 
 
-def test_integrate_rows_nan_edges_pad_a_shorter_row():
-    # a padded row is the row alone, bitwise, and so is its wider neighbour
+def test_integrate_rows_refuses_nan_and_decreasing_edges():
+    # rows of one batch share the array's width; a shorter row repeats
+    # its last edge, and neither NaN nor a decreasing edge is accepted
     f = lambda row, x: np.exp(-x) * (row + 1.0) + np.sqrt(x)
-    edges = np.array([[0.0, 0.3, 2.0], [0.0, 2.0, math.nan]])
+    edges = np.array([[0.0, 0.3, 2.0], [0.0, 2.0, 2.0]])
     together = numerics.integrate_rows(f, edges, 1e-280)
     assert together[0] == numerics.integrate_rows(f, edges[:1], 1e-280)[0]
     assert together[1] == numerics.integrate_rows(lambda row, x: f(row + 1, x), [[0.0, 2.0]], 1e-280)[0]
     assert together[1] == pytest.approx(2.0 * (1.0 - math.exp(-2.0)) + 2.0 / 3.0 * 2.0**1.5, rel=1e-9)
-    for bad in ([[math.nan, 0.0, 1.0]], [[0.0, math.nan, 1.0]], [[0.0, math.nan, math.nan]]):
-        with pytest.raises(ValueError):
+    for bad in ([[math.nan, 0.0, 1.0]], [[0.0, math.nan, 1.0]], [[0.0, 2.0, math.nan]], [[0.0, 2.0, 1.0]]):
+        with pytest.raises(ValueError, match="nondecreasing"):
             numerics.integrate_rows(f, bad, 1e-12)
+    spec = QuadratureSpec(singularity_hints=(0.5,))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        numerics.integrate_rows(f, [[0.0, 2.0, math.nan]], 1e-12, spec)
 
 
 def test_integrate_rows_rejects_a_non_finite_value():

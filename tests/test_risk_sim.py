@@ -162,6 +162,12 @@ def test_sample_obs_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_sample_block_norm_is_numpy_norm_bitwise(p):
+    z, r, scale = risk_sim._sample_block(gaussian(p), rng_for(11), 4096)
+    assert np.array_equal(scale, r / np.linalg.norm(z, axis=1))
+
+
 def test_sample_obs_shape_error():
     with pytest.raises(RiskSimError):
         sample_obs(gaussian(4), np.zeros(3), rng_for(0))

@@ -8,6 +8,7 @@ import pytest
 from sphereshrink.radial_convolution import ConvolutionError
 from sphereshrink.radial_models import gaussian, mixture_diff, poly_exp
 from sphereshrink.rv_priors import custom_prior, harmonic_prior, log_thickened_prior, power_prior
+from sphereshrink import numerics
 from sphereshrink import shrinkage as sh
 from sphereshrink.shrinkage import (
     ShrinkageError,
@@ -200,35 +201,36 @@ def test_gb_multiplier_rejections():
 
 
 # gb_multiplier on the parity grid (tests/conftest.py), as float.hex, from
-# the oracle that swept m and S one after the other; the one batched
-# sweep of both gives them bitwise.
+# one-term calls with every ridge row starting from the graded mesh.  One
+# batched sweep of m and S gives each the value of its one-term sweep,
+# so kappa = 1 + S / (r m) is pinned bitwise.
 GB_PARITY = {
     ("harmonic", "gaussian"): {
-        "gb": ("0x1.99f37f75ce7f4p-2", "0x1.bd636722c0d16p-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
+        "gb": ("0x1.99f37f75ce7fcp-2", "0x1.bd636722c0d12p-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
     },
     ("harmonic", "poly_exp"): {
-        "gb": ("0x1.999a97a31043ep-2", "0x1.b1c960350b81ap-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
+        "gb": ("0x1.999a97a310446p-2", "0x1.b1c960350b81ap-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
     },
     ("harmonic", "tabulated"): {
-        "gb": ("0x1.9bb29a082f6f2p-2", "0x1.17cc1b6fe2b02p-1", "0x1.fffe31b952dd8p-1", "0x1.ffa28b90e2d4cp-1", "0x1.ffff9b7d3e477p-1"),
+        "gb": ("0x1.9bb29a082f6f4p-2", "0x1.17cc1b6fe2b02p-1", "0x1.fffe31b952dd8p-1", "0x1.ffa28b90e2d4cp-1", "0x1.ffff9b7d3e477p-1"),
     },
     ("power", "gaussian"): {
-        "gb": ("0x1.002ecfb8c7936p-1", "0x1.123a042fa7f76p-1", "0x1.eec0c8367909fp-1", "0x1.ffb00280a0390p-1", "0x1.ffffac1d2c9c2p-1"),
+        "gb": ("0x1.002ecfb8c793cp-1", "0x1.123a042fa7f76p-1", "0x1.eec0c8367909fp-1", "0x1.ffb00280a0390p-1", "0x1.ffffac1d2c9c2p-1"),
     },
     ("power", "poly_exp"): {
-        "gb": ("0x1.001305d0ab8d0p-1", "0x1.0f26f145d0554p-1", "0x1.ea148bd73ba2ap-1", "0x1.ffc8010028c8dp-1", "0x1.ffffc5479e670p-1"),
+        "gb": ("0x1.001305d0ab8dap-1", "0x1.0f26f145d0554p-1", "0x1.ea148bd73ba2ap-1", "0x1.ffc8010028c8dp-1", "0x1.ffffc5479e670p-1"),
     },
     ("power", "tabulated"): {
-        "gb": ("0x1.01002ed115f6fp-1", "0x1.442e332125b95p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796abp-1"),
+        "gb": ("0x1.01002ed115f72p-1", "0x1.442e332125b94p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796abp-1"),
     },
     ("log_thickened", "gaussian"): {
-        "gb": ("0x1.8a9ddc396e1f5p-1", "0x1.9c74baa176dfep-1", "0x1.fb776ca27ed04p-1", "0x1.ffe768875559cp-1", "0x1.ffffe34abf06fp-1"),
+        "gb": ("0x1.8a9ddc396e1ecp-1", "0x1.9c74baa176dffp-1", "0x1.fb776ca27ed04p-1", "0x1.ffe768875559cp-1", "0x1.ffffe34abf06fp-1"),
     },
     ("log_thickened", "poly_exp"): {
-        "gb": ("0x1.8cafe5661a966p-1", "0x1.96aad6a94dc39p-1", "0x1.f94b7ecb6d101p-1", "0x1.ffeb81a1fb889p-1", "0x1.ffffe8139f16ep-1"),
+        "gb": ("0x1.8cafe5661a958p-1", "0x1.96aad6a94dc38p-1", "0x1.f94b7ecb6d101p-1", "0x1.ffeb81a1fb889p-1", "0x1.ffffe8139f16ep-1"),
     },
     ("log_thickened", "tabulated"): {
-        "gb": ("0x1.7d252cfa5f877p-1", "0x1.c02f54c55bbd9p-1", "0x1.ffffd4cd94c3ep-1", "0x1.fff7cd8ece68fp-1", "0x1.fffff66e3faddp-1"),
+        "gb": ("0x1.7d252cfa5f872p-1", "0x1.c02f54c55bbd9p-1", "0x1.ffffd4cd94c3ep-1", "0x1.fff7cd8ece68fp-1", "0x1.fffff66e3faddp-1"),
     },
 }
 
@@ -238,6 +240,20 @@ def test_gb_multiplier_matches_the_unbatched_oracle_bitwise(names, parity_case):
     prior, model, radii = parity_case(*names)
     for r, expected in zip(radii, GB_PARITY[names]["gb"]):
         assert gb_multiplier(prior, model, prior.p, r).hex() == expected, r
+
+
+def test_gb_multiplier_ridge_rows_converge_in_few_rounds(monkeypatch):
+    # each numerics._gauss_pair call is one round of an adaptive loop,
+    # outer or angular; ridge rows started from the graded mesh need about
+    # one round each (83 and 34 calls when they started from b*{1, 8, 64})
+    calls = []
+    pair = numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda f, lo, hi: calls.append(1) or pair(f, lo, hi))
+    model = gaussian(5)
+    for r, budget in ((1.0, 32), (model.support_radius(1e-16), 20)):
+        calls.clear()
+        gb_multiplier(power_prior(-2.5, 5), model, 5, r)
+        assert len(calls) <= budget, r
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
