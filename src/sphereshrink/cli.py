@@ -418,9 +418,13 @@ def _cmd_hseq(cfg):
     i_list = _parse_list(cfg["i"])
     if not i_list:
         raise CLIConfigError("need at least one i")
-    etas = np.geomspace(float(cfg["eta_min"]), float(cfg["eta_max"]), int(cfg["points"]))
-    # the far rows' eta rides last in each array call
-    eta_far = max(float(cfg["eta_max"]), 1e6)
+    eta_min, eta_max, points = float(cfg["eta_min"]), float(cfg["eta_max"]), int(cfg["points"])
+    if not (0.0 < eta_min <= eta_max) or points < 1:
+        raise CLIConfigError("need 0 < eta_min <= eta_max and points >= 1")
+    etas = np.geomspace(eta_min, eta_max, points)
+    # the far rows' eta rides last in each array call; the laws they check
+    # are off by about i/eta, so it sits at least 1e4 timescales out
+    eta_far = max(eta_max, 1e6, 1e4 * max(i_list))
     eta_all = np.append(etas, eta_far)
     seqs = [HSequence(kernel, i) for i in i_list]
     h_all = [seq.h_eval(eta_all) for seq in seqs]

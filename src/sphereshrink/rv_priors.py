@@ -17,7 +17,9 @@ collapses to 1/Log_n(eta+c), and the exponential averages
     H_i(eta) = int_eta^inf e^{(eta-r)/i} beta(r) dr / int_eta^inf beta(r) dr
 
 that interpolate between 0 and 1 as i grows.  H_i and H_i' take an
-array of eta and integrate it as one batch, a row per eta.  The second
+array of eta and integrate it as one batch, a row per eta, each mapped
+onto t in [0, 1) through log1p and started from pieces graded at its
+own boundary layer, t ~ 1/(3 i |(log beta)'(eta)|).  The second
 half audits a radial prior G: slope bounds eta G'/G, a properness
 index, the decay of the Blyth quadratic-form integrals J(i), a
 Brown-type integral test on partial sums, and a coarse
@@ -51,11 +53,19 @@ from sphereshrink.numerics import (
 
 _H_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
 # k of each H row's map v = -k*i*log(1-t), which leaves (1-t)^(k-1) in
-# the integrand (see HSequence._avg)
+# the integrand (see _averages)
 _H_MAP_EXPONENT = 3
-# initial pieces of each H row in t, crowding toward t = 1 where the
-# map stretches furthest
-_H_EDGES = np.array([0.0, 0.5, 0.9, 0.99, 0.999, 1.0])
+# first edges of each H row in units of its layer scale s (see
+# _averages), clipped at t = 1/2: ratio 2 from t = s to 2^20 s, which
+# reaches 1/2 for s >= 4.8e-7 (i up to ~7000 on the 1.02 kernel at
+# eta = 0); every row has as many, a row with s >= 1/2 starts from
+# [0, 1/2] alone and its clipped pieces are zero-width
+_H_MESH = np.array([0.0, *np.exp2(np.arange(0.0, 21.0)), math.inf])
+# the row's last edges in t, crowding toward t = 1 where the map
+# stretches furthest
+_H_EDGES = np.array([0.9, 0.99, 0.999, 1.0])
+# floor on 1 - t, which keeps log(1 - t) finite where t rounds to 1
+_H_FLOOR = 1e-150
 # both pieces of each J(i) answer to the relative tolerance, since J can
 # sit far below a fixed absolute one (J(1) = 2.8e-16 for the depth-1
 # log-thickened prior with c = 100); the floor is the convolution specs'
@@ -224,7 +234,7 @@ class HSequence:
         rows per fn; each entry is a float for a float eta.
         """
         etas = np.atleast_1d(np.asarray(eta, dtype=float))
-        out = _averages(etas, self.kernel.beta_eval(etas), [(fn, self.i, slice(None)) for fn in fns])
+        out = _averages(etas, *self.kernel._beta(etas, 1), [(fn, self.i, slice(None)) for fn in fns])
         return [part if np.ndim(eta) else float(part[0]) for part in out]
 
     def numerator(self, eta):
@@ -251,7 +261,7 @@ class HSequence:
         return self.kernel.beta_eval(eta) * num / tail**2 - dpart / tail
 
 
-def _averages(etas, scale, blocks):
+def _averages(etas, scale, slope, blocks):
     """Exponential averages of kernel functions, every block in one batch.
 
     Each block ``(fn, i, at)`` asks for int_eta^inf e^{(eta-r)/i} fn(r) dr
@@ -275,25 +285,35 @@ def _averages(etas, scale, blocks):
     like 1/log(1-t)^2 at t = 1 and the last piece needs many
     bisections; with k = 3 the factor (1-t)^2 makes it vanish there.
     Shifting by eta first keeps the exponent exact; forming eta - r
-    at large eta would cancel away most of its digits.  Each row is
-    scaled by ``scale`` at its eta, beta(eta), so that its absolute
-    tolerance is relative to the answer's size.
+    at large eta would cancel away most of its digits.  The map takes
+    log(1-t) as log1p(-t), whose digits hold at t near 0 where 1 - t
+    has lost them; where t rounds to 1 it is floored at 1 - t = 1e-150.
+
+    fn(eta+v) falls off where v*|(log beta)'(eta)| nears 1, a boundary
+    layer at t ~ s = 1/(k*i*|(log beta)'(eta)|) that is thin for large
+    i or for eta near 0 with a small offset (s = 3e-11 at i = 1e8 with
+    c = 1.02).  Each row therefore starts from the pieces s*_H_MESH,
+    graded at ratio 2 through its layer and clipped at t = 1/2, then
+    _H_EDGES; every row has as many pieces, so a row's value depends on
+    its own (eta, i, fn) alone.  ``scale`` and ``slope`` are beta(eta)
+    and (log beta)'(eta); each row is divided by ``scale`` at its eta,
+    so that its absolute tolerance is relative to the answer's size.
     """
     stretches = [_H_MAP_EXPONENT * i for _, i, _ in blocks]
     if len(blocks) == 1:
         (_, _, at), = blocks
-        row_eta, row_scale = etas[at], scale[at]
+        row_eta, row_scale, row_slope = etas[at], scale[at], slope[at]
+        row_stretch = stretches[0]
         first = (0, row_eta.size)
     else:
-        parts = [etas[at] for _, _, at in blocks]
-        row_eta = np.concatenate(parts)
-        row_scale = np.concatenate([scale[at] for _, _, at in blocks])
-        first = list(itertools.accumulate(map(len, parts), initial=0))
+        row_eta, row_scale, row_slope = (np.concatenate([x[at] for _, _, at in blocks]) for x in (etas, scale, slope))
+        sizes = [etas[at].size for _, _, at in blocks]
+        row_stretch = np.repeat(stretches, sizes)
+        first = list(itertools.accumulate(sizes, initial=0))
 
     def rows(row, t):
-        # the floor on 1 - t keeps the log finite as t -> 1
-        w = np.maximum(1.0 - t, 1e-150)
-        log_w, eta = np.log(w), row_eta[row]
+        log_w = np.log1p(-t, out=np.full_like(t, math.log(_H_FLOOR)), where=t < 1.0)
+        w, eta = np.maximum(1.0 - t, _H_FLOOR), row_eta[row]
         if len(blocks) == 1:
             y = stretches[0] * blocks[0][0](eta - stretches[0] * log_w)
         else:
@@ -303,7 +323,10 @@ def _averages(etas, scale, blocks):
                                 for (fn, _, _), s, a, b in zip(blocks, stretches, ends, ends[1:]) if b > a])
         return y * w ** (_H_MAP_EXPONENT - 1) / row_scale[row]
 
-    edges = np.broadcast_to(_H_EDGES, (row_eta.size, _H_EDGES.size))
+    layer = 1.0 / (row_stretch * np.abs(row_slope))
+    edges = np.empty((row_eta.size, _H_MESH.size + _H_EDGES.size))
+    np.minimum(layer[:, None] * _H_MESH, 0.5, out=edges[:, : _H_MESH.size])
+    edges[:, _H_MESH.size :] = _H_EDGES
     values = integrate_rows(rows, edges, _H_SPEC.abs_tol, _H_SPEC)
     return [values[a:b] * scale[at] for (_, _, at), a, b in zip(blocks, first, first[1:])]
 
@@ -709,8 +732,8 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
         blocks = [(fn, i, at) for i, at in runs for fn in (kernel.beta_eval, minus_beta_deriv)]
         if gamma != 2.0:
             blocks.append((kernel.beta_eval, 1.0, slice(None)))
-        beta, beta_tail = kernel.beta_eval(eta), kernel.beta_tail(eta)
-        avgs = _averages(eta, beta, blocks)
+        (beta, slope), beta_tail = kernel._beta(eta, 1), kernel.beta_tail(eta)
+        avgs = _averages(eta, beta, slope, blocks)
         num, dpart = np.concatenate(avgs[0 : 2 * len(runs) : 2]), np.concatenate(avgs[1 : 2 * len(runs) : 2])
         w = eta ** (p - 1.0) * prior.g_eval(eta)
         if gamma != 2.0:

@@ -138,6 +138,20 @@ def test_hseq_strict_passes_on_its_default_config(flags, tmp_path):
     assert all(row[-1] == "true" for row in rows)
 
 
+def test_hseq_strict_passes_at_a_timescale_of_a_million(tmp_path):
+    # the far-field laws are off by about i/eta: at eta = i = 1e6 the
+    # scaling ratio reads 0.56, so the far rows sit 1e4 timescales out
+    out = tmp_path / "hseq.csv"
+    assert cli.main(["hseq", "--strict", "--i", "1e6", "--out", str(out)]) == cli.EXIT_OK
+    far = [row for row in data_rows(out) if row[3] in ("scaling", "elasticity")]
+    assert len(far) == 2 and all(float(row[0]) == 1e10 and row[-1] == "true" for row in far)
+
+
+@pytest.mark.parametrize("flags", [["--eta-min", "0"], ["--eta-min", "-1"], ["--points", "0"]])
+def test_hseq_refuses_an_empty_or_nonpositive_range(flags, tmp_path):
+    assert cli.main(["hseq", *flags, "--out", str(tmp_path / "hseq.csv")]) == cli.EXIT_CONFIG
+
+
 def test_hseq_integrates_each_i_in_one_array_call(monkeypatch, tmp_path):
     # the far rows' eta (1e6, the grid's last point by default) joins the
     # grid's array call instead of a second scalar call per i
