@@ -20,8 +20,10 @@ segments whose error is at least a quarter of the row's worst.
 and ``cumulative_segments`` is one row per knot interval.
 ``integrate_half_lines`` batches many terms, each a head row and a tail
 row [a, inf) mapped onto [0, 1) by a ``TailMap``, which also judges the
-tail's divergence; no other module maps a tail.  ``integrate_semi_infinite``
-is its one-term case without a head.
+tail's divergence; no other module maps a tail.  A power-law tail row
+starts from a ladder of pieces at ratio 4 in r - a out to about 1e6
+scales, so the loop does not spend a round per factor of 2 in r to get
+there.  ``integrate_semi_infinite`` is its one-term case without a head.
 ``integrate_pieces`` applies the pair to many smooth pieces in one
 array pass, without subdivision.  Interior singularities or
 kinks are handled by listing them in ``QuadratureSpec.singularity_hints``:
@@ -264,6 +266,15 @@ _PROBE_DEPTHS = np.array([1e-6, 1e-9, 1e-12])
 # t = 1, so a divergent integrand shows up as huge finite values that
 # exhaust the budget instead of tripping the non-finite check.
 _OM_FLOOR = 1e-150
+# Starting edges of a power tail: t = 1 - 4^-k for k = 1..10, exact in
+# binary, which is r - a = scale*(4^k - 1), a ratio-4 ladder out to
+# about 1e6 scales.  From the one piece [0, 1] the loop would reach
+# r - a ~ 4^k only after 2k rounds of bisection toward t = 1.
+_POWER_LADDER = tuple(1.0 - 4.0**-k for k in range(1, 11))
+# A tail row over budget is judged divergent once its worst segment lies
+# this fraction of its last starting piece away from t = 1: ten
+# bisections into that piece, all toward t = 1.
+_DIVERGED_DEPTH = 1e-3
 
 
 class TailMap:
@@ -273,18 +284,26 @@ class TailMap:
     least like exp(-r/scale); ``decay="power"`` is r = a + scale*t/(1-t),
     for integrands falling like r**q with q < -1.  ``radius(t)`` gives
     the radii and 1 - t, ``weigh(f(r), 1 - t)`` the mapped integrand
-    f(r) dr/dt; ``probe`` (at ``probe_nodes``) and ``diverged`` (of a row
-    over budget) flag a tail that cannot be integrable.
+    f(r) dr/dt.  ``edges`` are a tail row's starting edges in t: the
+    ``hints`` beyond a, mapped by ``to_t``, and, for a power tail, the
+    ladder t = 1 - 4^-k (k = 1..10), so that the loop does not have to
+    bisect its way out to large r one factor of 2 a round; an exp tail
+    grows like log(1/(1-t)) and starts from [0, 1] alone.  ``probe`` (at
+    ``probe_nodes``) and ``diverged`` (of a row over budget) flag a tail
+    that cannot be integrable.
     """
 
     probe_nodes = 1.0 - _PROBE_DEPTHS
 
-    def __init__(self, a: float, decay: str = "exp", scale: float = 1.0):
+    def __init__(self, a: float, decay: str = "exp", scale: float = 1.0, hints=()):
         if scale <= 0:
             raise ValueError("scale must be positive")
         if decay not in ("exp", "power"):
             raise ValueError(f"unknown decay class {decay!r}")
         self.a, self.decay, self.scale = float(a), decay, float(scale)
+        ladder = _POWER_LADDER if decay == "power" else ()
+        cuts = {t for t in (self.to_t(h) for h in hints if h > self.a) if t < 1.0}
+        self.edges = [0.0, *sorted({*ladder, *cuts}), 1.0]
 
     def radius(self, t):
         om = np.maximum(1.0 - t, _OM_FLOOR)
@@ -319,13 +338,16 @@ class TailMap:
                     IntegralResult(math.nan, math.inf, 3),
                 )
 
-    @staticmethod
-    def diverged(segment) -> bool:
-        """A divergent tail keeps its worst segment starting against t = 1.
+    def diverged(self, segment) -> bool:
+        """A divergent tail keeps bisecting its last piece toward t = 1.
 
-        Every tail row's last segment ends at t = 1, so only its start tells.
+        Every tail row's last segment ends at t = 1, so only its start
+        tells: the worst segment must lie within ``_DIVERGED_DEPTH`` of
+        the last starting piece's width of t = 1.  A starting piece
+        itself never does, however close to t = 1 the ladder reaches.
+        With the one piece [0, 1] this is a start at t >= 0.999.
         """
-        return segment is not None and segment[0] >= 0.999
+        return segment is not None and 1.0 - segment[0] <= _DIVERGED_DEPTH * (1.0 - self.edges[-2])
 
 
 def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay: str = "exp",
@@ -336,8 +358,10 @@ def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay:
     the same a (a head of the one edge a is no row), and a tail row
     [a, inf) mapped onto [0, 1) by ``TailMap(a, decay, scale)``.
     ``f(term, r)`` gets a nondecreasing array of term indices aligned
-    with real radii and returns a new array.  ``spec.singularity_hints``
-    split the heads and, through ``TailMap.to_t``, the tails beyond a.
+    with real radii and returns a new array.  Each tail row starts from
+    ``TailMap.edges``: for ``decay="power"`` the ratio-4 ladder, and for
+    either decay the ``spec.singularity_hints`` beyond a, mapped by
+    ``TailMap.to_t``; the hints before a split the heads.
     One call of ``f`` probes every tail first.  Returns each term's head
     plus tail.  A failure names term j ``names[j]`` (default "term j")
     and its head or tail: a row over budget raises
@@ -356,15 +380,14 @@ def _half_lines(f, heads, spec, decay, scale, names):
         raise ValueError("every head must end where the tails start")
     # row i is term i // stride's head (i even) or tail (i odd), or term i's tail
     n, stride = len(heads), 2 if len(heads[0]) > 1 else 1
-    tail = TailMap(a, decay, scale)
-    names = names or [f"term {j}" for j in range(n)]
     hints = spec.singularity_hints
-    tail_edges = [0.0, *sorted({t for t in (tail.to_t(h) for h in hints if h > a) if t < 1.0}), 1.0]
-    rows = [tail_edges] * n
+    tail = TailMap(a, decay, scale, hints)
+    names = names or [f"term {j}" for j in range(n)]
+    rows = [tail.edges] * n
     if stride == 2:
         if hints:
             heads = [sorted({*head, *(h for h in hints if head[0] < h < a)}) for head in heads]
-        rows = [row for head in heads for row in (head, tail_edges)]
+        rows = [row for head in heads for row in (head, tail.edges)]
 
     def mapped(row, x):
         if stride == 1:

@@ -222,10 +222,8 @@ class HSequence:
     """
 
     def __init__(self, kernel: BetaKernel, i: float):
-        if not i > 0:
-            raise PriorError("timescale i must be positive")
         self.kernel = kernel
-        self.i = float(i)
+        self.i = _timescale(i)
 
     def _avg(self, eta, *fns):
         """int_eta^inf e^{(eta-r)/i} fn(r) dr for each fn in ``fns``, as a list.
@@ -259,6 +257,14 @@ class HSequence:
         tail = self.kernel.beta_tail(eta)
         num, dpart = self._avg(eta, self.kernel.beta_eval, lambda r: -self.kernel.beta_deriv(r))
         return self.kernel.beta_eval(eta) * num / tail**2 - dpart / tail
+
+
+def _timescale(i) -> float:
+    """``i`` as a float; :class:`PriorError` unless 0 < i < inf (nan included)."""
+    i = float(i)
+    if not 0.0 < i < math.inf:
+        raise PriorError("timescale i must be positive and finite")
+    return i
 
 
 def _averages(etas, scale, slope, blocks):
@@ -295,9 +301,12 @@ def _averages(etas, scale, slope, blocks):
     c = 1.02).  Each row therefore starts from the pieces s*_H_MESH,
     graded at ratio 2 through its layer and clipped at t = 1/2, then
     _H_EDGES; every row has as many pieces, so a row's value depends on
-    its own (eta, i, fn) alone.  ``scale`` and ``slope`` are beta(eta)
-    and (log beta)'(eta); each row is divided by ``scale`` at its eta,
-    so that its absolute tolerance is relative to the answer's size.
+    its own (eta, i, fn) alone.  s is clipped at 1/2 first, which leaves
+    a row with s >= 1/2 at [0, 1/2] and keeps s finite for a tiny i,
+    where 1/(k*i*|(log beta)'|) would overflow and s*0 make a NaN edge.
+    ``scale`` and ``slope`` are beta(eta) and (log beta)'(eta); each row
+    is divided by ``scale`` at its eta, so that its absolute tolerance
+    is relative to the answer's size.
     """
     stretches = [_H_MAP_EXPONENT * i for _, i, _ in blocks]
     if len(blocks) == 1:
@@ -323,7 +332,7 @@ def _averages(etas, scale, slope, blocks):
                                 for (fn, _, _), s, a, b in zip(blocks, stretches, ends, ends[1:]) if b > a])
         return y * w ** (_H_MAP_EXPONENT - 1) / row_scale[row]
 
-    layer = 1.0 / (row_stretch * np.abs(row_slope))
+    layer = 1.0 / np.maximum(row_stretch * np.abs(row_slope), 2.0)
     edges = np.empty((row_eta.size, _H_MESH.size + _H_EDGES.size))
     np.minimum(layer[:, None] * _H_MESH, 0.5, out=edges[:, : _H_MESH.size])
     edges[:, _H_MESH.size :] = _H_EDGES
@@ -703,21 +712,21 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
 
     Every J(i) is one term of one ``integrate_half_lines`` call: a head
     row on [0, 1] and a tail row on [1, inf) under the power map
-    eta = 1/(1-t).  Each call of the outer integrand makes one
-    ``_averages`` batch for all its nodes, head and tail alike: at each
-    node the H_i numerator (beta) and the H_i' part (-beta') at the
-    node's timescale i, and, when gamma != 2, the H_1 numerator at
-    timescale 1.  A row's value does not depend on the other rows of
+    eta = 1/(1-t), which starts from the pieces between eta = 4^k
+    (k = 0..10, the map's ratio-4 ladder), so that a J(i) at i = 1e4 or
+    1e6 does not bisect its way out to eta ~ i one factor of 2 a round.
+    Each call of the outer integrand makes one ``_averages`` batch for
+    all its nodes, head and tail alike: at each node the H_i numerator
+    (beta) and the H_i' part (-beta') at the node's timescale i, and,
+    when gamma != 2, the H_1 numerator at timescale 1.  A row's value does not depend on the other rows of
     either batch, so a J(i) is the same alone and among others.  A
     failure (an exhausted ``_BLYTH_SPEC``, a tail the probe refuses or
     one parked at t -> 1) names the J(i) and its head or tail.  A
-    timescale that is not positive (nan included) raises
+    timescale that is not positive and finite (nan included) raises
     :class:`PriorError`, as ``HSequence`` does.
     """
     p, gamma = prior.p, prior.gamma
-    timescales = [float(i) for i in i_list]
-    if not all(i > 0 for i in timescales):
-        raise PriorError("timescale i must be positive")
+    timescales = [_timescale(i) for i in i_list]
     n = len(timescales)
     if not n:
         return []

@@ -218,6 +218,23 @@ def test_prior_refuses_a_timescale_that_is_not_positive(i_list, tmp_path, capsys
     assert "timescale i must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["prior", "hseq"])
+def test_an_infinite_timescale_is_refused(command, tmp_path, capsys):
+    # it used to end in integrate_rows' NaN-edge ValueError, exit 1
+    argv = [command, "--p", "3"] if command == "prior" else [command]
+    assert cli.main([*argv, "--i", "1,inf", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert "timescale i must be positive and finite" in capsys.readouterr().err
+
+
+def test_prior_takes_a_tiny_timescale(tmp_path):
+    # H rows at i = 1e-300 grade from a layer scale clipped at 1/2, where
+    # 1/(3 i |(log beta)'|) overflowed in the tail and made a NaN edge
+    out = tmp_path / "prior.csv"
+    assert cli.main(["prior", "--p", "3", "--i", "1e-300,1", "--out", str(out)]) == cli.EXIT_OK
+    js = [float(row[2]) for row in data_rows(out) if row[1].startswith("J(")]
+    assert len(js) == 2 and 0.0 <= js[0] < js[1] < math.inf
+
+
 def test_risk_takes_the_log_thickened_prior(tmp_path):
     out = tmp_path / "risk.csv"
     assert cli.main(["risk", *MODEL, "--estimator", "gb", "--prior", "logthick", "--n", "2000",

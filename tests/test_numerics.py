@@ -189,12 +189,22 @@ def test_integrate_rows_fails_a_row_stuck_at_floating_point_resolution():
 
 
 def test_semi_infinite_slow_but_convergent_tail_is_not_called_divergent():
-    # (1+r)^-2.2 under the power map is (1-t)^0.2 in t: integrable, but
-    # one bisection leaves [0.5, 1] worst, which ends at t = 1 as every
-    # tail's last segment does
+    # (1+r)^-2.2 under the power map is (1-t)^0.2 in t: integrable, and
+    # after one bisection its worst segment is the ladder piece
+    # [1 - 4^-1, 1 - 4^-2], far from t = 1
     with pytest.raises(ToleranceNotReached, match="^integrand tail needed more than 1 subdivisions") as exc:
         integrate_semi_infinite(lambda r: (1.0 + r) ** -2.2, 0.0, QuadratureSpec(max_subdivisions=1), decay="power")
-    assert exc.value.worst_segment == (0.5, 1.0)
+    assert exc.value.worst_segment == (0.75, 0.9375)
+    # (1+r)^-1.5 is (1-t)^-0.5 in t: the last ladder piece [1 - 4^-10, 1]
+    # is worst from the start and bisects toward t = 1, but five
+    # bisections into a starting piece that already begins against
+    # t = 1 are not yet the ten that call it divergent
+    f = lambda r: (1.0 + r) ** -1.5
+    with pytest.raises(ToleranceNotReached, match="^integrand tail needed more than 5 subdivisions") as exc:
+        integrate_semi_infinite(f, 0.0, QuadratureSpec(max_subdivisions=5), decay="power")
+    assert exc.value.worst_segment == (1.0 - 2.0**-25, 1.0)
+    with pytest.raises(DivergenceSuspected, match="^integrand tail needed more than 10 subdivisions"):
+        integrate_semi_infinite(f, 0.0, QuadratureSpec(max_subdivisions=10), decay="power")
 
 
 def test_cumulative_segments_sum_matches_direct():
@@ -420,8 +430,9 @@ def test_integrate_half_lines_flags_a_tail_parked_at_infinity():
     spec = QuadratureSpec(max_subdivisions=20)
     with pytest.raises(DivergenceSuspected, match=r"^slow tail needed more than 20 subdivisions"):
         numerics.integrate_half_lines(f, [[0.0], [0.0]], spec, decay="power", names=["exp", "slow"])
-    # integrate_rows judges no divergence: the same two mapped rows raise
-    # ToleranceNotReached, with the worst segment parked at t = 1
+    # integrate_rows judges no divergence: the same two mapped rows, each
+    # from the tail's starting edges, raise ToleranceNotReached, with the
+    # worst segment parked at t = 1
     tail = numerics.TailMap(0.0, "power", 1.0)
 
     def mapped(row, t):
@@ -429,8 +440,10 @@ def test_integrate_half_lines_flags_a_tail_parked_at_infinity():
         return tail.weigh(f(row, r), om)
 
     with pytest.raises(ToleranceNotReached) as exc:
-        numerics.integrate_rows(mapped, [[0.0, 1.0], [0.0, 1.0]], spec.abs_tol, spec)
+        numerics.integrate_rows(mapped, [tail.edges, tail.edges], spec.abs_tol, spec)
     assert exc.value.row == 1 and tail.diverged(exc.value.worst_segment)
+    # the ladder's own last piece starts against t = 1 but is no verdict
+    assert not tail.diverged((tail.edges[-2], 1.0))
     # nor is a head: 1/sqrt(1 - r) on [0, 1] parks its worst segment at
     # r = 1 too
     head = lambda term, r: np.where(r < 1.0, 1.0 / np.sqrt(np.abs(1.0 - r)), 0.0)

@@ -237,6 +237,21 @@ class TestHSequence:
         with pytest.raises(PriorError):
             HSequence(K1, 0.0)
 
+    @pytest.mark.parametrize("i", [math.inf, math.nan])
+    def test_a_timescale_that_is_not_finite_is_refused(self, i):
+        # an infinite i used to reach integrate_rows as NaN edges
+        with pytest.raises(PriorError, match="timescale i must be positive and finite"):
+            HSequence(K1, i)
+
+    def test_a_tiny_timescale_is_graded_without_overflow(self):
+        # the layer scale 1/(3 i |(log beta)'|) overflows at i = 1e-300 and
+        # made the first edge NaN; clipped at 1/2, H ~ i beta/Tail stays finite
+        hs = HSequence(K1, 1e-300)
+        etas = np.array([0.0, 1.0, 1e10])
+        h = hs.h_eval(etas)
+        assert h == pytest.approx(1e-300 * K1.beta_eval(etas) / K1.beta_tail(etas), rel=1e-6)
+        assert 0.0 < -hs.h_derivative(1.0) < math.inf
+
     def test_array_calls_equal_scalar_calls(self):
         etas = np.array([1e-3, 0.7, 5.0, 300.0, 1e6])
         for i in (1.0, 64.0):
@@ -390,8 +405,9 @@ def test_log_thickened_prior_matches_a_40_digit_reference(n, c, p):
 
 # H_i, H_i' (kernel LogTower(1, e), rows eta = 0.1, 3, 100, 1e4), J(i)
 # and the properness index of the benchmark's prior diagnostics, as rows
-# graded at their boundary layer compute them; every H and H' pin here is
-# within 9e-16 of the 40-digit reference
+# graded at their boundary layer compute them, each J tail from the
+# ratio-4 ladder; every H and H' pin here is within 9e-16 of the 40-digit
+# reference, and every J pin within 1e-11 of a rel_tol 1e-11 J
 H_PARITY = {
     1.0: (("0x1.839f910fc004bp-3", "0x1.3627cd3b4ba29p-4", "0x1.0fbbb13194d41p-9", "0x1.6c2897519aee5p-17"),
           ("-0x1.69f5883ff6324p-4", "-0x1.162715818b0b8p-6", "-0x1.96dabeb1487dap-16", "-0x1.4a9496ae216ecp-30")),
@@ -429,9 +445,9 @@ def test_mixed_timescale_average_equals_single_timescale_calls():
 
 def test_blyth_and_properness_parity():
     js = blyth_decay(harmonic_prior(3), BetaKernel(LogTower(1, 1.02)), [64.0, 1024.0])
-    assert js == pytest.approx(from_hex(("0x1.0f952639d91cbp-3", "0x1.b0750d6a5519dp-4")), rel=1e-14, abs=0.0)
+    assert js == pytest.approx(from_hex(("0x1.0f95264bf2842p-3", "0x1.b0750d7d8d944p-4")), rel=1e-14, abs=0.0)
     jg = blyth_decay(harmonic_prior(3, gamma=1.5), K1, [4.0])
-    assert jg == pytest.approx(from_hex(("0x1.c6558a0e9cc8bp-4",)), rel=1e-14, abs=0.0)
+    assert jg == pytest.approx(from_hex(("0x1.c655890ed0861p-4",)), rel=1e-14, abs=0.0)
     value = properness_index(harmonic_prior(3), K1).value
     assert value == pytest.approx(float.fromhex("0x1.abdda2eafdfddp-2"), rel=1e-14, abs=0.0)
 
@@ -641,6 +657,19 @@ class TestProperness:
         assert select_gamma(harmonic_prior(3), K1) == 2.0
 
 
+# J(i) cases of ROADMAP direction 5 and the benchmark: the harmonic prior
+# on the 1.02 kernel at i = 64 and 1024, on K1 at 1e4 and 1e6, and glued
+# on at gamma = 1.5
+BLYTH_CASES = [
+    (harmonic_prior(3), LogTower(1, 1.02), 64.0),
+    (harmonic_prior(3), LogTower(1, 1.02), 1024.0),
+    (harmonic_prior(3), LogTower(1, math.e), 1e4),
+    (harmonic_prior(3), LogTower(1, math.e), 1e6),
+    (harmonic_prior(3, gamma=1.5), LogTower(1, math.e), 4.0),
+]
+BLYTH_IDS = ["c1.02-64", "c1.02-1024", "n1-1e4", "n1-1e6", "gamma1.5-4"]
+
+
 class TestBlythDecay:
     def test_finite_and_eventually_decreasing(self):
         # the transition shoulder sweeps outward first; decay shows up
@@ -676,10 +705,37 @@ class TestBlythDecay:
         assert batch == [blyth_decay(prior, K1, [i])[0] for i in i_list]
         assert blyth_decay(prior, K1, []) == []
 
-    @pytest.mark.parametrize("i_list", [[0.0], [4.0, -1.0], [math.nan]])
+    # an infinite i used to reach integrate_rows as NaN edges
+    @pytest.mark.parametrize("i_list", [[0.0], [4.0, -1.0], [math.nan], [4.0, math.inf]])
     def test_a_timescale_that_is_not_positive_is_refused(self, i_list):
-        with pytest.raises(PriorError, match="timescale i must be positive"):
+        with pytest.raises(PriorError, match="timescale i must be positive and finite"):
             blyth_decay(harmonic_prior(3), K1, i_list)
+
+    @pytest.mark.parametrize("prior, tower, i", BLYTH_CASES, ids=BLYTH_IDS)
+    def test_j_matches_a_tight_reference(self, prior, tower, i, monkeypatch):
+        # each tail starts from the ratio-4 ladder; bisecting toward t = 1
+        # from [0, 1] left J(1e4) off by 3.9e-7 and J(1e6) by 1.2e-7
+        kernel = BetaKernel(tower)
+        j = blyth_decay(prior, kernel, [i])[0]
+        monkeypatch.setattr(rv_priors, "_BLYTH_SPEC", rv_priors.QuadratureSpec(
+            abs_tol=1e-280, rel_tol=1e-11, max_subdivisions=2000))
+        assert j == pytest.approx(blyth_decay(prior, kernel, [i])[0], rel=1e-8, abs=0.0)
+
+    def test_tails_start_from_a_ladder_toward_infinity(self, monkeypatch):
+        # rounds of the adaptive loops (one _gauss_pair call each, outer
+        # and inner) per J(i): from the one tail piece [0, 1] they took
+        # 25, 38, 25, 48 and 77, one factor of 2 in eta a round
+        rounds, real = [], numerics._gauss_pair
+
+        def counted(f, lo, hi):
+            rounds[-1] += 1
+            return real(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gauss_pair", counted)
+        for (prior, tower, i), name in zip(BLYTH_CASES, BLYTH_IDS):
+            rounds.append(0)
+            blyth_decay(prior, BetaKernel(tower), [i])
+            assert rounds[-1] <= 12, (name, rounds[-1])
 
     def test_an_exhausted_budget_names_its_j_and_piece(self, monkeypatch):
         monkeypatch.setattr(rv_priors, "_BLYTH_SPEC", rv_priors.QuadratureSpec(
@@ -688,11 +744,14 @@ class TestBlythDecay:
         with pytest.raises(ToleranceNotReached, match=r"^J\(64\.0\) head needed more than 1 subdivisions") as exc:
             blyth_decay(harmonic_prior(3), BetaKernel(LogTower(1, 1.02)), [64.0])
         assert exc.value.row == 0
-        # the tail is slow, not divergent: after one bisection its worst
-        # segment is [0.5, 1], which starts far from t = 1
+        # the tail is slow, not divergent: from its ladder it meets 1e-6
+        # with one bisection, and at 1e-10 its worst segment is the ladder
+        # piece [0.75, 0.9375], far from t = 1
+        monkeypatch.setattr(rv_priors, "_BLYTH_SPEC", rv_priors.QuadratureSpec(
+            abs_tol=1e-280, rel_tol=1e-10, max_subdivisions=1))
         with pytest.raises(ToleranceNotReached, match=r"^J\(1\.0\) tail needed more than 1 subdivisions") as exc:
             blyth_decay(harmonic_prior(3), K1, [1.0, 4.0])
-        assert exc.value.row == 1 and exc.value.worst_segment == (0.5, 1.0)
+        assert exc.value.row == 1 and exc.value.worst_segment == (0.75, 0.9375)
 
     def test_a_divergent_tail_is_refused_by_the_probe(self, monkeypatch):
         # J's tail integrand in v grows like e^{(p+k-4)v}: k = 2 > 4 - p

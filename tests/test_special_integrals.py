@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from sphereshrink import numerics
 from sphereshrink.radial_models import DivergentMoment, gaussian, mixture_diff, poly_exp, tabulated
 from sphereshrink.special_integrals import (
     gegenbauer_identity,
@@ -164,6 +165,25 @@ def test_kernel_mass_tabulated():
     f = np.exp(-0.5 * r**2) + 1e-12 * r ** (-p - 6.0)
     chk = kernel_mass_identity(tabulated(r, f, p), 0.0)
     assert chk.rel_error < 5e-6  # interp-limited, both routes independent of each other
+
+
+def test_kernel_mass_tail_of_a_table_starts_from_a_ladder(monkeypatch):
+    # the power tail of a (1+r^2)^-4 table, split at its knots out to
+    # r = 100, starts from the ratio-4 ladder as well: from the one piece
+    # [0, 1] its batch took 73 rounds (one _gauss_pair call each)
+    r = np.geomspace(0.01, 100.0, 300)
+    model = tabulated(r, (1.0 + r**2) ** -4, 5)
+    model.moment(2.0)
+    rounds, real = [0], numerics._gauss_pair
+
+    def counted(f, lo, hi):
+        rounds[0] += 1
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(numerics, "_gauss_pair", counted)
+    chk = kernel_mass_identity(model, 0.0)
+    assert chk.rel_error < 1e-11
+    assert rounds[0] <= 45
 
 
 def test_kernel_mass_divergent_moment_propagates():
