@@ -29,7 +29,10 @@ array pass, without subdivision.  Interior singularities or
 kinks are handled by listing them in ``QuadratureSpec.singularity_hints``:
 every integrator, ``integrate_rows`` included, pre-splits there so no
 node ever lands on the bad point, and endpoint singularities are never
-evaluated because the nodes are interior.
+evaluated because the nodes are interior.  A hint at an endpoint of
+``integrate`` names a layer there: the row starts from a ratio-2 ladder
+of pieces toward that end, down to 1/64 of the interval, so the loop
+does not spend a round per halving to reach it.
 
 ``CubicTable`` evaluates a scipy cubic spline, bitwise as scipy does,
 with an O(1) guide-table search in place of scipy's binary search; the
@@ -119,7 +122,10 @@ class QuadratureSpec:
     (for ``integrate``, the one integral).  ``singularity_hints`` are
     abscissae (in the caller's coordinates) where the integrand is
     singular or merely kinked; the integrator splits there before
-    adapting.
+    adapting.  ``integrate`` also takes a hint equal to an endpoint, and
+    starts from the ratio-2 ladder toward that end; the other
+    integrators, and ``integrate`` for a hint outside its interval or
+    NaN, ignore such a hint.
     """
 
     abs_tol: float = 1e-12
@@ -230,9 +236,13 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
 
     ``f`` must map a numpy array of points to an array of values.
     Success means ``error_estimate <= max(abs_tol, rel_tol * |value|)``.
-    This is the one-row case of ``integrate_rows``, with the interval
-    split initially at the hints inside it: each round bisects every
-    segment whose error is at least a quarter of the worst one.
+    This is the one-row case of ``integrate_rows``, over starting edges
+    built from the hints: one inside (a, b) is a plain split, one equal
+    to a adds the ratio-2 ladder a + (b - a)*2^-k (k = 1..6), one equal
+    to b the ladder b - (b - a)*2^-k, and any other (outside [a, b], or
+    NaN) is ignored.
+    Each round bisects every segment whose error is at least a quarter
+    of the worst one.
     """
     spec = spec or DEFAULT_SPEC
     a = float(a)
@@ -245,7 +255,15 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
     if b < a:
         a, b = b, a
         sign = -1.0
-    edges = np.array([a, *sorted({float(h) for h in spec.singularity_hints if a < h < b}), b])
+    hints = [float(h) for h in spec.singularity_hints]
+    cuts = {h for h in hints if a < h < b}
+    steps = [(b - a) * s for s in _END_LADDER]
+    if a in hints:
+        cuts.update(a + d for d in steps)
+    if b in hints:
+        # with both ends hinted, the lower ladder already holds the midpoint
+        cuts.update(b - d for d in steps[a in hints:])
+    edges = np.array([a, *sorted(cuts), b])
     value, error, evals, over = _adapt(
         lambda row, x: f(x), edges[:-1], edges[1:], np.array([edges.size - 1]), spec.abs_tol, spec
     )
@@ -271,6 +289,12 @@ _OM_FLOOR = 1e-150
 # about 1e6 scales.  From the one piece [0, 1] the loop would reach
 # r - a ~ 4^k only after 2k rounds of bisection toward t = 1.
 _POWER_LADDER = tuple(1.0 - 4.0**-k for k in range(1, 11))
+# Starting edges of ``integrate`` toward a hinted endpoint: a + (b - a)*2^-k
+# toward a, b - (b - a)*2^-k toward b, for k = 1..6, a ratio-2 ladder whose
+# last piece is 1/64 of [a, b].  From the one piece [a, b] the loop would
+# spend a round per halving to reach a layer at that end; a deeper ladder
+# adds pieces without saving rounds on the identities' layers.
+_END_LADDER = tuple(2.0**-k for k in range(1, 7))
 # A tail row over budget is judged divergent once its worst segment lies
 # this fraction of its last starting piece away from t = 1: ten
 # bisections into that piece, all toward t = 1.

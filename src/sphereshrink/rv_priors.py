@@ -601,9 +601,15 @@ class GrowthReport:
 
 
 def _decade_partials(integrand, spec: QuadratureSpec):
-    """Integrals of ``integrand`` over each decade of [1, 1e8], one ``integrate_rows`` row each."""
+    """Integrals of ``integrand`` over each decade of [1, 1e8], one ``integrate_rows`` row each.
+
+    Row k starts from four pieces even in log eta, between the edges
+    10^(k + j/4), j = 0..4: an integrand that moves by a power of eta
+    across a decade then needs few rounds of bisection, and the rows
+    stay one batch.
+    """
     edges = 10.0 ** np.arange(9)
-    rows = np.column_stack([edges[:-1], edges[1:]])
+    rows = 10.0 ** (np.arange(8)[:, None] + np.arange(5) / 4.0)
     return edges, integrate_rows(lambda row, eta: integrand(eta), rows, spec.abs_tol, spec)
 
 
@@ -646,7 +652,11 @@ class PropernessReport:
 
 
 def properness_index(prior: RadialPrior, kernel: BetaKernel) -> PropernessReport:
-    """Partial integrals of eta^{p-1} G(eta) H_1(eta)^gamma over the decades of [1, 1e8]."""
+    """Partial integrals of eta^{p-1} G(eta) H_1(eta)^gamma over the decades of [1, 1e8].
+
+    The decades are the rows of one ``_decade_partials`` batch, each
+    started from four log-even pieces.
+    """
     h1 = HSequence(kernel, 1.0)
     p = prior.p
     gamma = prior.gamma
@@ -669,9 +679,11 @@ def brown_diagnostic(prior: RadialPrior) -> GrowthReport:
 
     Replaces the marginal m(g|x) by G(||x||), which reduces the test
     integral over {||x|| > 1} to c_p int_1^inf eta^{1-p} / G(eta) deta,
-    then classifies the growth of its decade partial sums on [1, 1e8].
-    The two are not close near ||x|| = 1: on gaussian p = 5 with the
-    harmonic prior, m/G is 0.20, 0.48 and 0.74 at r = 1, 1.5 and 2.
+    then classifies the growth of its decade partial sums on [1, 1e8],
+    one ``_decade_partials`` batch whose rows start from four log-even
+    pieces each.  The two are not close near ||x|| = 1: on gaussian
+    p = 5 with the harmonic prior, m/G is 0.20, 0.48 and 0.74 at r = 1,
+    1.5 and 2.
     They agree in the tail (m/G = 1.0000 at r = 10 to 100), and the
     verdict rests only on the tail's growth.  ``total`` is the total of
     the reduced integral, not Brown's integral itself.
@@ -772,8 +784,11 @@ def _fg1_finite(prior: RadialPrior, model) -> bool:
     p = prior.p
 
     def head_ok(w):
+        # the hint 1e-12 starts from the ladder toward that end, where a
+        # power prior's integrands go like r^1.5 and r^0.5 (power(-2.5), p = 5)
         try:
-            integrate(w, 1e-12, 1.0, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=600))
+            integrate(w, 1e-12, 1.0, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=600,
+                                                    singularity_hints=(1e-12,)))
             return True
         except QuadratureError:
             return False

@@ -50,6 +50,8 @@ def gegenbauer_identity(alpha: float, a: float) -> IdentityCheck:
     for alpha > -1/2 and |a| < 1.  Values of |a| beyond 0.99 are refused:
     the identity still holds but the integrand turns into a near-endpoint
     spike and the check would measure the integrator, not the formula.
+    The spike sits at phi = 0 or pi, so both are hinted, and the row
+    starts from ``integrate``'s ratio-2 ladders toward both ends.
     """
     if alpha <= -0.5:
         raise IdentityError("alpha must exceed -1/2")
@@ -72,10 +74,12 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
           = B(p/2 - 1/2, 1/2) * min(t^{2-p}, 1)
 
     Near t = 1 the integrand develops a boundary layer of width |1 - t|
-    at phi = pi (an integrable kink at t = 1 exactly).  An endpoint hint
-    would be dropped, so the layer is bracketed with a geometric ladder
-    of interior split points instead; without it the error estimator can
-    report convergence on the unresolved spike.
+    at phi = pi (an integrable kink at t = 1 exactly).  The endpoint
+    hint pi starts the row from ``integrate``'s ratio-2 ladder toward
+    the layer, down to pi/64; within 1e-2 of t = 1 a geometric ladder of
+    interior split points brackets the thinner layer as well.  Without
+    them the error estimator can report convergence on the unresolved
+    spike.
     """
     if p < 3:
         raise IdentityError("dimension p must be at least 3")
@@ -89,10 +93,10 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
         w = (1.0 - t) ** 2 + 4.0 * t * c * c
         return w ** (1.0 - 0.5 * p) * np.sin(phi) ** (p - 2.0)
 
-    hints = ()
+    hints = (math.pi,)
     if abs(t - 1.0) < 1e-2:
         base = max(abs(t - 1.0), 1e-9)
-        hints = tuple(math.pi - base * k for k in (1.0, 32.0, 1024.0, 32768.0))
+        hints += tuple(math.pi - base * k for k in (1.0, 32.0, 1024.0, 32768.0))
     lhs = integrate(integrand, 0.0, math.pi, replace(_SPEC, singularity_hints=hints)).value
     rhs = beta_fn(0.5 * p - 0.5, 0.5) * min(t ** (2.0 - p), 1.0)
     return _check("min_power", {"p": p, "t": t}, lhs, rhs)

@@ -282,6 +282,35 @@ def test_integrate_is_the_one_row_case_of_integrate_rows():
     assert integrate(lambda x: np.exp(-x * x), 8.0, 0.0).value == -plain
 
 
+def test_an_endpoint_hint_starts_integrate_from_a_ratio_2_ladder():
+    # a hint at a adds the edges a + (b - a)*2^-k, one at b the edges
+    # b - (b - a)*2^-k, k = 1..6, and both ends share the midpoint; the
+    # value is bitwise the row over them, beside any interior hint
+    f = lambda x: np.sqrt(x * (3.0 - x)) + np.cos(x)
+    plain = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
+    toward_a = [0.0, *(3.0 * 2.0**-k for k in range(6, 0, -1))]
+    toward_b = [3.0 - 3.0 * 2.0**-k for k in range(2, 7)]
+    for hints, edges in (((0.0,), toward_a + [3.0]),
+                         ((3.0,), [0.0, 1.5, *toward_b, 3.0]),
+                         ((3.0, 1.0, 0.0), [*toward_a[:6], 1.0, toward_a[6], *toward_b, 3.0])):
+        spec = replace(plain, singularity_hints=hints)
+        row = numerics.integrate_rows(lambda row, x: f(x), [edges], plain.abs_tol, plain)[0]
+        assert integrate(f, 0.0, 3.0, spec).value == row
+        assert integrate(f, 3.0, 0.0, spec).value == -row
+    assert row == pytest.approx(9.0 * math.pi / 8.0 + math.sin(3.0), rel=1e-11)
+
+
+def test_a_hint_outside_the_interval_or_nan_changes_nothing():
+    f = lambda x: np.exp(-x) * np.sqrt(x + 0.5)
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
+    alone = integrate(f, 0.0, 2.0, spec)
+    for hints in ((math.nan,), (-1.0, 2.5), (math.nan, -1e-300, 2.0 + 1e-12)):
+        assert integrate(f, 0.0, 2.0, replace(spec, singularity_hints=hints)) == alone
+    # without hints the start is still the one K15 segment
+    assert integrate(f, 0.0, 2.0, _ONE_SEGMENT).evaluations == 15
+    assert integrate(f, 0.0, 2.0, replace(_ONE_SEGMENT, singularity_hints=(math.nan, 7.0))).evaluations == 15
+
+
 def test_integrate_rows_value_does_not_depend_on_the_batch():
     rounds = []
 

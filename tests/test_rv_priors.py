@@ -448,8 +448,38 @@ def test_blyth_and_properness_parity():
     assert js == pytest.approx(from_hex(("0x1.0f95264bf2842p-3", "0x1.b0750d7d8d944p-4")), rel=1e-14, abs=0.0)
     jg = blyth_decay(harmonic_prior(3, gamma=1.5), K1, [4.0])
     assert jg == pytest.approx(from_hex(("0x1.c655890ed0861p-4",)), rel=1e-14, abs=0.0)
+    # each decade row starts from four log-even pieces; from one piece
+    # per decade this was 0x1.abdda2eafdfddp-2, 2.5e-12 off the reference
     value = properness_index(harmonic_prior(3), K1).value
-    assert value == pytest.approx(float.fromhex("0x1.abdda2eafdfddp-2"), rel=1e-14, abs=0.0)
+    assert value == pytest.approx(float.fromhex("0x1.abdda2eb02a28p-2"), rel=1e-14, abs=0.0)
+
+
+def test_properness_matches_a_fine_reference():
+    # reference: the same integrand from 32 log-even pieces per decade at
+    # rel_tol 1e-13
+    prior, h1 = harmonic_prior(3), HSequence(K1, 1.0)
+    edges = 10.0 ** (np.arange(8)[:, None] + np.arange(33) / 32.0)
+    ref = numerics.integrate_rows(lambda row, eta: eta**2.0 * prior.g_eval(eta) * h1.h_eval(eta) ** prior.gamma,
+                                  edges, 1e-300, numerics.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13))
+    assert properness_index(prior, K1).value == pytest.approx(float(ref.sum()), rel=1e-13, abs=0.0)
+
+
+def test_decade_rows_start_graded(monkeypatch):
+    # rounds of the adaptive loop (one _gauss_pair call each): from one
+    # piece per decade properness took 10 and Brown 4
+    rounds, real = [], numerics._gauss_pair
+
+    def counted(f, lo, hi):
+        rounds[-1] += 1
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(numerics, "_gauss_pair", counted)
+    rounds.append(0)
+    assert properness_index(harmonic_prior(3), K1).verdict == "finite"
+    assert rounds[-1] <= 4
+    rounds.append(0)
+    assert brown_diagnostic(harmonic_prior(3)).verdict == "diverges"
+    assert rounds[-1] <= 2
 
 
 class TestSlowVariationTrend:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from sphereshrink import numerics
+from sphereshrink import cli, numerics
 from sphereshrink.radial_models import DivergentMoment, gaussian, mixture_diff, poly_exp, tabulated
 from sphereshrink.special_integrals import (
     gegenbauer_identity,
@@ -67,6 +67,26 @@ def test_gegenbauer_grid_a_independent():
     assert time.perf_counter() - start < 2.0
 
 
+def test_gegenbauer_checks_start_from_the_endpoint_ladders(monkeypatch, tmp_path):
+    # rounds of the adaptive loop (one _gauss_pair call each): the hints
+    # 0 and pi start each row from the ratio-2 ladders toward both ends;
+    # from the one piece [0, pi] the CLI's 25 checks took 133 rounds and
+    # gegenbauer_identity(20, +-0.99) 11 each
+    rounds, real = [0], numerics._gauss_pair
+
+    def counted(f, lo, hi):
+        rounds[-1] += 1
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(numerics, "_gauss_pair", counted)
+    assert cli.main(["verify", "--identity", "gegenbauer", "--strict", "--out", str(tmp_path / "g.csv")]) == cli.EXIT_OK
+    assert rounds[-1] <= 40
+    for a in (0.99, -0.99):
+        rounds.append(0)
+        assert gegenbauer_identity(20.0, a).rel_error <= 1e-13
+        assert rounds[-1] <= 6, (a, rounds[-1])
+
+
 def test_gegenbauer_domain():
     with pytest.raises(ValueError):
         gegenbauer_identity(-0.5, 0.0)
@@ -122,6 +142,14 @@ def test_min_power_scipy_route_at_kink():
     val, err = sp_integrate.quad(fn, 0.0, math.pi, points=[math.pi], limit=200)
     assert err < 1e-8 * val
     assert min_power_identity(p, 1.0).lhs == pytest.approx(val, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [3, 5, 8])
+@pytest.mark.parametrize("t", [1e-3, 0.999, 1.0, 50.0])
+def test_min_power_is_tight_with_its_layer_hinted(p, t):
+    # the hint pi starts the row from the ladder toward the layer there;
+    # from the one piece [0, pi], (8, 50) passed its first round 1.2e-12 off
+    assert min_power_identity(p, t).rel_error <= 1e-14
 
 
 def test_min_power_domain():
