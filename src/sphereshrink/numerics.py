@@ -15,13 +15,15 @@ estimate, so a segment costs 15 evaluations.  One adaptive loop serves
 every integrator.  It adapts many independent integrands (rows) at
 once: each round calls the integrand once, on the new segments of every
 row that has not yet converged, then bisects in each such row the
-segments whose error is at least a quarter of the row's worst.
+segments whose error is at least a quarter of the row's worst.  Each
+row starts from its own number of nonempty pieces, so a graded mesh
+costs a row only the pieces that fall inside its interval.
 ``integrate_rows`` exposes the loop, ``integrate`` is its one-row case
 and ``cumulative_segments`` is one row per knot interval.
-``integrate_half_lines`` batches many terms, each a head row and a tail
-row [a, inf) mapped onto [0, 1) by a ``TailMap``, which also judges the
-tail's divergence; no other module maps a tail.  A power-law tail row
-starts from a ladder of pieces at ratio 4 in r - a out to about 1e6
+``integrate_half_lines`` batches many terms, each a head row, or none,
+and a tail row [a, inf) mapped onto [0, 1) by a ``TailMap``, which also
+judges the tail's divergence; no other module maps a tail.  A power-law
+tail row starts from a ladder of pieces at ratio 4 in r - a out to about 1e6
 scales, so the loop does not spend a round per factor of 2 in r to get
 there.  ``integrate_semi_infinite`` is its one-term case without a head.
 ``integrate_pieces`` applies the pair to many smooth pieces in one
@@ -173,23 +175,19 @@ def _gauss_pair(f, lo, hi):
 def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
     """The adaptive loop behind ``integrate`` and ``integrate_rows``.
 
-    Row i integrates ``f(i, x)`` over its k[i] initial pieces, the next
-    k[i] entries of the flat arrays ``lo`` and ``hi``, which run in
-    order and tile the row's interval.  Returns the per-row arrays
-    ``value``, ``error`` and ``evaluations``, and ``over``: None, or
-    ``(i, worst_segment)`` for the first row that would need more than
-    ``spec.max_subdivisions`` bisections, where the loop stops.
+    Row i integrates ``f(i, x)`` over its k[i] >= 1 initial pieces, the
+    next k[i] entries of the flat arrays ``lo`` and ``hi``, which run in
+    order, each with hi > lo, and tile the row's interval.  Returns the
+    per-row arrays ``value``, ``error`` and ``evaluations``, and
+    ``over``: None, or ``(i, worst_segment)`` for the first row that
+    would need more than ``spec.max_subdivisions`` bisections, where the
+    loop stops.
     """
-    # Zero-width pieces stay as segments that are never evaluated (value
-    # and error 0, so never split): each row's segments are then the
-    # nonempty run from starts[i], sorted by lo, which the per-row
-    # reductions need, and row i holds k[i] + (its bisections) segments.
     starts = np.add.accumulate(k) - k
     row = np.arange(k.size).repeat(k)
     budget = k + spec.max_subdivisions
-    fresh = hi > lo
-    evaluated = np.add.reduceat(fresh, starts, dtype=np.intp)
-    val, err = np.zeros(row.size), np.zeros(row.size)
+    val, err = np.empty(row.size), np.empty(row.size)
+    fresh = slice(None)  # the first round evaluates every piece
     count = k
     over = None
     while True:
@@ -228,7 +226,7 @@ def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
         hi[left] = lo[left + 1] = 0.5 * (lo[left] + hi[left])
         fresh = split.repeat(reps)
     # each bisection evaluates two new segments in place of one
-    return value, error, (evaluated + 2 * (count - k)) * _NODES.size, over
+    return value, error, (2 * count - k) * _NODES.size, over
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> IntegralResult:
@@ -256,14 +254,15 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
         a, b = b, a
         sign = -1.0
     hints = [float(h) for h in spec.singularity_hints]
-    cuts = {h for h in hints if a < h < b}
+    cuts = set(hints)
     steps = [(b - a) * s for s in _END_LADDER]
     if a in hints:
         cuts.update(a + d for d in steps)
     if b in hints:
         # with both ends hinted, the lower ladder already holds the midpoint
         cuts.update(b - d for d in steps[a in hints:])
-    edges = np.array([a, *sorted(cuts), b])
+    # a ladder edge of an interval a few ulps wide may round onto an end
+    edges = np.array([a, *sorted(c for c in cuts if a < c < b), b])
     value, error, evals, over = _adapt(
         lambda row, x: f(x), edges[:-1], edges[1:], np.array([edges.size - 1]), spec.abs_tol, spec
     )
@@ -326,7 +325,7 @@ class TailMap:
             raise ValueError(f"unknown decay class {decay!r}")
         self.a, self.decay, self.scale = float(a), decay, float(scale)
         ladder = _POWER_LADDER if decay == "power" else ()
-        cuts = {t for t in (self.to_t(h) for h in hints if h > self.a) if t < 1.0}
+        cuts = {t for t in (self.to_t(h) for h in hints if h > self.a) if 0.0 < t < 1.0}
         self.edges = [0.0, *sorted({*ladder, *cuts}), 1.0]
 
     def radius(self, t):
@@ -379,8 +378,8 @@ def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay:
     """Integrals of many terms over half-lines, adapted in one batch.
 
     Term j is a head row over the edges ``heads[j]``, which all end at
-    the same a (a head of the one edge a is no row), and a tail row
-    [a, inf) mapped onto [0, 1) by ``TailMap(a, decay, scale)``.
+    the same a (a term whose head is the one edge a has no head row),
+    and a tail row [a, inf) mapped onto [0, 1) by ``TailMap(a, decay, scale)``.
     ``f(term, r)`` gets a nondecreasing array of term indices aligned
     with real radii and returns a new array.  Each tail row starts from
     ``TailMap.edges``: for ``decay="power"`` the ratio-4 ladder, and for
@@ -398,48 +397,42 @@ def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay:
 
 def _half_lines(f, heads, spec, decay, scale, names):
     """``integrate_half_lines``' work: each term's value, error estimate and evaluations."""
-    heads = [[float(x) for x in head] for head in heads]  # short Python lists: cheap to set up
-    a = heads[0][-1]
+    a, hints = float(heads[0][-1]), spec.singularity_hints
+    # short sorted Python lists, split at the hints: cheap to set up
+    heads = [sorted({*map(float, head), *(h for h in hints if head[0] < h < a)}) for head in heads]
     if any(head[-1] != a for head in heads):
         raise ValueError("every head must end where the tails start")
-    # row i is term i // stride's head (i even) or tail (i odd), or term i's tail
-    n, stride = len(heads), 2 if len(heads[0]) > 1 else 1
-    hints = spec.singularity_hints
     tail = TailMap(a, decay, scale, hints)
+    n = len(heads)
     names = names or [f"term {j}" for j in range(n)]
-    rows = [tail.edges] * n
-    if stride == 2:
-        if hints:
-            heads = [sorted({*head, *(h for h in hints if head[0] < h < a)}) for head in heads]
-        rows = [row for head in heads for row in (head, tail.edges)]
+    # (term, edges): term j's head, unless it is the one edge a, then its tail
+    rows = [(j, row) for j, head in enumerate(heads) for row in (head, tail.edges) if len(row) > 1]
+    term = np.array([j for j, _ in rows])
+    in_tail = np.array([row is tail.edges for _, row in rows])
 
     def mapped(row, x):
-        if stride == 1:
-            r, om = tail.radius(x)
-            return tail.weigh(f(row, r), om)
-        in_tail = row % 2 == 1
+        at = in_tail[row]
         r = x.copy()
-        r[in_tail], om = tail.radius(x[in_tail])
-        y = f(row // 2, r)
-        y[in_tail] = tail.weigh(y[in_tail], om)
+        r[at], om = tail.radius(x[at])
+        y = f(term[row], r)
+        y[at] = tail.weigh(y[at], om)
         return y
 
-    probe_rows = np.array([i for i in range(stride - 1, stride * n, stride) for _ in _PROBE_DEPTHS])
-    tail.probe(mapped(probe_rows, np.array(tail.probe_nodes.tolist() * n)), names)
-    lo = np.array([x for row in rows for x in row[:-1]])
-    hi = np.array([x for row in rows for x in row[1:]])
-    value, error, evals, over = _adapt(mapped, lo, hi, np.array([len(row) - 1 for row in rows]), spec.abs_tol, spec)
+    probe_rows = np.flatnonzero(in_tail).repeat(_PROBE_DEPTHS.size)
+    tail.probe(mapped(probe_rows, np.tile(tail.probe_nodes, n)), names)
+    lo = np.array([x for _, row in rows for x in row[:-1]])
+    hi = np.array([x for _, row in rows for x in row[1:]])
+    value, error, evals, over = _adapt(mapped, lo, hi, np.array([len(row) - 1 for _, row in rows]), spec.abs_tol, spec)
     if over is not None:
         i, segment = over
-        piece = "tail" if i % stride == stride - 1 else "head"
+        piece = "tail" if in_tail[i] else "head"
         result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
-        message = f"{names[i // stride]} {piece} {_over_budget(spec, result)}"
+        message = f"{names[term[i]]} {piece} {_over_budget(spec, result)}"
         if piece == "tail" and tail.diverged(segment):
             raise DivergenceSuspected(message, result)
         raise ToleranceNotReached(message, result, worst_segment=segment, row=i)
-    if stride == 2:
-        return value[0::2] + value[1::2], error[0::2] + error[1::2], evals[0::2] + evals[1::2]
-    return value, error, evals
+    # bincount adds in row order, so a term's sum is its head plus its tail
+    return [np.bincount(term, x, n) for x in (value, error, evals)]
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec | None = None, *, decay: str = "exp",
@@ -499,15 +492,17 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     """Integrals of many independent integrands, adapted in one batch.
 
     Row i integrates ``f(i, x)`` over [edges[i, 0], edges[i, -1]], split
-    initially at its interior edges (an edge may repeat: a zero-width
-    piece contributes 0, so a row with fewer pieces than the others
-    repeats its last edge).  ``f(row, x)`` gets
+    initially at its interior edges.  An edge may repeat, so rows of
+    different piece counts share one array by repeating their last
+    edge: the zero-width pieces are dropped before the loop, and each
+    row starts from its own nonempty pieces.  A row of zero span raises
+    ``ValueError``.  ``f(row, x)`` gets
     a nondecreasing index array ``row`` aligned with the abscissae
     ``x``.  Each round calls ``f`` once on every new segment of every
     unconverged row and bisects, in each of those rows, the segments
     whose error is at least a quarter of the row's worst.  Each of
     ``spec.singularity_hints`` is folded into every row's edges, clipped
-    to the row's span (outside it, a zero-width piece), so a row splits
+    to the row's span (outside it, an empty piece), so a row splits
     there as ``integrate`` would.
     Row i is done once its error is at most
     ``max(abs_tol[i], rel_tol * |value|)`` (``abs_tol`` is one float or
@@ -529,8 +524,12 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
         hints = np.asarray(spec.singularity_hints, dtype=float)
         cuts = np.clip(np.broadcast_to(hints, (edges.shape[0], hints.size)), edges[:, :1], edges[:, -1:])
         edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)
-    k = np.full(edges.shape[0], edges.shape[1] - 1)
-    value, error, evals, over = _adapt(f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), k, abs_tol, spec)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    nonempty = hi > lo
+    k = nonempty.sum(1)
+    if np.count_nonzero(k) < k.size:
+        raise ValueError(f"row {int(np.argmin(k))} has zero span")
+    value, error, evals, over = _adapt(f, lo[nonempty], hi[nonempty], k, abs_tol, spec)
     if over is not None:
         i, segment = over
         result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))

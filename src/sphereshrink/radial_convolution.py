@@ -203,8 +203,8 @@ def _sweep(problems, directional=()) -> np.ndarray:
                 out = out * np.where(inner_cos[row], v * v - 1.0, 1.0)  # x * 1.0 is x
             return out
 
-        # every row has the mesh's width: an edge at or beyond sqrt(2)
-        # becomes a zero-width piece
+        # an edge at or beyond sqrt(2) is clipped there, and integrate_rows
+        # drops the empty pieces that leaves
         edges = np.full((lams.size, _RIDGE_MESH.size), _ROOT2)
         edges[:, 0] = 0.0
         near = ridge[term] & (two_rl > 0)

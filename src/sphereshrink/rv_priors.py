@@ -56,11 +56,10 @@ _H_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
 # the integrand (see _averages)
 _H_MAP_EXPONENT = 3
 # first edges of each H row in units of its layer scale s (see
-# _averages), clipped at t = 1/2: ratio 2 from t = s to 2^20 s, which
-# reaches 1/2 for s >= 4.8e-7 (i up to ~7000 on the 1.02 kernel at
-# eta = 0); every row has as many, a row with s >= 1/2 starts from
-# [0, 1/2] alone and its clipped pieces are zero-width
-_H_MESH = np.array([0.0, *np.exp2(np.arange(0.0, 21.0)), math.inf])
+# _averages), clipped at t = 1/2: ratio 2 from t = s to 2^32 s, which
+# reaches 1/2 for s >= 1.2e-10 (i up to ~3e10 on the 1.02 kernel at
+# eta = 0); a row with s >= 1/2 starts from [0, 1/2] alone
+_H_MESH = np.array([0.0, *np.exp2(np.arange(0.0, 33.0)), math.inf])
 # the row's last edges in t, crowding toward t = 1 where the map
 # stretches furthest
 _H_EDGES = np.array([0.9, 0.99, 0.999, 1.0])
@@ -300,13 +299,13 @@ def _averages(etas, scale, slope, blocks):
     i or for eta near 0 with a small offset (s = 3e-11 at i = 1e8 with
     c = 1.02).  Each row therefore starts from the pieces s*_H_MESH,
     graded at ratio 2 through its layer and clipped at t = 1/2, then
-    _H_EDGES; every row has as many pieces, so a row's value depends on
-    its own (eta, i, fn) alone.  s is clipped at 1/2 first, which leaves
-    a row with s >= 1/2 at [0, 1/2] and keeps s finite for a tiny i,
-    where 1/(k*i*|(log beta)'|) would overflow and s*0 make a NaN edge.
-    ``scale`` and ``slope`` are beta(eta) and (log beta)'(eta); each row
-    is divided by ``scale`` at its eta, so that its absolute tolerance
-    is relative to the answer's size.
+    _H_EDGES, less the pieces the clip leaves empty; a row's value
+    depends on its own (eta, i, fn) alone.  s is clipped at 1/2 first,
+    which leaves a row with s >= 1/2 at [0, 1/2] and keeps s finite for
+    a tiny i, where 1/(k*i*|(log beta)'|) would overflow and s*0 make a
+    NaN edge.  ``scale`` and ``slope`` are beta(eta) and (log beta)'(eta);
+    each row is divided by ``scale`` at its eta, so that its absolute
+    tolerance is relative to the answer's size.
     """
     stretches = [_H_MAP_EXPONENT * i for _, i, _ in blocks]
     if len(blocks) == 1:

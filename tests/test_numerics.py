@@ -327,17 +327,65 @@ def test_integrate_rows_value_does_not_depend_on_the_batch():
 
 
 def test_integrate_rows_zero_width_pieces_contribute_nothing():
-    edges = np.array([[0.0, 1.0, 1.0, 1.0, 2.0], [3.0, 3.0, 3.0, 3.0, 3.0]])
+    edges = np.array([[0.0, 1.0, 1.0, 1.0, 2.0]])
     calls = []
 
     def f(row, x):
         calls.append(x.copy())
-        return np.where(row == 0, np.exp(-x), np.nan)  # row 1 is never evaluated
+        return np.exp(-x)
 
     values = numerics.integrate_rows(f, edges, 1e-14)
     assert values[0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-13)
-    assert values[1] == 0.0
     assert all(np.all((x > 0.0) & (x < 2.0)) for x in calls)
+
+
+def test_integrate_rows_refuses_a_zero_span_row():
+    f = lambda row, x: np.exp(-x)
+    for edges in ([[0.0, 1.0, 2.0], [3.0, 3.0, 3.0]], [[3.0, 3.0]]):
+        with pytest.raises(ValueError, match="zero span"):
+            numerics.integrate_rows(f, edges, 1e-14)
+    # a hint clipped to the row's span adds no width
+    with pytest.raises(ValueError, match="row 0 has zero span"):
+        numerics.integrate_rows(f, [[3.0, 3.0]], 1e-14, QuadratureSpec(singularity_hints=(2.5, 3.0)))
+
+
+# A row that ends with more than 8 segments: numpy sums a longer run by
+# pairwise blocks of 8, so a trailing empty piece kept in the run would
+# move its value in the last bits.
+_WIGGLE = lambda row, x: np.cos(7.0 * x + row) * np.sqrt(x + 0.1)
+_TEN_PIECES = np.linspace(0.0, 3.0, 11)
+
+
+def test_integrate_rows_padded_row_equals_its_unpadded_self():
+    padded = np.concatenate([_TEN_PIECES, np.full(6, 3.0)])
+    alone = numerics.integrate_rows(_WIGGLE, [_TEN_PIECES], 1e-280)[0]
+    assert numerics.integrate_rows(_WIGGLE, [padded], 1e-280)[0] == alone  # bitwise
+    # a hint outside the row, clipped to an end, is an empty piece too
+    spec = QuadratureSpec(singularity_hints=(-1.0, 5.0, 7.0))
+    assert numerics.integrate_rows(_WIGGLE, [_TEN_PIECES], 1e-280, spec)[0] == alone
+
+
+def test_integrate_rows_of_different_piece_counts_equal_their_one_row_calls():
+    rows = [[0.0, 3.0], _TEN_PIECES[::2], _TEN_PIECES, np.linspace(0.0, 3.0, 18)]
+    width = max(len(row) for row in rows)
+    edges = np.array([np.concatenate([row, np.full(width - len(row), 3.0)]) for row in rows])
+    together = numerics.integrate_rows(_WIGGLE, edges, 1e-280)
+    for i, row in enumerate(rows):
+        assert together[i] == numerics.integrate_rows(lambda r, x: _WIGGLE(r + i, x), [row], 1e-280)[0]
+
+
+@pytest.mark.parametrize("f, a, b, hints, evaluations", [
+    (np.exp, 0.0, 1.0, (), 15),
+    (np.sqrt, 0.0, 1.0, (), 525),
+    (np.sqrt, 0.0, 1.0, (0.0,), 435),
+    (lambda x: np.abs(x - 1.3), 0.0, 3.0, (1.3,), 30),
+    (lambda x: np.log(x) * np.sqrt(2.0 - x), 0.0, 2.0, (0.0, 2.0), 1350),
+    (lambda x: np.cos(50.0 * x), 0.0, 2.0, (), 1665),
+])
+def test_integrate_evaluations_count_every_segment_once(f, a, b, hints, evaluations):
+    # 15 per starting piece and 30 per bisection
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, singularity_hints=hints)
+    assert integrate(f, a, b, spec).evaluations == evaluations
 
 
 def test_integrate_rows_splits_at_hints_as_integrate_does():
@@ -424,6 +472,17 @@ def test_integrate_half_lines_term_alone_equals_term_in_a_batch(decay, scale):
         alone = numerics.integrate_half_lines(lambda term, r: _terms(term + j, r), heads[j : j + 1], spec,
                                               decay=decay, scale=scale)
         assert alone[0] == together[j]  # bitwise
+
+
+def test_integrate_half_lines_mixes_terms_with_and_without_a_head():
+    # int_0^inf e^-r = 1 and int_-1^inf e^-r = e, the head-less term
+    # first or last; each term equals its one-term call
+    f = lambda term, r: np.exp(-r)
+    for heads, exact in (([[0.0], [-1.0, 0.0]], [1.0, math.e]), ([[-1.0, 0.0], [0.0]], [math.e, 1.0])):
+        together = numerics.integrate_half_lines(f, heads)
+        assert together == pytest.approx(exact, rel=1e-12)
+        for j, head in enumerate(heads):
+            assert together[j] == numerics.integrate_half_lines(f, [head])[0]
 
 
 def test_integrate_semi_infinite_is_the_no_head_case_of_integrate_half_lines():

@@ -279,17 +279,17 @@ PARITY = {
     },
     ("power", "gaussian"): {
         "m": ("0x1.24d3dd21adb05p-2", "0x1.cd581e397d89cp-3", "0x1.2cf144052104bp-8", "0x1.ffebfde37fd93p-16", "0x1.0fa32d7d19e3ap-25"),
-        "S": ("-0x1.d43082553ba06p-7", "-0x1.ac7f5e975756ep-4", "-0x1.5c124ef177ceep-10", "-0x1.3fe97c916f963p-20", "-0x1.5bb21a5a2732ap-34"),
-        "M": ("0x1.24d3dd21adb08p-2", "0x1.cd581e397d8a3p-3", "0x1.2cf144052104fp-8", "0x1.ffebfde37fd9ap-16", "0x1.0fa32d7d19e3dp-25"),
+        "S": ("-0x1.d43082553ba06p-7", "-0x1.ac7f5e975756dp-4", "-0x1.5c124ef177ceep-10", "-0x1.3fe97c916f963p-20", "-0x1.5bb21a5a2732ap-34"),
+        "M": ("0x1.24d3dd21adb08p-2", "0x1.cd581e397d8a1p-3", "0x1.2cf144052104fp-8", "0x1.ffebfde37fd9ap-16", "0x1.0fa32d7d19e3dp-25"),
     },
     ("power", "poly_exp"): {
         "m": ("0x1.5cc06688eee46p-2", "0x1.26c53c0381928p-2", "0x1.3c7ed4e562d36p-7", "0x1.fff1ff0cdcc7dp-16", "0x1.0fa330d39a0acp-25"),
         "S": ("-0x1.16eb96aaa2276p-6", "-0x1.1552d66853eadp-3", "-0x1.5936cde05645ep-9", "-0x1.bfebbe1d07898p-21", "-0x1.e6c631b5e669dp-35"),
-        "M": ("0x1.bf9a1e800cc72p-2", "0x1.4feaa3e585f1cp-2", "0x1.3cca316068894p-7", "0x1.fff323be06d71p-16", "0x1.0fa331765d0f1p-25"),
+        "M": ("0x1.bf9a1e800cc72p-2", "0x1.4feaa3e585f1bp-2", "0x1.3cca316068894p-7", "0x1.fff323be06d71p-16", "0x1.0fa331765d0f1p-25"),
     },
     ("power", "tabulated"): {
         "m": ("0x1.387ade4aa5559p+0", "0x1.ee47c623dff3bp-2", "0x1.ca8a1e6fc0d3dp-23", "0x1.ffeb91ba46ae8p-16", "0x1.0fa32d781f2f9p-25"),
-        "S": ("-0x1.f20376d818ff7p-5", "-0x1.6aa381e47174fp-3", "-0x1.399e22542b233p-30", "-0x1.3596e24b46d13p-20", "-0x1.5b06eb8b5a141p-34"),
+        "S": ("-0x1.f20376d818ff7p-5", "-0x1.6aa381e47174ep-3", "-0x1.399e22542b233p-30", "-0x1.3596e24b46d13p-20", "-0x1.5b06eb8b5a141p-34"),
         "M": ("0x1.66ce3c851ccc2p-2", "0x1.81f4fd928b7f7p-3", "0x1.c90408685b505p-23", "0x1.f3f4a456cef0cp-16", "0x1.0f36642b8c7bfp-25"),
     },
     ("log_thickened", "gaussian"): {
@@ -298,14 +298,14 @@ PARITY = {
         "M": ("0x1.d95752a4b06e1p-1", "0x1.aa534ed807e07p-1", "0x1.18e9c757bb74ep-2", "0x1.0c216c098ecd4p-4", "0x1.c4d66a3aaaeb3p-8"),
     },
     ("log_thickened", "poly_exp"): {
-        "m": ("0x1.cb2ea65006ea6p-1", "0x1.b40da1047b6d6p-1", "0x1.5498bbcae8635p-2", "0x1.0c21bc58b2142p-4", "0x1.c4d66a95edb5ap-8"),
+        "m": ("0x1.cb2ea65006ea6p-1", "0x1.b40da1047b6d9p-1", "0x1.5498bbcae8635p-2", "0x1.0c21bc58b2142p-4", "0x1.c4d66a95edb5ap-8"),
         "S": ("-0x1.4aef6b3452378p-6", "-0x1.66d54bf650267p-3", "-0x1.c68f4bd7215b3p-6", "-0x1.576fdcab261a4p-11", "-0x1.4a9be274207acp-18"),
         "M": ("0x1.027f05e04b0abp+0", "0x1.cad1b81b01734p-1", "0x1.54c0c67b3f22bp-2", "0x1.0c21fc8f81312p-4", "0x1.c4d66adeefe6fp-8"),
     },
     ("log_thickened", "tabulated"): {
         "m": ("0x1.95f2bd2de59f4p+0", "0x1.0782a4eed81b6p+0", "0x1.b07bb90c02084p-7", "0x1.0c22ad1b13d78p-4", "0x1.c4d66ba86be51p-8"),
         "S": ("-0x1.4c006bd709507p-5", "-0x1.06bfc3f5a85d4p-3", "-0x1.09942433ddf81p-17", "-0x1.12bd57bce5968p-12", "-0x1.087cb4983a644p-19"),
-        "M": ("0x1.4616c14a2bc08p+0", "0x1.e1b4d3806373bp-1", "0x1.b07bb1eaf71ccp-7", "0x1.0c215a1593f65p-4", "0x1.c4d66a38d896dp-8"),
+        "M": ("0x1.4616c14a2bc08p+0", "0x1.e1b4d3806373ap-1", "0x1.b07bb1eaf71ccp-7", "0x1.0c215a1593f65p-4", "0x1.c4d66a38d896dp-8"),
     },
 }
 

@@ -331,6 +331,17 @@ def test_h_rows_start_graded_at_their_boundary_layer(tower, monkeypatch):
                 assert rounds[-1] <= 3 or i > 1024.0, (i, eta, call.__name__, rounds[-1])
 
 
+@pytest.mark.parametrize("c, i", [(math.e, 1e8), (1.02, 1e6), (1.02, 1e8)])
+def test_h_mesh_reaches_the_layers_of_far_timescales(c, i, monkeypatch):
+    # rounds of the adaptive loop for h_eval(0), whose layer scale s is
+    # 3e-11 to 3e-9: a mesh that ended at 2^20 s left one wide piece
+    # below t = 1/2, which took 9, 9 and 15 rounds
+    rounds, real = [], numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda f, lo, hi: rounds.append(1) or real(f, lo, hi))
+    assert 0.0 < HSequence(BetaKernel(LogTower(1, c)), i).h_eval(0.0) < 1.0
+    assert len(rounds) <= 3
+
+
 def test_h_rows_converge_in_few_passes():
     # The map leaves (1-t)^2 in each row's integrand, which vanishes at
     # t = 1; with the weight absorbed whole (v = -i log(1-t)) the

@@ -221,7 +221,7 @@ GB_PARITY = {
         "gb": ("0x1.001305d0ab8dap-1", "0x1.0f26f145d0554p-1", "0x1.ea148bd73ba2ap-1", "0x1.ffc8010028c8dp-1", "0x1.ffffc5479e670p-1"),
     },
     ("power", "tabulated"): {
-        "gb": ("0x1.01002ed115f72p-1", "0x1.442e332125b94p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796abp-1"),
+        "gb": ("0x1.01002ed115f72p-1", "0x1.442e332125b95p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796abp-1"),
     },
     ("log_thickened", "gaussian"): {
         "gb": ("0x1.8a9ddc396e1ecp-1", "0x1.9c74baa176dffp-1", "0x1.fb776ca27ed04p-1", "0x1.ffe768875559cp-1", "0x1.ffffe34abf06fp-1"),
