@@ -37,8 +37,10 @@ of pieces toward that end, down to 1/64 of the interval, so the loop
 does not spend a round per halving to reach it.
 
 ``CubicTable`` evaluates a scipy cubic spline, bitwise as scipy does,
-with an O(1) guide-table search in place of scipy's binary search; the
-risk simulation's per-draw lookups go through it.
+with an O(1) guide-table search in place of scipy's binary search.
+``gated_table`` builds every per-draw table: exact values at knots, a
+scipy cubic, a ``CubicTable`` and a check at every interval midpoint.
+``WeightTable`` joins two of them into a radial weight out to r = inf.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 # QUADPACK's 15-point Kronrod abscissae and weights on [-1, 1], outermost
 # first; the Gauss 7-point rule uses every second abscissa, from the
@@ -518,7 +521,7 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] < 2:
         raise ValueError("edges must be a 2-d array with at least two columns")
-    if not (edges[:, 1:] >= edges[:, :-1]).all():  # False for NaN too
+    if np.count_nonzero(edges[:, 1:] >= edges[:, :-1]) < edges.shape[0] * (edges.shape[1] - 1):  # NaN fails too
         raise ValueError("each row's edges must be nondecreasing numbers")
     if spec.singularity_hints:
         hints = np.asarray(spec.singularity_hints, dtype=float)
@@ -649,6 +652,93 @@ class CubicTable:
             s = x - self._x[i]
             z = s * s
             return (self._c3[i] + self._c2[i] * s) + self._c1[i] * z + self._c0[i] * (z * s)
+
+
+# --- gated tables ---------------------------------------------------------
+
+# A weight table's tail starts from the knots s = 2^-k / r_max, k = 0..8, and 0.
+_TAIL_OCTAVES = 8
+# Rounds of bisection a refined ``gated_table`` may take before it raises.
+_REFINE_ROUNDS = 32
+
+
+def gated_table(x, data, fit, coordinate, miss, tol, error, what, refine=None):
+    """``CubicTable(fit(x, *data), coordinate)``, checked at its interval midpoints.
+
+    ``miss(table, mids)`` is the table's miss against the exact function,
+    in units of ``tol``; one above it, or nan, raises ``error`` naming
+    ``what``.  With ``refine``, the knot data at new abscissae, the
+    intervals that miss are first bisected, for up to ``_REFINE_ROUNDS``
+    rounds: the gate decides how many knots the table needs.
+    """
+    for rounds_left in range(_REFINE_ROUNDS if refine else 0, -1, -1):
+        table = CubicTable(fit(x, *data), coordinate)
+        mids = 0.5 * (x[:-1] + x[1:])
+        misses = miss(table, mids)
+        bad = ~(misses <= tol)
+        if not np.count_nonzero(bad):
+            return table
+        if rounds_left:
+            order = np.argsort(np.concatenate((x, mids[bad])))
+            x = np.concatenate((x, mids[bad]))[order]
+            data = tuple(np.concatenate(pair)[order] for pair in zip(data, refine(mids[bad])))
+    raise error(f"{what} by {float(np.max(misses)):.3g} at an interval midpoint")
+
+
+class WeightTable:
+    """A radial weight w(r) = phi(r)/r^2 from r = 0 to r = inf, as two ``gated_table`` segments.
+
+    The head is the Hermite spline through w and its slope ``dw`` at
+    ``knots``, r0 to r_max, over log r, and w is held at w(r0) below r0.
+    The tail is a PCHIP through phi - ``lead`` over u = r^-``beta``, in
+    which it should be near linear, from the knots s = 2^-k / r_max
+    (k = 0..8), u = s^beta, and u = 0, where it is 0: lead(r) is phi's
+    closed-form part at large r, lead(inf) its limit.  Both gates allow
+    ``tol`` in phi.  ``psi`` (w) and ``phi`` map a float to a float.
+    """
+
+    def __init__(self, knots, w, dw, phi, lead, beta, tol, error, what):
+        def rest(u):
+            r = u ** (-1.0 / beta)
+            return phi(r) - lead(r)
+
+        self.head = gated_table(knots, (w, dw), CubicHermiteSpline, np.log,
+                                lambda table, r: np.abs(table(r) * r * r - phi(r)), tol, error, what)
+        u = np.concatenate(([0.0], (np.exp2(-np.arange(_TAIL_OCTAVES, -1.0, -1.0)) / knots[-1]) ** beta))
+        self.tail = gated_table(u, (np.concatenate(([0.0], rest(u[1:]))),), PchipInterpolator, np.log,
+                                lambda table, u: np.abs(table(u) - rest(u)), tol, error, what,
+                                refine=lambda u: (rest(u),))
+        self.lead, self.beta, self.r0, self.r_max = lead, beta, float(knots[0]), float(knots[-1])
+
+    def psi(self, r):
+        return self._lookup(r, False)
+
+    def phi(self, r):
+        return self._lookup(r, True)
+
+    def _lookup(self, r, phi):
+        """w(r), or phi(r) = w(r) r^2: the head's up to r_max, the tail's beyond it."""
+        if isinstance(r, float) or np.ndim(r) == 0:
+            r = float(r)
+            if r > self.r_max:
+                far = self._far(r)
+                return far if phi else far / r / r
+            w = self.head(max(r, self.r0))
+            return w * r * r if phi else w
+        r = np.asarray(r, dtype=float)
+        out = self.head(np.maximum(r, self.r0))
+        if phi:
+            near = np.minimum(r, self.r_max)
+            out = out * near * near
+        far = r > self.r_max
+        if np.count_nonzero(far):
+            r = r[far]
+            far_phi = self._far(r)
+            out[far] = far_phi if phi else far_phi / r / r
+        return out
+
+    def _far(self, r):
+        return self.lead(r) + self.tail(1.0 / r if self.beta == 1.0 else r ** -self.beta)
 
 
 # --- special functions -------------------------------------------------

@@ -18,8 +18,9 @@ Every request at one radius r > 0 is one sweep over a list of terms;
 a term is an integrand rho, a kernel weight (the density f or the tail
 kernel F/C_f) and a flag for the directional numerator's extra
 lambda cos(phi).  The lambda integrals of all terms are one
-``numerics.integrate_half_lines`` call: each term is a head [0, r, cut]
-and a tail [cut, inf), both rows of one outer batch.  Each outer round
+``numerics.integrate_half_lines`` call: each term is a head [0, r, cut],
+also split at the kernel's support radius when r is beyond it, and a
+tail [cut, inf), both rows of one outer batch.  Each outer round
 calls the outer integrand once, on the 15 Kronrod nodes of every new
 segment of every row, and it adapts the angular integrals at all those
 lambdas as the rows of one inner ``integrate_rows`` batch.  A row of a
@@ -158,18 +159,20 @@ def _sweep(problems, directional=()) -> np.ndarray:
 
     The kernel's mass lives within its support radius regardless of r,
     so each term's lambda integral is a finite head [0, cut] split at
-    the ridge lambda = r, where no spike hides from the initial nodes,
-    and a tail [cut, inf) under the model's ``tail_decay``: the terms
-    of one ``integrate_half_lines`` call, which probes the tails and
-    maps them.  Each call of the outer integrand adapts the angular
-    integrals of all its lambdas, whatever their term, as the rows of
-    one inner ``integrate_rows`` batch.  A ridge row (a term whose
-    singularity class is negative) starts from ``_RIDGE_MESH`` scaled by
-    its b = |r - lambda| / sqrt(2 r lambda), floored at 1e-9 and clipped
-    to sqrt(2); any other row is the one piece [0, sqrt(2)].  A row's
-    value does not depend
-    on the other rows of either batch, so a term's value is the same
-    alone and among others.
+    the ridge lambda = r and, when r is beyond it, at the kernel's
+    support radius ``support_radius(1e-16)`` (were [0, r] one piece,
+    every starting node of a far r would fall where f underflows, and m
+    would read 0), and a tail [cut, inf) under the model's
+    ``tail_decay``: the terms of one ``integrate_half_lines`` call, which
+    probes the tails and maps them.  Each call of the outer integrand
+    adapts the angular integrals of all its lambdas, whatever their
+    term, as the rows of one inner ``integrate_rows`` batch.  A ridge
+    row (a term whose singularity class is negative) starts from
+    ``_RIDGE_MESH`` scaled by its b = |r - lambda| / sqrt(2 r lambda),
+    floored at 1e-9 and clipped to sqrt(2), so each piece spans a factor of 2 of the boundary layer;
+    any other row is the one piece [0, sqrt(2)].  A row's value does not
+    depend on the other rows of either batch, so a term's value is the
+    same alone and among others.
     """
     model, r = problems[0].model, problems[0].r
     p = model.p
@@ -224,7 +227,8 @@ def _sweep(problems, directional=()) -> np.ndarray:
         y *= _by_group(powers, power_of, term, lams)
         return y
 
-    return sphere_surface(p - 1) * integrate_half_lines(outer, [[0.0, r, cut]] * n, _OUTER_SPEC, **model.tail_decay)
+    head = [0.0, spike, r, cut] if r > spike else [0.0, r, cut]
+    return sphere_surface(p - 1) * integrate_half_lines(outer, [head] * n, _OUTER_SPEC, **model.tail_decay)
 
 
 def _distinct(items):

@@ -125,6 +125,10 @@ class RadialDensity:
         s = SUPER_EXPONENTIAL_S
         return s, math.sqrt(self.p + s)
 
+    def power_tail(self) -> float | None:
+        """q with f(r) ~ c r^-q as r -> inf; None where f falls faster than any power."""
+        return None
+
     def tail_profile(self) -> TailProfile:
         """Certified polynomial envelope of the density tail."""
         s, r0 = self.tail_start()
@@ -428,6 +432,9 @@ class _Tabulated(RadialDensity):
         if p + k <= 0:
             raise DivergentMoment(f"moment {k} diverges at the origin for p={p}")
         return sphere_surface(p) * self.norm_const * self._above(p + k - 1.0, 0.0)
+
+    def power_tail(self):
+        return self.q
 
     def tail_profile(self):
         # r^q f(r) is flat beyond the table, so its sup over r >= r[0] is

@@ -3,12 +3,10 @@
 Observations are X = theta + R U with R drawn by inverse CDF of the
 radial law r^{p-1} f(r) and U uniform on the sphere.  The per-draw
 tables (the inverse CDF, the harmonic weight and the generalized-Bayes
-weight) are scipy cubics evaluated by ``numerics.CubicTable``: a block
-of draws finds each point's knot interval in O(1) from a guide table
-over a coordinate the knots are nearly uniform in (logit u, log r) and
-one knot comparison, not a binary search, and gets bitwise the value
-scipy would.  R U does not depend on theta, so a risk curve draws it
-once per block of draws, from a counter-based stream keyed by
+weight) are ``numerics.gated_table`` cubics, looked up without a
+binary search and bitwise as scipy would.  R U does not depend on
+theta, so a risk curve draws it once per block of draws, from a
+counter-based stream keyed by
 (seed, block index), and every theta of the curve uses that block:
 X = theta + R U.  The entries of a curve are therefore positively
 correlated across theta, each with the standard error it would have
@@ -40,10 +38,11 @@ from weakref import WeakKeyDictionary
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from sphereshrink.numerics import CubicTable, sphere_surface
+from sphereshrink.numerics import QuadratureError, WeightTable, gated_table, sphere_surface
+from sphereshrink.radial_convolution import ConvolutionError, c_f, gb_marginals
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.rv_priors import RadialPrior
-from sphereshrink.shrinkage import _cached_profile, gb_multiplier
+from sphereshrink.shrinkage import _cached_profile, tail_power
 
 _BLOCK = 4096
 ESTIMATORS = ("identity", "harmonic_bayes", "generalized_bayes")
@@ -88,11 +87,10 @@ def _build_sampler(model: RadialDensity):
     mass, and doubles until at most 1e-10 of the mass lies beyond it.
     Where the CDF is below about 1e-20 the by-parts difference loses its
     relative digits, so a knot is kept only if its CDF rises strictly
-    above that of every knot below it.  The PCHIP is evaluated as a
-    ``numerics.CubicTable`` over logit u, which covers both tails: near 0
-    the CDF behaves like r^p, and the tail is exponential or a power law.
-    At every interval midpoint u, CDF(ppf(u)) through that table must lie
-    within 1e-8 of u, else RiskSimError is raised.
+    above that of every knot below it.  The PCHIP is a ``gated_table``
+    over logit u, which covers both tails: near 0 the CDF behaves like r^p,
+    and the tail is exponential or a power law.  At every interval midpoint
+    u, CDF(ppf(u)) must lie within 1e-8 of u, else RiskSimError is raised.
     """
     r_hi = model.support_radius(1e-14)
     for _ in range(100):
@@ -105,11 +103,9 @@ def _build_sampler(model: RadialDensity):
     cdf = _cdf(model, knots)
     keep = cdf > np.maximum.accumulate(np.concatenate([[-np.inf], cdf[:-1]]))
     u_knots, r_knots = cdf[keep], knots[keep]
-    ppf = CubicTable(PchipInterpolator(u_knots, r_knots), _logit)
-    u_mid = 0.5 * (u_knots[:-1] + u_knots[1:])
-    worst = float(np.max(np.abs(_cdf(model, ppf(u_mid)) - u_mid)))
-    if not worst <= 1e-8:
-        raise RiskSimError(f"inverse-CDF table misses the exact CDF by {worst:.3g} at an interval midpoint")
+    ppf = gated_table(u_knots, (r_knots,), PchipInterpolator, _logit,
+                      lambda table, u: np.abs(_cdf(model, table(u)) - u), 1e-8, RiskSimError,
+                      "inverse-CDF table misses the exact CDF")
     return ppf, float(u_knots[-1]), float(r_knots[-1])
 
 
@@ -126,11 +122,8 @@ def sample_radius(model: RadialDensity, u):
 
     Strictly increasing in u up to the table's last knot (CDF mass at
     least 1 - 1e-10); the residual sliver maps to the last radius.  Any u
-    outside [0, 1], nan included, raises RiskSimError.  The table is a
-    PCHIP of r over u evaluated by ``numerics.CubicTable``: an array of u
-    finds its knot intervals through a guide table over logit u, a float
-    through ``bisect``, and each radius is bitwise the value scipy's
-    ``PchipInterpolator`` gives.
+    outside [0, 1], nan included, raises RiskSimError.  Each radius is
+    bitwise the value scipy's ``PchipInterpolator`` gives.
     """
     ppf, u_hi, r_hi = _sampler(model)
     if isinstance(u, float) or np.ndim(u) == 0:
@@ -149,25 +142,6 @@ def radial_cdf(model: RadialDensity, r):
     rr = np.asarray(r, dtype=float)
     out = np.clip(_cdf(model, np.maximum(rr, 0.0)), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def ks_statistic(model: RadialDensity, radii) -> float:
-    """Two-sided Kolmogorov-Smirnov distance to the exact radial CDF."""
-    x = np.sort(np.asarray(radii, dtype=float))
-    n = x.size
-    g = radial_cdf(model, x)
-    steps = np.arange(n + 1) / n
-    return float(max(np.max(g - steps[:-1]), np.max(steps[1:] - g)))
-
-
-def sample_obs(model: RadialDensity, theta, rng) -> np.ndarray:
-    """One draw X = theta + R U, U from normalized standard normals."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.p,):
-        raise RiskSimError(f"theta must have shape ({model.p},)")
-    z = rng.standard_normal(model.p)
-    u = rng.random()
-    return theta + sample_radius(model, u) * z / np.linalg.norm(z)
 
 
 def _sample_block(model, rng, n):
@@ -278,52 +252,60 @@ def _resolve_threads(threads) -> int:
     return threads
 
 
-def _gb_table(model: RadialDensity, prior: RadialPrior):
-    """Knots and table of psi = r^2 (1 - kappa) of the GB estimator.
+def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
+    """The GB weight w = 1 - kappa as a ``numerics.WeightTable``, built once per (model, prior).
 
-    A PCHIP on ``_GB_KNOTS`` = 49 geometric knots, looked up as a
-    CubicTable over log r, built once per (model, prior) pair, as the
-    profile and the sampler are per model.  The table is checked against
-    ``gb_multiplier`` at the 48 interval midpoints, and RiskSimError is
-    raised if it misses psi there by more than ``_GB_TABLE_TOL`` = 2e-3
-    of max(1, the largest |psi| at a midpoint).  Measured misses are at
-    most 5e-4 of that scale: 9.2e-4 on gaussian p = 5 with the harmonic
-    prior, 4.7e-4 with power(-2.5), 1.1e-4 on gaussian p = 3 with
-    log-thickened(0, 2), 3.0e-3 on gaussian p = 8 (harmonic, psi near
-    6), 8e-5 on a (1 + r^2)^-4 table.
+    phi = r^2 (1 - kappa) = -r S/m comes from ``gb_marginals``.  The head's
+    ``_GB_KNOTS`` = 49 geometric knots end at max(support_radius(1e-10), 1),
+    with the slopes of a PCHIP through phi.  The tail's lead is
+    -c_f r G'(r)/G(r), c_f = E||X||^2/p: phi's first term at large r,
+    tending to -k c_f for a prior of index k, so that the rest is near
+    linear in r^-beta, beta = ``shrinkage.tail_power``, even where G
+    carries log factors.  The gates allow ``_GB_TABLE_TOL`` = 2e-3 of
+    max(1, the largest |phi| at a head knot).  Measured misses are 1e-4
+    to 6.1e-4 of that in the head and at most 6e-5 in the tail (gaussian
+    p = 3, 5, 8 and (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8;
+    harmonic, power(-2.5) and log-thickened priors).  Where the oracle
+    fails past the head, RiskSimError is raised: on a (1 + r^2)^-3.525
+    table in p = 5 (fitted q = 7.039, beta = 0.039) the tail's last
+    midpoint lies at r = 1.5e12, and the oracle fails from r = 2.5e10.
     """
     tables = _GB_TABLES.setdefault(model, WeakKeyDictionary())
-    tab = tables.get(prior)
-    if tab is None:
+    table = tables.get(prior)
+    if table is None:
         hi = model.support_radius(1e-10)
         grid = np.geomspace(max(1e-2, 1e-3 * hi), max(hi, 1.0), _GB_KNOTS)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        psi = [r * r * (1.0 - gb_multiplier(prior, model, model.p, float(r))) for r in np.concatenate((grid, mids))]
-        psi, psi_mids = np.split(np.array(psi), [grid.size])
-        table = CubicTable(PchipInterpolator(grid, psi), np.log)
-        worst = float(np.max(np.abs(table(mids) - psi_mids)))
-        if not worst <= _GB_TABLE_TOL * max(1.0, float(np.max(np.abs(psi_mids)))):
-            raise RiskSimError(f"GB table misses psi by {worst:.3g} at an interval midpoint")
-        tab = tables[prior] = (grid, table)
-    return tab
+
+        def phi(radii):
+            # -r S/m from one sweep; r^2 (1 - kappa) loses 1 - kappa ~ 3/r^2 to cancellation far out
+            out = []
+            for r in radii.tolist():
+                try:
+                    m, s = gb_marginals(prior, model, r)
+                except (ConvolutionError, QuadratureError) as exc:
+                    if r <= grid[-1]:
+                        raise
+                    raise RiskSimError(f"GB table's tail cannot be checked: the oracle fails at r = {r:.3g}") from exc
+                out.append(-r * s / m)
+            return np.array(out)
+
+        cf = c_f(model)
+        phi_k = phi(grid)
+        dphi = PchipInterpolator(grid, phi_k).derivative()(grid)
+        table = tables[prior] = WeightTable(
+            grid, phi_k / grid**2, (dphi - 2.0 * phi_k / grid) / grid**2, phi, lambda r: -cf * prior.log_deriv(r),
+            tail_power(model), _GB_TABLE_TOL * max(1.0, float(np.max(np.abs(phi_k)))), RiskSimError, "GB table misses psi")
+    return table
 
 
 def _weight(config: RiskConfig):
-    """Weight w(r) of a built-in estimator delta(x) = (1 - w(||x||)) x.
-
-    The profile's psi for ``harmonic_bayes``; psi_table(clip r) /
-    max(r, r0)^2 for ``generalized_bayes``, which holds psi beyond the
-    table's grid, so w tends to psi/r^2 as the profile's does, and holds
-    w itself below it; None for ``identity``, whose weight is 0.
-    """
+    """w(r) of a built-in delta(x) = (1 - w(||x||)) x: its ``WeightTable.psi``, or None (identity)."""
     est = config.estimator
     if est == "identity":
         return None
     if est == "harmonic_bayes":
-        return _cached_profile(config.model).psi
-    grid, psi_table = _gb_table(config.model, config.prior)
-    lo, hi = grid[0], grid[-1]
-    return lambda r: psi_table(np.clip(r, lo, hi)) / np.maximum(r, lo) ** 2
+        return _cached_profile(config.model).table.psi
+    return _gb_table(config.model, config.prior).psi
 
 
 def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:

@@ -388,9 +388,11 @@ class RadialPrior:
         return _value(self._g(np.asarray(eta, dtype=float)))
 
     def g_deriv(self, eta):
+        """G'(eta).  Public API: the package's own code calls ``_g_deriv``."""
         return _value(self._g_deriv(np.asarray(eta, dtype=float)))
 
     def g_deriv2(self, eta):
+        """G''(eta).  Public API: the package's own code calls ``_g_deriv2``."""
         return _value(self._g_deriv2(np.asarray(eta, dtype=float)))
 
     def log_deriv(self, eta):
@@ -498,7 +500,8 @@ class _LogThickened(RadialPrior):
         return eta**k * f * ((k / eta + dlog) ** 2 + dlog2 - k / eta**2)
 
     def _log_deriv(self, eta):
-        return (2.0 - self.p) + eta * self._logs(eta, 1)[1]
+        with np.errstate(invalid="ignore"):  # eta (log f)' -> 0, but is inf * 0 at eta = inf
+            return (2.0 - self.p) + np.where(np.isinf(eta), 0.0, eta * self._logs(eta, 1)[1])
 
 
 class _Custom(RadialPrior):
@@ -538,6 +541,7 @@ def log_thickened_prior(n: int, c: float, p: int, gamma: float = 2.0) -> RadialP
 
 
 def custom_prior(g, g_prime, p: int, g_double_prime=None, gamma: float = 2.0) -> RadialPrior:
+    """Prior from user-supplied G, G' and G''; its exponents are estimated.  Public API."""
     return _Custom(g, g_prime, g_double_prime, p, gamma)
 
 
@@ -705,7 +709,7 @@ def select_gamma(prior: RadialPrior, kernel: BetaKernel, step: float = 0.25):
     Small exponents matter because the dominance constants degrade as
     gamma grows; the search walks 0.25, 0.5, ... up to 2 and returns the
     first value whose properness index is finite, or None when even
-    gamma = 2 fails.
+    gamma = 2 fails.  Public API: no module here calls it.
     """
     for j in range(1, int(round(2.0 / step)) + 1):
         trial = copy.copy(prior)

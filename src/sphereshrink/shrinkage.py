@@ -5,13 +5,9 @@ kernel F, A = int_0^r t^{p-1} F and B = int_0^r t^{p-3} F, which every
 model family supplies exactly as ``kernel_moment``; the estimator
 multiplies the observation by 1 - psi(||x||) with psi = phi/r^2.  For
 simulation code that calls the estimator millions of times, psi is
-tabulated once as a cubic Hermite spline with exact knot values and
-slopes, checked against the exact moments between every pair of knots.
-A lookup finds its knot interval without a binary search: an array of
-radii through a guide table over log r (``numerics.CubicTable``), one
-radius through ``bisect``; either way the weight is bitwise the value
-scipy's spline gives.  The quadrature ratio ``phi_star`` is kept as an
-independent oracle.
+tabulated once, from r = 0 to r = inf, as a ``numerics.WeightTable``
+checked against the exact moments between every pair of knots.  The
+quadrature ratio ``phi_star`` is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -20,9 +16,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-from sphereshrink.numerics import CubicTable, QuadratureSpec, integrate
+from sphereshrink.numerics import QuadratureSpec, WeightTable, integrate
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.radial_convolution import gb_marginals
 from sphereshrink.rv_priors import RadialPrior
@@ -65,76 +60,74 @@ def phi_limit(model: RadialDensity, p: int) -> float:
     return (p - 2.0) * model.moment(2.0) / p
 
 
+def tail_power(model: RadialDensity) -> float:
+    """beta such that phi, and the GB weight's phi, close on their limits about linearly in r^-beta.
+
+    A power tail f ~ r^-q leaves the rest of E||X||^2 beyond r, of order
+    r^-(q-p-2), in both; other corrections fall like r^-2 or faster, so
+    beta = min(1, q - p - 2), and 1 for a tail that falls faster than any
+    power.
+    """
+    q = model.power_tail()
+    return 1.0 if q is None else min(1.0, q - model.p - 2.0)
+
+
 @dataclass(frozen=True)
 class ShrinkageProfile:
     """Precomputed weight curve for one model.
 
-    ``_psi`` interpolates psi = phi/r^2 from its exact origin value
-    (p-2)/p to the grid's end, max(1.25 * support_radius(1e-10), 20),
-    and holds phi there: the gaussian's phi is at its limit there, but on
-    a (1+r^2)^-4 table in p = 5 the held value is 2.9% low.  It is a
-    ``numerics.CubicTable`` over log r: an array of radii finds its knot
-    intervals in O(1) through the table's guide buckets and one knot
-    comparison each, a single radius through ``bisect`` and Python
-    floats, and both return bitwise what scipy's ``CubicHermiteSpline``
-    would.  nan gives nan.
+    ``table`` is a ``numerics.WeightTable``: its head interpolates
+    psi = phi/r^2 from the exact origin value (p-2)/p to the end of
+    ``r_grid``, max(1.25 * support_radius(1e-10), 20); its tail, in
+    r^-beta (``tail_power``), carries phi from there to ``limit_value``
+    at r = inf.
     """
 
     model: RadialDensity = field(compare=False)
     p: int
     r_grid: np.ndarray = field(compare=False)
     limit_value: float
-    _psi: CubicTable = field(compare=False, repr=False)
+    table: WeightTable = field(compare=False, repr=False)
 
     def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.asarray(self.psi(r)) * r * r
-        return out if out.ndim else float(out)
+        return self.table.phi(r)
 
     def psi(self, r):
-        """The ratio phi(r)/r^2, continuous down to psi(0) = (p-2)/p."""
-        hi = float(self.r_grid[-1])
-        if isinstance(r, float) or np.ndim(r) == 0:
-            r = float(r)
-            return self._psi(min(max(r, 0.0), hi)) * (hi / max(r, hi)) ** 2
-        r = np.asarray(r, dtype=float)
-        return self._psi(np.clip(r, 0.0, hi)) * (hi / np.maximum(r, hi)) ** 2
+        """The ratio phi(r)/r^2, equal to (p-2)/p at r = 0."""
+        return self.table.psi(r)
 
     def multiplier(self, r):
         """Estimator factor 1 - phi(r)/r^2, equal to 2/p at r = 0."""
-        return 1.0 - self.psi(r)
+        return 1.0 - self.table.psi(r)
 
 
 def build_profile(model: RadialDensity) -> ShrinkageProfile:
-    """Tabulate psi = phi/r^2 as one cubic Hermite spline.
+    """Tabulate psi = phi/r^2 as a ``numerics.WeightTable``.
 
-    Knot values and slopes are exact: from the kernel moments A and B,
-    phi' = r^{p-3} F (r^2 B - A) / B^2 = r^{p-3} F (r^2 - phi) / B, and
-    at the origin knot psi(0) = (p-2)/p, psi'(0) = 0.  phi is checked,
-    through the table the estimator evaluates, against the exact moment
-    ratio at every interval midpoint, and ShrinkageError is raised if it
-    misses by more than 1e-6 of max(1, limit).
+    The head's knot values and slopes are exact: from the kernel moments
+    A and B, phi' = r^{p-3} F (r^2 B - A) / B^2 = r^{p-3} F (r^2 - phi) / B,
+    and at the origin knot psi(0) = (p-2)/p, psi'(0) = 0.  phi is checked,
+    through the table, against the exact moment ratio at every interval
+    midpoint of the head and of the tail, whose lead is the limit, and
+    ShrinkageError is raised if it misses by more than 1e-6 of
+    max(1, limit).
     """
     p = model.p
     limit = phi_limit(model, p)
     r_max = max(1.25 * model.support_radius(1e-10), 20.0)
     grid = np.geomspace(1e-3, r_max, _KNOTS)
-    knots = np.concatenate(([0.0], grid))
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    r = np.concatenate((grid, mids))
-    a = model.kernel_moment(p - 1.0, r)
-    b = model.kernel_moment(p - 3.0, r)
-    phi, phi_mids = np.split(a / b, [_KNOTS])
 
-    dphi = grid ** (p - 3.0) * model.big_f(grid) * (grid**2 - phi) / b[:_KNOTS]
-    psi = np.concatenate(([(p - 2.0) / p], phi / grid**2))
-    dpsi = np.concatenate(([0.0], (dphi - 2.0 * phi / grid) / grid**2))
-    spline = CubicTable(CubicHermiteSpline(knots, psi, dpsi), np.log)
+    def phi(r):
+        return model.kernel_moment(p - 1.0, r) / model.kernel_moment(p - 3.0, r)
 
-    worst = float(np.max(np.abs(spline(mids) * mids**2 - phi_mids)))
-    if not worst <= 1e-6 * max(1.0, limit):
-        raise ShrinkageError(f"profile interpolant misses phi by {worst:.3g} at an interval midpoint")
-    return ShrinkageProfile(model, p, grid, limit, spline)
+    b = model.kernel_moment(p - 3.0, grid)
+    phi_k = model.kernel_moment(p - 1.0, grid) / b
+    dphi = grid ** (p - 3.0) * model.big_f(grid) * (grid**2 - phi_k) / b
+    psi = np.concatenate(([(p - 2.0) / p], phi_k / grid**2))
+    dpsi = np.concatenate(([0.0], (dphi - 2.0 * phi_k / grid) / grid**2))
+    table = WeightTable(np.concatenate(([0.0], grid)), psi, dpsi, phi, lambda r: limit, tail_power(model),
+                        1e-6 * max(1.0, limit), ShrinkageError, "profile interpolant misses phi")
+    return ShrinkageProfile(model, p, grid, limit, table)
 
 
 _PROFILES: "weakref.WeakKeyDictionary[RadialDensity, ShrinkageProfile]" = weakref.WeakKeyDictionary()

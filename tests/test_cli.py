@@ -125,6 +125,19 @@ def test_phi_runs_on_a_tabulated_model(tmp_path):
         assert 2.0 / 3.0 <= mult < 1.0
 
 
+def test_phi_reaches_its_limit_far_beyond_a_power_tailed_table(tmp_path):
+    # the (1 + r^2)^-4 table's profile grid ends at r = 58, with phi 0.089
+    # below its limit; at r = 1e6 phi is within 6e-6 of it
+    r = np.geomspace(0.01, 100.0, 300)
+    table = tmp_path / "heavy.csv"
+    np.savetxt(table, np.column_stack([r, (1.0 + r**2) ** -4.0]), delimiter=",")
+    out = tmp_path / "phi.csv"
+    assert cli.main(["phi", "--family", "tabulated", "--p", "5", "--table", str(table),
+                     "--r-min", "1e5", "--r-max", "1e6", "--points", "3", "--out", str(out)]) == cli.EXIT_OK
+    _, phi, _, limit = map(float, data_rows(out)[-1])
+    assert abs(phi - limit) <= 1e-4 * limit
+
+
 @pytest.mark.parametrize("flags", [[], ["--n", "2", "--c", "16"]])
 def test_hseq_strict_passes_on_its_default_config(flags, tmp_path):
     # the grid's eta H'/H dips to -1.17 near eta = 100 at i = 1, and the

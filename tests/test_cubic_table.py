@@ -11,9 +11,9 @@ import pytest
 from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import expit
 
-from sphereshrink import risk_sim, shrinkage
+from sphereshrink import numerics, risk_sim, shrinkage
 from sphereshrink.numerics import CubicTable
-from sphereshrink.radial_models import gaussian
+from sphereshrink.radial_models import gaussian, tabulated
 from sphereshrink.risk_sim import RiskConfig, estimate_risk, sample_radius
 
 
@@ -50,7 +50,7 @@ def test_sampler_table_is_bitwise_scipy(model):
 
 def test_profile_table_is_bitwise_scipy(model):
     prof = shrinkage._cached_profile(model)
-    table = prof._psi
+    table = prof.table.head
     assert isinstance(table, CubicTable)
     end = float(prof.r_grid[-1])
     r = np.random.default_rng(2).random(1_000_000) * 1.2 * end
@@ -58,8 +58,18 @@ def test_profile_table_is_bitwise_scipy(model):
     assert_bitwise(table, np.concatenate([r, table._x, bucket_edges(table, np.exp), ends]))
 
 
+def test_weight_table_tail_is_bitwise_scipy():
+    # the tail of a (1 + r^2)^-4 table's profile, in u = 1/r (q - p - 2 = 1):
+    # a PCHIP over log u whose first knot, u = 0, has no finite coordinate
+    r = np.geomspace(0.01, 100.0, 300)
+    tail = shrinkage.build_profile(tabulated(r, (1.0 + r**2) ** -4.0, 5)).table.tail
+    assert tail._x[0] == 0.0
+    s = tail._x[-1] * np.random.default_rng(7).random(100_000)
+    assert_bitwise(tail, np.concatenate([s, tail._x, bucket_edges(tail, np.exp), [0.0, 1e-300, 2.0 * tail._x[-1]]]))
+
+
 def test_gb_shaped_table_is_bitwise_scipy():
-    # the GB risk estimator's table: psi on 49 geometric knots
+    # a PCHIP on 49 geometric knots over log r
     grid = np.geomspace(1e-2, 12.0, 49)
     table = CubicTable(PchipInterpolator(grid, 3.0 * grid**2 / (1.0 + grid**2)), np.log)
     r = np.exp(np.random.default_rng(3).uniform(math.log(1e-3), math.log(20.0), 1_000_000))
@@ -97,7 +107,7 @@ def test_signed_zeros_and_infinities_are_scipys():
 
 def test_scalar_and_one_element_array_agree(model):
     ppf = risk_sim._sampler(model)[0]
-    psi = shrinkage._cached_profile(model)._psi
+    psi = shrinkage._cached_profile(model).table.head
     for table, x in [(ppf, 0.37), (ppf, 0.0), (psi, 2.5), (psi, 0.0), (psi, 1e3)]:
         one = table(x)
         assert type(one) is float
@@ -111,8 +121,8 @@ def test_nan_in_nan_out(model):
     assert math.isnan(prof.multiplier(math.nan))
     out = prof.multiplier(np.array([1.0, math.nan, 3.0]))
     assert math.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
-    assert math.isnan(prof._psi(math.nan))
-    assert np.isnan(scipy_twin(prof._psi)(np.array([math.nan]))).all()
+    assert math.isnan(prof.table.head(math.nan))
+    assert np.isnan(scipy_twin(prof.table.head)(np.array([math.nan]))).all()
 
 
 def test_rejects_a_table_it_cannot_guide():
@@ -149,8 +159,7 @@ def test_risk_curve_equals_the_scipy_evaluators_curve(monkeypatch):
                      theta_norms=(0.0, 3.0, 9.0), samples_per_point=20_000, seed=17)
     tables = estimate_risk(cfg, threads=2)
     # the same curve with scipy evaluating every table, on a fresh model
-    for module in (risk_sim, shrinkage):
-        monkeypatch.setattr(module, "CubicTable", lambda pp, coordinate: pp)
+    monkeypatch.setattr(numerics, "CubicTable", lambda pp, coordinate: pp)
     fresh = RiskConfig(model=gaussian(5), p=5, estimator="harmonic_bayes",
                        theta_norms=cfg.theta_norms, samples_per_point=cfg.samples_per_point, seed=cfg.seed)
     assert isinstance(risk_sim._sampler(fresh.model)[0], PchipInterpolator)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
+from scipy.interpolate import PchipInterpolator
 
 from sphereshrink import numerics
 from sphereshrink.numerics import (
@@ -602,3 +603,51 @@ def test_sphere_surface_low_dimensions():
     assert sphere_surface(3.0) == pytest.approx(4 * math.pi, rel=1e-14)
     # c_4 = 2 pi^2
     assert sphere_surface(4.0) == pytest.approx(2 * math.pi**2, rel=1e-14)
+
+
+def test_gated_table_bisects_where_its_gate_misses_and_raises_past_its_rounds():
+    # x^1.5 from five knots misses near 0 at first, and the gate bisects
+    # there until every midpoint holds; 1/log(2/x) closes on 0 too slowly
+    # for any cubic, and the gate raises after its rounds
+    x = np.linspace(0.0, 1.0, 5)
+    refined = []
+
+    def gate(f, tol):
+        def refine(new):
+            refined.append(new.size)
+            return (f(new),)
+
+        return numerics.gated_table(x, (f(x),), PchipInterpolator, lambda u: 1.0 * u,
+                                    lambda table, mids: np.abs(table(mids) - f(mids)), tol, ValueError, "f", refine)
+
+    smooth = lambda u: u**1.5
+    table = gate(smooth, 1e-4)
+    assert 0 < len(refined) < numerics._REFINE_ROUNDS
+    u = np.random.default_rng(6).random(1000)
+    assert np.max(np.abs(table(u) - smooth(u))) <= 1e-3  # the gate holds at midpoints only
+    refined.clear()
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match="^f by .* at an interval midpoint$"):
+            gate(lambda u: 1.0 / np.log(2.0 / u), 1e-5)
+    assert len(refined) == numerics._REFINE_ROUNDS
+
+
+def _weight_table(phi, dphi, lead, error=ValueError):
+    knots = np.geomspace(0.1, 10.0, 200)
+    w = phi(knots) / knots**2
+    dw = dphi(knots) / knots**2 - 2.0 * phi(knots) / knots**3
+    return numerics.WeightTable(knots, w, dw, phi, lead, 1.0, 1e-6, error, "w")
+
+
+def test_weight_table_reaches_its_limit_and_answers_floats_and_arrays_alike():
+    # phi = 1 + 1/(1 + r^2): the tail's rest against the lead 1 is a cubic's business
+    table = _weight_table(lambda r: 1.0 + 1.0 / (1.0 + r * r), lambda r: -2.0 * r / (1.0 + r * r) ** 2,
+                          lambda r: 1.0)
+    r = np.array([0.0, 0.05, 1.0, 10.0, 30.0, 1e3, 1e300, math.inf, math.nan])
+    phi, psi = table.phi(r), table.psi(r)
+    assert np.all(np.abs(phi[2:6] - (1.0 + 1.0 / (1.0 + r[2:6] ** 2))) <= 1e-6)
+    assert phi[-3] == phi[-2] == 1.0 and psi[-2] == 0.0 and math.isnan(phi[-1]) and math.isnan(psi[-1])
+    assert psi[0] == psi[1] == table.psi(0.1)  # held below the first knot
+    for i, x in enumerate(r.tolist()):
+        assert np.array_equal([table.phi(x), table.psi(x)], [phi[i], psi[i]], equal_nan=True), x
+

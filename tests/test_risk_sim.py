@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import erf
 
-from sphereshrink import risk_sim
+from sphereshrink import radial_convolution, risk_sim
 from sphereshrink.radial_models import normalize
 from sphereshrink.risk_sim import (
     DominanceVerdict,
@@ -15,13 +15,12 @@ from sphereshrink.risk_sim import (
     RiskSimError,
     dominance_report,
     estimate_risk,
-    ks_statistic,
     radial_cdf,
-    sample_obs,
     sample_radius,
 )
-from sphereshrink.rv_priors import harmonic_prior
-from sphereshrink.shrinkage import build_profile
+from sphereshrink.radial_convolution import ConvolutionError, c_f
+from sphereshrink.rv_priors import harmonic_prior, log_thickened_prior, power_prior
+from sphereshrink.shrinkage import build_profile, gb_multiplier
 
 
 def gaussian(p):
@@ -36,6 +35,28 @@ def heavy_table():
     """A (1 + r^2)^-4 table on 300 knots, p = 5: a power-law tail."""
     knots = np.geomspace(0.01, 100.0, 300)
     return normalize("tabulated", {"r": knots, "f": (1.0 + knots**2) ** -4.0}, 5)
+
+
+# References: the exact CDF's two-sided KS distance, and one draw X = theta + R U.
+
+
+def ks_statistic(model, radii) -> float:
+    """Two-sided Kolmogorov-Smirnov distance to the exact radial CDF."""
+    x = np.sort(np.asarray(radii, dtype=float))
+    n = x.size
+    g = radial_cdf(model, x)
+    steps = np.arange(n + 1) / n
+    return float(max(np.max(g - steps[:-1]), np.max(steps[1:] - g)))
+
+
+def sample_obs(model, theta, rng) -> np.ndarray:
+    """One draw X = theta + R U, U from normalized standard normals."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.p,):
+        raise RiskSimError(f"theta must have shape ({model.p},)")
+    z = rng.standard_normal(model.p)
+    u = rng.random()
+    return theta + sample_radius(model, u) * z / np.linalg.norm(z)
 
 
 # -- radial sampler -----------------------------------------------------
@@ -376,18 +397,20 @@ def test_generalized_bayes_tracks_harmonic():
 
 
 def test_generalized_bayes_table_is_built_once_per_model_and_prior(monkeypatch):
-    calls, build = [], risk_sim.gb_multiplier
+    calls, build = [], risk_sim.gb_marginals
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(risk_sim, "gb_multiplier", counted)
+    monkeypatch.setattr(risk_sim, "gb_marginals", counted)
     cfg = RiskConfig(model=gaussian(3), p=3, estimator="generalized_bayes", prior=harmonic_prior(3),
                      theta_norms=(0.0, 2.0), samples_per_point=4096, seed=7)
     first = estimate_risk(cfg, threads=1)
     built = len(calls)
-    assert built == 49 + 48  # the knots, then the gate's interval midpoints
+    # the head's knots and midpoints, then the tail's nine knots in s = 1/r
+    # (its knot at s = 0 is the closed-form limit) and nine midpoints
+    assert built == 49 + 48 + 9 + 9
     second = estimate_risk(cfg, threads=1)
     assert len(calls) == built
     assert second.entries == first.entries
@@ -399,6 +422,76 @@ def test_generalized_bayes_table_gate_trips_on_a_coarse_table(monkeypatch):
                      theta_norms=(0.0,), samples_per_point=4096, seed=7)
     with pytest.raises(RiskSimError, match="GB table misses psi"):
         estimate_risk(cfg, threads=1)
+
+
+def test_profile_follows_a_power_tail_past_its_grid_to_the_limit():
+    # the grid ends at r = 58, where phi = 2.9123 is still 0.089 below its
+    # limit 3.0008; beyond it the tail in s = 1/r takes over
+    model = heavy_table()
+    prof = build_profile(model)
+    assert prof.r_grid[-1] == pytest.approx(58.0, abs=0.1)
+    for r in (116.0, 290.0):
+        exact = float(model.kernel_moment(4.0, r) / model.kernel_moment(2.0, r))
+        assert abs(prof.phi(r) - exact) <= 1e-6 * prof.limit_value, r
+        assert abs(prof.psi(r) * r * r - exact) <= 1e-6 * prof.limit_value, r
+    for r in (1e300, math.inf):
+        assert prof.phi(r) == prof.phi(np.array([r]))[0] == prof.limit_value
+        assert prof.psi(r) == prof.psi(np.array([r]))[0] == 0.0
+
+
+def test_profile_follows_a_slow_power_tail_to_the_limit():
+    # (1 + r^2)^-3.6 in p = 5: phi closes on its limit only like r^-0.2,
+    # which the model's closed-form power tail carries as the lead
+    knots = np.geomspace(0.01, 100.0, 300)
+    model = normalize("tabulated", {"r": knots, "f": (1.0 + knots**2) ** -3.6}, 5)
+    prof = build_profile(model)
+    for r in (2.0 * prof.r_grid[-1], 1e3, 1e6):
+        exact = float(model.kernel_moment(4.0, r) / model.kernel_moment(2.0, r))
+        assert abs(prof.phi(r) - exact) <= 1e-6 * prof.limit_value, r
+    assert prof.phi(1e6) < 0.95 * prof.limit_value
+    assert prof.phi(math.inf) == prof.limit_value and prof.psi(math.inf) == 0.0
+    # under the harmonic prior the GB weight is the profile's
+    table = risk_sim._gb_table(model, harmonic_prior(5))
+    for r in (2.0 * table.r_max, 1e3):
+        assert abs(table.phi(r) - prof.phi(r)) <= risk_sim._GB_TABLE_TOL * prof.limit_value, r
+    for estimator in ("harmonic_bayes", "generalized_bayes"):
+        curve = estimate_risk(RiskConfig(model=model, p=5, estimator=estimator, prior=harmonic_prior(5),
+                                         theta_norms=(0.0, 8.0), samples_per_point=4096, seed=7), threads=1)
+        assert all(math.isfinite(e.risk_estimate) for e in curve.entries)
+
+
+def test_generalized_bayes_tail_raises_its_own_error_where_the_oracle_fails(monkeypatch):
+    # a failure in the head is the oracle's own; past it, the tail cannot be checked
+    for reach, error in ((1.0, ConvolutionError), (1e3, RiskSimError)):
+        def oracle(prior, model, r, reach=reach):
+            if r > reach:
+                raise ConvolutionError("no value")
+            return radial_convolution.gb_marginals(prior, model, r)
+
+        monkeypatch.setattr(risk_sim, "gb_marginals", oracle)
+        with pytest.raises(error):
+            risk_sim._gb_table(gaussian(3), harmonic_prior(3))
+
+
+@pytest.mark.parametrize("prior, radii", [
+    (power_prior(-2.5, 5), (13.6, 34.0)),
+    # phi = 2.74 at r = 34 and 2.86 at 1000 closes on 3 like 1/log r: the
+    # lead -c_f r G'/G carries that, and what is left falls like 1/r^2
+    (log_thickened_prior(0, math.e, 5), (34.0, 1e3, 1e5)),
+], ids=["power", "log_thickened"])
+def test_generalized_bayes_weight_follows_its_tail_to_the_limit(prior, radii):
+    # the head ends at support_radius(1e-10) = 6.79, where power(-2.5)'s
+    # phi = 2.4701 is still 0.03 below its limit
+    model = gaussian(5)
+    table = risk_sim._gb_table(model, prior)
+    assert table.r_max == pytest.approx(6.79, abs=0.01)
+    gate = risk_sim._GB_TABLE_TOL * max(1.0, table.phi(table.r_max))
+    for r in radii:
+        exact = r * r * (1.0 - gb_multiplier(prior, model, 5, r))
+        assert abs(table.psi(r) * r * r - exact) <= gate, r
+    limit = -prior.estimated_rv_index() * c_f(model)
+    assert table.phi(math.inf) == limit and table.psi(math.inf) == 0.0
+    assert table.phi(1e300) == pytest.approx(limit, rel=1e-3)
 
 
 def test_general_quadratic_loss():

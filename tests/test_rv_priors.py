@@ -328,7 +328,7 @@ def test_h_rows_start_graded_at_their_boundary_layer(tower, monkeypatch):
             for call in (hs.h_eval, hs.h_derivative):
                 rounds.append(0)
                 assert 0.0 < abs(call(eta)) < math.inf
-                assert rounds[-1] <= 3 or i > 1024.0, (i, eta, call.__name__, rounds[-1])
+                assert rounds[-1] <= 3, (i, eta, call.__name__, rounds[-1])
 
 
 @pytest.mark.parametrize("c, i", [(math.e, 1e8), (1.02, 1e6), (1.02, 1e8)])

@@ -212,7 +212,7 @@ GB_PARITY = {
         "gb": ("0x1.999a97a310446p-2", "0x1.b1c960350b81ap-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
     },
     ("harmonic", "tabulated"): {
-        "gb": ("0x1.9bb29a082f6f4p-2", "0x1.17cc1b6fe2b02p-1", "0x1.fffe31b952dd8p-1", "0x1.ffa28b90e2d4cp-1", "0x1.ffff9b7d3e477p-1"),
+        "gb": ("0x1.9bb29a082f6f4p-2", "0x1.17cc1b6fe2b02p-1", "0x1.fffe31b952dd8p-1", "0x1.ffa28b90e2d4cp-1", "0x1.ffff9b7d3e469p-1"),
     },
     ("power", "gaussian"): {
         "gb": ("0x1.002ecfb8c793cp-1", "0x1.123a042fa7f76p-1", "0x1.eec0c8367909fp-1", "0x1.ffb00280a0390p-1", "0x1.ffffac1d2c9c2p-1"),
@@ -221,7 +221,7 @@ GB_PARITY = {
         "gb": ("0x1.001305d0ab8dap-1", "0x1.0f26f145d0554p-1", "0x1.ea148bd73ba2ap-1", "0x1.ffc8010028c8dp-1", "0x1.ffffc5479e670p-1"),
     },
     ("power", "tabulated"): {
-        "gb": ("0x1.01002ed115f72p-1", "0x1.442e332125b95p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796abp-1"),
+        "gb": ("0x1.01002ed115f72p-1", "0x1.442e332125b95p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796a1p-1"),
     },
     ("log_thickened", "gaussian"): {
         "gb": ("0x1.8a9ddc396e1ecp-1", "0x1.9c74baa176dffp-1", "0x1.fb776ca27ed04p-1", "0x1.ffe768875559cp-1", "0x1.ffffe34abf06fp-1"),
