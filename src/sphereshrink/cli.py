@@ -6,7 +6,9 @@ configuration as `# key = value` header lines, and writes one CSV table
 (UTF-8, LF, `.` decimals) to stdout or --out.  --svg adds a single-series
 line plot of the first two numeric columns.  Exit codes: 0 success,
 1 numeric failure, 2 configuration error, 3 failed verdict under
---strict.
+--strict.  The code follows the kind of failure, not the module that
+raised it: an integral or table that fails is numeric, an ill-posed
+request is a configuration error.
 
 Each option is declared once, in its subcommand's table in `_COMMANDS`:
 its default, and the keywords of its flag, or none for a config-only
@@ -16,8 +18,9 @@ table.  --strict exists only on the subcommands that have a verdict
 log-thickened prior only; the Blyth kernel of `prior` is derived from
 the prior, one log level deeper than the prior's own log tower.  The
 identities of `verify` take their own parameters (--order, --gegen-alpha,
---gegen-a, --t), so --alpha, --a and --beta always set the model, and
-a model option that no model of the run takes is refused.
+--gegen-a, --t), so --alpha, --a and --beta always set the model; a
+model option that no model of the run takes is refused, and so is an
+identity option that the run does not use.
 """
 
 from __future__ import annotations
@@ -502,10 +505,22 @@ def _cmd_verify(cfg):
         model = _build_model(cfg, hints)
     else:
         _refuse_model_options(cfg, (), "this verify run builds no model taking it", hints)
+    minpower_at = which == "minpower" and cfg.get("t") is not None
+    unused = {
+        "family": (which != "kernelmass", "only --identity kernelmass builds a model"),
+        "p": (model is None and not minpower_at, "it needs --family, or --identity minpower with --t"),
+        "order": (model is None, "it needs --identity kernelmass and --family"),
+        "gegen_alpha": (which != "gegenbauer", "only --identity gegenbauer takes it"),
+        "gegen_a": (which != "gegenbauer" or cfg.get("gegen_alpha") is None, "it needs --gegen-alpha"),
+        "t": (which != "minpower", "only --identity minpower takes it"),
+    }
+    for key, (refused, why) in unused.items():
+        if refused and cfg.get(key) is not None:
+            raise CLIConfigError(f"--{key.replace('_', '-')} is not used by this verify run: {why}")
     rows = []
     checks = []
     if which in ("gegenbauer", "all"):
-        if which == "gegenbauer" and cfg.get("gegen_alpha") is not None:
+        if cfg.get("gegen_alpha") is not None:
             alphas = [float(cfg["gegen_alpha"])]
             avals = [float(cfg["gegen_a"])] if cfg.get("gegen_a") is not None else [0.0]
         else:
@@ -515,7 +530,7 @@ def _cmd_verify(cfg):
             for av in avals:
                 checks.append(("gegenbauer", gegenbauer_identity(al, av)))
     if which in ("minpower", "all"):
-        if which == "minpower" and cfg.get("t") is not None:
+        if minpower_at:
             pts = [(int(cfg["p"] or 3), float(cfg["t"]))]
         else:
             pts = [(p, t) for p in (3, 4, 5) for t in (0.5, 2.0)]
@@ -613,13 +628,10 @@ _COMMANDS = {
     }),
 }
 
-_CONFIG_STAGE = (CLIConfigError, ModelError, PriorError, RiskSimError, IdentityError)
-_NUMERIC_STAGE = (
-    QuadratureError,
-    ConvolutionError,
-    ShrinkageError,
-    ArithmeticError,
-)
+# Matched first: an error that is also an ArithmeticError (IntegrabilityError,
+# TableError) is numeric, and its module's other errors are ill-posed requests.
+_NUMERIC_KIND = (QuadratureError, ShrinkageError, ArithmeticError)
+_CONFIG_KIND = (CLIConfigError, ModelError, PriorError, RiskSimError, IdentityError, ConvolutionError)
 
 
 def _build_parser():
@@ -652,18 +664,15 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args, command.options)
         header, rows, ok = command.run(cfg)
-    except _CONFIG_STAGE as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERIC_STAGE as exc:
+    except _NUMERIC_KIND as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    try:
-        _emit(args, args.command, cfg, header, rows)
-    except CLIConfigError as exc:
+    except _CONFIG_KIND as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    try:
+        _emit(args, args.command, cfg, header, rows)
+    except (CLIConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_VERDICT if command.verdict and args.strict and not ok else EXIT_OK

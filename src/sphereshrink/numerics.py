@@ -560,10 +560,10 @@ class CubicTable:
     ``pp`` supplies the knots ``x`` and the power-basis coefficients
     ``c``; ``coordinate`` maps an array of abscissae onto a scale where
     the knots are nearly uniform (log r for geometric radii, logit u for
-    CDF values) and returns a new array.  That scale is cut into equal
-    buckets, two per knot interval, and a guide array holds each
-    bucket's first candidate interval and the next knot (Chen & Asau
-    1974; Devroye 1986, section III.2.4).  An array point finds its
+    CDF values); it may return its argument, which is never written.
+    That scale is cut into equal buckets, two per knot interval, and a
+    guide array holds each bucket's first candidate interval and the next
+    knot (Chen & Asau 1974; Devroye 1986, section III.2.4).  An array point finds its
     bucket in O(1) and one comparison with that knot settles its
     interval, so the coordinate's rounding never decides it.  Points in
     the rare buckets with more than two candidates (on a CDF table, where
@@ -637,6 +637,8 @@ class CubicTable:
         # as in scipy's compiled loop, overflow and nan pass without warning
         with np.errstate(all="ignore"):
             y = self._coordinate(x)
+            if np.may_share_memory(y, x):
+                y = y.copy()  # the shift and scale below would overwrite the caller's array
             y -= self._t0
             y *= self._scale
             # fmax and fmin send nan to bucket 0, where its comparison fails

@@ -14,28 +14,24 @@ cos-substitution with the Jacobi weight, reparametrized so that the
 ridge boundary layer sits at a known scale b = |r - lambda| / sqrt(2 r
 lambda) that the integrator can be pointed at.
 
-Every request at one radius r > 0 is one sweep over a list of terms;
-a term is an integrand rho, a kernel weight (the density f or the tail
-kernel F/C_f) and a flag for the directional numerator's extra
-lambda cos(phi).  The lambda integrals of all terms are one
-``numerics.integrate_half_lines`` call: each term is a head [0, r, cut],
-also split at the kernel's support radius when r is beyond it, and a
-tail [cut, inf), both rows of one outer batch.  Each outer round
-calls the outer integrand once, on the 15 Kronrod nodes of every new
-segment of every row, and it adapts the angular integrals at all those
-lambdas as the rows of one inner ``integrate_rows`` batch.  A row of a
-term with a singular integrand starts from a mesh graded at its own b,
-with edges b * {0, 1/4, 1/2, 1, 2, ..., 2^16} clipped to sqrt(2), so
-each piece spans a factor of 2 of the boundary layer and meets the
-inner tolerance in about one round; every other row is the one piece
-[0, sqrt(2)].  No integral is evaluated one
-lambda, one term or one piece at a time.  Rows never share segments,
-so a term's value is the same, bitwise, alone and in any batch.
-``marginal_m``, ``directional_marginal``,
-``kernel_marginal_M`` and ``radial_expectation`` are one-term sweeps,
-``gb_marginals`` sweeps m and the directional numerator together, and
-``asymptotic_ratio_probe`` its three quantities; either leaves m out
-where the harmonic prior's closed form gives it.
+Every value here comes from one request path, ``_request``: a list of
+terms that share the model and the radius r, each an integrand rho, a
+kernel weight (the density f or the tail kernel F/C_f) and a
+singularity class, some with the directional numerator's extra
+lambda cos(phi).  It holds the dimension check, the harmonic prior's
+closed-form m and the one conversion of a divergent tail or an
+overflowing integrand into IntegrabilityError.  At r = 0 each term is
+radial, a directional one exactly 0, and the terms are one
+``numerics.integrate_half_lines`` batch; the head of a term with a
+negative singularity class starts from the ratio-2 ladder 2^-k
+(k = 1..20) toward 0, as ``_RIDGE_MESH`` grades the ridge.  At r > 0
+they are one ``_sweep``: the lambda integrals of all terms are one
+``integrate_half_lines`` batch, and each of its rounds adapts the
+angular integrals at all its lambdas as one ``integrate_rows`` batch.
+No integral is evaluated one lambda, one term or one piece at a time.
+Rows never share segments, so a term's value is the same, bitwise,
+alone and in any batch.  The public functions and ``rv_priors``' FG1
+check are each one request.
 
 Everything here serves as the slow-but-independent oracle for the
 closed-form marginals used elsewhere.
@@ -72,12 +68,19 @@ _CLOSED_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=40
 # inner tolerance in about one round instead of after 2-3 bisections.
 # Beyond 2^16 b the row is smooth enough that more steps save nothing.
 _RIDGE_MESH = np.array([0.0, *np.exp2(np.arange(-2.0, 17.0)), math.inf])
+# Inner edges of an r = 0 head [0, 1] whose integrand may grow toward 0.
+_ORIGIN_LADDER = tuple(2.0**-k for k in range(20, 0, -1))
+_M = object()  # the prior's marginal m(g|x) as a term of a request
 
 KERNELS = ("density", "tail_kernel")
 
 
 class ConvolutionError(Exception):
-    """Ill-posed convolution request or integrability failure."""
+    """Ill-posed convolution request, or (as IntegrabilityError) a failed integral."""
+
+
+class IntegrabilityError(ConvolutionError, ArithmeticError):
+    """A request whose tail diverges or whose integrand overflows: a numeric failure."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,6 @@ class ConvolutionProblem:
     singularity_class: float = 0.0
 
     def __post_init__(self):
-        if self.model.p < 3:
-            raise ConvolutionError("need dimension p >= 3")
         if self.kernel not in KERNELS:
             raise ConvolutionError(f"kernel must be one of {KERNELS}")
         if self.r < 0:
@@ -108,10 +109,6 @@ class ConvolutionProblem:
                 "integrand must be integrable against r^{p-1} near 0: "
                 f"need class > {-self.model.p}"
             )
-
-    @property
-    def p(self) -> int:
-        return self.model.p
 
 
 def c_f(model: RadialDensity) -> float:
@@ -128,36 +125,55 @@ def _kernel_weight(model: RadialDensity, kernel: str):
 
 def radial_expectation(problem: ConvolutionProblem) -> float:
     """The convolution integral int rho(||theta||) w(||theta - x||) dtheta."""
-    p = problem.p
-    r = problem.r
-
-    if r == 0.0:
-        # kernel centered at the origin: purely radial
-        rho = problem.integrand
-        w = _kernel_weight(problem.model, problem.kernel)
-
-        def radial(_, lam):
-            return rho(lam) * w(lam) * lam ** (p - 1.0)
-
-        # split at a table's knots: each is a kink in f that would
-        # otherwise take tens of bisections at this tolerance
-        spec = replace(_CLOSED_SPEC, singularity_hints=problem.model.knots)
-        (value,) = integrate_half_lines(radial, [[0.0, 1.0]], spec, **problem.model.tail_decay)
-        return sphere_surface(p) * float(value)
-
-    return float(_sweep([problem])[0])
+    return _request(problem.model, problem.r, [(problem.kernel, problem.integrand, problem.singularity_class)])[0]
 
 
-def _sweep(problems, directional=()) -> np.ndarray:
+def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = None, directional=()) -> list:
+    """The values at ||x|| = r of ``terms``, each a (kernel, integrand, class) ConvolutionProblem.
+
+    The term ``_M`` is the marginal m(g|x) of ``prior``: the harmonic
+    prior's closed form, else the density term of g.  A term whose index
+    is in ``directional`` is the along-x numerator of its integrand.
+    """
+    if prior is not None and prior.p != model.p:
+        raise ConvolutionError("prior and model dimensions differ")
+    values, todo = [0.0] * len(terms), []
+    for j, term in enumerate(terms):
+        if term is _M:
+            if prior.harmonic:
+                values[j] = harmonic_marginal_closed(model, r)
+                continue
+            term = ("density", prior.g_eval, prior.origin_class)
+        problem = ConvolutionProblem(model, term[0], term[1], float(r), term[2])
+        if r != 0.0 or j not in directional:  # by symmetry, 0 at r = 0
+            todo.append((j, problem))
+    if todo:
+        at, problems = zip(*todo)
+        try:
+            swept = _sweep(problems, np.isin(at, directional))
+        except (DivergenceSuspected, NonFiniteIntegrand) as exc:
+            # a tail probe flags non-integrable growth, or the integrand
+            # overflows where the kernel still has support
+            raise IntegrabilityError(f"integrability fails: {exc}") from exc
+        for j, value in zip(at, swept.tolist()):
+            values[j] = value
+    return values
+
+
+def _sweep(problems, cos) -> np.ndarray:
     """The radial (lambda) integrals wrapping the angular ones, all in one batch.
 
     Each problem is one term: its integrand rho, its kernel weight w and
-    its ridge class; the problems share the model and the radius r > 0.
-    A problem whose index is in ``directional`` also carries cos(phi) =
-    v^2 - 1 in its angular integrand and one more power of lambda in
-    its radial one, as the directional (along-x) numerators need.
+    its ridge class; the problems share the model and the radius r.  A
+    problem whose entry of the boolean array ``cos`` is set also carries
+    cos(phi) = v^2 - 1 in its angular integrand and one more power of
+    lambda in its radial one, as the directional (along-x) numerators need.
 
-    The kernel's mass lives within its support radius regardless of r,
+    At r = 0, where no term is directional, each term is purely radial:
+    a head [0, 1] split at the model's knots, kinks in f that would each
+    take tens of bisections, and for a negative class at ``_ORIGIN_LADDER``,
+    and a tail [1, inf).  At r > 0 the kernel's mass lives within its
+    support radius regardless of r,
     so each term's lambda integral is a finite head [0, cut] split at
     the ridge lambda = r and, when r is beyond it, at the kernel's
     support radius ``support_radius(1e-16)`` (were [0, r] one piece,
@@ -177,13 +193,20 @@ def _sweep(problems, directional=()) -> np.ndarray:
     model, r = problems[0].model, problems[0].r
     p = model.p
     n = len(problems)
-    cos = np.isin(np.arange(n), directional)
     ridge = np.array([pr.singularity_class < 0 for pr in problems])
     # an integrand, kernel weight or power of lambda that several terms
     # share is called once per round on all their nodes
     rhos, rho_of = _distinct([pr.integrand for pr in problems])
     kernels, weight_of = _distinct([pr.kernel for pr in problems])
     weights = [_kernel_weight(model, kernel) for kernel in kernels]
+    if r == 0.0:
+
+        def radial(term, lam):
+            return _by_group(rhos, rho_of, term, lam) * _by_group(weights, weight_of, term, lam) * lam ** (p - 1.0)
+
+        heads = [[0.0, *_ORIGIN_LADDER, 1.0] if neg else [0.0, 1.0] for neg in ridge]
+        spec = replace(_CLOSED_SPEC, singularity_hints=model.knots)
+        return sphere_surface(p) * integrate_half_lines(radial, heads, spec, **model.tail_decay)
     exponents, power_of = _distinct([p - 1.0 + float(c) for c in cos])
     powers = [lambda lam, e=e: lam**e for e in exponents]
     spike = model.support_radius(1e-16)
@@ -260,13 +283,7 @@ def directional_marginal(integrand, model: RadialDensity, r: float, *, singulari
     direction, so the full posterior-mean numerator along x is
     r * m + this.  Zero at r = 0 by symmetry.
     """
-    if r == 0.0:
-        return 0.0
-    problem = ConvolutionProblem(model, "density", integrand, float(r), singularity_class)
-    try:
-        return float(_sweep([problem], directional=(0,))[0])
-    except (DivergenceSuspected, NonFiniteIntegrand) as exc:
-        raise ConvolutionError(f"directional marginal integrability fails: {exc}") from exc
+    return _request(model, r, [("density", integrand, singularity_class)], directional=(0,))[0]
 
 
 def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
@@ -288,53 +305,28 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     return cp * (p - 2.0) * float(model.kernel_moment(p - 3.0, r)) / r ** (p - 2.0)
 
 
-def marginal_m(prior: RadialPrior, model: RadialDensity, r: float, *, force_oracle: bool = False) -> float:
+def marginal_m(prior: RadialPrior, model: RadialDensity, r: float) -> float:
     """Prior marginal m(g|x) at ||x|| = r.
 
     The fundamental-solution prior dispatches to its closed form; every
     other prior goes through the 2-d oracle.
     """
-    if prior.p != model.p:
-        raise ConvolutionError("prior and model dimensions differ")
-    if prior.harmonic and not force_oracle:
-        return harmonic_marginal_closed(model, r)
-    problem = ConvolutionProblem(model, "density", prior.g_eval, float(r), prior.origin_class)
-    try:
-        return radial_expectation(problem)
-    except (DivergenceSuspected, NonFiniteIntegrand) as exc:
-        # either the tail probe flags non-integrable growth or the prior
-        # already overflows where the kernel still has support
-        raise ConvolutionError(f"marginal integrability fails (FG1-style): {exc}") from exc
+    return _request(model, r, [_M], prior)[0]
 
 
 def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_class: float = 0.0) -> float:
     """Tail-kernel marginal M(rho|x) = (1/C_f) int rho(||theta||) F(||theta - x||) dtheta."""
-    problem = ConvolutionProblem(model, "tail_kernel", integrand, float(r), singularity_class)
-    try:
-        return radial_expectation(problem)
-    except (DivergenceSuspected, NonFiniteIntegrand) as exc:
-        raise ConvolutionError(f"kernel marginal integrability fails: {exc}") from exc
+    return _request(model, r, [("tail_kernel", integrand, singularity_class)])[0]
 
 
 def gb_marginals(prior: RadialPrior, model: RadialDensity, r: float) -> tuple[float, float]:
-    """The marginal m(g|x) and the directional numerator S at ||x|| = r > 0.
+    """The marginal m(g|x) and the directional numerator S at ||x|| = r.
 
-    S is ``directional_marginal`` of g.  A harmonic prior takes m from
-    its closed form and sweeps S alone; any other prior sweeps m and S
-    as two terms of one batch.
+    S is ``directional_marginal`` of g, 0 at r = 0.  A harmonic prior
+    takes m from its closed form and sweeps S alone; any other prior
+    sweeps m and S as two terms of one batch.
     """
-    if prior.p != model.p:
-        raise ConvolutionError("prior and model dimensions differ")
-    if not r > 0:
-        raise ConvolutionError("radius must be positive")
-    problem = ConvolutionProblem(model, "density", prior.g_eval, float(r), prior.origin_class)
-    try:
-        if prior.harmonic:
-            return harmonic_marginal_closed(model, r), float(_sweep([problem], directional=(0,))[0])
-        m, s = _sweep([problem, problem], directional=(1,))
-    except (DivergenceSuspected, NonFiniteIntegrand) as exc:
-        raise ConvolutionError(f"marginal integrability fails: {exc}") from exc
-    return float(m), float(s)
+    return tuple(_request(model, r, [_M, ("density", prior.g_eval, prior.origin_class)], prior, directional=(1,)))
 
 
 @dataclass(frozen=True)
@@ -353,8 +345,6 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     the empirical convergence exponent (positive means the ratio closes
     in on 1 at a power rate).
     """
-    if prior.p != model.p:
-        raise ConvolutionError("prior and model dimensions differ")
     radii = tuple(float(r) for r in r_list)
     if len(radii) < 2 or any(r <= 0 for r in radii):
         raise ConvolutionError("need at least two positive radii")
@@ -367,28 +357,16 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     if not s > need:
         raise ConvolutionError(f"model tail too heavy for the probe: s={s:.3g} <= {need:.3g}")
 
-    cls = prior.origin_class
-    g = prior.g_eval
+    g, cls = prior.g_eval, prior.origin_class
     over_norm = lambda lam: g(lam) / lam
-
     ratios = {"m_g": [], "M_g": [], "M_g_over_norm": []}
     for r in radii:
-        # M(g), M(g/||theta||) and, unless it has a closed form, m: one sweep
-        problems = [
-            ConvolutionProblem(model, "tail_kernel", g, r, cls),
-            ConvolutionProblem(model, "tail_kernel", over_norm, r, cls - 1.0),
-        ]
-        if not prior.harmonic:
-            problems.append(ConvolutionProblem(model, "density", g, r, cls))
-        try:
-            values = _sweep(problems)
-        except (DivergenceSuspected, NonFiniteIntegrand) as exc:
-            raise ConvolutionError(f"marginal integrability fails: {exc}") from exc
-        m = harmonic_marginal_closed(model, r) if prior.harmonic else float(values[2])
+        big_m, big_m_norm, m = _request(
+            model, r, [("tail_kernel", g, cls), ("tail_kernel", over_norm, cls - 1.0), _M], prior)
         gr = float(g(r))
         ratios["m_g"].append(m / gr)
-        ratios["M_g"].append(float(values[0]) / gr)
-        ratios["M_g_over_norm"].append(float(values[1]) / (gr / r))
+        ratios["M_g"].append(big_m / gr)
+        ratios["M_g_over_norm"].append(big_m_norm / (gr / r))
 
     eps = {}
     logr = np.log(np.asarray(radii))

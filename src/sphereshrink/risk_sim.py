@@ -49,7 +49,11 @@ ESTIMATORS = ("identity", "harmonic_bayes", "generalized_bayes")
 
 
 class RiskSimError(Exception):
-    pass
+    """Ill-posed risk request, or (as TableError) a per-draw table that fails."""
+
+
+class TableError(RiskSimError, ArithmeticError):
+    """A per-draw table that misses its gate, or whose values cannot be computed: a numeric failure."""
 
 
 # -- radial sampling ----------------------------------------------------
@@ -90,7 +94,7 @@ def _build_sampler(model: RadialDensity):
     above that of every knot below it.  The PCHIP is a ``gated_table``
     over logit u, which covers both tails: near 0 the CDF behaves like r^p,
     and the tail is exponential or a power law.  At every interval midpoint
-    u, CDF(ppf(u)) must lie within 1e-8 of u, else RiskSimError is raised.
+    u, CDF(ppf(u)) must lie within 1e-8 of u, else TableError is raised.
     """
     r_hi = model.support_radius(1e-14)
     for _ in range(100):
@@ -98,13 +102,13 @@ def _build_sampler(model: RadialDensity):
             break
         r_hi *= 2.0
     else:
-        raise RiskSimError(f"more than 1e-10 of the radial mass lies beyond r = {r_hi:.3g}")
+        raise TableError(f"more than 1e-10 of the radial mass lies beyond r = {r_hi:.3g}")
     knots = np.concatenate([[0.0], np.geomspace(r_hi * 1e-7, r_hi, _SAMPLER_KNOTS)])
     cdf = _cdf(model, knots)
     keep = cdf > np.maximum.accumulate(np.concatenate([[-np.inf], cdf[:-1]]))
     u_knots, r_knots = cdf[keep], knots[keep]
     ppf = gated_table(u_knots, (r_knots,), PchipInterpolator, _logit,
-                      lambda table, u: np.abs(_cdf(model, table(u)) - u), 1e-8, RiskSimError,
+                      lambda table, u: np.abs(_cdf(model, table(u)) - u), 1e-8, TableError,
                       "inverse-CDF table misses the exact CDF")
     return ppf, float(u_knots[-1]), float(r_knots[-1])
 
@@ -266,7 +270,7 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
     to 6.1e-4 of that in the head and at most 6e-5 in the tail (gaussian
     p = 3, 5, 8 and (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8;
     harmonic, power(-2.5) and log-thickened priors).  Where the oracle
-    fails past the head, RiskSimError is raised: on a (1 + r^2)^-3.525
+    fails past the head, TableError is raised: on a (1 + r^2)^-3.525
     table in p = 5 (fitted q = 7.039, beta = 0.039) the tail's last
     midpoint lies at r = 1.5e12, and the oracle fails from r = 2.5e10.
     """
@@ -285,7 +289,7 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
                 except (ConvolutionError, QuadratureError) as exc:
                     if r <= grid[-1]:
                         raise
-                    raise RiskSimError(f"GB table's tail cannot be checked: the oracle fails at r = {r:.3g}") from exc
+                    raise TableError(f"GB table's tail cannot be checked: the oracle fails at r = {r:.3g}") from exc
                 out.append(-r * s / m)
             return np.array(out)
 
@@ -294,7 +298,7 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
         dphi = PchipInterpolator(grid, phi_k).derivative()(grid)
         table = tables[prior] = WeightTable(
             grid, phi_k / grid**2, (dphi - 2.0 * phi_k / grid) / grid**2, phi, lambda r: -cf * prior.log_deriv(r),
-            tail_power(model), _GB_TABLE_TOL * max(1.0, float(np.max(np.abs(phi_k)))), RiskSimError, "GB table misses psi")
+            tail_power(model), _GB_TABLE_TOL * max(1.0, float(np.max(np.abs(phi_k)))), TableError, "GB table misses psi")
     return table
 
 

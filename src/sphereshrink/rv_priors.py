@@ -41,13 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sphereshrink.numerics import (
-    DivergenceSuspected,
     QuadratureError,
     QuadratureSpec,
-    integrate,
     integrate_half_lines,
     integrate_rows,
-    integrate_semi_infinite,
     sphere_surface,
 )
 
@@ -783,31 +780,22 @@ class PriorClassification:
 
 
 def _fg1_finite(prior: RadialPrior, model) -> bool:
-    """Joint integrability of the prior against f and F."""
-    p = prior.p
+    """FG1: the marginals m(g|0) and M(g/||theta|| | 0) of the prior are finite.
 
-    def head_ok(w):
-        # the hint 1e-12 starts from the ladder toward that end, where a
-        # power prior's integrands go like r^1.5 and r^0.5 (power(-2.5), p = 5)
-        try:
-            integrate(w, 1e-12, 1.0, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=600,
-                                                    singularity_hints=(1e-12,)))
-            return True
-        except QuadratureError:
-            return False
+    They are c_p int g f lambda^{p-1} and (c_p / C_f) int g F lambda^{p-2},
+    one two-term request of the convolution oracle at r = 0.  It fails on
+    an origin class at or below -p (in the second term, a power prior's
+    k <= 1 - p), a divergent tail, any quadrature failure or infinite C_f.
+    """
+    from sphereshrink.radial_convolution import ConvolutionError, _request
+    from sphereshrink.radial_models import DivergentMoment
 
-    def tail_ok(w):
-        try:
-            integrate_semi_infinite(w, 1.0, **model.tail_decay)
-            return True
-        except DivergenceSuspected:
-            return False
-        except QuadratureError:
-            return True  # slow but not divergent
-
-    w1 = lambda r: r ** (p - 1.0) * model.density(r) * prior.g_eval(r)
-    w2 = lambda r: r ** (p - 2.0) * model.big_f(r) * prior.g_eval(r)
-    return all(head_ok(w) and tail_ok(w) for w in (w1, w2))
+    g, cls = prior.g_eval, prior.origin_class
+    try:
+        _request(model, 0.0, [("density", g, cls), ("tail_kernel", lambda lam: g(lam) / lam, cls - 1.0)])
+    except (ConvolutionError, QuadratureError, DivergentMoment):
+        return False
+    return True
 
 
 def _boundary_margin(prior: RadialPrior, depth: int) -> float:
@@ -834,7 +822,11 @@ def _boundary_margin(prior: RadialPrior, depth: int) -> float:
 
 
 def classify_prior(prior: RadialPrior, model=None) -> PriorClassification:
-    """Coarse certification from tail index, boundary bound and Brown test."""
+    """Coarse certification from tail index, boundary bound and Brown test.
+
+    Admissibility is certified only under FG1 (``fg1_ok``, see
+    ``_fg1_finite``) against ``model``, by default the gaussian.
+    """
     p = prior.p
     if model is None:
         from sphereshrink.radial_models import gaussian

@@ -33,8 +33,6 @@ class ShrinkageError(Exception):
 def _check_dims(model: RadialDensity, p: int):
     if p != model.p:
         raise ShrinkageError(f"dimension argument {p} does not match the model's {model.p}")
-    if p < 3:
-        raise ShrinkageError("need p >= 3")
 
 
 def phi_star(model: RadialDensity, p: int, r: float) -> float:

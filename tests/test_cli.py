@@ -355,3 +355,37 @@ def test_every_violating_theta_is_labelled_a_violation(monkeypatch, tmp_path):
     labels = [(row[0], row[-1]) for row in data_rows(out)]
     assert labels == [("0.0", "win"), ("1.0", "violation"), ("2.0", "tie"), ("3.0", "violation"),
                       ("dominance", "violation_at")]
+
+
+def test_exit_codes_follow_the_kind_of_failure(tmp_path, capsys):
+    # one radius is an ill-posed probe request, wherever it is refused
+    argv = ["probe", *MODEL, "--prior", "power", "--k", "-2.5", "--radii", "10"]
+    assert cli.main([*argv, "--out", str(tmp_path / "probe.csv")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: need at least two positive radii")
+    # on a (1 + r^2)^-3.525 table the oracle fails far out in the GB table's
+    # tail: a numeric failure, though the risk module raises it
+    r = np.geomspace(0.01, 100.0, 300)
+    table = tmp_path / "heavy.csv"
+    np.savetxt(table, np.column_stack([r, (1.0 + r**2) ** -3.525]), delimiter=",")
+    argv = ["risk", "--family", "tabulated", "--p", "5", "--table", str(table), "--estimator", "gb",
+            "--prior", "power", "--k", "-2.5", "--n", "2000", "--theta", "0"]
+    assert cli.main([*argv, "--out", str(tmp_path / "risk.csv")]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: GB table's tail cannot be checked")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--gegen-a", "0.5"], "--gegen-a"),  # without --gegen-alpha: the full grid ran
+    (["--identity", "gegenbauer", "--gegen-a", "0.5"], "--gegen-a"),
+    (["--order", "3"], "--order"),  # without --family: orders 0, 1 and 2 ran
+    (["--identity", "kernelmass", "--order", "3"], "--order"),
+    (["--t", "0.9"], "--t"),  # with --identity all: the default rows ran
+    (["--identity", "gegenbauer", "--t", "0.9"], "--t"),
+    (["--identity", "minpower", "--gegen-alpha", "1"], "--gegen-alpha"),
+    (["--identity", "minpower", "--p", "4"], "--p"),  # without --t: p = 3, 4 and 5 ran
+    (["--identity", "all", "--family", "gaussian", "--p", "3"], "--family"),
+])
+def test_verify_refuses_an_identity_option_its_run_does_not_use(argv, named, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["verify", *argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {named} is not used by this verify run")
+    assert not out.exists()

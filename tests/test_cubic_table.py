@@ -94,6 +94,17 @@ def test_crowded_buckets_fall_back_to_a_binary_search(monkeypatch):
     assert len(calls) == 1 and 1000 <= calls[0] < x.size
 
 
+def test_a_coordinate_that_returns_its_argument_leaves_the_input_unchanged():
+    # the bucket shift and scale work on the coordinate's output, which
+    # here is the caller's own array
+    knots = np.linspace(0.0, 10.0, 41)
+    table = CubicTable(PchipInterpolator(knots, np.sin(knots)), lambda x: x)
+    x = np.random.default_rng(5).uniform(-1.0, 11.0, 3 * numerics._TABLE_CHUNK + 7)
+    before = x.copy()
+    assert_bitwise(table, x)
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
+
 def test_signed_zeros_and_infinities_are_scipys():
     # scipy sums from 0.0, so a -0.0 constant term gives +0.0 at its knot
     pp = PPoly(np.array([[1.0, 2.0], [0.5, -1.0], [0.25, 3.0], [-0.0, 1.0]]), np.array([1.0, 2.0, 4.0]))

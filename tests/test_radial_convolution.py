@@ -21,6 +21,7 @@ from sphereshrink.radial_convolution import (
     AsymptoticProbe,
     ConvolutionError,
     ConvolutionProblem,
+    IntegrabilityError,
     asymptotic_ratio_probe,
     c_f,
     directional_marginal,
@@ -105,7 +106,7 @@ def test_rotation_invariance_monte_carlo():
     m = gaussian(3)
     prior = harmonic_prior(3)
     r = 2.0
-    oracle = marginal_m(prior, m, r, force_oracle=True)
+    oracle = radial_expectation(ConvolutionProblem(m, "density", prior.g_eval, r, prior.origin_class))
     rng = np.random.default_rng(31)
     n = 400_000
     z = rng.standard_normal((n, 3))
@@ -140,7 +141,8 @@ def test_harmonic_closed_at_origin():
 def test_harmonic_closed_matches_oracle(model_fn, p, r):
     model = model_fn(p)
     closed = harmonic_marginal_closed(model, r)
-    oracle = marginal_m(harmonic_prior(p), model, r, force_oracle=True)
+    prior = harmonic_prior(p)
+    oracle = radial_expectation(ConvolutionProblem(model, "density", prior.g_eval, r, prior.origin_class))
     assert abs(oracle - closed) / closed <= 1e-9
 
 
@@ -155,7 +157,7 @@ def test_oracle_harmonic_m_and_s_meet_their_closed_forms(model_fn, p):
     prior = harmonic_prior(p)
     cp = sphere_surface(p)
     for r in (0.05, 0.3, 1.0, model.support_radius(1e-16), 5.0, 64.0, 300.0):
-        m = marginal_m(prior, model, r, force_oracle=True)
+        m = radial_expectation(ConvolutionProblem(model, "density", prior.g_eval, r, prior.origin_class))
         s = directional_marginal(prior.g_eval, model, r, singularity_class=2.0 - p)
         closed_m = cp * (p - 2.0) * r ** (2.0 - p) * float(model.kernel_moment(p - 3.0, r))
         closed_s = -cp * (p - 2.0) * r ** (1.0 - p) * float(model.kernel_moment(p - 1.0, r))
@@ -201,7 +203,8 @@ def test_marginal_harmonic_dispatch():
     closed = harmonic_marginal_closed(m, 2.0)
     assert marginal_m(harmonic_prior(5), m, 2.0) == closed
     assert marginal_m(power_prior(-3.0, 5), m, 2.0) == closed  # k = 2-p alias
-    oracle = marginal_m(harmonic_prior(5), m, 2.0, force_oracle=True)
+    prior = harmonic_prior(5)
+    oracle = radial_expectation(ConvolutionProblem(m, "density", prior.g_eval, 2.0, prior.origin_class))
     assert abs(oracle - closed) / closed < 1e-6
 
 
@@ -354,6 +357,24 @@ def test_a_term_has_the_same_value_alone_and_in_a_batch(prior_name, parity_case)
         assert big_m_g == kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls) / g
 
 
+@pytest.mark.parametrize("model_name", ["gaussian", "tabulated"])
+def test_a_request_at_the_origin_equals_its_one_term_requests_bitwise(model_name, parity_case):
+    # rows never share segments at r = 0 either: the m and M terms of a
+    # singular prior (started from the origin ladder), a bounded term and
+    # a directional one, which is exactly 0 there
+    prior, model, _ = parity_case("power", model_name)
+    g, cls = prior.g_eval, prior.origin_class
+    terms = [("density", g, cls), ("tail_kernel", lambda lam: g(lam) / lam, cls - 1.0),
+             ("tail_kernel", ones, 0.0), ("density", g, cls)]
+    values = radial_convolution._request(model, 0.0, terms, directional=(3,))
+    assert values[3] == 0.0 == directional_marginal(g, model, 0.0, singularity_class=cls)
+    for value, (kernel, rho, c) in zip(values[:3], terms):
+        alone = radial_expectation(ConvolutionProblem(model, kernel, rho, 0.0, c))
+        assert value.hex() == alone.hex(), kernel
+    assert gb_marginals(prior, model, 0.0) == (values[0], 0.0)
+    assert values[0] == marginal_m(prior, model, 0.0)
+
+
 def test_gb_marginals_take_the_closed_form_for_the_harmonic_prior():
     m, s = gb_marginals(harmonic_prior(5), gaussian(5), 2.0)
     assert m == harmonic_marginal_closed(gaussian(5), 2.0)
@@ -372,6 +393,9 @@ def wild_prior():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_integrable_prior_fails_loudly_through_every_batched_entry():
     with pytest.raises(ConvolutionError):
+        gb_marginals(wild_prior(), gaussian(3), 1.0)
+    # a failed integral, not an ill-posed request: the CLI's numeric kind
+    with pytest.raises(IntegrabilityError):
         gb_marginals(wild_prior(), gaussian(3), 1.0)
     # its slope audit overflows to nan, which the probe's tail gate refuses
     with pytest.raises(ConvolutionError, match="slope audit"):

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from sphereshrink import numerics, rv_priors
 from sphereshrink.numerics import DivergenceSuspected, ToleranceNotReached
-from sphereshrink.radial_models import gaussian
+from sphereshrink.radial_models import gaussian, tabulated
 from sphereshrink.rv_priors import (
     AssumptionProfile,
     BetaKernel,
@@ -869,6 +869,24 @@ class TestClassification:
         bound = grid ** (2.0 - prior.p) * kernel.beta_tail(grid) ** 2 / (grid * kernel.beta_eval(grid))
         want = float(np.max(prior.g_eval(grid) / bound))
         assert rv_priors._boundary_margin(prior, depth) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_fg1_holds_exactly_for_power_indices_above_one_minus_p(self, p):
+        # int g f lambda^{p-1} converges at 0 for k > -p, int g F lambda^{p-2} for k > 1 - p
+        for k in (-p - 1.0, -float(p), 1.0 - p, 1.25 - p, -1.5, 0.0, 3.0):
+            assert classify_prior(power_prior(k, p), gaussian(p)).fg1_ok == (k > 1 - p), k
+
+    def test_a_prior_whose_tail_kernel_marginal_diverges_is_not_certified(self):
+        # power(-2.5) in p = 3 lies inside (-p, 2-p), but int r^{-1.5} F diverges at 0
+        out = classify_prior(power_prior(-2.5, 3), gaussian(3))
+        assert not out.fg1_ok
+        assert out.verdict != "admissible_certified"
+
+    def test_fg1_fails_where_the_tail_kernel_does_not_exist(self):
+        # f ~ r^-4.5 in p = 3: E||X||^2 diverges, so F/C_f is no kernel
+        r = np.geomspace(0.1, 1000.0, 200)
+        out = classify_prior(harmonic_prior(3), tabulated(r, r**-4.5, 3))
+        assert not out.fg1_ok and out.verdict == "uncertified"
 
     def test_nonintegrable_power_uncertified(self):
         out = classify_prior(power_prior(-3.0, 3), gaussian(3))
