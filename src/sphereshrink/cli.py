@@ -422,8 +422,8 @@ def _cmd_hseq(cfg):
     if not i_list:
         raise CLIConfigError("need at least one i")
     eta_min, eta_max, points = float(cfg["eta_min"]), float(cfg["eta_max"]), int(cfg["points"])
-    if not (0.0 < eta_min <= eta_max) or points < 1:
-        raise CLIConfigError("need 0 < eta_min <= eta_max and points >= 1")
+    if not (0.0 < eta_min <= eta_max < math.inf) or points < 1:
+        raise CLIConfigError("need 0 < eta_min <= eta_max < inf and points >= 1")
     etas = np.geomspace(eta_min, eta_max, points)
     # the far rows' eta rides last in each array call; the laws they check
     # are off by about i/eta, so it sits at least 1e4 timescales out

@@ -102,7 +102,7 @@ class ConvolutionProblem:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ConvolutionError(f"kernel must be one of {KERNELS}")
-        if self.r < 0:
+        if not self.r >= 0:  # NaN fails too
             raise ConvolutionError("radius must be nonnegative")
         if self.singularity_class <= -self.model.p:
             raise ConvolutionError(
@@ -296,7 +296,7 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     2-d oracle is checked against.
     """
     p = model.p
-    if r < 0:
+    if not r >= 0:  # NaN fails too
         raise ConvolutionError("radius must be nonnegative")
     cp = sphere_surface(p)
     if r ** (p - 2.0) < 1e-290:

@@ -19,11 +19,11 @@ collapses to 1/Log_n(eta+c), and the exponential averages
 that interpolate between 0 and 1 as i grows.  H_i and H_i' take an
 array of eta and integrate it as one batch, a row per eta, each mapped
 onto t in [0, 1) through log1p and started from pieces graded at its
-own boundary layer, t ~ 1/(3 i |(log beta)'(eta)|).  The second
-half audits a radial prior G: slope bounds eta G'/G, a properness
-index, the decay of the Blyth quadratic-form integrals J(i), a
-Brown-type integral test on partial sums, and a coarse
-admissible/inadmissible classification.  The log-thickened prior
+own boundary layer, t ~ 1/(3 i |(log |fn|)'(eta)|) for the average of
+fn = beta or -beta'.  The second half audits a radial prior G: slope
+bounds eta G'/G, a properness index, the decay of the Blyth
+quadratic-form integrals J(i), a Brown-type integral test on partial
+sums, and a coarse admissible/inadmissible classification.  The log-thickened prior
 eta^{2-p} Log_1 ... Log_{n+1} and the admissible boundary of the
 classification are products of the same tower.
 Each prior family (power, which also serves the harmonic prior,
@@ -53,13 +53,17 @@ _H_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
 # the integrand (see _averages)
 _H_MAP_EXPONENT = 3
 # first edges of each H row in units of its layer scale s (see
-# _averages), clipped at t = 1/2: ratio 2 from t = s to 2^32 s, which
-# reaches 1/2 for s >= 1.2e-10 (i up to ~3e10 on the 1.02 kernel at
-# eta = 0); a row with s >= 1/2 starts from [0, 1/2] alone
-_H_MESH = np.array([0.0, *np.exp2(np.arange(0.0, 33.0)), math.inf])
-# the row's last edges in t, crowding toward t = 1 where the map
-# stretches furthest
-_H_EDGES = np.array([0.9, 0.99, 0.999, 1.0])
+# _averages), clipped at t = 1/2: ratio 2^(3/4) from t = s to 2^36 s,
+# which reaches 1/2 for s >= 7.3e-12 (on the 1.02 kernel at eta = 0,
+# the rows of beta up to i ~ 4.6e8 and those of -beta' up to ~3e8); a
+# row with s >= 1/2 starts from [0, 1/2] alone.  From a ratio-2 mesh
+# many rows missed their tolerance in the first round by a factor below
+# 2, on the top graded pieces below 1/2, and took a second.
+_H_MESH = np.array([0.0, *np.exp2(0.75 * np.arange(49.0)), math.inf])
+# the row's last edges in t, from 0.7, which splits the [1/2, 0.9]
+# piece that also kept rows for a second round, crowding toward t = 1
+# where the map stretches furthest
+_H_EDGES = np.array([0.7, 0.9, 0.99, 0.999, 1.0])
 # floor on 1 - t, which keeps log(1 - t) finite where t rounds to 1
 _H_FLOOR = 1e-150
 # both pieces of each J(i) answer to the relative tolerance, since J can
@@ -149,9 +153,17 @@ class _LogProduct:
 
     def __call__(self, eta, order: int = 0):
         """[f, (log f)', (log f)''][:order + 1] at eta."""
+        return self.at_levels(self.levels(eta), order)
+
+    def levels(self, eta):
+        """[Log_0(eta+c), ..., Log_n(eta+c)]."""
         levels = [np.asarray(eta, dtype=float) + self.c]
         for _ in self.exponents[1:]:
             levels.append(np.log(levels[-1]))
+        return levels
+
+    def at_levels(self, levels, order: int = 0):
+        """[f, (log f)', (log f)''][:order + 1] from the output of ``levels``."""
         num, den = _power_product(levels, self._above), _power_product(levels, self._below)
         if den is None:
             out = [num]
@@ -183,61 +195,92 @@ def _power_product(levels, powers):
 class BetaKernel:
     """Normalized decay kernel beta = 1/((eta+c) Log_1 ... Log_{n-1} Log_n^2).
 
-    beta and its closed-form tail 1/Log_n(eta+c) are the
-    :class:`_LogProduct` of eta + c with exponents (-1, ..., -1, -2) and
-    (0, ..., 0, -1); beta' = beta (log beta)' takes the product's chain
-    rule.
+    beta is the :class:`_LogProduct` of eta + c with exponents
+    (-1, ..., -1, -2), and its closed-form tail 1/Log_n(eta+c) is one
+    over the product's last level; beta' = beta (log beta)' takes the
+    product's chain rule.
     """
 
     def __init__(self, tower: LogTower):
         self.tower = tower
-        n = tower.n
-        self._beta = _LogProduct(tower.c, (-1,) * n + (-2,))
-        self._tail = _LogProduct(tower.c, (0,) * n + (-1,))
+        self._beta = _LogProduct(tower.c, (-1,) * tower.n + (-2,))
 
     def beta_eval(self, eta):
         return _value(self._beta(eta)[0])
 
     def beta_tail(self, eta):
         """int_eta^inf beta = 1/Log_n(eta+c), exact."""
-        return _value(self._tail(eta)[0])
+        return _value(1.0 / self._beta.levels(eta)[-1])
 
     def beta_deriv(self, eta):
         """Analytic derivative of beta."""
         beta, dlog = self._beta(eta, 1)
         return _value(beta * dlog)
 
+    def minus_beta_deriv(self, eta):
+        """-beta', the integrand of the second average in H_i'."""
+        return -self.beta_deriv(eta)
+
+    def _layer(self, eta, order: int):
+        """([beta, (log beta)', (log beta)''][:order + 1], 1/Log_n) at eta, from one pass over the levels."""
+        levels = self._beta.levels(eta)
+        return self._beta.at_levels(levels, order), 1.0 / levels[-1]
+
 
 class HSequence:
     """Exponential averages of the beta kernel at timescale i.
 
     ``numerator``, ``h_eval`` and ``h_derivative`` take a float or an
-    array of eta and return the same; an array is one batched
+    array of eta >= 0 and return the same; an array is one batched
     quadrature with one row per eta, and each entry equals the scalar
-    call at that eta bitwise.
+    call at that eta bitwise.  A negative or non-finite eta (nan
+    included) raises :class:`PriorError`.  The average of beta and that
+    of -beta' each start graded at their own boundary layer (see
+    ``_averages``): -beta' falls off like |beta'|, a layer thinner than
+    beta's.
     """
 
     def __init__(self, kernel: BetaKernel, i: float):
         self.kernel = kernel
         self.i = _timescale(i)
 
-    def _avg(self, eta, *fns):
-        """int_eta^inf e^{(eta-r)/i} fn(r) dr for each fn in ``fns``, as a list.
+    def _avg(self, eta, derivative: bool = False):
+        """[beta, Tail, Num] at eta, and the average of -beta' after them if ``derivative``.
 
-        One ``_averages`` batch at this sequence's timescale, a block of
-        rows per fn; each entry is a float for a float eta.
+        One :class:`_LogProduct` pass gives beta, its log-slopes (the
+        second only for ``derivative``) and the tail 1/Log_n; one
+        ``_averages`` batch gives
+        Num = int_eta^inf e^{(eta-r)/i} beta(r) dr and, as a second
+        block, the same of -beta', whose layer slope is
+        (log|beta'|)' = (log beta)' + (log beta)''/(log beta)'.  Each
+        entry is a float for a float eta.
         """
-        etas = np.atleast_1d(np.asarray(eta, dtype=float))
-        out = _averages(etas, *self.kernel._beta(etas, 1), [(fn, self.i, slice(None)) for fn in fns])
-        return [part if np.ndim(eta) else float(part[0]) for part in out]
+        scalar = not np.ndim(eta)
+        if scalar:
+            etas = np.array([eta], dtype=float)
+            ok = 0.0 <= eta < math.inf
+        else:
+            etas = np.asarray(eta, dtype=float)
+            ok = np.count_nonzero((etas >= 0.0) & (etas < math.inf)) == etas.size  # NaN fails too
+        if not ok:
+            raise PriorError("eta must be nonnegative and finite")
+        kernel = self.kernel
+        logs, tail = kernel._layer(etas, 1 + derivative)
+        beta, slope = logs[:2]
+        blocks = [(kernel.beta_eval, self.i, slice(None), slope)]
+        if derivative:
+            blocks.append((kernel.minus_beta_deriv, self.i, slice(None), slope + logs[2] / slope))
+        out = [beta, tail, *_averages(etas, beta, blocks)]
+        return [float(part[0]) for part in out] if scalar else out
 
     def numerator(self, eta):
         """int_eta^inf e^{(eta-r)/i} beta(r) dr."""
-        return self._avg(eta, self.kernel.beta_eval)[0]
+        return self._avg(eta)[2]
 
     def h_eval(self, eta):
         """H_i(eta) in (0, 1)."""
-        return self.numerator(eta) / self.kernel.beta_tail(eta)
+        _, tail, num = self._avg(eta)
+        return num / tail
 
     def h_derivative(self, eta):
         """H_i'(eta) from the two-integral form.
@@ -250,9 +293,8 @@ class HSequence:
         eta = 1e8 and i = 1 it is off by 2.8e-6 relative where this form
         is off by 6e-14, so the second integral stays.
         """
-        tail = self.kernel.beta_tail(eta)
-        num, dpart = self._avg(eta, self.kernel.beta_eval, lambda r: -self.kernel.beta_deriv(r))
-        return self.kernel.beta_eval(eta) * num / tail**2 - dpart / tail
+        beta, tail, num, dpart = self._avg(eta, True)
+        return beta * num / tail**2 - dpart / tail
 
 
 def _timescale(i) -> float:
@@ -263,13 +305,15 @@ def _timescale(i) -> float:
     return i
 
 
-def _averages(etas, scale, slope, blocks):
+def _averages(etas, scale, blocks):
     """Exponential averages of kernel functions, every block in one batch.
 
-    Each block ``(fn, i, at)`` asks for int_eta^inf e^{(eta-r)/i} fn(r) dr
-    at the etas ``etas[at]`` (``at`` a slice), and gets an array of them,
-    in the order of ``blocks``.  One ``integrate_rows`` call holds a row
-    per (block, eta), the blocks' rows one run after another; each round
+    Each block ``(fn, i, at, slope)`` asks for
+    int_eta^inf e^{(eta-r)/i} fn(r) dr at the etas ``etas[at]`` (``at`` a
+    slice), and gets an array of them, in the order of ``blocks``;
+    ``slope`` is (log |fn|)' at ``etas``, which places each row's layer
+    (below).  One ``integrate_rows`` call holds a row per (block, eta),
+    the blocks' rows one run after another; each round
     calls a block's fn once, on its rows' nodes, with the block's
     timescale as a scalar; a one-block batch, such as a scalar
     ``h_eval``, takes views of ``etas`` and skips the split.  A row's
@@ -291,28 +335,29 @@ def _averages(etas, scale, slope, blocks):
     log(1-t) as log1p(-t), whose digits hold at t near 0 where 1 - t
     has lost them; where t rounds to 1 it is floored at 1 - t = 1e-150.
 
-    fn(eta+v) falls off where v*|(log beta)'(eta)| nears 1, a boundary
-    layer at t ~ s = 1/(k*i*|(log beta)'(eta)|) that is thin for large
-    i or for eta near 0 with a small offset (s = 3e-11 at i = 1e8 with
+    fn(eta+v) falls off where v*|slope(eta)| nears 1, a boundary layer
+    at t ~ s = 1/(k*i*|slope(eta)|) that is thin for large i or for eta
+    near 0 with a small offset (s = 3e-11 for beta at i = 1e8 with
     c = 1.02).  Each row therefore starts from the pieces s*_H_MESH,
-    graded at ratio 2 through its layer and clipped at t = 1/2, then
-    _H_EDGES, less the pieces the clip leaves empty; a row's value
-    depends on its own (eta, i, fn) alone.  s is clipped at 1/2 first,
-    which leaves a row with s >= 1/2 at [0, 1/2] and keeps s finite for
-    a tiny i, where 1/(k*i*|(log beta)'|) would overflow and s*0 make a
-    NaN edge.  ``scale`` and ``slope`` are beta(eta) and (log beta)'(eta);
-    each row is divided by ``scale`` at its eta, so that its absolute
-    tolerance is relative to the answer's size.
+    graded at ratio 2^(3/4) through its layer and clipped at t = 1/2,
+    then _H_EDGES, less the pieces the clip leaves empty; a row's value
+    depends on its own (eta, i, fn, slope) alone.  s is clipped at 1/2
+    first, which leaves a row with s >= 1/2 at [0, 1/2] and keeps s
+    finite for a tiny i, where 1/(k*i*|slope|) would overflow and s*0
+    make a NaN edge.  ``scale`` is beta(eta): each row is divided by it
+    at its eta, so that its absolute tolerance is relative to the
+    answer's size.
     """
-    stretches = [_H_MAP_EXPONENT * i for _, i, _ in blocks]
+    stretches = [_H_MAP_EXPONENT * i for _, i, _, _ in blocks]
     if len(blocks) == 1:
-        (_, _, at), = blocks
+        (_, _, at, slope), = blocks
         row_eta, row_scale, row_slope = etas[at], scale[at], slope[at]
         row_stretch = stretches[0]
         first = (0, row_eta.size)
     else:
-        row_eta, row_scale, row_slope = (np.concatenate([x[at] for _, _, at in blocks]) for x in (etas, scale, slope))
-        sizes = [etas[at].size for _, _, at in blocks]
+        row_eta, row_scale, row_slope = (np.concatenate(parts) for parts in zip(
+            *[(etas[at], scale[at], slope[at]) for _, _, at, slope in blocks]))
+        sizes = [etas[at].size for _, _, at, _ in blocks]
         row_stretch = np.repeat(stretches, sizes)
         first = list(itertools.accumulate(sizes, initial=0))
 
@@ -325,7 +370,7 @@ def _averages(etas, scale, slope, blocks):
             # ``row`` is nondecreasing, so each block's rows are one run
             ends = np.searchsorted(row, first).tolist()
             y = np.concatenate([s * fn(eta[a:b] - s * log_w[a:b])
-                                for (fn, _, _), s, a, b in zip(blocks, stretches, ends, ends[1:]) if b > a])
+                                for (fn, *_), s, a, b in zip(blocks, stretches, ends, ends[1:]) if b > a])
         return y * w ** (_H_MAP_EXPONENT - 1) / row_scale[row]
 
     layer = 1.0 / np.maximum(row_stretch * np.abs(row_slope), 2.0)
@@ -333,7 +378,7 @@ def _averages(etas, scale, slope, blocks):
     np.minimum(layer[:, None] * _H_MESH, 0.5, out=edges[:, : _H_MESH.size])
     edges[:, _H_MESH.size :] = _H_EDGES
     values = integrate_rows(rows, edges, _H_SPEC.abs_tol, _H_SPEC)
-    return [values[a:b] * scale[at] for (_, _, at), a, b in zip(blocks, first, first[1:])]
+    return [values[a:b] * scale[at] for (_, _, at, _), a, b in zip(blocks, first, first[1:])]
 
 
 # --- radial priors ----------------------------------------------------
@@ -437,6 +482,8 @@ class _Power(RadialPrior):
     def __init__(self, family: str, k, p: int, gamma):
         super().__init__(p, gamma)
         k = 2.0 - self.p if k is None else float(k)
+        if not math.isfinite(k):
+            raise PriorError("power k must be finite")
         self.family, self.k = family, k
         self.params = {"k": k}
         self.rv_index = self.origin_slope = k
@@ -730,12 +777,14 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
     Each call of the outer integrand makes one ``_averages`` batch for
     all its nodes, head and tail alike: at each node the H_i numerator
     (beta) and the H_i' part (-beta') at the node's timescale i, and,
-    when gamma != 2, the H_1 numerator at timescale 1.  A row's value does not depend on the other rows of
-    either batch, so a J(i) is the same alone and among others.  A
-    failure (an exhausted ``_BLYTH_SPEC``, a tail the probe refuses or
-    one parked at t -> 1) names the J(i) and its head or tail.  A
-    timescale that is not positive and finite (nan included) raises
-    :class:`PriorError`, as ``HSequence`` does.
+    when gamma != 2, the H_1 numerator at timescale 1, each block graded
+    at its own layer; beta, its log-slopes and the tail 1/Log_n come
+    from one pass of the kernel's product.  A row's value does not
+    depend on the other rows of either batch, so a J(i) is the same
+    alone and among others.  A failure (an exhausted ``_BLYTH_SPEC``, a
+    tail the probe refuses or one parked at t -> 1) names the J(i) and
+    its head or tail.  A timescale that is not positive and finite (nan
+    included) raises :class:`PriorError`, as ``HSequence`` does.
     """
     p, gamma = prior.p, prior.gamma
     timescales = [_timescale(i) for i in i_list]
@@ -743,24 +792,23 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
     if not n:
         return []
 
-    def minus_beta_deriv(r):
-        return -kernel.beta_deriv(r)
-
     def outer(terms, eta):
         # ``terms`` is nondecreasing, so each J(i)'s nodes are one run
         ends = np.searchsorted(terms, np.arange(n + 1)).tolist()
         runs = [(i, slice(a, b)) for i, a, b in zip(timescales, ends, ends[1:]) if b > a]
-        blocks = [(fn, i, at) for i, at in runs for fn in (kernel.beta_eval, minus_beta_deriv)]
+        (beta, slope, curve), tail = kernel._layer(eta, 2)
+        # each block graded at its own layer, as in HSequence._avg
+        parts = ((kernel.beta_eval, slope), (kernel.minus_beta_deriv, slope + curve / slope))
+        blocks = [(fn, i, at, sl) for i, at in runs for fn, sl in parts]
         if gamma != 2.0:
-            blocks.append((kernel.beta_eval, 1.0, slice(None)))
-        (beta, slope), beta_tail = kernel._beta(eta, 1), kernel.beta_tail(eta)
-        avgs = _averages(eta, beta, slope, blocks)
+            blocks.append((kernel.beta_eval, 1.0, slice(None), slope))
+        avgs = _averages(eta, beta, blocks)
         num, dpart = np.concatenate(avgs[0 : 2 * len(runs) : 2]), np.concatenate(avgs[1 : 2 * len(runs) : 2])
         w = eta ** (p - 1.0) * prior.g_eval(eta)
         if gamma != 2.0:
-            w = w * (avgs[-1] / beta_tail) ** (gamma - 2.0)
+            w = w * (avgs[-1] / tail) ** (gamma - 2.0)
         # H_i' in the two-integral form of HSequence.h_derivative
-        return w * (beta * num / beta_tail**2 - dpart / beta_tail) ** 2
+        return w * (beta * num / tail**2 - dpart / tail) ** 2
 
     names = [f"J({i!r})" for i in timescales]
     return integrate_half_lines(outer, [[0.0, 1.0]] * n, _BLYTH_SPEC, decay="power", scale=1.0, names=names).tolist()

@@ -41,7 +41,7 @@ def phi_star(model: RadialDensity, p: int, r: float) -> float:
     phi(r) = int_0^r t^{p-1} F(t) dt / int_0^r t^{p-3} F(t) dt
     """
     _check_dims(model, p)
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise ShrinkageError("r must be positive")
     spike = model.support_radius(1e-16)
     hints = (spike,) if r > spike else ()
@@ -159,7 +159,7 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
     _check_dims(model, p)
     if prior.p != p:
         raise ShrinkageError("prior dimension does not match")
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise ShrinkageError("r must be positive")
     m, s = gb_marginals(prior, model, r)
     return 1.0 + s / (r * m)

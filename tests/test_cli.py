@@ -373,6 +373,17 @@ def test_exit_codes_follow_the_kind_of_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric failure: GB table's tail cannot be checked")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hseq", "--eta-max", "inf"], "need 0 < eta_min <= eta_max < inf"),
+    (["probe", *MODEL, "--prior", "power", "--k", "-2.5", "--radii", "nan,10"], "radius must be nonnegative"),
+    (["prior", "--p", "3", "--prior", "power", "--k", "nan", "--no-blyth"], "power k must be finite"),
+])
+def test_a_value_outside_its_domain_is_a_configuration_error(argv, message, tmp_path, capsys):
+    # each reached a quadrature as a non-finite integrand: exit 1
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--gegen-a", "0.5"], "--gegen-a"),  # without --gegen-alpha: the full grid ran
     (["--identity", "gegenbauer", "--gegen-a", "0.5"], "--gegen-a"),

@@ -78,6 +78,22 @@ def test_problem_validation():
         ConvolutionProblem(m, "density", ones, -1.0, 0.0)
     with pytest.raises(ConvolutionError):
         ConvolutionProblem(m, "density", ones, 1.0, -3.0)
+    with pytest.raises(ConvolutionError, match="radius must be nonnegative"):
+        ConvolutionProblem(m, "density", ones, math.nan, 0.0)
+
+
+@pytest.mark.parametrize("prior", [harmonic_prior(5), power_prior(-2.5, 5)], ids=["harmonic", "power"])
+def test_a_nan_radius_is_refused_at_the_request(prior):
+    # NaN passed r < 0: the harmonic prior's closed form returned nan, and
+    # the power prior's oracle raised IntegrabilityError, a numeric failure
+    with pytest.raises(ConvolutionError, match="radius must be nonnegative") as exc:
+        marginal_m(prior, gaussian(5), math.nan)
+    assert not isinstance(exc.value, IntegrabilityError)
+
+
+def test_a_nan_radius_is_refused_by_the_harmonic_closed_form():
+    with pytest.raises(ConvolutionError, match="radius must be nonnegative"):
+        harmonic_marginal_closed(gaussian(5), math.nan)
 
 
 # --- total mass through the reduction ---------------------------------

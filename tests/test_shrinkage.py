@@ -39,6 +39,8 @@ def test_phi_star_validation():
         phi_star(gaussian(3), 4, 1.0)
     with pytest.raises(ShrinkageError):
         phi_star(gaussian(3), 3, 0.0)
+    with pytest.raises(ShrinkageError, match="r must be positive"):
+        phi_star(gaussian(3), 3, math.nan)
 
 
 # --- the limit --------------------------------------------------------
@@ -198,6 +200,13 @@ def test_gb_multiplier_rejections():
         gb_multiplier(harmonic_prior(4), gaussian(5), 5, 1.0)
     with pytest.raises(ShrinkageError):
         gb_multiplier(harmonic_prior(5), gaussian(5), 5, 0.0)
+
+
+@pytest.mark.parametrize("prior", [harmonic_prior(5), power_prior(-2.5, 5)], ids=["harmonic", "power"])
+def test_gb_multiplier_refuses_a_nan_radius(prior):
+    # NaN passed r <= 0 and leaked the oracle's internal ValueError
+    with pytest.raises(ShrinkageError, match="r must be positive"):
+        gb_multiplier(prior, gaussian(5), 5, math.nan)
 
 
 # gb_multiplier on the parity grid (tests/conftest.py), as float.hex, from
