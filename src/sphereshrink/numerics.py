@@ -393,7 +393,9 @@ def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay:
     and its head or tail: a row over budget raises
     :class:`ToleranceNotReached` with its batch ``row``, or, for a tail
     that ``TailMap.diverged`` judges or the probe refuses,
-    :class:`DivergenceSuspected`.
+    :class:`DivergenceSuspected`; values of ``f`` that are not finite
+    raise :class:`NonFiniteIntegrand`, as does ``f`` itself, say from a
+    nested integral.
     """
     return _half_lines(f, heads, spec or DEFAULT_SPEC, decay, scale, names)[0]
 
@@ -413,7 +415,10 @@ def _half_lines(f, heads, spec, decay, scale, names):
     term = np.array([j for j, _ in rows])
     in_tail = np.array([row is tail.edges for _, row in rows])
 
+    last = []  # the arguments of the latest call of ``mapped``
+
     def mapped(row, x):
+        last[:] = row, x
         at = in_tail[row]
         r = x.copy()
         r[at], om = tail.radius(x[at])
@@ -421,17 +426,32 @@ def _half_lines(f, heads, spec, decay, scale, names):
         y[at] = tail.weigh(y[at], om)
         return y
 
-    probe_rows = np.flatnonzero(in_tail).repeat(_PROBE_DEPTHS.size)
-    tail.probe(mapped(probe_rows, np.tile(tail.probe_nodes, n)), names)
-    lo = np.array([x for _, row in rows for x in row[:-1]])
-    hi = np.array([x for _, row in rows for x in row[1:]])
-    value, error, evals, over = _adapt(mapped, lo, hi, np.array([len(row) - 1 for _, row in rows]), spec.abs_tol, spec)
+    def piece_of(i):
+        return f"{names[term[i]]} {'tail' if in_tail[i] else 'head'}"
+
+    try:
+        probe_rows = np.flatnonzero(in_tail).repeat(_PROBE_DEPTHS.size)
+        tail.probe(mapped(probe_rows, np.tile(tail.probe_nodes, n)), names)
+        lo = np.array([x for _, row in rows for x in row[:-1]])
+        hi = np.array([x for _, row in rows for x in row[1:]])
+        value, error, evals, over = _adapt(mapped, lo, hi, np.array([len(row) - 1 for _, row in rows]),
+                                           spec.abs_tol, spec)
+    except NonFiniteIntegrand as exc:
+        # failure path only: the latest call's rows, one at a time, name
+        # the first whose values are not finite
+        row, x = last
+        for i in dict.fromkeys(row.tolist()):
+            try:
+                if np.count_nonzero(~np.isfinite(mapped(row[row == i], x[row == i]))):
+                    break
+            except NonFiniteIntegrand:
+                break
+        raise NonFiniteIntegrand(f"{piece_of(i)}: {exc}") from exc
     if over is not None:
         i, segment = over
-        piece = "tail" if in_tail[i] else "head"
         result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
-        message = f"{names[term[i]]} {piece} {_over_budget(spec, result)}"
-        if piece == "tail" and tail.diverged(segment):
+        message = f"{piece_of(i)} {_over_budget(spec, result)}"
+        if in_tail[i] and tail.diverged(segment):
             raise DivergenceSuspected(message, result)
         raise ToleranceNotReached(message, result, worst_segment=segment, row=i)
     # bincount adds in row order, so a term's sum is its head plus its tail

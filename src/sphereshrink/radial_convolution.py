@@ -18,10 +18,12 @@ Every value here comes from one request path, ``_request``: a list of
 terms that share the model and the radius r, each an integrand rho, a
 kernel weight (the density f or the tail kernel F/C_f) and a
 singularity class, some with the directional numerator's extra
-lambda cos(phi).  It holds the dimension check, the harmonic prior's
-closed-form m and the one conversion of a divergent tail or an
-overflowing integrand into IntegrabilityError.  At r = 0 each term is
-radial, a directional one exactly 0, and the terms are one
+lambda cos(phi).  It holds the dimension check, the one radius check
+(0 <= r < inf), the harmonic prior's closed-form m and S, which take no
+quadrature, and the one conversion of a divergent tail or an
+overflowing integrand into IntegrabilityError; a failed integral's
+message names its term and r.  At r = 0 each term is radial, a
+directional one exactly 0, and the terms are one
 ``numerics.integrate_half_lines`` batch; the head of a term with a
 negative singularity class starts from the ratio-2 ladder 2^-k
 (k = 1..20) toward 0, as ``_RIDGE_MESH`` grades the ridge.  At r > 0
@@ -33,8 +35,9 @@ Rows never share segments, so a term's value is the same, bitwise,
 alone and in any batch.  The public functions and ``rv_priors``' FG1
 check are each one request.
 
-Everything here serves as the slow-but-independent oracle for the
-closed-form marginals used elsewhere.
+The sweep is the slow-but-independent oracle for the closed-form
+marginals: the kernel moments of ``shrinkage``'s weight and the
+harmonic prior's m and S here.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ _RIDGE_MESH = np.array([0.0, *np.exp2(np.arange(-2.0, 17.0)), math.inf])
 # Inner edges of an r = 0 head [0, 1] whose integrand may grow toward 0.
 _ORIGIN_LADDER = tuple(2.0**-k for k in range(20, 0, -1))
 _M = object()  # the prior's marginal m(g|x) as a term of a request
+_S = object()  # the prior's along-x numerator S(g|x) as a term of a request
 
 KERNELS = ("density", "tail_kernel")
 
@@ -131,26 +135,34 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
 def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = None, directional=()) -> list:
     """The values at ||x|| = r of ``terms``, each a (kernel, integrand, class) ConvolutionProblem.
 
-    The term ``_M`` is the marginal m(g|x) of ``prior``: the harmonic
-    prior's closed form, else the density term of g.  A term whose index
-    is in ``directional`` is the along-x numerator of its integrand.
+    The term ``_M`` is the marginal m(g|x) of ``prior`` and ``_S`` its
+    along-x numerator S(g|x): the harmonic prior's closed forms, else the
+    density term of g, plain or directional.  A term whose index is in
+    ``directional`` is the along-x numerator of its integrand.  A radius
+    that is negative, infinite or NaN is refused with ConvolutionError.
+    A failed integral names its term and r: "m", "S" or "term j".
     """
     if prior is not None and prior.p != model.p:
         raise ConvolutionError("prior and model dimensions differ")
+    if not 0.0 <= r < math.inf:  # NaN fails too
+        raise ConvolutionError(f"radius must be nonnegative and finite, not {r}")
+    r = float(r)
     values, todo = [0.0] * len(terms), []
     for j, term in enumerate(terms):
-        if term is _M:
+        cos = term is _S or j in directional
+        if cos and r == 0.0:
+            continue  # by symmetry, a directional term is 0 at r = 0
+        name = "S" if term is _S else "m" if term is _M else f"term {j}"
+        if term is _M or term is _S:
             if prior.harmonic:
-                values[j] = harmonic_marginal_closed(model, r)
+                values[j] = (_harmonic_numerator if cos else harmonic_marginal_closed)(model, r)
                 continue
             term = ("density", prior.g_eval, prior.origin_class)
-        problem = ConvolutionProblem(model, term[0], term[1], float(r), term[2])
-        if r != 0.0 or j not in directional:  # by symmetry, 0 at r = 0
-            todo.append((j, problem))
+        todo.append((j, ConvolutionProblem(model, term[0], term[1], r, term[2]), cos, f"{name} at r={r:.3g}"))
     if todo:
-        at, problems = zip(*todo)
+        at, problems, cos, names = zip(*todo)
         try:
-            swept = _sweep(problems, np.isin(at, directional))
+            swept = _sweep(problems, np.array(cos), names)
         except (DivergenceSuspected, NonFiniteIntegrand) as exc:
             # a tail probe flags non-integrable growth, or the integrand
             # overflows where the kernel still has support
@@ -160,7 +172,7 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
     return values
 
 
-def _sweep(problems, cos) -> np.ndarray:
+def _sweep(problems, cos, names) -> np.ndarray:
     """The radial (lambda) integrals wrapping the angular ones, all in one batch.
 
     Each problem is one term: its integrand rho, its kernel weight w and
@@ -188,7 +200,8 @@ def _sweep(problems, cos) -> np.ndarray:
     floored at 1e-9 and clipped to sqrt(2), so each piece spans a factor of 2 of the boundary layer;
     any other row is the one piece [0, sqrt(2)].  A row's value does not
     depend on the other rows of either batch, so a term's value is the
-    same alone and among others.
+    same alone and among others.  A failed row is reported under its
+    term's entry of ``names``.
     """
     model, r = problems[0].model, problems[0].r
     p = model.p
@@ -206,7 +219,7 @@ def _sweep(problems, cos) -> np.ndarray:
 
         heads = [[0.0, *_ORIGIN_LADDER, 1.0] if neg else [0.0, 1.0] for neg in ridge]
         spec = replace(_CLOSED_SPEC, singularity_hints=model.knots)
-        return sphere_surface(p) * integrate_half_lines(radial, heads, spec, **model.tail_decay)
+        return sphere_surface(p) * integrate_half_lines(radial, heads, spec, names=names, **model.tail_decay)
     exponents, power_of = _distinct([p - 1.0 + float(c) for c in cos])
     powers = [lambda lam, e=e: lam**e for e in exponents]
     spike = model.support_radius(1e-16)
@@ -251,7 +264,8 @@ def _sweep(problems, cos) -> np.ndarray:
         return y
 
     head = [0.0, spike, r, cut] if r > spike else [0.0, r, cut]
-    return sphere_surface(p - 1) * integrate_half_lines(outer, [head] * n, _OUTER_SPEC, **model.tail_decay)
+    return sphere_surface(p - 1) * integrate_half_lines(outer, [head] * n, _OUTER_SPEC, names=names,
+                                                        **model.tail_decay)
 
 
 def _distinct(items):
@@ -305,6 +319,29 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     return cp * (p - 2.0) * float(model.kernel_moment(p - 3.0, r)) / r ** (p - 2.0)
 
 
+def _harmonic_numerator(model: RadialDensity, r: float) -> float:
+    """Along-x numerator S of the fundamental-solution prior through the kernel moment.
+
+    S(r) = -c_p (p - 2) r^{1-p} A(r), A(r) = int_0^r t^{p-1} F(t) dt,
+    for g(eta) = eta^{2-p}.  Since F'(t) = -t f(t), the gradient in x of
+    F(||theta - x||) is f(||theta - x||) (theta - x), so S, the integral
+    of g(theta) lambda cos(phi) f(lambda), is d/dr of
+    int g(theta) F(||theta - x||) dtheta.  By the mean-value property of
+    the harmonic g, the average of ||theta||^{2-p} over the sphere
+    ||theta - x|| = lambda is max(r, lambda)^{2-p}, so that integral is
+    c_p [r^{2-p} A(r) + int_r^inf lambda F(lambda) dlambda], and its
+    r-derivative is the formula above: the two r^{p-1} F(r) terms cancel.
+    Where r^p < 1e-290, A would underflow, and S takes its limit
+    -c_p (p - 2) F(0) r / p; with m -> c_p F(0), kappa = 1 + S/(r m)
+    tends to 2/p.
+    """
+    p = model.p
+    cp = sphere_surface(p)
+    if r < 1.0 and r**p < 1e-290:  # r^p alone would overflow far out
+        return -cp * (p - 2.0) * float(model.big_f(0.0)) * r / p
+    return -cp * (p - 2.0) * float(model.kernel_moment(p - 1.0, r)) / r ** (p - 1.0)
+
+
 def marginal_m(prior: RadialPrior, model: RadialDensity, r: float) -> float:
     """Prior marginal m(g|x) at ||x|| = r.
 
@@ -322,11 +359,11 @@ def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_
 def gb_marginals(prior: RadialPrior, model: RadialDensity, r: float) -> tuple[float, float]:
     """The marginal m(g|x) and the directional numerator S at ||x|| = r.
 
-    S is ``directional_marginal`` of g, 0 at r = 0.  A harmonic prior
-    takes m from its closed form and sweeps S alone; any other prior
-    sweeps m and S as two terms of one batch.
+    S is ``directional_marginal`` of g, 0 at r = 0.  The harmonic prior
+    takes both from their closed forms, with no quadrature; any other
+    prior sweeps m and S as two terms of one batch.
     """
-    return tuple(_request(model, r, [_M, ("density", prior.g_eval, prior.origin_class)], prior, directional=(1,)))
+    return tuple(_request(model, r, [_M, _S], prior))
 
 
 @dataclass(frozen=True)
@@ -343,11 +380,14 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
 
     Each |ratio - 1| is fitted with a log-log slope; the reported eps is
     the empirical convergence exponent (positive means the ratio closes
-    in on 1 at a power rate).
+    in on 1 at a power rate).  ``r_list`` is checked before the prior's
+    slope audit: it needs two radii or more, each positive and finite.
     """
     radii = tuple(float(r) for r in r_list)
-    if len(radii) < 2 or any(r <= 0 for r in radii):
+    if len(radii) < 2:
         raise ConvolutionError("need at least two positive radii")
+    if not all(0.0 < r < math.inf for r in radii):  # NaN fails too
+        raise ConvolutionError(f"probe radii must be positive and finite: {list(radii)}")
 
     prof = prior.assumption_profile
     if not (math.isfinite(prof.t1) and math.isfinite(prof.t2)):

@@ -259,20 +259,23 @@ def _resolve_threads(threads) -> int:
 def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
     """The GB weight w = 1 - kappa as a ``numerics.WeightTable``, built once per (model, prior).
 
-    phi = r^2 (1 - kappa) = -r S/m comes from ``gb_marginals``.  The head's
-    ``_GB_KNOTS`` = 49 geometric knots end at max(support_radius(1e-10), 1),
-    with the slopes of a PCHIP through phi.  The tail's lead is
-    -c_f r G'(r)/G(r), c_f = E||X||^2/p: phi's first term at large r,
-    tending to -k c_f for a prior of index k, so that the rest is near
-    linear in r^-beta, beta = ``shrinkage.tail_power``, even where G
-    carries log factors.  The gates allow ``_GB_TABLE_TOL`` = 2e-3 of
-    max(1, the largest |phi| at a head knot).  Measured misses are 1e-4
-    to 6.1e-4 of that in the head and at most 6e-5 in the tail (gaussian
-    p = 3, 5, 8 and (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8;
-    harmonic, power(-2.5) and log-thickened priors).  Where the oracle
-    fails past the head, TableError is raised: on a (1 + r^2)^-3.525
-    table in p = 5 (fitted q = 7.039, beta = 0.039) the tail's last
-    midpoint lies at r = 1.5e12, and the oracle fails from r = 2.5e10.
+    phi = r^2 (1 - kappa) = -r S/m comes from ``gb_marginals``: closed
+    forms in the kernel moments for the harmonic prior, the convolution
+    oracle for any other.  The head's ``_GB_KNOTS`` = 49 geometric knots
+    end at max(support_radius(1e-10), 1), with the slopes of a PCHIP
+    through phi.  The tail's lead is -c_f r G'(r)/G(r), c_f = E||X||^2/p:
+    phi's first term at large r, tending to -k c_f for a prior of index
+    k, so that the rest is near linear in r^-beta,
+    beta = ``shrinkage.tail_power``, even where G carries log factors.
+    The gates allow ``_GB_TABLE_TOL`` = 2e-3 of max(1, the largest |phi|
+    at a head knot).  Measured misses are 1e-4 to 6.1e-4 of that in the
+    head and at most 6e-5 in the tail (gaussian p = 3, 5, 8 and
+    (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8; harmonic, power(-2.5)
+    and log-thickened priors).  Where the oracle of a non-harmonic prior
+    fails past the head, TableError is raised: with power(-2.5) on a
+    (1 + r^2)^-3.525 table in p = 5 (fitted q = 7.039, beta = 0.039) the
+    tail's last midpoint lies at r = 1.5e12, and the oracle fails from
+    r = 2.5e10.
     """
     tables = _GB_TABLES.setdefault(model, WeakKeyDictionary())
     table = tables.get(prior)

@@ -231,10 +231,11 @@ class HSequence:
     """Exponential averages of the beta kernel at timescale i.
 
     ``numerator``, ``h_eval`` and ``h_derivative`` take a float or an
-    array of eta >= 0 and return the same; an array is one batched
-    quadrature with one row per eta, and each entry equals the scalar
-    call at that eta bitwise.  A negative or non-finite eta (nan
-    included) raises :class:`PriorError`.  The average of beta and that
+    array of eta >= 0, of any shape, and return the same; an array is
+    one batched quadrature with one row per entry, flattened and
+    reshaped back, and each entry equals the scalar call at that eta
+    bitwise.  A negative or non-finite eta (nan included) raises
+    :class:`PriorError`.  The average of beta and that
     of -beta' each start graded at their own boundary layer (see
     ``_averages``): -beta' falls off like |beta'|, a layer thinner than
     beta's.
@@ -253,14 +254,15 @@ class HSequence:
         Num = int_eta^inf e^{(eta-r)/i} beta(r) dr and, as a second
         block, the same of -beta', whose layer slope is
         (log|beta'|)' = (log beta)' + (log beta)''/(log beta)'.  Each
-        entry is a float for a float eta.
+        entry is a float for a float eta, else an array of eta's shape.
         """
         scalar = not np.ndim(eta)
         if scalar:
             etas = np.array([eta], dtype=float)
             ok = 0.0 <= eta < math.inf
         else:
-            etas = np.asarray(eta, dtype=float)
+            shape = np.shape(eta)
+            etas = np.asarray(eta, dtype=float).ravel()
             ok = np.count_nonzero((etas >= 0.0) & (etas < math.inf)) == etas.size  # NaN fails too
         if not ok:
             raise PriorError("eta must be nonnegative and finite")
@@ -271,7 +273,7 @@ class HSequence:
         if derivative:
             blocks.append((kernel.minus_beta_deriv, self.i, slice(None), slope + logs[2] / slope))
         out = [beta, tail, *_averages(etas, beta, blocks)]
-        return [float(part[0]) for part in out] if scalar else out
+        return [float(part[0]) for part in out] if scalar else [part.reshape(shape) for part in out]
 
     def numerator(self, eta):
         """int_eta^inf e^{(eta-r)/i} beta(r) dr."""
@@ -368,9 +370,10 @@ def _averages(etas, scale, blocks):
             y = stretches[0] * blocks[0][0](eta - stretches[0] * log_w)
         else:
             # ``row`` is nondecreasing, so each block's rows are one run
+            # (none at all for an empty eta)
             ends = np.searchsorted(row, first).tolist()
-            y = np.concatenate([s * fn(eta[a:b] - s * log_w[a:b])
-                                for (fn, *_), s, a, b in zip(blocks, stretches, ends, ends[1:]) if b > a])
+            y = np.concatenate([t[:0], *(s * fn(eta[a:b] - s * log_w[a:b])
+                                         for (fn, *_), s, a, b in zip(blocks, stretches, ends, ends[1:]) if b > a)])
         return y * w ** (_H_MAP_EXPONENT - 1) / row_scale[row]
 
     layer = 1.0 / np.maximum(row_stretch * np.abs(row_slope), 2.0)

@@ -154,12 +154,15 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
 
     Splitting theta along and across x gives
     kappa = 1 + S / (r m), where S is the cos-weighted marginal and m
-    the plain one, both from one sweep of the convolution oracle.
+    the plain one (``gb_marginals``): for the harmonic prior both are
+    closed forms in the kernel moments, so kappa = 1 - phi(r)/r^2 tends
+    to 2/p as r -> 0; for any other prior they are one sweep of the
+    convolution oracle.  r must be positive and finite.
     """
     _check_dims(model, p)
     if prior.p != p:
         raise ShrinkageError("prior dimension does not match")
-    if not r > 0:  # NaN fails too
-        raise ShrinkageError("r must be positive")
+    if not 0.0 < r < np.inf:  # NaN fails too
+        raise ShrinkageError(f"r must be positive and finite, not {r}")
     m, s = gb_marginals(prior, model, r)
     return 1.0 + s / (r * m)

@@ -375,8 +375,10 @@ def test_exit_codes_follow_the_kind_of_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["hseq", "--eta-max", "inf"], "need 0 < eta_min <= eta_max < inf"),
-    (["probe", *MODEL, "--prior", "power", "--k", "-2.5", "--radii", "nan,10"], "radius must be nonnegative"),
+    (["probe", *MODEL, "--prior", "power", "--k", "-2.5", "--radii", "nan,10"],
+     "probe radii must be positive and finite: [nan, 10.0]"),
     (["prior", "--p", "3", "--prior", "power", "--k", "nan", "--no-blyth"], "power k must be finite"),
+    (["probe", *MODEL, "--prior", "harmonic", "--radii", "10,inf"], "probe radii must be positive and finite: [10.0, inf]"),
 ])
 def test_a_value_outside_its_domain_is_a_configuration_error(argv, message, tmp_path, capsys):
     # each reached a quadrature as a non-finite integrand: exit 1

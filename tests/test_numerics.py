@@ -558,6 +558,27 @@ def test_integrate_half_lines_probe_refusal_names_the_term():
         numerics.integrate_half_lines(f, [[0.0], [0.0]], decay="power")
 
 
+def test_integrate_half_lines_names_the_term_whose_values_are_not_finite():
+    # term 1 is inf on (0.4, 0.6), in its head; term 2 raises from a nested
+    # integral, as the oracle's angular rows do, beyond r = 3, in its tail
+    def nested(r):
+        if np.count_nonzero(r > 3.0):
+            raise NonFiniteIntegrand("integrand is not finite at x=0.5")
+        return np.exp(-r)
+
+    def f(term, r):
+        y = np.exp(-r)
+        y[term == 1] = np.where(np.abs(r[term == 1] - 0.5) < 0.1, np.inf, 1.0) * y[term == 1]
+        y[term == 2] = nested(r[term == 2])
+        return y
+
+    names = ["zero", "one", "two"]
+    with pytest.raises(NonFiniteIntegrand, match=r"^one head: integrand is not finite at x="):
+        numerics.integrate_half_lines(f, [[0.0, 1.0]] * 2, names=names[:2])
+    with pytest.raises(NonFiniteIntegrand, match=r"^two tail: integrand is not finite at x=0\.5"):
+        numerics.integrate_half_lines(f, [[0.0, 1.0]] * 3, names=names)
+
+
 # --- special functions -------------------------------------------------
 
 def test_log_gamma_factorial():

@@ -392,9 +392,48 @@ def test_a_request_at_the_origin_equals_its_one_term_requests_bitwise(model_name
 
 
 def test_gb_marginals_take_the_closed_form_for_the_harmonic_prior():
-    m, s = gb_marginals(harmonic_prior(5), gaussian(5), 2.0)
-    assert m == harmonic_marginal_closed(gaussian(5), 2.0)
-    assert s == directional_marginal(harmonic_prior(5).g_eval, gaussian(5), 2.0, singularity_class=-3.0)
+    # S = -c_p (p - 2) r^(1-p) A(r), A = kernel_moment(p - 1, r): no quadrature
+    model, r = gaussian(5), 2.0
+    m, s = gb_marginals(harmonic_prior(5), model, r)
+    assert m == harmonic_marginal_closed(model, r)
+    assert s == -sphere_surface(5) * 3.0 * float(model.kernel_moment(4.0, r)) / r**4
+    assert gb_marginals(harmonic_prior(5), model, 0.0) == (harmonic_marginal_closed(model, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("model_name, tol", [("gaussian", 1e-10), ("poly_exp", 1e-10), ("tabulated", 2e-8)])
+def test_the_swept_harmonic_numerator_matches_its_closed_form(model_name, tol, parity_case):
+    # the oracle stays the closed S's independent check; on the tabulated
+    # model its own error, from the knot kinks of f, is the larger (6.2e-9
+    # at r = 1)
+    prior, model, radii = parity_case("harmonic", model_name)
+    for r in [*np.geomspace(1e-3, 1e3, 25).tolist(), *radii]:
+        closed = gb_marginals(prior, model, r)[1]
+        swept = directional_marginal(prior.g_eval, model, r, singularity_class=prior.origin_class)
+        assert abs(closed / swept - 1.0) <= tol, r
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: marginal_m(power_prior(-2.5, 5), gaussian(5), r),
+    lambda r: marginal_m(harmonic_prior(5), gaussian(5), r),  # read 0.0
+    lambda r: gb_marginals(harmonic_prior(5), gaussian(5), r),
+    lambda r: kernel_marginal_M(ones, gaussian(5), r),
+    lambda r: directional_marginal(ones, gaussian(5), r),
+    lambda r: radial_expectation(ConvolutionProblem(gaussian(5), "density", ones, r)),
+], ids=["marginal_m[power]", "marginal_m[harmonic]", "gb_marginals[harmonic]", "kernel_marginal_M",
+        "directional_marginal", "radial_expectation"])
+def test_an_infinite_radius_is_refused_at_every_oracle_entry(call):
+    # it leaked numerics' ValueError on the row edges
+    with pytest.raises(ConvolutionError, match="radius must be nonnegative and finite") as exc:
+        call(math.inf)
+    assert not isinstance(exc.value, IntegrabilityError)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -10.0])
+def test_the_probe_checks_its_radii_before_the_slope_audit(bad, monkeypatch):
+    prior = harmonic_prior(5)
+    monkeypatch.setattr(type(prior), "assumption_profile", property(lambda self: pytest.fail("slope audit ran")))
+    with pytest.raises(ConvolutionError, match=r"probe radii must be positive and finite: \[10\.0, "):
+        asymptotic_ratio_probe(prior, gaussian(5), [10.0, bad])
 
 
 # --- failure paths ----------------------------------------------------------

@@ -273,6 +273,20 @@ class TestHSequence:
             assert h.tolist() == [hs.h_eval(float(e)) for e in etas]
             assert hp.tolist() == [hs.h_derivative(float(e)) for e in etas]
 
+    @pytest.mark.parametrize("method", ["numerator", "h_eval", "h_derivative"])
+    def test_an_eta_array_of_any_shape_is_one_batch_of_scalar_calls(self, method):
+        # a 2-d eta leaked numpy's broadcast ValueError from _averages
+        hs = HSequence(K1, 4.0)
+        fn = getattr(hs, method)
+        etas = np.array([[0.0, 0.7, 5.0], [300.0, 1e6, 2.5]])
+        for arg in (etas, etas[:, :, None], etas.T):
+            out = fn(arg)
+            assert out.shape == arg.shape
+            assert [x.hex() for x in out.ravel().tolist()] == [fn(float(e)).hex() for e in arg.ravel()]
+        assert fn(np.ones((2, 0))).shape == (2, 0)
+        with pytest.raises(PriorError, match="eta must be nonnegative and finite"):
+            fn(np.array([[1.0], [math.nan]]))
+
 
 def h_reference(i, eta, tower=K1.tower):
     """H_i and H_i' of the kernel of ``tower`` at 40 digits with mpmath.

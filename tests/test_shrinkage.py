@@ -209,19 +209,36 @@ def test_gb_multiplier_refuses_a_nan_radius(prior):
         gb_multiplier(prior, gaussian(5), 5, math.nan)
 
 
-# gb_multiplier on the parity grid (tests/conftest.py), as float.hex, from
-# one-term calls with every ridge row starting from the graded mesh.  One
-# batched sweep of m and S gives each the value of its one-term sweep,
-# so kappa = 1 + S / (r m) is pinned bitwise.
+@pytest.mark.parametrize("prior", [harmonic_prior(5), power_prior(-2.5, 5)], ids=["harmonic", "power"])
+def test_gb_multiplier_refuses_an_infinite_radius(prior):
+    # it leaked the oracle's internal ValueError on the row edges
+    with pytest.raises(ShrinkageError, match="r must be positive and finite, not inf"):
+        gb_multiplier(prior, gaussian(5), 5, math.inf)
+
+
+@pytest.mark.parametrize("model", [gaussian(5), poly_exp(2.0, 1.0, 5), gaussian(3)], ids=repr)
+@pytest.mark.parametrize("r", [1e-8, 1e-30, 1e-70, 1e-120])
+def test_the_harmonic_gb_multiplier_tends_to_2_over_p(model, r):
+    # the oracle raised ToleranceNotReached at 1e-8 to 1e-30 and
+    # IntegrabilityError at 1e-120; past r^p < 1e-290 S takes its limit
+    p = model.p
+    assert abs(gb_multiplier(harmonic_prior(p), model, p, r) - 2.0 / p) <= 1e-12
+
+
+# gb_multiplier on the parity grid (tests/conftest.py), as float.hex.  The
+# harmonic rows are the closed forms of m and S in the kernel moments.  The
+# others are from one-term calls with every ridge row starting from the
+# graded mesh: one batched sweep of m and S gives each the value of its
+# one-term sweep, so kappa = 1 + S / (r m) is pinned bitwise.
 GB_PARITY = {
     ("harmonic", "gaussian"): {
-        "gb": ("0x1.99f37f75ce7fcp-2", "0x1.bd636722c0d12p-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
+        "gb": ("0x1.99f37f75ce802p-2", "0x1.bd636722c0d1cp-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
     },
     ("harmonic", "poly_exp"): {
-        "gb": ("0x1.999a97a310446p-2", "0x1.b1c960350b81ap-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
+        "gb": ("0x1.999a97a31044ap-2", "0x1.b1c960350b81ep-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
     },
     ("harmonic", "tabulated"): {
-        "gb": ("0x1.9bb29a082f6f4p-2", "0x1.17cc1b6fe2b02p-1", "0x1.fffe31b952dd8p-1", "0x1.ffa28b90e2d4cp-1", "0x1.ffff9b7d3e469p-1"),
+        "gb": ("0x1.9bb29a091200ep-2", "0x1.17cc1b5794733p-1", "0x1.fffe31b952ddep-1", "0x1.ffa28b90e2d89p-1", "0x1.ffff9b7d3e46ap-1"),
     },
     ("power", "gaussian"): {
         "gb": ("0x1.002ecfb8c793cp-1", "0x1.123a042fa7f76p-1", "0x1.eec0c8367909fp-1", "0x1.ffb00280a0390p-1", "0x1.ffffac1d2c9c2p-1"),
@@ -270,5 +287,8 @@ def test_gb_multiplier_fails_loudly_on_a_non_integrable_prior():
     # the prior of test_marginal_integrability_failure
     g = lambda e: np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
     gp = lambda e: 1.2 * np.asarray(e, dtype=float) * np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
-    with pytest.raises(ConvolutionError):
+    with pytest.raises(ConvolutionError, match=r"m at r=1 tail: integrand is not finite"):
         gb_multiplier(custom_prior(g, gp, 3), gaussian(3), 3, 1.0)
+    # the failure names its term and radius
+    with pytest.raises(ConvolutionError, match=r"m at r=1e-08 tail"):
+        gb_multiplier(custom_prior(g, gp, 3), gaussian(3), 3, 1e-8)
