@@ -19,7 +19,7 @@ terms that share the model and the radius r, each an integrand rho, a
 kernel weight (the density f or the tail kernel F/C_f) and a
 singularity class, some with the directional numerator's extra
 lambda cos(phi).  It holds the dimension check, the one radius check
-(0 <= r < inf), the harmonic prior's closed-form m and S, which take no
+(0 <= r < inf), the harmonic prior's closed-form m, which takes no
 quadrature, and the one conversion of a divergent tail or an
 overflowing integrand into IntegrabilityError; a failed integral's
 message names its term and r.  At r = 0 each term is radial, a
@@ -35,9 +35,10 @@ Rows never share segments, so a term's value is the same, bitwise,
 alone and in any batch.  The public functions and ``rv_priors``' FG1
 check are each one request.
 
-The sweep is the slow-but-independent oracle for the closed-form
-marginals: the kernel moments of ``shrinkage``'s weight and the
-harmonic prior's m and S here.
+The sweep is the slow-but-independent oracle for the closed forms: the
+kernel moments of ``shrinkage``'s weight, which is also the harmonic
+prior's GB factor, and the harmonic prior's m here.  Its S is always
+swept, so ``gb_marginals`` checks that closed GB factor.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
 def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = None, directional=()) -> list:
     """The values at ||x|| = r of ``terms``, each a (kernel, integrand, class) ConvolutionProblem.
 
-    The term ``_M`` is the marginal m(g|x) of ``prior`` and ``_S`` its
-    along-x numerator S(g|x): the harmonic prior's closed forms, else the
-    density term of g, plain or directional.  A term whose index is in
-    ``directional`` is the along-x numerator of its integrand.  A radius
+    The term ``_M`` is the marginal m(g|x) of ``prior``: the harmonic
+    prior's closed form, else the density term of g.  ``_S`` is its
+    along-x numerator S(g|x), the directional density term of g.  A term
+    whose index is in ``directional`` is the along-x numerator of its
+    integrand.  A radius
     that is negative, infinite or NaN is refused with ConvolutionError.
     A failed integral names its term and r: "m", "S" or "term j".
     """
@@ -154,8 +156,8 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
             continue  # by symmetry, a directional term is 0 at r = 0
         name = "S" if term is _S else "m" if term is _M else f"term {j}"
         if term is _M or term is _S:
-            if prior.harmonic:
-                values[j] = (_harmonic_numerator if cos else harmonic_marginal_closed)(model, r)
+            if term is _M and prior.harmonic:
+                values[j] = harmonic_marginal_closed(model, r)
                 continue
             term = ("density", prior.g_eval, prior.origin_class)
         todo.append((j, ConvolutionProblem(model, term[0], term[1], r, term[2]), cos, f"{name} at r={r:.3g}"))
@@ -313,40 +315,22 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     if not r >= 0:  # NaN fails too
         raise ConvolutionError("radius must be nonnegative")
     cp = sphere_surface(p)
-    if r ** (p - 2.0) < 1e-290:
+    if r < 1.0 and r ** (p - 2.0) < 1e-290:
         # r^{p-2} and the moment would underflow; m = c_p F(0) to double precision
         return cp * float(model.big_f(0.0))
-    return cp * (p - 2.0) * float(model.kernel_moment(p - 3.0, r)) / r ** (p - 2.0)
-
-
-def _harmonic_numerator(model: RadialDensity, r: float) -> float:
-    """Along-x numerator S of the fundamental-solution prior through the kernel moment.
-
-    S(r) = -c_p (p - 2) r^{1-p} A(r), A(r) = int_0^r t^{p-1} F(t) dt,
-    for g(eta) = eta^{2-p}.  Since F'(t) = -t f(t), the gradient in x of
-    F(||theta - x||) is f(||theta - x||) (theta - x), so S, the integral
-    of g(theta) lambda cos(phi) f(lambda), is d/dr of
-    int g(theta) F(||theta - x||) dtheta.  By the mean-value property of
-    the harmonic g, the average of ||theta||^{2-p} over the sphere
-    ||theta - x|| = lambda is max(r, lambda)^{2-p}, so that integral is
-    c_p [r^{2-p} A(r) + int_r^inf lambda F(lambda) dlambda], and its
-    r-derivative is the formula above: the two r^{p-1} F(r) terms cancel.
-    Where r^p < 1e-290, A would underflow, and S takes its limit
-    -c_p (p - 2) F(0) r / p; with m -> c_p F(0), kappa = 1 + S/(r m)
-    tends to 2/p.
-    """
-    p = model.p
-    cp = sphere_surface(p)
-    if r < 1.0 and r**p < 1e-290:  # r^p alone would overflow far out
-        return -cp * (p - 2.0) * float(model.big_f(0.0)) * r / p
-    return -cp * (p - 2.0) * float(model.kernel_moment(p - 1.0, r)) / r ** (p - 1.0)
+    m = cp * (p - 2.0) * float(model.kernel_moment(p - 3.0, r))
+    if r ** (2.0 - p) < 1e-290:
+        # near where r^{p-2} overflows; m, about r^{2-p}, goes to a subnormal or 0
+        return m * r ** (2.0 - p)
+    return m / r ** (p - 2.0)
 
 
 def marginal_m(prior: RadialPrior, model: RadialDensity, r: float) -> float:
     """Prior marginal m(g|x) at ||x|| = r.
 
-    The fundamental-solution prior dispatches to its closed form; every
-    other prior goes through the 2-d oracle.
+    The fundamental-solution prior dispatches to its closed form
+    ``harmonic_marginal_closed``, with no quadrature; every other prior
+    goes through the 2-d oracle.
     """
     return _request(model, r, [_M], prior)[0]
 
@@ -359,9 +343,9 @@ def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_
 def gb_marginals(prior: RadialPrior, model: RadialDensity, r: float) -> tuple[float, float]:
     """The marginal m(g|x) and the directional numerator S at ||x|| = r.
 
-    S is ``directional_marginal`` of g, 0 at r = 0.  The harmonic prior
-    takes both from their closed forms, with no quadrature; any other
-    prior sweeps m and S as two terms of one batch.
+    S is ``directional_marginal`` of g, 0 at r = 0, swept for every
+    prior: with m in one batch, or beside the harmonic prior's closed m,
+    where 1 + S / (r m) checks ``shrinkage.gb_multiplier``'s closed form.
     """
     return tuple(_request(model, r, [_M, _S], prior))
 

@@ -2,11 +2,11 @@
 
 Observations are X = theta + R U with R drawn by inverse CDF of the
 radial law r^{p-1} f(r) and U uniform on the sphere.  The per-draw
-tables (the inverse CDF, the harmonic weight and the generalized-Bayes
-weight) are ``numerics.gated_table`` cubics, looked up without a
-binary search and bitwise as scipy would.  R U does not depend on
-theta, so a risk curve draws it once per block of draws, from a
-counter-based stream keyed by
+tables (the inverse CDF, the harmonic weight, which is the harmonic
+prior's generalized-Bayes weight too, and any other prior's) are
+``numerics.gated_table`` cubics, looked up without a binary search and
+bitwise as scipy would.  R U does not depend on theta, so a risk curve
+draws it once per block of draws, from a counter-based stream keyed by
 (seed, block index), and every theta of the curve uses that block:
 X = theta + R U.  The entries of a curve are therefore positively
 correlated across theta, each with the standard error it would have
@@ -188,8 +188,8 @@ class RiskConfig:
         object.__setattr__(self, "samples_per_point", int(self.samples_per_point))
         object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
         norms = tuple(float(t) for t in self.theta_norms)
-        if not norms or any(t < 0 for t in norms):
-            raise RiskSimError("theta_norms must be nonempty and nonnegative")
+        if not norms or not all(0.0 <= t < math.inf for t in norms):  # NaN fails too
+            raise RiskSimError(f"theta_norms must be nonempty, nonnegative and finite: {list(norms)}")
         object.__setattr__(self, "theta_norms", norms)
         if isinstance(self.estimator, str):
             if self.estimator not in ESTIMATORS:
@@ -198,6 +198,8 @@ class RiskConfig:
                 raise RiskSimError("generalized_bayes needs a prior")
         elif not callable(self.estimator):
             raise RiskSimError("estimator must be an enum name or a callable")
+        if self.prior is not None and self.prior.p != self.p:
+            raise RiskSimError(f"prior dimension {self.prior.p} does not match p={self.p}")
         if self.loss_Q is not None:
             q = np.asarray(self.loss_Q, dtype=float)
             if q.shape != (self.p, self.p):
@@ -259,24 +261,26 @@ def _resolve_threads(threads) -> int:
 def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
     """The GB weight w = 1 - kappa as a ``numerics.WeightTable``, built once per (model, prior).
 
-    phi = r^2 (1 - kappa) = -r S/m comes from ``gb_marginals``: closed
-    forms in the kernel moments for the harmonic prior, the convolution
-    oracle for any other.  The head's ``_GB_KNOTS`` = 49 geometric knots
-    end at max(support_radius(1e-10), 1), with the slopes of a PCHIP
-    through phi.  The tail's lead is -c_f r G'(r)/G(r), c_f = E||X||^2/p:
+    The harmonic prior's kappa is the profile's 1 - phi/r^2, so its table
+    is the one ``harmonic_bayes`` reads; for any other prior
+    phi = r^2 (1 - kappa) = -r S/m comes from the convolution oracle's
+    ``gb_marginals``.  The head's ``_GB_KNOTS`` = 49 geometric knots end
+    at max(support_radius(1e-10), 1), with the slopes of a PCHIP through
+    phi.  The tail's lead is -c_f r G'(r)/G(r), c_f = E||X||^2/p:
     phi's first term at large r, tending to -k c_f for a prior of index
     k, so that the rest is near linear in r^-beta,
     beta = ``shrinkage.tail_power``, even where G carries log factors.
     The gates allow ``_GB_TABLE_TOL`` = 2e-3 of max(1, the largest |phi|
-    at a head knot).  Measured misses are 1e-4 to 6.1e-4 of that in the
-    head and at most 6e-5 in the tail (gaussian p = 3, 5, 8 and
-    (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8; harmonic, power(-2.5)
-    and log-thickened priors).  Where the oracle of a non-harmonic prior
-    fails past the head, TableError is raised: with power(-2.5) on a
-    (1 + r^2)^-3.525 table in p = 5 (fitted q = 7.039, beta = 0.039) the
-    tail's last midpoint lies at r = 1.5e12, and the oracle fails from
-    r = 2.5e10.
+    at a head knot).  Measured misses are at most 6.1e-4 of that in the
+    head and 6e-5 in the tail (gaussian p = 3, 5, 8 and
+    (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8; power(-2.5) and
+    log-thickened priors).  Where the oracle fails past the head,
+    TableError is raised: with power(-2.5) on a (1 + r^2)^-3.525 table
+    in p = 5 (fitted q = 7.039, beta = 0.039) the tail's last midpoint
+    lies at r = 1.5e12, and the oracle fails from r = 2.5e10.
     """
+    if prior.harmonic:
+        return _cached_profile(model).table
     tables = _GB_TABLES.setdefault(model, WeakKeyDictionary())
     table = tables.get(prior)
     if table is None:

@@ -52,6 +52,11 @@ def phi_star(model: RadialDensity, p: int, r: float) -> float:
     return num / den
 
 
+def _exact_phi(model: RadialDensity, r):
+    """phi = A/B from the two kernel moments, exact where both are representable."""
+    return model.kernel_moment(model.p - 1.0, r) / model.kernel_moment(model.p - 3.0, r)
+
+
 def phi_limit(model: RadialDensity, p: int) -> float:
     """Large-r limit of the weight: (p-2) E_0 ||X||^2 / p."""
     _check_dims(model, p)
@@ -114,16 +119,12 @@ def build_profile(model: RadialDensity) -> ShrinkageProfile:
     limit = phi_limit(model, p)
     r_max = max(1.25 * model.support_radius(1e-10), 20.0)
     grid = np.geomspace(1e-3, r_max, _KNOTS)
-
-    def phi(r):
-        return model.kernel_moment(p - 1.0, r) / model.kernel_moment(p - 3.0, r)
-
     b = model.kernel_moment(p - 3.0, grid)
     phi_k = model.kernel_moment(p - 1.0, grid) / b
     dphi = grid ** (p - 3.0) * model.big_f(grid) * (grid**2 - phi_k) / b
     psi = np.concatenate(([(p - 2.0) / p], phi_k / grid**2))
     dpsi = np.concatenate(([0.0], (dphi - 2.0 * phi_k / grid) / grid**2))
-    table = WeightTable(np.concatenate(([0.0], grid)), psi, dpsi, phi, lambda r: limit, tail_power(model),
+    table = WeightTable(np.concatenate(([0.0], grid)), psi, dpsi, lambda r: _exact_phi(model, r), lambda r: limit, tail_power(model),
                         1e-6 * max(1.0, limit), ShrinkageError, "profile interpolant misses phi")
     return ShrinkageProfile(model, p, grid, limit, table)
 
@@ -152,17 +153,26 @@ def estimate(model: RadialDensity, p: int, x) -> np.ndarray:
 def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) -> float:
     """Posterior-mean factor kappa with delta_g(x) = kappa(||x||) x.
 
-    Splitting theta along and across x gives
-    kappa = 1 + S / (r m), where S is the cos-weighted marginal and m
-    the plain one (``gb_marginals``): for the harmonic prior both are
-    closed forms in the kernel moments, so kappa = 1 - phi(r)/r^2 tends
-    to 2/p as r -> 0; for any other prior they are one sweep of the
-    convolution oracle.  r must be positive and finite.
+    Splitting theta along and across x gives kappa = 1 + S / (r m), where
+    S is the cos-weighted marginal and m the plain one (``gb_marginals``),
+    one sweep of the convolution oracle for any prior but the harmonic.
+    For the harmonic g(eta) = eta^{2-p}, kappa is the shrinkage profile's
+    1 - phi(r)/r^2: since F'(t) = -t f(t), S is d/dr of
+    int g(theta) F(||theta - x||) dtheta, and by the mean-value property
+    of g that integral is c_p [r^{2-p} A(r) + int_r^inf t F(t) dt], so
+    S = -c_p (p - 2) r^{1-p} A(r) (the two r F(r) terms of its
+    derivative cancel); with m = c_p (p - 2) r^{2-p} B(r), S / (r m) is
+    -A / (r^2 B).  Where r^p < 1e-290, A would underflow, and kappa
+    takes its limit 2/p.  r must be positive and finite.
     """
     _check_dims(model, p)
     if prior.p != p:
         raise ShrinkageError("prior dimension does not match")
     if not 0.0 < r < np.inf:  # NaN fails too
         raise ShrinkageError(f"r must be positive and finite, not {r}")
+    if prior.harmonic:
+        if r < 1.0 and r**p < 1e-290:  # r^p alone would overflow far out
+            return 2.0 / p
+        return 1.0 - float(_exact_phi(model, r)) / r / r
     m, s = gb_marginals(prior, model, r)
     return 1.0 + s / (r * m)

@@ -379,6 +379,7 @@ def test_exit_codes_follow_the_kind_of_failure(tmp_path, capsys):
      "probe radii must be positive and finite: [nan, 10.0]"),
     (["prior", "--p", "3", "--prior", "power", "--k", "nan", "--no-blyth"], "power k must be finite"),
     (["probe", *MODEL, "--prior", "harmonic", "--radii", "10,inf"], "probe radii must be positive and finite: [10.0, inf]"),
+    (["risk", *MODEL, "--theta", "nan"], "theta_norms must be nonempty, nonnegative and finite: [nan]"),
 ])
 def test_a_value_outside_its_domain_is_a_configuration_error(argv, message, tmp_path, capsys):
     # each reached a quadrature as a non-finite integrand: exit 1

@@ -6,6 +6,7 @@ dimension, and against the 1-d fast routes it exists to certify.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,16 @@ def test_harmonic_closed_gaussian_potential():
     for r in (0.1, 0.5, 1.0, 2.0, 5.0):
         expect = erf(r / math.sqrt(2.0)) / r
         assert harmonic_marginal_closed(m, r) == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("p, r, expect", [(5, 1e80, 1e-240), (5, 1e110, 0.0), (20, 1e20, 0.0)])
+def test_harmonic_closed_far_out(p, r, expect):
+    # m is about r^(2-p); r ** (p - 2) raised OverflowError past 1e308,
+    # where m underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = harmonic_marginal_closed(gaussian(p), r)
+    assert m == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_harmonic_closed_at_origin():
@@ -392,24 +403,27 @@ def test_a_request_at_the_origin_equals_its_one_term_requests_bitwise(model_name
 
 
 def test_gb_marginals_take_the_closed_form_for_the_harmonic_prior():
-    # S = -c_p (p - 2) r^(1-p) A(r), A = kernel_moment(p - 1, r): no quadrature
+    # m is the closed form; S is swept, the closed GB factor's independent check
     model, r = gaussian(5), 2.0
-    m, s = gb_marginals(harmonic_prior(5), model, r)
+    prior = harmonic_prior(5)
+    m, s = gb_marginals(prior, model, r)
     assert m == harmonic_marginal_closed(model, r)
-    assert s == -sphere_surface(5) * 3.0 * float(model.kernel_moment(4.0, r)) / r**4
-    assert gb_marginals(harmonic_prior(5), model, 0.0) == (harmonic_marginal_closed(model, 0.0), 0.0)
+    assert s == directional_marginal(prior.g_eval, model, r, singularity_class=prior.origin_class)
+    assert gb_marginals(prior, model, 0.0) == (harmonic_marginal_closed(model, 0.0), 0.0)
 
 
 @pytest.mark.parametrize("model_name, tol", [("gaussian", 1e-10), ("poly_exp", 1e-10), ("tabulated", 2e-8)])
 def test_the_swept_harmonic_numerator_matches_its_closed_form(model_name, tol, parity_case):
-    # the oracle stays the closed S's independent check; on the tabulated
-    # model its own error, from the knot kinks of f, is the larger (6.2e-9
-    # at r = 1)
+    # the oracle's kappa = 1 + S / (r m), with S swept, is the closed
+    # kappa = 1 - phi/r^2's independent check, to tol of the shrinkage
+    # 1 - kappa; on the tabulated model its own error, from the knot kinks
+    # of f, is the larger (6.2e-9 at r = 1)
     prior, model, radii = parity_case("harmonic", model_name)
     for r in [*np.geomspace(1e-3, 1e3, 25).tolist(), *radii]:
-        closed = gb_marginals(prior, model, r)[1]
-        swept = directional_marginal(prior.g_eval, model, r, singularity_class=prior.origin_class)
-        assert abs(closed / swept - 1.0) <= tol, r
+        m, s = gb_marginals(prior, model, r)
+        swept = 1.0 + s / (r * m)
+        closed = gb_multiplier(prior, model, prior.p, r)
+        assert abs(closed - swept) <= tol * (1.0 - closed), r
 
 
 @pytest.mark.parametrize("call", [

@@ -225,17 +225,24 @@ def test_the_harmonic_gb_multiplier_tends_to_2_over_p(model, r):
     assert abs(gb_multiplier(harmonic_prior(p), model, p, r) - 2.0 / p) <= 1e-12
 
 
+@pytest.mark.parametrize("p, r", [(20, 1e17), (5, 1e80)])
+def test_the_harmonic_gb_multiplier_is_finite_where_r_to_the_p_overflows(p, r):
+    # the closed pair of m and S raised OverflowError from r ** (p - 1)
+    assert abs(gb_multiplier(harmonic_prior(p), gaussian(p), p, r) - 1.0) <= 1e-12
+
+
 # gb_multiplier on the parity grid (tests/conftest.py), as float.hex.  The
-# harmonic rows are the closed forms of m and S in the kernel moments.  The
-# others are from one-term calls with every ridge row starting from the
-# graded mesh: one batched sweep of m and S gives each the value of its
-# one-term sweep, so kappa = 1 + S / (r m) is pinned bitwise.
+# harmonic rows are the shrinkage profile's exact 1 - phi/r^2, phi = A/B in
+# the kernel moments.  The others are from one-term calls with every ridge
+# row starting from the graded mesh: one batched sweep of m and S gives
+# each the value of its one-term sweep, so kappa = 1 + S / (r m) is pinned
+# bitwise.
 GB_PARITY = {
     ("harmonic", "gaussian"): {
         "gb": ("0x1.99f37f75ce802p-2", "0x1.bd636722c0d1cp-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
     },
     ("harmonic", "poly_exp"): {
-        "gb": ("0x1.999a97a31044ap-2", "0x1.b1c960350b81ep-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
+        "gb": ("0x1.999a97a31044cp-2", "0x1.b1c960350b81ep-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
     },
     ("harmonic", "tabulated"): {
         "gb": ("0x1.9bb29a091200ep-2", "0x1.17cc1b5794733p-1", "0x1.fffe31b952ddep-1", "0x1.ffa28b90e2d89p-1", "0x1.ffff9b7d3e46ap-1"),
