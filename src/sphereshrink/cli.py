@@ -8,7 +8,10 @@ line plot of the first two numeric columns.  Exit codes: 0 success,
 1 numeric failure, 2 configuration error, 3 failed verdict under
 --strict.  The code follows the kind of failure, not the module that
 raised it: an integral or table that fails is numeric, an ill-posed
-request is a configuration error.
+request is a configuration error.  Any argument outside its domain (a
+dimension that is not an integer >= 3, a nan or infinite value where a
+finite one is needed, an empty or 2-d list) is refused before any
+quadrature, exit 2, with a message that names the argument.
 
 Each option is declared once, in its subcommand's table in `_COMMANDS`:
 its default, and the keywords of its flag, or none for a config-only
@@ -178,14 +181,8 @@ def _build_model(cfg, hints=None):
     family = _FAMILIES[str(fam_raw)]
     keys = _FAMILY_CLASSES[family].param_names
     _refuse_model_options(cfg, keys, f"the {family} model does not take it", hints)
-    if cfg.get("p") is None:
-        raise CLIConfigError("the dimension is required (--p)")
-    p = int(cfg["p"])
-    missing = [f"--{k}" for k in keys if k not in ("r", "f") and cfg.get(k) is None]
-    if missing:
-        raise CLIConfigError(f"{family} needs {' and '.join(missing)}")
-    params = {k: _table_column(cfg, k) if k in ("r", "f") else float(cfg[k]) for k in keys}
-    return normalize(family, params, p)
+    params = {k: _table_column(cfg, k) if k in ("r", "f") else cfg[k] for k in keys}
+    return normalize(family, params, cfg["p"])
 
 
 def _refuse_model_options(cfg, taken, why, hints=None):
@@ -215,15 +212,15 @@ def _table_column(cfg, key):
 def _build_prior(cfg, p):
     name = str(cfg["prior"])
     # only `prior` sets gamma: no number of risk or probe depends on it
-    gamma = float(cfg.get("gamma", 2.0))
+    gamma = cfg.get("gamma", 2.0)
     if name == "harmonic":
         return harmonic_prior(p, gamma)
     if name == "power":
         if cfg["k"] is None:
             raise CLIConfigError("power prior needs --k")
-        return power_prior(float(cfg["k"]), p, gamma)
+        return power_prior(cfg["k"], p, gamma)
     if name in ("logthick", "log_thickened"):
-        return log_thickened_prior(int(cfg["depth"]), float(cfg["offset"]), p, gamma)
+        return log_thickened_prior(cfg["depth"], cfg["offset"], p, gamma)
     raise CLIConfigError(f"unknown prior {name!r}")
 
 
@@ -346,8 +343,8 @@ def _cmd_phi(cfg):
     model = _build_model(cfg)
     r_min, r_max = float(cfg["r_min"]), float(cfg["r_max"])
     points = int(cfg["points"])
-    if not (0.0 < r_min < r_max) or points < 2:
-        raise CLIConfigError("need 0 < r_min < r_max and points >= 2")
+    if not (0.0 < r_min < r_max < math.inf) or points < 2:
+        raise CLIConfigError("need 0 < r_min < r_max < inf and points >= 2")
     prof = _cached_profile(model)
     limit = prof.limit_value
     rows = []
@@ -391,7 +388,7 @@ def _cmd_risk(cfg):
         estimator=estimator,
         prior=prior,
         theta_norms=tuple(_parse_theta(cfg["theta"])),
-        samples_per_point=int(cfg["n"]),
+        samples_per_point=cfg["n"],
         seed=int(cfg["seed"]),
         paired=bool(cfg["paired"]),
     )
@@ -417,7 +414,7 @@ def _cmd_risk(cfg):
 
 
 def _cmd_hseq(cfg):
-    kernel = BetaKernel(LogTower(int(cfg["n"]), float(cfg["c"])))
+    kernel = BetaKernel(LogTower(cfg["n"], cfg["c"]))
     i_list = _parse_list(cfg["i"])
     if not i_list:
         raise CLIConfigError("need at least one i")
@@ -467,9 +464,7 @@ def _cmd_hseq(cfg):
 
 
 def _cmd_prior(cfg):
-    if cfg["p"] is None:
-        raise CLIConfigError("the dimension is required (--p)")
-    prior = _build_prior(cfg, int(cfg["p"]))
+    prior = _build_prior(cfg, cfg["p"])
     cls = classify_prior(prior)
     rows = [
         ("classification", "verdict", cls.verdict),
@@ -521,8 +516,8 @@ def _cmd_verify(cfg):
     checks = []
     if which in ("gegenbauer", "all"):
         if cfg.get("gegen_alpha") is not None:
-            alphas = [float(cfg["gegen_alpha"])]
-            avals = [float(cfg["gegen_a"])] if cfg.get("gegen_a") is not None else [0.0]
+            alphas = [cfg["gegen_alpha"]]
+            avals = [cfg["gegen_a"]] if cfg.get("gegen_a") is not None else [0.0]
         else:
             alphas = [0.5, 1.0, 1.5, 2.5, 4.0]
             avals = [-0.9, -0.5, 0.0, 0.5, 0.9]
@@ -531,14 +526,14 @@ def _cmd_verify(cfg):
                 checks.append(("gegenbauer", gegenbauer_identity(al, av)))
     if which in ("minpower", "all"):
         if minpower_at:
-            pts = [(int(cfg["p"] or 3), float(cfg["t"]))]
+            pts = [(3 if cfg["p"] is None else cfg["p"], cfg["t"])]
         else:
             pts = [(p, t) for p in (3, 4, 5) for t in (0.5, 2.0)]
         for p, t in pts:
             checks.append(("minpower", min_power_identity(p, t)))
     if which in ("kernelmass", "all"):
         if model is not None:
-            order = float(cfg["order"]) if cfg.get("order") is not None else 0.0
+            order = cfg["order"] if cfg.get("order") is not None else 0.0
             checks.append(("kernelmass", kernel_mass_identity(model, order)))
         else:
             g3 = normalize("gaussian", {}, 3)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sphereshrink._domain import same_dimension
 from sphereshrink.radial_models import DivergentMoment, RadialDensity
 
 PROPERTIES = ("f_nonincreasing", "F_over_f_nondecreasing", "F_over_t2f_nonincreasing")
@@ -147,9 +148,8 @@ def _leq(x: float, bound: float) -> bool:
 
 
 def evaluate_conditions(model: RadialDensity, p: int) -> MinimaxReport:
-    """Evaluate every applicable certification row for one model."""
-    if p != model.p:
-        raise AuditError(f"dimension argument {p} does not match the model's {model.p}")
+    """Evaluate every applicable certification row for one model of dimension ``p``."""
+    same_dimension(AuditError, model, p=p)
 
     e2 = model.moment(2.0)
     try:

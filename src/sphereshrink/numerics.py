@@ -518,8 +518,8 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     initially at its interior edges.  An edge may repeat, so rows of
     different piece counts share one array by repeating their last
     edge: the zero-width pieces are dropped before the loop, and each
-    row starts from its own nonempty pieces.  A row of zero span raises
-    ``ValueError``.  ``f(row, x)`` gets
+    row starts from its own nonempty pieces.  A row of zero span, a
+    decreasing edge or a NaN one raises ``ValueError``.  ``f(row, x)`` gets
     a nondecreasing index array ``row`` aligned with the abscissae
     ``x``.  Each round calls ``f`` once on every new segment of every
     unconverged row and bisects, in each of those rows, the segments
@@ -541,7 +541,7 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 2 or edges.shape[1] < 2:
         raise ValueError("edges must be a 2-d array with at least two columns")
-    if np.count_nonzero(edges[:, 1:] >= edges[:, :-1]) < edges.shape[0] * (edges.shape[1] - 1):  # NaN fails too
+    if np.count_nonzero(edges[:, 1:] >= edges[:, :-1]) < edges.shape[0] * (edges.shape[1] - 1):
         raise ValueError("each row's edges must be nondecreasing numbers")
     if spec.singularity_hints:
         hints = np.asarray(spec.singularity_hints, dtype=float)

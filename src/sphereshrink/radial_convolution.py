@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from sphereshrink._domain import radii, radius, real, same_dimension
 from sphereshrink.numerics import (
     DivergenceSuspected,
     NonFiniteIntegrand,
@@ -107,13 +108,9 @@ class ConvolutionProblem:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ConvolutionError(f"kernel must be one of {KERNELS}")
-        if not self.r >= 0:  # NaN fails too
-            raise ConvolutionError("radius must be nonnegative")
-        if self.singularity_class <= -self.model.p:
-            raise ConvolutionError(
-                "integrand must be integrable against r^{p-1} near 0: "
-                f"need class > {-self.model.p}"
-            )
+        radius(self.r, ConvolutionError, "radius")
+        # the integrand must be integrable against r^{p-1} near 0
+        real(self.singularity_class, ConvolutionError, "singularity_class", -self.model.p)
 
 
 def c_f(model: RadialDensity) -> float:
@@ -144,11 +141,8 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
     that is negative, infinite or NaN is refused with ConvolutionError.
     A failed integral names its term and r: "m", "S" or "term j".
     """
-    if prior is not None and prior.p != model.p:
-        raise ConvolutionError("prior and model dimensions differ")
-    if not 0.0 <= r < math.inf:  # NaN fails too
-        raise ConvolutionError(f"radius must be nonnegative and finite, not {r}")
-    r = float(r)
+    same_dimension(ConvolutionError, model, prior)
+    r = radius(r, ConvolutionError, "radius")
     values, todo = [0.0] * len(terms), []
     for j, term in enumerate(terms):
         cos = term is _S or j in directional
@@ -157,7 +151,7 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
         name = "S" if term is _S else "m" if term is _M else f"term {j}"
         if term is _M or term is _S:
             if term is _M and prior.harmonic:
-                values[j] = harmonic_marginal_closed(model, r)
+                values[j] = _harmonic_m(model, r)
                 continue
             term = ("density", prior.g_eval, prior.origin_class)
         todo.append((j, ConvolutionProblem(model, term[0], term[1], r, term[2]), cos, f"{name} at r={r:.3g}"))
@@ -309,11 +303,13 @@ def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
     c_p F(0) as r -> 0.
 
     This is exact for g(eta) = eta^{2-p} and is the fast route the
-    2-d oracle is checked against.
+    2-d oracle is checked against.  r must be nonnegative and finite.
     """
+    return _harmonic_m(model, radius(r, ConvolutionError, "radius"))
+
+
+def _harmonic_m(model: RadialDensity, r: float) -> float:
     p = model.p
-    if not r >= 0:  # NaN fails too
-        raise ConvolutionError("radius must be nonnegative")
     cp = sphere_surface(p)
     if r < 1.0 and r ** (p - 2.0) < 1e-290:
         # r^{p-2} and the moment would underflow; m = c_p F(0) to double precision
@@ -367,11 +363,7 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     in on 1 at a power rate).  ``r_list`` is checked before the prior's
     slope audit: it needs two radii or more, each positive and finite.
     """
-    radii = tuple(float(r) for r in r_list)
-    if len(radii) < 2:
-        raise ConvolutionError("need at least two positive radii")
-    if not all(0.0 < r < math.inf for r in radii):  # NaN fails too
-        raise ConvolutionError(f"probe radii must be positive and finite: {list(radii)}")
+    rs = tuple(radii(r_list, ConvolutionError, "probe radii", positive=True, least=2).tolist())
 
     prof = prior.assumption_profile
     if not (math.isfinite(prof.t1) and math.isfinite(prof.t2)):
@@ -384,7 +376,7 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     g, cls = prior.g_eval, prior.origin_class
     over_norm = lambda lam: g(lam) / lam
     ratios = {"m_g": [], "M_g": [], "M_g_over_norm": []}
-    for r in radii:
+    for r in rs:
         big_m, big_m_norm, m = _request(
             model, r, [("tail_kernel", g, cls), ("tail_kernel", over_norm, cls - 1.0), _M], prior)
         gr = float(g(r))
@@ -393,9 +385,9 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
         ratios["M_g_over_norm"].append(big_m_norm / (gr / r))
 
     eps = {}
-    logr = np.log(np.asarray(radii))
+    logr = np.log(np.asarray(rs))
     for name, vals in ratios.items():
         dev = np.maximum(np.abs(np.asarray(vals) - 1.0), 1e-15)
         slope = np.polyfit(logr, np.log(dev), 1)[0]
         eps[name] = -float(slope)
-    return AsymptoticProbe(radii, {k: tuple(v) for k, v in ratios.items()}, eps)
+    return AsymptoticProbe(rs, {k: tuple(v) for k, v in ratios.items()}, eps)

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gammainc
 
+from sphereshrink._domain import eta, integer, radii, real
 from sphereshrink.numerics import (
     QuadratureSpec,
     integrate_pieces,
@@ -78,9 +79,10 @@ class RadialDensity:
     constructor validates their values and sets ``params``,
     ``norm_const`` and ``tail_decay``, the ``decay`` and ``scale`` that
     ``integrate_half_lines`` needs for integrands carrying f or F.
-    The public methods here convert their input to float arrays and call
-    the family's ``_shape``, ``_big_f`` and ``_kernel_moment``; no family
-    overrides them, so ``perfbench/tracer.py`` can wrap them here.
+    The public methods here check their arguments' domains, convert
+    their input to float arrays and call the family's ``_shape``,
+    ``_big_f``, ``_kernel_moment`` and ``_moment``; no family overrides
+    them, so ``perfbench/tracer.py`` can wrap them here.
     ``moment(k)`` is the raw moment E||X||^k under the model (theta = 0).
     ``monotone`` and ``inf_ratio`` answer the minimax audit analytically,
     or return None to have it scan a grid instead.  ``knots`` lists the
@@ -98,11 +100,7 @@ class RadialDensity:
         return super().__new__(cls)
 
     def __init__(self, p):
-        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-            raise ModelError("dimension p must be an integer")
-        if p < 3:
-            raise ModelError("dimension p must be at least 3")
-        self.p = int(p)
+        self.p = integer(p, ModelError)
         self._support = {}
 
     def density(self, r):
@@ -114,11 +112,12 @@ class RadialDensity:
         return self._big_f(np.asarray(u, dtype=float))
 
     def kernel_moment(self, m: float, r):
-        """int_0^r t^m F(t) dt for m > -1, vectorized over r >= 0."""
-        r = np.asarray(r, dtype=float)
-        if m <= -1 or np.any(r < 0):
-            raise ValueError("kernel moments need m > -1 and r >= 0")
-        return self._kernel_moment(float(m), r)
+        """int_0^r t^m F(t) dt for finite m > -1, vectorized over finite r >= 0."""
+        return self._kernel_moment(real(m, ModelError, "m", -1.0), eta(np.asarray(r, dtype=float), ModelError, "r"))
+
+    def moment(self, k: float) -> float:
+        """E||X||^k under the model (theta = 0) for a finite k; DivergentMoment where it diverges."""
+        return self._moment(real(k, ModelError, "moment order k"))
 
     def tail_start(self) -> tuple[float, float]:
         """(s, r0): the tail exponent and where its bound starts."""
@@ -147,9 +146,7 @@ class RadialDensity:
 
         The result is kept per ``eps``, so repeated calls cost nothing.
         """
-        if not 0 < eps < 1:
-            raise ValueError("eps must be in (0, 1)")
-        hi = self._support.get(eps)
+        hi = self._support.get(real(eps, ModelError, "eps", 0.0, 1.0))
         if hi is None:
             hi = self._support[eps] = self._bisect_support(eps)
         return hi
@@ -207,7 +204,7 @@ class _Gaussian(RadialDensity):
     def _kernel_moment(self, m, r):
         return self.norm_const * _bell_moment(m, 0.5, r)
 
-    def moment(self, k):
+    def _moment(self, k):
         p = self.p
         if p + k <= 0:
             raise DivergentMoment(f"moment {k} diverges for p={p}")
@@ -228,12 +225,8 @@ class _PolyExp(RadialDensity):
 
     def __init__(self, params, p):
         super().__init__(p)
-        alpha = float(params.get("alpha", math.nan))
-        beta = float(params.get("beta", math.nan))
-        if not (alpha >= 0.0):
-            raise ModelError("poly_exp requires alpha >= 0")
-        if not (beta > 0.0):
-            raise ModelError("poly_exp requires beta > 0")
+        alpha = real(params.get("alpha"), ModelError, "poly_exp alpha", 0.0, ends="[)")
+        beta = real(params.get("beta"), ModelError, "poly_exp beta", 0.0)
         self.params = {"alpha": alpha, "beta": beta}
         self.alpha, self.beta = alpha, beta
         # c_p K int r^{p-1+alpha} e^{-beta r^2} dr = 1
@@ -255,7 +248,7 @@ class _PolyExp(RadialDensity):
         head = r ** (m + 1.0) * self._big_f(r)
         return (head + self.norm_const * _bell_moment(m + 2.0 + self.alpha, self.beta, r)) / (m + 1.0)
 
-    def moment(self, k):
+    def _moment(self, k):
         p, alpha, beta = self.p, self.alpha, self.beta
         if p + k + alpha <= 0:
             raise DivergentMoment(f"moment {k} diverges for p={p}, alpha={alpha}")
@@ -288,12 +281,8 @@ class _MixtureDiff(RadialDensity):
 
     def __init__(self, params, p):
         super().__init__(p)
-        a = float(params.get("a", math.nan))
-        b = float(params.get("b", math.nan))
-        if not (0.0 < a <= 1.0):
-            raise ModelError("mixture_diff requires 0 < a <= 1")
-        if not (0.0 < b < 1.0):
-            raise ModelError("mixture_diff requires 0 < b < 1")
+        a = real(params.get("a"), ModelError, "mixture_diff a", 0.0, 1.0, "(]")
+        b = real(params.get("b"), ModelError, "mixture_diff b", 0.0, 1.0)
         self.params = {"a": a, "b": b}
         self.a, self.b = a, b
         self.norm_const = 1.0 / ((2 * math.pi) ** (0.5 * self.p) * (1.0 - a * b ** (0.5 * self.p)))
@@ -311,7 +300,7 @@ class _MixtureDiff(RadialDensity):
         a, b = self.a, self.b
         return self.norm_const * (_bell_moment(m, 0.5, r) - a * b * _bell_moment(m, 0.5 / b, r))
 
-    def moment(self, k):
+    def _moment(self, k):
         p, a, b = self.p, self.a, self.b
         if p + k <= 0:
             raise DivergentMoment(f"moment {k} diverges for p={p}")
@@ -342,17 +331,11 @@ class _Tabulated(RadialDensity):
 
     def __init__(self, params, p):
         super().__init__(p)
-        if "r" not in params or "f" not in params:
-            raise ModelError("tabulated requires 'r' and 'f' arrays")
-        r = np.asarray(params["r"], dtype=float)
-        f = np.asarray(params["f"], dtype=float)
+        r = radii(params.get("r"), ModelError, "tabulated r", positive=True, least=8)
+        f = radii(params.get("f"), ModelError, "tabulated f", positive=True, least=8)
         self.params = {"r": r, "f": f}
-        if r.ndim != 1 or r.shape != f.shape or r.size < 8:
-            raise ModelError("tabulated model needs matching 1-d grids with >= 8 points")
-        if np.any(np.diff(r) <= 0) or r[0] <= 0:
-            raise ModelError("tabulated radii must be positive and strictly increasing")
-        if np.any(f <= 0):
-            raise ModelError("tabulated density samples must be strictly positive")
+        if r.shape != f.shape or np.any(np.diff(r) <= 0):
+            raise ModelError("tabulated model needs matching grids with strictly increasing radii")
         # Tail exponent from a log-log fit over the last decade of knots.
         mask = r >= r[-1] / 10.0
         if mask.sum() < 4:
@@ -422,10 +405,16 @@ class _Tabulated(RadialDensity):
         return self.norm_const * self._above(1.0, u)
 
     def _kernel_moment(self, m, r):
-        # by parts, with F'(t) = -t f(t): both terms are nonnegative
-        return (r ** (m + 1.0) * self._big_f(r) + self.norm_const * self._below(m + 2.0, r)) / (m + 1.0)
+        # by parts, with F'(t) = -t f(t): both terms are nonnegative.  Beyond
+        # the table r^(m+1) F(r) is the power law below, where r^(m+1) alone
+        # would overflow while F underflows
+        r_hi, q = self.r[-1], self.q
+        near = np.minimum(r, r_hi)
+        far = self.norm_const * self.f[-1] * r_hi ** (m + 3.0) * (np.maximum(r, r_hi) / r_hi) ** (m + 3.0 - q) / (q - 2.0)
+        head = np.where(r > r_hi, far, near ** (m + 1.0) * self._big_f(near))
+        return (head + self.norm_const * self._below(m + 2.0, r)) / (m + 1.0)
 
-    def moment(self, k):
+    def _moment(self, k):
         p, q = self.p, self.q
         if p + k - q >= 0:
             raise DivergentMoment(f"moment {k} diverges for tabulated tail exponent {q}")

@@ -38,6 +38,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from sphereshrink._domain import integer, radii, real, same_dimension
 from sphereshrink.numerics import QuadratureError, WeightTable, gated_table, sphere_surface
 from sphereshrink.radial_convolution import ConvolutionError, c_f, gb_marginals
 from sphereshrink.radial_models import RadialDensity
@@ -131,9 +132,7 @@ def sample_radius(model: RadialDensity, u):
     """
     ppf, u_hi, r_hi = _sampler(model)
     if isinstance(u, float) or np.ndim(u) == 0:
-        u = float(u)
-        if not 0.0 <= u <= 1.0:
-            raise RiskSimError("u must lie in [0, 1]")
+        u = real(u, RiskSimError, "u", 0.0, 1.0, "[]")
         return r_hi if u >= u_hi else ppf(u)
     uu = np.asarray(u, dtype=float)
     if not np.all((uu >= 0.0) & (uu <= 1.0)):
@@ -181,16 +180,11 @@ class RiskConfig:
     theta_direction: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.p != self.model.p:
-            raise RiskSimError(f"p={self.p} does not match the model's {self.model.p}")
-        if int(self.samples_per_point) < 1:
-            raise RiskSimError("samples_per_point must be >= 1")
-        object.__setattr__(self, "samples_per_point", int(self.samples_per_point))
+        same_dimension(RiskSimError, self.model, self.prior, self.p)
+        n = integer(self.samples_per_point, RiskSimError, "samples_per_point", 1)
+        object.__setattr__(self, "samples_per_point", n)
         object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
-        norms = tuple(float(t) for t in self.theta_norms)
-        if not norms or not all(0.0 <= t < math.inf for t in norms):  # NaN fails too
-            raise RiskSimError(f"theta_norms must be nonempty, nonnegative and finite: {list(norms)}")
-        object.__setattr__(self, "theta_norms", norms)
+        object.__setattr__(self, "theta_norms", tuple(radii(self.theta_norms, RiskSimError, "theta_norms").tolist()))
         if isinstance(self.estimator, str):
             if self.estimator not in ESTIMATORS:
                 raise RiskSimError(f"estimator must be one of {ESTIMATORS} or a callable")
@@ -198,8 +192,6 @@ class RiskConfig:
                 raise RiskSimError("generalized_bayes needs a prior")
         elif not callable(self.estimator):
             raise RiskSimError("estimator must be an enum name or a callable")
-        if self.prior is not None and self.prior.p != self.p:
-            raise RiskSimError(f"prior dimension {self.prior.p} does not match p={self.p}")
         if self.loss_Q is not None:
             q = np.asarray(self.loss_Q, dtype=float)
             if q.shape != (self.p, self.p):
@@ -241,21 +233,6 @@ class DominanceVerdict:
 
 
 # -- estimation ---------------------------------------------------------
-
-
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        raw = os.environ.get("SPHERESHRINK_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise RiskSimError(f"SPHERESHRINK_THREADS must be an integer, got {raw!r}") from exc
-    threads = int(threads)
-    if threads < 0:
-        raise RiskSimError("thread count must be >= 0")
-    if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
-    return threads
 
 
 def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
@@ -342,7 +319,11 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
     forms X = theta + R U and calls est(X, ||X||), then takes its loss
     and the difference from a.  Both paths share the draws, the
     per-block partial sums and their fixed-order reduction.
+
+    ``threads`` worker threads (by default min(8, cpu count)) share the
+    blocks; the curve is the same, bitwise, for any count.
     """
+    n_workers = min(8, os.cpu_count() or 1) if threads is None else integer(threads, RiskSimError, "threads", 1)
     model = config.model
     p = config.p
     n_total = config.samples_per_point
@@ -394,7 +375,6 @@ def estimate_risk(config: RiskConfig, threads=None) -> RiskCurve:
                 ld = a + d
             partials[k, j] = (ld.sum(), (ld * ld).sum(), d.sum(), (d * d).sum())
 
-    n_workers = _resolve_threads(threads)
     if n_workers <= 1 or n_blocks == 1:
         for j in range(n_blocks):
             run_block(j)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sphereshrink._domain import eta as _eta, integer, real, same_dimension, timescale
 from sphereshrink.numerics import (
     QuadratureError,
     QuadratureSpec,
@@ -84,8 +85,7 @@ def log_tower(j: int, y):
     Raises for arguments where any intermediate logarithm is undefined
     or nonpositive (so the next level would be undefined).
     """
-    if j < 0:
-        raise PriorError("log tower depth must be nonnegative")
+    integer(j, PriorError, "log tower depth j", 0)
     y = np.asarray(y, dtype=float)
     out = np.ones_like(y)
     cur = y
@@ -103,9 +103,10 @@ def kernel_offset(n: int) -> float:
     That is 1, e, e^e and e^e^e ~ 3.8e6 for n = 0, 1, 2, 3.  No double
     has Log_4(c) = 1 (exp^4(1) overflows), so depth 4 takes
     c = 2 e^e^e ~ 7.6e6, where Log_4(c) ~ 0.016 > 0.  Log_5 of every
-    double is negative, so a depth of 5 or more raises PriorError.
+    double is negative, so a depth of 5 or more raises PriorError, as
+    does a depth that is not an integer >= 0.
     """
-    if n > 4:
+    if integer(n, PriorError, "kernel depth n", 0) > 4:
         raise PriorError(f"no kernel of depth {n}: Log_{n}(c) < 0 for every double c")
     c = 1.0
     for _ in range(min(n, 3)):
@@ -115,15 +116,14 @@ def kernel_offset(n: int) -> float:
 
 @dataclass(frozen=True)
 class LogTower:
-    """Depth and offset of an iterated-log kernel; requires Log_n(c) > 0."""
+    """Depth and offset of an iterated-log kernel: an integer n >= 1 and a finite c with Log_n(c) > 0."""
 
     n: int
     c: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PriorError("kernel depth n must be >= 1")
-        val = log_tower(self.n, self.c)
+        integer(self.n, PriorError, "kernel depth n", 1)
+        val = log_tower(self.n, real(self.c, PriorError, "kernel offset c"))
         if not val > 0.0:
             raise PriorError(f"Log_{self.n}({self.c}) = {val} must be positive")
 
@@ -243,7 +243,7 @@ class HSequence:
 
     def __init__(self, kernel: BetaKernel, i: float):
         self.kernel = kernel
-        self.i = _timescale(i)
+        self.i = timescale(i, PriorError)
 
     def _avg(self, eta, derivative: bool = False):
         """[beta, Tail, Num] at eta, and the average of -beta' after them if ``derivative``.
@@ -257,15 +257,8 @@ class HSequence:
         entry is a float for a float eta, else an array of eta's shape.
         """
         scalar = not np.ndim(eta)
-        if scalar:
-            etas = np.array([eta], dtype=float)
-            ok = 0.0 <= eta < math.inf
-        else:
-            shape = np.shape(eta)
-            etas = np.asarray(eta, dtype=float).ravel()
-            ok = np.count_nonzero((etas >= 0.0) & (etas < math.inf)) == etas.size  # NaN fails too
-        if not ok:
-            raise PriorError("eta must be nonnegative and finite")
+        eta = _eta(eta, PriorError)
+        etas = np.array([eta], dtype=float) if scalar else eta.ravel()
         kernel = self.kernel
         logs, tail = kernel._layer(etas, 1 + derivative)
         beta, slope = logs[:2]
@@ -273,7 +266,7 @@ class HSequence:
         if derivative:
             blocks.append((kernel.minus_beta_deriv, self.i, slice(None), slope + logs[2] / slope))
         out = [beta, tail, *_averages(etas, beta, blocks)]
-        return [float(part[0]) for part in out] if scalar else [part.reshape(shape) for part in out]
+        return [float(part[0]) for part in out] if scalar else [part.reshape(eta.shape) for part in out]
 
     def numerator(self, eta):
         """int_eta^inf e^{(eta-r)/i} beta(r) dr."""
@@ -297,14 +290,6 @@ class HSequence:
         """
         beta, tail, num, dpart = self._avg(eta, True)
         return beta * num / tail**2 - dpart / tail
-
-
-def _timescale(i) -> float:
-    """``i`` as a float; :class:`PriorError` unless 0 < i < inf (nan included)."""
-    i = float(i)
-    if not 0.0 < i < math.inf:
-        raise PriorError("timescale i must be positive and finite")
-    return i
 
 
 def _averages(etas, scale, blocks):
@@ -420,12 +405,8 @@ class RadialPrior:
         return super().__new__(cls)
 
     def __init__(self, p, gamma):
-        if p < 3:
-            raise PriorError("dimension p must be at least 3")
-        self.p = int(p)
-        self.gamma = float(gamma)
-        if not 0.0 < self.gamma <= 2.0:
-            raise PriorError("gamma must lie in (0, 2]")
+        self.p = integer(p, PriorError)
+        self.gamma = real(gamma, PriorError, "gamma", 0.0, 2.0, "(]")
 
     # G and its derivatives ------------------------------------------
 
@@ -484,9 +465,7 @@ class _Power(RadialPrior):
 
     def __init__(self, family: str, k, p: int, gamma):
         super().__init__(p, gamma)
-        k = 2.0 - self.p if k is None else float(k)
-        if not math.isfinite(k):
-            raise PriorError("power k must be finite")
+        k = 2.0 - self.p if k is None else real(k, PriorError, "power k")
         self.family, self.k = family, k
         self.params = {"k": k}
         self.rv_index = self.origin_slope = k
@@ -521,12 +500,8 @@ class _LogThickened(RadialPrior):
 
     def __init__(self, n: int, c: float, p: int, gamma):
         super().__init__(p, gamma)
-        if n < 0:
-            raise PriorError("log depth n must be >= 0")
-        # all factors must be positive at eta = 0
-        if not log_tower(n + 1, float(c)) > 0.0:
-            raise PriorError(f"Log_{n+1}({c}) must be positive")
-        self.n, self.c = int(n), float(c)
+        self.n, self.c = integer(n, PriorError, "log depth n", 0), real(c, PriorError, "log offset c")
+        LogTower(self.n + 1, self.c)  # all factors must be positive at eta = 0
         self.params = {"n": self.n, "c": self.c}
         self.rv_index = self.origin_slope = 2.0 - self.p
         self.log_depth = self.n + 1
@@ -758,7 +733,7 @@ def select_gamma(prior: RadialPrior, kernel: BetaKernel, step: float = 0.25):
     first value whose properness index is finite, or None when even
     gamma = 2 fails.  Public API: no module here calls it.
     """
-    for j in range(1, int(round(2.0 / step)) + 1):
+    for j in range(1, int(round(2.0 / real(step, PriorError, "step", 0.0, 2.0, "(]"))) + 1):
         trial = copy.copy(prior)
         trial.gamma = step * j
         if properness_index(trial, kernel).verdict == "finite":
@@ -790,7 +765,7 @@ def blyth_decay(prior: RadialPrior, kernel: BetaKernel, i_list) -> list[float]:
     included) raises :class:`PriorError`, as ``HSequence`` does.
     """
     p, gamma = prior.p, prior.gamma
-    timescales = [_timescale(i) for i in i_list]
+    timescales = [timescale(i, PriorError) for i in i_list]
     n = len(timescales)
     if not n:
         return []
@@ -876,13 +851,14 @@ def classify_prior(prior: RadialPrior, model=None) -> PriorClassification:
     """Coarse certification from tail index, boundary bound and Brown test.
 
     Admissibility is certified only under FG1 (``fg1_ok``, see
-    ``_fg1_finite``) against ``model``, by default the gaussian.
+    ``_fg1_finite``) against ``model``, by default the gaussian; a model
+    of another dimension than the prior's raises PriorError.
     """
-    p = prior.p
     if model is None:
         from sphereshrink.radial_models import gaussian
 
-        model = gaussian(p)
+        model = gaussian(prior.p)
+    p = same_dimension(PriorError, model, prior)
     k = prior.estimated_rv_index()
     tail = model.tail_profile()
     brown = brown_diagnostic(prior)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sphereshrink._domain import radius, same_dimension
 from sphereshrink.numerics import QuadratureSpec, WeightTable, integrate
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.radial_convolution import gb_marginals
@@ -30,19 +31,15 @@ class ShrinkageError(Exception):
     """Bad estimator request."""
 
 
-def _check_dims(model: RadialDensity, p: int):
-    if p != model.p:
-        raise ShrinkageError(f"dimension argument {p} does not match the model's {model.p}")
-
-
 def phi_star(model: RadialDensity, p: int, r: float) -> float:
     """Shrinkage weight as the ratio of cumulative kernel moments.
 
     phi(r) = int_0^r t^{p-1} F(t) dt / int_0^r t^{p-3} F(t) dt
+
+    for a positive and finite r.
     """
-    _check_dims(model, p)
-    if not r > 0:  # NaN fails too
-        raise ShrinkageError("r must be positive")
+    same_dimension(ShrinkageError, model, p=p)
+    r = radius(r, ShrinkageError, positive=True)
     spike = model.support_radius(1e-16)
     hints = (spike,) if r > spike else ()
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400,
@@ -59,7 +56,7 @@ def _exact_phi(model: RadialDensity, r):
 
 def phi_limit(model: RadialDensity, p: int) -> float:
     """Large-r limit of the weight: (p-2) E_0 ||X||^2 / p."""
-    _check_dims(model, p)
+    same_dimension(ShrinkageError, model, p=p)
     return (p - 2.0) * model.moment(2.0) / p
 
 
@@ -141,12 +138,12 @@ def _cached_profile(model: RadialDensity) -> ShrinkageProfile:
 
 
 def estimate(model: RadialDensity, p: int, x) -> np.ndarray:
-    """Shrunk location estimate (1 - phi(||x||)/||x||^2) x, with 0 -> 0."""
-    _check_dims(model, p)
+    """Shrunk location estimate (1 - phi(||x||)/||x||^2) x, with 0 -> 0, for a finite x."""
+    same_dimension(ShrinkageError, model, p=p)
     x = np.asarray(x, dtype=float)
     if x.shape != (p,):
         raise ShrinkageError(f"x must be a vector of length {p}")
-    r = float(np.linalg.norm(x))
+    r = radius(float(np.linalg.norm(x)), ShrinkageError, "||x||")
     return float(_cached_profile(model).multiplier(r)) * x
 
 
@@ -163,13 +160,11 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
     S = -c_p (p - 2) r^{1-p} A(r) (the two r F(r) terms of its
     derivative cancel); with m = c_p (p - 2) r^{2-p} B(r), S / (r m) is
     -A / (r^2 B).  Where r^p < 1e-290, A would underflow, and kappa
-    takes its limit 2/p.  r must be positive and finite.
+    takes its limit 2/p.  r must be positive and finite, and the model,
+    the prior and p must agree on the dimension.
     """
-    _check_dims(model, p)
-    if prior.p != p:
-        raise ShrinkageError("prior dimension does not match")
-    if not 0.0 < r < np.inf:  # NaN fails too
-        raise ShrinkageError(f"r must be positive and finite, not {r}")
+    same_dimension(ShrinkageError, model, prior, p)
+    r = radius(r, ShrinkageError, positive=True)
     if prior.harmonic:
         if r < 1.0 and r**p < 1e-290:  # r^p alone would overflow far out
             return 2.0 / p

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from sphereshrink._domain import integer, radius, real
 from sphereshrink.numerics import QuadratureSpec, beta_fn, integrate, integrate_half_lines, sphere_surface
 from sphereshrink.radial_models import RadialDensity
 
@@ -53,10 +54,8 @@ def gegenbauer_identity(alpha: float, a: float) -> IdentityCheck:
     The spike sits at phi = 0 or pi, so both are hinted, and the row
     starts from ``integrate``'s ratio-2 ladders toward both ends.
     """
-    if alpha <= -0.5:
-        raise IdentityError("alpha must exceed -1/2")
-    if abs(a) > 0.99:
-        raise IdentityError("mixing parameter capped at |a| <= 0.99")
+    alpha = real(alpha, IdentityError, "alpha", -0.5)
+    a = real(a, IdentityError, "mixing parameter a", -0.99, 0.99, "[]")
 
     def integrand(phi):
         w = 1.0 + 2.0 * a * np.cos(phi) + a * a
@@ -79,12 +78,9 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
     the layer, down to pi/64; within 1e-2 of t = 1 a geometric ladder of
     interior split points brackets the thinner layer as well.  Without
     them the error estimator can report convergence on the unresolved
-    spike.
+    spike.  p is an integer >= 3 and t is positive and finite.
     """
-    if p < 3:
-        raise IdentityError("dimension p must be at least 3")
-    if t <= 0:
-        raise IdentityError("t must be positive")
+    p, t = integer(p, IdentityError), radius(t, IdentityError, "t", positive=True)
 
     def integrand(phi):
         # half-angle form of 1 + 2 t cos(phi) + t^2: no cancellation at
@@ -107,13 +103,12 @@ def kernel_mass_identity(model: RadialDensity, order: float) -> IdentityCheck:
 
     int_{R^p} ||y||^s F(||y||) dy = c_p/(p+s) int_0^inf z^{p+1+s} f(z) dz
 
-    for the moment order s.  The left side integrates the tail kernel
+    for the moment order s, finite and > -p.  The left side integrates the tail kernel
     radially; the right side is moment(s+2)/(p+s), so a divergent moment
     propagates as such.
     """
     p = model.p
-    if p + order <= 0:
-        raise IdentityError("need p + order > 0")
+    order = real(order, IdentityError, "order", -p)
     rhs = model.moment(order + 2.0) / (p + order)
 
     cp = sphere_surface(p)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from sphereshrink import cli
+from sphereshrink import cli, numerics
 from sphereshrink.radial_models import poly_exp
 from sphereshrink.risk_sim import RiskCurve, RiskPoint
 from sphereshrink.special_integrals import kernel_mass_identity
@@ -361,7 +361,7 @@ def test_exit_codes_follow_the_kind_of_failure(tmp_path, capsys):
     # one radius is an ill-posed probe request, wherever it is refused
     argv = ["probe", *MODEL, "--prior", "power", "--k", "-2.5", "--radii", "10"]
     assert cli.main([*argv, "--out", str(tmp_path / "probe.csv")]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: need at least two positive radii")
+    assert capsys.readouterr().err.startswith("error: probe radii must be positive and finite numbers in a 1-d list of 2 or more, not [10.0]")
     # on a (1 + r^2)^-3.525 table the oracle fails far out in the GB table's
     # tail: a numeric failure, though the risk module raises it
     r = np.geomspace(0.01, 100.0, 300)
@@ -376,15 +376,31 @@ def test_exit_codes_follow_the_kind_of_failure(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["hseq", "--eta-max", "inf"], "need 0 < eta_min <= eta_max < inf"),
     (["probe", *MODEL, "--prior", "power", "--k", "-2.5", "--radii", "nan,10"],
-     "probe radii must be positive and finite: [nan, 10.0]"),
+     "probe radii must be positive and finite numbers in a 1-d list of 2 or more, not [nan, 10.0]"),
     (["prior", "--p", "3", "--prior", "power", "--k", "nan", "--no-blyth"], "power k must be finite"),
-    (["probe", *MODEL, "--prior", "harmonic", "--radii", "10,inf"], "probe radii must be positive and finite: [10.0, inf]"),
-    (["risk", *MODEL, "--theta", "nan"], "theta_norms must be nonempty, nonnegative and finite: [nan]"),
+    (["probe", *MODEL, "--prior", "harmonic", "--radii", "10,inf"],
+     "probe radii must be positive and finite numbers in a 1-d list of 2 or more, not [10.0, inf]"),
+    (["risk", *MODEL, "--theta", "nan"], "theta_norms must be nonempty, nonnegative and finite numbers in a 1-d list, not [nan]"),
+    # exited 0 with normalization_constant nan
+    (["model-info", "--family", "polyexp", "--p", "5", "--alpha", "inf", "--beta", "1"],
+     "poly_exp alpha must be finite and in [0, inf), not inf"),
+    # exited 1 with NonFiniteIntegrand
+    (["prior", "--p", "3", "--prior", "logthick", "--offset", "inf"], "log offset c must be finite, not inf"),
+    (["hseq", "--c", "inf"], "kernel offset c must be finite, not inf"),
+    (["verify", "--identity", "gegenbauer", "--gegen-alpha", "nan"], "alpha must be finite and in (-0.5, inf), not nan"),
+    (["verify", "--identity", "kernelmass", *MODEL, "--order", "nan"], "order must be finite and in (-5, inf), not nan"),
+    # exited 0, with ok true or a nan row
+    (["verify", "--identity", "minpower", "--t", "inf"], "t must be positive and finite, not inf"),
+    (["phi", *MODEL, "--r-max", "inf"], "need 0 < r_min < r_max < inf"),
 ])
-def test_a_value_outside_its_domain_is_a_configuration_error(argv, message, tmp_path, capsys):
-    # each reached a quadrature as a non-finite integrand: exit 1
+def test_a_value_outside_its_domain_is_a_configuration_error(argv, message, tmp_path, capsys, monkeypatch):
+    # the first rows each reached a quadrature as a non-finite integrand: exit 1
+    rounds = []
+    pair = numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda *args: rounds.append(1) or pair(*args))
     assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert rounds == []
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -403,3 +419,35 @@ def test_verify_refuses_an_identity_option_its_run_does_not_use(argv, named, tmp
     assert cli.main(["verify", *argv, "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {named} is not used by this verify run")
     assert not out.exists()
+
+
+def _heavy_table(tmp_path):
+    r = np.geomspace(0.01, 100.0, 300)
+    table = tmp_path / "heavy.csv"
+    np.savetxt(table, np.column_stack([r, (1.0 + r**2) ** -4.0]), delimiter=",")
+    return table
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("model-info", []),
+    ("phi", []),
+    ("check", []),
+    ("risk", ["--n", "200", "--theta", "0,4"]),
+])
+@pytest.mark.parametrize("family", ["gaussian", "polyexp", "mixdiff", "tabulated"])
+def test_every_catalogue_family_runs_through_every_model_subcommand(family, command, extra, tmp_path):
+    options = {
+        "gaussian": [],
+        "polyexp": ["--alpha", "2", "--beta", "1"],
+        "mixdiff": ["--a", "0.5", "--b", "0.5"],
+        "tabulated": ["--table", str(_heavy_table(tmp_path))],
+    }[family]
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--family", family, "--p", "5", *options, *extra, "--out", str(out)]) == cli.EXIT_OK
+    assert data_rows(out)
+
+
+def test_the_probe_refuses_a_power_tailed_table(tmp_path, capsys):
+    argv = ["probe", "--family", "tabulated", "--p", "5", "--table", str(_heavy_table(tmp_path)), "--radii", "10,100"]
+    assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: model tail too heavy")

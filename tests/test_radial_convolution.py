@@ -446,7 +446,7 @@ def test_an_infinite_radius_is_refused_at_every_oracle_entry(call):
 def test_the_probe_checks_its_radii_before_the_slope_audit(bad, monkeypatch):
     prior = harmonic_prior(5)
     monkeypatch.setattr(type(prior), "assumption_profile", property(lambda self: pytest.fail("slope audit ran")))
-    with pytest.raises(ConvolutionError, match=r"probe radii must be positive and finite: \[10\.0, "):
+    with pytest.raises(ConvolutionError, match=r"probe radii must be positive and finite numbers in a 1-d list of 2 or more, not \[10\.0, "):
         asymptotic_ratio_probe(prior, gaussian(5), [10.0, bad])
 
 

@@ -527,13 +527,3 @@ def test_curve_metadata():
     assert md["estimator"] == "harmonic_bayes"
     assert md["paired"] is True
     assert "gaussian" in md["model_id"]
-
-
-def test_thread_env_parsing(monkeypatch):
-    monkeypatch.setenv("SPHERESHRINK_THREADS", "junk")
-    cfg = RiskConfig(model=gaussian(5), p=5, estimator="identity",
-                     theta_norms=(0.0,), samples_per_point=10, seed=1)
-    with pytest.raises(RiskSimError):
-        estimate_risk(cfg)
-    monkeypatch.setenv("SPHERESHRINK_THREADS", "2")
-    assert len(estimate_risk(cfg).entries) == 1

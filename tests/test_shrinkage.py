@@ -1,12 +1,13 @@
 """Shrinkage weight and estimator checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sphereshrink.radial_convolution import ConvolutionError
-from sphereshrink.radial_models import gaussian, mixture_diff, poly_exp
+from sphereshrink.radial_models import gaussian, mixture_diff, poly_exp, tabulated
 from sphereshrink.rv_priors import custom_prior, harmonic_prior, log_thickened_prior, power_prior
 from sphereshrink import numerics
 from sphereshrink import shrinkage as sh
@@ -214,6 +215,20 @@ def test_gb_multiplier_refuses_an_infinite_radius(prior):
     # it leaked the oracle's internal ValueError on the row edges
     with pytest.raises(ShrinkageError, match="r must be positive and finite, not inf"):
         gb_multiplier(prior, gaussian(5), 5, math.inf)
+
+
+@pytest.mark.parametrize("r", [1e62, 1e80])
+def test_the_harmonic_multiplier_on_a_power_tailed_table_is_finite_far_out(r):
+    # r^5 overflowed while F underflowed: kernel_moment(4, r) and kappa read nan
+    grid = np.geomspace(0.01, 100.0, 300)
+    model = tabulated(grid, (1.0 + grid**2) ** -4.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = float(model.kernel_moment(4.0, r))
+        kappa = gb_multiplier(harmonic_prior(5), model, 5, r)
+    # A(inf) = int t^6 f / 5 = E||X||^2 / (5 c_p)
+    assert a == pytest.approx(model.moment(2.0) / (5.0 * numerics.sphere_surface(5)), rel=1e-9)
+    assert abs(kappa - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("model", [gaussian(5), poly_exp(2.0, 1.0, 5), gaussian(3)], ids=repr)
