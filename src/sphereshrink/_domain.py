@@ -80,10 +80,10 @@ def real(x, error, name, lo=-_INF, hi=_INF, ends="()"):
 
 
 def integer(n, error, name="dimension p", least=3):
-    """``n`` as an int >= ``least``; a bool, a float (3.0 included) or nan is refused."""
-    if (type(n) is int or isinstance(n, np.integer)) and n >= least:  # type(True) is bool
+    """``n`` as an int >= ``least``, of any sign if ``least`` is None; a bool, a float (3.0 included) or nan is refused."""
+    if (type(n) is int or isinstance(n, np.integer)) and (least is None or n >= least):  # type(True) is bool
         return int(n)
-    raise _refuse(error, name, f"an integer >= {least}", n)
+    raise _refuse(error, name, "an integer" if least is None else f"an integer >= {least}", n)
 
 
 def same_dimension(error, model, prior=None, p=None):

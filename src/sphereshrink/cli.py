@@ -3,8 +3,7 @@
 Every subcommand resolves its options from defaults, an optional JSON
 config document and command-line flags (flags win), echoes the resolved
 configuration as `# key = value` header lines, and writes one CSV table
-(UTF-8, LF, `.` decimals) to stdout or --out.  --svg adds a single-series
-line plot of the first two numeric columns.  Exit codes: 0 success,
+(UTF-8, LF, `.` decimals) to stdout or --out.  Exit codes: 0 success,
 1 numeric failure, 2 configuration error, 3 failed verdict under
 --strict.  The code follows the kind of failure, not the module that
 raised it: an integral or table that fails is numeric, an ill-posed
@@ -14,16 +13,22 @@ finite one is needed, an empty or 2-d list) is refused before any
 quadrature, exit 2, with a message that names the argument.
 
 Each option is declared once, in its subcommand's table in `_COMMANDS`:
-its default, and the keywords of its flag, or none for a config-only
-key.  The parser, the config reader and the header echo all read that
-table.  --strict exists only on the subcommands that have a verdict
-(check, risk, hseq, verify).  --depth and --offset set the
-log-thickened prior only; the Blyth kernel of `prior` is derived from
-the prior, one log level deeper than the prior's own log tower.  The
-identities of `verify` take their own parameters (--order, --gegen-alpha,
---gegen-a, --t), so --alpha, --a and --beta always set the model; a
-model option that no model of the run takes is refused, and so is an
-identity option that the run does not use.
+its default, its parser, and its flag's keywords, or none for a
+config-only key.  The parser alone reads the option's value, from the
+flag's text and from a config's JSON value alike, so a run's settings,
+and the header that echoes them, are the same typed values for either
+spelling.  A value of the wrong kind (an integer 3.7 or "3", a boolean
+"false", a name that is none of its spellings) is refused with a message
+that names the key, exit 2.  --strict exists only on the subcommands
+that have a verdict (check, risk, hseq, verify), and --svg, a line plot
+of the first two numeric columns, only on those whose rows are a curve
+(phi, risk, hseq, probe).  --depth and --offset set the log-thickened
+prior only; the Blyth kernel of `prior` is derived from the prior, one
+log level deeper than the prior's own log tower.  The identities of
+`verify` take their own parameters (--order, --gegen-alpha, --gegen-a,
+--t), so --alpha, --a and --beta always set the model; a model option
+that no model of the run takes is refused, and so is an identity option
+that the run does not use.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ import numpy as np
 from sphereshrink.minimax_audit import PROPERTIES, evaluate_conditions, inf_ratio, probe_monotone
 from sphereshrink.numerics import QuadratureError
 from sphereshrink.radial_convolution import ConvolutionError, asymptotic_ratio_probe, c_f
-from sphereshrink.radial_models import _FAMILIES as _FAMILY_CLASSES, DivergentMoment, ModelError, normalize
-from sphereshrink.risk_sim import RiskConfig, RiskSimError, dominance_report, estimate_risk, point_verdict
+from sphereshrink.radial_models import _FAMILIES, DivergentMoment, ModelError, normalize
+from sphereshrink.risk_sim import ESTIMATORS, RiskConfig, RiskSimError, dominance_report, estimate_risk, point_verdict
 from sphereshrink.rv_priors import (
     BetaKernel,
     HSequence,
@@ -65,54 +70,108 @@ from sphereshrink.special_integrals import (
 
 EXIT_OK, EXIT_NUMERIC, EXIT_CONFIG, EXIT_VERDICT = 0, 1, 2, 3
 
-# command-line spelling -> family; each parameter of a family is the
-# option of the same name, but a tabulated model's "r" and "f" are the
-# columns of its table
-_FAMILIES = {
-    "gaussian": "gaussian",
-    "polyexp": "poly_exp",
-    "poly_exp": "poly_exp",
-    "mixdiff": "mixture_diff",
-    "mixture_diff": "mixture_diff",
-    "tabulated": "tabulated",
-}
-_E = math.e
-
 
 class CLIConfigError(ValueError):
     pass
 
 
-# -- option tables ------------------------------------------------------
-#
-# name -> (default, keywords of the flag --name, underscores written as
-# dashes; None for a config-only key)
+# -- option parsers and tables -----------------------------------------
+
+
+class _Parser(NamedTuple):
+    """One kind of option value, read alike from flag text and from a JSON config value."""
+
+    what: str  # what a value must be, as its refusal says it
+    read: Callable  # a JSON config value, or ``text`` of the flag text -> the option's value
+    text: Callable = str  # flag text -> a value ``read`` takes
+
+    def __call__(self, value, key=None):
+        """The flag text ``value`` as the option's value, or with ``key`` that config key's JSON value."""
+        try:
+            return self.read(self.text(value) if key is None else value)
+        except (ValueError, TypeError, KeyError):
+            refusal = f"must be {self.what}, not {json.dumps(value)}"
+        raise argparse.ArgumentTypeError(refusal) if key is None else CLIConfigError(f"config key {key!r} {refusal}")
+
+
+def _number(v):
+    if isinstance(v, bool):  # float(True) is 1.0
+        raise TypeError
+    return float(v)
+
+
+def _exact(kind):
+    """The reader of a value whose type is ``kind`` itself: an integer is not a float, a boolean not an integer."""
+
+    def read(v):
+        if type(v) is not kind:
+            raise TypeError
+        return v
+
+    return read
+
+
+def _numbers(v):
+    """Comma text, a JSON list or one number, as a list of floats."""
+    if isinstance(v, str):
+        v = [tok for tok in v.split(",") if tok.strip()]
+    return [_number(x) for x in (v if isinstance(v, list) else [v])]
+
+
+def _theta(v):
+    """``_numbers``, or a start:stop:step range."""
+    if not (isinstance(v, str) and ":" in v):
+        return _numbers(v)
+    start, stop, step = map(float, v.split(":"))
+    if not step > 0:
+        raise ValueError
+    return [float(t) for t in np.arange(start, stop + 1e-9 * step, step)]
+
+
+def _choice(*names, **aliases):
+    """One of ``names``, or an alias, read as the name it stands for."""
+    spellings = {**{name: name for name in names}, **aliases}
+    return _Parser("one of " + ", ".join(spellings), spellings.__getitem__)
+
+
+_REAL = _Parser("a number", _number)
+_INTEGER = _Parser("an integer", _exact(int), text=int)
+_BOOLEAN = _Parser("true or false", _exact(bool))
+_NUMBERS = _Parser("numbers, as comma text or a JSON list", _numbers)
+_THETA = _Parser("numbers, as comma text or a JSON list, or start:stop:step with step > 0", _theta)
+
+
+# name -> (default, parser, keywords of the flag --name, underscores
+# written as dashes; None for a config-only key).  A boolean's flag is
+# the --name/--no-name pair.
 
 _MODEL = {
-    "family": (None, {}),
-    "p": (None, {"type": int}),
-    "alpha": (None, {"type": float}),
-    "beta": (None, {"type": float}),
-    "a": (None, {"type": float}),
-    "b": (None, {"type": float}),
-    "table": (None, {"help": "CSV file with columns r, f for tabulated models"}),
-    "table_r": (None, None),
-    "table_f": (None, None),
+    # each parameter of a family is the option of the same name, but a
+    # tabulated model's "r" and "f" are the columns of its table
+    "family": (None, _choice(*_FAMILIES, polyexp="poly_exp", mixdiff="mixture_diff"), {}),
+    "p": (None, _INTEGER, {}),
+    "alpha": (None, _REAL, {}),
+    "beta": (None, _REAL, {}),
+    "a": (None, _REAL, {}),
+    "b": (None, _REAL, {}),
+    "table": (None, _Parser("a file path", _exact(str)), {"help": "CSV file with columns r, f for tabulated models"}),
+    "table_r": (None, _NUMBERS, None),
+    "table_f": (None, _NUMBERS, None),
 }
 
 # the family parameter each model option sets
 _MODEL_PARAMS = {"alpha": "alpha", "beta": "beta", "a": "a", "b": "b", "table": "r", "table_r": "r", "table_f": "f"}
 
 _PRIOR = {
-    "prior": ("harmonic", {"choices": ["harmonic", "power", "logthick"]}),
-    "k": (None, {"type": float, "help": "exponent of the power prior"}),
-    "depth": (0, {"type": int, "help": "log depth n of the log-thickened prior"}),
-    "offset": (_E, {"type": float, "help": "log offset c of the log-thickened prior"}),
+    "prior": ("harmonic", _choice("harmonic", "power", "log_thickened", logthick="log_thickened"), {}),
+    "k": (None, _REAL, {"help": "exponent of the power prior"}),
+    "depth": (0, _INTEGER, {"help": "log depth n of the log-thickened prior"}),
+    "offset": (math.e, _REAL, {"help": "log offset c of the log-thickened prior"}),
 }
 
 
 def _resolve_config(args, options):
-    cfg = {key: default for key, (default, _) in options.items()}
+    cfg = {key: default for key, (default, _, _) in options.items()}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -124,7 +183,9 @@ def _resolve_config(args, options):
         for key, val in doc.items():
             if key not in options:
                 raise CLIConfigError(f"unknown config key {key!r} for {args.command}")
-            cfg[key] = val
+            default, parse, _ = options[key]
+            if val is not None or default is not None:  # a null leaves an option without a default unset
+                cfg[key] = parse(val, key)
     for key in options:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -142,44 +203,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_header(command, cfg):
-    lines = [f"# command = {command}"]
-    for key in sorted(cfg):
-        lines.append(f"# {key} = {_fmt(cfg[key])}")
-    return lines
-
-
-def _parse_list(text, cast=float):
-    try:
-        return [cast(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise CLIConfigError(f"cannot parse list {text!r}") from exc
-
-
-def _parse_theta(text):
-    s = str(text)
-    if ":" in s:
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise CLIConfigError("theta range must be start:stop:step")
-        try:
-            start, stop, step = (float(x) for x in parts)
-        except ValueError as exc:
-            raise CLIConfigError(f"cannot parse theta range {text!r}") from exc
-        if step <= 0:
-            raise CLIConfigError("theta step must be positive")
-        return [float(v) for v in np.arange(start, stop + 1e-9 * step, step)]
-    return _parse_list(s)
-
-
 def _build_model(cfg, hints=None):
-    fam_raw = cfg.get("family")
-    if fam_raw is None:
+    family = cfg["family"]
+    if family is None:
         raise CLIConfigError("a model family is required (--family)")
-    if str(fam_raw) not in _FAMILIES:
-        raise CLIConfigError(f"unknown family {fam_raw!r}; choose from {sorted(set(_FAMILIES))}")
-    family = _FAMILIES[str(fam_raw)]
-    keys = _FAMILY_CLASSES[family].param_names
+    keys = _FAMILIES[family].param_names
     _refuse_model_options(cfg, keys, f"the {family} model does not take it", hints)
     params = {k: _table_column(cfg, k) if k in ("r", "f") else cfg[k] for k in keys}
     return normalize(family, params, cfg["p"])
@@ -189,7 +217,7 @@ def _refuse_model_options(cfg, taken, why, hints=None):
     """Refuse a model option setting none of ``taken``; ``hints`` maps an option to the one meant."""
     for key, param in _MODEL_PARAMS.items():
         if cfg.get(key) is not None and param not in taken:
-            name = f"--{key}" if _MODEL[key][1] is not None else f"config key {key!r}"
+            name = f"--{key}" if _MODEL[key][2] is not None else f"config key {key!r}"
             use = f"; for an identity parameter use {hints[key]}" if hints and key in hints else ""
             raise CLIConfigError(f"{name} is a model parameter, and {why}{use}")
 
@@ -210,18 +238,15 @@ def _table_column(cfg, key):
 
 
 def _build_prior(cfg, p):
-    name = str(cfg["prior"])
     # only `prior` sets gamma: no number of risk or probe depends on it
     gamma = cfg.get("gamma", 2.0)
-    if name == "harmonic":
+    if cfg["prior"] == "harmonic":
         return harmonic_prior(p, gamma)
-    if name == "power":
-        if cfg["k"] is None:
-            raise CLIConfigError("power prior needs --k")
-        return power_prior(cfg["k"], p, gamma)
-    if name in ("logthick", "log_thickened"):
+    if cfg["prior"] == "log_thickened":
         return log_thickened_prior(cfg["depth"], cfg["offset"], p, gamma)
-    raise CLIConfigError(f"unknown prior {name!r}")
+    if cfg["k"] is None:
+        raise CLIConfigError("power prior needs --k")
+    return power_prior(cfg["k"], p, gamma)
 
 
 def _blyth_kernel(prior):
@@ -277,14 +302,13 @@ def _svg_plot(rows, header, title):
         )
         out.append(f'<line x1="{sx(xv):.2f}" y1="{h-mb}" x2="{sx(xv):.2f}" y2="{h-mb+4}" stroke="black"/>')
         out.append(f'<line x1="{ml-4}" y1="{sy(yv):.2f}" x2="{ml}" y2="{sy(yv):.2f}" stroke="black"/>')
-    labels = (header[0], header[1] if len(header) > 1 else "value")
     out.append(
         f'<text x="{(ml+w-mr)/2:.0f}" y="{h-12}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif">{labels[0]}</text>'
+        f'font-family="sans-serif">{header[0]}</text>'
     )
     out.append(
         f'<text x="16" y="{(mt+h-mb)/2:.0f}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif" transform="rotate(-90 16 {(mt+h-mb)/2:.0f})">{labels[1]}</text>'
+        f'font-family="sans-serif" transform="rotate(-90 16 {(mt+h-mb)/2:.0f})">{header[1]}</text>'
     )
     out.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
     out.append("</svg>")
@@ -293,8 +317,9 @@ def _svg_plot(rows, header, title):
 
 def _emit(args, command, cfg, header, rows):
     buf = io.StringIO()
-    for line in _config_header(command, cfg):
-        buf.write(line + "\n")
+    buf.write(f"# command = {command}\n")
+    for key in sorted(cfg):
+        buf.write(f"# {key} = {_fmt(cfg[key])}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -305,7 +330,7 @@ def _emit(args, command, cfg, header, rows):
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    if args.svg is not None:
+    if getattr(args, "svg", None) is not None:
         with open(args.svg, "w", encoding="utf-8", newline="") as fh:
             fh.write(_svg_plot(rows, header, command))
 
@@ -341,8 +366,7 @@ def _cmd_model_info(cfg):
 
 def _cmd_phi(cfg):
     model = _build_model(cfg)
-    r_min, r_max = float(cfg["r_min"]), float(cfg["r_max"])
-    points = int(cfg["points"])
+    r_min, r_max, points = cfg["r_min"], cfg["r_max"], cfg["points"]
     if not (0.0 < r_min < r_max < math.inf) or points < 2:
         raise CLIConfigError("need 0 < r_min < r_max < inf and points >= 2")
     prof = _cached_profile(model)
@@ -370,27 +394,16 @@ def _cmd_check(cfg):
 
 def _cmd_risk(cfg):
     model = _build_model(cfg)
-    est_raw = str(cfg["estimator"])
-    aliases = {
-        "identity": "identity",
-        "harmonic": "harmonic_bayes",
-        "harmonic_bayes": "harmonic_bayes",
-        "gb": "generalized_bayes",
-        "generalized_bayes": "generalized_bayes",
-    }
-    if est_raw not in aliases:
-        raise CLIConfigError(f"unknown estimator {est_raw!r}")
-    estimator = aliases[est_raw]
-    prior = _build_prior(cfg, model.p) if estimator == "generalized_bayes" else None
+    prior = _build_prior(cfg, model.p) if cfg["estimator"] == "generalized_bayes" else None
     rc = RiskConfig(
         model=model,
         p=model.p,
-        estimator=estimator,
+        estimator=cfg["estimator"],
         prior=prior,
-        theta_norms=tuple(_parse_theta(cfg["theta"])),
+        theta_norms=cfg["theta"],
         samples_per_point=cfg["n"],
-        seed=int(cfg["seed"]),
-        paired=bool(cfg["paired"]),
+        seed=cfg["seed"],
+        paired=cfg["paired"],
     )
     curve = estimate_risk(rc)
     verdict = dominance_report(curve) if rc.paired else None
@@ -415,10 +428,10 @@ def _cmd_risk(cfg):
 
 def _cmd_hseq(cfg):
     kernel = BetaKernel(LogTower(cfg["n"], cfg["c"]))
-    i_list = _parse_list(cfg["i"])
+    i_list = cfg["i"]
     if not i_list:
         raise CLIConfigError("need at least one i")
-    eta_min, eta_max, points = float(cfg["eta_min"]), float(cfg["eta_max"]), int(cfg["points"])
+    eta_min, eta_max, points = cfg["eta_min"], cfg["eta_max"], cfg["points"]
     if not (0.0 < eta_min <= eta_max < math.inf) or points < 1:
         raise CLIConfigError("need 0 < eta_min <= eta_max < inf and points >= 1")
     etas = np.geomspace(eta_min, eta_max, points)
@@ -478,10 +491,9 @@ def _cmd_prior(cfg):
         # c_p int eta^{1-p} / G over eta > 1, not Brown's integral itself
         ("brown", "reduced_integral_total", cls.brown.total),
     ]
-    if bool(cfg["blyth"]):
-        i_list = _parse_list(cfg["i"])
-        js = blyth_decay(prior, _blyth_kernel(prior), i_list)
-        for i, j in zip(i_list, js):
+    if cfg["blyth"]:
+        js = blyth_decay(prior, _blyth_kernel(prior), cfg["i"])
+        for i, j in zip(cfg["i"], js):
             rows.append(("blyth", f"J({_fmt(i)})", j))
         if len(js) >= 2 and js[0] > 0:
             rows.append(("blyth", "last_over_first", js[-1] / js[0]))
@@ -492,7 +504,7 @@ _VERIFY_TOL = {"gegenbauer": 1e-8, "minpower": 1e-5, "kernelmass": 5e-6}
 
 
 def _cmd_verify(cfg):
-    which = str(cfg["identity"])
+    which = cfg["identity"]
     # --alpha and --a once also set the identities' parameters
     hints = {"alpha": "--gegen-alpha or --order", "a": "--gegen-a"}
     model = None
@@ -540,8 +552,6 @@ def _cmd_verify(cfg):
             pe = normalize("poly_exp", {"alpha": 2.0, "beta": 1.0}, 5)
             for model, order in ((g3, 0.0), (g3, 1.0), (pe, 2.0)):
                 checks.append(("kernelmass", kernel_mass_identity(model, order)))
-    if not checks:
-        raise CLIConfigError(f"unknown identity {which!r}")
     worst_fail = False
     for name, chk in checks:
         ok = chk.rel_error <= _VERIFY_TOL[name]
@@ -555,8 +565,7 @@ def _cmd_verify(cfg):
 def _cmd_probe(cfg):
     model = _build_model(cfg)
     prior = _build_prior(cfg, model.p)
-    radii = _parse_list(cfg["radii"])
-    probe = asymptotic_ratio_probe(prior, model, radii)
+    probe = asymptotic_ratio_probe(prior, model, cfg["radii"])
     names = sorted(probe.ratios)
     rows = []
     for idx, r in enumerate(probe.radii):
@@ -573,54 +582,55 @@ class _Command(NamedTuple):
     help: str
     options: dict
     verdict: bool = False  # the subcommand takes --strict
+    curve: bool = False  # its rows are a curve in their first two numeric columns: it takes --svg
 
 
 _COMMANDS = {
     "model-info": _Command(_cmd_model_info, "moments, tail and monotonicity summary", _MODEL),
     "phi": _Command(_cmd_phi, "shrinkage weight curve as CSV", {
         **_MODEL,
-        "r_min": (0.1, {"type": float}),
-        "r_max": (20.0, {"type": float}),
-        "points": (100, {"type": int}),
-    }),
+        "r_min": (0.1, _REAL, {}),
+        "r_max": (20.0, _REAL, {}),
+        "points": (100, _INTEGER, {}),
+    }, curve=True),
     "check": _Command(_cmd_check, "minimaxity condition audit", _MODEL, verdict=True),
     "risk": _Command(_cmd_risk, "Monte Carlo risk curve", {
         **_MODEL,
         **_PRIOR,
-        "estimator": ("harmonic", {}),
-        "theta": ("0:10:1", {"help": "comma list or start:stop:step"}),
-        "n": (10000, {"type": int, "help": "samples per theta"}),
-        "seed": (0, {"type": int}),
-        "paired": (True, {"action": argparse.BooleanOptionalAction}),
-    }, verdict=True),
+        "estimator": ("harmonic_bayes", _choice(*ESTIMATORS, harmonic="harmonic_bayes", gb="generalized_bayes"), {}),
+        "theta": (_THETA("0:10:1"), _THETA, {"help": "comma list or start:stop:step"}),
+        "n": (10000, _INTEGER, {"help": "samples per theta"}),
+        "seed": (0, _INTEGER, {}),
+        "paired": (True, _BOOLEAN, {}),
+    }, verdict=True, curve=True),
     "hseq": _Command(_cmd_hseq, "exponential-average sequence properties", {
-        "n": (1, {"type": int, "help": "log-tower depth"}),
-        "c": (_E, {"type": float, "help": "log-tower offset"}),
-        "i": ("1,10,100", {"help": "comma list of timescales"}),
-        "eta_min": (2.0, {"type": float}),
-        "eta_max": (1e6, {"type": float}),
-        "points": (13, {"type": int}),
-    }, verdict=True),
+        "n": (1, _INTEGER, {"help": "log-tower depth"}),
+        "c": (math.e, _REAL, {"help": "log-tower offset"}),
+        "i": ([1.0, 10.0, 100.0], _NUMBERS, {"help": "comma list of timescales"}),
+        "eta_min": (2.0, _REAL, {}),
+        "eta_max": (1e6, _REAL, {}),
+        "points": (13, _INTEGER, {}),
+    }, verdict=True, curve=True),
     "prior": _Command(_cmd_prior, "prior classification and decay diagnostics", {
         **_PRIOR,
-        "gamma": (2.0, {"type": float}),
-        "p": (None, {"type": int}),
-        "i": ("1,4,16,64", {"help": "comma list of decay timescales"}),
-        "blyth": (True, {"action": argparse.BooleanOptionalAction}),
+        "gamma": (2.0, _REAL, {}),
+        "p": (None, _INTEGER, {}),
+        "i": ([1.0, 4.0, 16.0, 64.0], _NUMBERS, {"help": "comma list of decay timescales"}),
+        "blyth": (True, _BOOLEAN, {}),
     }),
     "verify": _Command(_cmd_verify, "closed-form integral identities", {
         **_MODEL,
-        "identity": ("all", {"choices": ["gegenbauer", "minpower", "kernelmass", "all"]}),
-        "t": (None, {"type": float, "help": "radius ratio of the minpower identity"}),
-        "order": (None, {"type": float, "help": "moment order of the kernelmass identity (default 0)"}),
-        "gegen_alpha": (None, {"type": float, "help": "exponent alpha of the gegenbauer identity"}),
-        "gegen_a": (None, {"type": float, "help": "mixing parameter a of the gegenbauer identity (default 0)"}),
+        "identity": ("all", _choice("gegenbauer", "minpower", "kernelmass", "all"), {}),
+        "t": (None, _REAL, {"help": "radius ratio of the minpower identity"}),
+        "order": (None, _REAL, {"help": "moment order of the kernelmass identity (default 0)"}),
+        "gegen_alpha": (None, _REAL, {"help": "exponent alpha of the gegenbauer identity"}),
+        "gegen_a": (None, _REAL, {"help": "mixing parameter a of the gegenbauer identity (default 0)"}),
     }, verdict=True),
     "probe": _Command(_cmd_probe, "large-radius marginal ratio table", {
         **_MODEL,
         **_PRIOR,
-        "radii": ("10,100,1000", {"help": "comma list of radii"}),
-    }),
+        "radii": ([10.0, 100.0, 1000.0], _NUMBERS, {"help": "comma list of radii"}),
+    }, curve=True),
 }
 
 # Matched first: an error that is also an ArithmeticError (IntegrabilityError,
@@ -633,7 +643,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config document; flags override it")
     common.add_argument("--out", help="output CSV path (default stdout)")
-    common.add_argument("--svg", help="also write a line plot of the first two numeric columns")
 
     parser = argparse.ArgumentParser(prog="sphereshrink",
                                      description="shrinkage estimation toolkit")
@@ -643,9 +652,12 @@ def _build_parser():
         if command.verdict:
             sp.add_argument("--strict", action="store_true",
                             help="exit 3 when the subcommand's verdict fails")
-        for key, (_, flag) in command.options.items():
+        if command.curve:
+            sp.add_argument("--svg", help="also write a line plot of the first two numeric columns")
+        for key, (_, parse, flag) in command.options.items():
             if flag is not None:
-                sp.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
+                read = {"action": argparse.BooleanOptionalAction} if parse is _BOOLEAN else {"type": parse}
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, **read, **flag)
     return parser
 
 

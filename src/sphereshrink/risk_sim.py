@@ -141,9 +141,15 @@ def sample_radius(model: RadialDensity, u):
 
 
 def radial_cdf(model: RadialDensity, r):
-    """Exact CDF of the radial law, c_p [(p-2) B(r) - r^{p-2} F(r)], clipped to [0, 1]."""
+    """Exact CDF of the radial law, c_p [(p-2) B(r) - r^{p-2} F(r)], clipped to [0, 1].
+
+    It is 0 at a negative r and 1 at r = inf; a nan r raises RiskSimError.
+    """
     rr = np.asarray(r, dtype=float)
-    out = np.clip(_cdf(model, np.maximum(rr, 0.0)), 0.0, 1.0)
+    if np.isnan(rr).any():
+        raise RiskSimError("r must be a number, not nan")
+    top = rr == math.inf
+    out = np.where(top, 1.0, np.clip(_cdf(model, np.where(top, 0.0, np.maximum(rr, 0.0))), 0.0, 1.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -183,7 +189,7 @@ class RiskConfig:
         same_dimension(RiskSimError, self.model, self.prior, self.p)
         n = integer(self.samples_per_point, RiskSimError, "samples_per_point", 1)
         object.__setattr__(self, "samples_per_point", n)
-        object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
+        object.__setattr__(self, "seed", integer(self.seed, RiskSimError, "seed", None) & (2**64 - 1))
         object.__setattr__(self, "theta_norms", tuple(radii(self.theta_norms, RiskSimError, "theta_norms").tolist()))
         if isinstance(self.estimator, str):
             if self.estimator not in ESTIMATORS:

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand end to end, and its CSV cells."""
 
 import csv
+import json
 import math
 import re
 
@@ -41,6 +42,78 @@ def test_subcommand_writes_csv(command, tmp_path):
     header, rows = run(command, tmp_path)
     assert header and all(header)
     assert rows and all(len(row) == len(header) for row in rows)
+
+
+def as_config(flags):
+    """The flags of a run as a config document, with JSON numbers, lists and booleans."""
+    doc, words = {}, iter(flags)
+    for flag in words:
+        key = flag[2:].replace("-", "_")
+        if key.startswith("no_"):
+            doc[key[3:]] = False
+            continue
+        text = next(words)
+        try:
+            doc[key] = json.loads(f"[{text}]" if "," in text else text)
+        except json.JSONDecodeError:
+            doc[key] = text  # a name
+    return doc
+
+
+def write_config(tmp_path, doc):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    return str(config)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_a_config_document_runs_as_its_flags_do(command, tmp_path):
+    # one parser per option: the header echoes the same typed values
+    doc = as_config(SUBCOMMANDS[command])
+    assert any(not isinstance(v, str) for v in doc.values())
+    flags, config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    assert cli.main([command, *SUBCOMMANDS[command], "--out", str(flags)]) == cli.EXIT_OK
+    assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(config)]) == cli.EXIT_OK
+    assert config.read_bytes() == flags.read_bytes()
+
+
+def test_a_name_is_read_as_its_canonical_name(tmp_path):
+    flags, config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    assert cli.main(["prior", "--p", "3", "--prior", "logthick", "--no-blyth", "--out", str(flags)]) == cli.EXIT_OK
+    doc = {"p": 3, "prior": "log_thickened", "blyth": False}
+    assert cli.main(["prior", "--config", write_config(tmp_path, doc), "--out", str(config)]) == cli.EXIT_OK
+    assert config.read_bytes() == flags.read_bytes()
+    assert "# prior = log_thickened" in flags.read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv, doc", [
+    # each ran with a value other than the one its header showed, or crashed
+    (["risk", *MODEL], {"paired": "false"}),
+    (["risk", *MODEL], {"seed": 1.7}),
+    (["phi", *MODEL], {"points": 3.7}),
+    (["hseq"], {"eta_min": "abc"}),
+    (["hseq"], {"i": [1, "x"]}),
+    (["prior", "--p", "3"], {"blyth": "no"}),
+    (["verify"], {"identity": "bogus"}),
+])
+def test_a_config_value_of_the_wrong_kind_is_refused_naming_its_key(argv, doc, tmp_path, capsys, monkeypatch):
+    rounds = []
+    pair = numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda *args: rounds.append(1) or pair(*args))
+    out = tmp_path / "x.csv"
+    assert cli.main([*argv, "--config", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_CONFIG
+    (key, value), = doc.items()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} must be ") and err.endswith(f", not {json.dumps(value)}\n")
+    assert err.count("\n") == 1
+    assert rounds == [] and not out.exists()
+
+
+def test_svg_plots_a_curve(tmp_path):
+    svg = tmp_path / "phi.svg"
+    assert cli.main(["phi", *SUBCOMMANDS["phi"], "--out", str(tmp_path / "phi.csv"), "--svg", str(svg)]) == cli.EXIT_OK
+    text = svg.read_text(encoding="utf-8")
+    assert text.startswith("<svg") and "<polyline" in text
 
 
 @pytest.mark.parametrize("command", ["risk", "hseq"])
@@ -259,6 +332,8 @@ def test_risk_takes_the_log_thickened_prior(tmp_path):
     ["risk", *MODEL, "--gamma", "1"],  # gamma changes no number of risk or probe
     ["probe", *MODEL, "--gamma", "1"],
     ["phi", *MODEL, "--strict"],  # phi has no verdict
+    ["model-info", *MODEL, "--svg", "x.svg"],  # a first column of labels is no curve
+    ["prior", "--p", "5", "--svg", "x.svg"],
 ])
 def test_options_a_subcommand_does_not_use_are_refused(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG

@@ -16,7 +16,7 @@ import pytest
 from sphereshrink import numerics
 from sphereshrink.radial_convolution import ConvolutionError, asymptotic_ratio_probe, harmonic_marginal_closed
 from sphereshrink.radial_models import ModelError, gaussian, poly_exp
-from sphereshrink.risk_sim import RiskConfig, RiskSimError, estimate_risk
+from sphereshrink.risk_sim import RiskConfig, RiskSimError, estimate_risk, radial_cdf
 from sphereshrink.rv_priors import (
     LogTower,
     PriorError,
@@ -70,6 +70,13 @@ LEAKS = {
     "probe(2-d radii)": (lambda: asymptotic_ratio_probe(harmonic_prior(5), G5, [[10.0, 100.0]]), ConvolutionError,
                          "probe radii must be positive and finite numbers in a 1-d list"),
     "RiskConfig(p=5.0)": (lambda: RiskConfig(G5, 5.0), RiskSimError, "dimension p must be an integer >= 3, not 5.0"),
+    # leaked ValueError, or ran seed 1
+    "RiskConfig(seed=nan)": (lambda: RiskConfig(G5, 5, seed=nan), RiskSimError, "seed must be an integer, not nan"),
+    "RiskConfig(seed=1.7)": (lambda: RiskConfig(G5, 5, seed=1.7), RiskSimError, "seed must be an integer, not 1.7"),
+    "RiskConfig(seed=True)": (lambda: RiskConfig(G5, 5, seed=True), RiskSimError, "seed must be an integer, not True"),
+    # leaked the kernel moment's ModelError
+    "radial_cdf(nan)": (lambda: radial_cdf(G5, nan), RiskSimError, "r must be a number, not nan"),
+    "radial_cdf([1, nan])": (lambda: radial_cdf(G5, [1.0, nan]), RiskSimError, "r must be a number, not nan"),
     # int() truncated the thread count
     "estimate_risk(threads=1.5)": (lambda: estimate_risk(RiskConfig(G5, 5, samples_per_point=10), threads=1.5),
                                    RiskSimError, "threads must be an integer >= 1"),
@@ -99,3 +106,14 @@ def test_a_dimension_is_an_integer(value):
     with pytest.raises(ModelError, match=r"^dimension p must be an integer >= 3, not "):
         gaussian(value)
     assert gaussian(np.int64(4)).p == 4
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), 2**64 - 1, np.uint64(2**64 - 1)])
+def test_a_seed_is_an_integer_of_any_sign(seed):
+    assert RiskConfig(G5, 5, seed=seed).seed == 2**64 - 1
+
+
+def test_the_radial_cdf_is_0_below_the_origin_and_1_at_infinity():
+    assert radial_cdf(G5, -1.0) == radial_cdf(G5, -inf) == 0.0
+    assert radial_cdf(G5, inf) == 1.0
+    assert radial_cdf(G5, [-inf, 0.0, inf]).tolist() == [0.0, 0.0, 1.0]
