@@ -24,11 +24,12 @@ that have a verdict (check, risk, hseq, verify), and --svg, a line plot
 of the first two numeric columns, only on those whose rows are a curve
 (phi, risk, hseq, probe).  --depth and --offset set the log-thickened
 prior only; the Blyth kernel of `prior` is derived from the prior, one
-log level deeper than the prior's own log tower.  The identities of
-`verify` take their own parameters (--order, --gegen-alpha, --gegen-a,
---t), so --alpha, --a and --beta always set the model; a model option
-that no model of the run takes is refused, and so is an identity option
-that the run does not use.
+log level deeper than the prior's own log tower.  `risk` takes the prior
+options only with --estimator generalized_bayes, and echoes them only
+then.  The identities of `verify` take their own parameters (--order,
+--gegen-alpha, --gegen-a, --t), so --alpha, --a and --beta always set the
+model; a model option that no model of the run takes is refused, and so
+is an identity option that the run does not use.
 """
 
 from __future__ import annotations
@@ -118,14 +119,20 @@ def _numbers(v):
     return [_number(x) for x in (v if isinstance(v, list) else [v])]
 
 
+# Most points of a theta range; the default grid has 11.
+_THETA_POINTS = 10_000
+
+
 def _theta(v):
-    """``_numbers``, or a start:stop:step range."""
+    """``_numbers``, or a start:stop:step range of at most ``_THETA_POINTS`` points."""
     if not (isinstance(v, str) and ":" in v):
         return _numbers(v)
     start, stop, step = map(float, v.split(":"))
-    if not step > 0:
+    stop += 1e-9 * step
+    # sized before np.arange allocates it; nan and inf fail the comparison
+    if not (step > 0 and (stop - start) / step <= _THETA_POINTS):
         raise ValueError
-    return [float(t) for t in np.arange(start, stop + 1e-9 * step, step)]
+    return [float(t) for t in np.arange(start, stop, step)]
 
 
 def _choice(*names, **aliases):
@@ -138,7 +145,8 @@ _REAL = _Parser("a number", _number)
 _INTEGER = _Parser("an integer", _exact(int), text=int)
 _BOOLEAN = _Parser("true or false", _exact(bool))
 _NUMBERS = _Parser("numbers, as comma text or a JSON list", _numbers)
-_THETA = _Parser("numbers, as comma text or a JSON list, or start:stop:step with step > 0", _theta)
+_THETA = _Parser("numbers, as comma text or a JSON list, or start:stop:step with step > 0 "
+                 f"and at most {_THETA_POINTS} points", _theta)
 
 
 # name -> (default, parser, keywords of the flag --name, underscores
@@ -168,6 +176,9 @@ _PRIOR = {
     "depth": (0, _INTEGER, {"help": "log depth n of the log-thickened prior"}),
     "offset": (math.e, _REAL, {"help": "log offset c of the log-thickened prior"}),
 }
+# risk's prior options are unset unless given: only its generalized Bayes
+# estimator takes a prior, and any other refuses them
+_GB_PRIOR = {key: (None, parse, flag) for key, (_, parse, flag) in _PRIOR.items()}
 
 
 def _resolve_config(args, options):
@@ -325,14 +336,16 @@ def _emit(args, command, cfg, header, rows):
     for row in rows:
         writer.writerow([_fmt(v) if isinstance(v, (bool, float, np.generic)) else v for v in row])
     text = buf.getvalue()
+    # a plot it refuses leaves no file behind
+    svg = None if getattr(args, "svg", None) is None else _svg_plot(rows, header, command)
     if args.out is None:
         sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    if getattr(args, "svg", None) is not None:
+    if svg is not None:
         with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_svg_plot(rows, header, command))
+            fh.write(svg)
 
 
 # -- subcommands --------------------------------------------------------
@@ -393,8 +406,15 @@ def _cmd_check(cfg):
 
 
 def _cmd_risk(cfg):
+    gb = cfg["estimator"] == "generalized_bayes"
+    for key, (default, _, _) in _PRIOR.items():
+        if not gb and cfg[key] is not None:
+            raise CLIConfigError(f"--{key} is not used by this risk run: "
+                                 "only --estimator generalized_bayes takes a prior")
+        if gb and cfg[key] is None:
+            cfg[key] = default  # the header echoes the prior the run used
     model = _build_model(cfg)
-    prior = _build_prior(cfg, model.p) if cfg["estimator"] == "generalized_bayes" else None
+    prior = _build_prior(cfg, model.p) if gb else None
     rc = RiskConfig(
         model=model,
         p=model.p,
@@ -596,7 +616,7 @@ _COMMANDS = {
     "check": _Command(_cmd_check, "minimaxity condition audit", _MODEL, verdict=True),
     "risk": _Command(_cmd_risk, "Monte Carlo risk curve", {
         **_MODEL,
-        **_PRIOR,
+        **_GB_PRIOR,
         "estimator": ("harmonic_bayes", _choice(*ESTIMATORS, harmonic="harmonic_bayes", gb="generalized_bayes"), {}),
         "theta": (_THETA("0:10:1"), _THETA, {"help": "comma list or start:stop:step"}),
         "n": (10000, _INTEGER, {"help": "samples per theta"}),

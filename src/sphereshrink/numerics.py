@@ -175,16 +175,18 @@ def _gauss_pair(f, lo, hi):
     return sums[..., 0], np.abs(sums[..., 1])
 
 
-def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
-    """The adaptive loop behind ``integrate`` and ``integrate_rows``.
+def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec, label=None, diverged=None):
+    """The adaptive loop behind every integrator but ``integrate_pieces``.
 
     Row i integrates ``f(i, x)`` over its k[i] >= 1 initial pieces, the
     next k[i] entries of the flat arrays ``lo`` and ``hi``, which run in
     order, each with hi > lo, and tile the row's interval.  Returns the
-    per-row arrays ``value``, ``error`` and ``evaluations``, and
-    ``over``: None, or ``(i, worst_segment)`` for the first row that
-    would need more than ``spec.max_subdivisions`` bisections, where the
-    loop stops.
+    per-row arrays ``value``, ``error`` and ``evaluations``.  The first
+    row i over ``spec.max_subdivisions`` bisections raises
+    :class:`ToleranceNotReached` led by ``label(i)``, with ``row`` i (no
+    lead and no row without ``label``), its partial ``result`` and its
+    ``worst_segment``, or :class:`DivergenceSuspected` where
+    ``diverged(i, worst_segment)``; what ``f`` raises passes unjudged.
     """
     starts = np.add.accumulate(k) - k
     row = np.arange(k.size).repeat(k)
@@ -192,7 +194,6 @@ def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
     val, err = np.empty(row.size), np.empty(row.size)
     fresh = slice(None)  # the first round evaluates every piece
     count = k
-    over = None
     while True:
         new_lo, new_hi = lo[fresh], hi[fresh]
         nodes_row = row[fresh].repeat(_NODES.size)
@@ -217,8 +218,13 @@ def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
         if np.count_nonzero(new_count > budget):
             i = int(np.argmax(new_count > budget))
             j = int(np.argmax(np.where(row == i, err, -1.0)))
-            over = (i, (float(lo[j]), float(hi[j])))
-            break
+            segment = (float(lo[j]), float(hi[j]))
+            result = IntegralResult(float(value[i]), float(error[i]), int(2 * count[i] - k[i]) * _NODES.size)
+            message = (f"{label(i) + ' ' if label else ''}needed more than {spec.max_subdivisions} subdivisions "
+                       f"(value={result.value!r}, error={result.error_estimate!r})")
+            if diverged and diverged(i, segment):
+                raise DivergenceSuspected(message, result)
+            raise ToleranceNotReached(message, result, worst_segment=segment, row=i if label else None)
         count = new_count
         # each split segment becomes its two halves in place, which keeps
         # the segments sorted by (row, lo)
@@ -229,7 +235,7 @@ def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec):
         hi[left] = lo[left + 1] = 0.5 * (lo[left] + hi[left])
         fresh = split.repeat(reps)
     # each bisection evaluates two new segments in place of one
-    return value, error, (2 * count - k) * _NODES.size, over
+    return value, error, (2 * count - k) * _NODES.size
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> IntegralResult:
@@ -243,7 +249,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
     to b the ladder b - (b - a)*2^-k, and any other (outside [a, b], or
     NaN) is ignored.
     Each round bisects every segment whose error is at least a quarter
-    of the worst one.
+    of the worst one.  Over budget it raises as ``_adapt`` does.
     """
     spec = spec or DEFAULT_SPEC
     a = float(a)
@@ -252,10 +258,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
         raise ValueError("integrate requires finite endpoints")
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
-    sign = 1.0
     if b < a:
-        a, b = b, a
-        sign = -1.0
+        # negation is exact, so this is bitwise minus the integral over [b, a]
+        a, b, f = b, a, lambda x, f=f: np.negative(f(x))
     hints = [float(h) for h in spec.singularity_hints]
     cuts = set(hints)
     steps = [(b - a) * s for s in _END_LADDER]
@@ -266,18 +271,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Inte
         cuts.update(b - d for d in steps[a in hints:])
     # a ladder edge of an interval a few ulps wide may round onto an end
     edges = np.array([a, *sorted(c for c in cuts if a < c < b), b])
-    value, error, evals, over = _adapt(
-        lambda row, x: f(x), edges[:-1], edges[1:], np.array([edges.size - 1]), spec.abs_tol, spec
-    )
-    result = IntegralResult(sign * float(value[0]), float(error[0]), int(evals[0]))
-    if over is not None:
-        raise ToleranceNotReached(_over_budget(spec, result), result, worst_segment=over[1])
-    return result
-
-
-def _over_budget(spec: QuadratureSpec, result: IntegralResult) -> str:
-    return (f"needed more than {spec.max_subdivisions} subdivisions "
-            f"(value={result.value!r}, error={result.error_estimate!r})")
+    value, error, evals = _adapt(lambda row, x: f(x), edges[:-1], edges[1:], np.array([edges.size - 1]),
+                                 spec.abs_tol, spec)
+    return IntegralResult(float(value[0]), float(error[0]), int(evals[0]))
 
 
 # A mapped tail is probed for divergence at these depths 1 - t.
@@ -373,7 +369,7 @@ class TailMap:
         itself never does, however close to t = 1 the ladder reaches.
         With the one piece [0, 1] this is a start at t >= 0.999.
         """
-        return segment is not None and 1.0 - segment[0] <= _DIVERGED_DEPTH * (1.0 - self.edges[-2])
+        return 1.0 - segment[0] <= _DIVERGED_DEPTH * (1.0 - self.edges[-2])
 
 
 def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay: str = "exp",
@@ -390,12 +386,12 @@ def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay:
     ``TailMap.to_t``; the hints before a split the heads.
     One call of ``f`` probes every tail first.  Returns each term's head
     plus tail.  A failure names term j ``names[j]`` (default "term j")
-    and its head or tail: a row over budget raises
-    :class:`ToleranceNotReached` with its batch ``row``, or, for a tail
-    that ``TailMap.diverged`` judges or the probe refuses,
-    :class:`DivergenceSuspected`; values of ``f`` that are not finite
-    raise :class:`NonFiniteIntegrand`, as does ``f`` itself, say from a
-    nested integral.
+    and its head or tail.  A row over budget raises as ``_adapt`` does,
+    with its batch ``row``, and a tail that ``TailMap.diverged`` judges,
+    or that the probe refuses, raises :class:`DivergenceSuspected`;
+    values of ``f`` that are not finite raise
+    :class:`NonFiniteIntegrand`, as does ``f`` itself, say from a nested
+    integral.
     """
     return _half_lines(f, heads, spec or DEFAULT_SPEC, decay, scale, names)[0]
 
@@ -434,8 +430,8 @@ def _half_lines(f, heads, spec, decay, scale, names):
         tail.probe(mapped(probe_rows, np.tile(tail.probe_nodes, n)), names)
         lo = np.array([x for _, row in rows for x in row[:-1]])
         hi = np.array([x for _, row in rows for x in row[1:]])
-        value, error, evals, over = _adapt(mapped, lo, hi, np.array([len(row) - 1 for _, row in rows]),
-                                           spec.abs_tol, spec)
+        value, error, evals = _adapt(mapped, lo, hi, np.array([len(row) - 1 for _, row in rows]), spec.abs_tol,
+                                     spec, piece_of, lambda i, segment: in_tail[i] and tail.diverged(segment))
     except NonFiniteIntegrand as exc:
         # failure path only: the latest call's rows, one at a time, name
         # the first whose values are not finite
@@ -447,13 +443,6 @@ def _half_lines(f, heads, spec, decay, scale, names):
             except NonFiniteIntegrand:
                 break
         raise NonFiniteIntegrand(f"{piece_of(i)}: {exc}") from exc
-    if over is not None:
-        i, segment = over
-        result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
-        message = f"{piece_of(i)} {_over_budget(spec, result)}"
-        if in_tail[i] and tail.diverged(segment):
-            raise DivergenceSuspected(message, result)
-        raise ToleranceNotReached(message, result, worst_segment=segment, row=i)
     # bincount adds in row order, so a term's sum is its head plus its tail
     return [np.bincount(term, x, n) for x in (value, error, evals)]
 
@@ -533,9 +522,8 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     be bisected, counts its whole |value| as its error, so a row that
     needs one fails instead of passing on a meaningless estimate.
     Segments stay sorted by (row, lo), so a row's value does not
-    depend on the other rows in the batch.  A row that needs more than
-    ``max_subdivisions`` bisections raises :class:`ToleranceNotReached`
-    naming the row ("row i") and its worst segment.
+    depend on the other rows in the batch.  A row over budget raises as
+    ``_adapt`` does, led by "row i".
     """
     spec = spec or DEFAULT_SPEC
     edges = np.asarray(edges, dtype=float)
@@ -552,12 +540,7 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     k = nonempty.sum(1)
     if np.count_nonzero(k) < k.size:
         raise ValueError(f"row {int(np.argmin(k))} has zero span")
-    value, error, evals, over = _adapt(f, lo[nonempty], hi[nonempty], k, abs_tol, spec)
-    if over is not None:
-        i, segment = over
-        result = IntegralResult(float(value[i]), float(error[i]), int(evals[i]))
-        raise ToleranceNotReached(f"row {i} {_over_budget(spec, result)}", result, worst_segment=segment, row=i)
-    return value
+    return _adapt(f, lo[nonempty], hi[nonempty], k, abs_tol, spec, lambda i: f"row {i}")[0]
 
 
 # --- per-draw cubic tables ----------------------------------------------

@@ -53,6 +53,7 @@ from sphereshrink.numerics import (
     DivergenceSuspected,
     NonFiniteIntegrand,
     QuadratureSpec,
+    ToleranceNotReached,
     integrate_half_lines,
     integrate_rows,
     sphere_surface,
@@ -197,7 +198,8 @@ def _sweep(problems, cos, names) -> np.ndarray:
     any other row is the one piece [0, sqrt(2)].  A row's value does not
     depend on the other rows of either batch, so a term's value is the
     same alone and among others.  A failed row is reported under its
-    term's entry of ``names``.
+    term's entry of ``names``; an angular row over budget also names its
+    lambda.
     """
     model, r = problems[0].model, problems[0].r
     p = model.p
@@ -254,7 +256,12 @@ def _sweep(problems, cos, names) -> np.ndarray:
             probe = np.abs(_by_group(rhos, inner_rho[at], slice(None), np.sqrt(gap[at] * gap[at] + two_rl[at])))
             abs_tol = np.full(lams.shape, abs_tol)
             abs_tol[at] = np.maximum(abs_tol[at], 1e-15 * probe)
-        inner = integrate_rows(angular, edges, abs_tol, _INNER_SPEC)
+        try:
+            inner = integrate_rows(angular, edges, abs_tol, _INNER_SPEC)
+        except ToleranceNotReached as exc:
+            i = exc.row
+            raise ToleranceNotReached(f"{names[term[i]]}, lambda={lams[i]:.3g}: {exc}", exc.result,
+                                      exc.worst_segment, i) from exc
         y = inner * _by_group(weights, weight_of, term, lams)
         y *= _by_group(powers, power_of, term, lams)
         return y

@@ -95,6 +95,7 @@ def test_a_name_is_read_as_its_canonical_name(tmp_path):
     (["hseq"], {"i": [1, "x"]}),
     (["prior", "--p", "3"], {"blyth": "no"}),
     (["verify"], {"identity": "bogus"}),
+    (["risk", *MODEL], {"theta": "0:1e15:1"}),  # allocated 7 PiB before anything bounded it
 ])
 def test_a_config_value_of_the_wrong_kind_is_refused_naming_its_key(argv, doc, tmp_path, capsys, monkeypatch):
     rounds = []
@@ -114,6 +115,54 @@ def test_svg_plots_a_curve(tmp_path):
     assert cli.main(["phi", *SUBCOMMANDS["phi"], "--out", str(tmp_path / "phi.csv"), "--svg", str(svg)]) == cli.EXIT_OK
     text = svg.read_text(encoding="utf-8")
     assert text.startswith("<svg") and "<polyline" in text
+
+
+def test_a_refused_plot_leaves_no_files(tmp_path, capsys):
+    # one theta is one numeric row, too few to plot
+    out, svg = tmp_path / "one.csv", tmp_path / "one.svg"
+    argv = ["risk", *MODEL, "--n", "200", "--theta", "8", "--out", str(out), "--svg", str(svg)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: not enough numeric rows to plot\n"
+    assert not out.exists() and not svg.exists()
+
+
+def test_a_theta_range_is_sized_before_it_is_built(tmp_path, capsys):
+    assert len(cli._THETA("0:9999:1")) == cli._THETA_POINTS
+    for text in ("0:10000:1", "0:1e15:1", "0:inf:1", "0:1:0"):
+        with pytest.raises(cli.argparse.ArgumentTypeError, match="at most 10000 points"):
+            cli._THETA(text)
+    assert cli.main(["risk", *MODEL, "--theta", "0:1e15:1", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert "argument --theta: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, doc, named", [
+    (["--prior", "power", "--k", "3"], {}, "--prior"),  # ran harmonic_bayes, echoing prior = power
+    (["--k", "3"], {}, "--k"),
+    (["--estimator", "harmonic", "--depth", "1"], {}, "--depth"),
+    (["--estimator", "identity"], {"offset": 2.0}, "--offset"),
+    ([], {"prior": "harmonic"}, "--prior"),
+])
+def test_risk_refuses_prior_options_without_the_gb_estimator(argv, doc, named, tmp_path, capsys, monkeypatch):
+    rounds = []
+    pair = numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda *args: rounds.append(1) or pair(*args))
+    out = tmp_path / "x.csv"
+    config = ["--config", write_config(tmp_path, doc)] if doc else []
+    assert cli.main(["risk", *MODEL, *argv, *config, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {named} is not used by this risk run")
+    assert rounds == [] and not out.exists()
+
+
+@pytest.mark.parametrize("estimator, echoed", [
+    ("gb", ["# depth = 0", "# k = None", "# offset = 2.718281828459045", "# prior = harmonic"]),
+    ("harmonic", ["# depth = None", "# k = None", "# offset = None", "# prior = None"]),
+])
+def test_risk_echoes_the_prior_only_when_its_estimator_takes_one(estimator, echoed, tmp_path):
+    out = tmp_path / "risk.csv"
+    argv = ["risk", *MODEL, "--estimator", estimator, "--n", "200", "--theta", "0,1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    keys = ("# depth", "# k", "# offset", "# prior")
+    assert [line for line in out.read_text().splitlines() if line.split(" = ")[0] in keys] == echoed
 
 
 @pytest.mark.parametrize("command", ["risk", "hseq"])

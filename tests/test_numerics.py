@@ -541,6 +541,31 @@ def test_integrate_half_lines_flags_a_tail_parked_at_infinity():
     assert exc.value.row == 0 and exc.value.worst_segment[0] >= 0.999
 
 
+def test_a_nested_batch_over_budget_passes_through_unjudged():
+    # the integrand's own integrate_rows batch runs out of budget on the
+    # slow tail above, its worst segment parked at t = 1: only the outer
+    # batch's own exhaustion is judged for divergence
+    slow = lambda r: 1.0 / ((1.0 + r) * np.log(math.e + r))
+    spec = QuadratureSpec(max_subdivisions=20)
+    tail = numerics.TailMap(0.0, "power", 1.0)
+
+    def mapped(row, t):
+        r, om = tail.radius(t)
+        return tail.weigh(slow(r), om)
+
+    calls = []
+
+    def f(term, r):
+        calls.append(1)
+        if len(calls) > 1:  # past the probe, inside the outer loop
+            numerics.integrate_rows(mapped, [tail.edges], spec.abs_tol, spec)
+        return np.exp(-r)
+
+    with pytest.raises(ToleranceNotReached, match="^row 0 needed more than 20 subdivisions") as exc:
+        numerics.integrate_half_lines(f, [[0.0]], spec, decay="power")
+    assert len(calls) == 2 and exc.value.row == 0 and tail.diverged(exc.value.worst_segment)
+
+
 def test_integrate_half_lines_probe_refusal_names_the_term():
     # 1/(1+r) under the power map is 1/(1-t): its boundary weights stay at 1
     f = lambda term, r: np.where(term == 0, np.exp(-r), 1.0 / (1.0 + r))

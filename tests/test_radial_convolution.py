@@ -479,3 +479,15 @@ def test_a_head_row_over_budget_raises_rather_than_returns(monkeypatch):
         with pytest.raises(ToleranceNotReached) as exc:
             call()
         assert exc.value.row == 0  # the first term's head [0, cut]
+
+
+def test_an_angular_row_over_budget_names_its_term_and_lambda():
+    # at the ridge lambda = r the angular integrand of power(-2.5) in p = 3
+    # grows like v^(k+p-2), not integrable in v: the inner batch's
+    # failure keeps its class, row and result, led by the term and lambda
+    lead = r"^m at r=1, lambda=1: row \d+ needed more than 160 subdivisions"
+    with pytest.raises(ToleranceNotReached, match=lead) as exc:
+        marginal_m(power_prior(-2.5, 3), gaussian(3), 1.0)
+    inner = exc.value.__cause__
+    assert type(inner) is ToleranceNotReached and str(exc.value).endswith(str(inner))
+    assert (exc.value.result, exc.value.row, exc.value.worst_segment) == (inner.result, inner.row, inner.worst_segment)
