@@ -21,14 +21,20 @@ singularity class, some with the directional numerator's extra
 lambda cos(phi).  It holds the dimension check, the one radius check
 (0 <= r < inf), the harmonic prior's closed-form m, which takes no
 quadrature, and the one conversion of a divergent tail or an
-overflowing integrand into IntegrabilityError; a failed integral's
-message names its term and r.  At r = 0 each term is radial, a
-directional one exactly 0, and the terms are one
-``numerics.integrate_half_lines`` batch; the head of a term with a
-negative singularity class starts from the ratio-2 ladder 2^-k
-(k = 1..20) toward 0, as ``_RIDGE_MESH`` grades the ridge.  At r > 0
-they are one ``_sweep``: the lambda integrals of all terms are one
-``integrate_half_lines`` batch, and each of its rounds adapts the
+overflowing integrand into IntegrabilityError, to which the bell path
+adds an m whose row is below ``_M_FLOOR``; a failed integral's message
+names its term and r.
+At r = 0 each term is radial, a directional one exactly 0, and the
+terms are one ``numerics.integrate_half_lines`` batch; the head of a
+term with a negative singularity class starts from the ratio-2 ladder 2^-k
+(k = 1..20) toward 0, as ``_RIDGE_MESH`` grades the ridge.  At r > 0,
+for a model that is a sum of gaussian bells (``RadialDensity.bells``:
+the gaussian, poly_exp with alpha = 0 and mixture_diff), the angular
+average of each bell is closed, and each term is one radial row per
+bell, or two for a directional term, all of them one
+``integrate_half_lines`` batch (``_bell_rows``).  For every other
+model they are one ``_sweep``: the lambda integrals of all terms are
+one ``integrate_half_lines`` batch, and each of its rounds adapts the
 angular integrals at all its lambdas as one ``integrate_rows`` batch.
 No integral is evaluated one lambda, one term or one piece at a time.
 Rows never share segments, so a term's value is the same, bitwise,
@@ -37,8 +43,9 @@ check are each one request.
 
 The sweep is the slow-but-independent oracle for the closed forms: the
 kernel moments of ``shrinkage``'s weight, which is also the harmonic
-prior's GB factor, and the harmonic prior's m here.  Its S is always
-swept, so ``gb_marginals`` checks that closed GB factor.
+prior's GB factor, the harmonic prior's m here, and the bell rows,
+which the tests compare with it wherever both run.  S is never closed,
+so ``gb_marginals`` checks that closed GB factor.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import hyp0f1, ive
 
 from sphereshrink._domain import radii, radius, real, same_dimension
 from sphereshrink.numerics import (
@@ -74,8 +82,28 @@ _CLOSED_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=40
 # inner tolerance in about one round instead of after 2-3 bisections.
 # Beyond 2^16 b the row is smooth enough that more steps save nothing.
 _RIDGE_MESH = np.array([0.0, *np.exp2(np.arange(-2.0, 17.0)), math.inf])
-# Inner edges of an r = 0 head [0, 1] whose integrand may grow toward 0.
+# Inner edges of an r = 0 head [0, 1] whose integrand may grow toward 0;
+# a bell row's head [0, a] starts from a times them.
 _ORIGIN_LADDER = tuple(2.0**-k for k in range(20, 0, -1))
+# A bell row's head spans lambda = r -+ this many of its bell's standard
+# deviations, beyond which the bell is below e^-32 of its peak; its tail
+# starts this far beyond r in the widest bell's.
+_BELL_REACH = 8.0
+# Past this many of the widest bell's standard deviations from the
+# origin, a bell row's variable is u = lambda - r, so that the bell stays
+# resolved however far out r is: there every lambda below r/2, where
+# r + u would lose lambda's digits, is e^-800 below the peak, which is 0.
+_BELL_FAR = 80.0
+# Below this z, A(z) = 0F1(; b; z^2/4) e^-z is summed from 0F1's series;
+# above it, from the exponentially scaled Bessel function.
+_SERIES_Z = 1.0
+# Above this z, scipy's ive returns nan (near 2^31); its asymptotic
+# series, four terms, is exact to double precision there.
+_ASYMPTOTIC_Z = 1e8
+# A bell row below this has met only its absolute tolerance, not its
+# relative one, and a prior's m with such a row is refused: far out, where
+# the prior falls faster than 1/r, it underflows toward 0.
+_M_FLOOR = _CLOSED_SPEC.abs_tol / _CLOSED_SPEC.rel_tol
 _M = object()  # the prior's marginal m(g|x) as a term of a request
 _S = object()  # the prior's along-x numerator S(g|x) as a term of a request
 
@@ -87,7 +115,7 @@ class ConvolutionError(Exception):
 
 
 class IntegrabilityError(ConvolutionError, ArithmeticError):
-    """A request whose tail diverges or whose integrand overflows: a numeric failure."""
+    """A request whose tail diverges, whose integrand overflows or whose m underflows: a numeric failure."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +168,9 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
     whose index is in ``directional`` is the along-x numerator of its
     integrand.  A radius
     that is negative, infinite or NaN is refused with ConvolutionError.
-    A failed integral names its term and r: "m", "S" or "term j".
+    A failed integral names its term and r: "m", "S" or "term j".  On
+    the bell path, a prior's m with a row of at most ``_M_FLOOR`` (far
+    out, where it underflows) raises IntegrabilityError naming r.
     """
     same_dimension(ConvolutionError, model, prior)
     r = radius(r, ConvolutionError, "radius")
@@ -158,8 +188,12 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
         todo.append((j, ConvolutionProblem(model, term[0], term[1], r, term[2]), cos, f"{name} at r={r:.3g}"))
     if todo:
         at, problems, cos, names = zip(*todo)
+        bells = model.bells() if r > 0.0 else None
         try:
-            swept = _sweep(problems, np.array(cos), names)
+            if bells is None:
+                swept = _sweep(problems, np.array(cos), names)
+            else:
+                swept = _bell_rows(problems, cos, names, bells, [terms[j] is _M for j in at])
         except (DivergenceSuspected, NonFiniteIntegrand) as exc:
             # a tail probe flags non-integrable growth, or the integrand
             # overflows where the kernel still has support
@@ -271,6 +305,134 @@ def _sweep(problems, cos, names) -> np.ndarray:
                                                         **model.tail_decay)
 
 
+def _bell_rows(problems, cos, names, bells, floored) -> np.ndarray:
+    """The terms at r > 0 for a model that is a sum of gaussian bells (``RadialDensity.bells``).
+
+    The angular average of a bell of variance v about x is closed: with
+    lambda = ||theta||, z = r lambda / v and b = p/2,
+
+        avg exp(-||x - lambda omega||^2 / (2 v)) = exp(-(r - lambda)^2 / (2 v)) A_b(z),
+
+    A_b(z) = 0F1(; b; z^2/4) e^-z (``_bell_factor``).  So a plain term is
+    c_p sum_j W_j m_j, with W_j the bell's weight in the term's kernel
+    (w_j for f, w_j v_j / C_f for F / C_f) and m_j the radial row
+    int rho(lambda) lambda^(p-1) exp(-(r - lambda)^2 / (2 v_j)) A_b(z) dlambda.
+    Along x, (theta - x) exp(...) is v_j times the r-derivative of the
+    bell, so a directional term is r c_p sum_j W_j (M_j / (p v_j) - m_j),
+    M_j the same row with lambda^(p+1) and A_(b+1); for one bell,
+    1 + S / (r m) is M / (p v m), a ratio of two positive integrals.
+    Every row of every term is one ``integrate_half_lines`` batch, a row
+    that several terms share (m and S of one integrand) once.  A row's
+    head is split at r and r -+ ``_BELL_REACH`` of its bell's deviations,
+    and its tail starts that far beyond r in the widest bell's.  The
+    prior's singular origin is the endpoint power lambda^(class + p - 1),
+    integrable when class > -p; a row of a negative class starts from
+    ``_ORIGIN_LADDER``, as at r = 0.  Past ``_BELL_FAR`` deviations the
+    variable is lambda - r, and the origin does not matter.  A failed row
+    is reported under the entry of ``names`` of the first term using it.
+    A term whose entry of ``floored`` is set (a prior's m) raises
+    IntegrabilityError if one of its rows is at most ``_M_FLOOR``, where
+    the row holds only its absolute tolerance.
+    """
+    model, r = problems[0].model, problems[0].r
+    p = model.p
+    var = np.array([v for _, v in bells])
+    reach = _BELL_REACH * np.sqrt(var)
+    far = r > _BELL_FAR * math.sqrt(var.max())
+    centre = 0.0 if far else r  # where the row variable puts lambda = r
+    norm = c_f(model)
+    rhos, rho_of = _distinct([pr.integrand for pr in problems])
+    # each term's rows, by bell and lift: (integrand, origin ladder, bell, lift)
+    term_rows = [[[(rho_of[t], pr.singularity_class < 0 and not far, j, lift) for lift in ((0, 1) if cos[t] else (0,))]
+                  for j in range(len(bells))] for t, pr in enumerate(problems)]
+    keys, row_names = [], []
+    for t, by_bell in enumerate(term_rows):
+        for key in (key for lifts in by_bell for key in lifts):
+            if key not in keys:
+                keys.append(key)
+                row_names.append(names[t])
+    rho_row, ladder_row, bell_row, lift_row = (np.array(column) for column in zip(*keys))
+    a = centre + reach.max()
+    heads = []
+    for ladder, j in zip(ladder_row, bell_row):
+        # split at r once the bell clears the origin: a split at r = 1e-300
+        # would put nodes where a singular rho overflows
+        head = [centre - r, centre + reach[j], a]
+        head += [centre] if r > reach[j] / _BELL_REACH else []
+        head += [centre - reach[j]] if r > reach[j] else []
+        heads.append(sorted([*head, *(a * step for step in _ORIGIN_LADDER)] if ladder else head))
+    combos = sorted(set(zip(bell_row.tolist(), lift_row.tolist())))
+
+    def radial(row, x):
+        out = np.zeros(x.shape)
+        d = x - centre
+        with np.errstate(over="ignore"):  # d^2 = inf far from the bell, where it is 0
+            bell = np.exp(-0.5 * d * d / var[bell_row[row]])
+        live = bell > 0.0  # rho is not asked where the bell underflows
+        row, lam = row[live], x[live] + (r - centre)
+        y = bell[live] * _by_group(rhos, rho_row, row, lam)
+        for j, lift in combos:
+            at = (bell_row[row] == j) & (lift_row[row] == lift)
+            if at.any():
+                y[at] *= _bell_factor(p, lift, var[j], r, lam[at])
+        out[live] = y
+        return out
+
+    rows = integrate_half_lines(radial, heads, _CLOSED_SPEC, names=row_names, **model.tail_decay)
+    row_of = {key: i for i, key in enumerate(keys)}
+    for t in np.flatnonzero(floored):
+        least = min(abs(rows[row_of[lifts[0]]]) for lifts in term_rows[t])
+        if not least > _M_FLOOR:
+            raise IntegrabilityError(f"integrability fails: {names[t]}: a row is {least:.3g}, below {_M_FLOOR:.0e}, "
+                                     f"where it holds only its absolute tolerance {_CLOSED_SPEC.abs_tol:.0e}")
+    cp = sphere_surface(p)
+    values = []
+    for t, pr in enumerate(problems):
+        total = 0.0
+        for (w, v), lifts in zip(bells, term_rows[t]):
+            weight = cp * (w if pr.kernel == "density" else w * v / norm)
+            m = weight * rows[row_of[lifts[0]]]
+            total += r * (weight * rows[row_of[lifts[1]]] / (p * v) - m) if cos[t] else m
+        values.append(total)
+    return np.array(values)
+
+
+def _bell_factor(p, lift, var, r, lam):
+    """lambda^(p-1+2 lift) A_(p/2+lift)(r lambda / var), with A_b(z) = 0F1(; b; z^2/4) e^-z.
+
+    Below ``_SERIES_Z``, 0F1's series, where r = 1e-300 would otherwise
+    form 0 times inf.  Above it, A_b(z) = Gamma(b) (z/2)^(1-b) ive(b-1, z),
+    whose powers of lambda and r combine into r (lambda/r)^b.  Above
+    ``_ASYMPTOTIC_Z``, ive(nu, z) is its asymptotic series in 1/z =
+    (v/r)/lambda over sqrt(2 pi z), and r (lambda/r)^b / sqrt(z) is
+    sqrt(v) (lambda/r)^(b-1/2): no factor is formed that overflows,
+    however far out r is (z itself does past r = 1e154, and only sorts).
+    """
+    b = 0.5 * p + lift
+    with np.errstate(over="ignore"):  # z = inf sorts lambda into the asymptotic branch, which does not use it
+        z = r * lam / var
+    out = np.empty(lam.shape)
+    small = z < _SERIES_Z
+    zs = z[small]
+    out[small] = lam[small] ** (p - 1.0 + 2.0 * lift) * hyp0f1(b, 0.25 * zs * zs) * np.exp(-zs)
+    scale = math.exp(math.lgamma(b) + (b - 1.0) * math.log(2.0 * var))
+    mid = ~small & (z <= _ASYMPTOTIC_Z)
+    out[mid] = scale * r * (lam[mid] / r) ** b * ive(b - 1.0, z[mid])
+    far = z > _ASYMPTOTIC_Z
+    lam_far = lam[far]
+    out[far] = scale * math.sqrt(var / (2.0 * math.pi)) * (lam_far / r) ** (b - 0.5) * _ive_series(b - 1.0, var / r / lam_far)
+    return out
+
+
+def _ive_series(nu, inv_z):
+    """sqrt(2 pi z) ive(nu, z) for z above ``_ASYMPTOTIC_Z``, from its asymptotic series in 1/z."""
+    mu, term, total = 4.0 * nu * nu, np.ones(inv_z.shape), np.ones(inv_z.shape)
+    for k in range(1, 4):
+        term = term * -(mu - (2.0 * k - 1.0) ** 2) * inv_z / (8.0 * k)
+        total += term
+    return total
+
+
 def _distinct(items):
     """The distinct items (by ==) in order, and each item's index among them."""
     out = []
@@ -333,7 +495,8 @@ def marginal_m(prior: RadialPrior, model: RadialDensity, r: float) -> float:
 
     The fundamental-solution prior dispatches to its closed form
     ``harmonic_marginal_closed``, with no quadrature; every other prior
-    goes through the 2-d oracle.
+    goes through the oracle: at r > 0, one radial row per bell of a
+    gaussian-family model, else the 2-d sweep.
     """
     return _request(model, r, [_M], prior)[0]
 
@@ -346,9 +509,13 @@ def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_
 def gb_marginals(prior: RadialPrior, model: RadialDensity, r: float) -> tuple[float, float]:
     """The marginal m(g|x) and the directional numerator S at ||x|| = r.
 
-    S is ``directional_marginal`` of g, 0 at r = 0, swept for every
-    prior: with m in one batch, or beside the harmonic prior's closed m,
-    where 1 + S / (r m) checks ``shrinkage.gb_multiplier``'s closed form.
+    S is ``directional_marginal`` of g, 0 at r = 0, from the oracle for
+    every prior: with m in one batch, or beside the harmonic prior's
+    closed m, where 1 + S / (r m) checks ``shrinkage.gb_multiplier``'s
+    closed form.  For a gaussian-family model (``RadialDensity.bells``)
+    S is r sum_j (M_j / (p v_j) - m_j) over its bells, a difference of
+    terms of size r m, so it holds to a tolerance of r m, not of S; for
+    any other model it is swept, to a tolerance of S.
     """
     return tuple(_request(model, r, [_M, _S], prior))
 

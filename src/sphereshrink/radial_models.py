@@ -87,6 +87,12 @@ class RadialDensity:
     ``monotone`` and ``inf_ratio`` answer the minimax audit analytically,
     or return None to have it scan a grid instead.  ``knots`` lists the
     radii where f is only piecewise smooth (none for a closed form).
+    ``bells()`` declares f as a finite sum of centred gaussian bells,
+    ((w_j, var_j), ...) with f(s) = sum_j w_j exp(-s^2/(2 var_j)), so that
+    F(t) = sum_j w_j var_j exp(-t^2/(2 var_j)) as well; it is None (the
+    default) where f is not such a sum.  ``radial_convolution`` takes
+    the closed angular average of a bell at r > 0, one radial row per
+    bell, in place of its 2-d sweep.
     Instances are immutable.
     """
 
@@ -141,6 +147,10 @@ class RadialDensity:
     def inf_ratio(self) -> float | None:
         return None
 
+    def bells(self) -> tuple | None:
+        """((w_j, var_j), ...) with f(s) = sum_j w_j exp(-s^2/(2 var_j)), or None."""
+        return None
+
     def support_radius(self, eps: float = 1e-12) -> float:
         """Smallest radius R with F(R) <= eps * F(0), by bisection.
 
@@ -183,6 +193,7 @@ class RadialDensity:
 def _bell_moment(m, beta, r):
     """int_0^r t^m exp(-beta t^2) dt for m > -1, as a regularized incomplete gamma."""
     a = 0.5 * (m + 1.0)
+    r = np.minimum(r, 1e150 / math.sqrt(beta))  # beta r^2 <= 1e300 does not overflow, and gammainc is 1 there
     return 0.5 * beta ** (-a) * math.gamma(a) * gammainc(a, beta * r * r)
 
 
@@ -216,6 +227,9 @@ class _Gaussian(RadialDensity):
     def inf_ratio(self):
         return 1.0
 
+    def bells(self):
+        return ((self.norm_const, 1.0),)
+
 
 class _PolyExp(RadialDensity):
     """r^alpha exp(-beta r^2)."""
@@ -241,11 +255,15 @@ class _PolyExp(RadialDensity):
     def _big_f(self, u):
         s = 0.5 * self.alpha + 1.0
         pref = 0.5 * self.beta ** (-s)
+        u = np.minimum(u, 1e150 / math.sqrt(self.beta))  # beta u^2 <= 1e300 does not overflow, and the tail is 0 there
         return self.norm_const * pref * upper_incomplete_gamma(s, self.beta * u**2)
 
     def _kernel_moment(self, m, r):
-        # by parts, with F'(t) = -t f(t): both terms are nonnegative
-        head = r ** (m + 1.0) * self._big_f(r)
+        # by parts, with F'(t) = -t f(t): both terms are nonnegative.  F falls
+        # like exp(-beta r^2), so r^(m+1) F(r) is 0 long before r^(m+1)
+        # overflows: where F is 0 the head is taken at r = 0
+        f = self._big_f(r)
+        head = np.where(f > 0.0, r, 0.0) ** (m + 1.0) * f
         return (head + self.norm_const * _bell_moment(m + 2.0 + self.alpha, self.beta, r)) / (m + 1.0)
 
     def _moment(self, k):
@@ -271,6 +289,9 @@ class _PolyExp(RadialDensity):
 
     def inf_ratio(self):
         return 1.0 / (2.0 * self.beta)
+
+    def bells(self):
+        return ((self.norm_const, 0.5 / self.beta),) if self.alpha == 0.0 else None
 
 
 class _MixtureDiff(RadialDensity):
@@ -321,6 +342,9 @@ class _MixtureDiff(RadialDensity):
 
     def inf_ratio(self):
         return 1.0  # large-t limit; the ratio falls toward it
+
+    def bells(self):
+        return ((self.norm_const, 1.0), (-self.a * self.norm_const, self.b))
 
 
 class _Tabulated(RadialDensity):

@@ -254,10 +254,12 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
     k, so that the rest is near linear in r^-beta,
     beta = ``shrinkage.tail_power``, even where G carries log factors.
     The gates allow ``_GB_TABLE_TOL`` = 2e-3 of max(1, the largest |phi|
-    at a head knot).  Measured misses are at most 6.1e-4 of that in the
-    head and 6e-5 in the tail (gaussian p = 3, 5, 8 and
+    at a head knot).  Measured misses are at most 4.4e-4 of that in the
+    head and 1.9e-4 in the tail (gaussian p = 3, 5, 8 and
     (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8; power(-2.5) and
-    log-thickened priors).  Where the oracle fails past the head,
+    log-thickened(0, 2) priors), except for power(-2.5) on the p = 3
+    gaussian, whose head misses by 7.7e-3 of it (0.028 in phi), so that
+    its table raises TableError.  Where the oracle fails past the head,
     TableError is raised: with power(-2.5) on a (1 + r^2)^-3.525 table
     in p = 5 (fitted q = 7.039, beta = 0.039) the tail's last midpoint
     lies at r = 1.5e12, and the oracle fails from r = 2.5e10.
@@ -271,7 +273,7 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
         grid = np.geomspace(max(1e-2, 1e-3 * hi), max(hi, 1.0), _GB_KNOTS)
 
         def phi(radii):
-            # -r S/m from one sweep; r^2 (1 - kappa) loses 1 - kappa ~ 3/r^2 to cancellation far out
+            # -r S/m from one oracle request; r^2 (1 - kappa) loses 1 - kappa ~ 3/r^2 to cancellation far out
             out = []
             for r in radii.tolist():
                 try:

@@ -152,7 +152,10 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
 
     Splitting theta along and across x gives kappa = 1 + S / (r m), where
     S is the cos-weighted marginal and m the plain one (``gb_marginals``),
-    one sweep of the convolution oracle for any prior but the harmonic.
+    one request of the convolution oracle for any prior but the harmonic:
+    for a gaussian-family model, the radial rows of its bells (S is
+    r (M / (p v) - m) for one bell of variance v, so kappa holds to a few
+    ulps of 1), and for any other model one 2-d sweep.
     For the harmonic g(eta) = eta^{2-p}, kappa is the shrinkage profile's
     1 - phi(r)/r^2: since F'(t) = -t f(t), S is d/dr of
     int g(theta) F(||theta - x||) dtheta, and by the mean-value property

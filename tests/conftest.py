@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sphereshrink import radial_convolution
 from sphereshrink.radial_models import gaussian, poly_exp, tabulated
 from sphereshrink.rv_priors import harmonic_prior, log_thickened_prior, power_prior
 
@@ -34,3 +35,21 @@ def parity_case():
         return prior, model, (0.1, 1.0, model.support_radius(1e-16), 64.0, 1000.0)
 
     return build
+
+
+@pytest.fixture
+def swept():
+    """``terms`` (kernel, rho, class) at r > 0 as one batch of the 2-d sweep.
+
+    The request path takes the sweep for every model without ``bells()``;
+    for a gaussian-family model this reaches it directly, as the sweep's
+    pins do.  A term whose index is in ``directional`` is its along-x
+    numerator.
+    """
+
+    def sweep(model, r, terms, directional=()):
+        problems = [radial_convolution.ConvolutionProblem(model, kernel, rho, r, c) for kernel, rho, c in terms]
+        cos = np.array([j in directional for j in range(len(terms))])
+        return radial_convolution._sweep(problems, cos, [f"term {j}" for j in range(len(terms))]).tolist()
+
+    return sweep

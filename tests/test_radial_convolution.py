@@ -6,8 +6,10 @@ dimension, and against the 1-d fast routes it exists to certify.
 """
 
 import math
+import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -16,7 +18,7 @@ from scipy.special import erf
 from sphereshrink import radial_convolution
 from sphereshrink.numerics import ToleranceNotReached, sphere_surface
 from sphereshrink.radial_models import DivergentMoment, gaussian, mixture_diff, poly_exp, tabulated
-from sphereshrink.rv_priors import custom_prior, harmonic_prior, power_prior
+from sphereshrink.rv_priors import custom_prior, harmonic_prior, log_thickened_prior, power_prior
 from sphereshrink.shrinkage import gb_multiplier
 from sphereshrink.radial_convolution import (
     AsymptoticProbe,
@@ -208,10 +210,14 @@ def test_harmonic_closed_on_a_tabulated_model():
 
 @pytest.mark.parametrize("model", [gaussian(5), poly_exp(2.0, 1.0, 4)], ids=repr)
 @pytest.mark.parametrize("r", [0.5, 3.0, 20.0])
-def test_directional_marginal_closed_forms(model, r):
+def test_directional_marginal_closed_forms(model, r, swept):
     # with theta = x + y, the y-odd part of rho(||x + y||) (y . x/r) integrates
-    # to 0: nothing is left for rho = 1, and 2 r E(y . x/r)^2 for rho = s^2
-    assert abs(directional_marginal(ones, model, r)) <= 1e-14
+    # to 0: nothing is left for rho = 1, and 2 r E(y . x/r)^2 for rho = s^2.
+    # The sweep reaches the 0 to 1e-14.  A bell row's S is r (M/p - m), a
+    # difference of two terms of size r m = r, so it reaches 0 to a few ulps of r.
+    assert abs(swept(model, r, [("density", ones, 0.0)], (0,))[0]) <= 1e-14
+    bound = 1e-14 if model.bells() is None else 8.0 * np.finfo(float).eps * r
+    assert abs(directional_marginal(ones, model, r)) <= bound
     expected = 2.0 * r * model.moment(2.0) / model.p
     assert directional_marginal(lambda s: s**2, model, r) == pytest.approx(expected, rel=1e-10)
 
@@ -299,11 +305,14 @@ def test_the_oracle_finds_the_kernel_far_from_the_origin(r):
 
 # m, S = directional_marginal(g) and M = kernel_marginal_M(g) on the
 # parity grid (tests/conftest.py), as float.hex, each from its own
-# one-term call: the sweep's head and tail rows of that term alone, with
+# one-term sweep: the sweep's head and tail rows of that term alone, with
 # every ridge row starting from the graded mesh and every power tail (the
-# tabulated model's) from the ratio-4 ladder.  A term's value does
-# not depend on the batch (test_a_term_has_the_same_value_alone_and_in_a_batch),
-# so these pins hold for every batched request too.
+# tabulated model's) from the ratio-4 ladder.  The harmonic m is the
+# closed form.  A term's value does not depend on the batch
+# (test_a_term_has_the_same_value_alone_and_in_a_batch), so these pins
+# hold for every batched request too.  For a model without bells the
+# public functions are this sweep; the gaussian's take its bell rows, so
+# its pins are asserted through ``_sweep`` itself.
 PARITY = {
     ("harmonic", "gaussian"): {
         "m": ("0x1.0f876ddbdefe2p-2", "0x1.970936ca06d76p-3", "0x1.9e77e8d76fc51p-10", "0x1.ffffffffffffdp-19", "0x1.12e0be826d693p-30"),
@@ -354,15 +363,21 @@ PARITY = {
 
 
 @pytest.mark.parametrize("names", sorted(PARITY), ids="/".join)
-def test_marginals_match_the_unbatched_sweep_bitwise(names, parity_case):
+def test_marginals_match_the_unbatched_sweep_bitwise(names, parity_case, swept):
     prior, model, radii = parity_case(*names)
-    cls = prior.origin_class
+    g, cls = prior.g_eval, prior.origin_class
     for j, r in enumerate(radii):
         got = {
-            "m": marginal_m(prior, model, r),
-            "S": directional_marginal(prior.g_eval, model, r, singularity_class=cls),
-            "M": kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls),
+            "m": marginal_m(prior, model, r) if prior.harmonic else swept(model, r, [("density", g, cls)])[0],
+            "S": swept(model, r, [("density", g, cls)], (0,))[0],
+            "M": swept(model, r, [("tail_kernel", g, cls)])[0],
         }
+        if model.bells() is None:
+            assert got == {
+                "m": marginal_m(prior, model, r),
+                "S": directional_marginal(g, model, r, singularity_class=cls),
+                "M": kernel_marginal_M(g, model, r, singularity_class=cls),
+            }
         for key, value in got.items():
             assert value.hex() == PARITY[names][key][j], (key, r)
 
@@ -375,13 +390,28 @@ def test_a_term_has_the_same_value_alone_and_in_a_batch(prior_name, parity_case)
         m, s = gb_marginals(prior, model, r)
         assert m == marginal_m(prior, model, r)
         assert s == directional_marginal(prior.g_eval, model, r, singularity_class=cls)
-    # the ratio probe's three terms, each against its one-term sweep
-    prior, model, _ = parity_case(prior_name, "gaussian")
+    # the ratio probe's three terms, each against its one-term request
+    prior, model, radii = parity_case(prior_name, "gaussian")
     probe = asymptotic_ratio_probe(prior, model, [10.0, 100.0])
     for r, m_g, big_m_g in zip(probe.radii, probe.ratios["m_g"], probe.ratios["M_g"]):
         g = float(prior.g_eval(r))
         assert m_g == marginal_m(prior, model, r) / g
         assert big_m_g == kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls) / g
+    # bell rows, one per term for the gaussian and two for the mixture:
+    # rows never share segments, and a row two terms share (m and S of
+    # one integrand) is the row either would have alone
+    g = prior.g_eval
+    terms = [("density", g, cls), ("tail_kernel", lambda lam: g(lam) / lam, cls - 1.0),
+             ("tail_kernel", ones, 0.0), ("density", g, cls), ("tail_kernel", g, cls)]
+    for model in (model, mixture_diff(0.5, 0.5, prior.p)):
+        for r in (1e-8, *radii, 1e5):
+            values = radial_convolution._request(model, r, terms, directional=(3,))
+            alone = [radial_convolution._request(model, r, [term], directional=(0,) if j == 3 else ())[0]
+                     for j, term in enumerate(terms)]
+            assert [v.hex() for v in values] == [v.hex() for v in alone], r
+            assert gb_marginals(prior, model, r) == (values[0], values[3])
+            assert marginal_m(prior, model, r) == values[0]
+            assert kernel_marginal_M(g, model, r, singularity_class=cls) == values[4]
 
 
 @pytest.mark.parametrize("model_name", ["gaussian", "tabulated"])
@@ -413,17 +443,18 @@ def test_gb_marginals_take_the_closed_form_for_the_harmonic_prior():
 
 
 @pytest.mark.parametrize("model_name, tol", [("gaussian", 1e-10), ("poly_exp", 1e-10), ("tabulated", 2e-8)])
-def test_the_swept_harmonic_numerator_matches_its_closed_form(model_name, tol, parity_case):
+def test_the_swept_harmonic_numerator_matches_its_closed_form(model_name, tol, parity_case, swept):
     # the oracle's kappa = 1 + S / (r m), with S swept, is the closed
     # kappa = 1 - phi/r^2's independent check, to tol of the shrinkage
     # 1 - kappa; on the tabulated model its own error, from the knot kinks
     # of f, is the larger (6.2e-9 at r = 1)
     prior, model, radii = parity_case("harmonic", model_name)
     for r in [*np.geomspace(1e-3, 1e3, 25).tolist(), *radii]:
-        m, s = gb_marginals(prior, model, r)
-        swept = 1.0 + s / (r * m)
+        m = harmonic_marginal_closed(model, r)
+        s = swept(model, r, [("density", prior.g_eval, prior.origin_class)], (0,))[0]
+        kappa = 1.0 + s / (r * m)
         closed = gb_multiplier(prior, model, prior.p, r)
-        assert abs(closed - swept) <= tol * (1.0 - closed), r
+        assert abs(closed - kappa) <= tol * (1.0 - closed), r
 
 
 @pytest.mark.parametrize("call", [
@@ -474,8 +505,8 @@ def test_a_non_integrable_prior_fails_loudly_through_every_batched_entry():
 def test_a_head_row_over_budget_raises_rather_than_returns(monkeypatch):
     tight = radial_convolution._OUTER_SPEC.__class__(abs_tol=1e-280, rel_tol=1e-9, max_subdivisions=2)
     monkeypatch.setattr(radial_convolution, "_OUTER_SPEC", tight)
-    for call in (lambda: marginal_m(power_prior(-2.5, 5), gaussian(5), 1.0),
-                 lambda: gb_marginals(power_prior(-2.5, 5), gaussian(5), 1.0)):
+    for call in (lambda: marginal_m(power_prior(-2.5, 5), poly_exp(2.0, 1.0, 5), 1.0),
+                 lambda: gb_marginals(power_prior(-2.5, 5), poly_exp(2.0, 1.0, 5), 1.0)):
         with pytest.raises(ToleranceNotReached) as exc:
             call()
         assert exc.value.row == 0  # the first term's head [0, cut]
@@ -487,7 +518,128 @@ def test_an_angular_row_over_budget_names_its_term_and_lambda():
     # failure keeps its class, row and result, led by the term and lambda
     lead = r"^m at r=1, lambda=1: row \d+ needed more than 160 subdivisions"
     with pytest.raises(ToleranceNotReached, match=lead) as exc:
-        marginal_m(power_prior(-2.5, 3), gaussian(3), 1.0)
+        marginal_m(power_prior(-2.5, 3), poly_exp(2.0, 1.0, 3), 1.0)
     inner = exc.value.__cause__
     assert type(inner) is ToleranceNotReached and str(exc.value).endswith(str(inner))
     assert (exc.value.result, exc.value.row, exc.value.worst_segment) == (inner.result, inner.row, inner.worst_segment)
+
+
+# --- bell rows: gaussian-family models at r > 0 --------------------------------
+
+def power_references(k, p, r):
+    """E||x + Z||^k and 1 - kappa of power_prior(k, p) on gaussian(p), in 1F1 at 40 digits."""
+    with mpmath.workdps(40):
+        a, b, z = -mpmath.mpf(k) / 2, mpmath.mpf(p) / 2, -mpmath.mpf(r) ** 2 / 2
+        m = 2 ** (mpmath.mpf(k) / 2) * mpmath.gamma(b + mpmath.mpf(k) / 2) / mpmath.gamma(b) * mpmath.hyp1f1(a, b, z)
+        shrink = -(mpmath.mpf(k) / p) * mpmath.hyp1f1(a + 1, b + 1, z) / mpmath.hyp1f1(a, b, z)
+        return float(m), float(shrink)
+
+
+BELL_RADII = (1e-300, 1e-30, 1e-8, 1e-3, 0.5, 1.0, 3.0, 30.0, 64.0, 1e3, 1e5)
+
+
+@pytest.mark.parametrize("k, p, tol", [(-2.5, 5, 1e-9), (-1.0, 5, 1e-9), (-2.5, 3, 1e-8)])
+def test_the_bell_rows_meet_the_1f1_closed_forms(k, p, tol):
+    # m = E||x + Z||^k = 2^(k/2) Gamma((p+k)/2)/Gamma(p/2) 1F1(-k/2; p/2; -r^2/2),
+    # kappa = 1 + (k/p) 1F1(1-k/2; p/2+1; -r^2/2) / 1F1(-k/2; p/2; -r^2/2).
+    # Far out kappa is a double near 1, which cannot hold 1 - kappa ~ k/r^2
+    # to 1e-9 of itself: it is held to 8 ulps of 1 there as well
+    prior, model = power_prior(k, p), gaussian(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in BELL_RADII:
+            m_ref, shrink_ref = power_references(k, p, r)
+            assert abs(marginal_m(prior, model, r) / m_ref - 1.0) <= 1e-9, r
+            kappa = gb_multiplier(prior, model, p, r)
+            assert abs((1.0 - kappa) - shrink_ref) <= tol * shrink_ref + 8.0 * np.finfo(float).eps, r
+
+
+def test_the_bell_rows_mend_the_known_defects():
+    # the sweep raised ToleranceNotReached for both: S is O(r) at r = 1e-8,
+    # under a relative-only tolerance, and at the ridge lambda = r the
+    # angular integrand of power(-2.5) in p = 3 is not integrable in v
+    kappa = gb_multiplier(power_prior(-2.5, 5), gaussian(5), 5, 1e-8)
+    assert kappa == pytest.approx(1.0 - power_references(-2.5, 5, 1e-8)[1], rel=1e-12)
+    assert kappa == pytest.approx(0.5, rel=1e-12)  # 1 + k/p
+    m = marginal_m(power_prior(-2.5, 3), gaussian(3), 1.0)
+    assert m == pytest.approx(power_references(-2.5, 3, 1.0)[0], rel=1e-9)
+
+
+BELL_MODELS = {
+    "gaussian": gaussian,
+    "poly_exp(0, 0.7)": lambda p: poly_exp(0.0, 0.7, p),
+    "mixture_diff(0.5, 0.5)": lambda p: mixture_diff(0.5, 0.5, p),
+    "mixture_diff(1, 0.95)": lambda p: mixture_diff(1.0, 0.95, p),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(BELL_MODELS))
+@pytest.mark.parametrize("prior_name", ["harmonic", "power", "log_thickened"])
+def test_the_bell_rows_match_the_sweep(model_name, prior_name, parity_case, swept):
+    # m and M to 1e-9 of themselves; S, which the bell rows form as a
+    # difference of terms of size r m, to 1e-9 r m
+    prior, _, radii = parity_case(prior_name, "gaussian")
+    model = BELL_MODELS[model_name](prior.p)
+    g, cls = prior.g_eval, prior.origin_class
+    terms = [("density", g, cls), ("density", g, cls), ("tail_kernel", g, cls)]
+    for r in (*radii[:2], model.support_radius(1e-16), *radii[3:]):
+        m, s, big_m = radial_convolution._request(model, r, terms, directional=(1,))
+        m_sw, s_sw, big_m_sw = swept(model, r, terms, (1,))
+        assert abs(m / m_sw - 1.0) <= 1e-9, r
+        assert abs(big_m / big_m_sw - 1.0) <= 1e-9, r
+        assert abs(s - s_sw) <= 1e-9 * r * m_sw, r
+
+
+@pytest.mark.parametrize("prior_name", ["power", "log_thickened"])
+def test_the_bells_of_a_mixture_cancel_in_s_without_loss(prior_name, parity_case):
+    # mixture_diff(1, 0.95) is a gaussian less a bell of variance 0.95, the
+    # poly_exp(0, 1/1.9) model rescaled: their S cancel by a factor of 11 to
+    # 39, and the mixture's S is still their recombination to 1e-9 r m
+    prior, _, radii = parity_case(prior_name, "gaussian")
+    p, g, cls = prior.p, prior.g_eval, prior.origin_class
+    mixture = mixture_diff(1.0, 0.95, p)
+    singles = (gaussian(p), poly_exp(0.0, 0.5 / 0.95, p))
+    for r in radii:
+        m, s = radial_convolution._request(mixture, r, [("density", g, cls)] * 2, directional=(1,))
+        parts = [w / single.bells()[0][0] * directional_marginal(g, single, r, singularity_class=cls)
+                 for (w, _), single in zip(mixture.bells(), singles)]
+        assert (abs(parts[0]) + abs(parts[1])) / abs(s) >= 10.0, r
+        assert abs(parts[0] + parts[1] - s) <= 1e-9 * r * m, r
+
+
+# far out: m is r^k (1 + O(r^-2)) for power(k), and a prior whose m
+# there is below _M_FLOOR = 1e-288 (by ten decades or more) is refused
+FAR_PRIORS = {
+    "power(-0.5)": lambda: power_prior(-0.5, 5),
+    "power(-1)": lambda: power_prior(-1.0, 5),
+    "power(-2.5)": lambda: power_prior(-2.5, 5),
+    "power(-2.5, p=3)": lambda: power_prior(-2.5, 3),
+    "log_thickened": lambda: log_thickened_prior(1, 20.0, 5),
+}
+FAR_KAPPA = {("power(-0.5)", 1e150), ("power(-0.5)", 1e200), ("power(-0.5)", 1e300),
+             ("power(-1)", 1e150), ("power(-1)", 1e200)}
+
+
+@pytest.mark.parametrize("model_name", sorted(BELL_MODELS))
+@pytest.mark.parametrize("prior_name", sorted(FAR_PRIORS))
+@pytest.mark.parametrize("r", [1e150, 1e200, 1e300])
+def test_far_out_the_bell_rows_return_kappa_or_name_the_floor(model_name, prior_name, r):
+    # the variable is lambda - r there, so the bell stays resolved, and
+    # lambda^(p-1) A_b(r lambda / v) is formed without r lambda, which
+    # overflows past r = 1e154.  1 - kappa ~ -k/r^2 is below an ulp of
+    # kappa, which S = r sum_j (M_j/(p v_j) - m_j) reaches to a few ulps
+    # of 1 times the bells' cancellation in m, sum |w_j| v_j^(p/2) / f's mass
+    prior = FAR_PRIORS[prior_name]()
+    model = BELL_MODELS[model_name](prior.p)
+    masses = [w * v ** (0.5 * prior.p) for w, v in model.bells()]
+    cancel = sum(map(abs, masses)) / sum(masses)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_marginal_M(ones, model, r) == pytest.approx(1.0, rel=1e-12)
+        if (prior_name, r) in FAR_KAPPA:
+            assert marginal_m(prior, model, r) == pytest.approx(float(prior.g_eval(r)), rel=1e-9)
+            assert abs(gb_multiplier(prior, model, prior.p, r) - 1.0) <= 8.0 * np.finfo(float).eps * cancel
+        else:
+            lead = rf"^integrability fails: m at r={re.escape(f'{r:.3g}')}: a row is \S+, below 1e-288, where it holds only"
+            with pytest.raises(IntegrabilityError, match=lead):
+                gb_multiplier(prior, model, prior.p, r)

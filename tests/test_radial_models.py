@@ -5,6 +5,7 @@ scipy.integrate.quad oracles so the two routes stay independent.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,3 +229,20 @@ def test_tabulated_validation():
     bad[10] = bad[9]
     with pytest.raises(ModelError):
         tabulated(bad, r ** (-6.0), 3)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("r", [1e62, 1e150, 1e300])
+def test_poly_exp_kernel_moments_are_finite_far_out(alpha, r):
+    # r^(m+1) overflowed where F(r) had underflowed to 0: kernel_moment(4, 1e62)
+    # read nan, and so did the harmonic GB multiplier, with no error
+    from sphereshrink.rv_priors import harmonic_prior
+    from sphereshrink.shrinkage import gb_multiplier
+
+    model = poly_exp(alpha, 0.5, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (2.0, 4.0):
+            # F is below 1e-300 of F(0) beyond r = 40: the moment is complete
+            assert float(model.kernel_moment(m, r)) == pytest.approx(float(model.kernel_moment(m, 40.0)), rel=1e-14)
+        assert abs(gb_multiplier(harmonic_prior(5), model, 5, r) - 1.0) <= 1e-12

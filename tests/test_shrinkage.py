@@ -251,7 +251,8 @@ def test_the_harmonic_gb_multiplier_is_finite_where_r_to_the_p_overflows(p, r):
 # the kernel moments.  The others are from one-term calls with every ridge
 # row starting from the graded mesh: one batched sweep of m and S gives
 # each the value of its one-term sweep, so kappa = 1 + S / (r m) is pinned
-# bitwise.
+# bitwise.  The gaussian's gb_multiplier takes its bell rows, so its swept
+# kappa is asserted through ``_sweep`` itself.
 GB_PARITY = {
     ("harmonic", "gaussian"): {
         "gb": ("0x1.99f37f75ce802p-2", "0x1.bd636722c0d1cp-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
@@ -284,13 +285,18 @@ GB_PARITY = {
 
 
 @pytest.mark.parametrize("names", sorted(GB_PARITY), ids="/".join)
-def test_gb_multiplier_matches_the_unbatched_oracle_bitwise(names, parity_case):
+def test_gb_multiplier_matches_the_unbatched_oracle_bitwise(names, parity_case, swept):
     prior, model, radii = parity_case(*names)
     for r, expected in zip(radii, GB_PARITY[names]["gb"]):
-        assert gb_multiplier(prior, model, prior.p, r).hex() == expected, r
+        if model.bells() is None or prior.harmonic:
+            kappa = gb_multiplier(prior, model, prior.p, r)
+        else:
+            m, s = swept(model, r, [("density", prior.g_eval, prior.origin_class)] * 2, (1,))
+            kappa = 1.0 + s / (r * m)
+        assert kappa.hex() == expected, r
 
 
-def test_gb_multiplier_ridge_rows_converge_in_few_rounds(monkeypatch):
+def test_gb_multiplier_ridge_rows_converge_in_few_rounds(monkeypatch, swept):
     # each numerics._gauss_pair call is one round of an adaptive loop,
     # outer or angular; ridge rows started from the graded mesh need about
     # one round each (83 and 34 calls when they started from b*{1, 8, 64})
@@ -300,7 +306,8 @@ def test_gb_multiplier_ridge_rows_converge_in_few_rounds(monkeypatch):
     model = gaussian(5)
     for r, budget in ((1.0, 32), (model.support_radius(1e-16), 20)):
         calls.clear()
-        gb_multiplier(power_prior(-2.5, 5), model, 5, r)
+        prior = power_prior(-2.5, 5)  # m and S as the sweep behind gb_multiplier for a model without bells
+        swept(model, r, [("density", prior.g_eval, prior.origin_class)] * 2, (1,))
         assert len(calls) <= budget, r
 
 
