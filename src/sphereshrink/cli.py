@@ -504,7 +504,6 @@ def _cmd_prior(cfg):
         ("classification", "rv_index", cls.rv_index),
         ("classification", "tail_s", cls.tail_s),
         ("classification", "fg1_ok", cls.fg1_ok),
-        ("classification", "boundary_margin", cls.boundary_margin),
         ("classification", "detail", cls.detail),
         ("brown", "verdict", cls.brown.verdict),
         ("brown", "decay_exponent", cls.brown.decay_exponent),

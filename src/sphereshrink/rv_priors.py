@@ -23,12 +23,11 @@ own boundary layer, t ~ 1/(3 i |(log |fn|)'(eta)|) for the average of
 fn = beta or -beta'.  The second half audits a radial prior G: slope
 bounds eta G'/G, a properness index, the decay of the Blyth
 quadratic-form integrals J(i), a Brown-type integral test on partial
-sums, and a coarse admissible/inadmissible classification.  The log-thickened prior
-eta^{2-p} Log_1 ... Log_{n+1} and the admissible boundary of the
-classification are products of the same tower.
-Each prior family (power, which also serves the harmonic prior,
-log-thickened and custom) is a subclass of :class:`RadialPrior` built by
-its factory.
+sums, and a coarse admissible/inadmissible classification.  The power,
+harmonic and log-thickened priors are one declared family
+eta^k prod_j Log_j(eta+c)^{e_j}, and the classification compares a
+declared prior's exponents with its coded boundary
+eta^{2-p} Log_1 ... Log_m, a product of the same tower.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ class LogTower:
 
 
 class _LogProduct:
-    """f(eta) = prod_{j=0..n} Log_j(eta+c)^{e_j} with Log_0(y) = y, integer e_j.
+    """f(eta) = prod_{j=0..n} Log_j(eta+c)^{e_j} with Log_0(y) = y, real e_j.
 
     (``log_tower`` takes Log_0 = 1 instead.)  Since
     Log_j' = 1/(Log_0 ... Log_{j-1}), the partial products
@@ -140,13 +139,14 @@ class _LogProduct:
         (log f)'' = -sum_j e_j P_j (P_0 + ... + P_j).
 
     Each call builds the levels Log_0 ... Log_n once; f is one quotient
-    of the positive powers by the negative ones.
+    of the positive powers by the negative ones.  A non-finite exponent
+    raises :class:`PriorError`.
     """
 
     def __init__(self, c: float, exponents):
         self.c = float(c)
-        # integers held as floats: numpy mixes a float scalar in faster
-        self.exponents = tuple(float(int(e)) for e in exponents)
+        # held as floats: numpy mixes a float scalar in faster
+        self.exponents = tuple(real(e, PriorError, "log exponent") for e in exponents)
         # (j, |e_j|) of the powers above and below the fraction bar
         self._above = tuple((j, e) for j, e in enumerate(self.exponents) if e > 0)
         self._below = tuple((j, -e) for j, e in enumerate(self.exponents) if e < 0)
@@ -162,8 +162,12 @@ class _LogProduct:
             levels.append(np.log(levels[-1]))
         return levels
 
-    def at_levels(self, levels, order: int = 0):
-        """[f, (log f)', (log f)''][:order + 1] from the output of ``levels``."""
+    def at_levels(self, levels, order: int = 0, scale=1.0):
+        """[f, s (log f)', s^2 (log f)''][:order + 1] from the output of ``levels``, s = ``scale``.
+
+        The scale enters as s P_j, which keeps eta (log f)' and
+        eta^2 (log f)'' in range where eta^2 would overflow.
+        """
         num, den = _power_product(levels, self._above), _power_product(levels, self._below)
         if den is None:
             out = [num]
@@ -171,7 +175,7 @@ class _LogProduct:
             out = [1.0 / den if num is None else num / den]
         if order:
             d1 = d2 = s = 0.0
-            p = 1.0
+            p = scale
             for lev, e in zip(levels, self.exponents):
                 p = p / lev
                 if e:
@@ -379,12 +383,11 @@ def _value(out):
 class RadialPrior:
     """Radial prior density G(eta) on R^p with thin-tail exponent data.
 
-    Each family subclasses this type and is built by its factory.  A
-    family sets ``params`` and ``detail`` (the parameter text of its
-    repr) and defines ``_g``, ``_g_deriv`` and ``_g_deriv2``; the public
-    methods here convert their input to float arrays and call them, and
-    no family overrides them, so ``perfbench/tracer.py`` can wrap
-    ``g_eval`` here.
+    A declared prior (power, harmonic, log-thickened) and a custom one
+    each set ``params`` and ``detail`` (the parameter text of the repr)
+    and define ``_g``, ``_g_deriv`` and ``_g_deriv2``; the public methods
+    here convert their input to float arrays and call them and are not
+    overridden, so ``perfbench/tracer.py`` can wrap ``g_eval`` here.
     ``rv_index`` (the regular-variation index) and ``origin_slope`` (the
     limit of eta G'/G at 0) are None when they must be estimated;
     ``log_depth`` counts the iterated-log factors riding on the power
@@ -393,7 +396,6 @@ class RadialPrior:
     glued onto the prior in properness and Blyth integrals.
     """
 
-    family = ""
     rv_index = None
     origin_slope = None
     log_depth = 0
@@ -460,70 +462,66 @@ class RadialPrior:
         return f"RadialPrior({self.family}, p={self.p}, {self.detail}, gamma={self.gamma})"
 
 
-class _Power(RadialPrior):
-    """G(eta) = eta^k; the harmonic prior is k = 2 - p, given as k = None."""
+class _Declared(RadialPrior):
+    """G(eta) = eta^k prod_{j=1..m} Log_j(eta+c)^{e_j}: the power (m = 0), harmonic and log-thickened priors.
 
-    def __init__(self, family: str, k, p: int, gamma):
-        super().__init__(p, gamma)
-        k = 2.0 - self.p if k is None else real(k, PriorError, "power k")
-        self.family, self.k = family, k
-        self.params = {"k": k}
-        self.rv_index = self.origin_slope = k
-        self.harmonic = k == 2.0 - self.p
-        self.detail = f"k={k}"
-
-    def _g(self, eta):
-        return eta**self.k
-
-    def _g_deriv(self, eta):
-        return self.k * eta ** (self.k - 1.0)
-
-    def _g_deriv2(self, eta):
-        return self.k * (self.k - 1.0) * eta ** (self.k - 2.0)
-
-    def _log_deriv(self, eta):
-        return np.full_like(eta, self.k)
-
-    def _second_log_deriv(self, eta):
-        return np.full_like(eta, self.k - 1.0)
-
-
-class _LogThickened(RadialPrior):
-    """G = eta^{2-p} f, f the :class:`_LogProduct` of eta + c with exponents (0, 1, ..., 1).
-
-    f holds the n+1 nested logarithms Log_1 ... Log_{n+1}, so
-    (log G)' = (2-p)/eta + (log f)' and G' = G (log G)',
-    G'' = G ((log G)'^2 + (log G)'').
+    The logs vary slowly and are positive at eta = 0, so rv_index =
+    origin_slope = k and log_depth = m.  With f the :class:`_LogProduct`
+    of eta + c with exponents (0, e_1, ..., e_m), L = eta G'/G and
+    X = eta (log f)' + eta^2 (log f)'' come from its eta-scaled slopes:
+    G' = G L / eta, G'' = G (L (L - 1) + X) / eta / eta and
+    eta G''/G' = L - 1 + X / L.  A pure power keeps eta^k, k and k - 1.
     """
 
-    family = "log_thickened"
-
-    def __init__(self, n: int, c: float, p: int, gamma):
+    def __init__(self, family: str, p: int, gamma, k=None, c: float = 0.0, exponents=()):
         super().__init__(p, gamma)
-        self.n, self.c = integer(n, PriorError, "log depth n", 0), real(c, PriorError, "log offset c")
-        LogTower(self.n + 1, self.c)  # all factors must be positive at eta = 0
-        self.params = {"n": self.n, "c": self.c}
-        self.rv_index = self.origin_slope = 2.0 - self.p
-        self.log_depth = self.n + 1
-        self.detail = f"n={self.n}, c={self.c}"
-        self._logs = _LogProduct(self.c, (0,) + (1,) * self.log_depth)
+        k = 2.0 - self.p if k is None else real(k, PriorError, "power k")
+        exponents = tuple(map(float, exponents))
+        self._logs = None
+        if any(exponents):
+            c = real(c, PriorError, "log offset c")
+            LogTower(len(exponents), c)  # all factors must be positive at eta = 0
+            self._logs = _LogProduct(c, (0.0, *exponents))
+            # G's limit at inf: 0 when the first nonzero of (k, e) is negative
+            self._g_at_inf = 0.0 if (k, *exponents) < (0.0,) * (1 + len(exponents)) else math.inf
+        self.family, self.k, self.exponents = family, k, exponents
+        self.rv_index = self.origin_slope = k
+        self.log_depth = len(exponents)
+        self.harmonic = k == 2.0 - self.p and not any(exponents)
+        self.params = {"k": k} if self._logs is None else {"k": k, "c": c, "exponents": exponents}
+        self.detail = ", ".join(f"{name}={value}" for name, value in self.params.items())
+
+    def _log_parts(self, eta):
+        """(G, L, X) at eta, each at its limit where eta = inf."""
+        far = np.isinf(eta)
+        near = np.where(far, 1.0, eta)
+        f, d1, d2 = self._logs.at_levels(self._logs.levels(near), 2, near)
+        return (np.where(far, self._g_at_inf, near**self.k * f), np.where(far, self.k, self.k + d1),
+                np.where(far, 0.0, d1 + d2))
 
     def _g(self, eta):
-        return eta ** (2.0 - self.p) * self._logs(eta)[0]
+        return eta**self.k if self._logs is None else self._log_parts(eta)[0]
 
     def _g_deriv(self, eta):
-        k = 2.0 - self.p
-        f, dlog = self._logs(eta, 1)
-        return eta**k * f * (k / eta + dlog)
+        if self._logs is None:
+            return self.k * eta ** (self.k - 1.0)
+        g, slope, _ = self._log_parts(eta)
+        return g * slope / eta
 
     def _g_deriv2(self, eta):
-        k = 2.0 - self.p
-        f, dlog, dlog2 = self._logs(eta, 2)
-        return eta**k * f * ((k / eta + dlog) ** 2 + dlog2 - k / eta**2)
+        if self._logs is None:
+            return self.k * (self.k - 1.0) * eta ** (self.k - 2.0)
+        g, slope, curve = self._log_parts(eta)
+        return g * (slope * (slope - 1.0) + curve) / eta / eta
 
     def _log_deriv(self, eta):
-        with np.errstate(invalid="ignore"):  # eta (log f)' -> 0, but is inf * 0 at eta = inf
-            return (2.0 - self.p) + np.where(np.isinf(eta), 0.0, eta * self._logs(eta, 1)[1])
+        return np.full_like(eta, self.k) if self._logs is None else self._log_parts(eta)[1]
+
+    def _second_log_deriv(self, eta):
+        if self._logs is None:
+            return np.full_like(eta, self.k - 1.0)
+        _, slope, curve = self._log_parts(eta)
+        return slope - 1.0 + curve / slope
 
 
 class _Custom(RadialPrior):
@@ -550,16 +548,16 @@ class _Custom(RadialPrior):
 
 
 def power_prior(k: float, p: int, gamma: float = 2.0) -> RadialPrior:
-    return _Power("power", k, p, gamma)
+    return _Declared("power", p, gamma, k)
 
 
 def harmonic_prior(p: int, gamma: float = 2.0) -> RadialPrior:
-    return _Power("harmonic", None, p, gamma)
+    return _Declared("harmonic", p, gamma)
 
 
 def log_thickened_prior(n: int, c: float, p: int, gamma: float = 2.0) -> RadialPrior:
     """eta^{2-p} times n+1 nested log factors: n=0 is eta^{2-p} log(eta+c)."""
-    return _LogThickened(n, c, p, gamma)
+    return _Declared("log_thickened", p, gamma, c=c, exponents=(1.0,) * (integer(n, PriorError, "log depth n", 0) + 1))
 
 
 def custom_prior(g, g_prime, p: int, g_double_prime=None, gamma: float = 2.0) -> RadialPrior:
@@ -800,7 +798,6 @@ class PriorClassification:
     rv_index: float
     tail_s: float
     fg1_ok: bool
-    boundary_margin: float  # largest constant multiple in the boundary bound; nan if unused
     brown: GrowthReport
     detail: str
 
@@ -824,33 +821,30 @@ def _fg1_finite(prior: RadialPrior, model) -> bool:
     return True
 
 
-def _boundary_margin(prior: RadialPrior, depth: int) -> float:
-    """Largest multiple by which G exceeds the thickest admissible tail.
+def _coded_boundary(log_depth: int) -> _LogProduct:
+    """B with eta^{1-p} B = eta^{2-p} Tail^2 / (eta beta) for the kernel a level below ``log_depth`` logs.
 
-    The admissible boundary allows G(eta) up to
-    eta^{2-p} * Tail(eta)^2 / (eta * beta(eta)) for a kernel one level
-    deeper than the prior's own log tower, at c = 2 exp^{depth-1}(1).
-    Log_depth cancels from Tail^2/beta, which leaves the closed form
-    eta^{1-p} times the :class:`_LogProduct` with exponents (1, ..., 1)
-    on Log_0 ... Log_{depth-1}.  The ratio is evaluated on a wide grid
-    and its maximum returned.  A depth no double supports raises
-    PriorError naming the prior's log depth that asks for it.
+    The kernel is LogTower(d, c), d = log_depth + 1, c = 2 exp^{d-1}(1).
+    Log_d cancels from Tail^2 / beta, which leaves B = (eta+c) Log_1 ... Log_{d-1},
+    exponents (1, ..., 1): up to a constant multiple, the coded boundary
+    eta^{2-p} Log_1 ... Log_{log_depth}.  A kernel depth no double
+    supports raises PriorError naming the log depth that asks for it.
     """
+    depth = log_depth + 1
     try:
         kernel_offset(depth)
     except PriorError as exc:
-        raise PriorError(f"the prior's log depth {depth - 1} asks for a boundary kernel of depth {depth}, "
+        raise PriorError(f"the prior's log depth {log_depth} asks for a boundary kernel of depth {depth}, "
                          f"which no double supports ({exc})") from None
-    tower = LogTower(depth, 2.0 * kernel_offset(depth - 1))
-    grid = np.geomspace(1.0, 1e8, 200)
-    bound = grid ** (1.0 - prior.p) * _LogProduct(tower.c, (1,) * depth)(grid)[0]
-    return float(np.max(prior.g_eval(grid) / bound))
+    return _LogProduct(2.0 * kernel_offset(log_depth), (1.0,) * depth)
 
 
 def classify_prior(prior: RadialPrior, model=None) -> PriorClassification:
-    """Coarse certification from tail index, boundary bound and Brown test.
+    """Coarse certification from tail index, the coded boundary and Brown test.
 
-    Admissibility is certified only under FG1 (``fg1_ok``, see
+    Index 2-p is certified only for a declared prior under the repo's
+    coded boundary (``_coded_boundary``), never for a custom one, whose
+    log exponents are unknown.  Admissibility is certified only under FG1 (``fg1_ok``, see
     ``_fg1_finite``) against ``model``, by default the gaussian; a model
     of another dimension than the prior's raises PriorError.
     """
@@ -863,31 +857,29 @@ def classify_prior(prior: RadialPrior, model=None) -> PriorClassification:
     tail = model.tail_profile()
     brown = brown_diagnostic(prior)
     fg1 = _fg1_finite(prior, model)
-    margin = math.nan
-
     boundary = abs(k - (2.0 - p)) <= 1e-9
-    if boundary:
-        # an estimated index leaves the log depth unknown too: try several
-        depths = [prior.log_depth + 1] if prior.rv_index is not None else [1, 2, 3, 4]
-        margin = min(_boundary_margin(prior, d) for d in depths)
+    # G over the coded boundary tends to prod_j Log_j^{e_j - 1}, bounded exactly when
+    # e <= (1, ..., 1) lexicographically, whatever the offsets
+    bounded = boundary and isinstance(prior, _Declared) and (
+        prior.exponents <= _coded_boundary(prior.log_depth).exponents[1:])
 
     if tail.s > 3.0 and fg1:
         if -p < k < 2.0 - p and not boundary:
             return PriorClassification(
-                "admissible_certified", k, tail.s, fg1, margin, brown,
+                "admissible_certified", k, tail.s, fg1, brown,
                 "tail index strictly inside (-p, 2-p) with thin model tails",
             )
-        if boundary and margin <= 4.0:
+        if bounded:
             return PriorClassification(
-                "admissible_certified", k, tail.s, fg1, margin, brown,
-                f"boundary index 2-p; thickness within x{margin:.3g} of the admissible bound",
+                "admissible_certified", k, tail.s, fg1, brown,
+                "boundary index 2-p; log exponents at or under the coded boundary (1, ..., 1)",
             )
     if brown.verdict == "converges":
         return PriorClassification(
-            "inadmissible_certified", k, tail.s, fg1, margin, brown,
+            "inadmissible_certified", k, tail.s, fg1, brown,
             "Brown-type integral converges",
         )
     return PriorClassification(
-        "uncertified", k, tail.s, fg1, margin, brown,
+        "uncertified", k, tail.s, fg1, brown,
         "outside certified ranges or diagnostics indeterminate",
     )

@@ -322,6 +322,18 @@ def test_prior_takes_the_log_thickened_prior(tmp_path):
     assert len(js) == 2 and all(j > 0 for j in js)
 
 
+@pytest.mark.parametrize("flags,verdict", [
+    (["--prior", "logthick", "--depth", "0", "--offset", "1e8"], "admissible_certified"),
+    (["--prior", "power", "--k", "-0.7"], "inadmissible_certified"),
+])
+def test_prior_prints_its_verdict_and_no_boundary_margin(flags, verdict, capsys):
+    # the log-thickened prior at offset 1e8 read uncertified, with a boundary_margin of 4.49
+    assert cli.main(["prior", "--p", "3", *flags, "--no-blyth"]) == cli.EXIT_OK
+    rows = list(csv.reader(line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")))
+    assert ["classification", "verdict", verdict] in rows
+    assert not any("boundary_margin" in row for row in rows)
+
+
 def test_prior_takes_a_depth_four_blyth_kernel(tmp_path):
     # --depth 2 asks for a depth-4 kernel, whose Log_4(c) = 1 no double holds
     out = tmp_path / "prior.csv"

@@ -7,6 +7,7 @@ mpmath reference; the growth classifiers against frozen pilot values.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -421,6 +422,35 @@ def test_kernel_matches_a_40_digit_reference(n):
             want.append((beta(x), mpmath.diff(beta, x), 1 / mp_levels(x, mpmath.mpf(c), n)[-1]))
     got = [(kernel.beta_eval(e), kernel.beta_deriv(e), kernel.beta_tail(e)) for e in ETAS]
     assert np.asarray(got) == pytest.approx(np.asarray(want, dtype=float), rel=5e-14, abs=0.0)
+
+
+def test_a_log_product_takes_real_exponents():
+    # the exponent 1.5 was truncated to 1, which read log 12 here
+    assert rv_priors._LogProduct(2.0, (0, 1.5))(10.0)[0] == pytest.approx(math.log(12.0) ** 1.5, rel=1e-15)
+    y = 12.0
+    f, d1, d2 = rv_priors._LogProduct(2.0, (0.5, -1.5))(10.0, 2)
+    assert f == pytest.approx(y**0.5 * math.log(y) ** -1.5, rel=1e-15)
+    assert d1 == pytest.approx(0.5 / y - 1.5 / (y * math.log(y)), rel=1e-15)
+    assert d2 == pytest.approx(-0.5 / y**2 + 1.5 * (1.0 + math.log(y)) / (y * math.log(y)) ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+def test_a_log_product_refuses_an_exponent_that_is_not_finite(e):
+    with pytest.raises(PriorError, match="log exponent must be finite"):
+        rv_priors._LogProduct(2.0, (0, e))
+
+
+@pytest.mark.parametrize("prior", [power_prior(-1.5, 3), log_thickened_prior(0, 2.0, 3)], ids=["power", "log_thickened"])
+def test_far_out_values_raise_no_warning(prior):
+    # the log-thickened G and eta G''/G' read nan at inf (0 * inf), and
+    # G'' overflowed in eta**2 at 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prior.g_eval(math.inf) == 0.0
+        assert prior.log_deriv(math.inf) == prior.k
+        assert prior.second_log_deriv(math.inf) == prior.k - 1.0
+        assert prior.second_log_deriv(1e300) == pytest.approx(prior.k - 1.0, abs=2e-3)
+        assert 0.0 <= prior.g_deriv2(1e300) < 1e-300
 
 
 @pytest.mark.parametrize("n,c", [(0, 2.0), (1, 16.0), (2, 1e6), (3, 1e7)])
@@ -849,7 +879,6 @@ class TestClassification:
     def test_harmonic_gaussian_certified(self):
         out = classify_prior(harmonic_prior(5), gaussian(5))
         assert out.verdict == "admissible_certified"
-        assert out.boundary_margin < 1.01
         assert out.brown.verdict == "diverges"
         assert out.fg1_ok
 
@@ -860,12 +889,13 @@ class TestClassification:
     def test_interior_power_certified(self):
         out = classify_prior(power_prior(-1.5, 3), gaussian(3))
         assert out.verdict == "admissible_certified"
-        assert math.isnan(out.boundary_margin)
 
-    def test_log_thickened_certified(self):
-        out = classify_prior(log_thickened_prior(0, 2.0, 3), gaussian(3))
+    @pytest.mark.parametrize("c", [2.0, 1e3, 1e8, 1e20])
+    def test_log_thickened_certified(self, c):
+        # the offset sets only a constant multiple of G over the boundary;
+        # a max of that ratio on [1, 1e8] left c = 1e8 and 1e20 uncertified
+        out = classify_prior(log_thickened_prior(0, c, 3), gaussian(3))
         assert out.verdict == "admissible_certified"
-        assert out.boundary_margin < 4.0
 
     def test_squared_log_inadmissible(self):
         out = classify_prior(log_prior(3, squared=True), gaussian(3))
@@ -898,14 +928,25 @@ class TestClassification:
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_boundary_closed_form_matches_the_kernel(self, depth):
-        # eta^{2-p} Tail^2 / (eta beta) of the depth-`depth` kernel, as the
-        # classification bounded a boundary prior before the closed form
-        prior = log_thickened_prior(0, 2.0, 3)
-        kernel = BetaKernel(LogTower(depth, 2.0 * kernel_offset(depth - 1)))
+        # eta^{2-p} Tail^2 / (eta beta) of the depth-`depth` kernel is
+        # eta^{1-p} times the boundary of a prior with depth - 1 logs,
+        # the product with exponents (1, ..., 1)
+        p, c = 3, 2.0 * kernel_offset(depth - 1)
+        boundary = rv_priors._coded_boundary(depth - 1)
+        assert (boundary.c, boundary.exponents) == (c, (1.0,) * depth)
+        kernel = BetaKernel(LogTower(depth, c))
         grid = np.geomspace(1.0, 1e8, 200)
-        bound = grid ** (2.0 - prior.p) * kernel.beta_tail(grid) ** 2 / (grid * kernel.beta_eval(grid))
-        want = float(np.max(prior.g_eval(grid) / bound))
-        assert rv_priors._boundary_margin(prior, depth) == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = grid ** (2.0 - p) * kernel.beta_tail(grid) ** 2 / (grid * kernel.beta_eval(grid))
+        assert grid ** (1.0 - p) * boundary(grid)[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("exponents,bounded", [
+        ((0.9,), True), ((1.0,), True), ((1.1,), False), ((1.5,), False),
+        ((1.0, 0.0), True), ((2.0,), False), ((0.0, 5.0), True), ((1.0, 1.5), False)])
+    def test_the_first_exponent_off_the_boundary_decides(self, exponents, bounded):
+        # eta^{2-p} prod_j Log_j^{e_j} is certified exactly when the first
+        # nonzero of e - (1, ..., 1) is negative or all are zero
+        prior = rv_priors._Declared("log_power", 3, 2.0, c=20.0, exponents=exponents)
+        assert (classify_prior(prior, gaussian(3)).verdict == "admissible_certified") == bounded
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_fg1_holds_exactly_for_power_indices_above_one_minus_p(self, p):
