@@ -119,20 +119,29 @@ def _numbers(v):
     return [_number(x) for x in (v if isinstance(v, list) else [v])]
 
 
-# Most points of a theta range; the default grid has 11.
-_THETA_POINTS = 10_000
+# Most points of a grid: a theta range (the default has 11), or phi's or
+# hseq's --points (100 and 13 by default).  A larger one is refused before
+# it is built.
+_MAX_POINTS = 10_000
 
 
 def _theta(v):
-    """``_numbers``, or a start:stop:step range of at most ``_THETA_POINTS`` points."""
+    """``_numbers``, or a start:stop:step range of at most ``_MAX_POINTS`` points."""
     if not (isinstance(v, str) and ":" in v):
         return _numbers(v)
     start, stop, step = map(float, v.split(":"))
     stop += 1e-9 * step
     # sized before np.arange allocates it; nan and inf fail the comparison
-    if not (step > 0 and (stop - start) / step <= _THETA_POINTS):
+    if not (step > 0 and (stop - start) / step <= _MAX_POINTS):
         raise ValueError
     return [float(t) for t in np.arange(start, stop, step)]
+
+
+def _points(v):
+    """An integer of at most ``_MAX_POINTS``."""
+    if _exact(int)(v) > _MAX_POINTS:
+        raise ValueError
+    return v
 
 
 def _choice(*names, **aliases):
@@ -143,10 +152,11 @@ def _choice(*names, **aliases):
 
 _REAL = _Parser("a number", _number)
 _INTEGER = _Parser("an integer", _exact(int), text=int)
+_POINTS = _Parser(f"an integer of at most {_MAX_POINTS}", _points, text=int)
 _BOOLEAN = _Parser("true or false", _exact(bool))
 _NUMBERS = _Parser("numbers, as comma text or a JSON list", _numbers)
 _THETA = _Parser("numbers, as comma text or a JSON list, or start:stop:step with step > 0 "
-                 f"and at most {_THETA_POINTS} points", _theta)
+                 f"and at most {_MAX_POINTS} points", _theta)
 
 
 # name -> (default, parser, keywords of the flag --name, underscores
@@ -610,7 +620,7 @@ _COMMANDS = {
         **_MODEL,
         "r_min": (0.1, _REAL, {}),
         "r_max": (20.0, _REAL, {}),
-        "points": (100, _INTEGER, {}),
+        "points": (100, _POINTS, {}),
     }, curve=True),
     "check": _Command(_cmd_check, "minimaxity condition audit", _MODEL, verdict=True),
     "risk": _Command(_cmd_risk, "Monte Carlo risk curve", {
@@ -628,7 +638,7 @@ _COMMANDS = {
         "i": ([1.0, 10.0, 100.0], _NUMBERS, {"help": "comma list of timescales"}),
         "eta_min": (2.0, _REAL, {}),
         "eta_max": (1e6, _REAL, {}),
-        "points": (13, _INTEGER, {}),
+        "points": (13, _POINTS, {}),
     }, verdict=True, curve=True),
     "prior": _Command(_cmd_prior, "prior classification and decay diagnostics", {
         **_PRIOR,

@@ -27,14 +27,14 @@ tail row starts from a ladder of pieces at ratio 4 in r - a out to about 1e6
 scales, so the loop does not spend a round per factor of 2 in r to get
 there.  ``integrate_semi_infinite`` is its one-term case without a head.
 ``integrate_pieces`` applies the pair to many smooth pieces in one
-array pass, without subdivision.  Interior singularities or
-kinks are handled by listing them in ``QuadratureSpec.singularity_hints``:
-every integrator, ``integrate_rows`` included, pre-splits there so no
-node ever lands on the bad point, and endpoint singularities are never
-evaluated because the nodes are interior.  A hint at an endpoint of
-``integrate`` names a layer there: the row starts from a ratio-2 ladder
-of pieces toward that end, down to 1/64 of the interval, so the loop
-does not spend a round per halving to reach it.
+array pass, without subdivision.  The caller says where an integral
+splits by its edges: a row of ``integrate_rows``, the list that
+``integrate`` takes, a head of ``integrate_half_lines``.  One check
+refuses edges that are NaN, infinite or decreasing and a row of zero
+span before any integrand is called.  An interior singularity or kink
+is an edge, so no node ever lands on it, and an endpoint singularity is
+never evaluated because the nodes are interior; a layer at an end is
+reached sooner from a ladder of edges toward it.
 
 ``CubicTable`` evaluates a scipy cubic spline, bitwise as scipy does,
 with an O(1) guide-table search in place of scipy's binary search.
@@ -116,7 +116,7 @@ class DivergenceSuspected(QuadratureError):
 
 
 class NonFiniteIntegrand(QuadratureError):
-    """Integrand returned nan/inf away from any hinted singularity."""
+    """Integrand returned nan or inf at a node."""
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,12 @@ class QuadratureSpec:
     """Tolerance and budget knobs for one integration call.
 
     ``max_subdivisions`` is the number of bisections each row may make
-    (for ``integrate``, the one integral).  ``singularity_hints`` are
-    abscissae (in the caller's coordinates) where the integrand is
-    singular or merely kinked; the integrator splits there before
-    adapting.  ``integrate`` also takes a hint equal to an endpoint, and
-    starts from the ratio-2 ladder toward that end; the other
-    integrators, and ``integrate`` for a hint outside its interval or
-    NaN, ignore such a hint.
+    (for ``integrate``, the one integral).
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    singularity_hints: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -238,41 +231,44 @@ def _adapt(f, lo, hi, k, abs_tol, spec: QuadratureSpec, label=None, diverged=Non
     return value, error, (2 * count - k) * _NODES.size
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Adaptively integrate ``f`` over the finite interval [a, b].
+def _pieces(edges, label):
+    """The nonempty pieces of the rows of the 2-d array ``edges``: flat ``lo`` and ``hi``, and each row's count.
+
+    A row's edges must be finite and nondecreasing and span a nonzero
+    width; repeated edges are zero-width pieces, which are dropped.  A
+    row that breaks this raises ``ValueError`` led by ``label(i)``
+    before any integrand is called.
+    """
+    if edges.ndim != 2 or edges.shape[1] < 2:
+        raise ValueError("edges must be a 2-d array with at least two columns")
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    # nondecreasing rows whose ends are finite hold only finite edges;
+    # a NaN fails every comparison
+    ordered, ends = hi >= lo, np.isfinite(edges[:, :: edges.shape[1] - 1])
+    if np.count_nonzero(ordered) < ordered.size or np.count_nonzero(ends) < ends.size:
+        raise ValueError(f"{label(int(np.argmin(ordered.all(1) & ends.all(1))))} needs finite and nondecreasing edges")
+    nonempty = hi > lo
+    k = nonempty.sum(1)
+    if np.count_nonzero(k) < k.size:
+        raise ValueError(f"{label(int(np.argmin(k)))} has zero span")
+    return lo[nonempty], hi[nonempty], k
+
+
+def integrate(f, edges, spec: QuadratureSpec | None = None) -> IntegralResult:
+    """Adaptively integrate ``f`` from ``edges[0]`` to ``edges[-1]``, split initially at the edges between.
 
     ``f`` must map a numpy array of points to an array of values.
     Success means ``error_estimate <= max(abs_tol, rel_tol * |value|)``.
-    This is the one-row case of ``integrate_rows``, over starting edges
-    built from the hints: one inside (a, b) is a plain split, one equal
-    to a adds the ratio-2 ladder a + (b - a)*2^-k (k = 1..6), one equal
-    to b the ladder b - (b - a)*2^-k, and any other (outside [a, b], or
-    NaN) is ignored.
-    Each round bisects every segment whose error is at least a quarter
-    of the worst one.  Over budget it raises as ``_adapt`` does.
+    This is the one-row case of ``integrate_rows``, with its check of
+    the edges.  Each round bisects every segment whose error is at least
+    a quarter of the worst one.  Over budget it raises as ``_adapt`` does.
     """
     spec = spec or DEFAULT_SPEC
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate requires finite endpoints")
-    if a == b:
-        return IntegralResult(0.0, 0.0, 0)
-    if b < a:
-        # negation is exact, so this is bitwise minus the integral over [b, a]
-        a, b, f = b, a, lambda x, f=f: np.negative(f(x))
-    hints = [float(h) for h in spec.singularity_hints]
-    cuts = set(hints)
-    steps = [(b - a) * s for s in _END_LADDER]
-    if a in hints:
-        cuts.update(a + d for d in steps)
-    if b in hints:
-        # with both ends hinted, the lower ladder already holds the midpoint
-        cuts.update(b - d for d in steps[a in hints:])
-    # a ladder edge of an interval a few ulps wide may round onto an end
-    edges = np.array([a, *sorted(c for c in cuts if a < c < b), b])
-    value, error, evals = _adapt(lambda row, x: f(x), edges[:-1], edges[1:], np.array([edges.size - 1]),
-                                 spec.abs_tol, spec)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("integrate needs a 1-d list of two edges or more")
+    lo, hi, k = _pieces(edges[None], lambda i: "the integral")
+    value, error, evals = _adapt(lambda row, x: f(x), lo, hi, k, spec.abs_tol, spec)
     return IntegralResult(float(value[0]), float(error[0]), int(evals[0]))
 
 
@@ -287,12 +283,6 @@ _OM_FLOOR = 1e-150
 # about 1e6 scales.  From the one piece [0, 1] the loop would reach
 # r - a ~ 4^k only after 2k rounds of bisection toward t = 1.
 _POWER_LADDER = tuple(1.0 - 4.0**-k for k in range(1, 11))
-# Starting edges of ``integrate`` toward a hinted endpoint: a + (b - a)*2^-k
-# toward a, b - (b - a)*2^-k toward b, for k = 1..6, a ratio-2 ladder whose
-# last piece is 1/64 of [a, b].  From the one piece [a, b] the loop would
-# spend a round per halving to reach a layer at that end; a deeper ladder
-# adds pieces without saving rounds on the identities' layers.
-_END_LADDER = tuple(2.0**-k for k in range(1, 7))
 # A tail row over budget is judged divergent once its worst segment lies
 # this fraction of its last starting piece away from t = 1: ten
 # bisections into that piece, all toward t = 1.
@@ -306,26 +296,26 @@ class TailMap:
     least like exp(-r/scale); ``decay="power"`` is r = a + scale*t/(1-t),
     for integrands falling like r**q with q < -1.  ``radius(t)`` gives
     the radii and 1 - t, ``weigh(f(r), 1 - t)`` the mapped integrand
-    f(r) dr/dt.  ``edges`` are a tail row's starting edges in t: the
-    ``hints`` beyond a, mapped by ``to_t``, and, for a power tail, the
-    ladder t = 1 - 4^-k (k = 1..10), so that the loop does not have to
-    bisect its way out to large r one factor of 2 a round; an exp tail
-    grows like log(1/(1-t)) and starts from [0, 1] alone.  ``probe`` (at
+    f(r) dr/dt.  ``edges`` are a tail row's starting edges in t: for a
+    power tail, the ladder t = 1 - 4^-k (k = 1..10), so that the loop
+    does not have to bisect its way out to large r one factor of 2 a
+    round; an exp tail grows like log(1/(1-t)) and starts from [0, 1]
+    alone.  ``probe`` (at
     ``probe_nodes``) and ``diverged`` (of a row over budget) flag a tail
     that cannot be integrable.
     """
 
     probe_nodes = 1.0 - _PROBE_DEPTHS
 
-    def __init__(self, a: float, decay: str = "exp", scale: float = 1.0, hints=()):
+    def __init__(self, a: float, decay: str = "exp", scale: float = 1.0):
         if scale <= 0:
             raise ValueError("scale must be positive")
         if decay not in ("exp", "power"):
             raise ValueError(f"unknown decay class {decay!r}")
+        if not math.isfinite(a):
+            raise ValueError("a tail must start at a finite a")
         self.a, self.decay, self.scale = float(a), decay, float(scale)
-        ladder = _POWER_LADDER if decay == "power" else ()
-        cuts = {t for t in (self.to_t(h) for h in hints if h > self.a) if 0.0 < t < 1.0}
-        self.edges = [0.0, *sorted({*ladder, *cuts}), 1.0]
+        self.edges = [0.0, *(_POWER_LADDER if decay == "power" else ()), 1.0]
 
     def radius(self, t):
         om = np.maximum(1.0 - t, _OM_FLOOR)
@@ -336,11 +326,6 @@ class TailMap:
     def weigh(self, y, om):
         y = y * (self.scale / om)
         return y if self.decay == "exp" else y / om
-
-    def to_t(self, r: float) -> float:
-        if self.decay == "exp":
-            return -math.expm1(-(r - self.a) / self.scale)
-        return (r - self.a) / (self.scale + (r - self.a))
 
     def probe(self, values, names):
         """Raise DivergenceSuspected unless every row's tail is clearly shrinking.
@@ -377,13 +362,15 @@ def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay:
     """Integrals of many terms over half-lines, adapted in one batch.
 
     Term j is a head row over the edges ``heads[j]``, which all end at
-    the same a (a term whose head is the one edge a has no head row),
-    and a tail row [a, inf) mapped onto [0, 1) by ``TailMap(a, decay, scale)``.
-    ``f(term, r)`` gets a nondecreasing array of term indices aligned
-    with real radii and returns a new array.  Each tail row starts from
-    ``TailMap.edges``: for ``decay="power"`` the ratio-4 ladder, and for
-    either decay the ``spec.singularity_hints`` beyond a, mapped by
-    ``TailMap.to_t``; the hints before a split the heads.
+    the same finite a (a term whose head is the one edge a has no head
+    row), and a tail row [a, inf) mapped onto [0, 1) by
+    ``TailMap(a, decay, scale)``.  The heads pass ``integrate_rows``'
+    check of edges before ``f`` is called.  ``f(term, r)`` gets a
+    nondecreasing array of term indices aligned with real radii and
+    returns a new array.  Each tail row starts from ``TailMap.edges``,
+    for ``decay="power"`` the ratio-4 ladder, and nothing splits it: an
+    integrand kinked beyond some radius belongs in the heads up to its
+    last kink, with the tails starting there.
     One call of ``f`` probes every tail first.  Returns each term's head
     plus tail.  A failure names term j ``names[j]`` (default "term j")
     and its head or tail.  A row over budget raises as ``_adapt`` does,
@@ -398,18 +385,24 @@ def integrate_half_lines(f, heads, spec: QuadratureSpec | None = None, *, decay:
 
 def _half_lines(f, heads, spec, decay, scale, names):
     """``integrate_half_lines``' work: each term's value, error estimate and evaluations."""
-    a, hints = float(heads[0][-1]), spec.singularity_hints
-    # short sorted Python lists, split at the hints: cheap to set up
-    heads = [sorted({*map(float, head), *(h for h in hints if head[0] < h < a)}) for head in heads]
-    if any(head[-1] != a for head in heads):
+    a = float(heads[0][-1])
+    if any(float(head[-1]) != a for head in heads):
         raise ValueError("every head must end where the tails start")
-    tail = TailMap(a, decay, scale, hints)
+    tail = TailMap(a, decay, scale)
     n = len(heads)
     names = names or [f"term {j}" for j in range(n)]
     # (term, edges): term j's head, unless it is the one edge a, then its tail
     rows = [(j, row) for j, head in enumerate(heads) for row in (head, tail.edges) if len(row) > 1]
     term = np.array([j for j, _ in rows])
     in_tail = np.array([row is tail.edges for _, row in rows])
+
+    def piece_of(i):
+        return f"{names[term[i]]} {'tail' if in_tail[i] else 'head'}"
+
+    # each row padded with its last edge, whose empty pieces the check drops
+    width = max(len(row) for _, row in rows)
+    lo, hi, k = _pieces(np.array([[*row, *[row[-1]] * (width - len(row))] for _, row in rows], dtype=float),
+                        piece_of)
 
     last = []  # the arguments of the latest call of ``mapped``
 
@@ -422,16 +415,11 @@ def _half_lines(f, heads, spec, decay, scale, names):
         y[at] = tail.weigh(y[at], om)
         return y
 
-    def piece_of(i):
-        return f"{names[term[i]]} {'tail' if in_tail[i] else 'head'}"
-
     try:
         probe_rows = np.flatnonzero(in_tail).repeat(_PROBE_DEPTHS.size)
         tail.probe(mapped(probe_rows, np.tile(tail.probe_nodes, n)), names)
-        lo = np.array([x for _, row in rows for x in row[:-1]])
-        hi = np.array([x for _, row in rows for x in row[1:]])
-        value, error, evals = _adapt(mapped, lo, hi, np.array([len(row) - 1 for _, row in rows]), spec.abs_tol,
-                                     spec, piece_of, lambda i, segment: in_tail[i] and tail.diverged(segment))
+        value, error, evals = _adapt(mapped, lo, hi, k, spec.abs_tol, spec, piece_of,
+                                     lambda i, segment: in_tail[i] and tail.diverged(segment))
     except NonFiniteIntegrand as exc:
         # failure path only: the latest call's rows, one at a time, name
         # the first whose values are not finite
@@ -465,15 +453,13 @@ def cumulative_segments(f, knots, spec: QuadratureSpec | None = None) -> np.ndar
     Useful for building monotone cumulative tables: each piece is
     integrated independently so the partial sums are exactly the sums of
     nonnegative segment values when the integrand is nonnegative.  The
-    pieces are the rows of one ``integrate_rows`` batch, each split
-    initially at the singularity hints inside it.
+    pieces are the rows of one ``integrate_rows`` batch, so the knots
+    must be finite and strictly increasing.
     """
     spec = spec or DEFAULT_SPEC
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or knots.size < 2:
         raise ValueError("need at least two knots")
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must be strictly increasing")
     return integrate_rows(lambda row, x: f(x), np.column_stack([knots[:-1], knots[1:]]), spec.abs_tol, spec)
 
 
@@ -507,15 +493,13 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     initially at its interior edges.  An edge may repeat, so rows of
     different piece counts share one array by repeating their last
     edge: the zero-width pieces are dropped before the loop, and each
-    row starts from its own nonempty pieces.  A row of zero span, a
-    decreasing edge or a NaN one raises ``ValueError``.  ``f(row, x)`` gets
+    row starts from its own nonempty pieces.  A row whose edges are NaN,
+    infinite or decreasing, or whose span is zero, raises ``ValueError``
+    before ``f`` is called.  ``f(row, x)`` gets
     a nondecreasing index array ``row`` aligned with the abscissae
     ``x``.  Each round calls ``f`` once on every new segment of every
     unconverged row and bisects, in each of those rows, the segments
-    whose error is at least a quarter of the row's worst.  Each of
-    ``spec.singularity_hints`` is folded into every row's edges, clipped
-    to the row's span (outside it, an empty piece), so a row splits
-    there as ``integrate`` would.
+    whose error is at least a quarter of the row's worst.
     Row i is done once its error is at most
     ``max(abs_tol[i], rel_tol * |value|)`` (``abs_tol`` is one float or
     one per row); a segment at floating-point resolution, which cannot
@@ -526,21 +510,9 @@ def integrate_rows(f, edges, abs_tol, spec: QuadratureSpec | None = None) -> np.
     ``_adapt`` does, led by "row i".
     """
     spec = spec or DEFAULT_SPEC
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 2 or edges.shape[1] < 2:
-        raise ValueError("edges must be a 2-d array with at least two columns")
-    if np.count_nonzero(edges[:, 1:] >= edges[:, :-1]) < edges.shape[0] * (edges.shape[1] - 1):
-        raise ValueError("each row's edges must be nondecreasing numbers")
-    if spec.singularity_hints:
-        hints = np.asarray(spec.singularity_hints, dtype=float)
-        cuts = np.clip(np.broadcast_to(hints, (edges.shape[0], hints.size)), edges[:, :1], edges[:, -1:])
-        edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    nonempty = hi > lo
-    k = nonempty.sum(1)
-    if np.count_nonzero(k) < k.size:
-        raise ValueError(f"row {int(np.argmin(k))} has zero span")
-    return _adapt(f, lo[nonempty], hi[nonempty], k, abs_tol, spec, lambda i: f"row {i}")[0]
+    label = lambda i: f"row {i}"
+    lo, hi, k = _pieces(np.asarray(edges, dtype=float), label)
+    return _adapt(f, lo, hi, k, abs_tol, spec, label)[0]
 
 
 # --- per-draw cubic tables ----------------------------------------------

@@ -27,7 +27,8 @@ names its term and r.
 At r = 0 each term is radial, a directional one exactly 0, and the
 terms are one ``numerics.integrate_half_lines`` batch; the head of a
 term with a negative singularity class starts from the ratio-2 ladder 2^-k
-(k = 1..20) toward 0, as ``_RIDGE_MESH`` grades the ridge.  At r > 0,
+(k = 1..20) toward 0, as ``_RIDGE_MESH`` grades the ridge, and a
+table's heads run over its knots.  At r > 0,
 for a model that is a sum of gaussian bells (``RadialDensity.bells``:
 the gaussian, poly_exp with alpha = 0 and mixture_diff), the angular
 average of each bell is closed, and each term is one radial row per
@@ -51,7 +52,7 @@ so ``gb_marginals`` checks that closed GB factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import hyp0f1, ive
@@ -213,10 +214,13 @@ def _sweep(problems, cos, names) -> np.ndarray:
     lambda in its radial one, as the directional (along-x) numerators need.
 
     At r = 0, where no term is directional, each term is purely radial:
-    a head [0, 1] split at the model's knots, kinks in f that would each
-    take tens of bisections, and for a negative class at ``_ORIGIN_LADDER``,
-    and a tail [1, inf).  At r > 0 the kernel's mass lives within its
-    support radius regardless of r,
+    a head from 0 split at 1, for a negative class at ``_ORIGIN_LADDER``,
+    and at the model's knots, kinks in f that would each take tens of
+    bisections, and a tail beyond.  Without knots the head ends at 1 and
+    the tail follows the model's ``tail_decay``.  A table's head ends at
+    its last knot a (or 1, if that is farther), beyond which f is an
+    exact power law, and its tail starts there on the scale a.  At r > 0
+    the kernel's mass lives within its support radius regardless of r,
     so each term's lambda integral is a finite head [0, cut] split at
     the ridge lambda = r and, when r is beyond it, at the kernel's
     support radius ``support_radius(1e-16)`` (were [0, r] one piece,
@@ -249,9 +253,12 @@ def _sweep(problems, cos, names) -> np.ndarray:
         def radial(term, lam):
             return _by_group(rhos, rho_of, term, lam) * _by_group(weights, weight_of, term, lam) * lam ** (p - 1.0)
 
-        heads = [[0.0, *_ORIGIN_LADDER, 1.0] if neg else [0.0, 1.0] for neg in ridge]
-        spec = replace(_CLOSED_SPEC, singularity_hints=model.knots)
-        return sphere_surface(p) * integrate_half_lines(radial, heads, spec, names=names, **model.tail_decay)
+        # a table's knots are edges of the heads, and its tail, an exact
+        # power law beyond the last knot, starts there on that scale
+        a = max((1.0, *model.knots))
+        decay = {**model.tail_decay, "scale": a} if model.knots else model.tail_decay
+        heads = [sorted({0.0, *(_ORIGIN_LADDER if neg else ()), 1.0, *model.knots, a}) for neg in ridge]
+        return sphere_surface(p) * integrate_half_lines(radial, heads, _CLOSED_SPEC, names=names, **decay)
     exponents, power_of = _distinct([p - 1.0 + float(c) for c in cos])
     powers = [lambda lam, e=e: lam**e for e in exponents]
     spike = model.support_radius(1e-16)

@@ -473,9 +473,9 @@ class _Declared(RadialPrior):
     eta G''/G' = L - 1 + X / L.  A pure power keeps eta^k, k and k - 1.
     """
 
-    def __init__(self, family: str, p: int, gamma, k=None, c: float = 0.0, exponents=()):
+    def __init__(self, family: str, p: int, gamma, k, c: float = 0.0, exponents=()):
         super().__init__(p, gamma)
-        k = 2.0 - self.p if k is None else real(k, PriorError, "power k")
+        k = real(k, PriorError, "power k")
         exponents = tuple(map(float, exponents))
         self._logs = None
         if any(exponents):
@@ -552,12 +552,13 @@ def power_prior(k: float, p: int, gamma: float = 2.0) -> RadialPrior:
 
 
 def harmonic_prior(p: int, gamma: float = 2.0) -> RadialPrior:
-    return _Declared("harmonic", p, gamma)
+    return _Declared("harmonic", p, gamma, 2.0 - integer(p, PriorError))
 
 
 def log_thickened_prior(n: int, c: float, p: int, gamma: float = 2.0) -> RadialPrior:
     """eta^{2-p} times n+1 nested log factors: n=0 is eta^{2-p} log(eta+c)."""
-    return _Declared("log_thickened", p, gamma, c=c, exponents=(1.0,) * (integer(n, PriorError, "log depth n", 0) + 1))
+    exponents = (1.0,) * (integer(n, PriorError, "log depth n", 0) + 1)
+    return _Declared("log_thickened", p, gamma, 2.0 - integer(p, PriorError), c=c, exponents=exponents)
 
 
 def custom_prior(g, g_prime, p: int, g_double_prime=None, gamma: float = 2.0) -> RadialPrior:

@@ -36,16 +36,16 @@ def phi_star(model: RadialDensity, p: int, r: float) -> float:
 
     phi(r) = int_0^r t^{p-1} F(t) dt / int_0^r t^{p-3} F(t) dt
 
-    for a positive and finite r.
+    for a positive and finite r, both integrals split at the kernel's
+    support radius ``support_radius(1e-16)`` when r is beyond it (a
+    repeated edge r drops out when it is not).
     """
     same_dimension(ShrinkageError, model, p=p)
     r = radius(r, ShrinkageError, positive=True)
-    spike = model.support_radius(1e-16)
-    hints = (spike,) if r > spike else ()
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400,
-                          singularity_hints=hints)
-    num = integrate(lambda t: t ** (p - 1.0) * model.big_f(t), 0.0, r, spec).value
-    den = integrate(lambda t: t ** (p - 3.0) * model.big_f(t), 0.0, r, spec).value
+    edges = [0.0, min(model.support_radius(1e-16), r), r]
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400)
+    num = integrate(lambda t: t ** (p - 1.0) * model.big_f(t), edges, spec).value
+    den = integrate(lambda t: t ** (p - 3.0) * model.big_f(t), edges, spec).value
     return num / den
 
 

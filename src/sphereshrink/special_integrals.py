@@ -11,7 +11,7 @@ deserves a numeric check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,14 @@ from sphereshrink.numerics import QuadratureSpec, beta_fn, integrate, integrate_
 from sphereshrink.radial_models import RadialDensity
 
 _SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=800)
+# Starting edges of an angular integral over [0, pi] toward an end with a
+# layer: pi*2^-k toward 0 and pi - pi*2^-k toward pi, for k = 1..6, a
+# ratio-2 ladder whose last piece is pi/64.  From the one piece [0, pi]
+# the loop would spend a round per halving to reach the layer; a deeper
+# ladder adds pieces without saving rounds.
+_END_LADDER = tuple(2.0**-k for k in range(1, 7))
+_TOWARD_0 = [math.pi * s for s in reversed(_END_LADDER)]
+_TOWARD_PI = [math.pi - math.pi * s for s in _END_LADDER]
 
 
 class IdentityError(ValueError):
@@ -51,8 +59,8 @@ def gegenbauer_identity(alpha: float, a: float) -> IdentityCheck:
     for alpha > -1/2 and |a| < 1.  Values of |a| beyond 0.99 are refused:
     the identity still holds but the integrand turns into a near-endpoint
     spike and the check would measure the integrator, not the formula.
-    The spike sits at phi = 0 or pi, so both are hinted, and the row
-    starts from ``integrate``'s ratio-2 ladders toward both ends.
+    The spike sits at phi = 0 or pi, so the integral starts from the
+    ratio-2 ladders ``_END_LADDER`` toward both ends.
     """
     alpha = real(alpha, IdentityError, "alpha", -0.5)
     a = real(a, IdentityError, "mixing parameter a", -0.99, 0.99, "[]")
@@ -61,7 +69,8 @@ def gegenbauer_identity(alpha: float, a: float) -> IdentityCheck:
         w = 1.0 + 2.0 * a * np.cos(phi) + a * a
         return w ** (-alpha) * np.sin(phi) ** (2.0 * alpha)
 
-    lhs = integrate(integrand, 0.0, math.pi, replace(_SPEC, singularity_hints=(0.0, math.pi))).value
+    # both ladders hold pi/2, a repeated edge that drops out
+    lhs = integrate(integrand, [0.0, *_TOWARD_0, *_TOWARD_PI, math.pi], _SPEC).value
     rhs = beta_fn(alpha + 0.5, 0.5)
     return _check("gegenbauer", {"alpha": alpha, "a": a}, lhs, rhs)
 
@@ -73,12 +82,12 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
           = B(p/2 - 1/2, 1/2) * min(t^{2-p}, 1)
 
     Near t = 1 the integrand develops a boundary layer of width |1 - t|
-    at phi = pi (an integrable kink at t = 1 exactly).  The endpoint
-    hint pi starts the row from ``integrate``'s ratio-2 ladder toward
-    the layer, down to pi/64; within 1e-2 of t = 1 a geometric ladder of
-    interior split points brackets the thinner layer as well.  Without
-    them the error estimator can report convergence on the unresolved
-    spike.  p is an integer >= 3 and t is positive and finite.
+    at phi = pi (an integrable kink at t = 1 exactly).  The integral
+    starts from the ratio-2 ladder ``_END_LADDER`` toward the layer,
+    down to pi/64; within 1e-2 of t = 1 the edges pi - |1 - t| k
+    (k = 1, 32, 1024, 32768) that lie above 0 bracket the thinner layer
+    as well.  Without them the error estimator can report convergence
+    on the unresolved spike.  p is an integer >= 3 and t is positive and finite.
     """
     p, t = integer(p, IdentityError), radius(t, IdentityError, "t", positive=True)
 
@@ -89,11 +98,11 @@ def min_power_identity(p: int, t: float) -> IdentityCheck:
         w = (1.0 - t) ** 2 + 4.0 * t * c * c
         return w ** (1.0 - 0.5 * p) * np.sin(phi) ** (p - 2.0)
 
-    hints = (math.pi,)
+    cuts = _TOWARD_PI
     if abs(t - 1.0) < 1e-2:
         base = max(abs(t - 1.0), 1e-9)
-        hints += tuple(math.pi - base * k for k in (1.0, 32.0, 1024.0, 32768.0))
-    lhs = integrate(integrand, 0.0, math.pi, replace(_SPEC, singularity_hints=hints)).value
+        cuts = sorted([*cuts, *(c for c in (math.pi - base * k for k in (1.0, 32.0, 1024.0, 32768.0)) if c > 0.0)])
+    lhs = integrate(integrand, [0.0, *cuts, math.pi], _SPEC).value
     rhs = beta_fn(0.5 * p - 0.5, 0.5) * min(t ** (2.0 - p), 1.0)
     return _check("min_power", {"p": p, "t": t}, lhs, rhs)
 

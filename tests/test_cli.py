@@ -127,12 +127,30 @@ def test_a_refused_plot_leaves_no_files(tmp_path, capsys):
 
 
 def test_a_theta_range_is_sized_before_it_is_built(tmp_path, capsys):
-    assert len(cli._THETA("0:9999:1")) == cli._THETA_POINTS
+    assert len(cli._THETA("0:9999:1")) == cli._MAX_POINTS
     for text in ("0:10000:1", "0:1e15:1", "0:inf:1", "0:1:0"):
         with pytest.raises(cli.argparse.ArgumentTypeError, match="at most 10000 points"):
             cli._THETA(text)
     assert cli.main(["risk", *MODEL, "--theta", "0:1e15:1", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
     assert "argument --theta: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["phi", "hseq"])
+@pytest.mark.parametrize("points", ["10001", str(10**13)])
+def test_a_points_option_is_bounded_before_its_grid_is_built(command, points, tmp_path, capsys, monkeypatch):
+    rounds = []
+    pair = numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda *args: rounds.append(1) or pair(*args))
+    monkeypatch.setattr(cli.np, "linspace", lambda *args, **kwargs: pytest.fail("built a grid"))
+    monkeypatch.setattr(cli.np, "geomspace", lambda *args, **kwargs: pytest.fail("built a grid"))
+    out = tmp_path / "x.csv"
+    argv = [command, *(MODEL if command == "phi" else []), "--out", str(out)]
+    assert cli.main([*argv, "--points", points]) == cli.EXIT_CONFIG
+    assert "argument --points: must be an integer of at most 10000, not " in capsys.readouterr().err
+    doc = {"points": int(points)}
+    assert cli.main([*argv, "--config", write_config(tmp_path, doc)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config key 'points' must be an integer of at most 10000, not {points}\n"
+    assert rounds == [] and not out.exists()
 
 
 @pytest.mark.parametrize("argv, doc, named", [

@@ -5,8 +5,6 @@ by hand) or scipy.integrate.quad, never the integrator under test.
 """
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -29,7 +27,7 @@ from sphereshrink.radial_models import tabulated
 
 
 def test_unit_constant():
-    res = integrate(lambda x: np.ones_like(x), 0.0, 1.0)
+    res = integrate(lambda x: np.ones_like(x), [0.0, 1.0])
     assert abs(res.value - 1.0) <= 1e-12
     assert res.error_estimate <= 1e-12
     assert res.evaluations > 0
@@ -38,7 +36,7 @@ def test_unit_constant():
 def test_polynomial_exactness_high_degree():
     # The 15-point Kronrod rule is exact through degree 23; x^23 on
     # [0, 1] must come out right however the integrator adapts.
-    res = integrate(lambda x: x**numerics.EXACT_DEGREE, 0.0, 1.0)
+    res = integrate(lambda x: x**numerics.EXACT_DEGREE, [0.0, 1.0])
     assert abs(res.value - 1.0 / (numerics.EXACT_DEGREE + 1)) < 1e-14
 
 
@@ -51,11 +49,11 @@ def test_kronrod_rule_is_exact_through_its_degree():
     # (3n + 1 for the n = 7 Gauss rule it extends) and, being symmetric,
     # at the odd degree 23 too, but not at degree 24 on [-1, 1]
     for k in range(numerics.EXACT_DEGREE + 1):
-        res = integrate(lambda x: x**k, 0.0, 1.0, _ONE_SEGMENT)
+        res = integrate(lambda x: x**k, [0.0, 1.0], _ONE_SEGMENT)
         assert res.evaluations == 15
         assert res.value == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0.0)
     k = numerics.EXACT_DEGREE + 1
-    res = integrate(lambda x: x**k, -1.0, 1.0, _ONE_SEGMENT)
+    res = integrate(lambda x: x**k, [-1.0, 1.0], _ONE_SEGMENT)
     assert abs(res.value - (1.0 - (-1.0) ** (k + 1)) / (k + 1)) > 1e-10
 
 
@@ -72,47 +70,40 @@ def test_error_estimate_is_the_kronrod_gauss_gap():
     # moves it by about 2e-8 relative.
     nodes, weights = np.polynomial.legendre.leggauss(7)
     g7 = 0.5 * np.sum(weights * (0.5 * (nodes + 1.0)) ** 14)
-    res = integrate(lambda x: x**14, 0.0, 1.0, _ONE_SEGMENT)
+    res = integrate(lambda x: x**14, [0.0, 1.0], _ONE_SEGMENT)
     assert res.evaluations == 15
     assert res.error_estimate == pytest.approx(abs(1.0 / 15.0 - g7), rel=1e-6)
 
 
 def test_sin_squared_over_pi():
-    res = integrate(lambda x: np.sin(x) ** 2, 0.0, math.pi)
+    res = integrate(lambda x: np.sin(x) ** 2, [0.0, math.pi])
     assert abs(res.value - math.pi / 2) <= 1e-10
 
 
 def test_oscillatory_against_scipy():
     f = lambda x: np.cos(7.3 * x) * np.exp(-0.5 * x)
     oracle, _ = sp_integrate.quad(lambda x: math.cos(7.3 * x) * math.exp(-0.5 * x), 0.0, 6.0)
-    res = integrate(f, 0.0, 6.0)
+    res = integrate(f, [0.0, 6.0])
     assert abs(res.value - oracle) < 1e-10
-
-
-def test_reversed_endpoints_flip_sign():
-    fwd = integrate(lambda x: x**2, 0.0, 2.0)
-    rev = integrate(lambda x: x**2, 2.0, 0.0)
-    assert rev.value == pytest.approx(-fwd.value, abs=1e-13)
 
 
 def test_inverse_sqrt_endpoint_singularity():
     # Integrable endpoint singularity: nodes never touch 0, adaptivity
     # has to dig in. Antiderivative 2*sqrt(x) gives exactly 2.
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=4000)
-    res = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec)
+    res = integrate(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0], spec)
     assert abs(res.value - 2.0) < 1e-8
 
 
-def test_interior_kink_with_hint():
-    # |x - 0.3| has a kink; hinting it gives fast clean convergence.
-    spec = QuadratureSpec(singularity_hints=(0.3,))
-    res = integrate(lambda x: np.abs(x - 0.3), 0.0, 1.0, spec)
+def test_interior_kink_as_an_edge():
+    # |x - 0.3| has a kink; an edge there gives fast clean convergence.
+    res = integrate(lambda x: np.abs(x - 0.3), [0.0, 0.3, 1.0])
     exact = 0.5 * (0.3**2 + 0.7**2)
     assert abs(res.value - exact) < 1e-13
 
 
 def test_error_estimate_bound_on_success():
-    res = integrate(lambda x: np.exp(x), 0.0, 1.0)
+    res = integrate(lambda x: np.exp(x), [0.0, 1.0])
     assert res.error_estimate <= max(1e-12, 1e-10 * abs(res.value))
 
 
@@ -120,7 +111,7 @@ def test_tolerance_not_reached_raises():
     # An endpoint singularity cannot be resolved in 3 subdivisions.
     spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
     with pytest.raises(ToleranceNotReached) as excinfo:
-        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec)
+        integrate(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0], spec)
     assert excinfo.value.result.evaluations > 0
     assert excinfo.value.worst_segment is not None
 
@@ -132,7 +123,7 @@ def test_non_finite_integrand_rejected():
         return y
 
     with pytest.raises(NonFiniteIntegrand):
-        integrate(bad, 0.0, 1.0)
+        integrate(bad, [0.0, 1.0])
 
 
 def test_semi_infinite_gaussian_tail():
@@ -211,22 +202,10 @@ def test_semi_infinite_slow_but_convergent_tail_is_not_called_divergent():
 def test_cumulative_segments_sum_matches_direct():
     knots = np.linspace(0.0, 3.0, 7)
     pieces = numerics.cumulative_segments(lambda x: np.exp(-x), knots)
-    direct = integrate(lambda x: np.exp(-x), 0.0, 3.0)
+    direct = integrate(lambda x: np.exp(-x), [0.0, 3.0])
     assert pieces.shape == (6,)
     assert abs(pieces.sum() - direct.value) < 1e-12
     assert np.all(pieces > 0)
-
-
-def test_cumulative_segments_split_at_hints_inside_each_piece():
-    # oracle: int |x - 1.3| over [0, 1], [1, 2], [2, 3] = 0.8, 0.29, 1.2;
-    # unsplit, the kink at 1.3 needs more than two bisections
-    kink = lambda x: np.abs(x - 1.3)
-    knots = [0.0, 1.0, 2.0, 3.0]
-    spec = QuadratureSpec(max_subdivisions=2, singularity_hints=(7.0, 1.3))
-    pieces = numerics.cumulative_segments(kink, knots, spec)
-    assert pieces == pytest.approx([0.8, 0.29, 1.2], rel=1e-14)
-    with pytest.raises(ToleranceNotReached):
-        numerics.cumulative_segments(kink, knots, replace(spec, singularity_hints=()))
 
 
 def test_integrate_pieces_in_one_pass_and_raises_on_a_miss():
@@ -263,53 +242,21 @@ def test_integrate_rows_matches_integrate_row_by_row():
     values = numerics.integrate_rows(_power_rows, _ROW_EDGES, spec.abs_tol, spec)
     for i, edges in enumerate(_ROW_EDGES):
         exact = _ROOT2 ** (_POWERS[i] + 1.0) / (_POWERS[i] + 1.0) + math.sin(3.0 * (i + 1) * _ROOT2) / (3.0 * (i + 1))
-        hinted = replace(spec, singularity_hints=tuple(edges[1:-1]))
-        scalar = integrate(lambda x: _power_rows(np.full(x.shape, i), x), 0.0, _ROOT2, hinted).value
+        scalar = integrate(lambda x: _power_rows(np.full(x.shape, i), x), edges, spec).value
         assert values[i] == pytest.approx(scalar, rel=1e-10)
         assert values[i] == pytest.approx(exact, rel=1e-10)
 
 
 def test_integrate_is_the_one_row_case_of_integrate_rows():
-    # the same loop: bitwise equal values, with the hints inside [a, b]
-    # as the row's interior edges (outside or repeated hints drop out),
-    # and a sign flip for reversed bounds
+    # the same loop: bitwise equal values over the same edges, a repeated
+    # one an empty piece that drops out
     f = lambda x: np.sqrt(np.abs(x - 0.3)) * np.cos(2.0 * x) + np.abs(x - 1.7)
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, singularity_hints=(1.7, 0.3, 5.0, 0.3))
-    row = numerics.integrate_rows(lambda row, x: f(x), [[0.0, 0.3, 1.7, 2.0]], spec.abs_tol, spec)[0]
-    assert integrate(f, 0.0, 2.0, spec).value == row
-    assert integrate(f, 2.0, 0.0, spec).value == -row
-    plain = numerics.integrate_rows(lambda row, x: np.exp(-x * x), [[0.0, 8.0]], 1e-12)[0]
-    assert integrate(lambda x: np.exp(-x * x), 0.0, 8.0).value == plain
-    assert integrate(lambda x: np.exp(-x * x), 8.0, 0.0).value == -plain
-
-
-def test_an_endpoint_hint_starts_integrate_from_a_ratio_2_ladder():
-    # a hint at a adds the edges a + (b - a)*2^-k, one at b the edges
-    # b - (b - a)*2^-k, k = 1..6, and both ends share the midpoint; the
-    # value is bitwise the row over them, beside any interior hint
-    f = lambda x: np.sqrt(x * (3.0 - x)) + np.cos(x)
-    plain = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
-    toward_a = [0.0, *(3.0 * 2.0**-k for k in range(6, 0, -1))]
-    toward_b = [3.0 - 3.0 * 2.0**-k for k in range(2, 7)]
-    for hints, edges in (((0.0,), toward_a + [3.0]),
-                         ((3.0,), [0.0, 1.5, *toward_b, 3.0]),
-                         ((3.0, 1.0, 0.0), [*toward_a[:6], 1.0, toward_a[6], *toward_b, 3.0])):
-        spec = replace(plain, singularity_hints=hints)
-        row = numerics.integrate_rows(lambda row, x: f(x), [edges], plain.abs_tol, plain)[0]
-        assert integrate(f, 0.0, 3.0, spec).value == row
-        assert integrate(f, 3.0, 0.0, spec).value == -row
-    assert row == pytest.approx(9.0 * math.pi / 8.0 + math.sin(3.0), rel=1e-11)
-
-
-def test_a_hint_outside_the_interval_or_nan_changes_nothing():
-    f = lambda x: np.exp(-x) * np.sqrt(x + 0.5)
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
-    alone = integrate(f, 0.0, 2.0, spec)
-    for hints in ((math.nan,), (-1.0, 2.5), (math.nan, -1e-300, 2.0 + 1e-12)):
-        assert integrate(f, 0.0, 2.0, replace(spec, singularity_hints=hints)) == alone
-    # without hints the start is still the one K15 segment
-    assert integrate(f, 0.0, 2.0, _ONE_SEGMENT).evaluations == 15
-    assert integrate(f, 0.0, 2.0, replace(_ONE_SEGMENT, singularity_hints=(math.nan, 7.0))).evaluations == 15
+    row = numerics.integrate_rows(lambda row, x: f(x), [[0.0, 0.3, 1.7, 2.0]], spec.abs_tol, spec)[0]
+    assert integrate(f, [0.0, 0.3, 1.7, 2.0], spec).value == row
+    assert integrate(f, [0.0, 0.3, 0.3, 1.7, 2.0, 2.0], spec).value == row
+    plain = numerics.integrate_rows(lambda row, x: np.exp(-x * x), [[0.0, 8.0]], 1e-12)[0]
+    assert integrate(lambda x: np.exp(-x * x), [0.0, 8.0]).value == plain
 
 
 def test_integrate_rows_value_does_not_depend_on_the_batch():
@@ -345,9 +292,6 @@ def test_integrate_rows_refuses_a_zero_span_row():
     for edges in ([[0.0, 1.0, 2.0], [3.0, 3.0, 3.0]], [[3.0, 3.0]]):
         with pytest.raises(ValueError, match="zero span"):
             numerics.integrate_rows(f, edges, 1e-14)
-    # a hint clipped to the row's span adds no width
-    with pytest.raises(ValueError, match="row 0 has zero span"):
-        numerics.integrate_rows(f, [[3.0, 3.0]], 1e-14, QuadratureSpec(singularity_hints=(2.5, 3.0)))
 
 
 # A row that ends with more than 8 segments: numpy sums a longer run by
@@ -361,9 +305,6 @@ def test_integrate_rows_padded_row_equals_its_unpadded_self():
     padded = np.concatenate([_TEN_PIECES, np.full(6, 3.0)])
     alone = numerics.integrate_rows(_WIGGLE, [_TEN_PIECES], 1e-280)[0]
     assert numerics.integrate_rows(_WIGGLE, [padded], 1e-280)[0] == alone  # bitwise
-    # a hint outside the row, clipped to an end, is an empty piece too
-    spec = QuadratureSpec(singularity_hints=(-1.0, 5.0, 7.0))
-    assert numerics.integrate_rows(_WIGGLE, [_TEN_PIECES], 1e-280, spec)[0] == alone
 
 
 def test_integrate_rows_of_different_piece_counts_equal_their_one_row_calls():
@@ -375,32 +316,36 @@ def test_integrate_rows_of_different_piece_counts_equal_their_one_row_calls():
         assert together[i] == numerics.integrate_rows(lambda r, x: _WIGGLE(r + i, x), [row], 1e-280)[0]
 
 
-@pytest.mark.parametrize("f, a, b, hints, evaluations", [
-    (np.exp, 0.0, 1.0, (), 15),
-    (np.sqrt, 0.0, 1.0, (), 525),
-    (np.sqrt, 0.0, 1.0, (0.0,), 435),
-    (lambda x: np.abs(x - 1.3), 0.0, 3.0, (1.3,), 30),
-    (lambda x: np.log(x) * np.sqrt(2.0 - x), 0.0, 2.0, (0.0, 2.0), 1350),
-    (lambda x: np.cos(50.0 * x), 0.0, 2.0, (), 1665),
+# Ratio-2 ladders of edges toward 0 and toward 2, down to 1/64 of [0, 2].
+_TOWARD_0 = [2.0 * 2.0**-k for k in range(6, 0, -1)]
+_TOWARD_2 = [2.0 - 2.0 * 2.0**-k for k in range(2, 7)]
+
+
+@pytest.mark.parametrize("f, edges, evaluations", [
+    (np.exp, [0.0, 1.0], 15),
+    (np.sqrt, [0.0, 1.0], 525),
+    (np.sqrt, [0.0, *(2.0**-k for k in range(6, 0, -1)), 1.0], 435),
+    (lambda x: np.abs(x - 1.3), [0.0, 1.3, 3.0], 30),
+    (lambda x: np.log(x) * np.sqrt(2.0 - x), [0.0, *_TOWARD_0, *_TOWARD_2, 2.0], 1350),
+    (lambda x: np.cos(50.0 * x), [0.0, 2.0], 1665),
 ])
-def test_integrate_evaluations_count_every_segment_once(f, a, b, hints, evaluations):
+def test_integrate_evaluations_count_every_segment_once(f, edges, evaluations):
     # 15 per starting piece and 30 per bisection
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, singularity_hints=hints)
-    assert integrate(f, a, b, spec).evaluations == evaluations
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
+    assert integrate(f, edges, spec).evaluations == evaluations
 
 
-def test_integrate_rows_splits_at_hints_as_integrate_does():
+def test_integrate_rows_splits_at_an_interior_edge_as_integrate_does():
     # oracle: int_0^3 |x - 1.3| dx = (1.3^2 + 1.7^2) / 2 = 2.29; unsplit,
-    # the kink at 1.3 needs more than two bisections.  Hints outside a
-    # row (4.0, and 1.3 for the second row) are clipped to its span.
+    # the kink at 1.3 needs more than two bisections
     kink = lambda x: np.abs(x - 1.3)
-    spec = QuadratureSpec(max_subdivisions=2, singularity_hints=(4.0, 1.3))
-    values = numerics.integrate_rows(lambda row, x: kink(x), [[0.0, 3.0], [2.0, 3.0]], spec.abs_tol, spec)
-    assert values[0] == integrate(kink, 0.0, 3.0, spec).value
+    spec = QuadratureSpec(max_subdivisions=2)
+    values = numerics.integrate_rows(lambda row, x: kink(x), [[0.0, 1.3, 3.0], [2.0, 3.0, 3.0]], spec.abs_tol, spec)
+    assert values[0] == integrate(kink, [0.0, 1.3, 3.0], spec).value
     assert values[0] == pytest.approx(2.29, rel=1e-14)
     assert values[1] == pytest.approx(1.2, rel=1e-14)
     with pytest.raises(ToleranceNotReached):
-        numerics.integrate_rows(lambda row, x: kink(x), [[0.0, 3.0]], spec.abs_tol, replace(spec, singularity_hints=()))
+        numerics.integrate_rows(lambda row, x: kink(x), [[0.0, 3.0]], spec.abs_tol, spec)
 
 
 def test_integrate_rows_raises_when_a_row_runs_over_budget():
@@ -425,9 +370,6 @@ def test_integrate_rows_refuses_nan_and_decreasing_edges():
     for bad in ([[math.nan, 0.0, 1.0]], [[0.0, math.nan, 1.0]], [[0.0, 2.0, math.nan]], [[0.0, 2.0, 1.0]]):
         with pytest.raises(ValueError, match="nondecreasing"):
             numerics.integrate_rows(f, bad, 1e-12)
-    spec = QuadratureSpec(singularity_hints=(0.5,))
-    with pytest.raises(ValueError, match="nondecreasing"):
-        numerics.integrate_rows(f, [[0.0, 2.0, math.nan]], 1e-12, spec)
 
 
 def test_integrate_rows_rejects_a_non_finite_value():
@@ -436,10 +378,70 @@ def test_integrate_rows_rejects_a_non_finite_value():
         numerics.integrate_rows(lambda row, x: np.where((row == 1) & (x > 0.4), np.inf, 1.0), edges, 1e-14)
 
 
+# --- the edge contract -------------------------------------------------
+
+# Edges that every integrator refuses with ValueError before it calls its
+# integrand.
+_BAD_EDGES = {
+    "nan": [0.0, math.nan, 1.0],
+    "inf": [0.0, math.inf],
+    "-inf": [-math.inf, 0.0],
+    "decreasing": [0.0, 2.0, 1.0],
+    "zero span": [1.0, 1.0, 1.0],
+    "one edge": [1.0],
+    "none": [],
+}
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """The ``_gauss_pair`` calls made while a test runs."""
+    made = []
+    pair = numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda *args: made.append(1) or pair(*args))
+    return made
+
+
+@pytest.mark.parametrize("name", list(_BAD_EDGES))
+def test_integrate_and_integrate_rows_refuse_bad_edges_before_any_integrand_call(name, rounds):
+    edges = _BAD_EDGES[name]
+    calls = []
+    f = lambda x: calls.append(1) or np.exp(-x)
+    with pytest.raises(ValueError, match="^(the integral|integrate) "):
+        integrate(f, edges)
+    with pytest.raises(ValueError, match="^(row 0|edges) "):
+        numerics.integrate_rows(lambda row, x: f(x), [edges], 1e-12)
+    if len(edges) > 1:
+        # in a batch, the message names the bad row
+        with pytest.raises(ValueError, match="^row 1 "):
+            numerics.integrate_rows(lambda row, x: f(x), [np.linspace(0.0, 1.0, len(edges)), edges], 1e-12)
+    assert calls == [] and rounds == []
+
+
+def test_knots_and_a_tail_start_must_be_finite_too(rounds):
+    # an integral out to infinity is a mapped tail's business, and a tail
+    # starts at a finite radius
+    with pytest.raises(ValueError, match="^row 1 needs finite"):
+        numerics.cumulative_segments(np.exp, [0.0, 1.0, math.inf])
+    with pytest.raises(ValueError, match="finite"):
+        integrate_semi_infinite(np.exp, math.inf)
+    assert rounds == []
+
+
+@pytest.mark.parametrize("name", ["nan", "-inf", "decreasing", "zero span"])
+def test_integrate_half_lines_refuses_a_bad_head_before_any_integrand_call(name, rounds):
+    calls = []
+    f = lambda term, r: calls.append(1) or np.exp(-r)
+    head = _BAD_EDGES[name]
+    with pytest.raises(ValueError, match="^term 1 head "):
+        numerics.integrate_half_lines(f, [[head[-1] - 1.0, head[-1]], head])
+    assert calls == [] and rounds == []
+
+
 # --- integrate_half_lines --------------------------------------------
 
 # Term j of the batch below: e^{-r}, r^2 e^{-r/2}, a kink |r - 3| e^{-r}
-# beyond the heads, and e^{-r}/sqrt(r), singular at 0.
+# at the heads' last edge, and e^{-r}/sqrt(r), singular at 0.
 _TERMS = [
     lambda r: np.exp(-r),
     lambda r: r * r * np.exp(-0.5 * r),
@@ -455,8 +457,8 @@ def _terms(term, r):
 
 @pytest.mark.parametrize("decay, scale", [("exp", 2.0), ("power", 1.0)])
 def test_integrate_half_lines_term_alone_equals_term_in_a_batch(decay, scale):
-    spec = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-11, max_subdivisions=200, singularity_hints=(0.3, 3.0))
-    heads = [[0.0, 0.3, 1.0]] * len(_TERMS)
+    spec = QuadratureSpec(abs_tol=1e-280, rel_tol=1e-11, max_subdivisions=200)
+    heads = [[0.0, 0.3, 1.0, 3.0]] * len(_TERMS)
     calls = []
 
     def f(term, r):
@@ -467,7 +469,7 @@ def test_integrate_half_lines_term_alone_equals_term_in_a_batch(decay, scale):
     # every call gets nondecreasing terms and real radii; the first is
     # the probe's, on the tails only, and the next holds heads and tails
     assert all(np.all(np.diff(term) >= 0) and np.all(r >= 0.0) for term, r in calls)
-    assert np.all(calls[0][1] > 1.0) and np.any(calls[1][1] < 1.0) and np.any(calls[1][1] > 1.0)
+    assert np.all(calls[0][1] > 3.0) and np.any(calls[1][1] < 3.0) and np.any(calls[1][1] > 3.0)
     assert together == pytest.approx(_EXACT, rel=1e-10)
     for j in range(len(_TERMS)):
         alone = numerics.integrate_half_lines(lambda term, r: _terms(term + j, r), heads[j : j + 1], spec,
@@ -488,25 +490,23 @@ def test_integrate_half_lines_mixes_terms_with_and_without_a_head():
 
 def test_integrate_semi_infinite_is_the_no_head_case_of_integrate_half_lines():
     f = lambda r: np.abs(r - 3.0) * np.exp(-r)
-    spec = QuadratureSpec(singularity_hints=(0.5, 3.0, 7.0))
-    res = integrate_semi_infinite(f, 1.0, spec)
-    assert res.value == numerics.integrate_half_lines(lambda term, r: f(r), [[1.0]], spec)[0]
+    res = integrate_semi_infinite(f, 1.0)
+    assert res.value == numerics.integrate_half_lines(lambda term, r: f(r), [[1.0]])[0]
     assert res.value == pytest.approx(2.0 * math.exp(-3.0) + math.exp(-1.0), rel=1e-10)
 
 
-def test_integrate_half_lines_splits_a_tail_at_the_hints_beyond_its_start():
+def test_integrate_half_lines_splits_a_kinked_head_at_its_edges():
     # r^4 f(r) on a (1+r^2)^-4 table with knots out to 60: its PCHIP is
-    # kinked at every knot, and the knots beyond r = 1 split the tail
+    # kinked at every knot, so the head runs over the knots and the tail,
+    # a power law, starts at the last one
     knots = np.geomspace(0.01, 60.0, 120)
     model = tabulated(knots, (1.0 + knots**2) ** -4.0, 5)
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=100, singularity_hints=model.knots)
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=100)
     mass = lambda term, r: r**4 * model.density(r)
-    total = numerics.integrate_half_lines(mass, [[0.0, 1.0]], spec, **model.tail_decay)[0]
+    total = numerics.integrate_half_lines(mass, [[0.0, *model.knots]], spec, decay="power", scale=60.0)[0]
     assert total * sphere_surface(5) == pytest.approx(1.0, rel=1e-12)
-    head_knots = tuple(k for k in model.knots if k < 1.0)
-    with pytest.raises(ToleranceNotReached, match="^term 0 tail needed more than 100 subdivisions"):
-        numerics.integrate_half_lines(mass, [[0.0, 1.0]], replace(spec, singularity_hints=head_knots),
-                                      **model.tail_decay)
+    with pytest.raises(ToleranceNotReached, match="^term 0 head needed more than 100 subdivisions"):
+        numerics.integrate_half_lines(mass, [[0.0, 60.0]], spec, decay="power", scale=60.0)
 
 
 def test_integrate_half_lines_flags_a_tail_parked_at_infinity():

@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate as sp_integrate
 from scipy.special import erf
 
-from sphereshrink import radial_convolution
+from sphereshrink import numerics, radial_convolution
 from sphereshrink.numerics import ToleranceNotReached, sphere_surface
 from sphereshrink.radial_models import DivergentMoment, gaussian, mixture_diff, poly_exp, tabulated
 from sphereshrink.rv_priors import custom_prior, harmonic_prior, log_thickened_prior, power_prior
@@ -117,6 +117,22 @@ def test_second_moment_at_the_origin_on_a_power_tail_table():
     val = radial_expectation(ConvolutionProblem(m, "density", lambda s: s**2, 0.0))
     assert val == pytest.approx(m.moment(2.0), rel=1e-9)
     assert val == pytest.approx(5.00129548784, rel=1e-9)
+
+
+def test_the_origin_rows_on_a_table_start_their_tail_at_the_last_knot(monkeypatch):
+    # beyond its last knot the table's density is an exact power law: the
+    # heads run over the knots, and the tails start at the last one, on
+    # that scale (on scale 1 the tail-kernel row below takes 40 rounds)
+    rounds = []
+    pair = numerics._gauss_pair
+    monkeypatch.setattr(numerics, "_gauss_pair", lambda *args: rounds.append(1) or pair(*args))
+    rr = np.geomspace(0.01, 100, 300)
+    m = tabulated(rr, (1.0 + rr**2) ** -4, 5)
+    val = radial_expectation(ConvolutionProblem(m, "density", lambda s: s**2, 0.0))
+    assert val == pytest.approx(m.moment(2.0), rel=1e-14, abs=0.0)
+    rounds.clear()
+    assert radial_expectation(ConvolutionProblem(m, "tail_kernel", ones, 0.0)) == pytest.approx(1.0, rel=1e-14)
+    assert len(rounds) <= 26, len(rounds)
 
 
 def test_rotation_invariance_monte_carlo():
@@ -244,15 +260,6 @@ def test_marginal_harmonic_dispatch():
 def test_marginal_rejections():
     with pytest.raises(ConvolutionError):
         marginal_m(harmonic_prior(4), gaussian(5), 1.0)
-
-
-def test_marginal_integrability_failure():
-    # prior growing faster than the kernel decays
-    g = lambda e: np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
-    gp = lambda e: 1.2 * np.asarray(e, dtype=float) * np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
-    wild = custom_prior(g, gp, 3)
-    with pytest.raises(ConvolutionError):
-        marginal_m(wild, gaussian(3), 1.0)
 
 
 # --- asymptotic probe -------------------------------------------------
@@ -484,7 +491,7 @@ def test_the_probe_checks_its_radii_before_the_slope_audit(bad, monkeypatch):
 # --- failure paths ----------------------------------------------------------
 
 def wild_prior():
-    # the prior of test_marginal_integrability_failure
+    # a prior growing faster than the kernel decays
     g = lambda e: np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
     gp = lambda e: 1.2 * np.asarray(e, dtype=float) * np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
     return custom_prior(g, gp, 3)
@@ -492,6 +499,8 @@ def wild_prior():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_integrable_prior_fails_loudly_through_every_batched_entry():
+    with pytest.raises(IntegrabilityError):
+        marginal_m(wild_prior(), gaussian(3), 1.0)
     with pytest.raises(ConvolutionError):
         gb_marginals(wild_prior(), gaussian(3), 1.0)
     # a failed integral, not an ill-posed request: the CLI's numeric kind

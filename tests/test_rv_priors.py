@@ -647,6 +647,11 @@ class TestRadialPrior:
         with pytest.raises(PriorError, match="power k must be finite"):
             power_prior(k, 3)
 
+    def test_a_missing_power_is_refused_not_read_as_harmonic(self):
+        with pytest.raises(PriorError, match="^power k must be finite, not None"):
+            power_prior(None, 3)
+        assert power_prior(2 - 3, 3).harmonic and power_prior(2 - 5, 5).harmonic
+
     def test_gamma_validation(self):
         with pytest.raises(PriorError):
             power_prior(-1.0, 3, gamma=0.0)
@@ -945,7 +950,7 @@ class TestClassification:
     def test_the_first_exponent_off_the_boundary_decides(self, exponents, bounded):
         # eta^{2-p} prod_j Log_j^{e_j} is certified exactly when the first
         # nonzero of e - (1, ..., 1) is negative or all are zero
-        prior = rv_priors._Declared("log_power", 3, 2.0, c=20.0, exponents=exponents)
+        prior = rv_priors._Declared("log_power", 3, 2.0, 2.0 - 3, c=20.0, exponents=exponents)
         assert (classify_prior(prior, gaussian(3)).verdict == "admissible_certified") == bounded
 
     @pytest.mark.parametrize("p", [3, 5])

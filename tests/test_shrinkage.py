@@ -313,7 +313,7 @@ def test_gb_multiplier_ridge_rows_converge_in_few_rounds(monkeypatch, swept):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gb_multiplier_fails_loudly_on_a_non_integrable_prior():
-    # the prior of test_marginal_integrability_failure
+    # the wild prior of test_radial_convolution
     g = lambda e: np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
     gp = lambda e: 1.2 * np.asarray(e, dtype=float) * np.exp(0.6 * np.asarray(e, dtype=float) ** 2)
     with pytest.raises(ConvolutionError, match=r"m at r=1 tail: integrand is not finite"):

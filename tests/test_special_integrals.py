@@ -68,8 +68,8 @@ def test_gegenbauer_grid_a_independent():
 
 
 def test_gegenbauer_checks_start_from_the_endpoint_ladders(monkeypatch, tmp_path):
-    # rounds of the adaptive loop (one _gauss_pair call each): the hints
-    # 0 and pi start each row from the ratio-2 ladders toward both ends;
+    # rounds of the adaptive loop (one _gauss_pair call each): each
+    # integral starts from the ratio-2 ladders of edges toward 0 and pi;
     # from the one piece [0, pi] the CLI's 25 checks took 133 rounds and
     # gegenbauer_identity(20, +-0.99) 11 each
     rounds, real = [0], numerics._gauss_pair
@@ -147,7 +147,7 @@ def test_min_power_scipy_route_at_kink():
 @pytest.mark.parametrize("p", [3, 5, 8])
 @pytest.mark.parametrize("t", [1e-3, 0.999, 1.0, 50.0])
 def test_min_power_is_tight_with_its_layer_hinted(p, t):
-    # the hint pi starts the row from the ladder toward the layer there;
+    # the integral starts from the ladder of edges toward the layer at pi;
     # from the one piece [0, pi], (8, 50) passed its first round 1.2e-12 off
     assert min_power_identity(p, t).rel_error <= 1e-14
 
