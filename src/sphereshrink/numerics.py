@@ -124,7 +124,9 @@ class QuadratureSpec:
     """Tolerance and budget knobs for one integration call.
 
     ``max_subdivisions`` is the number of bisections each row may make
-    (for ``integrate``, the one integral).
+    (for ``integrate``, the one integral).  A tolerance that is not
+    positive, or a budget under 1, NaN included, is refused with
+    ValueError.
     """
 
     abs_tol: float = 1e-12
@@ -132,9 +134,9 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):  # NaN compares False both ways
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
+        if not self.max_subdivisions >= 1:
             raise ValueError("max_subdivisions must be at least 1")
 
 
@@ -302,14 +304,15 @@ class TailMap:
     round; an exp tail grows like log(1/(1-t)) and starts from [0, 1]
     alone.  ``probe`` (at
     ``probe_nodes``) and ``diverged`` (of a row over budget) flag a tail
-    that cannot be integrable.
+    that cannot be integrable.  A scale that is not positive and finite
+    (NaN included) is refused with ValueError, before any integrand call.
     """
 
     probe_nodes = 1.0 - _PROBE_DEPTHS
 
     def __init__(self, a: float, decay: str = "exp", scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         if decay not in ("exp", "power"):
             raise ValueError(f"unknown decay class {decay!r}")
         if not math.isfinite(a):

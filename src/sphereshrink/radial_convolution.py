@@ -19,11 +19,14 @@ terms that share the model and the radius r, each an integrand rho, a
 kernel weight (the density f or the tail kernel F/C_f) and a
 singularity class, some with the directional numerator's extra
 lambda cos(phi).  It holds the dimension check, the one radius check
-(0 <= r < inf), the harmonic prior's closed-form m, which takes no
-quadrature, and the one conversion of a divergent tail or an
+(0 <= r < inf), the closed forms, which take no quadrature (the
+harmonic prior's m on every model, and on a sum of gaussian bells the m
+and S of a declared pure power G = eta^k, Kummer sums from
+``_power_on_bells``), and the one conversion of a divergent tail or an
 overflowing integrand into IntegrabilityError, to which the bell path
-adds an m whose row is below ``_M_FLOOR``; a failed integral's message
-names its term and r.
+adds an m whose row is below ``_M_FLOOR``, and the closed path an m
+that is not a normal double; a failed integral's message names its
+term and r.
 At r = 0 each term is radial, a directional one exactly 0, and the
 terms are one ``numerics.integrate_half_lines`` batch; the head of a
 term with a negative singularity class starts from the ratio-2 ladder 2^-k
@@ -45,8 +48,9 @@ check are each one request.
 The sweep is the slow-but-independent oracle for the closed forms: the
 kernel moments of ``shrinkage``'s weight, which is also the harmonic
 prior's GB factor, the harmonic prior's m here, and the bell rows,
-which the tests compare with it wherever both run.  S is never closed,
-so ``gb_marginals`` checks that closed GB factor.
+which the tests compare with it wherever both run; the bell rows, in
+turn, are the Kummer sums' reference.  On a model without bells S is
+never closed, so ``gb_marginals`` checks that closed GB factor there.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import hyp0f1, ive
+from scipy.special import hyp0f1, hyp1f1, ive
 
 from sphereshrink._domain import radii, radius, real, same_dimension
 from sphereshrink.numerics import (
@@ -101,6 +105,13 @@ _SERIES_Z = 1.0
 # Above this z, scipy's ive returns nan (near 2^31); its asymptotic
 # series, four terms, is exact to double precision there.
 _ASYMPTOTIC_Z = 1e8
+# Above this x = r^2 / (2 v), a bell's 1F1(a; b; -x) is its asymptotic
+# series in 1/x (``_kummer_tail``), within an ulp there for p up to 50;
+# below it, scipy's hyp1f1, within a few ulps.  Above it hyp1f1 drifts
+# (5e-14 at p = 8, k = 0.5, x = 1e8) and returns 0 or nan from x = 1e100.
+_KUMMER_FAR = 1e4
+# The smallest normal double: a closed m below it is refused.
+_TINY = float(np.finfo(float).tiny)
 # A bell row below this has met only its absolute tolerance, not its
 # relative one, and a prior's m with such a row is refused: far out, where
 # the prior falls faster than 1/r, it underflows toward 0.
@@ -163,15 +174,18 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
 def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = None, directional=()) -> list:
     """The values at ||x|| = r of ``terms``, each a (kernel, integrand, class) ConvolutionProblem.
 
-    The term ``_M`` is the marginal m(g|x) of ``prior``: the harmonic
-    prior's closed form, else the density term of g.  ``_S`` is its
-    along-x numerator S(g|x), the directional density term of g.  A term
-    whose index is in ``directional`` is the along-x numerator of its
-    integrand.  A radius
-    that is negative, infinite or NaN is refused with ConvolutionError.
-    A failed integral names its term and r: "m", "S" or "term j".  On
-    the bell path, a prior's m with a row of at most ``_M_FLOOR`` (far
-    out, where it underflows) raises IntegrabilityError naming r.
+    The term ``_M`` is the marginal m(g|x) of ``prior`` and ``_S`` its
+    along-x numerator S(g|x).  The harmonic prior's m is its closed form;
+    on a model with bells, at every r >= 0, a declared pure power's m and
+    S are Kummer sums (``_power_on_bells``), and its m raises
+    IntegrabilityError naming r where it is not a normal double (far
+    out, where r^k underflows); any other m or S is the density term of
+    g, plain or directional.  A term whose index is in ``directional``
+    is the along-x numerator of its integrand.  A radius that is
+    negative, infinite or NaN is refused with ConvolutionError.  A failed
+    integral names its term and r: "m", "S" or "term j".  On the bell
+    path, a prior's m with a row of at most ``_M_FLOOR`` (far out, where
+    it underflows) raises IntegrabilityError naming r.
     """
     same_dimension(ConvolutionError, model, prior)
     r = radius(r, ConvolutionError, "radius")
@@ -184,6 +198,12 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
         if term is _M or term is _S:
             if term is _M and prior.harmonic:
                 values[j] = _harmonic_m(model, r)
+                continue
+            if prior.pure_power is not None and model.bells() is not None:
+                m, s, _ = _power_on_bells(model.bells(), model.p, prior.pure_power, r)
+                if term is _M and not _TINY <= m < math.inf:
+                    raise IntegrabilityError(f"integrability fails: m at r={r:.3g} is {m:.3g}, not a normal double")
+                values[j] = m if term is _M else s
                 continue
             term = ("density", prior.g_eval, prior.origin_class)
         todo.append((j, ConvolutionProblem(model, term[0], term[1], r, term[2]), cos, f"{name} at r={r:.3g}"))
@@ -315,6 +335,10 @@ def _sweep(problems, cos, names) -> np.ndarray:
 def _bell_rows(problems, cos, names, bells, floored) -> np.ndarray:
     """The terms at r > 0 for a model that is a sum of gaussian bells (``RadialDensity.bells``).
 
+    These are the terms given as a callable integrand, and the m and S of
+    every prior but a declared pure power, whose are closed
+    (``_power_on_bells``).
+
     The angular average of a bell of variance v about x is closed: with
     lambda = ||theta||, z = r lambda / v and b = p/2,
 
@@ -440,6 +464,65 @@ def _ive_series(nu, inv_z):
     return total
 
 
+def _power_on_bells(bells, p, k, r):
+    """(m, S, 1 - kappa) of G = eta^k on the sum of gaussian ``bells`` at ||x|| = r, from Kummer's 1F1.
+
+    With a = -k/2, b = p/2, x_j = r^2 / (2 v_j) and
+    C_j = w_j (2 pi v_j)^b (2 v_j)^(k/2) Gamma(b - a) / Gamma(b), bell j
+    of weight w_j and variance v_j adds C_j 1F1(a; b; -x_j) to m, and
+    S = sum_j v_j dm_j/dr = r (k/p) sum_j C_j 1F1(a + 1; b + 1; -x_j), so
+    1 - kappa = -S / (r m) = -(k/p) times the ratio of the two sums.  Past
+    ``_KUMMER_FAR``, x^a 1F1(a; b; -x) is Gamma(b)/Gamma(b - a) times
+    ``_kummer_tail``, whose Gammas cancel C_j's: the bell adds
+    M_j r^k T(a, b) to m and p v_j M_j r^(k-2) T(a + 1, b + 1) to the
+    second sum, M_j = w_j (2 pi v_j)^b its mass, with 1/x_j formed as
+    (2 v_j / r) / r, which does not overflow.  Once every bell is that far
+    out, r^k cancels from 1 - kappa, which stays finite where m, r^k
+    times a sum near f's mass 1, under- or overflows; the caller judges m.
+    k <= -p, where m diverges, is refused with the ConvolutionError of
+    ``ConvolutionProblem``'s check, before any 1F1 is evaluated.
+    """
+    k = real(k, ConvolutionError, "singularity_class", -p)
+    a, b = -0.5 * k, 0.5 * p
+    gammas = math.exp(math.lgamma(b - a) - math.lgamma(b))
+    far = [r * r > 2.0 * _KUMMER_FAR * v for _, v in bells]  # r * r = inf past r = 1e154 is far
+    n0 = n1 = d0 = d1 = 0.0  # the near bells' sums, and the far ones' over r^k and p r^(k-2)
+    for (w, v), out in zip(bells, far):
+        mass = w * (2.0 * math.pi * v) ** b
+        if out:
+            inv_x = 2.0 * v / r / r
+            d0 += mass * _kummer_tail(a, b, inv_x)
+            d1 += v * mass * _kummer_tail(a + 1.0, b + 1.0, inv_x)
+        else:
+            x = r * r / (2.0 * v)
+            c = mass * (2.0 * v) ** -a * gammas
+            n0 += c * float(hyp1f1(a, b, -x))
+            n1 += c * float(hyp1f1(a + 1.0, b + 1.0, -x))
+    if any(far):
+        with np.errstate(over="ignore", under="ignore"):
+            rk = float(np.power(r, k))
+        if all(far):
+            return d0 * rk, k * d1 * rk / r, -k * (d1 / d0) / r / r
+        n0, n1 = n0 + d0 * rk, n1 + p * d1 * rk / r / r
+    return n0, k / p * r * n1, -k / p * n1 / n0
+
+
+def _kummer_tail(a, b, inv_x):
+    """Gamma(b - a)/Gamma(b) x^a 1F1(a; b; -x) for x = 1/inv_x above ``_KUMMER_FAR``.
+
+    The asymptotic series sum_s (a)_s (a - b + 1)_s / s! x^-s, summed
+    until a term is below 1e-17 of the sum, in six terms or fewer for p
+    up to 50 (at most 40 terms); the exponentially small rest, e^-x, is 0.
+    """
+    term = total = 1.0
+    for s in range(1, 41):
+        term *= (a + s - 1.0) * (a - b + s) / s * inv_x
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total
+
+
 def _distinct(items):
     """The distinct items (by ==) in order, and each item's index among them."""
     out = []
@@ -501,9 +584,13 @@ def marginal_m(prior: RadialPrior, model: RadialDensity, r: float) -> float:
     """Prior marginal m(g|x) at ||x|| = r.
 
     The fundamental-solution prior dispatches to its closed form
-    ``harmonic_marginal_closed``, with no quadrature; every other prior
-    goes through the oracle: at r > 0, one radial row per bell of a
-    gaussian-family model, else the 2-d sweep.
+    ``harmonic_marginal_closed``, and a declared pure power eta^k on a
+    gaussian-family model to its Kummer sum
+    sum_j C_j 1F1(-k/2; p/2; -r^2/(2 v_j)) over the bells, at every
+    r >= 0, with no quadrature; that m is refused with IntegrabilityError
+    where it is not a normal double.  Every other prior goes through the
+    oracle: at r > 0, one radial row per bell of a gaussian-family model,
+    else the 2-d sweep.
     """
     return _request(model, r, [_M], prior)[0]
 
@@ -516,13 +603,16 @@ def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_
 def gb_marginals(prior: RadialPrior, model: RadialDensity, r: float) -> tuple[float, float]:
     """The marginal m(g|x) and the directional numerator S at ||x|| = r.
 
-    S is ``directional_marginal`` of g, 0 at r = 0, from the oracle for
-    every prior: with m in one batch, or beside the harmonic prior's
-    closed m, where 1 + S / (r m) checks ``shrinkage.gb_multiplier``'s
-    closed form.  For a gaussian-family model (``RadialDensity.bells``)
-    S is r sum_j (M_j / (p v_j) - m_j) over its bells, a difference of
-    terms of size r m, so it holds to a tolerance of r m, not of S; for
-    any other model it is swept, to a tolerance of S.
+    S is ``directional_marginal`` of g, 0 at r = 0.  For a declared pure
+    power eta^k (the harmonic prior included) on a gaussian-family model
+    (``RadialDensity.bells``) m and S are closed, Kummer sums over the
+    bells, S = r (k/p) sum_j C_j 1F1(1 - k/2; p/2 + 1; -r^2/(2 v_j)).
+    For every other prior they come from the oracle, in one batch: on a
+    gaussian-family model S is r sum_j (M_j / (p v_j) - m_j) over its
+    bell rows, a difference of terms of size r m, so it holds to a
+    tolerance of r m, not of S; on any other model it is swept, to a
+    tolerance of S, and beside the harmonic prior's closed m
+    1 + S / (r m) checks ``shrinkage.gb_multiplier``'s closed form.
     """
     return tuple(_request(model, r, [_M, _S], prior))
 

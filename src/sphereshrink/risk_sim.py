@@ -259,7 +259,11 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
     (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8; power(-2.5) and
     log-thickened(0, 2) priors), except for power(-2.5) on the p = 3
     gaussian, whose head misses by 7.7e-3 of it (0.028 in phi), so that
-    its table raises TableError.  Where the oracle fails past the head,
+    its table raises TableError.  With power(-2.5)'s closed Kummer-sum
+    oracle on the gaussian, its misses read 2.5e-4 (head) and 5.9e-5
+    (tail) in p = 5, 1.3e-4 and 1.1e-4 in p = 8, and 7.7e-3 in the p = 3
+    head, as with the bell rows: the p = 3 miss is the table's own,
+    from the PCHIP slopes at a local maximum of phi.  Where the oracle fails past the head,
     TableError is raised: with power(-2.5) on a (1 + r^2)^-3.525 table
     in p = 5 (fitted q = 7.039, beta = 0.039) the tail's last midpoint
     lies at r = 1.5e12, and the oracle fails from r = 2.5e10.

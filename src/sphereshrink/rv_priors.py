@@ -391,14 +391,18 @@ class RadialPrior:
     ``rv_index`` (the regular-variation index) and ``origin_slope`` (the
     limit of eta G'/G at 0) are None when they must be estimated;
     ``log_depth`` counts the iterated-log factors riding on the power
-    part; ``harmonic`` marks G = eta^{2-p}, whose marginal has a closed
-    form.  ``gamma`` is the exponent used when the smoothing sequence is
-    glued onto the prior in properness and Blyth integrals.
+    part; ``pure_power`` is k for a prior declared as G = eta^k with no
+    log factor, else None: on a sum of gaussian bells its marginal, its
+    along-x numerator and its GB factor are closed (Kummer's 1F1); and
+    ``harmonic`` marks G = eta^{2-p}, whose marginal has a closed form on
+    every model.  ``gamma`` is the exponent used when the smoothing
+    sequence is glued onto the prior in properness and Blyth integrals.
     """
 
     rv_index = None
     origin_slope = None
     log_depth = 0
+    pure_power = None
     harmonic = False
 
     def __new__(cls, *args, **kwargs):
@@ -470,7 +474,8 @@ class _Declared(RadialPrior):
     of eta + c with exponents (0, e_1, ..., e_m), L = eta G'/G and
     X = eta (log f)' + eta^2 (log f)'' come from its eta-scaled slopes:
     G' = G L / eta, G'' = G (L (L - 1) + X) / eta / eta and
-    eta G''/G' = L - 1 + X / L.  A pure power keeps eta^k, k and k - 1.
+    eta G''/G' = L - 1 + X / L.  A pure power keeps eta^k, k and k - 1,
+    and declares ``pure_power`` = k.
     """
 
     def __init__(self, family: str, p: int, gamma, k, c: float = 0.0, exponents=()):
@@ -487,7 +492,8 @@ class _Declared(RadialPrior):
         self.family, self.k, self.exponents = family, k, exponents
         self.rv_index = self.origin_slope = k
         self.log_depth = len(exponents)
-        self.harmonic = k == 2.0 - self.p and not any(exponents)
+        self.pure_power = k if self._logs is None else None
+        self.harmonic = self.pure_power == 2.0 - self.p
         self.params = {"k": k} if self._logs is None else {"k": k, "c": c, "exponents": exponents}
         self.detail = ", ".join(f"{name}={value}" for name, value in self.params.items())
 

@@ -20,7 +20,7 @@ import numpy as np
 from sphereshrink._domain import radius, same_dimension
 from sphereshrink.numerics import QuadratureSpec, WeightTable, integrate
 from sphereshrink.radial_models import RadialDensity
-from sphereshrink.radial_convolution import gb_marginals
+from sphereshrink.radial_convolution import _power_on_bells, gb_marginals
 from sphereshrink.rv_priors import RadialPrior
 
 # Knots of the profile's geometric grid (an origin knot comes on top).
@@ -151,11 +151,17 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
     """Posterior-mean factor kappa with delta_g(x) = kappa(||x||) x.
 
     Splitting theta along and across x gives kappa = 1 + S / (r m), where
-    S is the cos-weighted marginal and m the plain one (``gb_marginals``),
-    one request of the convolution oracle for any prior but the harmonic:
-    for a gaussian-family model, the radial rows of its bells (S is
-    r (M / (p v) - m) for one bell of variance v, so kappa holds to a few
-    ulps of 1), and for any other model one 2-d sweep.
+    S is the cos-weighted marginal and m the plain one (``gb_marginals``).
+    Outside the two closed cases below they are one request of the
+    convolution oracle: for a gaussian-family model, the radial rows of
+    its bells (S is r (M / (p v) - m) for one bell of variance v, so
+    kappa holds to a few ulps of 1), and for any other model one 2-d
+    sweep.
+    For a declared pure power g(eta) = eta^k on a sum of gaussian bells
+    of variances v_j, 1 - kappa is closed, -(k/p) times a ratio of Kummer
+    sums, sum_j C_j 1F1(1 - k/2; p/2 + 1; -x_j) / sum_j C_j 1F1(-k/2; p/2; -x_j)
+    with x_j = r^2/(2 v_j), from which r^k cancels far out, so kappa is
+    finite where m underflows (``radial_convolution._power_on_bells``).
     For the harmonic g(eta) = eta^{2-p}, kappa is the shrinkage profile's
     1 - phi(r)/r^2: since F'(t) = -t f(t), S is d/dr of
     int g(theta) F(||theta - x||) dtheta, and by the mean-value property
@@ -172,5 +178,8 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
         if r < 1.0 and r**p < 1e-290:  # r^p alone would overflow far out
             return 2.0 / p
         return 1.0 - float(_exact_phi(model, r)) / r / r
+    bells = model.bells()
+    if prior.pure_power is not None and bells is not None:
+        return 1.0 - _power_on_bells(bells, p, prior.pure_power, r)[2]
     m, s = gb_marginals(prior, model, r)
     return 1.0 + s / (r * m)

@@ -438,6 +438,28 @@ def test_integrate_half_lines_refuses_a_bad_head_before_any_integrand_call(name,
     assert calls == [] and rounds == []
 
 
+@pytest.mark.parametrize("field, value", [("abs_tol", math.nan), ("rel_tol", math.nan), ("abs_tol", 0.0),
+                                          ("rel_tol", -1e-10), ("max_subdivisions", math.nan),
+                                          ("max_subdivisions", 0)])
+def test_a_spec_with_a_nan_or_nonpositive_tolerance_or_budget_is_refused(field, value):
+    # NaN passed `<= 0` and `< 1`, and the adaptive loop then accepted its
+    # first round: integrate(np.sqrt, [0, 1]) read 0.66668
+    with pytest.raises(ValueError, match="tolerances must be positive|max_subdivisions must be at least 1"):
+        QuadratureSpec(**{field: value})
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+def test_a_tail_scale_that_is_not_positive_and_finite_is_refused_before_any_integrand_call(scale, rounds):
+    # a NaN scale passed `<= 0` and raised NonFiniteIntegrand at the first node
+    calls = []
+    f = lambda term, r: calls.append(1) or np.exp(-r)
+    with pytest.raises(ValueError, match="^scale must be positive and finite$"):
+        numerics.integrate_half_lines(f, [[0.0, 1.0]], scale=scale)
+    with pytest.raises(ValueError, match="^scale must be positive and finite$"):
+        integrate_semi_infinite(lambda r: calls.append(1) or np.exp(-r), 0.0, scale=scale)
+    assert calls == [] and rounds == []
+
+
 # --- integrate_half_lines --------------------------------------------
 
 # Term j of the batch below: e^{-r}, r^2 e^{-r/2}, a kink |r - 3| e^{-r}

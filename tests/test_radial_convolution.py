@@ -302,7 +302,8 @@ def test_the_oracle_finds_the_kernel_far_from_the_origin(r):
     # underflows, and m reads 0; the head is split at the support radius
     model = gaussian(5)
     assert r > 1000.0 * model.support_radius(1e-16)
-    m = marginal_m(power_prior(-2.5, 5), model, r)
+    prior = power_prior(-2.5, 5)
+    m = radial_expectation(ConvolutionProblem(model, "density", prior.g_eval, r, prior.origin_class))
     assert abs(m / r**-2.5 - 1.0) <= 1.0 / r**2
     kappa = gb_multiplier(harmonic_prior(5), model, 5, r)
     assert abs((1.0 - kappa) * r * r / 3.0 - 1.0) <= 1e-5
@@ -406,7 +407,8 @@ def test_a_term_has_the_same_value_alone_and_in_a_batch(prior_name, parity_case)
         assert big_m_g == kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls) / g
     # bell rows, one per term for the gaussian and two for the mixture:
     # rows never share segments, and a row two terms share (m and S of
-    # one integrand) is the row either would have alone
+    # one integrand) is the row either would have alone.  The power
+    # prior's m and S are closed there (test_the_closed_power_terms_match_the_bell_rows)
     g = prior.g_eval
     terms = [("density", g, cls), ("tail_kernel", lambda lam: g(lam) / lam, cls - 1.0),
              ("tail_kernel", ones, 0.0), ("density", g, cls), ("tail_kernel", g, cls)]
@@ -416,8 +418,9 @@ def test_a_term_has_the_same_value_alone_and_in_a_batch(prior_name, parity_case)
             alone = [radial_convolution._request(model, r, [term], directional=(0,) if j == 3 else ())[0]
                      for j, term in enumerate(terms)]
             assert [v.hex() for v in values] == [v.hex() for v in alone], r
-            assert gb_marginals(prior, model, r) == (values[0], values[3])
-            assert marginal_m(prior, model, r) == values[0]
+            if prior.pure_power is None:
+                assert gb_marginals(prior, model, r) == (values[0], values[3])
+                assert marginal_m(prior, model, r) == values[0]
             assert kernel_marginal_M(g, model, r, singularity_class=cls) == values[4]
 
 
@@ -435,17 +438,29 @@ def test_a_request_at_the_origin_equals_its_one_term_requests_bitwise(model_name
     for value, (kernel, rho, c) in zip(values[:3], terms):
         alone = radial_expectation(ConvolutionProblem(model, kernel, rho, 0.0, c))
         assert value.hex() == alone.hex(), kernel
-    assert gb_marginals(prior, model, 0.0) == (values[0], 0.0)
-    assert values[0] == marginal_m(prior, model, 0.0)
+    # on the gaussian the power prior's m is closed, and meets its row to 1e-12
+    m = marginal_m(prior, model, 0.0)
+    assert gb_marginals(prior, model, 0.0) == (m, 0.0)
+    assert m == values[0] if model.bells() is None else m == pytest.approx(values[0], rel=1e-12, abs=0.0)
 
 
-def test_gb_marginals_take_the_closed_form_for_the_harmonic_prior():
-    # m is the closed form; S is swept, the closed GB factor's independent check
-    model, r = gaussian(5), 2.0
-    prior = harmonic_prior(5)
+@pytest.mark.parametrize("model", [gaussian(5), poly_exp(2.0, 1.0, 5)], ids=repr)
+def test_gb_marginals_take_the_closed_forms_for_the_harmonic_prior(model):
+    # m is the harmonic closed form on every model.  S is Kummer's closed
+    # form on a model with bells, where it meets Newton's theorem,
+    # S = -c_p (p-2) r^{1-p} A(r), and its bell rows; on any other model
+    # it is the oracle's, the closed GB factor's independent check
+    r, p = 2.0, model.p
+    prior = harmonic_prior(p)
     m, s = gb_marginals(prior, model, r)
     assert m == harmonic_marginal_closed(model, r)
-    assert s == directional_marginal(prior.g_eval, model, r, singularity_class=prior.origin_class)
+    rows = directional_marginal(prior.g_eval, model, r, singularity_class=prior.origin_class)
+    if model.bells() is None:
+        assert s == rows
+    else:
+        newton = -sphere_surface(p) * (p - 2.0) * r ** (1.0 - p) * float(model.kernel_moment(p - 1.0, r))
+        assert s == pytest.approx(newton, rel=1e-13, abs=0.0)
+        assert abs(s - rows) <= 1e-9 * r * m
     assert gb_marginals(prior, model, 0.0) == (harmonic_marginal_closed(model, 0.0), 0.0)
 
 
@@ -535,43 +550,42 @@ def test_an_angular_row_over_budget_names_its_term_and_lambda():
 
 # --- bell rows: gaussian-family models at r > 0 --------------------------------
 
-def power_references(k, p, r):
-    """E||x + Z||^k and 1 - kappa of power_prior(k, p) on gaussian(p), in 1F1 at 40 digits."""
+def power_references(k, model, r):
+    """m and 1 - kappa of power_prior(k, p) on ``model``, summed over its bells in 1F1 at 40 digits.
+
+    Bell j of weight w_j and variance v_j adds C_j 1F1(-k/2; p/2; -x_j) to
+    m and C_j 1F1(1-k/2; p/2+1; -x_j) to the numerator of
+    1 - kappa = -(k/p) * numerator / denominator, with x_j = r^2/(2 v_j) and
+    C_j = w_j (2 pi v_j)^(p/2) (2 v_j)^(k/2) Gamma((p+k)/2)/Gamma(p/2).
+    """
     with mpmath.workdps(40):
-        a, b, z = -mpmath.mpf(k) / 2, mpmath.mpf(p) / 2, -mpmath.mpf(r) ** 2 / 2
-        m = 2 ** (mpmath.mpf(k) / 2) * mpmath.gamma(b + mpmath.mpf(k) / 2) / mpmath.gamma(b) * mpmath.hyp1f1(a, b, z)
-        shrink = -(mpmath.mpf(k) / p) * mpmath.hyp1f1(a + 1, b + 1, z) / mpmath.hyp1f1(a, b, z)
-        return float(m), float(shrink)
+        k, p = mpmath.mpf(k), model.p
+        a, b = -k / 2, mpmath.mpf(p) / 2
+        m = numerator = 0
+        for w, v in model.bells():
+            w, v = mpmath.mpf(w), mpmath.mpf(v)
+            c = w * (2 * mpmath.pi * v) ** b * (2 * v) ** (k / 2) * mpmath.gamma(b - a) / mpmath.gamma(b)
+            x = mpmath.mpf(r) ** 2 / (2 * v)
+            m += c * mpmath.hyp1f1(a, b, -x)
+            numerator += c * mpmath.hyp1f1(a + 1, b + 1, -x)
+        return float(m), float(-(k / p) * numerator / m)
 
 
 BELL_RADII = (1e-300, 1e-30, 1e-8, 1e-3, 0.5, 1.0, 3.0, 30.0, 64.0, 1e3, 1e5)
-
-
-@pytest.mark.parametrize("k, p, tol", [(-2.5, 5, 1e-9), (-1.0, 5, 1e-9), (-2.5, 3, 1e-8)])
-def test_the_bell_rows_meet_the_1f1_closed_forms(k, p, tol):
-    # m = E||x + Z||^k = 2^(k/2) Gamma((p+k)/2)/Gamma(p/2) 1F1(-k/2; p/2; -r^2/2),
-    # kappa = 1 + (k/p) 1F1(1-k/2; p/2+1; -r^2/2) / 1F1(-k/2; p/2; -r^2/2).
-    # Far out kappa is a double near 1, which cannot hold 1 - kappa ~ k/r^2
-    # to 1e-9 of itself: it is held to 8 ulps of 1 there as well
-    prior, model = power_prior(k, p), gaussian(p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for r in BELL_RADII:
-            m_ref, shrink_ref = power_references(k, p, r)
-            assert abs(marginal_m(prior, model, r) / m_ref - 1.0) <= 1e-9, r
-            kappa = gb_multiplier(prior, model, p, r)
-            assert abs((1.0 - kappa) - shrink_ref) <= tol * shrink_ref + 8.0 * np.finfo(float).eps, r
 
 
 def test_the_bell_rows_mend_the_known_defects():
     # the sweep raised ToleranceNotReached for both: S is O(r) at r = 1e-8,
     # under a relative-only tolerance, and at the ridge lambda = r the
     # angular integrand of power(-2.5) in p = 3 is not integrable in v
-    kappa = gb_multiplier(power_prior(-2.5, 5), gaussian(5), 5, 1e-8)
-    assert kappa == pytest.approx(1.0 - power_references(-2.5, 5, 1e-8)[1], rel=1e-12)
+    prior, model, r = power_prior(-2.5, 5), gaussian(5), 1e-8
+    m = radial_expectation(ConvolutionProblem(model, "density", prior.g_eval, r, -2.5))
+    kappa = 1.0 + directional_marginal(prior.g_eval, model, r, singularity_class=-2.5) / (r * m)
+    assert kappa == pytest.approx(1.0 - power_references(-2.5, model, r)[1], rel=1e-12)
     assert kappa == pytest.approx(0.5, rel=1e-12)  # 1 + k/p
-    m = marginal_m(power_prior(-2.5, 3), gaussian(3), 1.0)
-    assert m == pytest.approx(power_references(-2.5, 3, 1.0)[0], rel=1e-9)
+    prior, model = power_prior(-2.5, 3), gaussian(3)
+    m = radial_expectation(ConvolutionProblem(model, "density", prior.g_eval, 1.0, -2.5))
+    assert m == pytest.approx(power_references(-2.5, model, 1.0)[0], rel=1e-9)
 
 
 BELL_MODELS = {
@@ -580,6 +594,92 @@ BELL_MODELS = {
     "mixture_diff(0.5, 0.5)": lambda p: mixture_diff(0.5, 0.5, p),
     "mixture_diff(1, 0.95)": lambda p: mixture_diff(1.0, 0.95, p),
 }
+
+
+@pytest.mark.parametrize("model_name", sorted(BELL_MODELS))
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("k", [-2.5, -1.0, 0.5])
+def test_the_closed_power_terms_meet_40_digit_references(model_name, p, k):
+    # a pure power's m, S and 1 - kappa on a sum of bells are Kummer sums,
+    # held to 1e-13 of the references with no numpy warning, and are what
+    # gb_marginals, marginal_m and gb_multiplier return.  Far out kappa is
+    # a double near 1, which cannot hold 1 - kappa ~ -k/r^2 to 1e-13 of
+    # itself: gb_multiplier is 1 less the closed 1 - kappa.  k = 2 - p is
+    # the harmonic prior, whose m and kappa are its own closed forms, which
+    # lose up to 6e-13 to the cancelling bells of mixture_diff(1, 0.95)
+    prior, model = power_prior(k, p), BELL_MODELS[model_name](p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in BELL_RADII:
+            m_ref, shrink_ref = power_references(k, model, r)
+            m, s, shrink = radial_convolution._power_on_bells(model.bells(), p, k, r)
+            assert abs(m / m_ref - 1.0) <= 1e-13, r
+            assert abs(shrink / shrink_ref - 1.0) <= 1e-13, r
+            assert abs(-s / (r * m) / shrink_ref - 1.0) <= 1e-13, r
+            assert gb_marginals(prior, model, r)[1] == s
+            kappa = gb_multiplier(prior, model, p, r)
+            if prior.harmonic:
+                assert abs(marginal_m(prior, model, r) / m_ref - 1.0) <= 1e-12, r
+                assert abs(kappa - (1.0 - shrink)) <= 1e-12 * shrink + 2.0 * np.finfo(float).eps, r
+            else:
+                assert marginal_m(prior, model, r) == m
+                assert kappa == 1.0 - shrink, r
+
+
+CLOSED_PRIORS = {
+    "harmonic": lambda: harmonic_prior(5),
+    "power(-2.5)": lambda: power_prior(-2.5, 5),
+    "power(-1)": lambda: power_prior(-1.0, 5),
+    "power(-2.5, p=3)": lambda: power_prior(-2.5, 3),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(BELL_MODELS))
+@pytest.mark.parametrize("prior_name", sorted(CLOSED_PRIORS))
+def test_the_closed_power_terms_match_the_bell_rows(model_name, prior_name, parity_case):
+    # the bell rows, reached through the entries that take a callable
+    # integrand, are the closed forms' independent reference, held as they
+    # hold the sweep (m to 1e-9 of itself, S to 1e-9 r m) on its radii and
+    # on BELL_RADII; at r = 0 m is the radial row's
+    prior = CLOSED_PRIORS[prior_name]()
+    model = BELL_MODELS[model_name](prior.p)
+    radii = parity_case("power", "gaussian")[2]
+    g, k = prior.g_eval, prior.pure_power
+    for r in (0.0, *BELL_RADII, *radii[:2], model.support_radius(1e-16), *radii[3:]):
+        m, s = gb_marginals(prior, model, r)
+        m_rows = radial_expectation(ConvolutionProblem(model, "density", g, r, k))
+        assert abs(m / m_rows - 1.0) <= 1e-9, r
+        assert abs(s - directional_marginal(g, model, r, singularity_class=k)) <= 1e-9 * r * m_rows, r
+
+
+def test_a_pure_power_on_bells_reaches_neither_the_bell_rows_nor_the_sweep(monkeypatch):
+    made = []
+    for name in ("_bell_rows", "_sweep"):
+        rows = getattr(radial_convolution, name)
+        monkeypatch.setattr(radial_convolution, name, lambda *args, name=name, rows=rows: made.append(name) or rows(*args))
+    for prior in (power_prior(-2.5, 5), harmonic_prior(5)):
+        for model in (gaussian(5), mixture_diff(0.5, 0.5, 5)):
+            for r in (0.0, 1.0, 1e5):
+                gb_marginals(prior, model, r)
+                marginal_m(prior, model, r)
+            gb_multiplier(prior, model, 5, 1.0)
+            asymptotic_ratio_probe(prior, model, [10.0, 100.0])
+    # the probe's two tail-kernel terms are callable integrands: bell rows
+    assert made == ["_bell_rows"] * 8
+    made.clear()
+    gb_marginals(log_thickened_prior(0, 2.0, 5), gaussian(5), 1.0)
+    assert made == ["_bell_rows"]
+
+
+@pytest.mark.parametrize("prior", [power_prior(-5.0, 5), power_prior(-7.0, 5)], ids=["k=-p", "k<-p"])
+def test_a_power_at_or_below_minus_p_is_refused_before_any_1f1(prior, monkeypatch):
+    monkeypatch.setattr(radial_convolution, "hyp1f1", lambda *args: pytest.fail("1F1 evaluated"))
+    lead = r"^singularity_class must be finite and in \(-5, inf\), not "
+    for call in (lambda: marginal_m(prior, gaussian(5), 1.0), lambda: gb_marginals(prior, gaussian(5), 0.0),
+                 lambda: gb_multiplier(prior, gaussian(5), 5, 1.0)):
+        with pytest.raises(ConvolutionError, match=lead) as exc:
+            call()
+        assert not isinstance(exc.value, IntegrabilityError)
 
 
 @pytest.mark.parametrize("model_name", sorted(BELL_MODELS))
@@ -616,8 +716,10 @@ def test_the_bells_of_a_mixture_cancel_in_s_without_loss(prior_name, parity_case
         assert abs(parts[0] + parts[1] - s) <= 1e-9 * r * m, r
 
 
-# far out: m is r^k (1 + O(r^-2)) for power(k), and a prior whose m
-# there is below _M_FLOOR = 1e-288 (by ten decades or more) is refused
+# far out: m is r^k (1 + O(r^-2)) for power(k).  The bell rows refuse a
+# prior whose m there is below _M_FLOOR = 1e-288 (by ten decades or
+# more); a pure power's m is closed, and refused below the smallest
+# normal double
 FAR_PRIORS = {
     "power(-0.5)": lambda: power_prior(-0.5, 5),
     "power(-1)": lambda: power_prior(-1.0, 5),
@@ -625,30 +727,43 @@ FAR_PRIORS = {
     "power(-2.5, p=3)": lambda: power_prior(-2.5, 3),
     "log_thickened": lambda: log_thickened_prior(1, 20.0, 5),
 }
-FAR_KAPPA = {("power(-0.5)", 1e150), ("power(-0.5)", 1e200), ("power(-0.5)", 1e300),
-             ("power(-1)", 1e150), ("power(-1)", 1e200)}
+# where the bell rows' m of a power prior is above their floor
+FAR_ROWS = {("power(-0.5)", 1e150), ("power(-0.5)", 1e200), ("power(-0.5)", 1e300),
+            ("power(-1)", 1e150), ("power(-1)", 1e200)}
 
 
 @pytest.mark.parametrize("model_name", sorted(BELL_MODELS))
 @pytest.mark.parametrize("prior_name", sorted(FAR_PRIORS))
 @pytest.mark.parametrize("r", [1e150, 1e200, 1e300])
 def test_far_out_the_bell_rows_return_kappa_or_name_the_floor(model_name, prior_name, r):
-    # the variable is lambda - r there, so the bell stays resolved, and
-    # lambda^(p-1) A_b(r lambda / v) is formed without r lambda, which
+    # the rows' variable is lambda - r there, so the bell stays resolved,
+    # and lambda^(p-1) A_b(r lambda / v) is formed without r lambda, which
     # overflows past r = 1e154.  1 - kappa ~ -k/r^2 is below an ulp of
-    # kappa, which S = r sum_j (M_j/(p v_j) - m_j) reaches to a few ulps
-    # of 1 times the bells' cancellation in m, sum |w_j| v_j^(p/2) / f's mass
+    # kappa, which the rows' S = r sum_j (M_j/(p v_j) - m_j) reaches to a
+    # few ulps of 1 times the bells' cancellation in m, sum |w_j| v_j^(p/2)
+    # / f's mass.  A pure power's kappa is closed, 1 less a ratio of Kummer
+    # sums from which r^k cancels: it is returned at every radius, and its
+    # m wherever r^k is a normal double
     prior = FAR_PRIORS[prior_name]()
     model = BELL_MODELS[model_name](prior.p)
     masses = [w * v ** (0.5 * prior.p) for w, v in model.bells()]
     cancel = sum(map(abs, masses)) / sum(masses)
+    g = float(prior.g_eval(r))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert kernel_marginal_M(ones, model, r) == pytest.approx(1.0, rel=1e-12)
-        if (prior_name, r) in FAR_KAPPA:
-            assert marginal_m(prior, model, r) == pytest.approx(float(prior.g_eval(r)), rel=1e-9)
-            assert abs(gb_multiplier(prior, model, prior.p, r) - 1.0) <= 8.0 * np.finfo(float).eps * cancel
-        else:
+        if (prior_name, r) in FAR_ROWS:
+            rows = radial_expectation(ConvolutionProblem(model, "density", prior.g_eval, r, prior.origin_class))
+            assert rows == pytest.approx(g, rel=1e-9)
+        if prior.pure_power is None:
             lead = rf"^integrability fails: m at r={re.escape(f'{r:.3g}')}: a row is \S+, below 1e-288, where it holds only"
             with pytest.raises(IntegrabilityError, match=lead):
                 gb_multiplier(prior, model, prior.p, r)
+        elif g >= np.finfo(float).tiny:
+            assert abs(gb_multiplier(prior, model, prior.p, r) - 1.0) <= 8.0 * np.finfo(float).eps * cancel
+            assert marginal_m(prior, model, r) == pytest.approx(g, rel=1e-9)
+        else:
+            assert abs(gb_multiplier(prior, model, prior.p, r) - 1.0) <= 8.0 * np.finfo(float).eps * cancel
+            lead = rf"^integrability fails: m at r={re.escape(f'{r:.3g}')} is \S+, not a normal double$"
+            with pytest.raises(IntegrabilityError, match=lead):
+                marginal_m(prior, model, r)
