@@ -18,15 +18,18 @@ Every value here comes from one request path, ``_request``: a list of
 terms that share the model and the radius r, each an integrand rho, a
 kernel weight (the density f or the tail kernel F/C_f) and a
 singularity class, some with the directional numerator's extra
-lambda cos(phi).  It holds the dimension check, the one radius check
-(0 <= r < inf), the closed forms, which take no quadrature (the
-harmonic prior's m on every model, and on a sum of gaussian bells the m
-and S of a declared pure power G = eta^k, Kummer sums from
-``_power_on_bells``), and the one conversion of a divergent tail or an
-overflowing integrand into IntegrabilityError, to which the bell path
-adds an m whose row is below ``_M_FLOOR``, and the closed path an m
-that is not a normal double; a failed integral's message names its
-term and r.
+lambda cos(phi).  A term may instead be a prior term (``_PriorTerm``),
+the marginal of eta^shift g for the request's prior g: m and S against
+f, M(g) and M(g/||theta||) against F/C_f.  The request holds the
+dimension check, the one radius check (0 <= r < inf), the closed forms,
+which take no quadrature (the harmonic prior's m on every model, and on
+a sum of gaussian bells every prior term of a declared pure power
+G = eta^k, Kummer sums from ``_power_on_bells``: m, S, and the ratio
+probe's and FG1's M(g) and M(g/||theta||)), and the one conversion of a
+divergent tail or an overflowing integrand into IntegrabilityError, to
+which the bell path adds an m whose row is below ``_M_FLOOR``, and the
+closed path a plain term that is not a normal double; a failed
+integral's message names its term and r.
 At r = 0 each term is radial, a directional one exactly 0, and the
 terms are one ``numerics.integrate_half_lines`` batch; the head of a
 term with a negative singularity class starts from the ratio-2 ladder 2^-k
@@ -49,8 +52,11 @@ The sweep is the slow-but-independent oracle for the closed forms: the
 kernel moments of ``shrinkage``'s weight, which is also the harmonic
 prior's GB factor, the harmonic prior's m here, and the bell rows,
 which the tests compare with it wherever both run; the bell rows, in
-turn, are the Kummer sums' reference.  On a model without bells S is
-never closed, so ``gb_marginals`` checks that closed GB factor there.
+turn, are the Kummer sums' reference, reached through the entries that
+take a callable integrand (``radial_expectation``,
+``kernel_marginal_M``, ``directional_marginal``), which never take a
+closed form.  On a model without bells S is never closed, so
+``gb_marginals`` checks that closed GB factor there.
 """
 
 from __future__ import annotations
@@ -116,10 +122,27 @@ _TINY = float(np.finfo(float).tiny)
 # relative one, and a prior's m with such a row is refused: far out, where
 # the prior falls faster than 1/r, it underflows toward 0.
 _M_FLOOR = _CLOSED_SPEC.abs_tol / _CLOSED_SPEC.rel_tol
-_M = object()  # the prior's marginal m(g|x) as a term of a request
-_S = object()  # the prior's along-x numerator S(g|x) as a term of a request
 
 KERNELS = ("density", "tail_kernel")
+
+
+@dataclass(frozen=True)
+class _PriorTerm:
+    """A marginal of a request's prior g: ``kernel`` against eta^shift g, along x if ``along``.
+
+    ``name`` is how a failure names the term.
+    """
+
+    name: str
+    kernel: str
+    shift: float = 0.0
+    along: bool = False
+
+
+_M = _PriorTerm("m", "density")  # m(g|x)
+_S = _PriorTerm("S", "density", along=True)  # the along-x numerator S(g|x)
+_MG = _PriorTerm("M(g)", "tail_kernel")  # M(g|x)
+_MG_NORM = _PriorTerm("M(g/|theta|)", "tail_kernel", -1.0)  # M(g/||theta|| | x)
 
 
 class ConvolutionError(Exception):
@@ -172,40 +195,54 @@ def radial_expectation(problem: ConvolutionProblem) -> float:
 
 
 def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = None, directional=()) -> list:
-    """The values at ||x|| = r of ``terms``, each a (kernel, integrand, class) ConvolutionProblem.
+    """The values at ||x|| = r of ``terms``: prior terms of ``prior``, or (kernel, integrand, class) problems.
 
-    The term ``_M`` is the marginal m(g|x) of ``prior`` and ``_S`` its
-    along-x numerator S(g|x).  The harmonic prior's m is its closed form;
-    on a model with bells, at every r >= 0, a declared pure power's m and
-    S are Kummer sums (``_power_on_bells``), and its m raises
-    IntegrabilityError naming r where it is not a normal double (far
-    out, where r^k underflows); any other m or S is the density term of
-    g, plain or directional.  A term whose index is in ``directional``
-    is the along-x numerator of its integrand.  A radius that is
-    negative, infinite or NaN is refused with ConvolutionError.  A failed
-    integral names its term and r: "m", "S" or "term j".  On the bell
-    path, a prior's m with a row of at most ``_M_FLOOR`` (far out, where
-    it underflows) raises IntegrabilityError naming r.
+    A prior term (``_PriorTerm``: ``_M``, ``_S``, ``_MG``, ``_MG_NORM``)
+    is the marginal of eta^shift g against its kernel, along x if it says
+    so.  The harmonic prior's m is its closed form on every model.  On a
+    model with bells, at every r >= 0, every prior term of a declared pure
+    power eta^k is a Kummer sum (``_power_on_bells``) at power k + shift,
+    over the bells (w_j, v_j) for the density and (w_j v_j / C_f, v_j) for
+    the tail kernel, since F of a bell is a bell; a plain one raises
+    IntegrabilityError naming the term and r where it is not a normal
+    double (far out, where r^k underflows), and a k + shift at or below
+    -p is refused with ConvolutionError.  Every other prior term is the
+    term of the integrand eta^shift g, of class ``origin_class`` + shift.
+    A callable term whose index is in ``directional`` is the along-x
+    numerator of its integrand.  A radius that is negative, infinite or
+    NaN is refused with ConvolutionError.  A failed integral names its
+    term and r: a prior term by its name, any other as "term j".  On the
+    bell path, a prior's m with a row of at most ``_M_FLOOR`` (far out,
+    where it underflows) raises IntegrabilityError naming r.
     """
     same_dimension(ConvolutionError, model, prior)
     r = radius(r, ConvolutionError, "radius")
-    values, todo = [0.0] * len(terms), []
+    values, todo, closed = [0.0] * len(terms), [], {}
     for j, term in enumerate(terms):
-        cos = term is _S or j in directional
+        if term is _M and prior.harmonic:
+            values[j] = _harmonic_m(model, r)
+            continue
+        of_prior = isinstance(term, _PriorTerm)
+        cos = term.along if of_prior else j in directional
         if cos and r == 0.0:
             continue  # by symmetry, a directional term is 0 at r = 0
-        name = "S" if term is _S else "m" if term is _M else f"term {j}"
-        if term is _M or term is _S:
-            if term is _M and prior.harmonic:
-                values[j] = _harmonic_m(model, r)
+        name = term.name if of_prior else f"term {j}"
+        if of_prior:
+            bells = model.bells()
+            if prior.pure_power is not None and bells is not None:
+                key = (term.kernel, term.shift)
+                if key not in closed:
+                    weights = bells
+                    if term.kernel == "tail_kernel":
+                        norm = c_f(model)
+                        weights = tuple((w * v / norm, v) for w, v in bells)
+                    closed[key] = _power_on_bells(weights, model.p, prior.pure_power + term.shift, r)
+                values[j] = value = closed[key][1 if cos else 0]
+                if not cos and not _TINY <= value < math.inf:
+                    raise IntegrabilityError(f"integrability fails: {name} at r={r:.3g} is {value:.3g}, "
+                                             "not a normal double")
                 continue
-            if prior.pure_power is not None and model.bells() is not None:
-                m, s, _ = _power_on_bells(model.bells(), model.p, prior.pure_power, r)
-                if term is _M and not _TINY <= m < math.inf:
-                    raise IntegrabilityError(f"integrability fails: m at r={r:.3g} is {m:.3g}, not a normal double")
-                values[j] = m if term is _M else s
-                continue
-            term = ("density", prior.g_eval, prior.origin_class)
+            term = (term.kernel, _shifted(prior.g_eval, term.shift), prior.origin_class + term.shift)
         todo.append((j, ConvolutionProblem(model, term[0], term[1], r, term[2]), cos, f"{name} at r={r:.3g}"))
     if todo:
         at, problems, cos, names = zip(*todo)
@@ -222,6 +259,11 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
         for j, value in zip(at, swept.tolist()):
             values[j] = value
     return values
+
+
+def _shifted(g, shift):
+    """The integrand eta^shift g(eta): g itself at shift 0, else g(eta) / eta^-shift."""
+    return g if shift == 0.0 else lambda lam: g(lam) / lam**-shift
 
 
 def _sweep(problems, cos, names) -> np.ndarray:
@@ -324,7 +366,10 @@ def _sweep(problems, cos, names) -> np.ndarray:
             raise ToleranceNotReached(f"{names[term[i]]}, lambda={lams[i]:.3g}: {exc}", exc.result,
                                       exc.worst_segment, i) from exc
         y = inner * _by_group(weights, weight_of, term, lams)
-        y *= _by_group(powers, power_of, term, lams)
+        # far out lambda^e overflows, and times a weight of 0 is nan: the
+        # quadrature's non-finite check names the term and r
+        with np.errstate(over="ignore", invalid="ignore"):
+            y *= _by_group(powers, power_of, term, lams)
         return y
 
     head = [0.0, spike, r, cut] if r > spike else [0.0, r, cut]
@@ -335,9 +380,9 @@ def _sweep(problems, cos, names) -> np.ndarray:
 def _bell_rows(problems, cos, names, bells, floored) -> np.ndarray:
     """The terms at r > 0 for a model that is a sum of gaussian bells (``RadialDensity.bells``).
 
-    These are the terms given as a callable integrand, and the m and S of
-    every prior but a declared pure power, whose are closed
-    (``_power_on_bells``).
+    These are the terms given as a callable integrand, and the prior
+    terms of every prior but a declared pure power, whose are closed
+    (``_power_on_bells``), and the harmonic prior's m.
 
     The angular average of a bell of variance v about x is closed: with
     lambda = ||theta||, z = r lambda / v and b = p/2,
@@ -479,8 +524,10 @@ def _power_on_bells(bells, p, k, r):
     (2 v_j / r) / r, which does not overflow.  Once every bell is that far
     out, r^k cancels from 1 - kappa, which stays finite where m, r^k
     times a sum near f's mass 1, under- or overflows; the caller judges m.
-    k <= -p, where m diverges, is refused with the ConvolutionError of
-    ``ConvolutionProblem``'s check, before any 1F1 is evaluated.
+    The bells of F / C_f, (w_j v_j / C_f, v_j), give the tail-kernel
+    marginal M in place of m.  k <= -p, where m diverges, is refused with
+    the ConvolutionError of ``ConvolutionProblem``'s check, before any
+    1F1 is evaluated.
     """
     k = real(k, ConvolutionError, "singularity_class", -p)
     a, b = -0.5 * k, 0.5 * p
@@ -596,7 +643,13 @@ def marginal_m(prior: RadialPrior, model: RadialDensity, r: float) -> float:
 
 
 def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_class: float = 0.0) -> float:
-    """Tail-kernel marginal M(rho|x) = (1/C_f) int rho(||theta||) F(||theta - x||) dtheta."""
+    """Tail-kernel marginal M(rho|x) = (1/C_f) int rho(||theta||) F(||theta - x||) dtheta.
+
+    The integrand is a callable, so this always runs the oracle (the bell
+    rows of a gaussian-family model at r > 0, else the sweep), also for a
+    prior's g: it is the independent reference of the closed M(g) and
+    M(g/||theta||) that ``asymptotic_ratio_probe`` takes for a pure power.
+    """
     return _request(model, r, [("tail_kernel", integrand, singularity_class)])[0]
 
 
@@ -633,6 +686,10 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     the empirical convergence exponent (positive means the ratio closes
     in on 1 at a power rate).  ``r_list`` is checked before the prior's
     slope audit: it needs two radii or more, each positive and finite.
+    At each radius the three marginals are one request of prior terms,
+    M(g), M(g/||theta||) and m: for a declared pure power on a
+    gaussian-family model all three are Kummer sums and no quadrature
+    runs; for the harmonic prior m is closed on every model.
     """
     rs = tuple(radii(r_list, ConvolutionError, "probe radii", positive=True, least=2).tolist())
 
@@ -644,13 +701,10 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     if not s > need:
         raise ConvolutionError(f"model tail too heavy for the probe: s={s:.3g} <= {need:.3g}")
 
-    g, cls = prior.g_eval, prior.origin_class
-    over_norm = lambda lam: g(lam) / lam
     ratios = {"m_g": [], "M_g": [], "M_g_over_norm": []}
     for r in rs:
-        big_m, big_m_norm, m = _request(
-            model, r, [("tail_kernel", g, cls), ("tail_kernel", over_norm, cls - 1.0), _M], prior)
-        gr = float(g(r))
+        big_m, big_m_norm, m = _request(model, r, [_MG, _MG_NORM, _M], prior)
+        gr = float(prior.g_eval(r))
         ratios["m_g"].append(m / gr)
         ratios["M_g"].append(big_m / gr)
         ratios["M_g_over_norm"].append(big_m_norm / (gr / r))

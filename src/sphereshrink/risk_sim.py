@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from sphereshrink._domain import integer, radii, real, same_dimension
 from sphereshrink.numerics import QuadratureError, WeightTable, gated_table, sphere_surface
@@ -248,22 +248,22 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
     is the one ``harmonic_bayes`` reads; for any other prior
     phi = r^2 (1 - kappa) = -r S/m comes from the convolution oracle's
     ``gb_marginals``.  The head's ``_GB_KNOTS`` = 49 geometric knots end
-    at max(support_radius(1e-10), 1), with the slopes of a PCHIP through
-    phi.  The tail's lead is -c_f r G'(r)/G(r), c_f = E||X||^2/p:
-    phi's first term at large r, tending to -k c_f for a prior of index
-    k, so that the rest is near linear in r^-beta,
+    at max(support_radius(1e-10), 1), with the slopes of a not-a-knot
+    cubic spline through phi in log r (a PCHIP's would be 0 at phi's
+    local maximum near r = 2.9 on the p = 3 gaussian, whose head then
+    missed by 7.7e-3).  The tail's lead is -c_f r G'(r)/G(r),
+    c_f = E||X||^2/p: phi's first term at large r, tending to -k c_f for
+    a prior of index k, so that the rest is near linear in r^-beta,
     beta = ``shrinkage.tail_power``, even where G carries log factors.
     The gates allow ``_GB_TABLE_TOL`` = 2e-3 of max(1, the largest |phi|
-    at a head knot).  Measured misses are at most 4.4e-4 of that in the
-    head and 1.9e-4 in the tail (gaussian p = 3, 5, 8 and
-    (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8; power(-2.5) and
-    log-thickened(0, 2) priors), except for power(-2.5) on the p = 3
-    gaussian, whose head misses by 7.7e-3 of it (0.028 in phi), so that
-    its table raises TableError.  With power(-2.5)'s closed Kummer-sum
-    oracle on the gaussian, its misses read 2.5e-4 (head) and 5.9e-5
-    (tail) in p = 5, 1.3e-4 and 1.1e-4 in p = 8, and 7.7e-3 in the p = 3
-    head, as with the bell rows: the p = 3 miss is the table's own,
-    from the PCHIP slopes at a local maximum of phi.  Where the oracle fails past the head,
+    at a head knot).  Measured misses are at most 4.9e-4 of that in the
+    head and 2.6e-4 in the tail, both for power(-2.5) on the p = 3
+    gaussian, and at most 1.6e-4 and 1.9e-4 on the other cases (gaussian
+    p = 3, 5, 8 and (1 + r^2)^-q/2 tables in p = 5, q = 7.2 and 8;
+    power(-2.5) and log-thickened(0, 2) priors): power(-2.5) reads
+    1.1e-4 (head) and 5.9e-5 (tail) in p = 5 and 5.2e-5 and 1.1e-4 in
+    p = 8, the tables at most 1.2e-4 (head) and 1.9e-4 (tail, q = 7.2,
+    log-thickened).  Where the oracle fails past the head,
     TableError is raised: with power(-2.5) on a (1 + r^2)^-3.525 table
     in p = 5 (fitted q = 7.039, beta = 0.039) the tail's last midpoint
     lies at r = 1.5e12, and the oracle fails from r = 2.5e10.
@@ -291,7 +291,9 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
 
         cf = c_f(model)
         phi_k = phi(grid)
-        dphi = PchipInterpolator(grid, phi_k).derivative()(grid)
+        # d phi/d log r of a not-a-knot spline, which keeps phi's local extrema
+        # (a PCHIP sets a slope of 0 at one, and misses the p = 3 gaussian head)
+        dphi = CubicSpline(np.log(grid), phi_k).derivative()(np.log(grid)) / grid
         table = tables[prior] = WeightTable(
             grid, phi_k / grid**2, (dphi - 2.0 * phi_k / grid) / grid**2, phi, lambda r: -cf * prior.log_deriv(r),
             tail_power(model), _GB_TABLE_TOL * max(1.0, float(np.max(np.abs(phi_k)))), TableError, "GB table misses psi")

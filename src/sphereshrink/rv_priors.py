@@ -813,16 +813,18 @@ def _fg1_finite(prior: RadialPrior, model) -> bool:
     """FG1: the marginals m(g|0) and M(g/||theta|| | 0) of the prior are finite.
 
     They are c_p int g f lambda^{p-1} and (c_p / C_f) int g F lambda^{p-2},
-    one two-term request of the convolution oracle at r = 0.  It fails on
-    an origin class at or below -p (in the second term, a power prior's
-    k <= 1 - p), a divergent tail, any quadrature failure or infinite C_f.
+    one request of the convolution oracle's prior terms m and
+    M(g/||theta||) at r = 0: closed for the harmonic prior's m, and for
+    both terms of a declared pure power on a gaussian-family model (Kummer
+    sums), else quadrature.  It fails on an origin class at or below -p
+    (in the second term, a power prior's k <= 1 - p), a divergent tail,
+    any quadrature failure or infinite C_f.
     """
-    from sphereshrink.radial_convolution import ConvolutionError, _request
+    from sphereshrink.radial_convolution import _M, _MG_NORM, ConvolutionError, _request
     from sphereshrink.radial_models import DivergentMoment
 
-    g, cls = prior.g_eval, prior.origin_class
     try:
-        _request(model, 0.0, [("density", g, cls), ("tail_kernel", lambda lam: g(lam) / lam, cls - 1.0)])
+        _request(model, 0.0, [_M, _MG_NORM], prior)
     except (ConvolutionError, QuadratureError, DivergentMoment):
         return False
     return True

@@ -407,6 +407,21 @@ def test_risk_takes_the_log_thickened_prior(tmp_path):
     assert [row[0] for row in data_rows(out)] == ["0.0", "4.0", "dominance"]
 
 
+def test_risk_takes_a_power_prior_in_three_dimensions(tmp_path):
+    # the GB table's head missed its gate at phi's local maximum near r = 2.9 (exit 1)
+    out = tmp_path / "risk.csv"
+    assert cli.main(["risk", "--family", "gaussian", "--p", "3", "--estimator", "gb", "--prior", "power",
+                     "--k", "-2.5", "--n", "2000", "--theta", "0,4", "--out", str(out)]) == cli.EXIT_OK
+    assert [row[0] for row in data_rows(out)] == ["0.0", "4.0", "dominance"]
+
+
+def test_prior_reads_fg1_true_for_a_power_in_five_dimensions(capsys):
+    # both FG1 marginals of power(-2.5) on the p = 5 gaussian are closed and finite
+    assert cli.main(["prior", "--p", "5", "--prior", "power", "--k", "-2.5", "--no-blyth"]) == cli.EXIT_OK
+    rows = list(csv.reader(line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")))
+    assert ["classification", "fg1_ok", "true"] in rows
+
+
 @pytest.mark.parametrize("argv", [
     ["risk", *MODEL, "--gamma", "1"],  # gamma changes no number of risk or probe
     ["probe", *MODEL, "--gamma", "1"],

@@ -18,7 +18,7 @@ from scipy.special import erf
 from sphereshrink import numerics, radial_convolution
 from sphereshrink.numerics import ToleranceNotReached, sphere_surface
 from sphereshrink.radial_models import DivergentMoment, gaussian, mixture_diff, poly_exp, tabulated
-from sphereshrink.rv_priors import custom_prior, harmonic_prior, log_thickened_prior, power_prior
+from sphereshrink.rv_priors import _fg1_finite, custom_prior, harmonic_prior, log_thickened_prior, power_prior
 from sphereshrink.shrinkage import gb_multiplier
 from sphereshrink.radial_convolution import (
     AsymptoticProbe,
@@ -398,13 +398,15 @@ def test_a_term_has_the_same_value_alone_and_in_a_batch(prior_name, parity_case)
         m, s = gb_marginals(prior, model, r)
         assert m == marginal_m(prior, model, r)
         assert s == directional_marginal(prior.g_eval, model, r, singularity_class=cls)
-    # the ratio probe's three terms, each against its one-term request
+    # the ratio probe's three terms, each against its one-term request; a
+    # pure power's M(g) is closed on the gaussian, and meets its row to 1e-12
     prior, model, radii = parity_case(prior_name, "gaussian")
     probe = asymptotic_ratio_probe(prior, model, [10.0, 100.0])
     for r, m_g, big_m_g in zip(probe.radii, probe.ratios["m_g"], probe.ratios["M_g"]):
         g = float(prior.g_eval(r))
         assert m_g == marginal_m(prior, model, r) / g
-        assert big_m_g == kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls) / g
+        rows = kernel_marginal_M(prior.g_eval, model, r, singularity_class=cls) / g
+        assert big_m_g == (rows if prior.pure_power is None else pytest.approx(rows, rel=1e-12, abs=0.0))
     # bell rows, one per term for the gaussian and two for the mixture:
     # rows never share segments, and a row two terms share (m and S of
     # one integrand) is the row either would have alone.  The power
@@ -664,11 +666,52 @@ def test_a_pure_power_on_bells_reaches_neither_the_bell_rows_nor_the_sweep(monke
                 marginal_m(prior, model, r)
             gb_multiplier(prior, model, 5, 1.0)
             asymptotic_ratio_probe(prior, model, [10.0, 100.0])
-    # the probe's two tail-kernel terms are callable integrands: bell rows
-    assert made == ["_bell_rows"] * 8
+    assert made == []
     made.clear()
     gb_marginals(log_thickened_prior(0, 2.0, 5), gaussian(5), 1.0)
     assert made == ["_bell_rows"]
+
+
+TERM_PRIORS = {"harmonic": harmonic_prior, "power(-1)": lambda p: power_prior(-1.0, p),
+               "power(-2.5)": lambda p: power_prior(-2.5, p)}
+
+
+@pytest.mark.parametrize("model_name", ["gaussian", "mixture_diff(0.5, 0.5)", "poly_exp(0, 0.7)"])
+@pytest.mark.parametrize("prior_name", sorted(TERM_PRIORS))
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_closed_tail_kernel_terms_match_kernel_marginal_m(p, prior_name, model_name, monkeypatch):
+    # a pure power's M(g) and M(g/||theta||) are Kummer sums over the bells
+    # of F / C_f, with no row run; kernel_marginal_M, which takes a
+    # callable, runs the rows and is their reference to 1e-12.  Where
+    # k - 1 <= -p (power(-2.5) in p = 3) both refuse M(g/||theta||) alike,
+    # and FG1, whose terms are m and M(g/||theta||) at r = 0, reads false
+    prior, model = TERM_PRIORS[prior_name](p), BELL_MODELS[model_name](p)
+    g, k = prior.g_eval, prior.pure_power
+    rows = {radial_convolution._MG: (g, k), radial_convolution._MG_NORM: (lambda lam: g(lam) / lam, k - 1.0)}
+    radii = (0.0, 1e-8, 1e-3, 1.0, 30.0, 1e3)
+    want = {}
+    for r in radii:
+        for term, (rho, cls) in rows.items():
+            try:
+                want[term, r] = kernel_marginal_M(rho, model, r, singularity_class=cls)
+            except ConvolutionError as exc:
+                want[term, r] = exc
+    for name in ("_bell_rows", "_sweep"):
+        monkeypatch.setattr(radial_convolution, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    for r in radii:
+        for term in rows:
+            if isinstance(want[term, r], ConvolutionError):
+                with pytest.raises(ConvolutionError, match=f"^{re.escape(str(want[term, r]))}$"):
+                    radial_convolution._request(model, r, [term], prior)
+            else:
+                got = radial_convolution._request(model, r, [term], prior)[0]
+                assert got == pytest.approx(want[term, r], rel=1e-12, abs=0.0), (term.name, r)
+    assert _fg1_finite(prior, model) is (k - 1.0 > -p)
+    if k - 1.0 > -p:
+        # a closed plain term that underflows is judged as m is: r^(k-1) is 0 at r = 1e300
+        lead = r"^integrability fails: M\(g/\|theta\|\) at r=1e\+300 is 0, not a normal double$"
+        with pytest.raises(IntegrabilityError, match=lead):
+            radial_convolution._request(model, 1e300, [radial_convolution._MG_NORM], prior)
 
 
 @pytest.mark.parametrize("prior", [power_prior(-5.0, 5), power_prior(-7.0, 5)], ids=["k=-p", "k<-p"])
@@ -767,3 +810,13 @@ def test_far_out_the_bell_rows_return_kappa_or_name_the_floor(model_name, prior_
             lead = rf"^integrability fails: m at r={re.escape(f'{r:.3g}')} is \S+, not a normal double$"
             with pytest.raises(IntegrabilityError, match=lead):
                 marginal_m(prior, model, r)
+
+
+@pytest.mark.parametrize("prior", [power_prior(-2.5, 5), log_thickened_prior(0, 2.0, 5)], ids=repr)
+def test_far_out_the_sweep_names_r_without_a_numpy_warning(prior):
+    # lambda^(p-1) overflows at r = 1e150 where the kernel weight is 0: the
+    # product is formed under errstate, so the non-finite check raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrabilityError, match=r"^integrability fails: m at r=1e\+150 head: integrand is not finite"):
+            gb_marginals(prior, poly_exp(2.0, 1.0, 5), 1e150)
