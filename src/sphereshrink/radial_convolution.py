@@ -18,28 +18,28 @@ Every value here comes from one request path, ``_request``: a list of
 terms that share the model and the radius r, each an integrand rho, a
 kernel weight (the density f or the tail kernel F/C_f) and a
 singularity class, some with the directional numerator's extra
-lambda cos(phi).  A term may instead be a prior term (``_PriorTerm``),
-the marginal of eta^shift g for the request's prior g: m and S against
-f, M(g) and M(g/||theta||) against F/C_f.  The request holds the
-dimension check, the one radius check (0 <= r < inf), the closed forms,
-which take no quadrature (the harmonic prior's m on every model, and on
-a sum of gaussian bells every prior term of a declared pure power
-G = eta^k, Kummer sums from ``_power_on_bells``: m, S, and the ratio
-probe's and FG1's M(g) and M(g/||theta||)), and the one conversion of a
-divergent tail or an overflowing integrand into IntegrabilityError, to
-which the bell path adds an m whose row is below ``_M_FLOOR``, and the
-closed path a plain term that is not a normal double; a failed
-integral's message names its term and r.
-At r = 0 each term is radial, a directional one exactly 0, and the
-terms are one ``numerics.integrate_half_lines`` batch; the head of a
-term with a negative singularity class starts from the ratio-2 ladder 2^-k
+lambda cos(phi), or a prior term (``_PriorTerm``), the marginal of
+eta^shift g for the request's prior g: m and S against f, M(g) and
+M(g/||theta||) against F/C_f.  The request holds the dimension check,
+the one radius check (0 <= r < inf) and the one conversion of a
+divergent tail, an overflowing integrand or an m it cannot hold into
+IntegrabilityError; a failed integral's message names its term and r.
+
+Only ``_closed`` decides which prior terms take no quadrature: on a sum
+of gaussian bells (``RadialDensity.bells``: the gaussian, poly_exp with
+alpha = 0 and mixture_diff) every term of a declared pure power
+G = eta^k, the harmonic prior included, is a Kummer sum, and on any
+other model the harmonic prior's m and S come from two kernel moments.
+``_gb_weight`` is the GB weight 1 - kappa that ``shrinkage`` and
+``risk_sim`` read.  Every other term is quadrature.  At r = 0 each term
+is radial, a directional one exactly 0, and the terms are one
+``numerics.integrate_half_lines`` batch; the head of a term with a
+negative singularity class starts from the ratio-2 ladder 2^-k
 (k = 1..20) toward 0, as ``_RIDGE_MESH`` grades the ridge, and a
-table's heads run over its knots.  At r > 0,
-for a model that is a sum of gaussian bells (``RadialDensity.bells``:
-the gaussian, poly_exp with alpha = 0 and mixture_diff), the angular
-average of each bell is closed, and each term is one radial row per
-bell, or two for a directional term, all of them one
-``integrate_half_lines`` batch (``_bell_rows``).  For every other
+table's heads run over its knots, at r > 0 too.  At r > 0, on a model
+with bells, the angular average of each bell is closed, and each term
+is one radial row per bell, or two for a directional term, all of them
+one ``integrate_half_lines`` batch (``_bell_rows``).  For every other
 model they are one ``_sweep``: the lambda integrals of all terms are
 one ``integrate_half_lines`` batch, and each of its rounds adapts the
 angular integrals at all its lambdas as one ``integrate_rows`` batch.
@@ -48,15 +48,12 @@ Rows never share segments, so a term's value is the same, bitwise,
 alone and in any batch.  The public functions and ``rv_priors``' FG1
 check are each one request.
 
-The sweep is the slow-but-independent oracle for the closed forms: the
-kernel moments of ``shrinkage``'s weight, which is also the harmonic
-prior's GB factor, the harmonic prior's m here, and the bell rows,
-which the tests compare with it wherever both run; the bell rows, in
-turn, are the Kummer sums' reference, reached through the entries that
-take a callable integrand (``radial_expectation``,
-``kernel_marginal_M``, ``directional_marginal``), which never take a
-closed form.  On a model without bells S is never closed, so
-``gb_marginals`` checks that closed GB factor there.
+The sweep is the slow-but-independent oracle for the kernel moments
+and the bell rows, which the tests compare with it wherever both run;
+the bell rows, in turn, are the Kummer sums' reference.  Both are
+reached through the entries that take a callable integrand
+(``radial_expectation``, ``kernel_marginal_M``,
+``directional_marginal``), which never take a closed form.
 """
 
 from __future__ import annotations
@@ -199,44 +196,31 @@ def _request(model: RadialDensity, r: float, terms, prior: RadialPrior | None = 
 
     A prior term (``_PriorTerm``: ``_M``, ``_S``, ``_MG``, ``_MG_NORM``)
     is the marginal of eta^shift g against its kernel, along x if it says
-    so.  The harmonic prior's m is its closed form on every model.  On a
-    model with bells, at every r >= 0, every prior term of a declared pure
-    power eta^k is a Kummer sum (``_power_on_bells``) at power k + shift,
-    over the bells (w_j, v_j) for the density and (w_j v_j / C_f, v_j) for
-    the tail kernel, since F of a bell is a bell; a plain one raises
-    IntegrabilityError naming the term and r where it is not a normal
-    double (far out, where r^k underflows), and a k + shift at or below
-    -p is refused with ConvolutionError.  Every other prior term is the
-    term of the integrand eta^shift g, of class ``origin_class`` + shift.
-    A callable term whose index is in ``directional`` is the along-x
-    numerator of its integrand.  A radius that is negative, infinite or
-    NaN is refused with ConvolutionError.  A failed integral names its
-    term and r: a prior term by its name, any other as "term j".  On the
-    bell path, a prior's m with a row of at most ``_M_FLOOR`` (far out,
-    where it underflows) raises IntegrabilityError naming r.
+    so.  It is ``_closed``'s value, asked once per kernel and shift, where
+    that exists (a plain one that is not a normal double raises
+    IntegrabilityError naming the term and r), else the term of the
+    integrand eta^shift g, of class ``origin_class`` + shift.  A callable term whose index is in
+    ``directional`` is the along-x numerator of its integrand.  A radius
+    that is negative, infinite or NaN is refused with ConvolutionError.
+    A failed integral names its term and r: a prior term by its name, any
+    other as "term j".  On the bell path, a prior's m with a row of at
+    most ``_M_FLOOR`` (far out, where it underflows) raises
+    IntegrabilityError naming r.
     """
     same_dimension(ConvolutionError, model, prior)
     r = radius(r, ConvolutionError, "radius")
     values, todo, closed = [0.0] * len(terms), [], {}
     for j, term in enumerate(terms):
-        if term is _M and prior.harmonic:
-            values[j] = _harmonic_m(model, r)
-            continue
         of_prior = isinstance(term, _PriorTerm)
         cos = term.along if of_prior else j in directional
         if cos and r == 0.0:
             continue  # by symmetry, a directional term is 0 at r = 0
         name = term.name if of_prior else f"term {j}"
         if of_prior:
-            bells = model.bells()
-            if prior.pure_power is not None and bells is not None:
-                key = (term.kernel, term.shift)
-                if key not in closed:
-                    weights = bells
-                    if term.kernel == "tail_kernel":
-                        norm = c_f(model)
-                        weights = tuple((w * v / norm, v) for w, v in bells)
-                    closed[key] = _power_on_bells(weights, model.p, prior.pure_power + term.shift, r)
+            key = (term.kernel, term.shift)
+            if key not in closed:
+                closed[key] = _closed(prior, model, term.kernel, term.shift, r)
+            if closed[key] is not None:
                 values[j] = value = closed[key][1 if cos else 0]
                 if not cos and not _TINY <= value < math.inf:
                     raise IntegrabilityError(f"integrability fails: {name} at r={r:.3g} is {value:.3g}, "
@@ -266,6 +250,25 @@ def _shifted(g, shift):
     return g if shift == 0.0 else lambda lam: g(lam) / lam**-shift
 
 
+def _closed(prior: RadialPrior, model: RadialDensity, kernel: str, shift: float, r: float):
+    """(plain, along x, w = 1 - kappa) of ``kernel`` against eta^shift g at ||x|| = r without quadrature, or None.
+
+    For a declared pure power eta^k: Kummer sums at k + shift over the
+    kernel's bells (``_power_on_bells``, which refuses k + shift <= -p),
+    or without bells, for k + shift = 2 - p against f, ``_harmonic_terms``.
+    """
+    k, bells = prior.pure_power, _kernel_bells(model, kernel)
+    if k is not None and bells is not None:
+        return _power_on_bells(bells, model.p, k + shift, r)
+    return _harmonic_terms(model, r) if kernel == "density" and k == 2.0 - model.p - shift else None
+
+
+def _kernel_bells(model: RadialDensity, kernel: str):
+    """The bells (w_j, v_j) of ``kernel``, or None: f's, or for F / C_f (w_j v_j / C_f, v_j), since F of a bell is a bell."""
+    bells = model.bells()
+    return bells if bells is None or kernel == "density" else tuple((w * v / c_f(model), v) for w, v in bells)
+
+
 def _sweep(problems, cos, names) -> np.ndarray:
     """The radial (lambda) integrals wrapping the angular ones, all in one batch.
 
@@ -287,7 +290,8 @@ def _sweep(problems, cos, names) -> np.ndarray:
     the ridge lambda = r and, when r is beyond it, at the kernel's
     support radius ``support_radius(1e-16)`` (were [0, r] one piece,
     every starting node of a far r would fall where f underflows, and m
-    would read 0), and a tail [cut, inf) under the model's
+    would read 0) and at a table's knots below cut, kinks of f whose
+    error a piece across one under-reads, and a tail [cut, inf) under the model's
     ``tail_decay``: the terms of one ``integrate_half_lines`` call, which
     probes the tails and maps them.  Each call of the outer integrand
     adapts the angular integrals of all its lambdas, whatever their
@@ -372,7 +376,7 @@ def _sweep(problems, cos, names) -> np.ndarray:
             y *= _by_group(powers, power_of, term, lams)
         return y
 
-    head = [0.0, spike, r, cut] if r > spike else [0.0, r, cut]
+    head = sorted({0.0, r, cut, *((spike,) if r > spike else ()), *(knot for knot in model.knots if knot < cut)})
     return sphere_surface(p - 1) * integrate_half_lines(outer, [head] * n, _OUTER_SPEC, names=names,
                                                         **model.tail_decay)
 
@@ -381,8 +385,8 @@ def _bell_rows(problems, cos, names, bells, floored) -> np.ndarray:
     """The terms at r > 0 for a model that is a sum of gaussian bells (``RadialDensity.bells``).
 
     These are the terms given as a callable integrand, and the prior
-    terms of every prior but a declared pure power, whose are closed
-    (``_power_on_bells``), and the harmonic prior's m.
+    terms of every prior but a declared pure power, which ``_closed``
+    gives.
 
     The angular average of a bell of variance v about x is closed: with
     lambda = ||theta||, z = r lambda / v and b = p/2,
@@ -391,7 +395,7 @@ def _bell_rows(problems, cos, names, bells, floored) -> np.ndarray:
 
     A_b(z) = 0F1(; b; z^2/4) e^-z (``_bell_factor``).  So a plain term is
     c_p sum_j W_j m_j, with W_j the bell's weight in the term's kernel
-    (w_j for f, w_j v_j / C_f for F / C_f) and m_j the radial row
+    (``_kernel_bells``) and m_j the radial row
     int rho(lambda) lambda^(p-1) exp(-(r - lambda)^2 / (2 v_j)) A_b(z) dlambda.
     Along x, (theta - x) exp(...) is v_j times the r-derivative of the
     bell, so a directional term is r c_p sum_j W_j (M_j / (p v_j) - m_j),
@@ -416,7 +420,6 @@ def _bell_rows(problems, cos, names, bells, floored) -> np.ndarray:
     reach = _BELL_REACH * np.sqrt(var)
     far = r > _BELL_FAR * math.sqrt(var.max())
     centre = 0.0 if far else r  # where the row variable puts lambda = r
-    norm = c_f(model)
     rhos, rho_of = _distinct([pr.integrand for pr in problems])
     # each term's rows, by bell and lift: (integrand, origin ladder, bell, lift)
     term_rows = [[[(rho_of[t], pr.singularity_class < 0 and not far, j, lift) for lift in ((0, 1) if cos[t] else (0,))]
@@ -462,11 +465,12 @@ def _bell_rows(problems, cos, names, bells, floored) -> np.ndarray:
             raise IntegrabilityError(f"integrability fails: {names[t]}: a row is {least:.3g}, below {_M_FLOOR:.0e}, "
                                      f"where it holds only its absolute tolerance {_CLOSED_SPEC.abs_tol:.0e}")
     cp = sphere_surface(p)
+    kernel_bells = {kernel: _kernel_bells(model, kernel) for kernel in {pr.kernel for pr in problems}}
     values = []
     for t, pr in enumerate(problems):
         total = 0.0
-        for (w, v), lifts in zip(bells, term_rows[t]):
-            weight = cp * (w if pr.kernel == "density" else w * v / norm)
+        for (w, v), lifts in zip(kernel_bells[pr.kernel], term_rows[t]):
+            weight = cp * w
             m = weight * rows[row_of[lifts[0]]]
             total += r * (weight * rows[row_of[lifts[1]]] / (p * v) - m) if cos[t] else m
         values.append(total)
@@ -570,6 +574,31 @@ def _kummer_tail(a, b, inv_x):
     return total
 
 
+def _harmonic_terms(model: RadialDensity, r: float) -> tuple:
+    """(m, S, 1 - kappa) of the harmonic prior eta^(2-p) at ||x|| = r, from two kernel moments of F.
+
+    By the mean-value property of eta^(2-p), with A = int_0^r t^(p-1) F
+    and B = int_0^r t^(p-3) F: m = c_p (p - 2) r^(2-p) B and, as
+    F'(t) = -t f(t), S = -c_p (p - 2) r^(1-p) A, so 1 - kappa =
+    A / (r^2 B), the profile's phi / r^2, and S = -r m (1 - kappa).  m
+    takes its limit c_p F(0) where r^(p-2) < 1e-290, and 1 - kappa its
+    limit (p - 2)/p where r^p < 1e-290; far out m may be subnormal or 0.
+    """
+    p = model.p
+    cp = sphere_surface(p)
+    w = (p - 2.0) / p
+    if r < 1.0 and r ** (p - 2.0) < 1e-290:
+        m = cp * float(model.big_f(0.0))
+        return m, -r * m * w, w
+    b = float(model.kernel_moment(p - 3.0, r))
+    m = cp * (p - 2.0) * b
+    # r^(p-2) overflows where m is about to underflow
+    m = m * r ** (2.0 - p) if r ** (2.0 - p) < 1e-290 else m / r ** (p - 2.0)
+    if not (r < 1.0 and r**p < 1e-290):
+        w = float(model.kernel_moment(p - 1.0, r)) / b / r / r
+    return m, -r * m * w, w
+
+
 def _distinct(items):
     """The distinct items (by ==) in order, and each item's index among them."""
     out = []
@@ -603,41 +632,26 @@ def directional_marginal(integrand, model: RadialDensity, r: float, *, singulari
 
 
 def harmonic_marginal_closed(model: RadialDensity, r: float) -> float:
-    """Marginal of the fundamental-solution prior through the kernel moment.
+    """Marginal of the fundamental-solution prior through the kernel moment, on every model.
 
     m(r) = c_p (p - 2) r^{2-p} int_0^r t^{p-3} F(t) dt, tending to
-    c_p F(0) as r -> 0.
-
+    c_p F(0) as r -> 0 (``_harmonic_terms``), returned also where it underflows.
     This is exact for g(eta) = eta^{2-p} and is the fast route the
     2-d oracle is checked against.  r must be nonnegative and finite.
     """
-    return _harmonic_m(model, radius(r, ConvolutionError, "radius"))
-
-
-def _harmonic_m(model: RadialDensity, r: float) -> float:
-    p = model.p
-    cp = sphere_surface(p)
-    if r < 1.0 and r ** (p - 2.0) < 1e-290:
-        # r^{p-2} and the moment would underflow; m = c_p F(0) to double precision
-        return cp * float(model.big_f(0.0))
-    m = cp * (p - 2.0) * float(model.kernel_moment(p - 3.0, r))
-    if r ** (2.0 - p) < 1e-290:
-        # near where r^{p-2} overflows; m, about r^{2-p}, goes to a subnormal or 0
-        return m * r ** (2.0 - p)
-    return m / r ** (p - 2.0)
+    return _harmonic_terms(model, radius(r, ConvolutionError, "radius"))[0]
 
 
 def marginal_m(prior: RadialPrior, model: RadialDensity, r: float) -> float:
     """Prior marginal m(g|x) at ||x|| = r.
 
-    The fundamental-solution prior dispatches to its closed form
-    ``harmonic_marginal_closed``, and a declared pure power eta^k on a
-    gaussian-family model to its Kummer sum
-    sum_j C_j 1F1(-k/2; p/2; -r^2/(2 v_j)) over the bells, at every
-    r >= 0, with no quadrature; that m is refused with IntegrabilityError
-    where it is not a normal double.  Every other prior goes through the
-    oracle: at r > 0, one radial row per bell of a gaussian-family model,
-    else the 2-d sweep.
+    Closed where ``_closed`` has it: for a declared pure power eta^k on a
+    gaussian-family model, the harmonic prior included, the Kummer sum
+    sum_j C_j 1F1(-k/2; p/2; -r^2/(2 v_j)) over the bells, and for the
+    harmonic prior on any other model ``harmonic_marginal_closed``; a
+    closed m that is not a normal double raises IntegrabilityError.  Any
+    other goes through the oracle: at r > 0, one radial row per bell of a
+    gaussian-family model, else the 2-d sweep.
     """
     return _request(model, r, [_M], prior)[0]
 
@@ -656,18 +670,30 @@ def kernel_marginal_M(integrand, model: RadialDensity, r: float, *, singularity_
 def gb_marginals(prior: RadialPrior, model: RadialDensity, r: float) -> tuple[float, float]:
     """The marginal m(g|x) and the directional numerator S at ||x|| = r.
 
-    S is ``directional_marginal`` of g, 0 at r = 0.  For a declared pure
-    power eta^k (the harmonic prior included) on a gaussian-family model
-    (``RadialDensity.bells``) m and S are closed, Kummer sums over the
-    bells, S = r (k/p) sum_j C_j 1F1(1 - k/2; p/2 + 1; -r^2/(2 v_j)).
-    For every other prior they come from the oracle, in one batch: on a
+    S is ``directional_marginal`` of g, 0 at r = 0.  Both are closed as
+    ``marginal_m`` is: for a pure power on bells
+    S = r (k/p) sum_j C_j 1F1(1 - k/2; p/2 + 1; -r^2/(2 v_j)), and for
+    the harmonic prior off bells S = -r m A / (r^2 B) in the kernel
+    moments A and B.  Otherwise they are one batch of the oracle: on a
     gaussian-family model S is r sum_j (M_j / (p v_j) - m_j) over its
     bell rows, a difference of terms of size r m, so it holds to a
     tolerance of r m, not of S; on any other model it is swept, to a
-    tolerance of S, and beside the harmonic prior's closed m
-    1 + S / (r m) checks ``shrinkage.gb_multiplier``'s closed form.
+    tolerance of S.
     """
     return tuple(_request(model, r, [_M, _S], prior))
+
+
+def _gb_weight(prior: RadialPrior, model: RadialDensity, r: float) -> float:
+    """The GB weight w = 1 - kappa = -S / (r m) at ||x|| = r > 0, r and the dimension checked by the caller.
+
+    ``_closed``'s w where it has one, whatever m is (far out w still holds
+    -k / r^2 where m underflows), else from one request of m and S.
+    """
+    closed = _closed(prior, model, "density", 0.0, r)
+    if closed is not None:
+        return closed[2]
+    m, s = _request(model, r, [_M, _S], prior)
+    return -s / (r * m)
 
 
 @dataclass(frozen=True)
@@ -689,7 +715,8 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
     At each radius the three marginals are one request of prior terms,
     M(g), M(g/||theta||) and m: for a declared pure power on a
     gaussian-family model all three are Kummer sums and no quadrature
-    runs; for the harmonic prior m is closed on every model.
+    runs; for the harmonic prior m is closed on every model.  The three
+    slopes are one least-squares fit of the three columns of log |ratio - 1|.
     """
     rs = tuple(radii(r_list, ConvolutionError, "probe radii", positive=True, least=2).tolist())
 
@@ -709,10 +736,7 @@ def asymptotic_ratio_probe(prior: RadialPrior, model: RadialDensity, r_list) -> 
         ratios["M_g"].append(big_m / gr)
         ratios["M_g_over_norm"].append(big_m_norm / (gr / r))
 
-    eps = {}
-    logr = np.log(np.asarray(rs))
-    for name, vals in ratios.items():
-        dev = np.maximum(np.abs(np.asarray(vals) - 1.0), 1e-15)
-        slope = np.polyfit(logr, np.log(dev), 1)[0]
-        eps[name] = -float(slope)
+    dev = np.maximum(np.abs(np.array(list(ratios.values())).T - 1.0), 1e-15)
+    slopes = np.polyfit(np.log(np.asarray(rs)), np.log(dev), 1)[0]
+    eps = {name: -float(slope) for name, slope in zip(ratios, slopes)}
     return AsymptoticProbe(rs, {k: tuple(v) for k, v in ratios.items()}, eps)

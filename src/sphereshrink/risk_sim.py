@@ -40,7 +40,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from sphereshrink._domain import integer, radii, real, same_dimension
 from sphereshrink.numerics import QuadratureError, WeightTable, gated_table, sphere_surface
-from sphereshrink.radial_convolution import ConvolutionError, c_f, gb_marginals
+from sphereshrink.radial_convolution import ConvolutionError, _gb_weight, c_f
 from sphereshrink.radial_models import RadialDensity
 from sphereshrink.rv_priors import RadialPrior
 from sphereshrink.shrinkage import _cached_profile, tail_power
@@ -245,13 +245,12 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
     """The GB weight w = 1 - kappa as a ``numerics.WeightTable``, built once per (model, prior).
 
     The harmonic prior's kappa is the profile's 1 - phi/r^2, so its table
-    is the one ``harmonic_bayes`` reads; for any other prior
-    phi = r^2 (1 - kappa) = -r S/m comes from the convolution oracle's
-    ``gb_marginals``.  The head's ``_GB_KNOTS`` = 49 geometric knots end
-    at max(support_radius(1e-10), 1), with the slopes of a not-a-knot
-    cubic spline through phi in log r (a PCHIP's would be 0 at phi's
-    local maximum near r = 2.9 on the p = 3 gaussian, whose head then
-    missed by 7.7e-3).  The tail's lead is -c_f r G'(r)/G(r),
+    is the one ``harmonic_bayes`` reads; for any other prior phi = r^2 w,
+    with w from the convolution oracle's ``_gb_weight``.  The head's
+    ``_GB_KNOTS`` = 49 geometric knots end at max(support_radius(1e-10), 1),
+    with the slopes of a not-a-knot cubic spline through phi in log r (a
+    PCHIP's would be 0 at phi's local maximum near r = 2.9 on the p = 3
+    gaussian, whose head then missed by 7.7e-3).  The tail's lead is -c_f r G'(r)/G(r),
     c_f = E||X||^2/p: phi's first term at large r, tending to -k c_f for
     a prior of index k, so that the rest is near linear in r^-beta,
     beta = ``shrinkage.tail_power``, even where G carries log factors.
@@ -277,16 +276,16 @@ def _gb_table(model: RadialDensity, prior: RadialPrior) -> WeightTable:
         grid = np.geomspace(max(1e-2, 1e-3 * hi), max(hi, 1.0), _GB_KNOTS)
 
         def phi(radii):
-            # -r S/m from one oracle request; r^2 (1 - kappa) loses 1 - kappa ~ 3/r^2 to cancellation far out
+            # r^2 w, with w formed as itself: r^2 (1 - kappa) would lose w ~ 3/r^2 to cancellation far out
             out = []
             for r in radii.tolist():
                 try:
-                    m, s = gb_marginals(prior, model, r)
+                    w = _gb_weight(prior, model, r)
                 except (ConvolutionError, QuadratureError) as exc:
                     if r <= grid[-1]:
                         raise
                     raise TableError(f"GB table's tail cannot be checked: the oracle fails at r = {r:.3g}") from exc
-                out.append(-r * s / m)
+                out.append(r * r * w)
             return np.array(out)
 
         cf = c_f(model)

@@ -394,9 +394,10 @@ class RadialPrior:
     part; ``pure_power`` is k for a prior declared as G = eta^k with no
     log factor, else None: on a sum of gaussian bells its marginal, its
     along-x numerator and its GB factor are closed (Kummer's 1F1); and
-    ``harmonic`` marks G = eta^{2-p}, whose marginal has a closed form on
-    every model.  ``gamma`` is the exponent used when the smoothing
-    sequence is glued onto the prior in properness and Blyth integrals.
+    ``harmonic`` marks G = eta^{2-p}, the pure power k = 2 - p, for which
+    the same three are closed on any model (``radial_convolution._closed``).
+    ``gamma`` is the exponent used when the smoothing sequence is glued
+    onto the prior in properness and Blyth integrals.
     """
 
     rv_index = None

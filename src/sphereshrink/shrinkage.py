@@ -20,7 +20,7 @@ import numpy as np
 from sphereshrink._domain import radius, same_dimension
 from sphereshrink.numerics import QuadratureSpec, WeightTable, integrate
 from sphereshrink.radial_models import RadialDensity
-from sphereshrink.radial_convolution import _power_on_bells, gb_marginals
+from sphereshrink.radial_convolution import _gb_weight
 from sphereshrink.rv_priors import RadialPrior
 
 # Knots of the profile's geometric grid (an origin knot comes on top).
@@ -47,11 +47,6 @@ def phi_star(model: RadialDensity, p: int, r: float) -> float:
     num = integrate(lambda t: t ** (p - 1.0) * model.big_f(t), edges, spec).value
     den = integrate(lambda t: t ** (p - 3.0) * model.big_f(t), edges, spec).value
     return num / den
-
-
-def _exact_phi(model: RadialDensity, r):
-    """phi = A/B from the two kernel moments, exact where both are representable."""
-    return model.kernel_moment(model.p - 1.0, r) / model.kernel_moment(model.p - 3.0, r)
 
 
 def phi_limit(model: RadialDensity, p: int) -> float:
@@ -121,8 +116,9 @@ def build_profile(model: RadialDensity) -> ShrinkageProfile:
     dphi = grid ** (p - 3.0) * model.big_f(grid) * (grid**2 - phi_k) / b
     psi = np.concatenate(([(p - 2.0) / p], phi_k / grid**2))
     dpsi = np.concatenate(([0.0], (dphi - 2.0 * phi_k / grid) / grid**2))
-    table = WeightTable(np.concatenate(([0.0], grid)), psi, dpsi, lambda r: _exact_phi(model, r), lambda r: limit, tail_power(model),
-                        1e-6 * max(1.0, limit), ShrinkageError, "profile interpolant misses phi")
+    table = WeightTable(np.concatenate(([0.0], grid)), psi, dpsi,
+                        lambda r: model.kernel_moment(p - 1.0, r) / model.kernel_moment(p - 3.0, r), lambda r: limit,
+                        tail_power(model), 1e-6 * max(1.0, limit), ShrinkageError, "profile interpolant misses phi")
     return ShrinkageProfile(model, p, grid, limit, table)
 
 
@@ -151,35 +147,18 @@ def gb_multiplier(prior: RadialPrior, model: RadialDensity, p: int, r: float) ->
     """Posterior-mean factor kappa with delta_g(x) = kappa(||x||) x.
 
     Splitting theta along and across x gives kappa = 1 + S / (r m), where
-    S is the cos-weighted marginal and m the plain one (``gb_marginals``).
-    Outside the two closed cases below they are one request of the
-    convolution oracle: for a gaussian-family model, the radial rows of
-    its bells (S is r (M / (p v) - m) for one bell of variance v, so
-    kappa holds to a few ulps of 1), and for any other model one 2-d
-    sweep.
-    For a declared pure power g(eta) = eta^k on a sum of gaussian bells
-    of variances v_j, 1 - kappa is closed, -(k/p) times a ratio of Kummer
-    sums, sum_j C_j 1F1(1 - k/2; p/2 + 1; -x_j) / sum_j C_j 1F1(-k/2; p/2; -x_j)
-    with x_j = r^2/(2 v_j), from which r^k cancels far out, so kappa is
-    finite where m underflows (``radial_convolution._power_on_bells``).
-    For the harmonic g(eta) = eta^{2-p}, kappa is the shrinkage profile's
-    1 - phi(r)/r^2: since F'(t) = -t f(t), S is d/dr of
-    int g(theta) F(||theta - x||) dtheta, and by the mean-value property
-    of g that integral is c_p [r^{2-p} A(r) + int_r^inf t F(t) dt], so
-    S = -c_p (p - 2) r^{1-p} A(r) (the two r F(r) terms of its
-    derivative cancel); with m = c_p (p - 2) r^{2-p} B(r), S / (r m) is
-    -A / (r^2 B).  Where r^p < 1e-290, A would underflow, and kappa
-    takes its limit 2/p.  r must be positive and finite, and the model,
-    the prior and p must agree on the dimension.
+    S is the cos-weighted marginal and m the plain one (``gb_marginals``),
+    so kappa is 1 less the oracle's GB weight w = -S / (r m).  w is closed
+    where the oracle has it (``radial_convolution._closed``): for a
+    declared pure power eta^k on a sum of gaussian bells, the harmonic
+    prior included, a ratio of Kummer sums from which r^k cancels, so
+    kappa is finite where m underflows; for the harmonic prior on any
+    other model the profile's phi/r^2 = A / (r^2 B), with its limit
+    (p - 2)/p where r^p < 1e-290.  Otherwise m and S are one request of
+    the oracle: the radial rows of a gaussian-family model's bells, or one
+    2-d sweep.  r must be positive and finite, and the model, the prior
+    and p must agree on the dimension.
     """
     same_dimension(ShrinkageError, model, prior, p)
     r = radius(r, ShrinkageError, positive=True)
-    if prior.harmonic:
-        if r < 1.0 and r**p < 1e-290:  # r^p alone would overflow far out
-            return 2.0 / p
-        return 1.0 - float(_exact_phi(model, r)) / r / r
-    bells = model.bells()
-    if prior.pure_power is not None and bells is not None:
-        return 1.0 - _power_on_bells(bells, p, prior.pure_power, r)[2]
-    m, s = gb_marginals(prior, model, r)
-    return 1.0 + s / (r * m)
+    return 1.0 - _gb_weight(prior, model, r)

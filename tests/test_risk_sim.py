@@ -409,19 +409,19 @@ def test_generalized_bayes_tracks_harmonic():
 
 
 def test_the_harmonic_gb_table_is_the_profile_table(monkeypatch):
-    monkeypatch.setattr(risk_sim, "gb_marginals", lambda *args: pytest.fail("the oracle ran"))
+    monkeypatch.setattr(risk_sim, "_gb_weight", lambda *args: pytest.fail("the oracle ran"))
     model = gaussian(5)
     assert risk_sim._gb_table(model, harmonic_prior(5)) is risk_sim._cached_profile(model).table
 
 
 def test_generalized_bayes_table_is_built_once_per_model_and_prior(monkeypatch):
-    calls, build = [], risk_sim.gb_marginals
+    calls, build = [], risk_sim._gb_weight
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(risk_sim, "gb_marginals", counted)
+    monkeypatch.setattr(risk_sim, "_gb_weight", counted)
     cfg = RiskConfig(model=gaussian(5), p=5, estimator="generalized_bayes", prior=power_prior(-2.5, 5),
                      theta_norms=(0.0, 2.0), samples_per_point=4096, seed=7)
     first = estimate_risk(cfg, threads=1)
@@ -480,9 +480,9 @@ def test_generalized_bayes_tail_raises_its_own_error_where_the_oracle_fails(monk
         def oracle(prior, model, r, reach=reach):
             if r > reach:
                 raise ConvolutionError("no value")
-            return radial_convolution.gb_marginals(prior, model, r)
+            return radial_convolution._gb_weight(prior, model, r)
 
-        monkeypatch.setattr(risk_sim, "gb_marginals", oracle)
+        monkeypatch.setattr(risk_sim, "_gb_weight", oracle)
         with pytest.raises(error):
             risk_sim._gb_table(gaussian(5), power_prior(-2.5, 5))
 

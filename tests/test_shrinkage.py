@@ -247,15 +247,17 @@ def test_the_harmonic_gb_multiplier_is_finite_where_r_to_the_p_overflows(p, r):
 
 
 # gb_multiplier on the parity grid (tests/conftest.py), as float.hex.  The
-# harmonic rows are the shrinkage profile's exact 1 - phi/r^2, phi = A/B in
-# the kernel moments.  The others are from one-term calls with every ridge
-# row starting from the graded mesh: one batched sweep of m and S gives
+# harmonic rows are closed: 1 less the Kummer sums' 1 - kappa on the
+# gaussian, elsewhere the shrinkage profile's exact 1 - phi/r^2, phi = A/B
+# in the kernel moments.  The others are from one-term calls with every
+# ridge row starting from the graded mesh, and a table's heads split at
+# its knots: one batched sweep of m and S gives
 # each the value of its one-term sweep, so kappa = 1 + S / (r m) is pinned
 # bitwise.  The gaussian's gb_multiplier takes its bell rows, so its swept
 # kappa is asserted through ``_sweep`` itself.
 GB_PARITY = {
     ("harmonic", "gaussian"): {
-        "gb": ("0x1.99f37f75ce802p-2", "0x1.bd636722c0d1cp-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
+        "gb": ("0x1.99f37f75ce7fep-2", "0x1.bd636722c0d1cp-2", "0x1.eb2763b05874bp-1", "0x1.ffa0000000000p-1", "0x1.ffff9b56323bcp-1"),
     },
     ("harmonic", "poly_exp"): {
         "gb": ("0x1.999a97a31044cp-2", "0x1.b1c960350b81ep-2", "0x1.e57f2f46f3578p-1", "0x1.ffbcccccccccdp-1", "0x1.ffffb9892329dp-1"),
@@ -270,7 +272,7 @@ GB_PARITY = {
         "gb": ("0x1.001305d0ab8dap-1", "0x1.0f26f145d0554p-1", "0x1.ea148bd73ba2ap-1", "0x1.ffc8010028c8dp-1", "0x1.ffffc5479e670p-1"),
     },
     ("power", "tabulated"): {
-        "gb": ("0x1.01002ed115f72p-1", "0x1.442e332125b95p-1", "0x1.fffe7f1ab753bp-1", "0x1.ffb29730a905bp-1", "0x1.ffffac46796a1p-1"),
+        "gb": ("0x1.01002ed11415ap-1", "0x1.442e33212fa80p-1", "0x1.fffe7f1ab753ep-1", "0x1.ffb29730a8b14p-1", "0x1.ffffac46796a2p-1"),
     },
     ("log_thickened", "gaussian"): {
         "gb": ("0x1.8a9ddc396e1ecp-1", "0x1.9c74baa176dffp-1", "0x1.fb776ca27ed04p-1", "0x1.ffe768875559cp-1", "0x1.ffffe34abf06fp-1"),
@@ -279,7 +281,7 @@ GB_PARITY = {
         "gb": ("0x1.8cafe5661a958p-1", "0x1.96aad6a94dc38p-1", "0x1.f94b7ecb6d101p-1", "0x1.ffeb81a1fb889p-1", "0x1.ffffe8139f16ep-1"),
     },
     ("log_thickened", "tabulated"): {
-        "gb": ("0x1.7d252cfa5f872p-1", "0x1.c02f54c55bbd9p-1", "0x1.ffffd4cd94c3ep-1", "0x1.fff7cd8ece68fp-1", "0x1.fffff66e3faddp-1"),
+        "gb": ("0x1.7d252cfa43ec6p-1", "0x1.c02f54c5581f1p-1", "0x1.ffffd4cd94c3ep-1", "0x1.fff7cd8ece6ffp-1", "0x1.fffff66e3faddp-1"),
     },
 }
 
